@@ -93,7 +93,7 @@ void BM_EbpfDecodeCfg(benchmark::State &State) {
       static_cast<double>(Insns * State.iterations()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_EbpfDecodeCfg);
+BENCHMARK(BM_EbpfDecodeCfg)->UseRealTime();
 
 void BM_EbpfLowerAllThree(benchmark::State &State) {
   std::vector<ebpf::Cfg> Gs = cfgs(corpus(kDecodePrograms));
@@ -111,7 +111,7 @@ void BM_EbpfLowerAllThree(benchmark::State &State) {
       static_cast<double>(kDecodePrograms * State.iterations()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_EbpfLowerAllThree);
+BENCHMARK(BM_EbpfLowerAllThree)->UseRealTime();
 
 void BM_EbpfPipelinePdmc(benchmark::State &State) {
   std::vector<ebpf::Cfg> Gs = cfgs(corpus(kPrograms));
@@ -130,7 +130,7 @@ void BM_EbpfPipelinePdmc(benchmark::State &State) {
       benchmark::Counter::kIsRate);
   State.counters["violations"] = static_cast<double>(Violations);
 }
-BENCHMARK(BM_EbpfPipelinePdmc);
+BENCHMARK(BM_EbpfPipelinePdmc)->UseRealTime();
 
 void BM_EbpfPipelineDataflow(benchmark::State &State) {
   std::vector<ebpf::Cfg> Gs = cfgs(corpus(kPrograms));
@@ -150,7 +150,7 @@ void BM_EbpfPipelineDataflow(benchmark::State &State) {
       benchmark::Counter::kIsRate);
   State.counters["uninit_reads"] = static_cast<double>(Uninit);
 }
-BENCHMARK(BM_EbpfPipelineDataflow);
+BENCHMARK(BM_EbpfPipelineDataflow)->UseRealTime();
 
 void BM_EbpfPipelineFlow(benchmark::State &State) {
   std::vector<ebpf::Cfg> Gs = cfgs(corpus(kPrograms));
@@ -169,7 +169,7 @@ void BM_EbpfPipelineFlow(benchmark::State &State) {
       benchmark::Counter::kIsRate);
   State.counters["ctx_flows"] = static_cast<double>(CtxFlows);
 }
-BENCHMARK(BM_EbpfPipelineFlow);
+BENCHMARK(BM_EbpfPipelineFlow)->UseRealTime();
 
 /// All three analyses of every corpus program on one BatchSolver pool
 /// — the `rasctool --ebpf-batch` / rascd shape.  Arg is the pool's
@@ -218,7 +218,7 @@ void BM_EbpfBatchAllThree(benchmark::State &State) {
       benchmark::Counter::kIsRate);
   State.counters["systems"] = static_cast<double>(3 * kPrograms);
 }
-BENCHMARK(BM_EbpfBatchAllThree)->Arg(1)->Arg(4);
+BENCHMARK(BM_EbpfBatchAllThree)->Arg(1)->Arg(4)->UseRealTime();
 
 } // namespace
 

@@ -92,7 +92,8 @@ BENCHMARK(BM_SolveDagParallel)
     ->Args({800, 1})
     ->Args({800, 2})
     ->Args({800, 4})
-    ->Args({800, 8});
+    ->Args({800, 8})
+    ->UseRealTime();
 
 /// Sharded merge on the 800-var DAG: MergeShards swept at Threads = 4
 /// (range(1) = shards, range(2) = relaxed stats). The /4/0/1 row is
@@ -125,7 +126,8 @@ BENCHMARK(BM_SolveDagSharded)
     ->Args({4, 1, 0})
     ->Args({4, 4, 0})
     ->Args({4, 8, 0})
-    ->Args({4, 0, 1}); // relaxed stats, shards = Threads
+    ->Args({4, 0, 1}) // relaxed stats, shards = Threads
+    ->UseRealTime();
 
 /// One Section 5 style system: random DAG over the adversarial
 /// machine, so per-edge annotation diversity is real closure work.
@@ -172,7 +174,7 @@ void BM_BatchSolve(benchmark::State &State) {
       static_cast<double>(K) * static_cast<double>(State.iterations()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_BatchSolve)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_BatchSolve)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 } // namespace
 

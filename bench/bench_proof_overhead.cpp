@@ -84,12 +84,12 @@ void solveLoop(benchmark::State &State, bool Proof) {
 void BM_SolveProofOff(benchmark::State &State) {
   solveLoop(State, /*Proof=*/false);
 }
-BENCHMARK(BM_SolveProofOff)->Arg(200)->Arg(400);
+BENCHMARK(BM_SolveProofOff)->Arg(200)->Arg(400)->UseRealTime();
 
 void BM_SolveProofOn(benchmark::State &State) {
   solveLoop(State, /*Proof=*/true);
 }
-BENCHMARK(BM_SolveProofOn)->Arg(200)->Arg(400);
+BENCHMARK(BM_SolveProofOn)->Arg(200)->Arg(400)->UseRealTime();
 
 } // namespace
 

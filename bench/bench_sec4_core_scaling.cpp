@@ -66,7 +66,12 @@ void BM_SolveDag(benchmark::State &State) {
       Edges * static_cast<double>(State.iterations()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SolveDag)->Arg(100)->Arg(200)->Arg(400)->Arg(800);
+BENCHMARK(BM_SolveDag)
+    ->Arg(100)
+    ->Arg(200)
+    ->Arg(400)
+    ->Arg(800)
+    ->UseRealTime();
 
 void BM_ComposeDenseTable(benchmark::State &State) {
   Dfa M = buildAdversarialMachine(4); // 256 elements

@@ -91,17 +91,17 @@ void solveLoop(benchmark::State &State, Mode M) {
 void BM_SolveObservabilityOff(benchmark::State &State) {
   solveLoop(State, Mode::Off);
 }
-BENCHMARK(BM_SolveObservabilityOff)->Arg(200)->Arg(400);
+BENCHMARK(BM_SolveObservabilityOff)->Arg(200)->Arg(400)->UseRealTime();
 
 void BM_SolveTraceOn(benchmark::State &State) {
   solveLoop(State, Mode::TraceOn);
 }
-BENCHMARK(BM_SolveTraceOn)->Arg(200)->Arg(400);
+BENCHMARK(BM_SolveTraceOn)->Arg(200)->Arg(400)->UseRealTime();
 
 void BM_SolveMetricsOn(benchmark::State &State) {
   solveLoop(State, Mode::MetricsOn);
 }
-BENCHMARK(BM_SolveMetricsOn)->Arg(200)->Arg(400);
+BENCHMARK(BM_SolveMetricsOn)->Arg(200)->Arg(400)->UseRealTime();
 
 } // namespace
 

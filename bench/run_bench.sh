@@ -52,7 +52,7 @@ for r in range(1, rounds + 1):
     with open(os.path.join(tmpdir, f"round_{r}.json")) as f:
         doc = json.load(f)
     for b in doc["benchmarks"]:
-        size = int(b["name"].rsplit("/", 1)[1])
+        size = int(b["name"].removesuffix("/real_time").rsplit("/", 1)[1])
         rec = per_size.setdefault(size, {"ms": [], "edges": 0, "edges_per_s": []})
         rec["ms"].append(b["real_time"] / 1e6)  # ns -> ms
         rec["edges"] = int(b.get("edges", 0))
@@ -135,7 +135,7 @@ for r in range(1, rounds + 1):
     with open(os.path.join(tmpdir, f"par_{r}.json")) as f:
         doc = json.load(f)
     for b in doc["benchmarks"]:
-        rec = per_cfg.setdefault(b["name"], {"ms": [], "counters": {}})
+        rec = per_cfg.setdefault(b["name"].removesuffix("/real_time"), {"ms": [], "counters": {}})
         rec["ms"].append(b["real_time"] / 1e6)  # ns -> ms
         for k in ("edges", "rounds", "edges_per_s", "systems_per_s"):
             if k in b:
@@ -208,7 +208,7 @@ for r in range(1, rounds + 1):
     with open(os.path.join(tmpdir, f"obs_{r}.json")) as f:
         doc = json.load(f)
     for b in doc["benchmarks"]:
-        rec = per_cfg.setdefault(b["name"], {"ms": [], "edges": 0})
+        rec = per_cfg.setdefault(b["name"].removesuffix("/real_time"), {"ms": [], "edges": 0})
         rec["ms"].append(b["real_time"] / 1e6)  # ns -> ms
         rec["edges"] = int(b.get("edges", 0))
 
@@ -288,7 +288,7 @@ for r in range(1, rounds + 1):
     with open(os.path.join(tmpdir, f"inc_{r}.json")) as f:
         doc = json.load(f)
     for b in doc["benchmarks"]:
-        rec = per_cfg.setdefault(b["name"], {"ms": [], "counters": {}})
+        rec = per_cfg.setdefault(b["name"].removesuffix("/real_time"), {"ms": [], "counters": {}})
         rec["ms"].append(b["real_time"] / 1e6)  # ns -> ms
         for k in ("edges", "retracted_edges", "requeued_edges"):
             if k in b:
@@ -364,7 +364,7 @@ for r in range(1, rounds + 1):
     with open(os.path.join(tmpdir, f"proof_{r}.json")) as f:
         doc = json.load(f)
     for b in doc["benchmarks"]:
-        rec = per_cfg.setdefault(b["name"], {"ms": [], "counters": {}})
+        rec = per_cfg.setdefault(b["name"].removesuffix("/real_time"), {"ms": [], "counters": {}})
         rec["ms"].append(b["real_time"] / 1e6)  # ns -> ms
         for k in ("edges", "proof_bytes"):
             if k in b:
@@ -443,7 +443,7 @@ for r in range(1, rounds + 1):
     with open(os.path.join(tmpdir, f"ebpf_{r}.json")) as f:
         doc = json.load(f)
     for b in doc["benchmarks"]:
-        rec = per_cfg.setdefault(b["name"], {"ms": [], "counters": {}})
+        rec = per_cfg.setdefault(b["name"].removesuffix("/real_time"), {"ms": [], "counters": {}})
         rec["ms"].append(b["real_time"] / 1e6)  # ns -> ms
         for k in ("programs_per_s", "insns_per_s", "violations",
                   "uninit_reads", "ctx_flows", "systems"):

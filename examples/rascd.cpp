@@ -7,10 +7,9 @@
 /// \file
 /// The rascd daemon binary: a thin shell around service/Rascd.h that
 /// parses flags, starts the daemon, and turns SIGTERM/SIGINT into a
-/// graceful drain (stop admitting, finish in-flight requests, flush a
-/// final snapshot of every resident system, exit 0). A client DRAIN
-/// op has the same effect. See README ("The solve service") for the
-/// wire format and a walkthrough.
+/// graceful drain (stop admitting, finish in-flight requests, exit 0).
+/// A client DRAIN op has the same effect. See README ("The solve
+/// service") for the wire format and a walkthrough.
 ///
 ///   rascd --data DIR [options]
 ///
@@ -25,7 +24,6 @@
 ///   --session-max-memory B   per-session memory budget, bytes (0)
 ///   --max-memory B       aggregate memory cap across systems (0)
 ///   --solve-threads N    frontier-parallel closure width per solve (1)
-///   --checkpoint-every-pops N  periodic checkpoint cadence (2^14)
 ///   --idle-timeout-ms N  per-session read/stall budget (30000)
 ///   --write-timeout-ms N per-response write budget (5000)
 ///   --retry-after-ms N   backoff hint in Busy frames (200)
@@ -93,8 +91,6 @@ int main(int Argc, char **Argv) {
       Opts.MaxTotalMemoryBytes = numArg();
     else if (Arg == "--solve-threads")
       Opts.Session.Threads = static_cast<unsigned>(numArg());
-    else if (Arg == "--checkpoint-every-pops")
-      Opts.CheckpointEveryPops = numArg();
     else if (Arg == "--idle-timeout-ms")
       Opts.IdleTimeoutMs = static_cast<int>(numArg());
     else if (Arg == "--write-timeout-ms")
@@ -128,8 +124,8 @@ int main(int Argc, char **Argv) {
                Daemon.numResidentSystems());
 
   // Park until a signal or a client DRAIN asks us to wind down; the
-  // actual teardown (stop admitting, finish in-flight work, flush
-  // final snapshots) lives in Rascd::stop().
+  // actual teardown (stop admitting, finish in-flight work) lives in
+  // Rascd::stop().
   while (!StopRequested.load(std::memory_order_relaxed) &&
          !Daemon.draining())
     std::this_thread::sleep_for(std::chrono::milliseconds(50));

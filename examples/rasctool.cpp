@@ -45,22 +45,9 @@
 ///                    provenance + incremental indexes. Falls back to
 ///                    a fresh re-solve if the incremental
 ///                    preconditions fail (e.g. after cycle collapse).
-///   --incremental    solve with the provenance + incremental indexes
-///                    maintained even without --retract — needed to
-///                    restore/--certify snapshots written by an
-///                    incremental solver (e.g. rascd's, which keeps
-///                    retraction live by default): snapshot options
-///                    are semantic and must match on restore.
 ///
-/// Durability (DESIGN.md section 7, "Durability"):
+/// Certification (DESIGN.md section 7):
 ///
-///   --checkpoint P   single file: save crash-safe snapshots to P and
-///                    restore from P when it exists, so a killed run
-///                    resumes instead of restarting; batch: P is a
-///                    directory holding one task-<i>.rsnap per system
-///   --checkpoint-every N
-///                    also snapshot every N worklist pops (default:
-///                    only at the end of each solve call)
 ///   --certify        independently re-verify the final closure
 ///                    against the resolution rules (core/Certifier.h)
 ///
@@ -99,18 +86,15 @@
 /// Exit codes (scriptable; see statusExitCode in core/Solver.h):
 /// solved=0, inconsistent=1, and with --no-resume the interrupt kind:
 /// deadline=10, edge limit=11, step limit=12, memory limit=13,
-/// cancelled=14. A checkpoint that exists but cannot be restored
-/// exits 20; a failed --certify exits 21. A failed --check exits with
+/// cancelled=14. A failed --certify exits 21. A failed --check exits with
 /// the checker verdict (check/Checker.h): invalid derivation=22,
 /// malformed log=23, incomplete proof=25. Usage errors exit 1.
 ///
 /// SIGINT/SIGTERM trip a cooperative cancel flag wired as every
 /// solver's CancelFlag: the in-flight solve interrupts with Cancelled
-/// at its next governance check instead of dying mid-write, the
-/// end-of-solve snapshot still runs when --checkpoint is active, and
-/// the process exits 14 — so Ctrl-C during a checkpointed run leaves
-/// a restorable snapshot, and rerunning the same command resumes from
-/// where the interrupt landed.
+/// at its next governance check instead of dying mid-write, and the
+/// process exits 14. The input file is the only state a run keeps:
+/// rerunning the same command solves it again from scratch.
 ///
 /// See frontend/ConstraintParser.h for the file format.
 ///
@@ -197,7 +181,6 @@ struct CliOptions {
   unsigned Threads = 1;
   bool Resume = true;
   bool Explain = false;
-  std::string CheckpointPath; // batch mode: a directory
   bool Certify = false;
   std::vector<uint32_t> Retract; // applied in order after the solve
   std::string CheckPath;         // --check: validate this proof log
@@ -246,22 +229,7 @@ int run(const std::string &Source, const char *Name, CliOptions Cli) {
     Cli.Solver.Incremental = true;
   }
   Cli.Solver.Threads = Cli.Threads;
-  Cli.Solver.CheckpointPath = Cli.CheckpointPath;
   BidirectionalSolver Solver(P->system(), Cli.Solver);
-  if (!Cli.CheckpointPath.empty() &&
-      std::filesystem::exists(Cli.CheckpointPath)) {
-    // A checkpoint that exists must restore: a corrupt or mismatched
-    // one is a distinct, scriptable failure (the caller decides
-    // whether to delete it and start over).
-    if (std::optional<Diag> D = Solver.restore(Cli.CheckpointPath)) {
-      std::fprintf(stderr, "%s\n", D->render().c_str());
-      return ExitCodeCorruptSnapshot;
-    }
-    std::printf("restored checkpoint %s (%zu edges, %zu pending)\n",
-                Cli.CheckpointPath.c_str(),
-                Solver.processedEdges() + Solver.pendingEdges(),
-                Solver.pendingEdges());
-  }
   Status S = Solver.solve();
   while (BidirectionalSolver::isInterrupted(S)) {
     std::printf("interrupted (%s) after %llu edges, %llu compositions\n",
@@ -275,11 +243,7 @@ int run(const std::string &Source, const char *Name, CliOptions Cli) {
     if (S == Status::Cancelled &&
         InterruptRequested.load(std::memory_order_relaxed)) {
       // A signal, not a budget: resuming would immediately re-cancel.
-      // The end-of-solve snapshot (when --checkpoint is active) was
-      // already flushed by solve(), so rerunning resumes from here.
-      std::printf("cancelled by signal%s\n",
-                  Cli.CheckpointPath.empty() ? ""
-                                             : " (checkpoint flushed)");
+      std::printf("cancelled by signal\n");
       return statusExitCode(S);
     }
     std::printf("resuming with budgets lifted...\n");
@@ -414,8 +378,6 @@ int runBatch(const std::string &Dir, CliOptions Cli) {
   BO.Threads = Cli.Threads;
   BO.DeadlineSeconds = Cli.Solver.DeadlineSeconds;
   BO.CancelFlag = &InterruptRequested;
-  BO.CheckpointDir = Cli.CheckpointPath;
-  BO.CheckpointEveryPops = Cli.Solver.CheckpointEveryPops;
   BatchSolver Batch(BO);
   std::printf("batch: %zu systems on %u threads\n\n", Programs.size(),
               Batch.numThreads());
@@ -724,15 +686,6 @@ int main(int Argc, char **Argv) {
         return 1;
       }
       EbpfDir = Argv[++I];
-    } else if (Arg == "--checkpoint") {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "--checkpoint needs a path\n");
-        return 1;
-      }
-      Cli.CheckpointPath = Argv[++I];
-    } else if (Arg == "--checkpoint-every") {
-      if (!numArg(Cli.Solver.CheckpointEveryPops))
-        return 1;
     } else if (Arg == "--trace") {
       if (I + 1 >= Argc) {
         std::fprintf(stderr, "--trace needs a file\n");
@@ -752,9 +705,6 @@ int main(int Argc, char **Argv) {
       if (!numArg(N))
         return 1;
       Cli.Retract.push_back(static_cast<uint32_t>(N));
-    } else if (Arg == "--incremental") {
-      Cli.Solver.Incremental = true;
-      Cli.Solver.TrackProvenance = true;
     } else if (Arg == "--prove") {
       if (I + 1 >= Argc) {
         std::fprintf(stderr, "--prove needs a file\n");
@@ -791,7 +741,7 @@ int main(int Argc, char **Argv) {
 
   // Cooperative cancellation: a signal interrupts the solve at its
   // next governance check (Status::Cancelled, exit 14), letting the
-  // end-of-solve checkpoint and trace/metrics epilogues still run.
+  // trace/metrics epilogues still run.
   std::signal(SIGINT, requestInterrupt);
   std::signal(SIGTERM, requestInterrupt);
   Cli.Solver.CancelFlag = &InterruptRequested;

@@ -45,8 +45,8 @@
 ///      bound the closedness claim to the processed prefix.
 ///
 /// Exit codes (also the CheckResult::ExitCode values) extend the
-/// rasctool vocabulary (core/Solver.h statusExitCode and the 20/21
-/// snapshot/certification codes) without overlapping it:
+/// rasctool vocabulary (core/Solver.h statusExitCode and the 21
+/// certification code) without overlapping it:
 ///
 ///   0   valid proof, final status Solved
 ///   1   valid proof, final status Inconsistent (conflict witnessed)

@@ -83,17 +83,6 @@ BatchSolver::solveAll(std::span<BidirectionalSolver *const> Solvers) {
       O.GroupMemory = &GroupMemory;
       O.MaxGroupMemoryBytes = Opts.MaxTotalMemoryBytes;
     }
-    if (!Opts.CheckpointDir.empty()) {
-      // Per-task durability: restore a previous run's snapshot if
-      // this task hasn't started yet (a rejected snapshot means
-      // re-solving from scratch — restore() left the solver fresh),
-      // then point the solver's own checkpointing at the same file.
-      O.CheckpointPath =
-          Opts.CheckpointDir + "/task-" + std::to_string(I) + ".rsnap";
-      O.CheckpointEveryPops = Opts.CheckpointEveryPops;
-      if (S->unstarted())
-        (void)S->restore(O.CheckpointPath);
-    }
     if (Opts.DeadlineSeconds > 0) {
       // The batch deadline is shared: a task starting late gets
       // only the time left; one already past it is returned

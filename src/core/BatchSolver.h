@@ -30,7 +30,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace rasc {
@@ -68,19 +67,6 @@ public:
     /// solveAll() poll at all; cancelAll() alone wakes tasks through
     /// their flags directly and solveAll() blocks on the pool.
     const std::atomic<bool> *CancelFlag = nullptr;
-
-    /// Per-task durability (core/Snapshot.cpp): when non-empty, task I
-    /// checkpoints to "<CheckpointDir>/task-<I>.rsnap" — periodically
-    /// every CheckpointEveryPops worklist pops (0 = only each task's
-    /// final save) and always at the end of its solve, complete or
-    /// interrupted. At the start of solveAll(), any still-unstarted
-    /// task whose snapshot exists is restored from it first, so a
-    /// batch killed mid-run resumes finished tasks instantly and
-    /// re-runs only the crashed ones; a corrupt or mismatched snapshot
-    /// is ignored (that task re-solves from scratch). The directory
-    /// must exist.
-    std::string CheckpointDir;
-    uint64_t CheckpointEveryPops = 0;
   };
 
   /// Per-task outcome of one solveAll() call.

@@ -18,11 +18,11 @@
 /// — using only the solver's public read-only views (the derived-edge
 /// enumeration, conflicts, fn-var constraints, representatives) and
 /// its own hash maps: no dedup table, adjacency list, or prefix
-/// counter is trusted. Run after every snapshot restore and exposed as
-/// `rasctool --certify`, so a corrupted-but-CRC-colliding or
-/// version-skewed snapshot degrades to "recompute from scratch"
-/// instead of a wrong answer. Cost is proportional to the number of
-/// 2-path joins the closure itself performed.
+/// counter is trusted. Exposed as `rasctool --certify` and run by the
+/// differential tests and the benchmark's answer oracle. Cost is
+/// proportional to the number of 2-path joins the closure itself
+/// performed, so certifying a saved closure never beats re-solving it
+/// by more than a constant (EXPERIMENTS.md, "Recovery").
 ///
 /// For an interrupted solver, certification covers the processed
 /// prefix (the solver's resumable invariant: a pending edge imposes no

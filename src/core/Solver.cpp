@@ -23,12 +23,12 @@
 
 using namespace rasc;
 
+namespace {
+
 /// Resolves SolverOptions::Dedup against the domain size observed at
-/// solver construction. A static member (not file-local) because the
-/// snapshot code records and re-checks the resolved backend.
-EdgeDedup::Backend
-BidirectionalSolver::resolveDedupBackend(const SolverOptions &Opts,
-                                         const AnnotationDomain &D) {
+/// solver construction.
+EdgeDedup::Backend resolveDedupBackend(const SolverOptions &Opts,
+                                       const AnnotationDomain &D) {
   switch (Opts.Dedup) {
   case SolverOptions::DedupBackend::Bitset:
     return EdgeDedup::Backend::Bitset;
@@ -47,14 +47,12 @@ BidirectionalSolver::resolveDedupBackend(const SolverOptions &Opts,
 /// fast path — and a parallel solver gets one shard per worker. The
 /// ceiling only bounds scratch for absurd explicit values; it is far
 /// above any thread count that pays off.
-unsigned BidirectionalSolver::resolveMergeShards(const SolverOptions &Opts) {
+unsigned resolveMergeShards(const SolverOptions &Opts) {
   unsigned P = Opts.MergeShards;
   if (P == 0)
     P = Opts.Threads ? Opts.Threads : ThreadPool::hardwareThreads();
   return std::min(P, 256u);
 }
-
-namespace {
 
 double secondsSince(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -610,9 +608,6 @@ BidirectionalSolver::runClosure(std::chrono::steady_clock::time_point Start) {
     if (trace::enabled())
       trace::instant("solver.pop", E.Src, E.Dst);
     process(E);
-    if (Options.CheckpointEveryPops &&
-        ++PopsSinceCheckpoint >= Options.CheckpointEveryPops)
-      periodicCheckpoint();
   }
   // A failpoint that fired during the worklist's final fan-out has
   // nothing left to interrupt; don't leak it into the next solve().
@@ -653,17 +648,9 @@ BidirectionalSolver::Status BidirectionalSolver::runClosureParallel(
     if (Frontier < Options.ParallelFrontierThreshold) {
       Edge E = EdgeArena[PendingHead++]; // by value: process() appends
       process(E);
-      Frontier = 1;
     } else {
-      Frontier = std::min(Frontier, MaxRoundEdges);
-      parallelRound(Frontier, Threads);
+      parallelRound(std::min(Frontier, MaxRoundEdges), Threads);
     }
-    // Rounds count as their edge total so the checkpoint cadence is
-    // comparable across the two paths; saves still land only at round
-    // boundaries (the parallel path's resumable states).
-    if (Options.CheckpointEveryPops &&
-        (PopsSinceCheckpoint += Frontier) >= Options.CheckpointEveryPops)
-      periodicCheckpoint();
   }
   ForcedInterrupt.reset();
   return Status::Solved;
@@ -1036,18 +1023,6 @@ BidirectionalSolver::Status BidirectionalSolver::solve() {
     if (!Proof->ok())
       abandonProof(nullptr);
   }
-
-  // Final checkpoint: covers both completion and interrupts, so a
-  // process killed between solve() calls restarts from the last
-  // solve's exact end state. Failure degrades durability, never the
-  // result.
-  if (!Options.CheckpointPath.empty()) {
-    PopsSinceCheckpoint = 0;
-    if (std::optional<Diag> D = saveCheckpoint(Options.CheckpointPath))
-      LastCheckpointDiag = std::move(D);
-    else
-      ++Stats.CheckpointsSaved;
-  }
   if (observe::metricsEnabled())
     recordSolveMetrics(Before);
   return Stat;
@@ -1070,8 +1045,6 @@ void BidirectionalSolver::recordSolveMetrics(
       .add(Stats.ProjectionSteps - Before.ProjectionSteps);
   M.counter("solver.parallel_rounds")
       .add(Stats.ParallelRounds - Before.ParallelRounds);
-  M.counter("solver.checkpoints_saved")
-      .add(Stats.CheckpointsSaved - Before.CheckpointsSaved);
   M.counter("solver.proof_records")
       .add(Stats.ProofRecords - Before.ProofRecords);
   M.counter("solver.proof_bytes").add(Stats.ProofBytes - Before.ProofBytes);
@@ -1089,24 +1062,6 @@ void BidirectionalSolver::recordSolveMetrics(
   M.gauge("solver.memory_bytes").set(memoryBytes());
   if (Ins + Dup)
     M.gauge("solver.dedup_hit_rate_pct").set(100 * Dup / (Ins + Dup));
-}
-
-void BidirectionalSolver::periodicCheckpoint() {
-  PopsSinceCheckpoint = 0;
-  if (std::optional<Diag> D = saveCheckpoint(Options.CheckpointPath)) {
-    LastCheckpointDiag = std::move(D);
-    return;
-  }
-  ++Stats.CheckpointsSaved;
-  if (trace::enabled())
-    trace::instant("solver.checkpoint.save", Stats.CheckpointsSaved,
-                   processedEdges());
-  // Simulated SIGKILL right after a durable checkpoint: the solve
-  // interrupts (in-memory state to be discarded by the test) with a
-  // valid snapshot on disk for recovery.
-  if (failpoints::armedAny() &&
-      failpoints::hit(failpoints::Point::CrashAfterRename))
-    ForcedInterrupt = Status::Cancelled;
 }
 
 void BidirectionalSolver::openProofLogIfRequested() {
@@ -1515,7 +1470,7 @@ BidirectionalSolver::retract(uint32_t Idx) {
   // cone. The deriving edge of a fn-var fact is the first processed
   // constructor-constructor edge emitting its triple — recomputed
   // here (arena order is processing order on the provenance-pinned
-  // sequential path) so it stays exact across snapshot round-trips.
+  // sequential path).
   std::vector<uint8_t> FnGone(FnVarCons.size(), 0);
   FlatSet64 DroppedFnPairs;
   if (!FnVarCons.empty()) {
@@ -1734,8 +1689,6 @@ void BidirectionalSolver::resetToFresh() {
   EagerFnVarSol.clear();
   FnVarSolFresh = false;
   VarNode.clear();
-  PopsSinceCheckpoint = 0;
-  LastCheckpointDiag.reset();
   Proof.reset();
   NeedProv = false;
   ProofDisabled = false;
@@ -1878,9 +1831,7 @@ BidirectionalSolver::conflictWitnessEx(size_t I) const {
       EdgeProvs.size() != EdgeArena.size())
     return Diag(
         "conflict witness unavailable: provenance was not recorded — "
-        "enable SolverOptions::TrackProvenance before the first solve() "
-        "(a snapshot saved without provenance cannot gain it on "
-        "restore)");
+        "enable SolverOptions::TrackProvenance before the first solve()");
   if (I >= Conflicts.size())
     return Diag("conflict witness: index " + std::to_string(I) +
                 " out of range (have " + std::to_string(Conflicts.size()) +

@@ -136,9 +136,9 @@ struct SolverOptions {
   /// insertion stops being a sequential bottleneck. 0 (the default)
   /// resolves to the thread count. Resolved at solver construction
   /// like the dedup backend; changing it afterwards has no effect.
-  /// Purely a layout/scheduling knob: fixpoint, stats, and snapshot
-  /// format are shard-count independent (differentially tested), so
-  /// any value is sound, including with Threads == 1.
+  /// Purely a layout/scheduling knob: fixpoint and stats are
+  /// shard-count independent (differentially tested), so any value is
+  /// sound, including with Threads == 1.
   unsigned MergeShards = 0;
 
   /// Relaxed-stats parallel mode: skip the sequential per-edge
@@ -172,20 +172,6 @@ struct SolverOptions {
   /// keeps governance overhead under 2% of closure time (see
   /// EXPERIMENTS.md) while bounding interrupt latency.
   uint32_t GovernanceCheckInterval = 256;
-
-  /// Periodic checkpointing: when CheckpointPath is non-empty, the
-  /// closure saves a crash-consistent snapshot (core/Snapshot.cpp) to
-  /// that path every CheckpointEveryPops worklist pops (0 = only the
-  /// final save at the end of each solve() call, covering both
-  /// completion and interrupts). Saves happen at the same between-pops
-  /// boundaries as governance, so every snapshot is a resumable state;
-  /// BidirectionalSolver::Create(path, system) restores one and
-  /// resumes to the bit-identical fixpoint. A failed save never
-  /// interrupts the solve — it is recorded in lastCheckpointDiag()
-  /// and the solve continues (durability degrades, correctness
-  /// doesn't).
-  uint64_t CheckpointEveryPops = 0;
-  std::string CheckpointPath;
 
   /// Machine-checkable proof logging (core/ProofLog.h, DESIGN.md §12):
   /// when non-empty, every solve() streams a derivation log to this
@@ -258,9 +244,6 @@ struct SolverStats {
   // Parallel-closure counters (zero on the sequential path).
   uint64_t ParallelRounds = 0; ///< bulk-synchronous frontier rounds run
 
-  // Durability counters.
-  uint64_t CheckpointsSaved = 0; ///< snapshots committed to disk
-
   // Proof-logging counters (SolverOptions::ProofLogPath). Cumulative
   // across writer rebuilds; ProofFailures counts logs abandoned to an
   // I/O failure, an unsupported state, or a retraction.
@@ -296,7 +279,6 @@ struct SolverStats {
     Interrupts += O.Interrupts;
     Resumes += O.Resumes;
     ParallelRounds += O.ParallelRounds;
-    CheckpointsSaved += O.CheckpointsSaved;
     ProofRecords += O.ProofRecords;
     ProofChunks += O.ProofChunks;
     ProofBytes += O.ProofBytes;
@@ -417,11 +399,10 @@ public:
   /// game. On any Diag the solver is unchanged.
   Expected<Status> retract(uint32_t Idx);
 
-  /// Returns the solver to its freshly-constructed state: restore()'s
-  /// failure path, and the callers' fallback when retract()'s
-  /// preconditions fail — a fresh solve() then re-ingests the edited
-  /// system (retracted constraints are skipped), which is always
-  /// correct, just not incremental.
+  /// Returns the solver to its freshly-constructed state: the callers'
+  /// fallback when retract()'s preconditions fail — a fresh solve()
+  /// then re-ingests the edited system (retracted constraints are
+  /// skipped), which is always correct, just not incremental.
   void resetToFresh();
 
   Status status() const { return Stat; }
@@ -450,58 +431,14 @@ public:
     return Cell && LastGroupCell == Cell ? LastPublishedMemory : 0;
   }
 
-  /// \name Durability (core/Snapshot.cpp)
-  /// Crash-safe checkpoint/restore. A snapshot captures the complete
-  /// closure state — processed prefix, pending worklist tail, dedup
-  /// contents, stats — so a restored solver resumes to the
-  /// bit-identical fixpoint the in-memory resume would reach.
+  /// \name Proof logging (core/ProofLog.h)
   /// @{
-
-  /// Atomically writes a snapshot of the current state to \p Path
-  /// (temp file + fsync + rename; a crash mid-save leaves any previous
-  /// snapshot at \p Path intact). Legal in any state, including
-  /// mid-interrupt. \returns a Diag on I/O failure (nothing at \p Path
-  /// is disturbed then).
-  std::optional<Diag> saveCheckpoint(const std::string &Path) const;
-
-  /// Restores this solver from a snapshot file. The solver must be
-  /// fresh (no solve() yet and nothing ingested); the snapshot must
-  /// have been taken from the same constraint-system prefix (same
-  /// constructors, same ingested constraints), a compatible domain,
-  /// and matching semantic options (FilterUseless, CycleElimination,
-  /// EagerFunctionVars, TrackProvenance, resolved dedup backend) —
-  /// all verified, any mismatch is a Diag. On success the restored
-  /// closure is certified (core/Certifier.h) before control returns.
-  /// On *any* Diag the solver is left in its fresh state, so the
-  /// caller can fall back to solving from scratch.
-  std::optional<Diag> restore(const std::string &Path);
-
-  /// Convenience: constructs a solver over \p CS with \p Opts and
-  /// restores it from \p Path. A Diag means the snapshot was rejected
-  /// (corrupt, version-skewed, or mismatched) — the caller should
-  /// re-solve from scratch.
-  static Expected<std::unique_ptr<BidirectionalSolver>>
-  Create(const std::string &Path, const ConstraintSystem &CS,
-         SolverOptions Opts = {});
-
-  /// True while nothing has been ingested or derived (the state
-  /// restore() requires).
-  bool unstarted() const {
-    return NumIngested == 0 && EdgeArena.empty() && Conflicts.empty();
-  }
-
-  /// Diagnostic from the most recent *periodic* checkpoint attempt
-  /// that failed, if any (periodic save failures never interrupt the
-  /// solve; they degrade durability and are surfaced here).
-  const std::optional<Diag> &lastCheckpointDiag() const {
-    return LastCheckpointDiag;
-  }
 
   /// Why the proof log (SolverOptions::ProofLogPath) was abandoned,
   /// if it was: an emission failure, an unsupported state when the
-  /// path was set, or a retraction. Like checkpoint failures, an
-  /// abandoned proof never interrupts a solve — the result stands,
-  /// it is merely unproven. Cleared by resetToFresh().
+  /// path was set, or a retraction. An abandoned proof never
+  /// interrupts a solve — the result stands, it is merely unproven.
+  /// Cleared by resetToFresh().
   const std::optional<Diag> &lastProofDiag() const {
     return LastProofDiag;
   }
@@ -770,27 +707,6 @@ private:
   /// \returns Solved when nothing tripped.
   Status governanceCheck(std::chrono::steady_clock::time_point Start);
 
-  /// The backend a solver constructed with \p Opts over \p D uses
-  /// (resolves DedupBackend::Auto against the domain size). Snapshot
-  /// save/restore records and re-checks this.
-  static EdgeDedup::Backend resolveDedupBackend(const SolverOptions &Opts,
-                                                const AnnotationDomain &D);
-
-  /// The dedup shard count a solver constructed with \p Opts uses
-  /// (resolves MergeShards == 0 against the thread count, clamped to
-  /// a sane ceiling). Like the dedup backend, fixed at construction;
-  /// *not* recorded in snapshots — the on-disk dedup section is
-  /// shard-independent triples, so snapshots round-trip across
-  /// differently-sharded solvers.
-  static unsigned resolveMergeShards(const SolverOptions &Opts);
-
-  /// Periodic checkpoint save (Options.CheckpointEveryPops): commits a
-  /// snapshot to Options.CheckpointPath, records a failure in
-  /// LastCheckpointDiag without interrupting, and consults the
-  /// CrashAfterRename failpoint (a successful save followed by a
-  /// simulated kill, for the crash-recovery tests).
-  void periodicCheckpoint();
-
   /// True when the retraction indexes are maintained (both flags are
   /// required; retract() enforces the pairing with a Diag).
   bool incrementalActive() const {
@@ -807,10 +723,8 @@ private:
   void registerProvEdge(ExprId Src, ExprId Dst, AnnId Ann, uint32_t I);
 
   /// Rebuilds the triple map and the parent links from
-  /// EdgeArena/EdgeProvs (after a snapshot restore or a retraction
-  /// compaction; both are deterministic functions of the provenance
-  /// records, which is how snapshots round-trip the index without
-  /// serializing it).
+  /// EdgeArena/EdgeProvs after a retraction compaction (both are
+  /// deterministic functions of the provenance records).
   void rebuildProvIndex();
 
   /// \name Proof emission (core/ProofLog.cpp hosts the writer;
@@ -958,12 +872,6 @@ private:
   uint64_t LastPublishedMemory = 0;
   const std::atomic<uint64_t> *LastGroupCell = nullptr;
 
-  // Periodic checkpoint state: pops since the last save, and the
-  // diagnostic of the last failed periodic save (surfaced via
-  // lastCheckpointDiag(), never an interrupt).
-  uint64_t PopsSinceCheckpoint = 0;
-  std::optional<Diag> LastCheckpointDiag;
-
   // Proof logging (Options.ProofLogPath). NeedProv is the per-solve
   // "populate CurProv" switch: TrackProvenance *or* a live writer —
   // the derivation sites consult it instead of TrackProvenance so
@@ -976,21 +884,19 @@ private:
   std::optional<Diag> LastProofDiag;
 
   // Last progress line emitted (observe::setProgressEverySeconds);
-  // epoch-zero until the first governance check arms it. Ephemeral
-  // reporting state — deliberately not serialized by Snapshot.cpp.
+  // epoch-zero until the first governance check arms it.
   std::chrono::steady_clock::time_point LastProgress{};
 };
 
-/// Exit codes rasctool reports for snapshot/certification failures,
-/// disjoint from the per-Status codes below.
-inline constexpr int ExitCodeCorruptSnapshot = 20;
+/// Exit code rasctool reports for a failed certification, disjoint
+/// from the per-Status codes below.
 inline constexpr int ExitCodeCertifyFailed = 21;
 
 /// The documented process exit code for a final solve status, used by
 /// rasctool so shell retry loops can branch on the interrupt kind:
 /// Solved=0, Inconsistent=1, Deadline=10, EdgeLimit=11, StepLimit=12,
-/// MemoryLimit=13, Cancelled=14 (corrupt snapshot=20 and failed
-/// certification=21 are reported separately, see above).
+/// MemoryLimit=13, Cancelled=14 (failed certification=21 is reported
+/// separately, see above).
 inline int statusExitCode(BidirectionalSolver::Status S) {
   using Status = BidirectionalSolver::Status;
   switch (S) {

@@ -91,13 +91,7 @@ public:
   void prepare(SolverOptions Opts = SolverOptions());
 
   /// The prepared solver (null before prepare()). Exposed for
-  /// governance and durability: callers may set budgets, save a
-  /// checkpoint, or restore one before solve(). Note that the
-  /// gen/kill domain interns annotations lazily during constraint
-  /// generation, so a snapshot from another process may carry a
-  /// different interning order; restore() then rejects with a
-  /// domain-mismatch Diag and leaves the solver fresh — re-solving
-  /// from scratch is the correct (and tested) fallback.
+  /// governance: callers may set budgets before solve().
   BidirectionalSolver *solver() { return Solver.get(); }
 
   /// The query half of solve(): reads the reaching classes off the

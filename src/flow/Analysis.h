@@ -106,10 +106,6 @@ public:
   /// as after an eager solve; analyses whose batch solve was
   /// interrupted stay unsolved and re-solve (resume) lazily on their
   /// next query. Returns the per-analysis results in input order.
-  /// With BatchSolver::Options::CheckpointDir set, each analysis
-  /// snapshots to its own task-<i>.rsnap and a rerun restores the
-  /// survivors (the flow monoid domain is built eagerly from the type
-  /// skeleton, so its snapshots restore across processes).
   static std::vector<BatchSolver::Result>
   solveAll(std::span<FlowAnalysis *const> Analyses,
            const BatchSolver::Options &BatchOpts = {},

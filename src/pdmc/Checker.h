@@ -164,10 +164,7 @@ private:
 /// Returns the violations per spec, in input order — identical to
 /// running RascChecker::check() per spec (each system is independent).
 /// When \p MergedStats is non-null it receives the field-wise sum of
-/// the per-property solver stats. Setting
-/// BatchSolver::Options::CheckpointDir makes each per-property solve
-/// crash-safe: a snapshot per property, restored on rerun; properties
-/// whose snapshot is missing or corrupt re-check from scratch.
+/// the per-property solver stats.
 std::vector<std::vector<Violation>>
 checkAllProperties(const Program &Prog,
                    std::span<const SpecAutomaton *const> Specs,

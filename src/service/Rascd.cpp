@@ -60,8 +60,8 @@ void fsyncParentDir(const std::string &Path) {
 }
 
 /// Durable whole-file replace: temp + fsync + rename + parent fsync,
-/// same discipline as core/Snapshot.cpp, so accepted text either is
-/// fully on disk or the previous version is.
+/// so accepted text either is fully on disk or the previous version
+/// is.
 std::optional<Diag> atomicWriteText(const std::string &Path,
                                     const std::string &Text) {
   std::string Tmp = Path + ".tmp";
@@ -176,16 +176,14 @@ SolverOptions Rascd::solverOptionsFor(ResidentSystem &Sys) const {
   O.CancelFlag = &Sys.Cancel;
   O.GroupMemory = const_cast<std::atomic<uint64_t> *>(&GroupMem);
   O.MaxGroupMemoryBytes = Opts.MaxTotalMemoryBytes;
-  O.CheckpointEveryPops = Opts.CheckpointEveryPops;
-  O.CheckpointPath = Sys.SnapPath;
   return O;
 }
 
 std::optional<Diag> Rascd::warmBoot() {
-  // Recover every persisted system: durable text is the source of
-  // truth; the snapshot is a warm-start accelerator that must never be
-  // required (restore() re-certifies and falls back to fresh on any
-  // Diag).
+  // Recover every persisted system by re-parsing its durable text and
+  // re-solving it: the text is the only recovery state. (Re-solving
+  // beats loading and re-certifying a saved closure on every workload
+  // measured; see EXPERIMENTS.md.)
   std::vector<std::string> Names;
   std::error_code Ec;
   for (fs::directory_iterator It(Opts.DataDir, Ec), End; !Ec && It != End;
@@ -205,7 +203,6 @@ std::optional<Diag> Rascd::warmBoot() {
     auto Sys = std::make_shared<ResidentSystem>();
     Sys->Name = Name;
     Sys->TextPath = Opts.DataDir + "/" + Name + ".rasc";
-    Sys->SnapPath = Opts.DataDir + "/" + Name + ".rsnap";
     Sys->ProofPath = Opts.DataDir + "/" + Name + ".rprf";
     std::optional<std::string> Text = readWholeFile(Sys->TextPath);
     if (!Text) {
@@ -223,14 +220,6 @@ std::optional<Diag> Rascd::warmBoot() {
     Sys->Program.emplace(std::move(*P));
     Sys->Solver = std::make_unique<BidirectionalSolver>(
         Sys->Program->system(), solverOptionsFor(*Sys));
-    if (fs::exists(Sys->SnapPath, Ec)) {
-      if (std::optional<Diag> D = Sys->Solver->restore(Sys->SnapPath))
-        std::fprintf(stderr,
-                     "rascd: snapshot '%s' rejected (%s); re-solving "
-                     "'%s' from scratch\n",
-                     Sys->SnapPath.c_str(), D->render().c_str(),
-                     Name.c_str());
-    }
     if (fs::exists(Sys->ProofPath, Ec)) {
       // A crash mid-stream leaves a torn tail after the last
       // CRC-complete chunk; truncating it keeps the persisted log
@@ -268,11 +257,6 @@ std::optional<Diag> Rascd::warmBoot() {
     for (auto &Sys : Booted)
       Solvers.push_back(Sys->Solver.get());
     Batch.solveAll(Solvers);
-    for (auto &Sys : Booted)
-      if (std::optional<Diag> D =
-              Sys->Solver->saveCheckpoint(Sys->SnapPath))
-        std::fprintf(stderr, "rascd: checkpoint '%s' failed: %s\n",
-                     Sys->SnapPath.c_str(), D->render().c_str());
   }
 
   std::lock_guard<std::mutex> L(RegistryMx);
@@ -378,7 +362,7 @@ void Rascd::requestDrain() {
   }
 }
 
-void Rascd::joinAndTeardown(bool FlushSnapshots) {
+void Rascd::joinAndTeardown() {
   AcceptorExit.store(true, std::memory_order_relaxed);
   if (WakePipe[1] >= 0) {
     char One = 1;
@@ -394,21 +378,6 @@ void Rascd::joinAndTeardown(bool FlushSnapshots) {
       std::fprintf(stderr, "rascd: session escaped: %s\n", E.what());
     }
   }
-  if (FlushSnapshots) {
-    std::vector<std::shared_ptr<ResidentSystem>> All;
-    {
-      std::lock_guard<std::mutex> L(RegistryMx);
-      for (auto &[Name, Sys] : Registry)
-        All.push_back(Sys);
-    }
-    for (auto &Sys : All) {
-      std::lock_guard<std::mutex> L(Sys->Mx);
-      if (std::optional<Diag> D =
-              Sys->Solver->saveCheckpoint(Sys->SnapPath))
-        std::fprintf(stderr, "rascd: final checkpoint '%s' failed: %s\n",
-                     Sys->SnapPath.c_str(), D->render().c_str());
-    }
-  }
   if (ListenFd >= 0) {
     ::close(ListenFd);
     ListenFd = -1;
@@ -419,7 +388,7 @@ void Rascd::stop() {
   if (Stopped.exchange(true))
     return;
   requestDrain();
-  joinAndTeardown(/*FlushSnapshots=*/true);
+  joinAndTeardown();
 }
 
 void Rascd::stopHard() {
@@ -436,7 +405,7 @@ void Rascd::stopHard() {
     for (int Fd : SessionFds)
       ::shutdown(Fd, SHUT_RDWR);
   }
-  joinAndTeardown(/*FlushSnapshots=*/false);
+  joinAndTeardown();
 }
 
 std::shared_ptr<ResidentSystem>
@@ -460,7 +429,6 @@ Rascd::createSystem(const std::string &Name, std::string Text) {
   auto Sys = std::make_shared<ResidentSystem>();
   Sys->Name = Name;
   Sys->TextPath = Opts.DataDir + "/" + Name + ".rasc";
-  Sys->SnapPath = Opts.DataDir + "/" + Name + ".rsnap";
   Sys->ProofPath = Opts.DataDir + "/" + Name + ".rprf";
   if (!Text.empty() && Text.back() != '\n')
     Text.push_back('\n');

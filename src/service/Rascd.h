@@ -27,17 +27,14 @@
 ///
 ///  - Durability: accepted LOAD/ADD text is persisted (atomic
 ///    temp+fsync+rename) under DataDir *before* the OK is written, so
-///    acknowledged work survives kill -9. Solver state checkpoints to
-///    "<name>.rsnap" periodically during solves and at the end of
-///    every solve (core/Snapshot.cpp); start() warm-boots by
-///    re-parsing the persisted text, restoring each snapshot (restore
-///    re-certifies the fixpoint and falls back to a fresh re-solve on
-///    any Diag), and re-solving everything through core/BatchSolver.h
-///    under one shared budget.
+///    acknowledged work survives kill -9. The text is the only
+///    recovery state: start() warm-boots by re-parsing it and
+///    re-solving every system through core/BatchSolver.h under one
+///    shared budget.
 ///
 ///  - Trust boundary: SOLVE with body "proof=1" additionally streams
 ///    a machine-checkable derivation log to "<name>.rprf" next to the
-///    snapshot (core/ProofLog.h, DESIGN.md §12). The standalone
+///    text (core/ProofLog.h, DESIGN.md §12). The standalone
 ///    rasccheck tool validates the log without trusting the daemon or
 ///    the solver, so a client need not believe a "solved" answer — it
 ///    can demand the proof. Kill -9 mid-stream leaves a torn tail;
@@ -48,8 +45,7 @@
 ///  - Drain: requestDrain() (the DRAIN op, or SIGTERM in the rascd
 ///    binary) stops admission, lets in-flight requests finish — the
 ///    drain flag is observed only *between* frames, so an accepted
-///    request is always answered — and stop() flushes a final
-///    snapshot of every resident system.
+///    request is always answered — and stop() joins every session.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,8 +80,7 @@ struct RascdOptions {
   uint16_t Port = 0;
 
   /// Durable state directory (created if missing): "<name>.rasc"
-  /// holds the accepted program text, "<name>.rsnap" the latest
-  /// solver snapshot.
+  /// holds the accepted program text.
   std::string DataDir;
 
   /// Admission cap: concurrent sessions beyond this are answered Busy
@@ -94,8 +89,8 @@ struct RascdOptions {
 
   /// Per-session solve governance: DeadlineSeconds / MaxEdges /
   /// MaxComposeSteps / MaxMemoryBytes apply to each session's solve
-  /// calls. CancelFlag / GroupMemory / Checkpoint* fields are
-  /// overwritten per system by the daemon.
+  /// calls. CancelFlag / GroupMemory fields are overwritten per
+  /// system by the daemon.
   SolverOptions Session;
 
   /// Run resident solvers with Incremental + TrackProvenance so the
@@ -111,11 +106,6 @@ struct RascdOptions {
   /// system (enforced through one shared GroupMemory cell at
   /// governance cadence); 0 = unlimited.
   uint64_t MaxTotalMemoryBytes = 0;
-
-  /// Periodic-checkpoint cadence in worklist pops (0 = only the final
-  /// save each solve makes anyway). Kill -9 between checkpoints loses
-  /// at most this much closure work, never accepted constraints.
-  uint64_t CheckpointEveryPops = 1ull << 14;
 
   /// Frame cap handed to Conn::readFrame.
   uint32_t MaxFrameBytes = DefaultMaxFrameBytes;
@@ -139,7 +129,6 @@ struct RascdOptions {
 struct ResidentSystem {
   std::string Name;
   std::string TextPath;  ///< DataDir/Name.rasc
-  std::string SnapPath;  ///< DataDir/Name.rsnap
   std::string ProofPath; ///< DataDir/Name.rprf (SOLVE proof=1)
 
   std::mutex Mx;
@@ -160,7 +149,7 @@ public:
   /// DataDir, then starts admitting connections. A Diag means the
   /// daemon never came up (bad address, unusable data dir); corrupt
   /// persisted state is *not* fatal — bad text is skipped with a
-  /// stderr warning, bad snapshots fall back to a fresh re-solve.
+  /// stderr warning.
   std::optional<Diag> start();
 
   /// The bound port (after start()); useful with Options.Port == 0.
@@ -178,15 +167,14 @@ public:
     return Draining.load(std::memory_order_relaxed);
   }
 
-  /// Graceful shutdown: requestDrain(), join the accept loop, wait
-  /// for every session to finish, then flush a final snapshot of
-  /// every resident system. Idempotent; call from the owning thread.
+  /// Graceful shutdown: requestDrain(), join the accept loop, and wait
+  /// for every session to finish. Idempotent; call from the owning
+  /// thread.
   void stop();
 
   /// Crash-simulating shutdown for tests: cancels in-flight solves,
-  /// severs every session socket, joins — and deliberately skips the
-  /// final snapshot flush, so recovery exercises the *periodic*
-  /// checkpoints plus the durable text, exactly like kill -9.
+  /// severs every session socket, and joins, so in-flight requests
+  /// die unanswered like under kill -9.
   void stopHard();
 
   /// \name Session-facing API (service/Session.cpp)
@@ -243,10 +231,10 @@ private:
   std::optional<Diag> bindAndListen();
   std::optional<Diag> warmBoot();
   void acceptLoop();
-  void joinAndTeardown(bool FlushSnapshots);
+  void joinAndTeardown();
 
   /// Builds the solver options for \p Sys: Options.Session plus the
-  /// daemon's cancel / group-memory / checkpoint wiring.
+  /// daemon's cancel / group-memory wiring.
   SolverOptions solverOptionsFor(ResidentSystem &Sys) const;
 
   RascdOptions Opts;

@@ -262,7 +262,7 @@ Frame Session::handleSolve(const std::string &Body) {
   BidirectionalSolver &S = *Sys.Solver;
   // Body "proof=1" opts this system into derivation logging: the
   // solver streams a machine-checkable log to DataDir/<name>.rprf
-  // (durable next to the snapshot; rasccheck validates it offline).
+  // (durable next to the program text; rasccheck validates it offline).
   // Opt-in is sticky for the resident solver — later plain SOLVEs
   // keep appending so the log always covers the whole closure. On a
   // started solver the writer replays existing derivations from
@@ -270,15 +270,7 @@ Frame Session::handleSolve(const std::string &Body) {
   if (Body.find("proof=1") != std::string::npos &&
       S.options().ProofLogPath.empty())
     S.options().ProofLogPath = Sys.ProofPath;
-  uint64_t SavedBefore = S.stats().CheckpointsSaved;
   Status St = solveAttached(Sys);
-  const char *Chk = "none";
-  if (!S.options().CheckpointPath.empty()) {
-    if (S.lastCheckpointDiag())
-      Chk = "failed";
-    else if (S.stats().CheckpointsSaved > SavedBefore)
-      Chk = "saved";
-  }
   std::string B;
   B += "status=";
   B += solveStatusName(St);
@@ -286,8 +278,6 @@ Frame Session::handleSolve(const std::string &Body) {
   B += "\ncompose=" + std::to_string(S.stats().ComposeCalls);
   B += "\nresumes=" + std::to_string(S.stats().Resumes);
   B += "\nmemory=" + std::to_string(S.memoryBytes());
-  B += "\ncheckpoint=";
-  B += Chk;
   B += "\nproof=";
   if (S.proofActive()) {
     B += "streaming\nproof-path=" + Sys.ProofPath;

@@ -216,34 +216,6 @@ public:
            Bits.capacity() * sizeof(uint64_t);
   }
 
-  /// Invokes \p F(key, ann) for every set bit, rows in hash order —
-  /// NOT insertion order. Snapshot serialization relies on the table
-  /// being reconstructible from its unordered contents.
-  template <typename Fn> void forEach(Fn &&F) const {
-    if (InlineMode) {
-      for (const Slot &S : Slots) {
-        if (S.Key == Empty)
-          continue;
-        for (uint64_t B = S.Bits; B;) {
-          uint32_t Ann = static_cast<uint32_t>(__builtin_ctzll(B));
-          B &= B - 1;
-          F(S.Key, Ann);
-        }
-      }
-      return;
-    }
-    Rows.forEach([&](uint64_t Key, uint32_t Row) {
-      for (size_t W = 0; W != Stride; ++W) {
-        for (uint64_t B = Bits[static_cast<size_t>(Row) * Stride + W]; B;) {
-          uint32_t Ann =
-              static_cast<uint32_t>(W * 64 + __builtin_ctzll(B));
-          B &= B - 1;
-          F(Key, Ann);
-        }
-      }
-    });
-  }
-
 private:
   bool testAndSetInline(uint64_t Key, uint32_t Ann) {
     if (Slots.empty())
@@ -412,33 +384,6 @@ public:
                                     : PerDst.size() >= 4096;
   }
 
-  /// Invokes \p F(A, B, Ann) for every recorded edge, in an
-  /// unspecified order. The snapshot writer serializes the dedup
-  /// structure through this; replay on restore re-inserts every triple
-  /// (insertion order does not affect either backend's contents, only
-  /// its slot layout).
-  template <typename Fn> void forEachEdge(Fn &&F) const {
-    if (Which == Backend::Bitset) {
-      Bitsets.forEach([&](uint64_t Key, uint32_t Ann) {
-        F(static_cast<uint32_t>(Key >> 32), static_cast<uint32_t>(Key),
-          Ann);
-      });
-      return;
-    }
-    for (size_t B = 0, E = PerDst.size(); B != E; ++B)
-      PerDst[B].forEach([&](uint64_t Key) {
-        F(static_cast<uint32_t>(Key >> 32), static_cast<uint32_t>(B),
-          static_cast<uint32_t>(Key));
-      });
-  }
-
-  /// Total recorded edges (used to size the snapshot's dedup section).
-  size_t edgeCount() const {
-    size_t N = 0;
-    forEachEdge([&](uint32_t, uint32_t, uint32_t) { ++N; });
-    return N;
-  }
-
   /// Heap bytes held. O(1) for the bitset backend; O(#destinations)
   /// for the flat backend, so callers amortize (the solver checks its
   /// memory budget every GovernanceCheckInterval worklist pops).
@@ -465,9 +410,8 @@ private:
 /// cache-line padded so their hot table headers don't false-share.
 /// Destinations are stored divided by P inside each segment (B % P is
 /// implied by the segment), so per-destination structures stay dense
-/// per shard instead of P-times oversized; forEachEdge reconstructs
-/// the original ids. P == 1 degenerates to a plain EdgeDedup with no
-/// routing arithmetic on the probe path.
+/// per shard instead of P-times oversized. P == 1 degenerates to a
+/// plain EdgeDedup with no routing arithmetic on the probe path.
 class ShardedEdgeDedup {
 public:
   using Backend = EdgeDedup::Backend;
@@ -537,27 +481,6 @@ public:
   /// routing, so the first segment is a fair sample).
   bool prefetchWorthwhile() const {
     return Segs.front().D.prefetchWorthwhile();
-  }
-
-  /// Invokes \p F(A, B, Ann) for every recorded edge in an unspecified
-  /// order, with original (un-divided) destination ids — the snapshot
-  /// writer serializes through this, so on-disk triples are
-  /// independent of the shard count and a snapshot round-trips across
-  /// solvers with different sharding.
-  template <typename Fn> void forEachEdge(Fn &&F) const {
-    const uint32_t P = static_cast<uint32_t>(Segs.size());
-    for (uint32_t S = 0; S != P; ++S)
-      Segs[S].D.forEachEdge([&](uint32_t A, uint32_t B, uint32_t Ann) {
-        F(A, P == 1 ? B : B * P + S, Ann);
-      });
-  }
-
-  /// Total recorded edges (sizes the snapshot's dedup section).
-  size_t edgeCount() const {
-    size_t N = 0;
-    for (const Seg &S : Segs)
-      N += S.D.edgeCount();
-    return N;
   }
 
   /// Heap bytes held across all segments.

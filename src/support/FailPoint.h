@@ -40,26 +40,20 @@ enum class Point : unsigned {
   /// Trips in the solver's amortized governance check; reported as
   /// Status::Cancelled.
   SolverCancel,
-  /// I/O faults for the snapshot subsystem (support/Serialize.h).
-  /// TornWrite: the atomic snapshot commit writes only a prefix of the
-  /// payload but still renames the temp file into place — simulating a
-  /// kernel/filesystem crash that persisted the rename before the
-  /// data. The resulting file must be rejected at load.
+  /// I/O faults for the proof logs (core/ProofLog.cpp), the remaining
+  /// user of support/Serialize.h.
+  /// TornWrite: a chunk write persists only a prefix of its frame —
+  /// simulating a crash between data and metadata persistence. The
+  /// writer must degrade to an unproven log, and the truncated tail
+  /// must be rejected at load.
   TornWrite,
-  /// ShortRead: the snapshot reader sees a truncated file even though
-  /// the on-disk bytes are complete (a short read / torn page on the
-  /// read side). The load must be rejected.
+  /// ShortRead: the log's recovery scan comes up short mid-file even
+  /// though the on-disk bytes are complete (a short read / torn page on
+  /// the read side). Recovery truncates to the last intact chunk.
   ShortRead,
-  /// FsyncFail: the commit's fsync "fails"; the commit aborts, removes
-  /// its temp file, and reports a Diag — the previous snapshot at the
-  /// destination path must be left intact.
+  /// FsyncFail: the log's fsync "fails"; the writer abandons the log
+  /// with a Diag, and the solve it records is never interrupted.
   FsyncFail,
-  /// CrashAfterRename: consulted by the solver right after a periodic
-  /// checkpoint commits; trips a simulated SIGKILL (the solve
-  /// interrupts and the in-memory state is meant to be discarded) with
-  /// a *valid* snapshot on disk — the kill-and-recover tests restore
-  /// from it.
-  CrashAfterRename,
   /// Socket faults for the solve service (src/service/Protocol.cpp).
   /// ServiceShortWrite: a framed response write transmits only a prefix
   /// of the frame and then fails — simulating a peer that disappeared

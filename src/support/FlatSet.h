@@ -141,15 +141,6 @@ public:
   /// Heap bytes held (for the solver's approximate memory budget).
   size_t memoryBytes() const { return Slots.capacity() * sizeof(uint64_t); }
 
-  /// Invokes \p F(key) for every stored key, in slot (hash) order —
-  /// NOT insertion order. Snapshot serialization relies on the set
-  /// being reconstructible from its unordered contents.
-  template <typename Fn> void forEach(Fn &&F) const {
-    for (uint64_t Key : Slots)
-      if (Key != Empty)
-        F(Key);
-  }
-
 private:
   void rehash(size_t NewCap) {
     std::vector<uint64_t> Old = std::move(Slots);
@@ -241,14 +232,6 @@ public:
   size_t memoryBytes() const {
     return Keys.capacity() * sizeof(uint64_t) +
            Values.capacity() * sizeof(uint32_t);
-  }
-
-  /// Invokes \p F(key, value) for every entry, in slot (hash) order —
-  /// NOT insertion order.
-  template <typename Fn> void forEach(Fn &&F) const {
-    for (size_t I = 0, E = Keys.size(); I != E; ++I)
-      if (Keys[I] != Empty)
-        F(Keys[I], Values[I]);
   }
 
 private:

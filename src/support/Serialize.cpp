@@ -1,4 +1,4 @@
-//===- support/Serialize.cpp - Checksummed binary snapshots ---------------===//
+//===- support/Serialize.cpp - Checksummed binary encoding ----------------===//
 //
 // Part of the RASC project: regularly annotated set constraints.
 //
@@ -6,15 +6,7 @@
 
 #include "support/Serialize.h"
 
-#include "support/FailPoint.h"
-
 #include <array>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-
-#include <fcntl.h>
-#include <unistd.h>
 
 namespace rasc {
 
@@ -40,182 +32,6 @@ uint32_t crc32(const void *Data, size_t Len, uint32_t Seed) {
   for (size_t I = 0; I < Len; ++I)
     C = Table[(C ^ P[I]) & 0xFF] ^ (C >> 8);
   return C ^ 0xFFFFFFFFu;
-}
-
-namespace {
-
-constexpr char Magic[8] = {'R', 'A', 'S', 'C', 'S', 'N', 'A', 'P'};
-
-Diag ioError(const std::string &Path, const char *What) {
-  return Diag(std::string(What) + " '" + Path + "': " + std::strerror(errno));
-}
-
-/// Writes all of Buf to Fd, retrying on short writes and EINTR.
-bool writeAll(int Fd, const uint8_t *Buf, size_t Len) {
-  while (Len > 0) {
-    ssize_t N = ::write(Fd, Buf, Len);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Buf += N;
-    Len -= static_cast<size_t>(N);
-  }
-  return true;
-}
-
-/// fsyncs the directory containing Path so the rename itself is
-/// durable. Best-effort: some filesystems reject directory fsync.
-void fsyncParentDir(const std::string &Path) {
-  size_t Slash = Path.find_last_of('/');
-  std::string Dir;
-  if (Slash == std::string::npos)
-    Dir = ".";
-  else if (Slash == 0)
-    Dir = "/";
-  else
-    Dir = Path.substr(0, Slash);
-  int Fd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (Fd >= 0) {
-    ::fsync(Fd);
-    ::close(Fd);
-  }
-}
-
-} // namespace
-
-std::optional<Diag> SnapshotWriter::commit(const std::string &Path,
-                                           uint32_t Version) const {
-  // Frame the whole file in memory first; snapshot payloads are far
-  // smaller than the solver state they describe, so one flat buffer is
-  // fine and makes the torn-write failpoint a simple prefix cut.
-  ByteWriter W;
-  W.bytes(Magic, sizeof Magic);
-  W.u32(Version);
-  W.u32(static_cast<uint32_t>(Sections.size()));
-  W.u32(crc32(W.data().data(), W.size()));
-  for (const Section &S : Sections) {
-    W.u32(S.Tag);
-    W.u64(S.Body.size());
-    W.u32(crc32(S.Body.data().data(), S.Body.size()));
-    W.bytes(S.Body.data().data(), S.Body.size());
-  }
-
-  size_t Len = W.size();
-  bool Torn = false;
-  if (failpoints::armedAny() && failpoints::hit(failpoints::Point::TornWrite)) {
-    // Persist only a prefix but complete the rename — the on-disk
-    // result is what a crash between data and metadata persistence
-    // leaves behind. The commit still "succeeds"; detection is the
-    // reader's job.
-    Len /= 2;
-    Torn = true;
-  }
-
-  std::string Tmp = Path + ".tmp";
-  int Fd = ::open(Tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (Fd < 0)
-    return ioError(Tmp, "cannot create snapshot temp file");
-
-  if (!writeAll(Fd, W.data().data(), Len)) {
-    Diag D = ioError(Tmp, "cannot write snapshot temp file");
-    ::close(Fd);
-    ::unlink(Tmp.c_str());
-    return D;
-  }
-
-  bool SyncFailed =
-      failpoints::armedAny() && failpoints::hit(failpoints::Point::FsyncFail);
-  if (SyncFailed || ::fsync(Fd) != 0) {
-    if (SyncFailed)
-      errno = EIO;
-    Diag D = ioError(Tmp, "cannot fsync snapshot temp file");
-    ::close(Fd);
-    ::unlink(Tmp.c_str());
-    return D;
-  }
-  if (::close(Fd) != 0) {
-    Diag D = ioError(Tmp, "cannot close snapshot temp file");
-    ::unlink(Tmp.c_str());
-    return D;
-  }
-
-  if (::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    Diag D = ioError(Path, "cannot rename snapshot into place");
-    ::unlink(Tmp.c_str());
-    return D;
-  }
-  fsyncParentDir(Path);
-  (void)Torn;
-  return std::nullopt;
-}
-
-Expected<SnapshotReader> SnapshotReader::read(const std::string &Path) {
-  int Fd = ::open(Path.c_str(), O_RDONLY);
-  if (Fd < 0)
-    return ioError(Path, "cannot open snapshot");
-
-  std::vector<uint8_t> Buf;
-  uint8_t Chunk[1 << 16];
-  for (;;) {
-    ssize_t N = ::read(Fd, Chunk, sizeof Chunk);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      Diag D = ioError(Path, "cannot read snapshot");
-      ::close(Fd);
-      return D;
-    }
-    if (N == 0)
-      break;
-    Buf.insert(Buf.end(), Chunk, Chunk + N);
-  }
-  ::close(Fd);
-
-  if (failpoints::armedAny() && failpoints::hit(failpoints::Point::ShortRead))
-    Buf.resize(Buf.size() / 2);
-
-  auto Corrupt = [&](const char *What) {
-    return Diag("corrupt snapshot '" + Path + "': " + What);
-  };
-
-  constexpr size_t HeaderLen = sizeof Magic + 4 + 4 + 4;
-  if (Buf.size() < HeaderLen)
-    return Corrupt("file shorter than header");
-  if (std::memcmp(Buf.data(), Magic, sizeof Magic) != 0)
-    return Corrupt("bad magic");
-
-  ByteReader H(Buf.data() + sizeof Magic, HeaderLen - sizeof Magic);
-  uint32_t Version = H.u32();
-  uint32_t NumSections = H.u32();
-  uint32_t HeaderCrc = H.u32();
-  if (crc32(Buf.data(), HeaderLen - 4) != HeaderCrc)
-    return Corrupt("header checksum mismatch");
-
-  SnapshotReader R;
-  R.Version = Version;
-  size_t Off = HeaderLen;
-  for (uint32_t I = 0; I < NumSections; ++I) {
-    if (Buf.size() - Off < 16)
-      return Corrupt("truncated section header");
-    ByteReader S(Buf.data() + Off, 16);
-    uint32_t Tag = S.u32();
-    uint64_t Len = S.u64();
-    uint32_t Crc = S.u32();
-    Off += 16;
-    if (Len > Buf.size() - Off)
-      return Corrupt("section length exceeds file size");
-    if (crc32(Buf.data() + Off, static_cast<size_t>(Len)) != Crc)
-      return Corrupt("section checksum mismatch");
-    R.Sections.push_back({Tag, Off, static_cast<size_t>(Len)});
-    Off += static_cast<size_t>(Len);
-  }
-  if (Off != Buf.size())
-    return Corrupt("trailing bytes after last section");
-
-  R.File = std::move(Buf);
-  return R;
 }
 
 } // namespace rasc

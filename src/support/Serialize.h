@@ -1,45 +1,24 @@
-//===- support/Serialize.h - Checksummed binary snapshots -------*- C++ -*-===//
+//===- support/Serialize.h - Checksummed binary encoding --------*- C++ -*-===//
 //
 // Part of the RASC project: regularly annotated set constraints.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The byte-level layer of the solver's durability subsystem
-/// (core/Snapshot.cpp): little-endian scalar encoding, CRC32, and a
-/// section-framed container file written atomically.
-///
-/// File layout (all integers little-endian):
-///
-///   magic        8 bytes  "RASCSNAP"
-///   version      u32      format version (consumer-checked)
-///   numSections  u32      section count
-///   headerCrc    u32      CRC32 of the 16 bytes above
-///   section*     numSections times:
-///     tag        u32      fourcc, writer-defined
-///     length     u64      payload bytes
-///     crc        u32      CRC32 of the payload
-///     payload    length bytes
-///
-/// Every section carries its own CRC so a torn write, a bit flip, or a
-/// truncation anywhere in the file is *detected and rejected* at load
-/// — corruption surfaces as a rasc::Diag, never as silently wrong
-/// state. Writes go through a temp file + fsync + rename so a crash
-/// mid-save leaves the previous snapshot intact; the I/O failpoints
-/// (support/FailPoint.h: TornWrite, ShortRead, FsyncFail) let tests
-/// inject each failure mode deterministically.
+/// The byte-level layer of the proof logs (core/ProofLog.h):
+/// little-endian scalar encoding, CRC32, and fourcc chunk tags. The
+/// log frames every chunk with its own CRC so a torn write, a bit
+/// flip, or a truncation is detected and rejected at load; the I/O
+/// failpoints (support/FailPoint.h: TornWrite, ShortRead, FsyncFail)
+/// let tests inject each failure mode deterministically.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RASC_SUPPORT_SERIALIZE_H
 #define RASC_SUPPORT_SERIALIZE_H
 
-#include "support/Diag.h"
-
 #include <cstdint>
 #include <cstring>
-#include <optional>
-#include <string>
 #include <vector>
 
 namespace rasc {
@@ -127,68 +106,7 @@ private:
   bool Bad = false;
 };
 
-/// Builder for a section-framed snapshot file. Sections are written in
-/// beginSection() order; commit() frames them with lengths and CRCs
-/// and writes the file atomically (temp + fsync + rename + directory
-/// fsync).
-class SnapshotWriter {
-public:
-  /// Starts a new section and returns the writer for its payload. The
-  /// reference stays valid until the next beginSection()/commit().
-  ByteWriter &beginSection(uint32_t Tag) {
-    Sections.push_back({Tag, {}});
-    return Sections.back().Body;
-  }
-
-  /// Writes the framed file to \p Path atomically. On failure nothing
-  /// at \p Path is disturbed (the temp file is removed). Consults the
-  /// TornWrite and FsyncFail failpoints.
-  std::optional<Diag> commit(const std::string &Path,
-                             uint32_t Version) const;
-
-private:
-  struct Section {
-    uint32_t Tag;
-    ByteWriter Body;
-  };
-  std::vector<Section> Sections;
-};
-
-/// Parsed, CRC-verified view of a snapshot file. All validation that
-/// the *container* can do — magic, header CRC, section framing inside
-/// the file bounds, per-section CRC — happens in read(); semantic
-/// validation of section contents is the consumer's job.
-class SnapshotReader {
-public:
-  /// Reads and verifies \p Path; any I/O error, framing error, or CRC
-  /// mismatch is a Diag. Consults the ShortRead failpoint.
-  static Expected<SnapshotReader> read(const std::string &Path);
-
-  uint32_t version() const { return Version; }
-
-  /// \returns a reader over the payload of the first section tagged
-  /// \p Tag, or an empty optional when absent.
-  std::optional<ByteReader> section(uint32_t Tag) const {
-    for (const SectionRef &S : Sections)
-      if (S.Tag == Tag)
-        return ByteReader(File.data() + S.Offset, S.Length);
-    return std::nullopt;
-  }
-
-private:
-  SnapshotReader() = default;
-
-  uint32_t Version = 0;
-  std::vector<uint8_t> File;
-  struct SectionRef {
-    uint32_t Tag;
-    size_t Offset;
-    size_t Length;
-  };
-  std::vector<SectionRef> Sections;
-};
-
-/// Packs a fourcc section tag, e.g. sectionTag("META").
+/// Packs a fourcc chunk tag, e.g. sectionTag("PRFH").
 constexpr uint32_t sectionTag(const char (&S)[5]) {
   return static_cast<uint32_t>(S[0]) | (static_cast<uint32_t>(S[1]) << 8) |
          (static_cast<uint32_t>(S[2]) << 16) |

@@ -59,27 +59,6 @@ public:
 
   size_t size() const { return Parent.size(); }
 
-  /// Raw forest arrays, exposed for snapshot serialization. Parent
-  /// links reflect whatever path compression has happened so far;
-  /// restoring them verbatim preserves find() results exactly.
-  const std::vector<uint32_t> &parents() const { return Parent; }
-  const std::vector<uint8_t> &ranks() const { return Rank; }
-
-  /// Replaces the forest with previously captured arrays. \returns
-  /// false (leaving the structure empty) if the arrays are not a valid
-  /// forest: mismatched lengths or a parent link out of range.
-  bool restore(std::vector<uint32_t> NewParent,
-               std::vector<uint8_t> NewRank) {
-    if (NewParent.size() != NewRank.size())
-      return false;
-    for (uint32_t P : NewParent)
-      if (P >= NewParent.size())
-        return false;
-    Parent = std::move(NewParent);
-    Rank = std::move(NewRank);
-    return true;
-  }
-
 private:
   std::vector<uint32_t> Parent;
   std::vector<uint8_t> Rank;

@@ -51,6 +51,9 @@
 /// vacuous (no conflicts, no cycles, no interrupts) fails the test
 /// instead of passing it emptily.
 ///
+/// The converse is pinned too: the certifier accepts every honest
+/// state, solved or interrupted at any edge boundary.
+///
 //===----------------------------------------------------------------------===//
 
 #include "TestSystems.h"
@@ -303,6 +306,47 @@ TEST(CertifierMutation, RejectsEveryMutant) {
   EXPECT_GE(Applicable[3], 55u) << "counter-bump barely applicable";
   EXPECT_GE(Applicable[4], 5u) << "no inconsistent systems in population";
   EXPECT_GE(Applicable[5], 5u) << "no truncatable interrupts in population";
+}
+
+TEST(Certifier, AcceptsSolvedSystems) {
+  for (uint64_t Seed = 1; Seed != 30; ++Seed) {
+    Rng R(Seed);
+    RandomSystem Sys = testgen::randomSystem(R);
+    BidirectionalSolver S(*Sys.CS);
+    S.solve();
+    CertificationReport Rep = certifyFixpoint(S);
+    EXPECT_TRUE(Rep.Ok) << "seed " << Seed << ": " << Rep.summary();
+    EXPECT_EQ(Rep.EdgesChecked, S.processedEdges() + S.pendingEdges());
+  }
+}
+
+TEST(Certifier, AcceptsInterruptedPrefix) {
+  // An interrupted solver is a *partial* fixpoint: processed edges
+  // carry obligations, pending ones do not. The certifier must accept
+  // every intermediate state on the way to quiescence.
+  Rng R(21);
+  RandomSystem Sys = testgen::randomSystem(R);
+  SolverOptions Opts;
+  Opts.MaxEdges = 2;
+  BidirectionalSolver S(*Sys.CS, Opts);
+  Status St = S.solve();
+  unsigned Guard = 0;
+  while (BidirectionalSolver::isInterrupted(St) && ++Guard < 10000) {
+    CertificationReport Rep = certifyFixpoint(S);
+    EXPECT_TRUE(Rep.Ok) << Rep.summary();
+    S.options().MaxEdges += 1;
+    St = S.solve();
+  }
+  EXPECT_TRUE(certifyFixpoint(S).Ok);
+}
+
+TEST(Certifier, SummaryRenders) {
+  Rng R(22);
+  RandomSystem Sys = testgen::randomSystem(R);
+  BidirectionalSolver S(*Sys.CS);
+  S.solve();
+  std::string Sum = certifyFixpoint(S).summary();
+  EXPECT_NE(Sum.find("certified"), std::string::npos) << Sum;
 }
 
 } // namespace

@@ -8,8 +8,9 @@
 /// Budgets, cancellation, fault injection, and conflict witnesses:
 /// every interrupt Status, the resumability contract (an interrupted
 /// then resumed solve reaches the fixpoint of an uninterrupted one),
-/// the governance stats counters, and the provenance-based
-/// explanation of Status::Inconsistent.
+/// the governance stats counters, the provenance-based explanation of
+/// Status::Inconsistent, the scoped failpoint guard, and the
+/// rasctool exit-code mapping of each Status.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -333,6 +334,30 @@ TEST_F(GovernanceTest, WitnessSurvivesInterruptAndResume) {
   std::vector<std::string> W = S.conflictWitness(0);
   ASSERT_FALSE(W.empty());
   EXPECT_NE(W.back().find("constructor mismatch"), std::string::npos);
+}
+
+TEST_F(GovernanceTest, ScopedFailPointDisarmsOnExit) {
+  EXPECT_FALSE(failpoints::armedAny());
+  {
+    failpoints::ScopedFailPoint P(failpoints::Point::ShortRead, 5);
+    EXPECT_TRUE(failpoints::armedAny());
+  }
+  EXPECT_FALSE(failpoints::armedAny());
+}
+
+TEST_F(GovernanceTest, StatusExitCodeMapping) {
+  EXPECT_EQ(statusExitCode(Status::Solved), 0);
+  EXPECT_EQ(statusExitCode(Status::Inconsistent), 1);
+  EXPECT_EQ(statusExitCode(Status::Deadline), 10);
+  EXPECT_EQ(statusExitCode(Status::EdgeLimit), 11);
+  EXPECT_EQ(statusExitCode(Status::StepLimit), 12);
+  EXPECT_EQ(statusExitCode(Status::MemoryLimit), 13);
+  EXPECT_EQ(statusExitCode(Status::Cancelled), 14);
+  // The certification failure code stays disjoint from every status.
+  for (Status S : {Status::Solved, Status::Inconsistent, Status::Deadline,
+                   Status::EdgeLimit, Status::StepLimit,
+                   Status::MemoryLimit, Status::Cancelled})
+    EXPECT_NE(statusExitCode(S), ExitCodeCertifyFailed);
 }
 
 } // namespace

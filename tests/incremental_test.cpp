@@ -17,24 +17,20 @@
 ///
 /// Also here: the retract() precondition diagnostics (and that a
 /// rejected call leaves the solver unchanged, so resetToFresh() is a
-/// safe fallback), snapshot round-trips of provenance and retraction
-/// state under both backends with bit-identical conflict witnesses,
-/// the v2 retraction-flag cross-check at restore, the parser's
-/// "retract N;" statement, and the backward-shift erase of the
-/// FlatSet64 dedup layer against a reference set.
+/// safe fallback), the parser's "retract N;" statement, and the
+/// backward-shift erase of the FlatSet64 dedup layer against a
+/// reference set.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestSystems.h"
 #include "core/Certifier.h"
-#include "core/Snapshot.h"
 #include "frontend/ConstraintParser.h"
 #include "support/FlatSet.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -389,146 +385,6 @@ TEST(RetractDiags, NeverIngestedIndexIsJustASolve) {
   EXPECT_EQ(S.stats().RetractedEdges, 0u);
   EXPECT_EQ(S.stats().EdgesInserted, EdgesBefore);
   EXPECT_EQ(semantics(S, *Sys.CS, *Sys.Dom), Before);
-}
-
-//===----------------------------------------------------------------===//
-// Snapshot round-trips of provenance and retraction state
-//===----------------------------------------------------------------===//
-
-std::string tempPath(const std::string &Name) {
-  return ::testing::TempDir() + "rasc_incremental_" + Name + ".rsnap";
-}
-
-TEST(IncrementalSnapshot, ProvenanceRoundTripThenRetractParity) {
-  // Save/restore with the retraction indexes live, under both
-  // backends: the restored solver must answer identically, render
-  // bit-identical conflict witnesses, and — the real check — retract
-  // to the same fixpoint as the solver that never went through disk
-  // (restore rebuilds the provenance indexes rather than loading
-  // them).
-  for (SolverOptions::DedupBackend Backend :
-       {SolverOptions::DedupBackend::Bitset,
-        SolverOptions::DedupBackend::FlatSet}) {
-    unsigned Witnessed = 0;
-    for (uint64_t Seed = 1; Seed != 16; ++Seed) {
-      SCOPED_TRACE(testgen::seedContext(Seed, Backend, 1, "snapshot"));
-      Rng R(Seed);
-      testgen::RandomSystem Sys = testgen::randomSystem(R);
-      SolverOptions O = incrementalOptions(Backend, 1);
-      BidirectionalSolver S(*Sys.CS, O);
-      ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
-
-      std::string Path = tempPath("prov_" + std::to_string(Seed));
-      ASSERT_FALSE(S.saveCheckpoint(Path));
-      BidirectionalSolver S2(*Sys.CS, O);
-      std::optional<Diag> D = S2.restore(Path);
-      ASSERT_FALSE(D) << D->render();
-      std::remove(Path.c_str());
-
-      EXPECT_EQ(semantics(S2, *Sys.CS, *Sys.Dom),
-                semantics(S, *Sys.CS, *Sys.Dom));
-      if (S.status() == Status::Inconsistent) {
-        ++Witnessed;
-        for (size_t I = 0; I != S.conflicts().size(); ++I)
-          EXPECT_EQ(S2.conflictWitness(I), S.conflictWitness(I))
-              << "conflict " << I;
-      }
-
-      uint32_t Idx = static_cast<uint32_t>(
-          Seed % Sys.CS->constraints().size());
-      ASSERT_FALSE(Sys.CS->retract(Idx));
-      Expected<Status> A = S.retract(Idx);
-      Expected<Status> B = S2.retract(Idx);
-      ASSERT_TRUE(A) << A.error().render();
-      ASSERT_TRUE(B) << B.error().render();
-      EXPECT_EQ(S2.stats().RetractedEdges, S.stats().RetractedEdges);
-      EXPECT_EQ(S2.stats().RequeuedEdges, S.stats().RequeuedEdges);
-      EXPECT_EQ(semantics(S2, *Sys.CS, *Sys.Dom),
-                semantics(S, *Sys.CS, *Sys.Dom));
-    }
-    // The seed corpus must actually exercise the witness comparison.
-    EXPECT_GT(Witnessed, 0u);
-  }
-}
-
-TEST(IncrementalSnapshot, PostRetractStateRoundTrips) {
-  for (SolverOptions::DedupBackend Backend :
-       {SolverOptions::DedupBackend::Bitset,
-        SolverOptions::DedupBackend::FlatSet}) {
-    for (uint64_t Seed : {11u, 23u, 37u}) {
-      SCOPED_TRACE(testgen::seedContext(Seed, Backend, 1, "postretract"));
-      Rng R(Seed);
-      testgen::RandomSystem Sys = testgen::randomSystem(R);
-      SolverOptions O = incrementalOptions(Backend, 1);
-      BidirectionalSolver S(*Sys.CS, O);
-      ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
-      uint32_t Idx = static_cast<uint32_t>(
-          Seed % Sys.CS->constraints().size());
-      ASSERT_FALSE(Sys.CS->retract(Idx));
-      ASSERT_TRUE(S.retract(Idx));
-
-      // v2 snapshots carry the retraction flags and counters.
-      std::string Path = tempPath("post_" + std::to_string(Seed));
-      ASSERT_FALSE(S.saveCheckpoint(Path));
-      BidirectionalSolver S2(*Sys.CS, O);
-      std::optional<Diag> D = S2.restore(Path);
-      ASSERT_FALSE(D) << D->render();
-      std::remove(Path.c_str());
-
-      EXPECT_EQ(semantics(S2, *Sys.CS, *Sys.Dom),
-                semantics(S, *Sys.CS, *Sys.Dom));
-      EXPECT_EQ(S2.stats().Retractions, S.stats().Retractions);
-      EXPECT_EQ(S2.stats().RetractedEdges, S.stats().RetractedEdges);
-      EXPECT_EQ(S2.stats().RequeuedEdges, S.stats().RequeuedEdges);
-
-      // And the restored solver can keep editing: retract another
-      // constraint on both and stay in lockstep.
-      uint32_t Next = (Idx + 1) %
-                      static_cast<uint32_t>(Sys.CS->constraints().size());
-      ASSERT_FALSE(Sys.CS->retract(Next));
-      Expected<Status> A = S.retract(Next);
-      Expected<Status> B = S2.retract(Next);
-      ASSERT_TRUE(A) << A.error().render();
-      ASSERT_TRUE(B) << B.error().render();
-      EXPECT_EQ(semantics(S2, *Sys.CS, *Sys.Dom),
-                semantics(S, *Sys.CS, *Sys.Dom));
-    }
-  }
-}
-
-TEST(IncrementalSnapshot, RetractionFlagMismatchRejected) {
-  Rng R(13);
-  testgen::RandomSystem Sys = testgen::randomSystem(R);
-  SolverOptions O =
-      incrementalOptions(SolverOptions::DedupBackend::Bitset, 1);
-  BidirectionalSolver S(*Sys.CS, O);
-  ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
-  std::string Path = tempPath("flagskew");
-  ASSERT_FALSE(S.saveCheckpoint(Path)); // flags all clear in the file
-
-  // Flagging the system after the save makes the snapshot stale: a
-  // silent restore would resurrect the retracted constraint's facts.
-  ASSERT_FALSE(Sys.CS->retract(0));
-  BidirectionalSolver S2(*Sys.CS, O);
-  std::optional<Diag> D = S2.restore(Path);
-  ASSERT_TRUE(D);
-  EXPECT_NE(D->message().find("retraction flag"), std::string::npos)
-      << D->render();
-  EXPECT_TRUE(S2.unstarted());
-
-  // The converse skew: a post-retract snapshot must not restore into
-  // a system that still asserts the constraint.
-  ASSERT_TRUE(S.retract(0));
-  ASSERT_FALSE(S.saveCheckpoint(Path));
-  Rng R2(13);
-  testgen::RandomSystem Unflagged = testgen::randomSystem(R2);
-  BidirectionalSolver S3(*Unflagged.CS, O);
-  std::optional<Diag> D3 = S3.restore(Path);
-  ASSERT_TRUE(D3);
-  EXPECT_NE(D3->message().find("retraction flag"), std::string::npos)
-      << D3->render();
-  EXPECT_TRUE(S3.unstarted());
-  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------===//

@@ -26,6 +26,8 @@
 ///    re-setting the path rebuilds a fresh valid proof.
 ///  - The --system cross-check accepts the very file the log was
 ///    solved from and rejects a semantically edited one.
+///  - The byte layer the log is framed with (support/Serialize.h):
+///    the CRC32 check value and the scalar encoder/decoder round trip.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +37,7 @@
 #include "core/Solver.h"
 #include "frontend/ConstraintParser.h"
 #include "support/FailPoint.h"
+#include "support/Serialize.h"
 
 #include "gtest/gtest.h"
 
@@ -314,4 +317,28 @@ TEST_F(ProofLogTest, SystemCrossCheckAcceptsSourceRejectsEdit) {
   EXPECT_EQ(check(Log, Rasc).ExitCode, rasccheck::ExitSystemMismatch);
   std::remove(Log.c_str());
   std::remove(Rasc.c_str());
+}
+
+TEST_F(ProofLogTest, Crc32KnownVector) {
+  // The standard reflected-CRC32 check value.
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32("", 0), 0u);
+}
+
+TEST_F(ProofLogTest, ByteRoundTrip) {
+  ByteWriter W;
+  W.u8(0xAB);
+  W.u32(0xDEADBEEF);
+  W.u64(0x0123456789ABCDEFull);
+  W.f64(3.25);
+  ByteReader R(W.data().data(), W.size());
+  EXPECT_EQ(R.u8(), 0xAB);
+  EXPECT_EQ(R.u32(), 0xDEADBEEFu);
+  EXPECT_EQ(R.u64(), 0x0123456789ABCDEFull);
+  EXPECT_EQ(R.f64(), 3.25);
+  EXPECT_TRUE(R.atEnd());
+  EXPECT_FALSE(R.bad());
+  // Overrun returns zeros and latches the bad flag.
+  EXPECT_EQ(R.u32(), 0u);
+  EXPECT_TRUE(R.bad());
 }

@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "check/Checker.h"
+#include "frontend/ConstraintParser.h"
 #include "service/Protocol.h"
 #include "service/Rascd.h"
 #include "service/Session.h"
@@ -253,9 +254,8 @@ TEST_F(ServiceTest, LoadSolveQueryRoundTrip) {
   R = rpc(C, Op::QueryPn, "c in X1");
   EXPECT_EQ(R.Kind, Op::Ok) << R.Body;
   EXPECT_EQ(kvGet(R.Body, "holds"), "true");
-  // The durable text and a snapshot are on disk after the solve.
+  // The durable text is on disk after the solve.
   EXPECT_TRUE(fs::exists(Dir / "demo.rasc"));
-  EXPECT_TRUE(fs::exists(Dir / "demo.rsnap"));
 }
 
 TEST_F(ServiceTest, AttachAndErrorPaths) {
@@ -382,8 +382,7 @@ TEST_F(ServiceTest, RetractSurvivesHardKill) {
     Frame R = rpc(C, Op::Retract, "1");
     ASSERT_EQ(R.Kind, Op::Ok) << R.Body;
     // No further solve: recovery must replay the "retract 1;" line
-    // from the durable text (and reject any stale snapshot via the
-    // retraction-flag cross-check) rather than resurrect the edge.
+    // from the durable text rather than resurrect the edge.
   }
   restartDaemon(/*Hard=*/true);
   EXPECT_EQ(D->numResidentSystems(), 1u);
@@ -606,9 +605,6 @@ TEST_F(ServiceTest, DrainAnswersInFlightThenStopsAdmitting) {
             ReadStatus::Ok);
   EXPECT_EQ(F.Kind, Op::Busy);
   EXPECT_EQ(kvGet(F.Body, "reason"), "draining");
-  // stop() flushes a final snapshot.
-  D->stop();
-  EXPECT_TRUE(fs::exists(Dir / "drainme.rsnap"));
 }
 
 //===----------------------------------------------------------------------===//
@@ -753,7 +749,7 @@ TEST_F(ServiceTest, HardKillRecoversAcceptedWorkFromDiskState) {
     Frame R = rpc(C, Op::Add, "var X2;\nX1 <= X2;\n");
     ASSERT_EQ(R.Kind, Op::Ok) << R.Body;
     // No solve after the add: recovery must pick the accepted text
-    // up from the durable .rasc, not just the snapshot.
+    // up from the durable .rasc.
   }
   restartDaemon(/*Hard=*/true);
   EXPECT_EQ(D->numResidentSystems(), 1u);
@@ -765,23 +761,46 @@ TEST_F(ServiceTest, HardKillRecoversAcceptedWorkFromDiskState) {
   EXPECT_EQ(kvGet(R.Body, "holds"), "true") << "accepted ADD was lost";
 }
 
-TEST_F(ServiceTest, CorruptSnapshotFallsBackToReSolve) {
+TEST_F(ServiceTest, LeftoverSnapshotFileIsIgnoredOnWarmBoot) {
+  // Older daemons kept a solver snapshot, "<name>.rsnap", next to the
+  // text. Recovery is now a re-solve of the text alone: a leftover
+  // file is neither read nor removed, and the system answers exactly
+  // like a fresh solve of its text.
   startDaemon();
-  { Conn C = loadAndSolve("scarred"); }
+  { Conn C = loadAndSolve("relic"); }
   D->stop();
   D.reset();
+  const fs::path Relic = Dir / "relic.rsnap";
   {
-    std::ofstream F((Dir / "scarred.rsnap").string(),
-                    std::ios::binary | std::ios::trunc);
-    F << "RASCSNAP garbage that is definitely not a snapshot";
+    std::ofstream F(Relic.string(), std::ios::binary | std::ios::trunc);
+    F << "RASCSNAP bytes an older daemon left behind";
   }
   startDaemon();
   EXPECT_EQ(D->numResidentSystems(), 1u);
+
+  Expected<ConstraintProgram> P = ConstraintProgram::parseEx(
+      std::string(SmallProgram) + "query pn c in X1;\n");
+  ASSERT_TRUE(P) << P.error().render();
+  BidirectionalSolver Fresh(P->system());
+  ASSERT_EQ(Fresh.solve(), BidirectionalSolver::Status::Solved);
+  std::vector<ConstraintProgram::Answer> Want = P->answer(Fresh);
+  ASSERT_EQ(Want.size(), 2u);
+
   Conn C = connect();
-  Frame R = rpc(C, Op::Load, "scarred");
+  Frame R = rpc(C, Op::Load, "relic");
   ASSERT_EQ(R.Kind, Op::Ok) << R.Body;
+  R = rpc(C, Op::Solve, "");
+  ASSERT_EQ(R.Kind, Op::Ok) << R.Body;
+  EXPECT_EQ(kvGet(R.Body, "status"), "solved");
+  EXPECT_EQ(kvGet(R.Body, "edges"),
+            std::to_string(Fresh.stats().EdgesInserted));
   R = rpc(C, Op::Entail, "c in X1");
-  EXPECT_EQ(kvGet(R.Body, "holds"), "true");
+  ASSERT_EQ(R.Kind, Op::Ok) << R.Body;
+  EXPECT_EQ(kvGet(R.Body, "holds"), Want[0].Holds ? "true" : "false");
+  R = rpc(C, Op::QueryPn, "c in X1");
+  ASSERT_EQ(R.Kind, Op::Ok) << R.Body;
+  EXPECT_EQ(kvGet(R.Body, "holds"), Want[1].Holds ? "true" : "false");
+  EXPECT_TRUE(fs::exists(Relic));
 }
 
 TEST_F(ServiceTest, CorruptTextIsSkippedNotFatal) {

@@ -331,8 +331,7 @@ SolveImage solveImage(const ConstraintSystem &CS, SolverOptions O) {
                   St.ComposeCalls,    St.DecomposeSteps,
                   St.ProjectionSteps, St.FnVarConstraints,
                   St.CollapsedVars,   St.BudgetChecks, St.Interrupts,
-                  St.Resumes,         St.ParallelRounds,
-                  St.CheckpointsSaved};
+                  St.Resumes,         St.ParallelRounds};
   return Img;
 }
 
