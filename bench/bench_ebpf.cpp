@@ -12,16 +12,17 @@
 ///   * decode + CFG construction (the trust boundary — pure parsing);
 ///   * lowering into the three applications' native inputs;
 ///   * the full pipeline per application, bytes -> solved fixpoint ->
-///     query (violations / uninit reads / flowsPN);
-///   * the batch path: every program's three systems pooled on one
-///     BatchSolver, the shape `rasctool --ebpf-batch` and rascd run.
+///     query (violations / uninit reads / flowsPN).
+///
+/// The batch path (all three systems of every program pooled on one
+/// BatchSolver, the `rasctool --ebpf-batch` shape) is perfbench's
+/// `ebpf-batch` workload.
 ///
 /// The corpus is generateEbpf() with fixed seeds, so numbers are
 /// comparable across runs and machines modulo hardware.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/BatchSolver.h"
 #include "dataflow/BitVector.h"
 #include "ebpf/Cfg.h"
 #include "ebpf/Decode.h"
@@ -33,7 +34,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 using namespace rasc;
@@ -170,55 +170,6 @@ void BM_EbpfPipelineFlow(benchmark::State &State) {
   State.counters["ctx_flows"] = static_cast<double>(CtxFlows);
 }
 BENCHMARK(BM_EbpfPipelineFlow)->UseRealTime();
-
-/// All three analyses of every corpus program on one BatchSolver pool
-/// — the `rasctool --ebpf-batch` / rascd shape.  Arg is the pool's
-/// thread count.
-void BM_EbpfBatchAllThree(benchmark::State &State) {
-  std::vector<ebpf::Cfg> Gs = cfgs(corpus(kPrograms));
-  SpecAutomaton Spec = ebpf::mapCheckSpec();
-  for (auto _ : State) {
-    struct Bundle {
-      ebpf::PdmcLowering Pd;
-      ebpf::DataflowLowering Df;
-      ebpf::FlowLowering Fl;
-      std::unique_ptr<RascChecker> Checker;
-      std::unique_ptr<AnnotatedBitVectorAnalysis> Reg;
-      std::unique_ptr<FlowAnalysis> Flow;
-    };
-    std::vector<std::unique_ptr<Bundle>> All;
-    std::vector<BidirectionalSolver *> Ptrs;
-    for (const ebpf::Cfg &G : Gs) {
-      auto B = std::make_unique<Bundle>();
-      B->Pd = ebpf::lowerToProgram(G);
-      B->Df = ebpf::lowerToDataflow(G);
-      B->Fl = ebpf::lowerToFlowProgram(G);
-      B->Checker = std::make_unique<RascChecker>(*B->Pd.Prog, Spec);
-      B->Reg = std::make_unique<AnnotatedBitVectorAnalysis>(*B->Df.Problem);
-      B->Flow = std::make_unique<FlowAnalysis>(B->Fl.Prog, FlowMode::Primal);
-      B->Checker->prepare();
-      B->Reg->prepare(SolverOptions{});
-      B->Flow->prepare(SolverOptions{});
-      Ptrs.push_back(B->Checker->solver());
-      Ptrs.push_back(B->Reg->solver());
-      Ptrs.push_back(const_cast<BidirectionalSolver *>(&B->Flow->solver()));
-      All.push_back(std::move(B));
-    }
-    BatchSolver::Options BO;
-    BO.Threads = static_cast<unsigned>(State.range(0));
-    BatchSolver Pool(BO);
-    std::vector<BatchSolver::Result> Res = Pool.solveAll(Ptrs);
-    for (const BatchSolver::Result &R : Res)
-      if (R.St != BidirectionalSolver::Status::Solved)
-        State.SkipWithError("batch solve did not converge");
-    benchmark::DoNotOptimize(Res.size());
-  }
-  State.counters["programs_per_s"] = benchmark::Counter(
-      static_cast<double>(kPrograms * State.iterations()),
-      benchmark::Counter::kIsRate);
-  State.counters["systems"] = static_cast<double>(3 * kPrograms);
-}
-BENCHMARK(BM_EbpfBatchAllThree)->Arg(1)->Arg(4)->UseRealTime();
 
 } // namespace
 

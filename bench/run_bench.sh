@@ -415,10 +415,10 @@ fi
 
 # --- eBPF front-end pipeline (DESIGN.md §13) ---------------------------
 # Runs bench_ebpf: raw bytecode -> decode/CFG, the three lowerings,
-# the per-application full pipeline (bytes to answered query), and
-# the pooled batch path at 1 and 4 threads. Every round is one
-# process invocation covering all stages, interleaved A/B across
-# rounds (min-of-9 by default). Appends an "ebpf" entry keyed by
+# and the per-application full pipeline (bytes to answered query).
+# Every round is one process invocation covering all stages,
+# interleaved A/B across rounds (min-of-9 by default). The pooled
+# batch shape is perfbench's ebpf-batch. Appends an "ebpf" entry keyed by
 # benchmark name with min/median ms and the throughput counters.
 # Skipped when the ebpf bench is not built.
 

@@ -6,8 +6,10 @@
 
 #include "automata/Monoid.h"
 
+#include "support/Trace.h"
+
 #include <algorithm>
-#include <deque>
+#include <chrono>
 #include <sstream>
 
 using namespace rasc;
@@ -15,69 +17,25 @@ using namespace rasc;
 TransitionMonoid::TransitionMonoid(const Dfa &M, Options Opts)
     : M(M), NumStates(M.numStates()), Start(M.start()),
       Accepting(M.acceptingStates()), Live(M.liveStates()) {
-  // Identity first so identity() == 0.
-  std::vector<StateId> Id(NumStates);
-  for (StateId S = 0; S != NumStates; ++S)
-    Id[S] = S;
-  intern(std::move(Id));
-
-  // Generators: one function per alphabet symbol.
-  SymbolFns.reserve(M.numSymbols());
-  for (SymbolId A = 0, E = M.numSymbols(); A != E; ++A) {
-    std::vector<StateId> Fn(NumStates);
-    for (StateId S = 0; S != NumStates; ++S)
-      Fn[S] = M.next(S, A);
-    SymbolFns.push_back(intern(std::move(Fn)));
-  }
-
-  // Close under right extension by generators: every f_w is reached by
-  // extending words one symbol at a time (f_{w sigma} = f_sigma ∘ f_w).
-  // Record generator provenance (the generators' sample word is the
-  // single symbol; the identity's is empty).
-  for (SymbolId A = 0, E = M.numSymbols(); A != E; ++A)
-    if (Parents[SymbolFns[A]].Sym == InvalidSymbol &&
-        SymbolFns[A] != identity())
-      Parents[SymbolFns[A]] = {identity(), A};
-
-  std::deque<FnId> Work;
-  for (FnId F = 0, E = static_cast<FnId>(size()); F != E; ++F)
-    Work.push_back(F);
-  while (!Work.empty() && !Overflowed) {
-    FnId F = Work.front();
-    Work.pop_front();
-    for (SymbolId A = 0, AE = M.numSymbols(); A != AE; ++A) {
-      FnId G = SymbolFns[A];
-      std::vector<StateId> Fn(NumStates);
-      for (StateId S = 0; S != NumStates; ++S)
-        Fn[S] = apply(G, apply(F, S));
-      size_t Before = size();
-      if (Before >= Opts.MaxElements) {
-        Overflowed = true;
-        break;
-      }
-      FnId New = intern(std::move(Fn));
-      if (New == Before) { // freshly interned
-        Parents[New] = {F, A};
-        Work.push_back(New);
-      }
-    }
+  using Clock = std::chrono::steady_clock;
+  auto since = [](Clock::time_point T) {
+    return std::chrono::duration<double>(Clock::now() - T).count();
+  };
+  std::vector<FnId> Right;
+  {
+    trace::Scope Span("monoid.closure");
+    auto T0 = Clock::now();
+    close(Opts, Right);
+    ClosureSeconds = since(T0);
+    Span.args(size());
   }
 
   // Composition acceleration.
   if (!Overflowed && size() <= Opts.DenseTableLimit) {
-    UseDenseTable = true;
-    size_t N = size();
-    DenseTable.resize(N * N);
-    for (FnId F = 0; F != N; ++F)
-      for (FnId G = 0; G != N; ++G)
-        DenseTable[static_cast<size_t>(F) * N + G] = composeSlow(F, G);
-    // Transpose for composeRowRhs(): a cheap copy next to the O(N^2)
-    // composeSlow sweep above.
-    DenseTableT.resize(N * N);
-    for (FnId F = 0; F != N; ++F)
-      for (FnId G = 0; G != N; ++G)
-        DenseTableT[static_cast<size_t>(G) * N + F] =
-            DenseTable[static_cast<size_t>(F) * N + G];
+    RASC_TRACE_SCOPE("monoid.table", size(), size() * size());
+    auto T0 = Clock::now();
+    buildDenseTable(Right);
+    TableSeconds = since(T0);
   } else {
     // Memo path: expect a quadratic-ish working set of hot pairs;
     // pre-sizing avoids rehash storms in the closure loop.
@@ -85,7 +43,101 @@ TransitionMonoid::TransitionMonoid(const Dfa &M, Options Opts)
   }
 }
 
-FnId TransitionMonoid::intern(std::vector<StateId> Fn) {
+void TransitionMonoid::close(const Options &Opts, std::vector<FnId> &Right) {
+  // One scratch function for every probe; intern() copies it only when
+  // it is new.
+  std::vector<StateId> Fn(NumStates);
+
+  // Identity first so identity() == 0.
+  for (StateId S = 0; S != NumStates; ++S)
+    Fn[S] = S;
+  intern(Fn);
+
+  // Generators: one function per alphabet symbol.
+  SymbolId NumSyms = M.numSymbols();
+  SymbolFns.reserve(NumSyms);
+  for (SymbolId A = 0; A != NumSyms; ++A) {
+    for (StateId S = 0; S != NumStates; ++S)
+      Fn[S] = M.next(S, A);
+    SymbolFns.push_back(intern(Fn));
+  }
+
+  // Close under right extension by generators: every f_w is reached by
+  // extending words one symbol at a time (f_{w sigma} = f_sigma ∘ f_w).
+  // Record generator provenance (the generators' sample word is the
+  // single symbol; the identity's is empty).
+  for (SymbolId A = 0; A != NumSyms; ++A)
+    if (Parents[SymbolFns[A]].Sym == InvalidSymbol &&
+        SymbolFns[A] != identity())
+      Parents[SymbolFns[A]] = {identity(), A};
+
+  // Elements are interned in BFS order, so the work queue is the id
+  // range itself, and Right fills in (F, A) order.
+  bool RecordRight = size() <= Opts.DenseTableLimit;
+  for (FnId F = 0; F != size() && !Overflowed; ++F) {
+    for (SymbolId A = 0; A != NumSyms; ++A) {
+      // Funcs may grow below, so take both rows afresh per symbol.
+      const StateId *Src = &Funcs[static_cast<size_t>(F) * NumStates];
+      const StateId *Gen =
+          &Funcs[static_cast<size_t>(SymbolFns[A]) * NumStates];
+      for (StateId S = 0; S != NumStates; ++S)
+        Fn[S] = Gen[Src[S]];
+      size_t Before = size();
+      if (Before >= Opts.MaxElements) {
+        Overflowed = true;
+        break;
+      }
+      FnId New = intern(Fn);
+      if (New == Before) // freshly interned
+        Parents[New] = {F, A};
+      if (RecordRight)
+        Right.push_back(New);
+    }
+    if (RecordRight && size() > Opts.DenseTableLimit) {
+      // No dense table will be built; do not carry the graph.
+      RecordRight = false;
+      std::vector<FnId>().swap(Right);
+    }
+  }
+}
+
+void TransitionMonoid::buildDenseTable(const std::vector<FnId> &Right) {
+  UseDenseTable = true;
+  size_t N = size();
+  size_t NumSyms = M.numSymbols();
+  assert(Right.size() == N * NumSyms && "right Cayley graph incomplete");
+  DenseTable.resize(N * N);
+  DenseTableT.resize(N * N);
+
+  // Row F = f_A ∘ P: DenseTable[F][G] = Right[DenseTable[P][G]][A]. The
+  // identity row is G itself; every other row is one gather over an
+  // earlier row.
+  for (FnId G = 0; G != N; ++G)
+    DenseTable[G] = G;
+  for (FnId F = 1; F != N; ++F) {
+    const Provenance &P = Parents[F];
+    assert(P.Prev < F && "BFS parent must precede its child");
+    const FnId *Prev = &DenseTable[static_cast<size_t>(P.Prev) * N];
+    const FnId *Step = &Right[P.Sym];
+    FnId *Row = &DenseTable[static_cast<size_t>(F) * N];
+    for (size_t G = 0; G != N; ++G)
+      Row[G] = Step[static_cast<size_t>(Prev[G]) * NumSyms];
+  }
+
+  // The transpose by the same recurrence, with the left operand
+  // varying along each row: DenseTableT[G][F] = F ∘ G
+  // = Right[DenseTableT[G][P]][A]. Each row only reads its own prefix.
+  for (FnId G = 0; G != N; ++G) {
+    FnId *Col = &DenseTableT[static_cast<size_t>(G) * N];
+    Col[0] = G;
+    for (FnId F = 1; F != N; ++F) {
+      const Provenance &P = Parents[F];
+      Col[F] = Right[static_cast<size_t>(Col[P.Prev]) * NumSyms + P.Sym];
+    }
+  }
+}
+
+FnId TransitionMonoid::intern(const std::vector<StateId> &Fn) {
   auto It = FnIds.find(Fn);
   if (It != FnIds.end())
     return It->second;

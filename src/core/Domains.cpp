@@ -12,13 +12,29 @@
 
 using namespace rasc;
 
-MonoidDomain::MonoidDomain(Dfa M, TransitionMonoid::Options Opts)
+MonoidDomain::MonoidDomain(Dfa M, TransitionMonoid::Options Opts, Unchecked)
     : Machine(std::make_unique<Dfa>(std::move(M))),
-      Mon(std::make_unique<TransitionMonoid>(*Machine, Opts)) {
+      Mon(std::make_unique<TransitionMonoid>(*Machine, Opts)) {}
+
+MonoidDomain::MonoidDomain(Dfa M, TransitionMonoid::Options Opts)
+    : MonoidDomain(std::move(M), Opts, Unchecked{}) {
   assert(!Mon->overflowed() &&
          "annotation monoid exceeded the element cap; raise "
          "TransitionMonoid::Options::MaxElements or use a "
          "unidirectional solver");
+}
+
+Expected<std::unique_ptr<MonoidDomain>>
+MonoidDomain::create(Dfa M, TransitionMonoid::Options Opts) {
+  uint32_t States = M.numStates();
+  std::unique_ptr<MonoidDomain> D(
+      new MonoidDomain(std::move(M), Opts, Unchecked{}));
+  if (D->Mon->overflowed())
+    return Diag("the annotation monoid of this " + std::to_string(States) +
+                "-state automaton reaches the cap of " +
+                std::to_string(Opts.MaxElements) +
+                " elements; use a smaller language");
+  return D;
 }
 
 GenKillDomain::GenKillDomain(unsigned NumBits)

@@ -24,6 +24,7 @@
 #include "automata/Dfa.h"
 #include "automata/Monoid.h"
 #include "core/Annotation.h"
+#include "support/Diag.h"
 #include "support/Hashing.h"
 
 #include <memory>
@@ -63,8 +64,16 @@ public:
 /// monoid's FnId.
 class MonoidDomain final : public AnnotationDomain {
 public:
+  /// For trusted automata: asserts that the monoid fits in
+  /// Opts.MaxElements.
   explicit MonoidDomain(Dfa M,
                         TransitionMonoid::Options Opts = defaultOptions());
+
+  /// For automata built from user input: a monoid that exceeds
+  /// Opts.MaxElements is reported as a Diag (without a location; the
+  /// caller knows where the automaton came from).
+  static Expected<std::unique_ptr<MonoidDomain>>
+  create(Dfa M, TransitionMonoid::Options Opts = defaultOptions());
 
   static TransitionMonoid::Options defaultOptions() {
     return TransitionMonoid::Options{};
@@ -105,6 +114,9 @@ public:
   const TransitionMonoid &monoid() const { return *Mon; }
 
 private:
+  struct Unchecked {};
+  MonoidDomain(Dfa M, TransitionMonoid::Options Opts, Unchecked);
+
   std::unique_ptr<Dfa> Machine; // stable address for the monoid
   std::unique_ptr<TransitionMonoid> Mon;
 };

@@ -14,6 +14,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "automata/Machines.h"
 #include "automata/RegexParser.h"
 #include "core/Domains.h"
 #include "frontend/ConstraintParser.h"
@@ -400,6 +401,23 @@ TEST(CheckedBuilders, AddChecked) {
 
   // Failures left no partial constraint behind.
   EXPECT_EQ(CS.constraints().size(), 1u);
+}
+
+TEST(CheckedBuilders, MonoidOverflowIsADiag) {
+  // 6^6 = 46656 elements against a cap of 1000: a Diag, not the
+  // asserting constructor's abort.
+  TransitionMonoid::Options Opts;
+  Opts.MaxElements = 1000;
+  Expected<std::unique_ptr<MonoidDomain>> Dom =
+      MonoidDomain::create(buildAdversarialMachine(6), Opts);
+  ASSERT_FALSE(Dom);
+  EXPECT_NE(Dom.error().message().find("1000"), std::string::npos)
+      << Dom.error().render();
+
+  // Under the cap the checked path yields the same domain.
+  Dom = MonoidDomain::create(buildAdversarialMachine(3), Opts);
+  ASSERT_TRUE(Dom) << Dom.error().render();
+  EXPECT_EQ((*Dom)->size(), 27u);
 }
 
 } // namespace

@@ -8,9 +8,16 @@
 #include "automata/Machines.h"
 #include "automata/Monoid.h"
 #include "automata/RegexParser.h"
+#include "ebpf/Cfg.h"
+#include "ebpf/Decode.h"
+#include "ebpf/Lower.h"
+#include "flow/Analysis.h"
+#include "pdmc/Properties.h"
 #include "support/Rng.h"
 
+#include <fstream>
 #include <gtest/gtest.h>
+#include <iterator>
 
 using namespace rasc;
 
@@ -153,19 +160,100 @@ TEST(Monoid, SampleWordsRoundTrip) {
   }
 }
 
-TEST(Monoid, DenseAndMemoAgree) {
-  Dfa M = buildAdversarialMachine(4); // 256 elements
+/// The dense table, built by the Cayley recurrence, against the memo
+/// monoid (DenseTableLimit = 0), whose every product is a composeSlow
+/// call: all N^2 pairs, through both row orders. \returns the size.
+size_t expectTableMatchesComposeSlow(const Dfa &M) {
   TransitionMonoid::Options Dense, Memo;
   Dense.DenseTableLimit = 4096;
   Memo.DenseTableLimit = 0;
   TransitionMonoid DenseMon(M, Dense), MemoMon(M, Memo);
-  ASSERT_EQ(DenseMon.size(), MemoMon.size());
-  Rng R(5);
-  for (int Trial = 0; Trial != 2000; ++Trial) {
-    FnId F = static_cast<FnId>(R.below(DenseMon.size()));
-    FnId G = static_cast<FnId>(R.below(DenseMon.size()));
-    EXPECT_EQ(DenseMon.compose(F, G), MemoMon.compose(F, G));
+  size_t N = DenseMon.size();
+  EXPECT_EQ(N, MemoMon.size());
+  EXPECT_EQ(MemoMon.composeRowLhs(0), nullptr);
+  size_t Mismatches = 0;
+  for (FnId F = 0; F != N; ++F) {
+    // Both monoids intern in the same BFS order.
+    EXPECT_EQ(DenseMon.toString(F), MemoMon.toString(F));
+    const FnId *Row = DenseMon.composeRowLhs(F);
+    if (!Row) {
+      ADD_FAILURE() << "no dense table for " << N << " elements";
+      return N;
+    }
+    for (FnId G = 0; G != N; ++G) {
+      FnId Want = MemoMon.compose(F, G);
+      if (Row[G] != Want || DenseMon.composeRowRhs(G)[F] != Want) {
+        if (++Mismatches == 1)
+          ADD_FAILURE() << "F=" << F << " G=" << G << ": table "
+                        << Row[G] << ", transpose "
+                        << DenseMon.composeRowRhs(G)[F] << ", composeSlow "
+                        << Want;
+      }
+    }
   }
+  EXPECT_EQ(Mismatches, 0u);
+  return N;
+}
+
+/// A 3-state machine whose symbol 'n' acts as the identity (so its
+/// generator is element 0) and whose 'c' repeats 'a' (a duplicate
+/// generator).
+Dfa identitySymbolMachine() {
+  DfaBuilder B;
+  SymbolId A = B.addSymbol("a"), Bm = B.addSymbol("b"),
+           Nop = B.addSymbol("n"), C = B.addSymbol("c");
+  StateId S[3] = {B.addState(), B.addState(), B.addState()};
+  for (unsigned I = 0; I != 3; ++I) {
+    B.addTransition(S[I], A, S[(I + 1) % 3]);
+    B.addTransition(S[I], C, S[(I + 1) % 3]);
+    B.addTransition(S[I], Bm, S[I == 1 ? 0 : I]);
+    B.addTransition(S[I], Nop, S[I]);
+  }
+  B.setStart(S[0]);
+  B.setAccepting(S[2]);
+  return B.build();
+}
+
+TEST(Monoid, DenseAndMemoAgree) {
+  for (unsigned N : {2u, 3u, 4u}) {
+    SCOPED_TRACE("adversarial " + std::to_string(N));
+    expectTableMatchesComposeSlow(buildAdversarialMachine(N));
+  }
+  {
+    SCOPED_TRACE("3-bit gen/kill");
+    EXPECT_EQ(expectTableMatchesComposeSlow(minimize(buildNBitMachine(3))),
+              27u);
+  }
+  {
+    SCOPED_TRACE("identity symbol");
+    Dfa M = identitySymbolMachine();
+    EXPECT_EQ(TransitionMonoid(M).symbolFn(*M.symbol("n")), 0u);
+    expectTableMatchesComposeSlow(M);
+  }
+  for (const auto &[Name, Spec] :
+       {std::pair{"full privilege", fullPrivilegeSpec()},
+        std::pair{"file state", fileStateSpec()},
+        std::pair{"eBPF map check", ebpf::mapCheckSpec()}}) {
+    SCOPED_TRACE(Name);
+    expectTableMatchesComposeSlow(Spec.machine());
+  }
+}
+
+TEST(Monoid, DenseAndMemoAgreeOnEbpfFlowMonoid) {
+  // The flow pair automaton of a golden eBPF program, whose monoid is
+  // the 906-element table every ebpf-batch program builds.
+  std::ifstream In(std::string(RASC_TEST_DATA_DIR) + "/ebpf/gen-009.bpf",
+                   std::ios::binary);
+  ASSERT_TRUE(In.good());
+  std::string Bytes((std::istreambuf_iterator<char>(In)),
+                    std::istreambuf_iterator<char>());
+  Expected<ebpf::DecodedProgram> D = ebpf::decode(
+      {reinterpret_cast<const uint8_t *>(Bytes.data()), Bytes.size()});
+  ASSERT_TRUE(D) << D.error().render();
+  ebpf::Cfg G = ebpf::buildCfg(std::move(*D));
+  ebpf::FlowLowering Fl = ebpf::lowerToFlowProgram(G);
+  EXPECT_EQ(expectTableMatchesComposeSlow(buildPairAutomaton(Fl.Prog)),
+            906u);
 }
 
 TEST(Monoid, NBitMachineMonoidIsPowOfThree) {

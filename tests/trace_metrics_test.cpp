@@ -32,6 +32,7 @@
 
 #include "TestSystems.h"
 
+#include "automata/Machines.h"
 #include "core/Observe.h"
 #include "support/Trace.h"
 
@@ -293,6 +294,30 @@ TEST(TraceExport, ChromeJsonSchema) {
 
   ASSERT_TRUE(Root.has("otherData"));
   EXPECT_TRUE(Root.at("otherData").has("droppedEvents"));
+}
+
+TEST(TraceExport, MonoidConstructionSpans) {
+  ObservabilityOff Guard;
+  trace::clear();
+  { MonoidDomain Untraced(buildAdversarialMachine(3)); }
+  EXPECT_EQ(trace::eventCount(), 0u);
+
+  trace::setEnabled(true);
+  { MonoidDomain Traced(buildAdversarialMachine(3)); }
+  trace::setEnabled(false);
+
+  Json Root;
+  ASSERT_TRUE(JsonParser(trace::exportChromeJson()).parse(Root));
+  std::map<std::string, const Json *> Spans;
+  for (const Json &E : Root.at("traceEvents").A)
+    if (E.at("ph").S == "X")
+      Spans[E.at("name").S] = &E;
+  ASSERT_TRUE(Spans.count("monoid.closure"));
+  ASSERT_TRUE(Spans.count("monoid.table"));
+  // 3^3 elements; the table span also carries its 27^2 cells.
+  EXPECT_EQ(Spans["monoid.closure"]->at("args").at("a").N, 27);
+  EXPECT_EQ(Spans["monoid.table"]->at("args").at("a").N, 27);
+  EXPECT_EQ(Spans["monoid.table"]->at("args").at("b").N, 27 * 27);
 }
 
 //===----------------------------------------------------------------------===//
