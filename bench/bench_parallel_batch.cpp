@@ -14,7 +14,14 @@
 ///     path, so the /1 rows double as a regression check against
 ///     BM_SolveDag itself.
 ///
-///   * BM_SolveDagSharded — the same workload through the sharded
+///   * BM_SolvePackageParallel — the same sweep (Threads ∈ {1, 2, 4})
+///     on Table 1 packages of 4k/16k/32k lines (generatePackage seed
+///     7) checked against the full privilege property, timing the
+///     solve only. This is the workload where the frontier-parallel
+///     closure passes 1.5x at 4 threads (EXPERIMENTS.md
+///     "Frontier-parallel closure at 4 threads").
+///
+///   * BM_SolveDagSharded — the n=800 DAG through the sharded
 ///     merge (owner-partitioned dedup, per-(producer,shard)
 ///     mailboxes), sweeping MergeShards at a fixed thread count, plus
 ///     a RelaxedParallelStats row (skips the exact-stats sequential
@@ -36,6 +43,9 @@
 #include "core/BatchSolver.h"
 #include "core/Domains.h"
 #include "core/Solver.h"
+#include "pdmc/Checker.h"
+#include "pdmc/Properties.h"
+#include "progen/ProgramGen.h"
 #include "support/Rng.h"
 
 #include <benchmark/benchmark.h>
@@ -93,6 +103,31 @@ BENCHMARK(BM_SolveDagParallel)
     ->Args({800, 2})
     ->Args({800, 4})
     ->Args({800, 8})
+    ->UseRealTime();
+
+void BM_SolvePackageParallel(benchmark::State &State) {
+  size_t Lines = static_cast<size_t>(State.range(0));
+  SpecAutomaton Spec = fullPrivilegeSpec();
+  Program P = generatePackage(Lines, Spec, 7);
+  SolverOptions O;
+  O.Threads = static_cast<unsigned>(State.range(1));
+  double Edges = 0, Rounds = 0;
+  for (auto _ : State) {
+    // Generation and monoid construction stay outside the timing.
+    State.PauseTiming();
+    RascChecker RC(P, Spec);
+    RC.setSolverOptions(O);
+    RC.prepare();
+    State.ResumeTiming();
+    benchmark::DoNotOptimize(RC.solver()->solve());
+    Edges = static_cast<double>(RC.solver()->stats().EdgesInserted);
+    Rounds = static_cast<double>(RC.solver()->stats().ParallelRounds);
+  }
+  State.counters["edges"] = Edges;
+  State.counters["rounds"] = Rounds;
+}
+BENCHMARK(BM_SolvePackageParallel)
+    ->ArgsProduct({{4000, 16000, 32000}, {1, 2, 4}})
     ->UseRealTime();
 
 /// Sharded merge on the 800-var DAG: MergeShards swept at Threads = 4

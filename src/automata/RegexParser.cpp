@@ -144,23 +144,30 @@ private:
     return foldBalanced(std::move(Parts), Regex::Concat);
   }
 
+  /// An atom and its postfix operators. A stack of operators folds
+  /// into at most one node, so a 1M-character "a+++..." chain stays a
+  /// depth-2 AST instead of one level per operator (which the
+  /// recursive walks and the node destructors would overflow the
+  /// stack on): A** = A*, A++ = A+, A?? = A?, and any mix of two
+  /// different operators is A*.
   RegexPtr parseRep() {
     RegexPtr A = parseAtom();
     if (!A)
       return nullptr;
     skipSpace();
+    char Op = 0;
     while (Pos < Input.size() &&
            (Input[Pos] == '*' || Input[Pos] == '+' || Input[Pos] == '?')) {
-      char Op = Input[Pos++];
-      if (Op == '*') {
-        A = makeNode(Regex::Star, std::move(A));
-      } else if (Op == '+') {
-        A = makeNode(Regex::Plus, std::move(A));
-      } else { // '?'
-        A = makeNode(Regex::Alt, std::move(A), makeNode(Regex::Epsilon));
-      }
+      char Next = Input[Pos++];
+      Op = !Op || Op == Next ? Next : '*';
       skipSpace();
     }
+    if (Op == '*')
+      return makeNode(Regex::Star, std::move(A));
+    if (Op == '+')
+      return makeNode(Regex::Plus, std::move(A));
+    if (Op == '?')
+      return makeNode(Regex::Alt, std::move(A), makeNode(Regex::Epsilon));
     return A;
   }
 

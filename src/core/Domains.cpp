@@ -65,8 +65,7 @@ AnnId GenKillDomain::compose(AnnId F, AnnId G) const {
   if (It != ComposeMemo.end())
     return It->second;
   // G first, then F: X |-> apply_F(apply_G(X)). The mask algebra
-  // lives in support/ComposeKernel.h so the batch (vectorizable) form
-  // and this interning path share one definition.
+  // lives in support/ComposeKernel.h.
   auto [GenF, KillF] = Elems[F];
   auto [GenG, KillG] = Elems[G];
   kernel::GenKillMasks C = kernel::genKillCompose(GenF, KillF, GenG, KillG);

@@ -9,11 +9,9 @@
 /// (support/ComposeKernel.h) against their scalar references: the
 /// dense-row gather against both a naive index loop and the
 /// TransitionMonoid's own compose(), and the gen/kill mask algebra
-/// against GenKillDomain::compose (which routes through the same
-/// single-pair helper — these tests pin the batch form to it). The
-/// parallel closure's phase-2 workers stage whole adjacency chunks
-/// through these kernels, so any drift here would silently corrupt
-/// fixpoints.
+/// against GenKillDomain::compose. The parallel closure's phase-2
+/// workers stage whole adjacency chunks through the gather, so any
+/// drift here would silently corrupt fixpoints.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -104,30 +102,6 @@ TEST(ComposeKernel, GenKillSinglePairMatchesDomain) {
     uint64_t X = R.below(Mask + 1);
     EXPECT_EQ(Dom.apply(C, X), Dom.apply(F, Dom.apply(G, X)))
         << "iter " << Iter;
-  }
-}
-
-TEST(ComposeKernel, GenKillBatchMatchesSinglePair) {
-  Rng R(29);
-  for (size_t N : {size_t(0), size_t(1), size_t(3), size_t(8), size_t(64),
-                   size_t(777)}) {
-    std::vector<uint64_t> GenF(N), KillF(N), GenG(N), KillG(N);
-    for (size_t I = 0; I != N; ++I) {
-      GenF[I] = R.below(~uint64_t(0));
-      KillF[I] = R.below(~uint64_t(0)) & ~GenF[I];
-      GenG[I] = R.below(~uint64_t(0));
-      KillG[I] = R.below(~uint64_t(0)) & ~GenG[I];
-    }
-    std::vector<uint64_t> GenOut(N, ~uint64_t(0)), KillOut(N, ~uint64_t(0));
-    kernel::genKillComposeBatch(GenF.data(), KillF.data(), GenG.data(),
-                                KillG.data(), GenOut.data(), KillOut.data(),
-                                N);
-    for (size_t I = 0; I != N; ++I) {
-      kernel::GenKillMasks K =
-          kernel::genKillCompose(GenF[I], KillF[I], GenG[I], KillG[I]);
-      ASSERT_EQ(GenOut[I], K.Gen) << "N=" << N << " lane " << I;
-      ASSERT_EQ(KillOut[I], K.Kill) << "N=" << N << " lane " << I;
-    }
   }
 }
 

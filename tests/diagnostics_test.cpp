@@ -266,18 +266,33 @@ TEST(RegexDiag, ColumnIsPatternOffset) {
 }
 
 TEST(RegexDiag, PlusChainsAreLinear) {
-  // "a++++...+" used to desugar each '+' by deep-copying the operand,
-  // doubling the AST per operator. It must now compile in linear
-  // time/space and accept exactly a+.
-  std::string Pat = "a";
-  Pat.append(4000, '+');
-  Expected<Dfa> M = compileRegexEx(Pat);
-  ASSERT_TRUE(M) << M.error().render();
-  auto A = M->symbol("a");
-  ASSERT_TRUE(A.has_value());
-  EXPECT_FALSE(M->accepts(Word{}));
-  EXPECT_TRUE(M->accepts(Word{*A}));
-  EXPECT_TRUE(M->accepts(Word{*A, *A, *A}));
+  // A chain of 1M postfix operators (inside the 1 MiB pattern cap)
+  // must compile without copying the operand or nesting one AST level
+  // per operator (the recursive walks would overflow the stack), and
+  // accept the folded language: a+, a*, a? alone, a* for a mix.
+  auto chain = [](std::string Ops) {
+    std::string Pat = "a";
+    while (Pat.size() < (1u << 20) - Ops.size())
+      Pat += Ops;
+    return Pat;
+  };
+  struct Case {
+    std::string Ops;
+    bool Empty, Many;
+  };
+  for (const Case &C : {Case{"+", false, true}, Case{"*", true, true},
+                        Case{"?", true, false}, Case{"+?*", true, true},
+                        Case{"?+", true, true}}) {
+    std::string Pat = chain(C.Ops);
+    ASSERT_GE(Pat.size(), 1000000u);
+    Expected<Dfa> M = compileRegexEx(Pat);
+    ASSERT_TRUE(M) << C.Ops << ": " << M.error().render();
+    auto A = M->symbol("a");
+    ASSERT_TRUE(A.has_value());
+    EXPECT_EQ(M->accepts(Word{}), C.Empty) << C.Ops;
+    EXPECT_TRUE(M->accepts(Word{*A})) << C.Ops;
+    EXPECT_EQ(M->accepts(Word{*A, *A, *A}), C.Many) << C.Ops;
+  }
 }
 
 TEST(RegexDiag, PlusRequiresOneIteration) {
