@@ -14,9 +14,10 @@
 ///   * the full pipeline per application, bytes -> solved fixpoint ->
 ///     query (violations / uninit reads / flowsPN).
 ///
-/// The batch path (all three systems of every program pooled on one
-/// BatchSolver, the `rasctool --ebpf-batch` shape) is perfbench's
-/// `ebpf-batch` workload.
+/// BM_EbpfBatchFlow keeps a batch of flow analyses alive together, as
+/// `rasctool --ebpf-batch` does, so they share one interned monoid.
+/// The full batch path (all three systems of every program pooled on
+/// one BatchSolver) is perfbench's `ebpf-batch` workload.
 ///
 /// The corpus is generateEbpf() with fixed seeds, so numbers are
 /// comparable across runs and machines modulo hardware.
@@ -34,6 +35,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 using namespace rasc;
@@ -44,6 +46,10 @@ namespace {
 /// enough that one iteration stays well under a second, large enough
 /// to amortize per-program noise.
 constexpr uint64_t kPrograms = 8;
+
+/// Live analyses per iteration in the batch benchmark: one
+/// `ebpf-batch` batch.
+constexpr uint64_t kBatchPrograms = 16;
 
 /// Programs per iteration for decode/lower, which are orders of
 /// magnitude cheaper than solving.
@@ -170,6 +176,36 @@ void BM_EbpfPipelineFlow(benchmark::State &State) {
   State.counters["ctx_flows"] = static_cast<double>(CtxFlows);
 }
 BENCHMARK(BM_EbpfPipelineFlow)->UseRealTime();
+
+/// The `rasctool --ebpf-batch` shape of the flow pipeline: all
+/// kBatchPrograms analyses stay alive until the batch is answered, so
+/// they share one interned flow monoid, built once per iteration.
+/// BM_EbpfPipelineFlow holds one analysis at a time and so builds the
+/// monoid for every program.
+void BM_EbpfBatchFlow(benchmark::State &State) {
+  std::vector<ebpf::Cfg> Gs = cfgs(corpus(kBatchPrograms));
+  uint64_t CtxFlows = 0;
+  for (auto _ : State) {
+    CtxFlows = 0;
+    std::vector<ebpf::FlowLowering> Fls;
+    Fls.reserve(Gs.size()); // the analyses point into these
+    std::vector<std::unique_ptr<FlowAnalysis>> Live;
+    for (const ebpf::Cfg &G : Gs) {
+      Fls.push_back(ebpf::lowerToFlowProgram(G));
+      Live.push_back(
+          std::make_unique<FlowAnalysis>(Fls.back().Prog, FlowMode::Primal));
+    }
+    for (size_t I = 0; I != Live.size(); ++I) {
+      Live[I]->prepare(SolverOptions{});
+      CtxFlows += Live[I]->flowsPN(Fls[I].CtxLit, Fls[I].ResultExpr);
+    }
+  }
+  State.counters["programs_per_s"] = benchmark::Counter(
+      static_cast<double>(kBatchPrograms * State.iterations()),
+      benchmark::Counter::kIsRate);
+  State.counters["ctx_flows"] = static_cast<double>(CtxFlows);
+}
+BENCHMARK(BM_EbpfBatchFlow)->UseRealTime();
 
 } // namespace
 

@@ -40,19 +40,37 @@ Dfa rasc::determinize(const Nfa &N) {
   N.epsilonClose(StartSet);
   StateId Start = internSubset(std::move(StartSet));
 
+  // Each subset's NFA transitions are bucketed by symbol once, so a
+  // symbol costs a subset build only when it has a move; every other
+  // symbol goes to the empty subset. That one is interned on first use
+  // too, so states are numbered in (state, symbol) visiting order.
+  std::vector<std::vector<StateId>> Moves(NumSyms);
+  StateId Empty = InvalidState;
   while (!Work.empty()) {
     StateId Cur = Work.front();
     Work.pop_front();
-    for (SymbolId A = 0; A != NumSyms; ++A) {
-      DynamicBitset Next(N.numStates());
+    {
+      // Dropped before interning, which may reallocate Subsets.
       const DynamicBitset &CurSet = Subsets[Cur];
       for (size_t S = CurSet.findFirst(); S != CurSet.size();
            S = CurSet.findNext(S + 1))
         for (auto [Sym, T] : N.transitions(static_cast<StateId>(S)))
-          if (Sym == A)
-            Next.set(T);
-      N.epsilonClose(Next);
-      StateId NextId = internSubset(std::move(Next));
+          Moves[Sym].push_back(T);
+    }
+    for (SymbolId A = 0; A != NumSyms; ++A) {
+      StateId NextId;
+      if (Moves[A].empty()) {
+        if (Empty == InvalidState)
+          Empty = internSubset(DynamicBitset(N.numStates()));
+        NextId = Empty;
+      } else {
+        DynamicBitset Next(N.numStates());
+        for (StateId T : Moves[A])
+          Next.set(T);
+        Moves[A].clear();
+        N.epsilonClose(Next);
+        NextId = internSubset(std::move(Next));
+      }
       // internSubset may reallocate Trans; index afterwards.
       Trans[static_cast<size_t>(Cur) * NumSyms + A] = NextId;
     }

@@ -64,16 +64,28 @@ public:
 /// monoid's FnId.
 class MonoidDomain final : public AnnotationDomain {
 public:
-  /// For trusted automata: asserts that the monoid fits in
-  /// Opts.MaxElements.
+  /// A private domain for trusted automata: asserts that the monoid
+  /// fits in Opts.MaxElements.
   explicit MonoidDomain(Dfa M,
                         TransitionMonoid::Options Opts = defaultOptions());
 
-  /// For automata built from user input: a monoid that exceeds
-  /// Opts.MaxElements is reported as a Diag (without a location; the
-  /// caller knows where the automaton came from).
-  static Expected<std::unique_ptr<MonoidDomain>>
+  /// The interned domain of \p M. While some caller still holds the
+  /// result for an equal automaton (Dfa::operator==) and equal
+  /// options, that same immutable domain is returned instead of a new
+  /// build, so analyses over one automaton share one monoid. Only
+  /// complete dense-table monoids are shared; a memo-path monoid (more
+  /// than Opts.DenseTableLimit elements) writes on compose() and is
+  /// returned private. The table holds weak references: a domain is
+  /// freed, and its entry removed, when its last holder lets go.
+  ///
+  /// A monoid that exceeds Opts.MaxElements is reported as a Diag
+  /// (without a location; the caller knows where the automaton came
+  /// from), so this is also the entry point for user input.
+  static Expected<std::shared_ptr<const MonoidDomain>>
   create(Dfa M, TransitionMonoid::Options Opts = defaultOptions());
+
+  /// The number of domains currently in create()'s intern table.
+  static size_t internedCount();
 
   static TransitionMonoid::Options defaultOptions() {
     return TransitionMonoid::Options{};

@@ -294,9 +294,11 @@ Dfa rasc::buildCallAutomaton(const FlowProgram &P,
 
 FlowAnalysis::FlowAnalysis(const FlowProgram &P, FlowMode Mode)
     : P(P), Mode(Mode) {
-  Dom = std::make_unique<MonoidDomain>(
+  Expected<std::shared_ptr<const MonoidDomain>> D = MonoidDomain::create(
       Mode == FlowMode::Primal ? buildPairAutomaton(P)
                                : buildCallAutomaton(P, &RecursiveSite));
+  assert(D && "flow annotation monoid exceeded the element cap");
+  Dom = std::move(*D);
   CS = std::make_unique<ConstraintSystem>(*Dom);
 
   if (Mode == FlowMode::Primal) {

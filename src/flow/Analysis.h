@@ -129,7 +129,7 @@ private:
 
   const FlowProgram &P;
   FlowMode Mode;
-  std::unique_ptr<MonoidDomain> Dom;
+  std::shared_ptr<const MonoidDomain> Dom;
   std::unique_ptr<ConstraintSystem> CS;
   std::unique_ptr<BidirectionalSolver> Solver;
   bool Solved = false;

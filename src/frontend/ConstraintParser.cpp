@@ -152,7 +152,7 @@ private:
   /// Builds the program's domain; a monoid over the element cap is
   /// reported at the 'language' keyword.
   bool makeDomain(ConstraintProgram &P, Dfa M, SourceLoc KwLoc) {
-    Expected<std::unique_ptr<MonoidDomain>> Dom =
+    Expected<std::shared_ptr<const MonoidDomain>> Dom =
         MonoidDomain::create(std::move(M));
     if (!Dom)
       return failAt("language: " + Dom.error().message(), KwLoc);

@@ -40,7 +40,10 @@ RascChecker::RascChecker(const Program &Prog, const SpecAutomaton &Spec,
     Parametric |= Spec.isParametric(S);
   assert((!Parametric || Strategy == SolveStrategy::Bidirectional) &&
          "parametric annotations require the bidirectional solver");
-  Base = std::make_unique<MonoidDomain>(Spec.machine());
+  Expected<std::shared_ptr<const MonoidDomain>> D =
+      MonoidDomain::create(Spec.machine());
+  assert(D && "property annotation monoid exceeded the element cap");
+  Base = std::move(*D);
   if (Parametric) {
     EnvDom = std::make_unique<SubstEnvDomain>(*Base);
     CS = std::make_unique<ConstraintSystem>(*EnvDom);

@@ -144,7 +144,7 @@ private:
   const SpecAutomaton &Spec;
   SolveStrategy Strategy;
   bool Parametric;
-  std::unique_ptr<MonoidDomain> Base;
+  std::shared_ptr<const MonoidDomain> Base;
   std::unique_ptr<SubstEnvDomain> EnvDom;
   std::unique_ptr<ConstraintSystem> CS;
   std::vector<VarId> StmtVars;

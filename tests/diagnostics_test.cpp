@@ -423,7 +423,7 @@ TEST(CheckedBuilders, MonoidOverflowIsADiag) {
   // asserting constructor's abort.
   TransitionMonoid::Options Opts;
   Opts.MaxElements = 1000;
-  Expected<std::unique_ptr<MonoidDomain>> Dom =
+  Expected<std::shared_ptr<const MonoidDomain>> Dom =
       MonoidDomain::create(buildAdversarialMachine(6), Opts);
   ASSERT_FALSE(Dom);
   EXPECT_NE(Dom.error().message().find("1000"), std::string::npos)

@@ -39,6 +39,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -178,9 +181,9 @@ struct Pipeline {
   }
 };
 
-std::unique_ptr<Pipeline> buildPipeline(uint64_t Seed, App A) {
+std::unique_ptr<Pipeline> buildPipeline(ebpf::Cfg G, App A) {
   auto P = std::make_unique<Pipeline>();
-  P->G = buildGraph(Seed);
+  P->G = std::move(G);
   switch (A) {
   case App::Pdmc:
     P->Spec.emplace(ebpf::mapCheckSpec());
@@ -199,6 +202,10 @@ std::unique_ptr<Pipeline> buildPipeline(uint64_t Seed, App A) {
     break;
   }
   return P;
+}
+
+std::unique_ptr<Pipeline> buildPipeline(uint64_t Seed, App A) {
+  return buildPipeline(buildGraph(Seed), A);
 }
 
 /// Fresh comparator: rebuild the pipeline from bytecode, retract
@@ -452,6 +459,77 @@ TEST(EbpfBatch, PooledSolvesMatchSequential) {
                        Entries[I].P->domain(Entries[I].A)),
               snapshot(SeqS, Q->system(Entries[I].A),
                        Q->domain(Entries[I].A)));
+  }
+}
+
+//===----------------------------------------------------------------===//
+// Interned domains: over the golden corpus, analyses that share one
+// monoid reach the same fixpoints and certifications as analyses that
+// each built their own
+//===----------------------------------------------------------------===//
+
+std::vector<ebpf::Cfg> goldenCorpus() {
+  std::vector<std::filesystem::path> Files;
+  for (const auto &E : std::filesystem::directory_iterator(
+           std::string(RASC_TEST_DATA_DIR) + "/ebpf"))
+    if (E.path().extension() == ".bpf")
+      Files.push_back(E.path());
+  std::sort(Files.begin(), Files.end());
+  std::vector<ebpf::Cfg> Out;
+  for (const std::filesystem::path &F : Files) {
+    std::ifstream In(F, std::ios::binary);
+    std::string Bytes((std::istreambuf_iterator<char>(In)),
+                      std::istreambuf_iterator<char>());
+    Expected<ebpf::DecodedProgram> D = ebpf::decode(
+        {reinterpret_cast<const uint8_t *>(Bytes.data()), Bytes.size()});
+    EXPECT_TRUE(D) << F << ": " << (D ? "" : D.error().render());
+    if (D)
+      Out.push_back(ebpf::buildCfg(std::move(*D)));
+  }
+  return Out;
+}
+
+struct Outcome {
+  Fixpoint F;
+  std::string Certification;
+
+  bool operator==(const Outcome &) const = default;
+};
+
+Outcome solveAndCertify(Pipeline &P, App A) {
+  ConstraintSystem &CS = P.system(A);
+  BidirectionalSolver S(CS);
+  S.solve();
+  CertificationReport Rep = certifyFixpoint(S);
+  EXPECT_TRUE(Rep.Ok) << Rep.summary();
+  return {snapshot(S, CS, P.domain(A)), Rep.summary()};
+}
+
+TEST(EbpfSharedDomain, CorpusFixpointsMatchPrivateBuilds) {
+  const std::vector<ebpf::Cfg> Corpus = goldenCorpus();
+  ASSERT_GE(Corpus.size(), 7u);
+  // Dataflow runs on a GenKillDomain, which is never shared.
+  for (App A : {App::Pdmc, App::Flow}) {
+    SCOPED_TRACE(appName(A));
+    const size_t Listed = MonoidDomain::internedCount();
+
+    // One analysis alive at a time: each builds its own monoid.
+    std::vector<Outcome> Private;
+    for (const ebpf::Cfg &G : Corpus) {
+      std::unique_ptr<Pipeline> P = buildPipeline(G, A);
+      EXPECT_EQ(MonoidDomain::internedCount(), Listed + 1);
+      Private.push_back(solveAndCertify(*P, A));
+    }
+    EXPECT_EQ(MonoidDomain::internedCount(), Listed);
+
+    // Every analysis alive at once: one monoid, built by the first.
+    std::vector<std::unique_ptr<Pipeline>> Live;
+    for (const ebpf::Cfg &G : Corpus)
+      Live.push_back(buildPipeline(G, A));
+    EXPECT_EQ(MonoidDomain::internedCount(), Listed + 1);
+    for (size_t I = 0; I != Live.size(); ++I)
+      EXPECT_EQ(solveAndCertify(*Live[I], A), Private[I])
+          << "corpus program " << I;
   }
 }
 

@@ -34,11 +34,17 @@
 
 #include "automata/Machines.h"
 #include "core/Observe.h"
+#include "ebpf/Cfg.h"
+#include "ebpf/Decode.h"
+#include "ebpf/Lower.h"
+#include "flow/Analysis.h"
 #include "support/Trace.h"
 
 #include <algorithm>
 #include <cctype>
+#include <fstream>
 #include <gtest/gtest.h>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -485,6 +491,52 @@ TEST(Metrics, SolverRecordsDeltasWhenEnabled) {
   observe::setMetricsEnabled(false);
   EXPECT_EQ(G.counter("solver.edges_inserted").get() - Before,
             S.stats().EdgesInserted);
+}
+
+TEST(Metrics, MonoidInterningCountsBuildsAndShares) {
+  ObservabilityOff Guard;
+  std::ifstream In(std::string(RASC_TEST_DATA_DIR) + "/ebpf/gen-009.bpf",
+                   std::ios::binary);
+  ASSERT_TRUE(In.good());
+  std::string Bytes((std::istreambuf_iterator<char>(In)),
+                    std::istreambuf_iterator<char>());
+  Expected<ebpf::DecodedProgram> D = ebpf::decode(
+      {reinterpret_cast<const uint8_t *>(Bytes.data()), Bytes.size()});
+  ASSERT_TRUE(D) << D.error().render();
+  ebpf::Cfg G = ebpf::buildCfg(std::move(*D));
+  ebpf::FlowLowering Fl = ebpf::lowerToFlowProgram(G);
+
+  // The ebpf-batch shape: 16 live analyses over one automaton build
+  // its 906-element monoid once.
+  MetricsRegistry &M = MetricsRegistry::global();
+  uint64_t Builds = M.counter("monoid.builds").get();
+  uint64_t Shared = M.counter("monoid.shared").get();
+  observe::setMetricsEnabled(true);
+  trace::clear();
+  trace::setEnabled(true);
+  std::vector<std::unique_ptr<FlowAnalysis>> Live;
+  for (int I = 0; I != 16; ++I)
+    Live.push_back(std::make_unique<FlowAnalysis>(Fl.Prog, FlowMode::Primal));
+  trace::setEnabled(false);
+  observe::setMetricsEnabled(false);
+  EXPECT_EQ(M.counter("monoid.builds").get() - Builds, 1u);
+  EXPECT_EQ(M.counter("monoid.shared").get() - Shared, 15u);
+  for (const auto &A : Live)
+    EXPECT_EQ(&A->domain(), &Live[0]->domain());
+
+  // One monoid.intern instant per construction: args.a is 1 for a
+  // shared domain, args.b its element count.
+  Json Root;
+  ASSERT_TRUE(JsonParser(trace::exportChromeJson()).parse(Root));
+  unsigned Hits = 0, Misses = 0;
+  for (const Json &E : Root.at("traceEvents").A)
+    if (E.at("name").S == "monoid.intern") {
+      EXPECT_EQ(E.at("ph").S, "i");
+      EXPECT_EQ(E.at("args").at("b").N, 906);
+      ++(E.at("args").at("a").N == 1 ? Hits : Misses);
+    }
+  EXPECT_EQ(Misses, 1u);
+  EXPECT_EQ(Hits, 15u);
 }
 
 //===----------------------------------------------------------------------===//
