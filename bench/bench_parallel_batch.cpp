@@ -17,8 +17,9 @@
 ///   * BM_SolvePackageParallel — the same sweep (Threads ∈ {1, 2, 4})
 ///     on Table 1 packages of 4k/16k/32k lines (generatePackage seed
 ///     7) checked against the full privilege property, timing the
-///     solve only. This is the workload where the frontier-parallel
-///     closure passes 1.5x at 4 threads (EXPERIMENTS.md
+///     solve only. The frontier-parallel closure passed 1.5x at 4
+///     threads here while every statement had its own variable; on
+///     the contracted systems it no longer wins (EXPERIMENTS.md
 ///     "Frontier-parallel closure at 4 threads").
 ///
 ///   * BM_SolveDagSharded — the n=800 DAG through the sharded

@@ -17,7 +17,9 @@
 /// with the paper's 2006 hardware; the claim under test is the shape:
 /// both tools finish in seconds, the constraint-based checker is
 /// competitive with (or faster than) the dedicated pushdown model
-/// checker, and both report identical violations.
+/// checker, and both report identical violations. The program exits 1
+/// when the three checkers disagree on any package, so its ctest smoke
+/// run is a differential gate.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,6 +65,7 @@ int main() {
               "------------|-----------|------------|------------|"
               "-------|\n");
 
+  bool AllAgree = true;
   for (const Row &R : Rows) {
     double RascTotal = 0, FwdTotal = 0, MopsTotal = 0;
     size_t Violations = 0;
@@ -93,10 +96,17 @@ int main() {
                 R.Name, R.Lines / 1000, R.Programs, RascTotal, FwdTotal,
                 MopsTotal, R.PaperBanshee, R.PaperMops, Violations,
                 Agree ? "" : "!");
+    AllAgree &= Agree;
   }
   std::printf("\n(Violation counts are properties of the generated "
-              "packages; '!' would flag checker disagreement.\n"
-              " RASCfwd is the Section 5 forward strategy on the same "
-              "constraints: i = |S| classes instead of |F_M^≡|.)\n");
+              "packages; '!' flags checker disagreement and\n"
+              " makes the run exit 1. RASCfwd is the Section 5 forward "
+              "strategy on the same\n"
+              " constraints: i = |S| classes instead of |F_M^≡|.)\n");
+  if (!AllAgree) {
+    std::fprintf(stderr, "error: the checkers disagree on a package "
+                         "(rows marked '!')\n");
+    return 1;
+  }
   return 0;
 }

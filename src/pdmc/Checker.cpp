@@ -6,13 +6,16 @@
 
 #include "pdmc/Checker.h"
 
+#include "core/Observe.h"
 #include "pds/Unidirectional.h"
 #include "support/Trace.h"
+#include "support/UnionFind.h"
 
 #include <algorithm>
 #include <chrono>
 #include <deque>
 #include <map>
+#include <numeric>
 #include <set>
 
 using namespace rasc;
@@ -80,15 +83,106 @@ void RascChecker::generate() {
     return;
   Generated = true;
 
-  // Constraint generation (Section 6.1).
-  StmtVars.assign(Prog.numStatements(), 0);
-  for (StmtId S = 0; S != Prog.numStatements(); ++S)
-    StmtVars[S] = CS->freshVar("S" + std::to_string(S));
+  // Constraint generation (Section 6.1), with offline variable
+  // substitution (Rountev & Chandra, PLDI 2000). The paper gives every
+  // statement its own variable, but a statement T whose lower bounds
+  // are all identity edges from statements that share one variable V
+  // has V's least solution, so T shares V. A statement is joinable when
+  // it is not a function entry (entries get pc or o_i(S) lower bounds)
+  // and every CFG predecessor is an identity statement (a non-call
+  // that is not relevant). A joinable T joins V when its predecessors
+  // that do not already share T's variable all share V; ignoring those
+  // that do lets loops join. By induction every class is one head plus
+  // joinable statements reachable from it whose predecessors all lie
+  // in the class, so each member has exactly the head's least solution
+  // in the literal encoding, and violations, witnesses and proofs read
+  // off the shared variable stay valid.
+  //
+  // The worklist visits every statement once. A merge can only enable
+  // a statement in the smaller of the two classes or a successor of
+  // one, so it revisits exactly those: O((statements + edges) log
+  // statements) in all.
+  const StmtId N = Prog.numStatements();
+  // Predecessor lists in one array: those of S are
+  // Preds[PredBegin[S], PredBegin[S + 1]).
+  std::vector<uint32_t> PredBegin(N + 1, 0);
+  std::vector<uint8_t> Joinable(N, 1);
+  for (FuncId F = 0; F != Prog.numFunctions(); ++F)
+    Joinable[Prog.entry(F)] = 0;
+  for (StmtId S = 0; S != N; ++S) {
+    const Stmt &St = Prog.stmt(S);
+    bool Identity = St.Kind != Stmt::Call && !isRelevant(St);
+    for (StmtId Succ : St.Succs) {
+      ++PredBegin[Succ + 1];
+      Joinable[Succ] &= Identity;
+    }
+  }
+  std::partial_sum(PredBegin.begin(), PredBegin.end(), PredBegin.begin());
+  std::vector<StmtId> Preds(PredBegin[N]);
+  std::vector<uint32_t> Fill(PredBegin.begin(), PredBegin.end() - 1);
+  for (StmtId S = 0; S != N; ++S)
+    for (StmtId Succ : Prog.stmt(S).Succs)
+      Preds[Fill[Succ]++] = S;
+
+  UnionFind Classes;
+  Classes.grow(N);
+  // Each class is a ring through Next, so a merge splices two rings.
+  std::vector<StmtId> Next(N), Size(N, 1);
+  std::iota(Next.begin(), Next.end(), StmtId(0));
+  std::vector<StmtId> Work(N);
+  std::iota(Work.rbegin(), Work.rend(), StmtId(0));
+  while (!Work.empty()) {
+    StmtId T = Work.back();
+    Work.pop_back();
+    if (!Joinable[T])
+      continue;
+    uint32_t Own = Classes.find(T), Into = Own;
+    for (uint32_t I = PredBegin[T]; I != PredBegin[T + 1]; ++I) {
+      uint32_t C = Classes.find(Preds[I]);
+      if (C == Own || C == Into)
+        continue;
+      if (Into != Own) {
+        Into = Own; // predecessors in two other classes
+        break;
+      }
+      Into = C;
+    }
+    if (Into == Own)
+      continue;
+    StmtId Small = Size[Own] < Size[Into] ? Own : Into;
+    for (StmtId M = Small;;) {
+      Work.push_back(M);
+      for (StmtId Succ : Prog.stmt(M).Succs)
+        Work.push_back(Succ);
+      if ((M = Next[M]) == Small)
+        break;
+    }
+    std::swap(Next[Own], Next[Into]);
+    uint32_t Root = Classes.merge(Own, Into);
+    Size[Root] = Size[Own] + Size[Into];
+  }
+
+  StmtVars.assign(N, 0);
+  std::vector<VarId> ClassVar(N, InvalidVar);
+  uint64_t Vars = 0;
+  for (StmtId S = 0; S != N; ++S) {
+    VarId &V = ClassVar[Classes.find(S)];
+    if (V == InvalidVar) {
+      V = CS->freshVar("S" + std::to_string(S));
+      ++Vars;
+    }
+    StmtVars[S] = V;
+  }
+  if (observe::metricsEnabled()) {
+    MetricsRegistry &M = MetricsRegistry::global();
+    M.counter("pdmc.statements").add(N);
+    M.counter("pdmc.vars").add(Vars);
+  }
 
   Pc = CS->addConstant("pc");
   CS->add(CS->cons(Pc), CS->var(StmtVars[Prog.entry(Prog.mainFunction())]));
 
-  for (StmtId S = 0; S != Prog.numStatements(); ++S) {
+  for (StmtId S = 0; S != N; ++S) {
     const Stmt &St = Prog.stmt(S);
     if (St.Kind == Stmt::Call) {
       // o_i(S) ⊆ F_entry and o_i^-1(F_exit) ⊆ S_i.
@@ -102,9 +196,11 @@ void RascChecker::generate() {
                 CS->var(StmtVars[Succ]));
       continue;
     }
-    AnnId Ann = isRelevant(St) ? opAnn(St) : CS->domain().identity();
+    bool Identity = !isRelevant(St);
+    AnnId Ann = Identity ? CS->domain().identity() : opAnn(St);
     for (StmtId Succ : St.Succs)
-      CS->add(CS->var(StmtVars[S]), CS->var(StmtVars[Succ]), Ann);
+      if (!Identity || StmtVars[S] != StmtVars[Succ])
+        CS->add(CS->var(StmtVars[S]), CS->var(StmtVars[Succ]), Ann);
   }
 
   Stats.Constraints = CS->constraints().size();
@@ -154,10 +250,12 @@ std::vector<Violation> RascChecker::collectViolations() {
       continue;
     AnnId StepAnn = opAnn(St);
     for (AnnId F : AR.annotations(StmtVars[S])) {
+      // The term's outermost constructor is the most recent call, so
+      // the spine lists the stack innermost first.
       std::vector<ConsId> Spine = AR.witnessStack(StmtVars[S], F);
       std::vector<StmtId> CallStack;
-      for (ConsId C : Spine) {
-        auto It = ConsToCall.find(C);
+      for (auto C = Spine.rbegin(); C != Spine.rend(); ++C) {
+        auto It = ConsToCall.find(*C);
         if (It != ConsToCall.end())
           CallStack.push_back(It->second);
       }

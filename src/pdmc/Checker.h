@@ -8,14 +8,16 @@
 /// Two pushdown model checkers for temporal safety properties over
 /// Program CFGs:
 ///
-///   * RascChecker — the paper's approach (Section 6): one constraint
+///   * RascChecker — the paper's approach (Section 6): a constraint
 ///     variable per statement, constraints S ⊆^op Si for relevant
 ///     statements, o_i(S) ⊆ F_entry / o_i^-1(F_exit) ⊆ Si for calls,
-///     pc ⊆ S_main; violations are PN-reachability queries for pc with
-///     an annotation leading to an accepting (error) state, and the
-///     witness stack is the term's constructor spine (the runtime
-///     stack). Parametric properties (Section 6.4) use substitution
-///     environments transparently.
+///     pc ⊆ S_main. A statement whose lower bounds are all identity
+///     edges from one variable shares that variable, which keeps every
+///     statement's least solution (see generate()). Violations are
+///     PN-reachability queries for pc with an annotation leading to an
+///     accepting (error) state, and the witness stack is the term's
+///     constructor spine (the runtime stack). Parametric properties
+///     (Section 6.4) use substitution environments transparently.
 ///
 ///   * MopsChecker — the baseline the paper compares against in
 ///     Table 1: the direct MOPS-style encoding of the program as a
@@ -130,7 +132,10 @@ public:
 
   const CheckStats &stats() const { return Stats; }
 
-  /// The constraint variable of a statement (for tests).
+  /// The constraint variable of a statement (for tests). Statements
+  /// may share a variable; each has exactly the least solution of the
+  /// literal one-variable-per-statement encoding. Valid after
+  /// prepare().
   VarId stmtVar(StmtId S) const { return StmtVars[S]; }
   const ConstraintSystem &system() const { return *CS; }
 

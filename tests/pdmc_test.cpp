@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 using namespace rasc;
 
@@ -307,5 +308,390 @@ TEST_P(PdmcDifferential, ParametricAgreement) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, PdmcDifferential,
                          ::testing::Range(uint64_t(1), uint64_t(40)));
+
+//===----------------------------------------------------------------------===//
+// Exactness of RascChecker's shared statement variables
+//===----------------------------------------------------------------------===//
+
+/// Renders an annotation so that equal elements of two separately built
+/// domains compare equal. A substitution environment's entries are
+/// sorted by their rendered keys, because each domain numbers parameter
+/// names in its own intern order.
+std::string canonical(const AnnotationDomain &D, AnnId F) {
+  const auto *Env = dynamic_cast<const SubstEnvDomain *>(&D);
+  if (!Env)
+    return D.toString(F);
+  std::vector<std::string> Entries;
+  for (const SubstEntry &E : Env->entries(F)) {
+    std::string Key;
+    for (const ParamBinding &B : E.Key)
+      Key += Env->nameStr(B.Param) + ":" + Env->nameStr(B.Label) + ",";
+    Entries.push_back(Key + "->" + Env->base().toString(E.Value));
+  }
+  std::sort(Entries.begin(), Entries.end());
+  std::string Out = Env->base().toString(Env->residual(F));
+  for (const std::string &E : Entries)
+    Out += ";" + E;
+  return Out;
+}
+
+std::set<std::string> canonicalSet(const AnnotationDomain &D,
+                                   const std::vector<AnnId> &Anns) {
+  std::set<std::string> Out;
+  for (AnnId F : Anns)
+    Out.insert(canonical(D, F));
+  return Out;
+}
+
+ConsId findConstant(const ConstraintSystem &CS, const std::string &Name) {
+  for (ConsId C = 0; C != CS.numConstructors(); ++C)
+    if (CS.constructor(C).Name == Name)
+      return C;
+  ADD_FAILURE() << "no constructor " << Name;
+  return 0;
+}
+
+bool isParametric(const SpecAutomaton &Spec) {
+  for (SymbolId S = 0; S != Spec.machine().numSymbols(); ++S)
+    if (Spec.isParametric(S))
+      return true;
+  return false;
+}
+
+/// The literal Section 6.1 encoding, built here independently of
+/// RascChecker: one variable per statement, S ⊆^op Si for every edge
+/// of a non-call statement (identity when the statement is irrelevant),
+/// o_i(S) ⊆ F_entry and o_i^-1(F_exit) ⊆ Si for calls, pc ⊆ S_main.
+struct LiteralEncoding {
+  std::shared_ptr<const MonoidDomain> Base;
+  std::unique_ptr<SubstEnvDomain> Env;
+  std::unique_ptr<ConstraintSystem> CS;
+  std::vector<VarId> Vars;
+  std::unique_ptr<BidirectionalSolver> Solver;
+  AtomReachability AR;
+
+  LiteralEncoding(const Program &P, const SpecAutomaton &Spec) {
+    const Dfa &M = Spec.machine();
+    Base = *MonoidDomain::create(M);
+    if (isParametric(Spec)) {
+      Env = std::make_unique<SubstEnvDomain>(*Base);
+      CS = std::make_unique<ConstraintSystem>(*Env);
+    } else {
+      CS = std::make_unique<ConstraintSystem>(*Base);
+    }
+    for (StmtId S = 0; S != P.numStatements(); ++S)
+      Vars.push_back(CS->freshVar("L" + std::to_string(S)));
+    ConsId Pc = CS->addConstant("pc");
+    CS->add(CS->cons(Pc), CS->var(Vars[P.entry(P.mainFunction())]));
+    for (StmtId S = 0; S != P.numStatements(); ++S) {
+      const Stmt &St = P.stmt(S);
+      if (St.Kind == Stmt::Call) {
+        ConsId O = CS->addConstructor("o" + std::to_string(S), 1);
+        CS->add(CS->cons(O, {Vars[S]}), CS->var(Vars[P.entry(St.Callee)]));
+        for (StmtId Succ : St.Succs)
+          CS->add(CS->proj(O, 0, Vars[P.exit(St.Callee)]),
+                  CS->var(Vars[Succ]));
+        continue;
+      }
+      AnnId Ann = CS->domain().identity();
+      std::optional<SymbolId> Sym =
+          St.Kind == Stmt::Op ? M.symbol(St.OpSymbol) : std::nullopt;
+      if (Sym) {
+        Ann = Base->symbolAnn(*Sym);
+        const SpecSymbol &Decl = Spec.symbols()[*Sym];
+        if (Env && Decl.Params.empty()) {
+          Ann = Env->lift(Ann);
+        } else if (Env) {
+          std::vector<ParamBinding> Key;
+          for (size_t I = 0; I != Decl.Params.size(); ++I)
+            Key.push_back({Env->name(Decl.Params[I]),
+                           Env->name(St.OpLabels[I])});
+          Ann = Env->instantiate(std::move(Key), Ann);
+        }
+      }
+      for (StmtId Succ : St.Succs)
+        CS->add(CS->var(Vars[S]), CS->var(Vars[Succ]), Ann);
+    }
+    Solver = std::make_unique<BidirectionalSolver>(*CS);
+    EXPECT_EQ(Solver->solve(), BidirectionalSolver::Status::Solved);
+    AR = Solver->atomReachability(Pc);
+  }
+};
+
+/// Every statement's least solution under RascChecker's encoding equals
+/// the literal encoding's, and the bidirectional, forward (when the
+/// property allows it) and MOPS checkers report the same violations.
+void expectExact(const Program &P, const SpecAutomaton &Spec,
+                 const std::string &What) {
+  LiteralEncoding L(P, Spec);
+  RascChecker C(P, Spec);
+  C.prepare();
+  ASSERT_EQ(C.solver()->solve(), BidirectionalSolver::Status::Solved)
+      << What;
+  AtomReachability AR =
+      C.solver()->atomReachability(findConstant(C.system(), "pc"));
+  for (StmtId S = 0; S != P.numStatements(); ++S)
+    ASSERT_EQ(canonicalSet(C.system().domain(),
+                           AR.annotations(C.stmtVar(S))),
+              canonicalSet(L.CS->domain(), L.AR.annotations(L.Vars[S])))
+        << What << ", statement " << P.describe(S);
+
+  std::vector<Violation> VB = C.collectViolations();
+  EXPECT_EQ(VB, MopsChecker(P, Spec).check()) << What;
+  if (!isParametric(Spec)) {
+    EXPECT_EQ(VB, RascChecker(P, Spec, SolveStrategy::Forward).check())
+        << What;
+  }
+}
+
+TEST(PdmcExactness, GeneratedPackages) {
+  SpecAutomaton Priv = fullPrivilegeSpec();
+  SpecAutomaton File = fileStateSpec();
+  for (uint64_t Seed = 1; Seed != 6; ++Seed) {
+    for (const SpecAutomaton *Spec : {&Priv, &File}) {
+      Program P = generatePackage(1500 + 300 * Seed, *Spec, Seed * 7919);
+      expectExact(P, *Spec, "package seed " + std::to_string(Seed));
+      // Most statements are irrelevant, so most share a variable.
+      RascChecker C(P, *Spec);
+      C.prepare();
+      EXPECT_LT(C.system().numVars(), P.numStatements() / 2);
+    }
+  }
+}
+
+TEST(PdmcExactness, GeneratedPrograms) {
+  SpecAutomaton Priv = fullPrivilegeSpec();
+  SpecAutomaton File = fileStateSpec();
+  for (uint64_t Seed = 1; Seed != 13; ++Seed) {
+    for (bool Recursion : {false, true}) {
+      ProgGenOptions O;
+      O.Seed = Seed;
+      O.NumFunctions = 3 + Seed % 4;
+      O.StmtsPerFunction = 8 + Seed % 10;
+      O.OpPermille = 80;
+      O.AllowRecursion = Recursion;
+      std::string What = "program seed " + std::to_string(Seed) +
+                         (Recursion ? " recursive" : " acyclic");
+      O.OpSymbols = {"seteuid_zero", "seteuid_user", "setuid_user",
+                     "execl"};
+      expectExact(generateProgram(O), Priv, What);
+      O.OpSymbols = O.ParametricSymbols = {"open", "close"};
+      O.Labels = {"fd1", "fd2"};
+      expectExact(generateProgram(O), File, What + " file-state");
+    }
+  }
+}
+
+/// A hand-built main function for the shapes below: entry -> Z
+/// (seteuid_zero) -> ..., with execl ops as the violation candidates.
+struct HandBuilt {
+  Program P;
+  FuncId Main = P.addFunction("main");
+  StmtId Zero = P.addOp(Main, "seteuid_zero");
+  HandBuilt() { P.addEdge(P.entry(Main), Zero); }
+  StmtId nop() { return P.addNop(Main); }
+  StmtId op(const char *Sym) { return P.addOp(Main, Sym); }
+  void edges(std::initializer_list<std::pair<StmtId, StmtId>> Es) {
+    for (auto [From, To] : Es)
+      P.addEdge(From, To);
+  }
+  std::vector<Violation> check(SpecAutomaton &Spec) {
+    P.finalize();
+    expectExact(P, Spec, "hand-built");
+    return RascChecker(P, Spec).check();
+  }
+};
+
+TEST(PdmcExactness, IdentityLoopSharesTheVariableBeforeIt) {
+  // Z -> N -> H <-> L, H -> E(execl): H's predecessors are N and the
+  // loop's L, which joins H first; then H, L and E join N.
+  SpecAutomaton Spec = simplePrivilegeSpec();
+  HandBuilt B;
+  StmtId N = B.nop(), H = B.nop(), L = B.nop(), E = B.op("execl");
+  B.edges({{B.Zero, N}, {N, H}, {H, L}, {L, H}, {H, E}});
+  std::vector<Violation> V = B.check(Spec);
+  RascChecker C(B.P, Spec);
+  C.prepare();
+  EXPECT_EQ(C.stmtVar(H), C.stmtVar(N));
+  EXPECT_EQ(C.stmtVar(L), C.stmtVar(N));
+  EXPECT_EQ(C.stmtVar(E), C.stmtVar(N));
+  EXPECT_NE(C.stmtVar(N), C.stmtVar(B.Zero));
+  ASSERT_EQ(V.size(), 1u);
+  EXPECT_EQ(V[0].Where, E);
+}
+
+TEST(PdmcExactness, RejoinedNopDiamondSharesOneVariable) {
+  SpecAutomaton Spec = simplePrivilegeSpec();
+  HandBuilt B;
+  StmtId D = B.nop(), A = B.nop(), Bn = B.nop(), J = B.nop(),
+         E = B.op("execl");
+  B.edges({{B.Zero, D}, {D, A}, {D, Bn}, {A, J}, {Bn, J}, {J, E}});
+  std::vector<Violation> V = B.check(Spec);
+  RascChecker C(B.P, Spec);
+  C.prepare();
+  for (StmtId S : {A, Bn, J, E})
+    EXPECT_EQ(C.stmtVar(S), C.stmtVar(D));
+  ASSERT_EQ(V.size(), 1u);
+  EXPECT_EQ(V[0].Where, E);
+}
+
+TEST(PdmcExactness, RelevantOpBeforeAJoinKeepsTheJoinApart) {
+  // D -> A(seteuid_nonzero) -> J and D -> Bn -> J: J has a relevant
+  // predecessor, so it keeps its own variable. A itself is relevant but
+  // its only predecessor is an identity statement, so it joins D.
+  SpecAutomaton Spec = simplePrivilegeSpec();
+  HandBuilt B;
+  StmtId D = B.nop(), A = B.op("seteuid_nonzero"), Bn = B.nop(),
+         J = B.nop(), E = B.op("execl");
+  B.edges({{B.Zero, D}, {D, A}, {D, Bn}, {A, J}, {Bn, J}, {J, E}});
+  std::vector<Violation> V = B.check(Spec);
+  RascChecker C(B.P, Spec);
+  C.prepare();
+  EXPECT_EQ(C.stmtVar(A), C.stmtVar(D));
+  EXPECT_EQ(C.stmtVar(Bn), C.stmtVar(D));
+  EXPECT_NE(C.stmtVar(J), C.stmtVar(D));
+  EXPECT_EQ(C.stmtVar(E), C.stmtVar(J));
+  ASSERT_EQ(V.size(), 1u); // the Bn path still holds privilege
+  EXPECT_EQ(V[0].Where, E);
+}
+
+TEST(PdmcExactness, ReturnSuccessorKeepsItsOwnVariable) {
+  // main: Z -> N -> call drop -> R -> E(execl); drop's body is a Nop on
+  // one branch and seteuid_nonzero on the other. The call joins N, the
+  // return site R does not (its lower bound is the projection), and the
+  // callee's entry keeps its own variable.
+  SpecAutomaton Spec = simplePrivilegeSpec();
+  HandBuilt B;
+  FuncId Drop = B.P.addFunction("drop");
+  StmtId N = B.nop(), Call = B.P.addCall(B.Main, Drop), R = B.nop(),
+         E = B.op("execl");
+  B.edges({{B.Zero, N}, {N, Call}, {Call, R}, {R, E}});
+  StmtId In = B.P.addNop(Drop), Off = B.P.addOp(Drop, "seteuid_nonzero");
+  B.P.addEdge(B.P.entry(Drop), In);
+  B.P.addEdge(B.P.entry(Drop), Off);
+  std::vector<Violation> V = B.check(Spec);
+  RascChecker C(B.P, Spec);
+  C.prepare();
+  EXPECT_EQ(C.stmtVar(Call), C.stmtVar(N));
+  EXPECT_NE(C.stmtVar(R), C.stmtVar(Call));
+  EXPECT_EQ(C.stmtVar(E), C.stmtVar(R));
+  EXPECT_EQ(C.stmtVar(In), C.stmtVar(B.P.entry(Drop)));
+  EXPECT_NE(C.stmtVar(B.P.exit(Drop)), C.stmtVar(B.P.entry(Drop)));
+  ASSERT_EQ(V.size(), 1u);
+  EXPECT_EQ(V[0].Where, E);
+}
+
+TEST(PdmcExactness, UnreachableNopCycleStaysEmpty) {
+  // U1 <-> U2 is unreachable and feeds the join J, whose other
+  // predecessor N is reachable: J has two classes above it and stays
+  // apart, and the cycle's solution stays empty.
+  SpecAutomaton Spec = simplePrivilegeSpec();
+  HandBuilt B;
+  StmtId N = B.nop(), U1 = B.nop(), U2 = B.nop(), J = B.nop(),
+         E = B.op("execl");
+  B.edges({{B.Zero, N}, {U1, U2}, {U2, U1}, {N, J}, {U2, J}, {J, E}});
+  std::vector<Violation> V = B.check(Spec);
+  RascChecker C(B.P, Spec);
+  C.prepare();
+  EXPECT_EQ(C.stmtVar(U1), C.stmtVar(U2));
+  EXPECT_NE(C.stmtVar(J), C.stmtVar(N));
+  EXPECT_NE(C.stmtVar(J), C.stmtVar(U1));
+  ASSERT_EQ(V.size(), 1u);
+  EXPECT_EQ(V[0].Where, E);
+}
+
+TEST(PdmcExactness, RelevantStatementMergedIntoItsLoopHead) {
+  // N -> R(seteuid_zero) -> N: R joins N, so its edge back to N becomes
+  // an annotated self-loop, which is kept; E(execl) after the loop is a
+  // violation although Z was dropped before the loop.
+  SpecAutomaton Spec = simplePrivilegeSpec();
+  HandBuilt B;
+  StmtId Off = B.op("seteuid_nonzero"), N = B.nop(),
+         R = B.op("seteuid_zero"), E = B.op("execl");
+  B.edges({{B.Zero, Off}, {Off, N}, {N, R}, {R, N}, {N, E}});
+  std::vector<Violation> V = B.check(Spec);
+  RascChecker C(B.P, Spec);
+  C.prepare();
+  EXPECT_EQ(C.stmtVar(R), C.stmtVar(N));
+  EXPECT_EQ(C.stmtVar(E), C.stmtVar(N));
+  ASSERT_EQ(V.size(), 1u);
+  EXPECT_EQ(V[0].Where, E);
+}
+
+TEST(PdmcExactness, EntryOnALoopKeepsItsOwnVariable) {
+  // entry -> R(seteuid_zero) -> N -> entry, entry -> E(execl): the
+  // entry's only CFG predecessor N is an identity statement, but the
+  // entry also has pc as a lower bound, so it must not join N.
+  SpecAutomaton Spec = simplePrivilegeSpec();
+  Program P;
+  FuncId Main = P.addFunction("main");
+  StmtId R = P.addOp(Main, "seteuid_zero"), N = P.addNop(Main),
+         E = P.addOp(Main, "execl");
+  P.addEdge(P.entry(Main), R);
+  P.addEdge(R, N);
+  P.addEdge(N, P.entry(Main));
+  P.addEdge(P.entry(Main), E);
+  P.finalize();
+  expectExact(P, Spec, "loop through the entry");
+  RascChecker C(P, Spec);
+  C.prepare();
+  EXPECT_NE(C.stmtVar(P.entry(Main)), C.stmtVar(N));
+  EXPECT_EQ(C.stmtVar(R), C.stmtVar(P.entry(Main)));
+}
+
+TEST(PdmcExactness, ParametricOpsInARejoinedDiamond) {
+  SpecAutomaton Spec = fileStateSpec();
+  Program P;
+  FuncId Main = P.addFunction("main");
+  StmtId O1 = P.addOp(Main, "open", {"fd1"}), D = P.addNop(Main),
+         A = P.addOp(Main, "close", {"fd1"}), Bn = P.addNop(Main),
+         J = P.addNop(Main), O2 = P.addOp(Main, "open", {"fd1"});
+  for (auto [From, To] : {std::pair{P.entry(Main), O1}, {O1, D}, {D, A},
+                          {D, Bn}, {A, J}, {Bn, J}, {J, O2}})
+    P.addEdge(From, To);
+  P.finalize();
+  expectExact(P, Spec, "parametric diamond");
+  std::vector<Violation> V = RascChecker(P, Spec).check();
+  ASSERT_EQ(V.size(), 1u);
+  EXPECT_EQ(V[0].Where, O2);
+  EXPECT_EQ(V[0].Instantiation, "x:fd1");
+}
+
+/// Every bidirectional violation's witnesses on Table 1-sized packages:
+/// the call stack is a realizable chain of unreturned calls from main
+/// to the violating statement's function, and the event trace drives
+/// the property from its start state into an accepting state.
+TEST(PdmcWitness, PackageViolationWitnessesAreRealizable) {
+  SpecAutomaton Spec = fullPrivilegeSpec();
+  const Dfa &M = Spec.machine();
+  size_t Checked = 0, Nested = 0;
+  for (size_t Lines : {4000, 8000, 16000, 32000}) {
+    Program P = generatePackage(Lines, Spec, 7 + Lines);
+    for (const Violation &V : RascChecker(P, Spec).check()) {
+      std::string What = std::to_string(Lines) + " lines, violation at " +
+                         P.describe(V.Where);
+      FuncId F = P.mainFunction();
+      for (StmtId Call : V.CallStack) {
+        ASSERT_EQ(P.stmt(Call).Kind, Stmt::Call) << What;
+        EXPECT_EQ(P.stmt(Call).Parent, F) << What;
+        F = P.stmt(Call).Callee;
+      }
+      EXPECT_EQ(P.stmt(V.Where).Parent, F) << What;
+      ASSERT_FALSE(V.EventTrace.empty()) << What;
+      EXPECT_EQ(V.EventTrace.back(), P.stmt(V.Where).OpSymbol) << What;
+      StateId Q = M.start();
+      for (const std::string &Event : V.EventTrace) {
+        std::optional<SymbolId> Sym = M.symbol(Event);
+        ASSERT_TRUE(Sym) << What << ": " << Event;
+        Q = M.next(Q, *Sym);
+      }
+      EXPECT_TRUE(M.isAccepting(Q)) << What;
+      ++Checked;
+      Nested += !V.CallStack.empty();
+    }
+  }
+  EXPECT_GT(Checked, 0u);
+  EXPECT_GT(Nested, 0u);
+}
 
 } // namespace

@@ -38,6 +38,8 @@
 #include "ebpf/Decode.h"
 #include "ebpf/Lower.h"
 #include "flow/Analysis.h"
+#include "pdmc/Checker.h"
+#include "pdmc/Properties.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -537,6 +539,42 @@ TEST(Metrics, MonoidInterningCountsBuildsAndShares) {
     }
   EXPECT_EQ(Misses, 1u);
   EXPECT_EQ(Hits, 15u);
+}
+
+TEST(Metrics, PdmcCountsStatementsAndSharedVariables) {
+  ObservabilityOff Guard;
+  // main: entry -> Z(seteuid_zero) -> N1 -> N2 -> E(execl) -> exit.
+  // Z joins the entry's variable, N2 and E join N1's, and the exit
+  // keeps its own (its predecessor E is relevant): 6 statements, 3
+  // variables.
+  Program P;
+  FuncId Main = P.addFunction("main");
+  StmtId Z = P.addOp(Main, "seteuid_zero"), N1 = P.addNop(Main),
+         N2 = P.addNop(Main), E = P.addOp(Main, "execl");
+  P.addEdge(P.entry(Main), Z);
+  P.addEdge(Z, N1);
+  P.addEdge(N1, N2);
+  P.addEdge(N2, E);
+  P.finalize();
+  SpecAutomaton Spec = simplePrivilegeSpec();
+
+  MetricsRegistry &M = MetricsRegistry::global();
+  uint64_t Stmts = M.counter("pdmc.statements").get();
+  uint64_t Vars = M.counter("pdmc.vars").get();
+  RascChecker(P, Spec).prepare(); // metrics off: nothing recorded
+  EXPECT_EQ(M.counter("pdmc.statements").get(), Stmts);
+  EXPECT_EQ(M.counter("pdmc.vars").get(), Vars);
+
+  observe::setMetricsEnabled(true);
+  RascChecker C(P, Spec);
+  C.prepare();
+  observe::setMetricsEnabled(false);
+  EXPECT_EQ(M.counter("pdmc.statements").get() - Stmts, 6u);
+  EXPECT_EQ(M.counter("pdmc.vars").get() - Vars, 3u);
+  EXPECT_EQ(C.system().numVars(), 3u);
+  EXPECT_EQ(C.stmtVar(Z), C.stmtVar(P.entry(Main)));
+  EXPECT_EQ(C.stmtVar(E), C.stmtVar(N1));
+  EXPECT_NE(C.stmtVar(P.exit(Main)), C.stmtVar(E));
 }
 
 //===----------------------------------------------------------------------===//
