@@ -5,36 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Benchmarks for the two parallel modes (DESIGN.md §8):
-///
-///   * BM_SolveDagParallel — frontier-parallel closure inside one
-///     solve, on the BM_SolveDag workload of bench_sec4_core_scaling
-///     (random annotated DAG over the 1-bit machine), for
-///     Threads ∈ {1, 2, 4, 8}. Threads = 1 is the sequential code
-///     path, so the /1 rows double as a regression check against
-///     BM_SolveDag itself.
-///
-///   * BM_SolvePackageParallel — the same sweep (Threads ∈ {1, 2, 4})
-///     on Table 1 packages of 4k/16k/32k lines (generatePackage seed
-///     7) checked against the full privilege property, timing the
-///     solve only. The frontier-parallel closure passed 1.5x at 4
-///     threads here while every statement had its own variable; on
-///     the contracted systems it no longer wins (EXPERIMENTS.md
-///     "Frontier-parallel closure at 4 threads").
-///
-///   * BM_SolveDagSharded — the n=800 DAG through the sharded
-///     merge (owner-partitioned dedup, per-(producer,shard)
-///     mailboxes), sweeping MergeShards at a fixed thread count, plus
-///     a RelaxedParallelStats row (skips the exact-stats sequential
-///     limits sweep; fixpoint identical, see DESIGN.md §8).
-///
-///   * BM_BatchSolve — batch throughput of the SolvePool on the
-///     Section 5 workload (random DAG over the adversarial machine):
-///     K independent systems solved per iteration through one
-///     BatchSolver, for pool widths {1, 2, 4, 8}.
+/// BM_BatchSolve — batch throughput of the SolvePool, the one
+/// parallel mode (DESIGN.md §8), on the Section 5 workload (random
+/// DAG over the adversarial machine): K independent systems solved
+/// per iteration through one BatchSolver, for pool widths
+/// {1, 2, 4, 8}. Each solve itself is sequential.
 ///
 /// Speedups above 1 thread require physical cores; on a single-core
-/// host the sweeps are expected flat — bench/run_bench.sh stamps
+/// host the sweep is expected flat — bench/run_bench.sh stamps
 /// hardware_threads into each entry and warns loudly when the host
 /// has fewer cores than the widest configuration (see EXPERIMENTS.md).
 ///
@@ -43,10 +21,6 @@
 #include "automata/Machines.h"
 #include "core/BatchSolver.h"
 #include "core/Domains.h"
-#include "core/Solver.h"
-#include "pdmc/Checker.h"
-#include "pdmc/Properties.h"
-#include "progen/ProgramGen.h"
 #include "support/Rng.h"
 
 #include <benchmark/benchmark.h>
@@ -73,97 +47,6 @@ void buildDag(ConstraintSystem &CS, const MonoidDomain &Dom,
       CS.add(CS.var(Vars[R.below(I)]), CS.var(Vars[I]),
              Dom.symbolAnn(static_cast<SymbolId>(R.below(NumSyms))));
 }
-
-void BM_SolveDagParallel(benchmark::State &State) {
-  unsigned NumVars = static_cast<unsigned>(State.range(0));
-  unsigned Threads = static_cast<unsigned>(State.range(1));
-  MonoidDomain Dom(buildOneBitMachine());
-  ConstraintSystem CS(Dom);
-  buildDag(CS, Dom, NumVars, 42);
-  SolverOptions O;
-  O.Threads = Threads;
-  double Edges = 0, Rounds = 0;
-  for (auto _ : State) {
-    BidirectionalSolver S(CS, O);
-    benchmark::DoNotOptimize(S.solve());
-    Edges = static_cast<double>(S.stats().EdgesInserted);
-    Rounds = static_cast<double>(S.stats().ParallelRounds);
-  }
-  State.counters["edges"] = Edges;
-  State.counters["rounds"] = Rounds;
-  State.counters["edges_per_s"] = benchmark::Counter(
-      Edges * static_cast<double>(State.iterations()),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SolveDagParallel)
-    ->Args({400, 1})
-    ->Args({400, 2})
-    ->Args({400, 4})
-    ->Args({400, 8})
-    ->Args({800, 1})
-    ->Args({800, 2})
-    ->Args({800, 4})
-    ->Args({800, 8})
-    ->UseRealTime();
-
-void BM_SolvePackageParallel(benchmark::State &State) {
-  size_t Lines = static_cast<size_t>(State.range(0));
-  SpecAutomaton Spec = fullPrivilegeSpec();
-  Program P = generatePackage(Lines, Spec, 7);
-  SolverOptions O;
-  O.Threads = static_cast<unsigned>(State.range(1));
-  double Edges = 0, Rounds = 0;
-  for (auto _ : State) {
-    // Generation and monoid construction stay outside the timing.
-    State.PauseTiming();
-    RascChecker RC(P, Spec);
-    RC.setSolverOptions(O);
-    RC.prepare();
-    State.ResumeTiming();
-    benchmark::DoNotOptimize(RC.solver()->solve());
-    Edges = static_cast<double>(RC.solver()->stats().EdgesInserted);
-    Rounds = static_cast<double>(RC.solver()->stats().ParallelRounds);
-  }
-  State.counters["edges"] = Edges;
-  State.counters["rounds"] = Rounds;
-}
-BENCHMARK(BM_SolvePackageParallel)
-    ->ArgsProduct({{4000, 16000, 32000}, {1, 2, 4}})
-    ->UseRealTime();
-
-/// Sharded merge on the 800-var DAG: MergeShards swept at Threads = 4
-/// (range(1) = shards, range(2) = relaxed stats). The /4/0/1 row is
-/// the relaxed mode at the default shard count.
-void BM_SolveDagSharded(benchmark::State &State) {
-  unsigned Threads = static_cast<unsigned>(State.range(0));
-  unsigned Shards = static_cast<unsigned>(State.range(1));
-  bool Relaxed = State.range(2) != 0;
-  MonoidDomain Dom(buildOneBitMachine());
-  ConstraintSystem CS(Dom);
-  buildDag(CS, Dom, 800, 42);
-  SolverOptions O;
-  O.Threads = Threads;
-  O.MergeShards = Shards;
-  O.RelaxedParallelStats = Relaxed;
-  double Edges = 0, Rounds = 0;
-  for (auto _ : State) {
-    BidirectionalSolver S(CS, O);
-    benchmark::DoNotOptimize(S.solve());
-    Edges = static_cast<double>(S.stats().EdgesInserted);
-    Rounds = static_cast<double>(S.stats().ParallelRounds);
-  }
-  State.counters["edges"] = Edges;
-  State.counters["rounds"] = Rounds;
-  State.counters["edges_per_s"] = benchmark::Counter(
-      Edges * static_cast<double>(State.iterations()),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SolveDagSharded)
-    ->Args({4, 1, 0})
-    ->Args({4, 4, 0})
-    ->Args({4, 8, 0})
-    ->Args({4, 0, 1}) // relaxed stats, shards = Threads
-    ->UseRealTime();
 
 /// One Section 5 style system: random DAG over the adversarial
 /// machine, so per-edge annotation diversity is real closure work.

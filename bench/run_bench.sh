@@ -90,19 +90,17 @@ for size, rec in sorted(per_size.items()):
 EOF
 
 # --- Thread-scaling sweep (DESIGN.md §8) -------------------------------
-# Runs bench_parallel_batch (frontier-parallel BM_SolveDagParallel at
-# Threads 1/2/4/8 and the BM_BatchSolve pool sweep) and appends a
-# "parallel" entry. Every round is one process invocation covering all
-# thread counts, so the configurations are interleaved A/B across
-# rounds; per configuration we keep min and median (min-of-9 by
+# Runs bench_parallel_batch (the BM_BatchSolve pool sweep at widths
+# 1/2/4/8) and appends a "parallel" entry. Every round is one process
+# invocation covering all pool widths, so the configurations are
+# interleaved A/B across rounds; per configuration we keep min and median (min-of-9 by
 # default — the robust statistic on shared machines). Skipped when the
 # parallel bench binary is not built.
 
 PAR_BIN="${BENCH_PARALLEL_BIN:-$REPO_ROOT/build/bench/bench_parallel_batch}"
 PAR_ROUNDS="${BENCH_PARALLEL_ROUNDS:-9}"
 
-# The widest configuration the parallel sweeps reach (Threads / pool
-# width 8). Speedup claims from a host with fewer hardware threads
+# The widest configuration the parallel sweep reaches (pool width 8). Speedup claims from a host with fewer hardware threads
 # than that are meaningless — warn loudly and stamp the entry so a
 # reader of BENCH_solver.json can tell honest flat numbers from a
 # regression.
@@ -111,7 +109,7 @@ HW_THREADS="$(nproc 2>/dev/null || echo 1)"
 if [ "$HW_THREADS" -lt "$MAX_SWEPT_THREADS" ]; then
   echo "==========================================================" >&2
   echo "WARNING: this host has $HW_THREADS hardware thread(s) but the" >&2
-  echo "parallel sweep goes up to Threads=$MAX_SWEPT_THREADS. Thread-scaling" >&2
+  echo "parallel sweep goes up to pool width $MAX_SWEPT_THREADS. Thread-scaling" >&2
   echo "numbers recorded below measure overhead, NOT speedup." >&2
   echo "Re-record the 'parallel' entry on a machine with >=$MAX_SWEPT_THREADS" >&2
   echo "cores before quoting multi-core results (EXPERIMENTS.md)." >&2
@@ -122,7 +120,7 @@ if [ -x "$PAR_BIN" ]; then
   for R in $(seq 1 "$PAR_ROUNDS"); do
     "$PAR_BIN" --benchmark_min_time="$MIN_TIME" \
                --benchmark_format=json >"$TMPDIR_BENCH/par_$R.json"
-    echo "parallel round $R/$PAR_ROUNDS done" >&2
+    echo "parallel sweep round $R/$PAR_ROUNDS done" >&2
   done
 
   python3 - "$OUT" "$LABEL" "$TMPDIR_BENCH" "$PAR_ROUNDS" <<'EOF'
@@ -137,7 +135,7 @@ for r in range(1, rounds + 1):
     for b in doc["benchmarks"]:
         rec = per_cfg.setdefault(b["name"].removesuffix("/real_time"), {"ms": [], "counters": {}})
         rec["ms"].append(b["real_time"] / 1e6)  # ns -> ms
-        for k in ("edges", "rounds", "edges_per_s", "systems_per_s"):
+        for k in ("edges", "systems_per_s"):
             if k in b:
                 rec["counters"][k] = round(float(b[k]), 3)
 
@@ -159,7 +157,7 @@ entry = {
 if (os.cpu_count() or 1) < MAX_SWEPT_THREADS:
     entry["note"] = (
         f"host has {os.cpu_count()} hardware thread(s) < max swept "
-        f"Threads={MAX_SWEPT_THREADS}; these numbers measure parallel-mode "
+        f"pool width {MAX_SWEPT_THREADS}; these numbers measure parallel-mode "
         "overhead, not speedup -- re-record on multi-core hardware")
 
 doc = {"runs": []}

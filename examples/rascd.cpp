@@ -23,7 +23,6 @@
 ///   --session-max-steps N    per-session compose-step budget (0)
 ///   --session-max-memory B   per-session memory budget, bytes (0)
 ///   --max-memory B       aggregate memory cap across systems (0)
-///   --solve-threads N    frontier-parallel closure width per solve (1)
 ///   --idle-timeout-ms N  per-session read/stall budget (30000)
 ///   --write-timeout-ms N per-response write budget (5000)
 ///   --retry-after-ms N   backoff hint in Busy frames (200)
@@ -89,8 +88,6 @@ int main(int Argc, char **Argv) {
       Opts.Session.MaxMemoryBytes = numArg();
     else if (Arg == "--max-memory")
       Opts.MaxTotalMemoryBytes = numArg();
-    else if (Arg == "--solve-threads")
-      Opts.Session.Threads = static_cast<unsigned>(numArg());
     else if (Arg == "--idle-timeout-ms")
       Opts.IdleTimeoutMs = static_cast<int>(numArg());
     else if (Arg == "--write-timeout-ms")

@@ -21,9 +21,8 @@
 ///                              DIR, all constraint systems solved
 ///                              concurrently on one BatchSolver pool
 ///
-/// Both honour --threads and --certify; a malformed input is reported
-/// as the decoder's structured diagnostic (byte offset and slot) and
-/// exits 1.
+/// Both honour --certify; a malformed input is reported as the
+/// decoder's structured diagnostic (byte offset and slot) and exits 1.
 ///
 /// Options (resource governance; see DESIGN.md sections 7 and 8):
 ///
@@ -31,8 +30,9 @@
 ///   --step-budget N  stop after N compose steps (0 = unlimited)
 ///   --deadline S     wall-clock budget in seconds (0 = none);
 ///                    in batch mode this is shared by the whole batch
-///   --threads N      single file: frontier-parallel closure workers;
-///                    batch: solve pool width (0 = hardware threads)
+///   --threads N      solve pool width for --batch and --ebpf-batch
+///                    (0 = hardware threads); a usage error without
+///                    either. Each solve itself is sequential.
 ///   --batch DIR      solve every .rasc file under DIR concurrently on
 ///                    one SolvePool, then print per-system status and
 ///                    the aggregate solver statistics
@@ -228,7 +228,6 @@ int run(const std::string &Source, const char *Name, CliOptions Cli) {
     Cli.Solver.TrackProvenance = true;
     Cli.Solver.Incremental = true;
   }
-  Cli.Solver.Threads = Cli.Threads;
   BidirectionalSolver Solver(P->system(), Cli.Solver);
   Status S = Solver.solve();
   while (BidirectionalSolver::isInterrupted(S)) {
@@ -364,8 +363,7 @@ int runBatch(const std::string &Dir, CliOptions Cli) {
     Programs.push_back(std::move(*P));
   }
 
-  // One solver per system; within the batch each task solves
-  // sequentially (the pool supplies the parallelism).
+  // One solver per system; the pool supplies the parallelism.
   std::vector<std::unique_ptr<BidirectionalSolver>> Solvers;
   std::vector<BidirectionalSolver *> Ptrs;
   for (ConstraintProgram &P : Programs) {
@@ -421,11 +419,9 @@ int runBatch(const std::string &Dir, CliOptions Cli) {
       if (int CE = certify(*Solvers[I], Paths[I].c_str()))
         Exit = std::max(Exit, CE);
   }
-  std::printf("\nbatch total: %llu edges, %llu compositions, "
-              "%llu parallel rounds\n",
+  std::printf("\nbatch total: %llu edges, %llu compositions\n",
               static_cast<unsigned long long>(Total.EdgesInserted),
-              static_cast<unsigned long long>(Total.ComposeCalls),
-              static_cast<unsigned long long>(Total.ParallelRounds));
+              static_cast<unsigned long long>(Total.ComposeCalls));
   return Exit;
 }
 
@@ -487,7 +483,6 @@ int runEbpf(const std::string &Path, CliOptions Cli) {
               G.numBlocks(), G.numEdges(), ebpf::dump(G.Prog).c_str());
 
   SolverOptions Opts = Cli.Solver;
-  Opts.Threads = Cli.Threads;
   SpecAutomaton Spec = ebpf::mapCheckSpec();
   std::unique_ptr<EbpfAnalyses> A =
       makeEbpfAnalyses(std::move(G), Spec, Opts);
@@ -546,9 +541,7 @@ int runEbpfBatch(const std::string &Dir, CliOptions Cli) {
   std::sort(Paths.begin(), Paths.end());
 
   int Exit = 0;
-  // Each task solves sequentially; the pool supplies the parallelism.
   SolverOptions Opts = Cli.Solver;
-  Opts.Threads = 1;
   SpecAutomaton Spec = ebpf::mapCheckSpec();
   std::vector<std::string> Kept;
   std::vector<std::unique_ptr<EbpfAnalyses>> All;
@@ -641,6 +634,7 @@ int main(int Argc, char **Argv) {
   const char *EbpfDir = nullptr;
   const char *TracePath = nullptr;
   bool Metrics = false;
+  bool ThreadsGiven = false;
   for (int I = 1; I < Argc; ++I) {
     std::string_view Arg = Argv[I];
     auto numArg = [&](uint64_t &Out) {
@@ -668,6 +662,7 @@ int main(int Argc, char **Argv) {
       if (!numArg(N))
         return 1;
       Cli.Threads = static_cast<unsigned>(N);
+      ThreadsGiven = true;
     } else if (Arg == "--batch") {
       if (I + 1 >= Argc) {
         std::fprintf(stderr, "--batch needs a directory\n");
@@ -729,6 +724,13 @@ int main(int Argc, char **Argv) {
     } else {
       Path = Argv[I];
     }
+  }
+
+  if (ThreadsGiven && !BatchDir && !EbpfDir) {
+    // A single solve is sequential; only the batch pools have a width.
+    std::fprintf(stderr, "--threads sizes the solve pool of --batch or "
+                         "--ebpf-batch; give one of them\n");
+    return 1;
   }
 
   if (BatchDir &&

@@ -34,14 +34,19 @@ BatchSolver::solveAll(std::span<BidirectionalSolver *const> Solvers) {
   const auto Start = Clock::now();
   const size_t N = Solvers.size();
 
-  if (!Pool)
-    Pool = std::make_unique<ThreadPool>(numThreads());
-
   std::vector<Result> Results(N);
   if (N == 0) {
     Merged = SolverStats{};
     return Results;
   }
+
+  // The pool is as wide as the claimers this call runs (see below),
+  // never the configured width: a width far above the task count
+  // would spawn idle workers, or fail to spawn them at all. A later,
+  // larger batch replaces it with a wider one.
+  const size_t Claimers = std::min<size_t>(numThreads(), N);
+  if (!Pool || Pool->numThreads() < Claimers)
+    Pool = std::make_unique<ThreadPool>(static_cast<unsigned>(Claimers));
 
   // Per-task cancel flags in one contiguous allocation at stable
   // addresses (the vector is sized once and never grows): the
@@ -106,15 +111,15 @@ BatchSolver::solveAll(std::span<BidirectionalSolver *const> Solvers) {
 
   // Claimer model: min(threads, N) pool jobs race a shared task
   // cursor, instead of one enqueued job per task. A pool wider than
-  // the task count (or the core count) then costs almost nothing —
-  // the first workers to wake drain the cursor while the rest claim
-  // an exhausted index and exit, where per-task jobs forced every
-  // queued task through a separate worker wakeup (two mutexes, a
-  // notify, and on an oversubscribed machine a context switch each).
-  // This is what keeps batch throughput flat in pool size on one
-  // core (see BM_BatchSolve in bench/bench_parallel_batch.cpp).
+  // the core count (or left wider by an earlier batch) then costs
+  // almost nothing — the first workers to wake drain the cursor while
+  // the rest claim an exhausted index and exit, where per-task jobs
+  // forced every queued task through a separate worker wakeup (two
+  // mutexes, a notify, and on an oversubscribed machine a context
+  // switch each). This is what keeps batch throughput flat in pool
+  // size on one core (see BM_BatchSolve in
+  // bench/bench_parallel_batch.cpp).
   std::atomic<size_t> NextTask{0};
-  const size_t Claimers = std::min<size_t>(numThreads(), N);
   for (size_t C = 0; C != Claimers; ++C)
     Pool->run([&runTask, &NextTask, N] {
       for (size_t I = NextTask.fetch_add(1, std::memory_order_relaxed);

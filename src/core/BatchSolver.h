@@ -44,7 +44,8 @@ class ThreadPool;
 class BatchSolver {
 public:
   struct Options {
-    /// Pool width; 0 = one thread per hardware thread.
+    /// Pool width; 0 = one thread per hardware thread. A call with
+    /// fewer tasks than this spawns only one worker per task.
     unsigned Threads = 0;
 
     /// Shared wall-clock budget for one solveAll() call, measured

@@ -8,10 +8,8 @@
 
 #include "core/Observe.h"
 #include "core/ProofLog.h"
-#include "support/ComposeKernel.h"
 #include "support/FailPoint.h"
 #include "support/FlatSet.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <array>
@@ -39,19 +37,6 @@ EdgeDedup::Backend resolveDedupBackend(const SolverOptions &Opts,
   }
   return D.size() <= Opts.AnnBitsetThreshold ? EdgeDedup::Backend::Bitset
                                              : EdgeDedup::Backend::Flat;
-}
-
-/// Resolves SolverOptions::MergeShards at construction: 0 follows the
-/// thread count (hardware threads when that is 0 too), so the default
-/// sequential solver gets exactly one segment — the plain EdgeDedup
-/// fast path — and a parallel solver gets one shard per worker. The
-/// ceiling only bounds scratch for absurd explicit values; it is far
-/// above any thread count that pays off.
-unsigned resolveMergeShards(const SolverOptions &Opts) {
-  unsigned P = Opts.MergeShards;
-  if (P == 0)
-    P = Opts.Threads ? Opts.Threads : ThreadPool::hardwareThreads();
-  return std::min(P, 256u);
 }
 
 double secondsSince(std::chrono::steady_clock::time_point Start) {
@@ -112,8 +97,7 @@ std::vector<ConsId> AtomReachability::witnessStack(VarId V,
 BidirectionalSolver::BidirectionalSolver(const ConstraintSystem &CS,
                                          SolverOptions Opts)
     : CS(CS), Options(Opts),
-      EdgeSeen(resolveDedupBackend(Opts, CS.domain()), CS.domain().size(),
-               resolveMergeShards(Opts)),
+      EdgeSeen(resolveDedupBackend(Opts, CS.domain()), CS.domain().size()),
       FnVarSeen(resolveDedupBackend(Opts, CS.domain()), CS.domain().size()) {}
 
 BidirectionalSolver::~BidirectionalSolver() = default;
@@ -615,339 +599,6 @@ BidirectionalSolver::runClosure(std::chrono::steady_clock::time_point Start) {
   return Status::Solved;
 }
 
-BidirectionalSolver::Status BidirectionalSolver::runClosureParallel(
-    std::chrono::steady_clock::time_point Start, unsigned Threads) {
-  const uint32_t Interval =
-      Options.GovernanceCheckInterval ? Options.GovernanceCheckInterval : 1;
-  uint32_t UntilSlow = Interval;
-  // Cap on edges per round: bounds the interrupt latency (budgets are
-  // only enforced between rounds) and the round scratch.
-  constexpr size_t MaxRoundEdges = size_t(1) << 16;
-
-  if (!Pool || Pool->numThreads() != Threads - 1)
-    Pool = std::make_unique<ThreadPool>(Threads - 1);
-
-  while (PendingHead != EdgeArena.size()) {
-    if (Options.MaxEdges != 0 && Stats.EdgesInserted > Options.MaxEdges)
-      return Status::EdgeLimit;
-    if (Options.MaxComposeSteps != 0 &&
-        Stats.ComposeCalls >= Options.MaxComposeSteps)
-      return Status::StepLimit;
-    if (ForcedInterrupt) {
-      Status S = *ForcedInterrupt;
-      ForcedInterrupt.reset();
-      return S;
-    }
-    if (--UntilSlow == 0) {
-      UntilSlow = Interval;
-      Status S = governanceCheck(Start);
-      if (S != Status::Solved)
-        return S;
-    }
-    size_t Frontier = EdgeArena.size() - PendingHead;
-    if (Frontier < Options.ParallelFrontierThreshold) {
-      Edge E = EdgeArena[PendingHead++]; // by value: process() appends
-      process(E);
-    } else {
-      parallelRound(std::min(Frontier, MaxRoundEdges), Threads);
-    }
-  }
-  ForcedInterrupt.reset();
-  return Status::Solved;
-}
-
-/// One bulk-synchronous round over the frontier, in four phases.
-///
-/// Phase 1 (sequential limits sweep) replays exactly the counter
-/// evolution the sequential loop would produce: frontier edge j
-/// snapshots the processed prefixes its scans may read — SuccDone of
-/// its destination, PredDone of its source — and then advances its
-/// own nodes' counters, so edge j's snapshot covers every earlier
-/// edge (pre-round and frontier positions < j) and nothing later.
-/// Each 2-path is therefore joined by exactly the later of its two
-/// edges, once, just as in process(); the join *sets* of the two
-/// modes coincide, so by confluence so do the fixpoints — and so do
-/// the stats totals (see phase 4). Options.RelaxedParallelStats
-/// skips the snapshots entirely: workers scan the full current
-/// adjacency degrees, which are stable during the read-only compute
-/// phase because every arena edge was appended to both lists at
-/// insertion. The relaxed scans are a *superset* of the exact join
-/// schedule — every adjacent pair is joined by at least its later
-/// edge, possibly by both — so the fixpoint is unchanged while
-/// ComposeCalls/EdgesDropped may exceed the sequential totals. The
-/// processed-prefix counters still advance exactly once per frontier
-/// edge in either mode: the certifier's recount and a sequential
-/// resume depend on their exactness, not on which schedule performed
-/// the joins.
-///
-/// Phase 2 (parallel compute) partitions the frontier across workers.
-/// Workers are strictly read-only — frontier slice of the arena,
-/// NodeKind, adjacency prefixes within their scan limits (all
-/// appended before the round), dense composition rows, and read-only
-/// dedup probes — and write only their own RoundBuf, so the phase is
-/// race-free without any locking. A worker routes each surviving
-/// (not-yet-seen) edge into the mailbox of the dedup shard owning its
-/// destination: one single-producer/single-consumer buffer per
-/// (producer, shard) pair, handed off by the pool barrier. Work that
-/// must mutate shared state is left for the epilogue: constructor
-/// decompositions and watcher projections intern var nodes, and a
-/// scan whose annotation has no dense row would go through the
-/// domain's mutating compose(). Row availability is a pure function
-/// of the domain (fixed at monoid construction), so the epilogue
-/// re-detects those edges with the same null-row test instead of any
-/// cross-thread handoff.
-///
-/// Phase 3 (parallel owner merge) runs one owner per dedup shard:
-/// owner S drains every producer's mailbox for S in producer order
-/// and performs the *authoritative* test-and-set against its own
-/// dedup segment. Destinations are partitioned by shard, so no two
-/// owners touch the same segment, and each owner writes only its own
-/// ShardScratch — fresh edges in drain order, plus a private drop
-/// counter for the within-round duplicates the pre-filter could not
-/// see. This moves the round's dominant sequential cost, the dedup
-/// insertion probes, onto all cores.
-///
-/// Phase 4 (sequential epilogue) performs the deferred
-/// decompositions, projections, and row-less scans through addEdge —
-/// still the single writer for those — then appends the shards'
-/// fresh lists (shard-major: a fixed, deterministic order) through
-/// insertFreshEdge: useless filter, conflict check, arena and
-/// adjacency appends, all sequential. Exact-mode stats still match
-/// the sequential run at any fixpoint: joins are in bijection with
-/// the final edge set's adjacent pairs and insertions with its
-/// unique derived triples, so the attempt multiset is
-/// schedule-independent; reordering only shifts which attempt is the
-/// first claim, and the totals are blind to that.
-void BidirectionalSolver::parallelRound(size_t Frontier, unsigned Threads) {
-  ++Stats.ParallelRounds;
-  RASC_TRACE_SCOPE("solver.round", Frontier, Threads);
-  const bool Metrics = observe::metricsEnabled();
-  if (Metrics)
-    MetricsRegistry::global()
-        .histogram("solver.frontier_width")
-        .record(Frontier);
-  const AnnotationDomain &D = CS.domain();
-  constexpr uint8_t KCons = static_cast<uint8_t>(ExprKind::Cons);
-  constexpr uint8_t KVar = static_cast<uint8_t>(ExprKind::Var);
-  const size_t Base = PendingHead;
-  const bool Relaxed = Options.RelaxedParallelStats;
-  const unsigned NumShards = EdgeSeen.numShards();
-
-  // Phase 1: limits sweep — or, relaxed, just the exact bulk advance
-  // of the processed-prefix counters (resumability and certification
-  // need the counters; the relaxed scans don't need the snapshots).
-  if (!Relaxed) {
-    RoundSuccLimit.resize(Frontier);
-    RoundPredLimit.resize(Frontier);
-    for (size_t J = 0; J != Frontier; ++J) {
-      const Edge &E = EdgeArena[Base + J];
-      RoundSuccLimit[J] = SuccDone[E.Dst];
-      RoundPredLimit[J] = PredDone[E.Src];
-      ++SuccDone[E.Src];
-      ++PredDone[E.Dst];
-    }
-  } else {
-    for (size_t J = 0; J != Frontier; ++J) {
-      const Edge &E = EdgeArena[Base + J];
-      ++SuccDone[E.Src];
-      ++PredDone[E.Dst];
-    }
-  }
-
-  // Phase 2: compute.
-  const size_t NumParts = std::min<size_t>(Threads, Frontier);
-  if (RoundBufs.size() < NumParts)
-    RoundBufs.resize(NumParts);
-  auto computePart = [&](size_t P) {
-    RoundBuf &B = RoundBufs[P];
-    if (B.Mail.size() < NumShards)
-      B.Mail.resize(NumShards);
-    B.ComposeCalls = 0;
-    B.EdgesDropped = 0;
-    auto emit = [&](ExprId S, ExprId T, AnnId A) {
-      if (EdgeSeen.contains(S, T, A))
-        ++B.EdgesDropped;
-      else
-        B.Mail[EdgeSeen.shardOf(T)].push_back({S, T, A});
-    };
-    // Chunk-wide staging for the dense-row gather: the kernel runs
-    // the pure table lookups over the whole chunk before the branchy
-    // probe-and-buffer loop touches them.
-    AnnId Comp[AdjacencyLists::ChunkCap];
-    const size_t Lo = Frontier * P / NumParts;
-    const size_t Hi = Frontier * (P + 1) / NumParts;
-    for (size_t J = Lo; J != Hi; ++J) {
-      const Edge E = EdgeArena[Base + J];
-      uint8_t SrcKind = NodeKind[E.Src];
-      uint8_t DstKind = NodeKind[E.Dst];
-      if (SrcKind == KCons && DstKind == KCons)
-        continue; // decompose interns var nodes: epilogue
-      if (DstKind == KVar) {
-        if (const AnnId *Row = D.composeRowRhs(E.Ann)) {
-          const uint32_t Deg =
-              Relaxed ? Succs.degree(E.Dst) : RoundSuccLimit[J];
-          B.ComposeCalls += Deg;
-          Succs.forEachChunks(
-              E.Dst, Deg,
-              [&](const AdjacencyLists::Chunk &Ch, uint32_t N) {
-                kernel::composeMapRow(Row, Ch.Anns, Comp, N);
-                for (uint32_t I = 0; I != N; ++I)
-                  emit(E.Src, Ch.Peers[I], Comp[I]);
-              });
-          // Exact mode joins a self-loop with itself explicitly:
-          // neither processing event sees the other inside a
-          // processed prefix. The relaxed full-degree scan already
-          // covered it — E is its own Succs[E.Dst] entry.
-          if (!Relaxed && E.Src == E.Dst) {
-            ++B.ComposeCalls;
-            emit(E.Src, E.Dst, Row[E.Ann]);
-          }
-        }
-        // Null row or watcher projections: epilogue.
-      }
-      if (SrcKind == KVar) {
-        if (const AnnId *Row = D.composeRowLhs(E.Ann)) {
-          const uint32_t Deg =
-              Relaxed ? Preds.degree(E.Src) : RoundPredLimit[J];
-          B.ComposeCalls += Deg;
-          Preds.forEachChunks(
-              E.Src, Deg,
-              [&](const AdjacencyLists::Chunk &Ch, uint32_t N) {
-                kernel::composeMapRow(Row, Ch.Anns, Comp, N);
-                for (uint32_t I = 0; I != N; ++I)
-                  emit(Ch.Peers[I], E.Dst, Comp[I]);
-              });
-        }
-      }
-    }
-  };
-  Pool->parallelFor(NumParts, computePart);
-
-  // Phase 3: owner-partitioned merge.
-  if (Shards.size() < NumShards)
-    Shards.resize(NumShards);
-  auto mergeShard = [&](size_t S) {
-    const auto T0 = std::chrono::steady_clock::now();
-    ShardScratch &Sh = Shards[S];
-    Sh.Fresh.clear();
-    Sh.Dropped = 0;
-    Sh.MailEdges = 0;
-    for (size_t P = 0; P != NumParts; ++P) {
-      std::vector<Edge> &M = RoundBufs[P].Mail[S];
-      Sh.MailEdges += M.size();
-      for (const Edge &NE : M) {
-        if (EdgeSeen.insert(NE.Src, NE.Dst, NE.Ann))
-          Sh.Fresh.push_back(NE);
-        else
-          ++Sh.Dropped;
-      }
-      M.clear();
-    }
-    Sh.MergeNs = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - T0)
-            .count());
-  };
-  Pool->parallelFor(NumShards, mergeShard);
-
-  // Phase 4: sequential epilogue.
-  PendingHead = Base + Frontier;
-  for (size_t J = 0; J != Frontier; ++J) {
-    const Edge E = EdgeArena[Base + J]; // by value: addEdge appends
-    uint8_t SrcKind = NodeKind[E.Src];
-    uint8_t DstKind = NodeKind[E.Dst];
-    if (SrcKind == KCons && DstKind == KCons) {
-      decompose(E);
-      continue;
-    }
-    if (DstKind == KVar) {
-      const AnnId *Row = D.composeRowRhs(E.Ann);
-      if (!Row) {
-        // Relaxed scans read the degree at epilogue time: a superset
-        // of the exact limit (append-safe; entries appended by this
-        // loop's own addEdges past the bound are pending edges that
-        // run their own scans later).
-        const uint32_t Lim =
-            Relaxed ? Succs.degree(E.Dst) : RoundSuccLimit[J];
-        Stats.ComposeCalls += Lim;
-        Succs.forEachChunks(
-            E.Dst, Lim, [&](const AdjacencyLists::Chunk &Ch, uint32_t N) {
-              for (uint32_t I = 0; I != N; ++I)
-                addEdge(E.Src, Ch.Peers[I], D.compose(Ch.Anns[I], E.Ann));
-            });
-        if (!Relaxed && E.Src == E.Dst) {
-          ++Stats.ComposeCalls;
-          addEdge(E.Src, E.Dst, D.compose(E.Ann, E.Ann));
-        }
-      }
-      if (SrcKind == KCons && !Watchers[E.Dst].empty()) {
-        const Expr SE = CS.expr(E.Src); // by value: varNode may intern
-        for (size_t I = 0, N = Watchers[E.Dst].size(); I != N; ++I) {
-          Watcher W = Watchers[E.Dst][I];
-          if (W.C != SE.C)
-            continue;
-          ++Stats.ProjectionSteps;
-          ++Stats.ComposeCalls;
-          if (trace::enabled())
-            trace::instant("solver.projection", E.Src, E.Dst);
-          addEdge(varNode(SE.Args[W.Index]), varNode(W.Target),
-                  Row ? Row[W.Ann] : D.compose(W.Ann, E.Ann));
-        }
-      }
-    }
-    if (SrcKind == KVar) {
-      if (!D.composeRowLhs(E.Ann)) {
-        const uint32_t Lim =
-            Relaxed ? Preds.degree(E.Src) : RoundPredLimit[J];
-        Stats.ComposeCalls += Lim;
-        Preds.forEachChunks(
-            E.Src, Lim, [&](const AdjacencyLists::Chunk &Ch, uint32_t N) {
-              for (uint32_t I = 0; I != N; ++I)
-                addEdge(Ch.Peers[I], E.Dst, D.compose(E.Ann, Ch.Anns[I]));
-            });
-      }
-    }
-  }
-
-  // Fold worker counters, then append the shards' fresh edges. Their
-  // dedup bits were claimed in phase 3, so they go straight to
-  // insertFreshEdge (useless filter, conflict check, arena append);
-  // shard-major drain order is fixed, keeping rounds deterministic.
-  for (size_t P = 0; P != NumParts; ++P) {
-    Stats.ComposeCalls += RoundBufs[P].ComposeCalls;
-    Stats.EdgesDropped += RoundBufs[P].EdgesDropped;
-  }
-  for (unsigned S = 0; S != NumShards; ++S) {
-    ShardScratch &Sh = Shards[S];
-    Stats.EdgesDropped += Sh.Dropped;
-    for (const Edge &NE : Sh.Fresh)
-      insertFreshEdge(NE.Src, NE.Dst, NE.Ann);
-    Sh.Fresh.clear();
-  }
-
-  // Per-shard scaling telemetry: merge-time and mailbox-occupancy
-  // histograms, and an imbalance instant (slowest vs fastest shard
-  // merge this round) so skewed ownership shows up in --metrics and
-  // traces instead of only in end-to-end benchmarks.
-  if (Metrics) {
-    MetricsRegistry &M = MetricsRegistry::global();
-    auto &MergeH = M.histogram("solver.shard_merge_ns");
-    auto &MailH = M.histogram("solver.shard_mailbox_edges");
-    for (unsigned S = 0; S != NumShards; ++S) {
-      MergeH.record(Shards[S].MergeNs);
-      MailH.record(Shards[S].MailEdges);
-    }
-  }
-  if (trace::enabled() && NumShards > 1) {
-    uint64_t MaxNs = 0, MinNs = ~uint64_t(0);
-    for (unsigned S = 0; S != NumShards; ++S) {
-      MaxNs = std::max(MaxNs, Shards[S].MergeNs);
-      MinNs = std::min(MinNs, Shards[S].MergeNs);
-    }
-    trace::instant("parallel.imbalance", MaxNs, MinNs);
-  }
-}
-
 BidirectionalSolver::Status BidirectionalSolver::solve() {
   RASC_TRACE_SCOPE("solver.solve");
   auto Start = std::chrono::steady_clock::now();
@@ -983,18 +634,10 @@ BidirectionalSolver::Status BidirectionalSolver::solve() {
   Stats.IngestSeconds += secondsSince(Start);
   auto ClosureStart = std::chrono::steady_clock::now();
 
-  // Threads == 1 is the sequential algorithm, untouched; provenance
-  // tracking records arena order (which rounds permute), so it pins
-  // the sequential path too — and so does a live proof log, whose
-  // records must name premises in the order derivations happened.
-  unsigned Threads =
-      Options.Threads ? Options.Threads : ThreadPool::hardwareThreads();
   Status S;
   {
-    RASC_TRACE_SCOPE("solver.closure", pendingEdges(), Threads);
-    S = (Threads > 1 && !Options.TrackProvenance && !Proof)
-            ? runClosureParallel(Start, Threads)
-            : runClosure(Start);
+    RASC_TRACE_SCOPE("solver.closure", pendingEdges());
+    S = runClosure(Start);
   }
 
   Stats.ClosureSeconds += secondsSince(ClosureStart);
@@ -1043,8 +686,6 @@ void BidirectionalSolver::recordSolveMetrics(
       .add(Stats.DecomposeSteps - Before.DecomposeSteps);
   M.counter("solver.projection_steps")
       .add(Stats.ProjectionSteps - Before.ProjectionSteps);
-  M.counter("solver.parallel_rounds")
-      .add(Stats.ParallelRounds - Before.ParallelRounds);
   M.counter("solver.proof_records")
       .add(Stats.ProofRecords - Before.ProofRecords);
   M.counter("solver.proof_bytes").add(Stats.ProofBytes - Before.ProofBytes);
@@ -1122,12 +763,11 @@ void BidirectionalSolver::rebuildProofLog() {
     Proof->constraint(J, C, canonicalize(C.Lhs), canonicalize(C.Rhs));
   }
 
-  // Edge replay order: the arena is derivation order on the
-  // provenance-pinned sequential path, except that a retraction's
-  // compaction can move a requeued parent behind a surviving child —
-  // then a Kahn walk over the premise links restores a
-  // premise-before-use order (index-order FIFO keeps it near arena
-  // order and deterministic).
+  // Edge replay order: the arena is derivation order, except that a
+  // retraction's compaction can move a requeued parent behind a
+  // surviving child — then a Kahn walk over the premise links
+  // restores a premise-before-use order (index-order FIFO keeps it
+  // near arena order and deterministic).
   const uint32_t E = static_cast<uint32_t>(EdgeArena.size());
   std::vector<uint32_t> Order(E);
   if (Stats.Retractions == 0 || ProvPar1.size() != E ||
@@ -1469,8 +1109,7 @@ BidirectionalSolver::retract(uint32_t Idx) {
   // Function-variable constraints whose deriving decompose is in the
   // cone. The deriving edge of a fn-var fact is the first processed
   // constructor-constructor edge emitting its triple — recomputed
-  // here (arena order is processing order on the provenance-pinned
-  // sequential path).
+  // here (arena order is processing order).
   std::vector<uint8_t> FnGone(FnVarCons.size(), 0);
   FlatSet64 DroppedFnPairs;
   if (!FnVarCons.empty()) {
@@ -1679,8 +1318,7 @@ void BidirectionalSolver::resetToFresh() {
   NodeKind.clear();
   SuccDone.clear();
   PredDone.clear();
-  EdgeSeen = ShardedEdgeDedup(resolveDedupBackend(Options, D), D.size(),
-                              resolveMergeShards(Options));
+  EdgeSeen = EdgeDedup(resolveDedupBackend(Options, D), D.size());
   EdgeArena.clear();
   PendingHead = 0;
   Conflicts.clear();
@@ -1693,8 +1331,6 @@ void BidirectionalSolver::resetToFresh() {
   NeedProv = false;
   ProofDisabled = false;
   LastProofDiag.reset();
-  // The thread pool and round scratch are state-free between rounds;
-  // keeping them avoids re-spawning workers on a retry.
 }
 
 size_t BidirectionalSolver::memoryBytes() const {
@@ -1711,20 +1347,9 @@ size_t BidirectionalSolver::memoryBytes() const {
              (ProvPar1.capacity() + ProvPar2.capacity()) *
                  sizeof(uint32_t) +
              ProvPairIds.memoryBytes() + ProvTriples.memoryBytes() +
-             Watchers.capacity() * sizeof(std::vector<Watcher>) +
-             (RoundSuccLimit.capacity() + RoundPredLimit.capacity()) *
-                 sizeof(uint32_t) +
-             RoundBufs.capacity() * sizeof(RoundBuf) +
-             Shards.capacity() * sizeof(ShardScratch);
+             Watchers.capacity() * sizeof(std::vector<Watcher>);
   for (const std::vector<Watcher> &W : Watchers)
     N += W.capacity() * sizeof(Watcher);
-  for (const RoundBuf &B : RoundBufs) {
-    N += B.Mail.capacity() * sizeof(std::vector<Edge>);
-    for (const std::vector<Edge> &M : B.Mail)
-      N += M.capacity() * sizeof(Edge);
-  }
-  for (const ShardScratch &Sh : Shards)
-    N += Sh.Fresh.capacity() * sizeof(Edge);
   if (Proof)
     N += Proof->memoryBytes();
   return N;

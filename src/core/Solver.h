@@ -49,7 +49,6 @@
 namespace rasc {
 
 class ProofLogWriter;
-class ThreadPool;
 
 /// Tuning knobs; the defaults match the paper's implementation notes.
 /// The resource-governance fields (MaxEdges, MaxComposeSteps,
@@ -109,51 +108,11 @@ struct SolverOptions {
   /// governance cadence; the pointee must outlive every solve() call.
   const std::atomic<bool> *CancelFlag = nullptr;
 
-  /// Worker threads for the frontier-parallel closure (DESIGN.md §8):
-  /// 1 (the default) runs the sequential algorithm, bit-for-bit the
-  /// single-threaded code path; 0 means one thread per hardware
-  /// thread. With more than one thread the closure runs in
-  /// bulk-synchronous rounds — the pending frontier is partitioned
-  /// across workers that compute 2-path joins into per-shard
-  /// mailboxes, shard owners merge their own destinations through
-  /// striped dedup segments concurrently (see MergeShards), and a
-  /// small sequential epilogue handles the cross-shard effects —
-  /// reaching the identical fixpoint (the closure is confluent;
-  /// differentially tested). TrackProvenance records arena order, so
-  /// it forces the sequential path regardless.
+  /// Ignored: the closure is sequential (DESIGN.md §8), and batch
+  /// parallelism is sized by BatchSolver::Options::Threads. The field
+  /// remains only because perfbench/EbpfBatch.cpp:171 assigns it;
+  /// nothing in src/ reads it.
   unsigned Threads = 1;
-
-  /// Minimum frontier size for a parallel round; smaller frontiers
-  /// drain through the sequential per-edge path (partitioning a
-  /// handful of edges costs more than it saves). Tests set 1 to force
-  /// rounds on tiny systems.
-  uint32_t ParallelFrontierThreshold = 128;
-
-  /// Shard count for the owner-partitioned parallel merge (DESIGN.md
-  /// §8): the edge-dedup table is striped into this many independent
-  /// segments routed by destination node id, and each round's merge
-  /// runs one owner per shard concurrently — the authoritative dedup
-  /// insertion stops being a sequential bottleneck. 0 (the default)
-  /// resolves to the thread count. Resolved at solver construction
-  /// like the dedup backend; changing it afterwards has no effect.
-  /// Purely a layout/scheduling knob: fixpoint and stats are
-  /// shard-count independent (differentially tested), so any value is
-  /// sound, including with Threads == 1.
-  unsigned MergeShards = 0;
-
-  /// Relaxed-stats parallel mode: skip the sequential per-edge
-  /// processed-prefix limits sweep and let round workers scan the
-  /// full current adjacency degrees instead (stable during the
-  /// read-only compute phase). Every join the exact schedule performs
-  /// is contained in the relaxed scans, and extra attempts are
-  /// absorbed by the dedup filter, so the *fixpoint* stays
-  /// bit-identical to the sequential one — certified by
-  /// core/Certifier.h in the differential tests — and interrupts stay
-  /// resumable (the processed-prefix counters still advance exactly
-  /// once per edge). Only the work accounting is allowed to drift:
-  /// ComposeCalls and EdgesDropped may exceed the sequential totals.
-  /// Ignored on the sequential path (Threads == 1).
-  bool RelaxedParallelStats = false;
 
   /// Aggregate memory accounting across a batch of solvers (see
   /// core/BatchSolver.h): when non-null, every governance check
@@ -186,8 +145,7 @@ struct SolverOptions {
   /// retract() likewise abandons the log (a compaction reorders the
   /// arena, invalidating the emitted premise order) and clears this
   /// path; re-set it to rebuild a fresh proof from the post-retract
-  /// state. Proof logging pins the sequential closure path, like
-  /// TrackProvenance.
+  /// state.
   std::string ProofLogPath;
 
   /// Record the provenance of every derived edge (which rule, from
@@ -241,9 +199,6 @@ struct SolverStats {
   uint64_t Interrupts = 0;   ///< solves ended by a budget/cancel/failpoint
   uint64_t Resumes = 0;      ///< solves that continued an interrupted closure
 
-  // Parallel-closure counters (zero on the sequential path).
-  uint64_t ParallelRounds = 0; ///< bulk-synchronous frontier rounds run
-
   // Proof-logging counters (SolverOptions::ProofLogPath). Cumulative
   // across writer rebuilds; ProofFailures counts logs abandoned to an
   // I/O failure, an unsupported state, or a retraction.
@@ -278,7 +233,6 @@ struct SolverStats {
     BudgetChecks += O.BudgetChecks;
     Interrupts += O.Interrupts;
     Resumes += O.Resumes;
-    ParallelRounds += O.ParallelRounds;
     ProofRecords += O.ProofRecords;
     ProofChunks += O.ProofChunks;
     ProofBytes += O.ProofBytes;
@@ -686,22 +640,6 @@ private:
   /// \p Start is the solve() entry time (the deadline's epoch).
   Status runClosure(std::chrono::steady_clock::time_point Start);
 
-  /// The frontier-parallel closure (Options.Threads > 1): drains the
-  /// worklist in bulk-synchronous rounds of up to MaxRoundEdges edges
-  /// each, falling back to per-edge process() for frontiers below
-  /// Options.ParallelFrontierThreshold. Budgets are enforced between
-  /// rounds (and between fallback pops), so interrupts land at the
-  /// same edge-boundary states the sequential path produces — a
-  /// parallel solve can resume sequentially and vice versa.
-  Status runClosureParallel(std::chrono::steady_clock::time_point Start,
-                            unsigned Threads);
-
-  /// One bulk-synchronous round over the next \p Frontier pending
-  /// edges with \p Threads-way compute and an owner-partitioned
-  /// parallel merge (see Solver.cpp for the phase structure and the
-  /// exactly-once argument).
-  void parallelRound(size_t Frontier, unsigned Threads);
-
   /// The slow governance checks (cancellation, deadline, memory,
   /// failpoints), run every Options.GovernanceCheckInterval pops.
   /// \returns Solved when nothing tripped.
@@ -817,12 +755,10 @@ private:
   std::vector<uint32_t> PredDone;
 
   // Edge dedup (annotation bitsets or per-destination flat sets; see
-  // SolverOptions::Dedup), striped by destination into MergeShards
-  // segments for the owner-partitioned merge (one segment on the
-  // sequential path), and the edge arena. The arena doubles as the
+  // SolverOptions::Dedup) and the edge arena. The arena doubles as the
   // FIFO worklist: every edge is enqueued exactly once, so the ring
   // never wraps and the head cursor suffices.
-  ShardedEdgeDedup EdgeSeen;
+  EdgeDedup EdgeSeen;
   std::vector<Edge> EdgeArena;
   size_t PendingHead = 0;
   std::vector<SolvedEdge> Conflicts;
@@ -835,35 +771,6 @@ private:
   // VarId -> ExprId node (or InvalidExpr), for query-side lookups
   // without re-interning through CS.var()'s hash-cons table.
   std::vector<ExprId> VarNode;
-
-  // Frontier-parallel round scratch (Options.Threads > 1), kept
-  // across rounds so allocations amortize. The limit vectors hold the
-  // per-frontier-edge processed-prefix snapshots taken by the
-  // sequential limits sweep (exact-stats mode only). One RoundBuf per
-  // compute partition holds the worker's private counters and its
-  // per-shard mailboxes: Mail[S] collects the partition's derived
-  // edges owned by shard S, written only by the producing worker
-  // during compute and read only by shard S's owner during the merge
-  // phase (a fan-out of single-producer/single-consumer buffers with
-  // the pool barrier as the handoff). One ShardScratch per dedup
-  // shard holds the owner's merge results until the sequential
-  // epilogue folds them in.
-  std::unique_ptr<ThreadPool> Pool;
-  std::vector<uint32_t> RoundSuccLimit;
-  std::vector<uint32_t> RoundPredLimit;
-  struct RoundBuf {
-    std::vector<std::vector<Edge>> Mail; // per-shard outboxes
-    uint64_t ComposeCalls = 0;
-    uint64_t EdgesDropped = 0;
-  };
-  std::vector<RoundBuf> RoundBufs;
-  struct alignas(64) ShardScratch {
-    std::vector<Edge> Fresh; // dedup-fresh edges, mailbox drain order
-    uint64_t Dropped = 0;    // duplicates caught by this shard's probe
-    uint64_t MailEdges = 0;  // mailbox edges drained this round
-    uint64_t MergeNs = 0;    // wall time of this shard's merge
-  };
-  std::vector<ShardScratch> Shards;
 
   // Last memoryBytes() published into Options.GroupMemory (the shared
   // cell accumulates deltas, so each solver remembers its own

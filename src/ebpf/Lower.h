@@ -7,9 +7,8 @@
 /// \file
 /// Lowers a bytecode CFG into the native inputs of the three
 /// applications (DESIGN.md §13), so the entire existing stack —
-/// constraint generation, the parallel sharded closure, incremental
-/// retract, proof logging, rascd, BatchSolver — runs on real programs
-/// unchanged:
+/// constraint generation, the closure, incremental retract, proof
+/// logging, rascd, BatchSolver — runs on real programs unchanged:
 ///
 ///   * pdmc: a Program whose Op statements are the property-relevant
 ///     events of each instruction (helper calls, null-checks of r0,

@@ -160,35 +160,6 @@ public:
     return true;
   }
 
-  /// Tests bit \p Ann of row \p Key without modifying the table.
-  /// Read-only, so concurrent test() calls are race-free — the
-  /// frontier-parallel closure's workers use this to pre-filter
-  /// duplicate edges before the sequential merge.
-  bool test(uint64_t Key, uint32_t Ann) const {
-    if (InlineMode) {
-      if (Ann >= 64 || Slots.empty())
-        return false;
-      size_t Mask = Slots.size() - 1;
-      size_t I = static_cast<size_t>(mix64(Key)) & Mask;
-      while (true) {
-        const Slot &S = Slots[I];
-        if (S.Key == Key)
-          return (S.Bits >> Ann) & 1;
-        if (S.Key == Empty)
-          return false;
-        I = (I + 1) & Mask;
-      }
-    }
-    if (Ann >= Stride * 64)
-      return false;
-    const uint32_t *Row = Rows.lookup(Key);
-    if (!Row)
-      return false;
-    return (Bits[static_cast<size_t>(*Row) * Stride + Ann / 64] >>
-            (Ann % 64)) &
-           1;
-  }
-
   size_t numRows() const {
     return InlineMode ? InlineCount : Rows.size();
   }
@@ -358,17 +329,6 @@ public:
     return PerDst[B].erase((static_cast<uint64_t>(A) << 32) | Ann);
   }
 
-  /// \returns whether the edge is already recorded, without modifying
-  /// the structure. Read-only, so concurrent contains() calls are
-  /// race-free (used by the frontier-parallel workers' pre-filter).
-  bool contains(uint32_t A, uint32_t B, uint32_t Ann) const {
-    if (Which == Backend::Bitset)
-      return Bitsets.test((static_cast<uint64_t>(A) << 32) | B, Ann);
-    if (B >= PerDst.size())
-      return false;
-    return PerDst[B].contains((static_cast<uint64_t>(A) << 32) | Ann);
-  }
-
   /// Prefetches the slot a subsequent insert(A, B, Ann) will probe.
   void prefetch(uint32_t A, uint32_t B, uint32_t Ann) const {
     if (Which == Backend::Bitset)
@@ -400,106 +360,6 @@ private:
   Backend Which;
   AnnBitsetTable Bitsets;
   std::vector<FlatSet64> PerDst;
-};
-
-/// Edge dedup striped into P independent EdgeDedup segments routed by
-/// destination node: shard(B) = B % P owns every edge into B. The
-/// sharded parallel merge (DESIGN.md §8) lets shard owners run the
-/// authoritative insert() for their own destinations concurrently —
-/// two owners never touch the same segment, and the segments are
-/// cache-line padded so their hot table headers don't false-share.
-/// Destinations are stored divided by P inside each segment (B % P is
-/// implied by the segment), so per-destination structures stay dense
-/// per shard instead of P-times oversized. P == 1 degenerates to a
-/// plain EdgeDedup with no routing arithmetic on the probe path.
-class ShardedEdgeDedup {
-public:
-  using Backend = EdgeDedup::Backend;
-
-  explicit ShardedEdgeDedup(Backend B = Backend::Bitset,
-                            size_t AnnCapacityHint = 64,
-                            unsigned NumShards = 1) {
-    Segs.reserve(NumShards ? NumShards : 1);
-    for (unsigned I = 0, E = NumShards ? NumShards : 1; I != E; ++I)
-      Segs.emplace_back(B, AnnCapacityHint);
-  }
-
-  Backend backend() const { return Segs.front().D.backend(); }
-  unsigned numShards() const {
-    return static_cast<unsigned>(Segs.size());
-  }
-
-  /// The shard owning destination \p B. Owner-partitioned phases route
-  /// every edge through this so one segment has exactly one writer.
-  unsigned shardOf(uint32_t B) const {
-    return Segs.size() == 1
-               ? 0
-               : B % static_cast<uint32_t>(Segs.size());
-  }
-
-  /// Records the edge. \returns true if it was not present. Safe to
-  /// call concurrently from different threads *iff* the callers'
-  /// destinations map to different shards (the owner-partitioned
-  /// merge's contract); never concurrently with contains() on the
-  /// same shard.
-  bool insert(uint32_t A, uint32_t B, uint32_t Ann) {
-    if (Segs.size() == 1)
-      return Segs.front().D.insert(A, B, Ann);
-    return Segs[B % Segs.size()].D.insert(
-        A, B / static_cast<uint32_t>(Segs.size()), Ann);
-  }
-
-  /// Removes the edge, routed to its owning shard. \returns true if it
-  /// was recorded.
-  bool erase(uint32_t A, uint32_t B, uint32_t Ann) {
-    if (Segs.size() == 1)
-      return Segs.front().D.erase(A, B, Ann);
-    return Segs[B % Segs.size()].D.erase(
-        A, B / static_cast<uint32_t>(Segs.size()), Ann);
-  }
-
-  /// Read-only membership probe; race-free under concurrent contains()
-  /// calls (the compute workers' pre-filter).
-  bool contains(uint32_t A, uint32_t B, uint32_t Ann) const {
-    if (Segs.size() == 1)
-      return Segs.front().D.contains(A, B, Ann);
-    return Segs[B % Segs.size()].D.contains(
-        A, B / static_cast<uint32_t>(Segs.size()), Ann);
-  }
-
-  /// Prefetches the slot a subsequent insert/contains(A, B, Ann) will
-  /// probe.
-  void prefetch(uint32_t A, uint32_t B, uint32_t Ann) const {
-    if (Segs.size() == 1)
-      return Segs.front().D.prefetch(A, B, Ann);
-    Segs[B % Segs.size()].D.prefetch(
-        A, B / static_cast<uint32_t>(Segs.size()), Ann);
-  }
-
-  /// Whether a prefetch pass over a batch of probes is likely to pay
-  /// off in any segment (segments grow together under the modulo
-  /// routing, so the first segment is a fair sample).
-  bool prefetchWorthwhile() const {
-    return Segs.front().D.prefetchWorthwhile();
-  }
-
-  /// Heap bytes held across all segments.
-  size_t memoryBytes() const {
-    size_t N = Segs.capacity() * sizeof(Seg);
-    for (const Seg &S : Segs)
-      N += S.D.memoryBytes();
-    return N;
-  }
-
-private:
-  /// Cache-line alignment keeps one shard's mutable table header
-  /// (slot pointer, counts) off every other shard's line during the
-  /// concurrent merge phase.
-  struct alignas(64) Seg {
-    Seg(Backend B, size_t AnnCapacityHint) : D(B, AnnCapacityHint) {}
-    EdgeDedup D;
-  };
-  std::vector<Seg> Segs;
 };
 
 } // namespace rasc

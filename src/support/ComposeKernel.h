@@ -1,24 +1,14 @@
-//===- support/ComposeKernel.h - Vectorizable compose kernels ---*- C++ -*-===//
+//===- support/ComposeKernel.h - Gen/kill compose kernel --------*- C++ -*-===//
 //
 // Part of the RASC project: regularly annotated set constraints.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Composition inner loops shared by the closure and the domains:
-///
-///   * composeMapRow — gather through a hoisted dense composition row
-///     (automata/Monoid.h), one whole adjacency chunk of annotation
-///     ids at a time, written so the compiler's autovectorizer can
-///     have it (a plain index loop over contiguous arrays, no
-///     aliasing, no branches, no calls). The frontier-parallel
-///     workers run this over each chunk before the emit loop,
-///     separating the pure table lookups from the branchy
-///     dedup-probe-and-buffer step.
-///   * genKillCompose — the gen/kill transfer-composition mask
-///     algebra GenKillDomain::compose routes through: gen' = genF |
-///     (genG & ~killF), kill' = (killF | (killG & ~genF)) & ~gen'
-///     (differentially tested in tests/compose_kernel_test.cpp).
+/// The gen/kill transfer-composition mask algebra that
+/// GenKillDomain::compose routes through: gen' = genF | (genG &
+/// ~killF), kill' = (killF | (killG & ~genF)) & ~gen' (differentially
+/// tested in tests/compose_kernel_test.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,16 +19,6 @@
 
 namespace rasc {
 namespace kernel {
-
-/// Out[i] = Row[Anns[i]] for i in [0, N). \p Row is a dense
-/// composition row with one entry per annotation id; the arrays must
-/// not overlap.
-inline void composeMapRow(const uint32_t *__restrict Row,
-                          const uint32_t *__restrict Anns,
-                          uint32_t *__restrict Out, uint32_t N) {
-  for (uint32_t I = 0; I != N; ++I)
-    Out[I] = Row[Anns[I]];
-}
 
 /// A normalized gen/kill transfer pair (Gen & Kill == 0).
 struct GenKillMasks {

@@ -5,15 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small work-stealing thread pool shared by the two parallel
-/// solving tiers (DESIGN.md section 8): the batch solver runs whole
-/// independent solves as pool jobs, and the frontier-parallel closure
-/// runs one round's frontier partitions. Each worker owns a deque;
-/// submission round-robins across the deques, a worker pops its own
-/// back (LIFO, cache-warm), and an idle worker steals another deque's
-/// front (FIFO, the oldest — largest — pending job). Jobs are coarse
-/// (a partition scan or an entire solve), so a mutex per deque costs
-/// noise compared to the work it guards.
+/// A small work-stealing thread pool (DESIGN.md section 8): the batch
+/// solver runs whole independent solves as pool jobs, and rascd runs
+/// one session per worker. Each worker owns a deque; submission
+/// round-robins across the deques, a worker pops its own back (LIFO,
+/// cache-warm), and an idle worker steals another deque's front
+/// (FIFO, the oldest — largest — pending job). Jobs are coarse (an
+/// entire solve or session), so a mutex per deque costs noise
+/// compared to the work it guards.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,37 +102,6 @@ public:
       L.unlock();
       std::rethrow_exception(E);
     }
-  }
-
-  /// Invokes F(0), F(1), ..., F(N-1) concurrently: indices 1..N-1 as
-  /// pool jobs, F(0) inline on the calling thread, then drains the
-  /// pool (rethrowing the first job exception, like waitIdle). The
-  /// building block of the closure's parallel phases — the compute
-  /// partitions and the owner-partitioned shard merges both fan out
-  /// through here. \p F is shared by reference across workers; it
-  /// must be safe to invoke concurrently for distinct indices.
-  template <typename Fn> void parallelFor(size_t N, Fn &&F) {
-    if (N == 0)
-      return;
-    if (N == 1) {
-      F(size_t(0));
-      return;
-    }
-    for (size_t I = 1; I != N; ++I)
-      run([&F, I] { F(I); });
-    try {
-      F(size_t(0));
-    } catch (...) {
-      // The queued jobs capture F by reference: drain before
-      // unwinding past it (a job exception would be dropped in favor
-      // of the in-flight one, matching run()'s first-wins contract).
-      try {
-        waitIdle();
-      } catch (...) {
-      }
-      throw;
-    }
-    waitIdle();
   }
 
   /// waitIdle with a timeout; \returns true when the pool drained

@@ -143,14 +143,13 @@ inline RandomSystem randomSystem(Rng &R) {
 }
 
 /// Renders one differential-test iteration's identity — seed, dedup
-/// backend, thread count, plus any extra context — for gtest failure
-/// output. The randomized tests loop hundreds of (seed, backend,
-/// threads) combinations inside one TEST body; a bare assertion
-/// failure there is unreproducible without this string. Use via
+/// backend, plus any extra context — for gtest failure output. The
+/// randomized tests loop hundreds of (seed, backend) combinations
+/// inside one TEST body; a bare assertion failure there is
+/// unreproducible without this string. Use via
 /// SCOPED_TRACE(seedContext(...)).
 inline std::string seedContext(uint64_t Seed,
                                SolverOptions::DedupBackend Backend,
-                               unsigned Threads = 1,
                                std::string_view Extra = {}) {
   std::string S = "seed " + std::to_string(Seed) + ", dedup ";
   switch (Backend) {
@@ -164,7 +163,6 @@ inline std::string seedContext(uint64_t Seed,
     S += "flatset";
     break;
   }
-  S += ", threads " + std::to_string(Threads);
   if (!Extra.empty()) {
     S += ", ";
     S += Extra;

@@ -29,6 +29,7 @@
 #include <chrono>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
 using namespace rasc;
 
@@ -144,7 +145,7 @@ TEST(SolverStats, PlusEqualsSumsEveryField) {
   A.BudgetChecks = 7;
   A.Interrupts = 1;
   A.Resumes = 1;
-  A.ParallelRounds = 8;
+  A.ProofRecords = 8;
   A.IngestSeconds = 0.5;
   A.ClosureSeconds = 1.5;
   A.FnVarSeconds = 0.25;
@@ -162,7 +163,7 @@ TEST(SolverStats, PlusEqualsSumsEveryField) {
   EXPECT_EQ(A.BudgetChecks, 14u);
   EXPECT_EQ(A.Interrupts, 2u);
   EXPECT_EQ(A.Resumes, 2u);
-  EXPECT_EQ(A.ParallelRounds, 16u);
+  EXPECT_EQ(A.ProofRecords, 16u);
   EXPECT_DOUBLE_EQ(A.IngestSeconds, 1.0);
   EXPECT_DOUBLE_EQ(A.ClosureSeconds, 3.0);
   EXPECT_DOUBLE_EQ(A.FnVarSeconds, 0.5);
@@ -289,6 +290,51 @@ TEST(BatchSolver, CancelAllWakesBlockedSolveAll) {
   std::vector<BatchSolver::Result> Second = Batch.solveAll(Ptrs);
   for (size_t I = 0; I != K; ++I)
     EXPECT_FALSE(BidirectionalSolver::isInterrupted(Second[I].St)) << I;
+}
+
+/// The derived edges of a solve, in arena order, plus its status:
+/// enough to tell two solves of one system apart.
+std::vector<std::tuple<ExprId, ExprId, AnnId>>
+derivedEdges(const BidirectionalSolver &S) {
+  std::vector<std::tuple<ExprId, ExprId, AnnId>> Out;
+  S.forEachDerivedEdge([&](ExprId Src, ExprId Dst, AnnId Ann, bool) {
+    Out.emplace_back(Src, Dst, Ann);
+  });
+  return Out;
+}
+
+TEST(BatchSolver, WidthAboveTaskCountSpawnsOnlyClaimers) {
+  // A configured width far beyond what the host can spawn: the pool
+  // must be sized to the claimers actually run (one per task), not
+  // to the width, or thread creation fails and aborts the process.
+  constexpr size_t K = 2;
+  std::vector<testgen::RandomSystem> Systems;
+  std::vector<std::unique_ptr<BidirectionalSolver>> Solvers;
+  std::vector<BidirectionalSolver *> Ptrs;
+  for (size_t I = 0; I != K; ++I) {
+    Rng R(300 + I);
+    Systems.push_back(testgen::randomSystem(R));
+    Solvers.push_back(
+        std::make_unique<BidirectionalSolver>(*Systems.back().CS));
+    Ptrs.push_back(Solvers.back().get());
+  }
+
+  BatchSolver::Options BO;
+  BO.Threads = 100000;
+  BatchSolver Batch(BO);
+  EXPECT_EQ(Batch.numThreads(), 100000u);
+  std::vector<BatchSolver::Result> Results = Batch.solveAll(Ptrs);
+  ASSERT_EQ(Results.size(), K);
+
+  for (size_t I = 0; I != K; ++I) {
+    Rng R(300 + I);
+    testgen::RandomSystem Sys = testgen::randomSystem(R);
+    BidirectionalSolver Seq(*Sys.CS);
+    EXPECT_EQ(Results[I].St, Seq.solve()) << I;
+    EXPECT_EQ(derivedEdges(*Solvers[I]), derivedEdges(Seq)) << I;
+    EXPECT_EQ(Solvers[I]->stats().ComposeCalls, Seq.stats().ComposeCalls)
+        << I;
+  }
 }
 
 //===----------------------------------------------------------------------===//

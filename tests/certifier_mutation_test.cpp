@@ -186,7 +186,7 @@ SolverOptions optsFor(uint64_t Seed) {
 /// declined (mutation not applicable to this system).
 template <typename Fn>
 bool runMutation(uint64_t Seed, const char *Kind, Fn &&Mutate) {
-  SCOPED_TRACE(testgen::seedContext(Seed, optsFor(Seed).Dedup, 1, Kind));
+  SCOPED_TRACE(testgen::seedContext(Seed, optsFor(Seed).Dedup, Kind));
   Rng R(Seed * 7919 + 17);
   RandomSystem Sys = testgen::randomSystem(R);
   BidirectionalSolver S(*Sys.CS, optsFor(Seed));
@@ -268,8 +268,7 @@ TEST(CertifierMutation, RejectsEveryMutant) {
   // provenance to prove the tail held an obligated edge).
   for (uint64_t Seed = 1; Seed <= NumSeeds; ++Seed) {
     SolverOptions O = optsFor(Seed);
-    SCOPED_TRACE(testgen::seedContext(Seed, O.Dedup, 1,
-                                      "truncate-worklist"));
+    SCOPED_TRACE(testgen::seedContext(Seed, O.Dedup, "truncate-worklist"));
     Rng R(Seed * 7919 + 17);
     RandomSystem Sys = testgen::randomSystem(R);
 

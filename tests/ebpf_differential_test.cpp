@@ -13,7 +13,7 @@
 /// configuration:
 ///
 ///   * 50 generated programs x all three lowerings x both edge-dedup
-///     backends x Threads {1,4}: identical semantic fixpoints;
+///     backends: identical semantic fixpoints;
 ///   * incremental retraction of one constraint after the solve lands
 ///     on the same fixpoint as a fresh build with that constraint
 ///     retracted before the solve, and both pass the independent
@@ -100,11 +100,9 @@ Fixpoint snapshot(const BidirectionalSolver &S, const ConstraintSystem &CS,
 
 /// Incremental-capable options: provenance on, cycle elimination off
 /// so any constraint is a legal retraction target.
-SolverOptions incrementalOptions(SolverOptions::DedupBackend Backend,
-                                 unsigned Threads) {
+SolverOptions incrementalOptions(SolverOptions::DedupBackend Backend) {
   SolverOptions O;
   O.Dedup = Backend;
-  O.Threads = Threads;
   O.Incremental = true;
   O.TrackProvenance = true;
   O.CycleElimination = false;
@@ -226,7 +224,7 @@ Fixpoint freshFixpoint(uint64_t Seed, App A, uint32_t Retract,
 }
 
 //===----------------------------------------------------------------===//
-// The matrix: 50 programs x 3 apps x 2 backends x Threads {1,4},
+// The matrix: 50 programs x 3 apps x 2 backends,
 // solve -> snapshot -> retract -> snapshot-vs-fresh, all certified
 //===----------------------------------------------------------------===//
 
@@ -235,7 +233,7 @@ class EbpfDifferential : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(EbpfDifferential, RetractMatchesFreshAcrossConfigs) {
   const uint64_t Seed = GetParam();
   for (App A : AllApps) {
-    // The reference fixpoint for this seed/app: sequential Bitset.
+    // The reference fixpoint for this seed/app: Bitset dedup.
     std::unique_ptr<Pipeline> Ref = buildPipeline(Seed, A);
     ConstraintSystem &RefCS = Ref->system(A);
     const uint32_t N =
@@ -243,50 +241,47 @@ TEST_P(EbpfDifferential, RetractMatchesFreshAcrossConfigs) {
     ASSERT_GT(N, 0u);
     const uint32_t Retract = static_cast<uint32_t>(Seed % N);
 
-    SolverOptions SeqO =
-        incrementalOptions(SolverOptions::DedupBackend::Bitset, 1);
-    BidirectionalSolver RefS(RefCS, SeqO);
+    SolverOptions RefO =
+        incrementalOptions(SolverOptions::DedupBackend::Bitset);
+    BidirectionalSolver RefS(RefCS, RefO);
     RefS.solve();
     const Fixpoint Expect = snapshot(RefS, RefCS, Ref->domain(A));
 
     for (SolverOptions::DedupBackend Backend :
          {SolverOptions::DedupBackend::Bitset,
           SolverOptions::DedupBackend::FlatSet}) {
-      for (unsigned Threads : {1u, 4u}) {
-        SCOPED_TRACE(std::string(appName(A)) + ", seed " +
-                     std::to_string(Seed) + ", backend " +
-                     (Backend == SolverOptions::DedupBackend::Bitset
-                          ? "bitset"
-                          : "flatset") +
-                     ", threads " + std::to_string(Threads));
-        SolverOptions O = incrementalOptions(Backend, Threads);
-        std::unique_ptr<Pipeline> P = buildPipeline(Seed, A);
-        ConstraintSystem &CS = P->system(A);
-        ASSERT_EQ(CS.constraints().size(), N)
-            << "lowering is not deterministic";
+      SCOPED_TRACE(std::string(appName(A)) + ", seed " +
+                   std::to_string(Seed) + ", backend " +
+                   (Backend == SolverOptions::DedupBackend::Bitset
+                        ? "bitset"
+                        : "flatset"));
+      SolverOptions O = incrementalOptions(Backend);
+      std::unique_ptr<Pipeline> P = buildPipeline(Seed, A);
+      ConstraintSystem &CS = P->system(A);
+      ASSERT_EQ(CS.constraints().size(), N)
+          << "lowering is not deterministic";
 
-        BidirectionalSolver S(CS, O);
-        Status St = S.solve();
-        ASSERT_FALSE(BidirectionalSolver::isInterrupted(St));
-        EXPECT_EQ(snapshot(S, CS, P->domain(A)), Expect)
-            << "pre-retract fixpoint diverged";
-        if (S.status() == Status::Solved) {
-          CertificationReport Rep = certifyFixpoint(S);
-          EXPECT_TRUE(Rep.Ok) << Rep.summary();
-        }
+      BidirectionalSolver S(CS, O);
+      Status St = S.solve();
+      ASSERT_FALSE(BidirectionalSolver::isInterrupted(St));
+      EXPECT_EQ(snapshot(S, CS, P->domain(A)), Expect)
+          << "pre-retract fixpoint diverged";
+      if (S.status() == Status::Solved) {
+        CertificationReport Rep = certifyFixpoint(S);
+        EXPECT_TRUE(Rep.Ok) << Rep.summary();
+      }
 
-        // One-constraint incremental edit vs. a fresh build.
-        ASSERT_FALSE(CS.retract(Retract));
-        Expected<Status> RS = S.retract(Retract);
-        ASSERT_TRUE(RS) << RS.error().render();
-        ASSERT_FALSE(BidirectionalSolver::isInterrupted(*RS));
-        EXPECT_EQ(snapshot(S, CS, P->domain(A)),
-                  freshFixpoint(Seed, A, Retract, O))
-            << "post-retract fixpoint diverged from fresh";
-        if (S.status() == Status::Solved) {
-          CertificationReport Rep = certifyFixpoint(S);
-          EXPECT_TRUE(Rep.Ok) << Rep.summary();
-        }
+      // One-constraint incremental edit vs. a fresh build.
+      ASSERT_FALSE(CS.retract(Retract));
+      Expected<Status> RS = S.retract(Retract);
+      ASSERT_TRUE(RS) << RS.error().render();
+      ASSERT_FALSE(BidirectionalSolver::isInterrupted(*RS));
+      EXPECT_EQ(snapshot(S, CS, P->domain(A)),
+                freshFixpoint(Seed, A, Retract, O))
+          << "post-retract fixpoint diverged from fresh";
+      if (S.status() == Status::Solved) {
+        CertificationReport Rep = certifyFixpoint(S);
+        EXPECT_TRUE(Rep.Ok) << Rep.summary();
       }
     }
   }
@@ -423,7 +418,6 @@ TEST(EbpfPdmcReference, LoopCarriesUncheckedState) {
 TEST(EbpfBatch, PooledSolvesMatchSequential) {
   constexpr uint64_t Seeds[] = {3, 7, 11, 19, 23, 31};
   SolverOptions O;
-  O.Threads = 1; // per task; the pool supplies the parallelism
 
   struct Entry {
     std::unique_ptr<Pipeline> P;

@@ -9,11 +9,9 @@
 /// §11): BidirectionalSolver::retract must land on the *semantic*
 /// fixpoint a fresh solve of the edited system reaches — same status,
 /// same answer to every query, same enumerated terms — across seeded
-/// random systems, both edge-dedup backends, and Threads ∈ {1, 4}
-/// (provenance pins the closure to the sequential path; the parallel
-/// configuration still exercises the sharded dedup erase). Work
-/// counters are deliberately *not* compared: a delta re-solve reuses
-/// surviving derivations, so it composes less than a fresh run.
+/// random systems and both edge-dedup backends. Work counters are
+/// deliberately *not* compared: a delta re-solve reuses surviving
+/// derivations, so it composes less than a fresh run.
 ///
 /// Also here: the retract() precondition diagnostics (and that a
 /// rejected call leaves the solver unchanged, so resetToFresh() is a
@@ -105,11 +103,9 @@ Fixpoint semantics(const BidirectionalSolver &S, const ConstraintSystem &CS,
 /// elimination is off so *any* constraint is a legal retraction
 /// target (retract() rejects un-merging a collapsed identity cycle);
 /// the gate itself is covered separately below.
-SolverOptions incrementalOptions(SolverOptions::DedupBackend Backend,
-                                 unsigned Threads) {
+SolverOptions incrementalOptions(SolverOptions::DedupBackend Backend) {
   SolverOptions O;
   O.Dedup = Backend;
-  O.Threads = Threads;
   O.Incremental = true;
   O.TrackProvenance = true;
   O.CycleElimination = false;
@@ -140,44 +136,41 @@ TEST_P(IncrementalDifferential, RetractMatchesFreshSolve) {
   for (SolverOptions::DedupBackend Backend :
        {SolverOptions::DedupBackend::Bitset,
         SolverOptions::DedupBackend::FlatSet}) {
-    for (unsigned Threads : {1u, 4u}) {
-      SCOPED_TRACE(
-          testgen::seedContext(Seed, Backend, Threads, "incremental"));
-      Rng R(Seed);
-      testgen::RandomSystem Sys = testgen::randomSystem(R);
-      const uint32_t N =
-          static_cast<uint32_t>(Sys.CS->constraints().size());
-      SolverOptions O = incrementalOptions(Backend, Threads);
-      BidirectionalSolver S(*Sys.CS, O);
-      Status St = S.solve();
-      ASSERT_FALSE(BidirectionalSolver::isInterrupted(St));
+    SCOPED_TRACE(testgen::seedContext(Seed, Backend, "incremental"));
+    Rng R(Seed);
+    testgen::RandomSystem Sys = testgen::randomSystem(R);
+    const uint32_t N =
+        static_cast<uint32_t>(Sys.CS->constraints().size());
+    SolverOptions O = incrementalOptions(Backend);
+    BidirectionalSolver S(*Sys.CS, O);
+    Status St = S.solve();
+    ASSERT_FALSE(BidirectionalSolver::isInterrupted(St));
 
-      // Two successive single-constraint edits — the second retract
-      // runs on an already-compacted arena, covering the post-retract
-      // index rebuild.
-      uint32_t First = static_cast<uint32_t>(Seed % N);
-      uint32_t Second = static_cast<uint32_t>((Seed / 3 + 7) % N);
-      std::vector<uint32_t> Flagged;
-      for (uint32_t Idx : {First, Second}) {
-        if (std::find(Flagged.begin(), Flagged.end(), Idx) !=
-            Flagged.end())
-          continue;
-        SCOPED_TRACE("retract " + std::to_string(Idx));
-        ASSERT_FALSE(Sys.CS->retract(Idx));
-        Flagged.push_back(Idx);
-        Expected<Status> RS = S.retract(Idx);
-        ASSERT_TRUE(RS) << RS.error().render();
-        ASSERT_FALSE(BidirectionalSolver::isInterrupted(*RS));
+    // Two successive single-constraint edits — the second retract
+    // runs on an already-compacted arena, covering the post-retract
+    // index rebuild.
+    uint32_t First = static_cast<uint32_t>(Seed % N);
+    uint32_t Second = static_cast<uint32_t>((Seed / 3 + 7) % N);
+    std::vector<uint32_t> Flagged;
+    for (uint32_t Idx : {First, Second}) {
+      if (std::find(Flagged.begin(), Flagged.end(), Idx) !=
+          Flagged.end())
+        continue;
+      SCOPED_TRACE("retract " + std::to_string(Idx));
+      ASSERT_FALSE(Sys.CS->retract(Idx));
+      Flagged.push_back(Idx);
+      Expected<Status> RS = S.retract(Idx);
+      ASSERT_TRUE(RS) << RS.error().render();
+      ASSERT_FALSE(BidirectionalSolver::isInterrupted(*RS));
 
-        EXPECT_EQ(semantics(S, *Sys.CS, *Sys.Dom),
-                  freshFixpoint(Seed, Flagged, O));
-        if (S.status() == Status::Solved) {
-          CertificationReport Rep = certifyFixpoint(S);
-          EXPECT_TRUE(Rep.Ok) << Rep.summary();
-        }
+      EXPECT_EQ(semantics(S, *Sys.CS, *Sys.Dom),
+                freshFixpoint(Seed, Flagged, O));
+      if (S.status() == Status::Solved) {
+        CertificationReport Rep = certifyFixpoint(S);
+        EXPECT_TRUE(Rep.Ok) << Rep.summary();
       }
-      EXPECT_EQ(S.stats().Retractions, Flagged.size());
     }
+    EXPECT_EQ(S.stats().Retractions, Flagged.size());
   }
 }
 
@@ -192,8 +185,7 @@ TEST(IncrementalDrain, RetractEverythingLeavesNothing) {
     SCOPED_TRACE("seed " + std::to_string(Seed));
     Rng R(Seed);
     testgen::RandomSystem Sys = testgen::randomSystem(R);
-    SolverOptions O =
-        incrementalOptions(SolverOptions::DedupBackend::FlatSet, 1);
+    SolverOptions O = incrementalOptions(SolverOptions::DedupBackend::FlatSet);
     BidirectionalSolver S(*Sys.CS, O);
     ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
     const uint32_t N = static_cast<uint32_t>(Sys.CS->constraints().size());
@@ -241,8 +233,7 @@ TEST(RetractDiags, RequiresIncrementalOptionsFromFirstSolve) {
 TEST(RetractDiags, RequiresSystemFlagFirst) {
   Rng R(4);
   testgen::RandomSystem Sys = testgen::randomSystem(R);
-  SolverOptions O =
-      incrementalOptions(SolverOptions::DedupBackend::Bitset, 1);
+  SolverOptions O = incrementalOptions(SolverOptions::DedupBackend::Bitset);
   BidirectionalSolver S(*Sys.CS, O);
   S.solve();
   Fixpoint Before = semantics(S, *Sys.CS, *Sys.Dom);
@@ -255,8 +246,7 @@ TEST(RetractDiags, RequiresSystemFlagFirst) {
 TEST(RetractDiags, OutOfRangeIndex) {
   Rng R(5);
   testgen::RandomSystem Sys = testgen::randomSystem(R);
-  SolverOptions O =
-      incrementalOptions(SolverOptions::DedupBackend::Bitset, 1);
+  SolverOptions O = incrementalOptions(SolverOptions::DedupBackend::Bitset);
   BidirectionalSolver S(*Sys.CS, O);
   S.solve();
   Expected<Status> RS = S.retract(1u << 20);
@@ -277,8 +267,7 @@ TEST(RetractDiags, DoubleRetractRejectedBySystem) {
 TEST(RetractDiags, RejectedWhileInterruptedThenWorksAfterResume) {
   Rng R(7);
   testgen::RandomSystem Sys = testgen::randomSystem(R);
-  SolverOptions O =
-      incrementalOptions(SolverOptions::DedupBackend::FlatSet, 1);
+  SolverOptions O = incrementalOptions(SolverOptions::DedupBackend::FlatSet);
   O.MaxEdges = 2;
   BidirectionalSolver S(*Sys.CS, O);
   Status St = S.solve();
@@ -296,7 +285,7 @@ TEST(RetractDiags, RejectedWhileInterruptedThenWorksAfterResume) {
   Expected<Status> RS2 = S.retract(0);
   ASSERT_TRUE(RS2) << RS2.error().render();
   SolverOptions FreshO =
-      incrementalOptions(SolverOptions::DedupBackend::FlatSet, 1);
+      incrementalOptions(SolverOptions::DedupBackend::FlatSet);
   std::vector<uint32_t> Flagged = {0};
   EXPECT_EQ(semantics(S, *Sys.CS, *Sys.Dom),
             freshFixpoint(7, Flagged, FreshO));
@@ -365,8 +354,7 @@ TEST(RetractDiags, CollapsedIdentityCycleGated) {
 TEST(RetractDiags, NeverIngestedIndexIsJustASolve) {
   Rng R(9);
   testgen::RandomSystem Sys = testgen::randomSystem(R);
-  SolverOptions O =
-      incrementalOptions(SolverOptions::DedupBackend::Bitset, 1);
+  SolverOptions O = incrementalOptions(SolverOptions::DedupBackend::Bitset);
   BidirectionalSolver S(*Sys.CS, O);
   ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
   Fixpoint Before = semantics(S, *Sys.CS, *Sys.Dom);
@@ -494,8 +482,7 @@ TEST(IncrementalMemory, RetractionIndexesAreAccounted) {
   Plain.solve();
   Rng R2(19);
   testgen::RandomSystem Sys2 = testgen::randomSystem(R2);
-  SolverOptions O =
-      incrementalOptions(SolverOptions::DedupBackend::Bitset, 1);
+  SolverOptions O = incrementalOptions(SolverOptions::DedupBackend::Bitset);
   O.CycleElimination = true; // match Plain's defaults otherwise
   BidirectionalSolver Inc(*Sys2.CS, O);
   Inc.solve();

@@ -1,43 +1,29 @@
-//===- tests/parallel_differential_test.cpp - Parallel closure --*- C++ -*-===//
+//===- tests/parallel_differential_test.cpp - Batch solve pool --*- C++ -*-===//
 //
 // Part of the RASC project: regularly annotated set constraints.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Differential tests of the frontier-parallel closure and the batch
-/// solve pool (DESIGN.md §8): the closure is confluent, so a solve
-/// with any thread count must reach the *identical* fixpoint as the
-/// sequential run — same status, same edge / composition / drop
-/// counts, same answer to every query, same enumerated terms. Runs
-/// over seeded random systems (both edge-dedup backends,
-/// Threads ∈ {1,2,4,8}, with ParallelFrontierThreshold = 1 so even
-/// tiny frontiers go through the round machinery) and over constraint
-/// systems generated by all three applications. The sharded suites
-/// additionally sweep MergeShards (below / at / above the worker
-/// count) in exact mode, and check RelaxedParallelStats runs against
-/// the sequential fixpoint with only ComposeCalls / EdgesDropped
-/// allowed to drift — every relaxed fixpoint must also pass the
-/// independent Certifier. Also covers
-/// interrupt-then-resume under the pool: tasks stopped by the shared
-/// batch deadline or the aggregate memory budget resume to the same
-/// fixpoint a dedicated sequential solve reaches.
+/// Differential tests of the batch solve pool (DESIGN.md §8), the one
+/// parallel mode: independent systems solved concurrently on one pool
+/// must each reach the *identical* fixpoint a dedicated sequential
+/// solve reaches — same status, same edge / composition / drop
+/// counts, same answer to every query, same enumerated terms. Also
+/// covers interrupt-then-resume under the pool: tasks stopped by the
+/// shared batch deadline or the aggregate memory budget resume to the
+/// same fixpoint a dedicated sequential solve reaches.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestSystems.h"
 #include "core/BatchSolver.h"
-#include "core/Certifier.h"
 #include "core/GroundTerm.h"
-#include "dataflow/BitVector.h"
-#include "flow/Analysis.h"
-#include "pdmc/Checker.h"
-#include "progen/ProgramGen.h"
-#include "spec/SpecParser.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,9 +33,7 @@ namespace {
 
 using Status = BidirectionalSolver::Status;
 
-constexpr unsigned ThreadCounts[] = {2, 4, 8};
-
-/// Everything we compare between a sequential and a parallel solve.
+/// Everything we compare between a dedicated and a pooled solve.
 /// Annotation classes and expressions are rendered to strings so the
 /// comparison is semantic: a lazily-interning domain (e.g.
 /// GenKillDomain) may hand out different AnnIds under a different
@@ -121,286 +105,6 @@ Fixpoint snapshot(const BidirectionalSolver &S, const ConstraintSystem &CS,
   return F;
 }
 
-/// Solves \p CS sequentially, then with every parallel thread count,
-/// and checks that every run lands on the same fixpoint.
-void checkParallelMatchesSequential(const ConstraintSystem &CS,
-                                    const AnnotationDomain &D,
-                                    SolverOptions Base,
-                                    const std::string &Ctx) {
-  SolverOptions Seq = Base;
-  Seq.Threads = 1;
-  BidirectionalSolver S0(CS, Seq);
-  S0.solve();
-  Fixpoint Expect = snapshot(S0, CS, D);
-
-  for (unsigned T : ThreadCounts) {
-    SolverOptions O = Base;
-    O.Threads = T;
-    O.ParallelFrontierThreshold = 1; // force rounds on tiny systems
-    BidirectionalSolver S(CS, O);
-    S.solve();
-    Fixpoint Got = snapshot(S, CS, D);
-    std::string C = Ctx + ", threads " + std::to_string(T);
-    EXPECT_EQ(Got.St, Expect.St) << C;
-    EXPECT_EQ(Got.Edges, Expect.Edges) << C;
-    EXPECT_EQ(Got.Compose, Expect.Compose) << C;
-    EXPECT_EQ(Got.Dropped, Expect.Dropped) << C;
-    EXPECT_EQ(Got.Decompose, Expect.Decompose) << C;
-    EXPECT_EQ(Got.Projections, Expect.Projections) << C;
-    EXPECT_EQ(Got.Entails, Expect.Entails) << C;
-    EXPECT_EQ(Got.ConstAnns, Expect.ConstAnns) << C;
-    EXPECT_EQ(Got.Succs, Expect.Succs) << C;
-    EXPECT_EQ(Got.Lower, Expect.Lower) << C;
-    EXPECT_EQ(Got.Terms, Expect.Terms) << C;
-    if (Expect.Edges > 4)
-      EXPECT_GT(S.stats().ParallelRounds, 0u)
-          << C << ": parallel path never engaged";
-  }
-}
-
-void checkBothBackends(const ConstraintSystem &CS,
-                       const AnnotationDomain &D, uint64_t Seed) {
-  for (SolverOptions::DedupBackend Backend :
-       {SolverOptions::DedupBackend::Bitset,
-        SolverOptions::DedupBackend::FlatSet}) {
-    SolverOptions Base;
-    Base.Dedup = Backend;
-    std::string Ctx = testgen::seedContext(Seed, Backend);
-    checkParallelMatchesSequential(CS, D, Base, Ctx);
-  }
-}
-
-/// (Threads, MergeShards) pairs exercised by the sharded-merge matrix:
-/// shards below, equal to, and above the worker count, plus the
-/// degenerate single-shard and single-thread corners. A Threads == 1
-/// entry checks that a sharded dedup alone (no parallel rounds) is
-/// representation-transparent.
-struct ShardConfig {
-  unsigned Threads;
-  unsigned Shards;
-};
-constexpr ShardConfig ShardConfigs[] = {{1, 4}, {2, 1}, {2, 4}, {4, 2},
-                                        {4, 4}, {4, 8}, {8, 8}};
-
-/// Sharded exact mode: every (Threads, MergeShards) combination must
-/// land on the bit-identical fixpoint — stats included.
-void checkShardedMatchesSequential(const ConstraintSystem &CS,
-                                   const AnnotationDomain &D,
-                                   SolverOptions Base,
-                                   const std::string &Ctx) {
-  SolverOptions Seq = Base;
-  Seq.Threads = 1;
-  BidirectionalSolver S0(CS, Seq);
-  S0.solve();
-  Fixpoint Expect = snapshot(S0, CS, D);
-
-  for (ShardConfig C : ShardConfigs) {
-    SolverOptions O = Base;
-    O.Threads = C.Threads;
-    O.MergeShards = C.Shards;
-    O.ParallelFrontierThreshold = 1;
-    BidirectionalSolver S(CS, O);
-    S.solve();
-    Fixpoint Got = snapshot(S, CS, D);
-    EXPECT_EQ(Got, Expect) << Ctx << ", threads " << C.Threads
-                           << ", shards " << C.Shards;
-  }
-}
-
-/// Relaxed mode: the fixpoint (status, edge set, every query answer)
-/// and the schedule-independent counters must still match the
-/// sequential run exactly; only ComposeCalls and EdgesDropped may
-/// drift, because relaxed workers scan full adjacency degrees (a
-/// superset of the exact per-round schedule) and re-derive some edges
-/// the exact schedule claims elsewhere. Every relaxed fixpoint must
-/// additionally pass the independent Certifier.
-void checkRelaxedMatchesSequential(const ConstraintSystem &CS,
-                                   const AnnotationDomain &D,
-                                   SolverOptions Base,
-                                   const std::string &Ctx) {
-  SolverOptions Seq = Base;
-  Seq.Threads = 1;
-  BidirectionalSolver S0(CS, Seq);
-  S0.solve();
-  Fixpoint Expect = snapshot(S0, CS, D);
-
-  for (ShardConfig C : ShardConfigs) {
-    if (C.Threads == 1)
-      continue; // relaxed mode is a no-op without parallel rounds
-    SolverOptions O = Base;
-    O.Threads = C.Threads;
-    O.MergeShards = C.Shards;
-    O.ParallelFrontierThreshold = 1;
-    O.RelaxedParallelStats = true;
-    BidirectionalSolver S(CS, O);
-    S.solve();
-    Fixpoint Got = snapshot(S, CS, D);
-    std::string Cx = Ctx + ", relaxed threads " + std::to_string(C.Threads) +
-                     ", shards " + std::to_string(C.Shards);
-    EXPECT_EQ(Got.St, Expect.St) << Cx;
-    EXPECT_EQ(Got.Edges, Expect.Edges) << Cx;
-    EXPECT_EQ(Got.Decompose, Expect.Decompose) << Cx;
-    EXPECT_EQ(Got.Projections, Expect.Projections) << Cx;
-    EXPECT_EQ(Got.Useless, Expect.Useless) << Cx;
-    EXPECT_EQ(Got.Entails, Expect.Entails) << Cx;
-    EXPECT_EQ(Got.ConstAnns, Expect.ConstAnns) << Cx;
-    EXPECT_EQ(Got.Succs, Expect.Succs) << Cx;
-    EXPECT_EQ(Got.Lower, Expect.Lower) << Cx;
-    EXPECT_EQ(Got.Terms, Expect.Terms) << Cx;
-    if (S.status() == Status::Solved) {
-      CertificationReport Rep = certifyFixpoint(S);
-      EXPECT_TRUE(Rep.Ok) << Cx << "\n" << Rep.summary();
-    }
-  }
-}
-
-class ParallelDifferential : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ParallelDifferential, RandomSystems) {
-  Rng R(GetParam());
-  testgen::RandomSystem Sys = testgen::randomSystem(R);
-  checkBothBackends(*Sys.CS, *Sys.Dom, GetParam());
-}
-
-// 59 seeds, matching the other differential suites.
-INSTANTIATE_TEST_SUITE_P(RandomSeeds, ParallelDifferential,
-                         ::testing::Range(uint64_t(1), uint64_t(60)));
-
-//===----------------------------------------------------------------------===//
-// Sharded merge: owner-partitioned dedup, exact and relaxed modes
-//===----------------------------------------------------------------------===//
-
-class ShardedParallelDifferential
-    : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ShardedParallelDifferential, ExactStats) {
-  Rng R(GetParam());
-  testgen::RandomSystem Sys = testgen::randomSystem(R);
-  for (SolverOptions::DedupBackend Backend :
-       {SolverOptions::DedupBackend::Bitset,
-        SolverOptions::DedupBackend::FlatSet}) {
-    SolverOptions Base;
-    Base.Dedup = Backend;
-    checkShardedMatchesSequential(
-        *Sys.CS, *Sys.Dom, Base, testgen::seedContext(GetParam(), Backend));
-  }
-}
-
-TEST_P(ShardedParallelDifferential, RelaxedStats) {
-  Rng R(GetParam());
-  testgen::RandomSystem Sys = testgen::randomSystem(R);
-  for (SolverOptions::DedupBackend Backend :
-       {SolverOptions::DedupBackend::Bitset,
-        SolverOptions::DedupBackend::FlatSet}) {
-    SolverOptions Base;
-    Base.Dedup = Backend;
-    checkRelaxedMatchesSequential(
-        *Sys.CS, *Sys.Dom, Base, testgen::seedContext(GetParam(), Backend));
-  }
-}
-
-// Same 59-seed corpus as the exact suite above.
-INSTANTIATE_TEST_SUITE_P(RandomSeeds, ShardedParallelDifferential,
-                         ::testing::Range(uint64_t(1), uint64_t(60)));
-
-/// GenKillDomain has no dense compose rows, so in relaxed mode every
-/// composition still funnels through the sequential epilogue — but the
-/// epilogue's null-row scans run to degree-at-epilogue-time rather
-/// than the pre-round limit. This covers that divergence specifically.
-TEST(ShardedParallelDifferentialApps, RelaxedGenKill) {
-  for (uint64_t Seed = 1; Seed != 5; ++Seed) {
-    ProgGenOptions PG;
-    PG.Seed = Seed ^ 0xdf;
-    PG.NumFunctions = 3;
-    PG.StmtsPerFunction = 6;
-    Program Prog = generateProgram(PG);
-
-    Rng R(Seed);
-    BitVectorProblem Prob(Prog, 3);
-    for (StmtId S = 0; S != Prog.numStatements(); ++S) {
-      if (R.chance(1, 4))
-        Prob.setGen(S, static_cast<unsigned>(R.below(3)));
-      if (R.chance(1, 5))
-        Prob.setKill(S, static_cast<unsigned>(R.below(3)));
-    }
-    AnnotatedBitVectorAnalysis A(Prob);
-    A.prepare();
-    SolverOptions Base;
-    checkRelaxedMatchesSequential(A.system(), A.system().domain(), Base,
-                                  "genkill seed " + std::to_string(Seed));
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Application-generated systems
-//===----------------------------------------------------------------------===//
-
-class AppParallelDifferential : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(AppParallelDifferential, PdmcChecker) {
-  const char *SpecText = R"(
-    start state Unpriv : | seteuid_zero -> Priv;
-    state Priv : | seteuid_nonzero -> Unpriv | execl -> Error;
-    accept state Error;
-  )";
-  Expected<SpecAutomaton> Spec = parseSpecEx(SpecText);
-  ASSERT_TRUE(Spec);
-
-  ProgGenOptions PG;
-  PG.Seed = GetParam();
-  PG.NumFunctions = 3;
-  PG.StmtsPerFunction = 8;
-  PG.OpSymbols = {"seteuid_zero", "seteuid_nonzero", "execl"};
-  Program Prog = generateProgram(PG);
-
-  RascChecker Checker(Prog, *Spec);
-  Checker.prepare(); // builds the constraint system, no solve
-  checkBothBackends(Checker.system(), Checker.system().domain(),
-                    GetParam());
-}
-
-TEST_P(AppParallelDifferential, DataflowBitVector) {
-  ProgGenOptions PG;
-  PG.Seed = GetParam() ^ 0xdf;
-  PG.NumFunctions = 3;
-  PG.StmtsPerFunction = 6;
-  Program Prog = generateProgram(PG);
-
-  Rng R(GetParam());
-  BitVectorProblem Prob(Prog, 3);
-  for (StmtId S = 0; S != Prog.numStatements(); ++S) {
-    if (R.chance(1, 4))
-      Prob.setGen(S, static_cast<unsigned>(R.below(3)));
-    if (R.chance(1, 5))
-      Prob.setKill(S, static_cast<unsigned>(R.below(3)));
-  }
-  AnnotatedBitVectorAnalysis A(Prob);
-  A.prepare();
-  // GenKillDomain has no dense compose table, so every composition
-  // funnels through the sequential merge phase — exercises the
-  // null-row deferral.
-  checkBothBackends(A.system(), A.system().domain(), GetParam());
-}
-
-TEST_P(AppParallelDifferential, FlowAnalysis) {
-  const char *Source = R"(
-    pair (y : int) : (int, int) = (1, y);
-    swap (p : (int, int)) : (int, int) = (p.2, p.1);
-    main (z : int) : int = swap(pair(z)).1;
-  )";
-  std::string Err;
-  std::optional<FlowProgram> P = FlowProgram::parse(Source, &Err);
-  ASSERT_TRUE(P) << Err;
-
-  for (FlowMode Mode : {FlowMode::Primal, FlowMode::Dual}) {
-    FlowAnalysis FA(*P, Mode);
-    checkBothBackends(FA.system(), FA.domain(), GetParam());
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, AppParallelDifferential,
-                         ::testing::Range(uint64_t(1), uint64_t(9)));
-
 //===----------------------------------------------------------------------===//
 // Batch pool: concurrent independent solves, shared governance,
 // interrupt-then-resume
@@ -434,17 +138,13 @@ TEST_P(BatchDifferential, PoolMatchesSequential) {
     }
   }
 
-  // The same systems, solved concurrently on one pool — with the
-  // frontier-parallel mode nested inside each task as well.
+  // The same systems, solved concurrently on one pool.
   std::vector<testgen::RandomSystem> Systems =
       makeSystems(GetParam() * 100, K);
   std::vector<std::unique_ptr<BidirectionalSolver>> Solvers;
   std::vector<BidirectionalSolver *> Ptrs;
   for (testgen::RandomSystem &Sys : Systems) {
-    SolverOptions O;
-    O.Threads = 2;
-    O.ParallelFrontierThreshold = 1;
-    Solvers.push_back(std::make_unique<BidirectionalSolver>(*Sys.CS, O));
+    Solvers.push_back(std::make_unique<BidirectionalSolver>(*Sys.CS));
     Ptrs.push_back(Solvers.back().get());
   }
   BatchSolver::Options BO;

@@ -101,35 +101,28 @@ testgen::RandomSystem smallSystem() {
 
 } // namespace
 
-// The tentpole acceptance gate: every corpus log validates, under
-// both dedup layouts and with the parallel option set (proof logging
-// pins the sequential closure path, but the option must compose).
-TEST_F(ProofLogTest, CorpusValidatesAcrossBackendsAndThreads) {
+// The acceptance gate: every corpus log validates, under both dedup
+// layouts.
+TEST_F(ProofLogTest, CorpusValidatesAcrossBackends) {
   const std::string Path = tempPath("corpus.rprf");
   for (uint64_t Seed = 0; Seed != 59; ++Seed) {
     for (auto Backend : {SolverOptions::DedupBackend::Bitset,
                          SolverOptions::DedupBackend::FlatSet}) {
-      for (unsigned Threads : {1u, 4u}) {
-        SCOPED_TRACE(testgen::seedContext(Seed, Backend, Threads));
-        Rng R(Seed * 7919 + 17);
-        testgen::RandomSystem Sys = testgen::randomSystem(R);
-        SolverOptions O;
-        O.Dedup = Backend;
-        O.Threads = Threads;
-        O.ProofLogPath = Path;
-        BidirectionalSolver S(*Sys.CS, O);
-        Status St = S.solve();
-        ASSERT_FALSE(S.lastProofDiag())
-            << S.lastProofDiag()->render();
-        rasccheck::CheckResult C = check(Path);
-        EXPECT_TRUE(C.ok()) << C.Message;
-        EXPECT_EQ(C.ExitCode,
-                  St == Status::Inconsistent ? 1 : 0)
-            << C.Message;
-        // The log accounts for every inserted edge: the checker's
-        // edge+conflict tally matches the solver's dedup-fresh count.
-        EXPECT_EQ(C.Edges + C.Conflicts, S.stats().EdgesInserted);
-      }
+      SCOPED_TRACE(testgen::seedContext(Seed, Backend));
+      Rng R(Seed * 7919 + 17);
+      testgen::RandomSystem Sys = testgen::randomSystem(R);
+      SolverOptions O;
+      O.Dedup = Backend;
+      O.ProofLogPath = Path;
+      BidirectionalSolver S(*Sys.CS, O);
+      Status St = S.solve();
+      ASSERT_FALSE(S.lastProofDiag()) << S.lastProofDiag()->render();
+      rasccheck::CheckResult C = check(Path);
+      EXPECT_TRUE(C.ok()) << C.Message;
+      EXPECT_EQ(C.ExitCode, St == Status::Inconsistent ? 1 : 0) << C.Message;
+      // The log accounts for every inserted edge: the checker's
+      // edge+conflict tally matches the solver's dedup-fresh count.
+      EXPECT_EQ(C.Edges + C.Conflicts, S.stats().EdgesInserted);
     }
   }
   std::remove(Path.c_str());

@@ -172,7 +172,7 @@ void checkAllInterrupts(const ConstraintSystem &CS, uint64_t Seed) {
     unsigned Interrupted = 0;
     for (Interrupt K : AllInterrupts) {
       std::string Ctx = testgen::seedContext(
-          Seed, Backend, 1, std::string("interrupt ") + interruptName(K));
+          Seed, Backend, std::string("interrupt ") + interruptName(K));
       Interrupted += checkInterruptedResume(CS, Base, K, N, Expect, Ctx);
     }
     // Guard against a vacuous pass: once the closure pops more edges

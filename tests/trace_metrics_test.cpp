@@ -14,10 +14,9 @@
 ///    solver's known event names appear.
 ///  * The non-perturbation differential — solving with tracing and
 ///    metrics enabled must produce the bit-identical fixpoint and
-///    integer SolverStats as solving with them disabled, across seeds,
-///    both dedup backends, and sequential/parallel closure. This is
-///    the observability layer's core contract: it observes, never
-///    steers. (Wall-clock stats fields are excluded — they are
+///    integer SolverStats as solving with them disabled, across seeds
+///    and both dedup backends. This is the observability layer's core
+///    contract: it observes, never steers. (Wall-clock stats fields are excluded — they are
 ///    genuinely nondeterministic.)
 ///  * MetricsRegistry unit behavior — counters, gauges, log2-bucket
 ///    histograms, snapshot consistency, reset, JSON shape.
@@ -357,14 +356,12 @@ SolveImage solveImage(const ConstraintSystem &CS, SolverOptions O) {
   for (const SolvedEdge &C : S.conflicts())
     Img.Conflicts.emplace_back(C.Src, C.Dst, C.Ann);
   const SolverStats &St = S.stats();
-  // Every integer field; the wall-clock Seconds fields are excluded
-  // (and parallel stats are compared too — thread counts match across
-  // the A/B legs).
+  // Every integer field; the wall-clock Seconds fields are excluded.
   Img.IntStats = {St.EdgesInserted,   St.EdgesDropped, St.UselessFiltered,
                   St.ComposeCalls,    St.DecomposeSteps,
                   St.ProjectionSteps, St.FnVarConstraints,
                   St.CollapsedVars,   St.BudgetChecks, St.Interrupts,
-                  St.Resumes,         St.ParallelRounds};
+                  St.Resumes};
   return Img;
 }
 
@@ -376,27 +373,23 @@ TEST(TraceDifferential, TracingDoesNotPerturbFixpoints) {
     for (SolverOptions::DedupBackend Backend :
          {SolverOptions::DedupBackend::Bitset,
           SolverOptions::DedupBackend::FlatSet}) {
-      for (unsigned Threads : {1u, 4u}) {
-        SCOPED_TRACE(testgen::seedContext(Seed, Backend, Threads));
-        SolverOptions O;
-        O.Dedup = Backend;
-        O.Threads = Threads;
-        O.ParallelFrontierThreshold = 1;
+      SCOPED_TRACE(testgen::seedContext(Seed, Backend));
+      SolverOptions O;
+      O.Dedup = Backend;
 
-        trace::setEnabled(false);
-        observe::setMetricsEnabled(false);
-        SolveImage Off = solveImage(*Sys.CS, O);
+      trace::setEnabled(false);
+      observe::setMetricsEnabled(false);
+      SolveImage Off = solveImage(*Sys.CS, O);
 
-        trace::clear();
-        trace::setEnabled(true);
-        observe::setMetricsEnabled(true);
-        SolveImage On = solveImage(*Sys.CS, O);
-        trace::setEnabled(false);
-        observe::setMetricsEnabled(false);
+      trace::clear();
+      trace::setEnabled(true);
+      observe::setMetricsEnabled(true);
+      SolveImage On = solveImage(*Sys.CS, O);
+      trace::setEnabled(false);
+      observe::setMetricsEnabled(false);
 
-        EXPECT_TRUE(Off == On)
-            << "tracing/metrics changed the fixpoint or the stats";
-      }
+      EXPECT_TRUE(Off == On)
+          << "tracing/metrics changed the fixpoint or the stats";
     }
   }
 }
