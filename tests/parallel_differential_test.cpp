@@ -9,7 +9,10 @@
 /// parallel mode: independent systems solved concurrently on one pool
 /// must each reach the *identical* fixpoint a dedicated sequential
 /// solve reaches — same status, same edge / composition / drop
-/// counts, same answer to every query, same enumerated terms. Also
+/// counts, same answer to every query, same enumerated terms. Runs
+/// over seeded random systems (both edge-dedup backends, several
+/// fresh builds of one system solved side by side) and over
+/// constraint systems generated by all three applications. Also
 /// covers interrupt-then-resume under the pool: tasks stopped by the
 /// shared batch deadline or the aggregate memory budget resume to the
 /// same fixpoint a dedicated sequential solve reaches.
@@ -19,11 +22,18 @@
 #include "TestSystems.h"
 #include "core/BatchSolver.h"
 #include "core/GroundTerm.h"
+#include "dataflow/BitVector.h"
+#include "flow/Analysis.h"
+#include "pdmc/Checker.h"
+#include "progen/ProgramGen.h"
+#include "spec/SpecParser.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -104,6 +114,182 @@ Fixpoint snapshot(const BidirectionalSolver &S, const ConstraintSystem &CS,
   }
   return F;
 }
+
+/// One build of a constraint system and the domain that renders its
+/// annotations.
+struct Instance {
+  const ConstraintSystem *CS;
+  const AnnotationDomain *D;
+};
+
+constexpr unsigned PoolThreads = 4;
+
+/// \p Copies are fresh builds of one system (concurrent solves need
+/// distinct ConstraintSystems). Solves the first on its own, then all
+/// of them concurrently on a batch pool, and checks that every pooled
+/// solve lands on the dedicated fixpoint.
+void checkPoolMatchesSequential(std::span<const Instance> Copies,
+                                SolverOptions Base, const std::string &Ctx) {
+  BidirectionalSolver S0(*Copies[0].CS, Base);
+  S0.solve();
+  Fixpoint Expect = snapshot(S0, *Copies[0].CS, *Copies[0].D);
+
+  std::vector<std::unique_ptr<BidirectionalSolver>> Solvers;
+  std::vector<BidirectionalSolver *> Ptrs;
+  for (const Instance &I : Copies) {
+    Solvers.push_back(std::make_unique<BidirectionalSolver>(*I.CS, Base));
+    Ptrs.push_back(Solvers.back().get());
+  }
+  BatchSolver::Options BO;
+  BO.Threads = PoolThreads;
+  BatchSolver Batch(BO);
+  std::vector<BatchSolver::Result> Results = Batch.solveAll(Ptrs);
+  ASSERT_EQ(Results.size(), Copies.size()) << Ctx;
+  for (size_t I = 0; I != Copies.size(); ++I) {
+    EXPECT_EQ(Results[I].St, Expect.St) << Ctx << ", task " << I;
+    EXPECT_EQ(snapshot(*Solvers[I], *Copies[I].CS, *Copies[I].D), Expect)
+        << Ctx << ", task " << I;
+  }
+}
+
+/// Runs checkPoolMatchesSequential under both dedup backends.
+/// \p Build(N) returns N fresh builds of the system under test.
+void checkBothBackends(
+    const std::function<std::vector<Instance>(size_t)> &Build,
+    uint64_t Seed) {
+  for (SolverOptions::DedupBackend Backend :
+       {SolverOptions::DedupBackend::Bitset,
+        SolverOptions::DedupBackend::FlatSet}) {
+    SolverOptions Base;
+    Base.Dedup = Backend;
+    std::vector<Instance> Copies = Build(PoolThreads);
+    checkPoolMatchesSequential(Copies, Base,
+                               testgen::seedContext(Seed, Backend));
+  }
+}
+
+class ParallelDifferential : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ParallelDifferential, RandomSystems) {
+  std::vector<testgen::RandomSystem> Systems;
+  checkBothBackends(
+      [&](size_t N) {
+        Systems.clear();
+        std::vector<Instance> Out;
+        for (size_t I = 0; I != N; ++I) {
+          Rng R(GetParam());
+          Systems.push_back(testgen::randomSystem(R));
+          Out.push_back({Systems.back().CS.get(), Systems.back().Dom.get()});
+        }
+        return Out;
+      },
+      GetParam());
+}
+
+// 59 seeds, matching the other differential suites.
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, ParallelDifferential,
+                         ::testing::Range(uint64_t(1), uint64_t(60)));
+
+//===----------------------------------------------------------------------===//
+// Application-generated systems
+//===----------------------------------------------------------------------===//
+
+class AppParallelDifferential : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(AppParallelDifferential, PdmcChecker) {
+  const char *SpecText = R"(
+    start state Unpriv : | seteuid_zero -> Priv;
+    state Priv : | seteuid_nonzero -> Unpriv | execl -> Error;
+    accept state Error;
+  )";
+  Expected<SpecAutomaton> Spec = parseSpecEx(SpecText);
+  ASSERT_TRUE(Spec);
+
+  ProgGenOptions PG;
+  PG.Seed = GetParam();
+  PG.NumFunctions = 3;
+  PG.StmtsPerFunction = 8;
+  PG.OpSymbols = {"seteuid_zero", "seteuid_nonzero", "execl"};
+  Program Prog = generateProgram(PG);
+
+  std::vector<std::unique_ptr<RascChecker>> Checkers;
+  checkBothBackends(
+      [&](size_t N) {
+        Checkers.clear();
+        std::vector<Instance> Out;
+        for (size_t I = 0; I != N; ++I) {
+          Checkers.push_back(std::make_unique<RascChecker>(Prog, *Spec));
+          Checkers.back()->prepare(); // builds the constraint system only
+          const ConstraintSystem &CS = Checkers.back()->system();
+          Out.push_back({&CS, &CS.domain()});
+        }
+        return Out;
+      },
+      GetParam());
+}
+
+TEST_P(AppParallelDifferential, DataflowBitVector) {
+  ProgGenOptions PG;
+  PG.Seed = GetParam() ^ 0xdf;
+  PG.NumFunctions = 3;
+  PG.StmtsPerFunction = 6;
+  Program Prog = generateProgram(PG);
+
+  Rng R(GetParam());
+  BitVectorProblem Prob(Prog, 3);
+  for (StmtId S = 0; S != Prog.numStatements(); ++S) {
+    if (R.chance(1, 4))
+      Prob.setGen(S, static_cast<unsigned>(R.below(3)));
+    if (R.chance(1, 5))
+      Prob.setKill(S, static_cast<unsigned>(R.below(3)));
+  }
+  // GenKillDomain interns lazily, so each build owns its own domain.
+  std::vector<std::unique_ptr<AnnotatedBitVectorAnalysis>> Analyses;
+  checkBothBackends(
+      [&](size_t N) {
+        Analyses.clear();
+        std::vector<Instance> Out;
+        for (size_t I = 0; I != N; ++I) {
+          Analyses.push_back(
+              std::make_unique<AnnotatedBitVectorAnalysis>(Prob));
+          Analyses.back()->prepare();
+          const ConstraintSystem &CS = Analyses.back()->system();
+          Out.push_back({&CS, &CS.domain()});
+        }
+        return Out;
+      },
+      GetParam());
+}
+
+TEST_P(AppParallelDifferential, FlowAnalysis) {
+  const char *Source = R"(
+    pair (y : int) : (int, int) = (1, y);
+    swap (p : (int, int)) : (int, int) = (p.2, p.1);
+    main (z : int) : int = swap(pair(z)).1;
+  )";
+  std::string Err;
+  std::optional<FlowProgram> P = FlowProgram::parse(Source, &Err);
+  ASSERT_TRUE(P) << Err;
+
+  for (FlowMode Mode : {FlowMode::Primal, FlowMode::Dual}) {
+    std::vector<std::unique_ptr<FlowAnalysis>> Analyses;
+    checkBothBackends(
+        [&](size_t N) {
+          Analyses.clear();
+          std::vector<Instance> Out;
+          for (size_t I = 0; I != N; ++I) {
+            Analyses.push_back(std::make_unique<FlowAnalysis>(*P, Mode));
+            Out.push_back({&Analyses.back()->system(),
+                           &Analyses.back()->domain()});
+          }
+          return Out;
+        },
+        GetParam());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AppParallelDifferential,
+                         ::testing::Range(uint64_t(1), uint64_t(9)));
 
 //===----------------------------------------------------------------------===//
 // Batch pool: concurrent independent solves, shared governance,
