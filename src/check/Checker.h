@@ -34,7 +34,8 @@
 ///      premise.
 ///   3. Closedness of the processed prefix — mirroring the paper's
 ///      closure rules, every consequence of the first
-///      ProcessedEdges-many edges (transitive joins at variable nodes,
+///      ProcessedEdges-many edges (transitive joins of a constructor
+///      lower bound at a variable node,
 ///      constructor decompositions, projection firings, surface
 ///      constraints) is accounted for: present as an edge, recorded as
 ///      a constructor-mismatch conflict, or legitimately dropped by

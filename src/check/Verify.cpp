@@ -22,7 +22,8 @@
 //
 //   Pass C mirrors the in-process certifier's closedness obligations
 //   (core/Certifier.cpp) from first principles: every consequence of
-//   the processed edge prefix — transitive joins at variable nodes,
+//   the processed edge prefix — transitive joins of a constructor
+//   lower bound at a variable node,
 //   constructor decompositions and their function-variable facts,
 //   projection firings, and the surface constraints themselves — must
 //   be present, conflict-witnessed, or dropped by the declared
@@ -849,6 +850,9 @@ Verdict passC(VerifyState &S, VerifyCounters &Cnt) {
   // topologically, but rebuilding requires a drained worklist, so the
   // prefix is the same *set* either way — and closedness only reads
   // the set.
+  // InProc keeps constructor-sourced edges only: the transitive rule
+  // fires for a constructor left premise (the inductive form; a
+  // var→var path is never closed) and projection reads lower bounds.
   std::unordered_map<uint32_t, std::vector<const LogEdge *>> InProc, OutProc;
   std::unordered_map<const LogEdge *, uint32_t> KeyOf;
   std::vector<const LogEdge *> ProcConsCons;
@@ -859,15 +863,16 @@ Verdict passC(VerifyState &S, VerifyCounters &Cnt) {
       continue;
     ++Taken;
     KeyOf[&Ed] = S.EdgeKeys[I];
-    OutProc[Ed.Src].push_back(&Ed);
-    InProc[Ed.Dst].push_back(&Ed);
     const LogNode &SN = *S.Nodes.at(Ed.Src), &DN = *S.Nodes.at(Ed.Dst);
+    OutProc[Ed.Src].push_back(&Ed);
+    if (SN.Kind == KindCons)
+      InProc[Ed.Dst].push_back(&Ed);
     if (SN.Kind == KindCons && DN.Kind == KindCons)
       ProcConsCons.push_back(&Ed);
   }
 
-  // Transitive closure at variable nodes: every processed in/out pair
-  // must have its join accounted for.
+  // Transitive closure at variable nodes: every processed constructor
+  // in-edge and out-edge pair must have its join accounted for.
   for (const auto &[Node, Ins] : InProc) {
     if (S.Nodes.at(Node)->Kind != KindVar)
       continue;

@@ -35,7 +35,9 @@ struct ClosureView {
   std::unordered_map<uint64_t, AnnSet> ConflictSet;
   // Per-node processed edges — the premise sets. Processed edges
   // only: the solver's resumable invariant is that a pending edge has
-  // produced no consequences yet.
+  // produced no consequences yet. InProcessed keeps constructor
+  // sources only (lower bounds): those are the left premises of the
+  // transitive rule and the subjects of the projection rule.
   std::unordered_map<uint32_t, std::vector<SolvedEdge>> InProcessed;
   std::unordered_map<uint32_t, std::vector<SolvedEdge>> OutProcessed;
   // Function-variable constraints as packed (from, to) -> fn set.
@@ -51,7 +53,8 @@ struct ClosureView {
       Edges[pack(Src, Dst)].insert(Ann);
       if (Processed) {
         OutProcessed[Src].push_back({Src, Dst, Ann});
-        InProcessed[Dst].push_back({Src, Dst, Ann});
+        if (CS.expr(Src).Kind == ExprKind::Cons)
+          InProcessed[Dst].push_back({Src, Dst, Ann});
       }
     });
     for (const SolvedEdge &C : S.conflicts())
@@ -174,10 +177,10 @@ CertificationReport rasc::certifyFixpoint(const BidirectionalSolver &S) {
   }
 
   // Transitivity through variable nodes: every 2-path of processed
-  // edges meeting at a variable must have its composition accounted
-  // for. (The solver only joins through variable intermediates;
-  // cons-cons edges resolve via decomposition instead.) A self-loop
-  // pairs with itself, matching the closure's explicit (e, e) join.
+  // edges meeting at a variable whose left edge is a constructor lower
+  // bound must have its composition accounted for (the inductive
+  // form: var→var paths are never closed, DESIGN.md §4 decision 12;
+  // cons-cons edges resolve via decomposition instead).
   for (const auto &[Node, Ins] : V.InProcessed) {
     if (CS.expr(Node).Kind != ExprKind::Var)
       continue;

@@ -90,3 +90,14 @@ std::vector<AnnId> ReferenceSolver::constantAnnotations(ConsId C,
   std::sort(Out.begin(), Out.end());
   return Out;
 }
+
+std::vector<std::pair<ExprId, AnnId>>
+ReferenceSolver::upperBounds(ExprId Lhs) const {
+  std::vector<std::pair<ExprId, AnnId>> Out;
+  for (const Constraint &Con : Cons)
+    if (Con.Lhs == Lhs)
+      Out.emplace_back(Con.Rhs, Con.Ann);
+  std::sort(Out.begin(), Out.end());
+  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
+  return Out;
+}

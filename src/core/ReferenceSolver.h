@@ -20,6 +20,7 @@
 #include "core/ConstraintSystem.h"
 
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace rasc {
@@ -36,6 +37,14 @@ public:
   /// All annotations f with (constant C) ⊆^f V among the derived
   /// constraints, sorted.
   std::vector<AnnId> constantAnnotations(ConsId C, VarId V) const;
+
+  /// All (rhs, f) with \p Lhs ⊆^f rhs among the derived constraints,
+  /// sorted and distinct. For a variable these are its var→var and
+  /// var→cons bounds under the full transitive rule (the oracle for
+  /// the optimized solver's path searches); for a constructor
+  /// expression, its constructor-constructor pairs (conflicts and
+  /// function-variable constraints).
+  std::vector<std::pair<ExprId, AnnId>> upperBounds(ExprId Lhs) const;
 
   size_t numConstraints() const { return Cons.size(); }
 

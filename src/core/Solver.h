@@ -13,10 +13,16 @@
 ///   c^a(X1..Xn) ⊆^f c^b(Y1..Yn)  =>  /\ Xi ⊆^f Yi  and  f∘a ⊆ b
 ///   c^a(...)    ⊆^f d^b(...)     =>  inconsistent (c != d)
 ///   c^a(..Xi..) ⊆^f Y, c^-i(Y) ⊆^g Z  =>  Xi ⊆^{g∘f} Z
-///   se1 ⊆^f X,  X ⊆^g se2        =>  se1 ⊆^{g∘f} se2
+///   c^a(...) ⊆^f X,  X ⊆^g se2   =>  c^a(...) ⊆^{g∘f} se2
 ///
 /// (The projection rule is the paper's rule generalized to annotated
-/// premises; with epsilon annotations it is literally the paper's.)
+/// premises; with epsilon annotations it is literally the paper's.
+/// The transitive rule is the paper's restricted to a constructor
+/// left premise, the inductive form: variable-to-variable and
+/// variable-to-constructor edges come only from surface constraints,
+/// decomposition and projection, and the constructor lower bounds,
+/// conflicts and function-variable constraints are exactly the full
+/// rule's, by associativity of composition. DESIGN.md §4 decision 12.)
 /// The solver is online: constraints appended to the system after a
 /// solve() are picked up by the next solve().
 ///
@@ -43,7 +49,6 @@
 #include <chrono>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 namespace rasc {
@@ -289,8 +294,9 @@ private:
     AnnId InnerAnn = InvalidAnn;
   };
   const BidirectionalSolver *Solver = nullptr;
-  std::unordered_map<VarId, std::vector<AnnId>> Facts;
-  std::unordered_map<uint64_t, Provenance> Parents; // (var, ann) packed
+  std::vector<std::vector<AnnId>> Facts; // by representative VarId
+  FlatMap64 ParentIdx; // (var, ann) packed -> index into Parents
+  std::vector<Provenance> Parents;
 };
 
 /// Online bidirectional solver over one constraint system.
@@ -437,7 +443,8 @@ public:
   size_t numGraphNodes() const { return SuccDone.size(); }
 
   /// Processed-prefix counters per node: the number of *processed*
-  /// arena edges with source (resp. destination) \p Node. At every
+  /// arena edges with source \p Node (resp. with destination \p Node
+  /// and a constructor source — the only left premises). At every
   /// resumable boundary these must equal a recount over
   /// forEachDerivedEdge's processed edges — the certifier cross-checks
   /// them, because the exactly-once join accounting is built on them
@@ -473,10 +480,15 @@ public:
   /// form: pairs (cons expr, annotation) with ce ⊆^f V derived.
   std::vector<std::pair<ExprId, AnnId>> consLowerBounds(VarId V) const;
 
-  /// All constructor-expression upper bounds of \p V: V ⊆^f ce.
+  /// All constructor-expression upper bounds of \p V: V ⊆^f ce. A
+  /// search over the solved graph: ce is a constructor bound of V or
+  /// of a variable on a var→var path from V, with f composed along it.
   std::vector<std::pair<ExprId, AnnId>> consUpperBounds(VarId V) const;
 
-  /// All variable-to-variable derived edges out of \p V.
+  /// All entailed variable-to-variable inclusions out of \p V: one
+  /// (W, f) per var→var path from V to W composing to f (useless
+  /// compositions dropped when FilterUseless). The closure does not
+  /// materialize these; the answer is a search over its base edges.
   std::vector<std::pair<VarId, AnnId>> varSuccessors(VarId V) const;
 
   /// Annotation classes f with (constant C) ⊆^f V in the solved form.
@@ -630,6 +642,13 @@ private:
     return V < VarNode.size() ? VarNode[V] : InvalidExpr;
   }
 
+  /// Every (node, annotation) at the end of a non-empty path from var
+  /// node \p Node whose inner nodes are variables: the entailed
+  /// var→var and var→cons bounds, the annotation composed along the
+  /// path. Useless compositions are cut when FilterUseless (they stay
+  /// useless when extended).
+  std::vector<std::pair<ExprId, AnnId>> pathBounds(ExprId Node) const;
+
   void enumerateTerms(VarId V, unsigned MaxDepth, size_t MaxCount,
                       std::vector<VarId> &Visiting,
                       std::vector<GroundTerm> &Out) const;
@@ -734,7 +753,9 @@ private:
   mutable UnionFind VarReps;
 
   // Graph. Chunked SoA adjacency indexed by ExprId (grown on demand);
-  // see support/Adjacency.h.
+  // see support/Adjacency.h. Succs holds every edge; Preds only edges
+  // with a constructor source — the transitive rule's left premises,
+  // so the backward scan never steps over a variable entry.
   AdjacencyLists Succs;
   AdjacencyLists Preds;
   std::vector<std::vector<Watcher>> Watchers; // on var nodes
@@ -744,13 +765,13 @@ private:
   // pulling in the full Expr record (args vector and all) per edge.
   std::vector<uint8_t> NodeKind;
 
-  // Processed-prefix lengths per node: edges are appended to both
+  // Processed-prefix lengths per node: edges are appended to the
   // adjacency lists in arena order and processed in arena order, so
   // the already-processed entries of any list form a prefix. The
   // transitive rule scans only that prefix: a 2-path is joined exactly
   // once, by whichever of its two edges is processed later (the other
   // is in the prefix by then), instead of up to twice with full-list
-  // scans.
+  // scans. PredDone counts constructor-source edges only, like Preds.
   std::vector<uint32_t> SuccDone;
   std::vector<uint32_t> PredDone;
 

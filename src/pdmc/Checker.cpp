@@ -250,20 +250,25 @@ std::vector<Violation> RascChecker::collectViolations() {
       continue;
     AnnId StepAnn = opAnn(St);
     for (AnnId F : AR.annotations(StmtVars[S])) {
-      // The term's outermost constructor is the most recent call, so
-      // the spine lists the stack innermost first.
-      std::vector<ConsId> Spine = AR.witnessStack(StmtVars[S], F);
-      std::vector<StmtId> CallStack;
-      for (auto C = Spine.rbegin(); C != Spine.rend(); ++C) {
-        auto It = ConsToCall.find(*C);
-        if (It != ConsToCall.end())
-          CallStack.push_back(It->second);
-      }
+      // The witness call stack is built only for a reported violation:
+      // most (statement, annotation) pairs report nothing. The term's
+      // outermost constructor is the most recent call, so the spine
+      // lists the stack innermost first.
+      auto callStack = [&] {
+        std::vector<ConsId> Spine = AR.witnessStack(StmtVars[S], F);
+        std::vector<StmtId> CallStack;
+        for (auto C = Spine.rbegin(); C != Spine.rend(); ++C) {
+          auto It = ConsToCall.find(*C);
+          if (It != ConsToCall.end())
+            CallStack.push_back(It->second);
+        }
+        return CallStack;
+      };
       auto report = [&](std::string Inst) {
         Violation V;
         V.Where = S;
         V.Instantiation = std::move(Inst);
-        V.CallStack = CallStack;
+        V.CallStack = callStack();
         Found.insert(std::move(V));
       };
 
@@ -277,7 +282,7 @@ std::vector<Violation> RascChecker::collectViolations() {
             !M.isAccepting(Base->apply(F, Start0))) {
           Violation V;
           V.Where = S;
-          V.CallStack = CallStack;
+          V.CallStack = callStack();
           // The event trace: a sample word of the reaching class,
           // then this statement's own operation.
           for (SymbolId Sym : Base->monoid().sampleWord(F))

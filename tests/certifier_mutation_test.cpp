@@ -45,6 +45,14 @@
 ///    ingest-replay projection edge whose premise is itself still
 ///    pending carries no obligation yet — provenance identifies and
 ///    skips those.)
+///  * drop-lower-bound / drop-projection-summary — erase one
+///    transitively derived constructor lower bound, or one var→var
+///    edge the projection rule derived, from the solved state *and*
+///    from its proof log (trailer count lowered to match). The
+///    closure keeps only these and surface/decomposition edges, so
+///    the narrowed transitivity obligation and the projection
+///    obligation must catch them in both checkers: certifyFixpoint
+///    and rasccheck.
 ///
 /// Each kind also asserts a minimum applicability count across the
 /// seed population, so a generator drift that silently made a kind
@@ -56,13 +64,18 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ProofLogEdit.h"
 #include "TestSystems.h"
 
 #include "core/Certifier.h"
 #include "support/Rng.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <filesystem>
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 namespace rasc {
 
@@ -88,11 +101,17 @@ struct SolverTestAccess {
     if (I < S.PendingHead) {
       --S.PendingHead;
       --S.SuccDone[E.Src];
-      --S.PredDone[E.Dst];
+      if (S.NodeKind[E.Src] == static_cast<uint8_t>(ExprKind::Cons))
+        --S.PredDone[E.Dst]; // PredDone counts constructor sources only
     }
     S.EdgeArena.erase(S.EdgeArena.begin() + static_cast<ptrdiff_t>(I));
     if (!S.EdgeProvs.empty())
       S.EdgeProvs.erase(S.EdgeProvs.begin() + static_cast<ptrdiff_t>(I));
+  }
+
+  /// The rule that first derived arena edge \p I (TrackProvenance).
+  static Prov::Rule ruleAt(const BidirectionalSolver &S, size_t I) {
+    return S.EdgeProvs[I].Kind;
   }
 
   static void rewriteAnn(BidirectionalSolver &S, size_t I, AnnId NewAnn) {
@@ -305,6 +324,88 @@ TEST(CertifierMutation, RejectsEveryMutant) {
   EXPECT_GE(Applicable[3], 55u) << "counter-bump barely applicable";
   EXPECT_GE(Applicable[4], 5u) << "no inconsistent systems in population";
   EXPECT_GE(Applicable[5], 5u) << "no truncatable interrupts in population";
+}
+
+/// Solves seed \p Seed's system with provenance and a proof log, picks
+/// an edge \p Pick selects (by derivation rule and endpoints), drops
+/// it from the solved state and from the log, and asserts that both
+/// checkers reject. An edge no later record cites is preferred: then
+/// no premise check can notice the loss and only rasccheck's
+/// closedness pass can. \returns false when no edge qualifies.
+template <typename Fn>
+bool dropInBothCheckers(uint64_t Seed, const char *Kind, Fn &&Pick) {
+  SCOPED_TRACE(testgen::seedContext(Seed, optsFor(Seed).Dedup, Kind));
+  const std::string Log =
+      (std::filesystem::path(::testing::TempDir()) /
+       ("certmut_" + std::to_string(::getpid()) + ".rprf"))
+          .string();
+  Rng R(Seed * 7919 + 17);
+  RandomSystem Sys = testgen::randomSystem(R);
+  SolverOptions O = optsFor(Seed);
+  O.TrackProvenance = true;
+  O.ProofLogPath = Log;
+  BidirectionalSolver S(*Sys.CS, O);
+  S.solve();
+  if (S.lastProofDiag())
+    return false;
+  namespace pe = prooflog_edit;
+  pe::Dismantled D;
+  EXPECT_TRUE(pe::dismantle(Log, D));
+  size_t Victim = ~size_t(0), Rec = std::string::npos;
+  for (size_t I = 0; I != Access::arenaSize(S); ++I) {
+    if (!Pick(S, *Sys.CS, I))
+      continue;
+    Access::Edge E = Access::edgeAt(S, I);
+    size_t J = pe::findEdge(D, E.Src, E.Dst, E.Ann);
+    EXPECT_NE(J, std::string::npos) << "the log records every arena edge";
+    bool Uncited =
+        J != std::string::npos && pe::firstCitation(D, J) == std::string::npos;
+    if (Victim == ~size_t(0) || Uncited) {
+      Victim = I;
+      Rec = J;
+    }
+    if (Uncited)
+      break;
+  }
+  if (Victim == ~size_t(0))
+    return false;
+
+  if (Rec != std::string::npos) {
+    pe::dropProcessedEdge(D, Rec);
+    pe::reassemble(D, Log);
+    int Exit = pe::checkExit(Log);
+    EXPECT_GE(Exit, 22) << "rasccheck accepted the mutant (exit " << Exit
+                        << ")";
+    EXPECT_LE(Exit, 25) << "rasccheck misclassified the mutant";
+  }
+  std::remove(Log.c_str());
+
+  EXPECT_TRUE(certifyFixpoint(S).Ok) << "honest solved state must certify";
+  Access::dropEdge(S, Victim);
+  EXPECT_FALSE(certifyFixpoint(S).Ok) << "certifier accepted the mutant";
+  return true;
+}
+
+TEST(CertifierMutation, DerivedEdgesOfTheInductiveFormAreObligated) {
+  using Rule = Access::Prov::Rule;
+  unsigned LowerBounds = 0, Summaries = 0;
+  for (uint64_t Seed = 1; Seed <= NumSeeds; ++Seed) {
+    LowerBounds += dropInBothCheckers(
+        Seed, "drop-lower-bound",
+        [](const BidirectionalSolver &S, const ConstraintSystem &CS,
+           size_t I) {
+          Access::Edge E = Access::edgeAt(S, I);
+          return Access::ruleAt(S, I) == Rule::Transitive &&
+                 CS.expr(E.Src).Kind == ExprKind::Cons &&
+                 CS.expr(E.Dst).Kind == ExprKind::Var;
+        });
+    Summaries += dropInBothCheckers(
+        Seed, "drop-projection-summary",
+        [](const BidirectionalSolver &S, const ConstraintSystem &,
+           size_t I) { return Access::ruleAt(S, I) == Rule::Projection; });
+  }
+  EXPECT_GE(LowerBounds, 20u) << "derived lower bounds barely applicable";
+  EXPECT_GE(Summaries, 10u) << "projection summaries barely applicable";
 }
 
 TEST(Certifier, AcceptsSolvedSystems) {

@@ -8,14 +8,24 @@
 /// Properties of the PN-reachability flow queries (Section 7.3's
 /// extension): matched flow implies PN flow, values observed inside a
 /// call are PN-only, and the dual analysis agrees with the primal on
-/// matched queries even when PN sets differ.
+/// matched queries even when PN sets differ. Plus pinned flowsPN
+/// answers on the Section 7 bench programs and the eBPF corpus.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ebpf/Cfg.h"
+#include "ebpf/Decode.h"
+#include "ebpf/Lower.h"
 #include "flow/Analysis.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <map>
 
 using namespace rasc;
 
@@ -103,6 +113,144 @@ TEST(FlowPn, RandomProgramsMatchedSubsetOfPn) {
       for (FExprId T : Targets)
         if (FA.flows(Lit, T))
           EXPECT_TRUE(FA.flowsPN(Lit, T)) << "seed " << Seed;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Pinned answers: flowsPN on the Section 7 bench programs and the eBPF
+// corpus. The pins are a count of true answers plus an FNV-1a hash of
+// the answer bit string, so any changed answer fails with the string.
+//===----------------------------------------------------------------------===//
+
+namespace pin {
+
+/// bench/bench_sec7_flow.cpp's deep-type program: a pair nested
+/// \p Depth deep runs through one identity function per level.
+std::string deepTypeProgram(unsigned Depth) {
+  auto typeStr = [](unsigned D) {
+    std::string T = "int";
+    for (unsigned I = 0; I != D; ++I)
+      T = "(" + T + ", int)";
+    return T;
+  };
+  std::string Src;
+  for (unsigned D = 1; D <= Depth; ++D)
+    Src += "f" + std::to_string(D) + " (x : " + typeStr(D) + ") : " +
+           typeStr(D) + " = x;\n";
+  std::string Expr = "7";
+  for (unsigned D = 1; D <= Depth; ++D)
+    Expr = "f" + std::to_string(D) + "((" + Expr + ", 0))";
+  for (unsigned D = 0; D != Depth; ++D)
+    Expr += ".1";
+  return Src + "main (z : int) : int = " + Expr + ";\n";
+}
+
+/// bench/bench_sec7_flow.cpp's call-chain program.
+std::string deepCallProgram(unsigned Depth) {
+  std::string Src = "f" + std::to_string(Depth) + " (x : int) : int = x;\n";
+  for (unsigned D = Depth; D > 1; --D)
+    Src += "f" + std::to_string(D - 1) + " (x : int) : int = f" +
+           std::to_string(D) + "(x);\n";
+  return Src + "main (z : int) : int = f1(11);\n";
+}
+
+struct Answers {
+  std::string Bits;
+
+  void add(bool B) { Bits.push_back(B ? '1' : '0'); }
+  std::string pin() const {
+    uint64_t H = 1469598103934665603ull;
+    for (char C : Bits)
+      H = (H ^ static_cast<uint8_t>(C)) * 1099511628211ull;
+    char Buf[64];
+    std::snprintf(Buf, sizeof(Buf), "%zu:%016llx",
+                  static_cast<size_t>(std::count(Bits.begin(), Bits.end(),
+                                                 '1')),
+                  static_cast<unsigned long long>(H));
+    return Buf;
+  }
+};
+
+} // namespace pin
+
+TEST(FlowPnPinned, Section7Programs) {
+  struct Case {
+    const char *Name;
+    std::string Src;
+    FlowMode Mode;
+    const char *Pin;
+  };
+  const Case Cases[] = {
+      {"types x1 primal", pin::deepTypeProgram(1), FlowMode::Primal,
+       "3:443bb59fa835b4d2"},
+      {"types x1 dual", pin::deepTypeProgram(1), FlowMode::Dual,
+       "7:b772f2062734a726"},
+      {"types x3 primal", pin::deepTypeProgram(3), FlowMode::Primal,
+       "5:4a38c2ec74cffdfc"},
+      {"types x3 dual", pin::deepTypeProgram(3), FlowMode::Dual,
+       "28:75047a6e22703d31"},
+      {"calls x4 primal", pin::deepCallProgram(4), FlowMode::Primal,
+       "9:5f153f4a97e74cae"},
+      {"calls x4 dual", pin::deepCallProgram(4), FlowMode::Dual,
+       "2:4faaf2511da878b3"},
+      {"calls x8 primal", pin::deepCallProgram(8), FlowMode::Primal,
+       "17:55c3753e83f63de6"},
+      {"calls x8 dual", pin::deepCallProgram(8), FlowMode::Dual,
+       "2:39f2e84954ee8f93"},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    std::string Err;
+    std::optional<FlowProgram> P = FlowProgram::parse(C.Src, &Err);
+    ASSERT_TRUE(P) << Err;
+    FlowAnalysis FA(*P, C.Mode);
+    pin::Answers A;
+    for (FExprId Lit : P->literals())
+      for (FExprId E = 0; E != P->numExprs(); ++E)
+        A.add(FA.flowsPN(Lit, E));
+    EXPECT_EQ(A.pin(), C.Pin) << A.Bits;
+  }
+}
+
+TEST(FlowPnPinned, EbpfCorpus) {
+  std::vector<std::filesystem::path> Files;
+  for (const auto &E : std::filesystem::directory_iterator(
+           std::string(RASC_TEST_DATA_DIR) + "/ebpf"))
+    if (E.path().extension() == ".bpf")
+      Files.push_back(E.path());
+  std::sort(Files.begin(), Files.end());
+  const std::map<std::string, std::string> Pins = {
+      {"gen-001.bpf", "3:1b9a42f585c8423a"},
+      {"gen-002.bpf", "3:6346da68f6c8ddac"},
+      {"gen-005.bpf", "1:c0ac52a138af6fc0"},
+      {"gen-009.bpf", "3:1b9a42f585c8423a"},
+      {"gen-017.bpf", "1:80d11b8c8daeaaae"},
+      {"gen-033.bpf", "2:34bce6cd742125db"},
+      {"map-lookup.bpf", "2:e8b56c56838e1219"},
+  };
+  ASSERT_FALSE(Files.empty());
+  for (const std::filesystem::path &F : Files) {
+    SCOPED_TRACE(F.filename().string());
+    std::ifstream In(F, std::ios::binary);
+    std::string Bytes((std::istreambuf_iterator<char>(In)),
+                      std::istreambuf_iterator<char>());
+    Expected<ebpf::DecodedProgram> D = ebpf::decode(
+        {reinterpret_cast<const uint8_t *>(Bytes.data()), Bytes.size()});
+    ASSERT_TRUE(D) << D.error().render();
+    ebpf::Cfg G = ebpf::buildCfg(std::move(*D));
+    ebpf::FlowLowering Fl = ebpf::lowerToFlowProgram(G);
+    FlowAnalysis FA(Fl.Prog, FlowMode::Primal);
+    // The canonical query, the context literal into every expression,
+    // and every instruction literal into the program result.
+    pin::Answers A;
+    A.add(FA.flowsPN(Fl.CtxLit, Fl.ResultExpr));
+    for (FExprId E = 0; E != Fl.Prog.numExprs(); ++E)
+      A.add(FA.flowsPN(Fl.CtxLit, E));
+    for (FExprId Lit : Fl.InsnLit)
+      if (Lit != ~0u)
+        A.add(FA.flowsPN(Lit, Fl.ResultExpr));
+    auto It = Pins.find(F.filename().string());
+    EXPECT_EQ(A.pin(), It == Pins.end() ? "" : It->second) << A.Bits;
   }
 }
 

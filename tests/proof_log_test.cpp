@@ -36,6 +36,9 @@
 #include "core/ProofLog.h"
 #include "core/Solver.h"
 #include "frontend/ConstraintParser.h"
+#include "pdmc/Checker.h"
+#include "pdmc/Properties.h"
+#include "progen/ProgramGen.h"
 #include "support/FailPoint.h"
 #include "support/Serialize.h"
 
@@ -100,6 +103,38 @@ testgen::RandomSystem smallSystem() {
 }
 
 } // namespace
+
+// A Table 1 package through RascChecker: the application layer's
+// solve (shared statement variables, pc lower bounds, call
+// constructors and return projections) is certified by rasccheck
+// like any other, and the solve's answers are unchanged by logging.
+TEST_F(ProofLogTest, RascCheckerPackageValidates) {
+  const std::string Path = tempPath("package.rprf");
+  SpecAutomaton Spec = fullPrivilegeSpec();
+  for (uint64_t Seed : {1, 7}) {
+    SCOPED_TRACE("package seed " + std::to_string(Seed));
+    Program Prog = generatePackage(4000, Spec, Seed);
+    RascChecker Plain(Prog, Spec);
+    std::vector<Violation> Want = Plain.check();
+
+    RascChecker Logged(Prog, Spec);
+    SolverOptions O;
+    O.ProofLogPath = Path;
+    Logged.setSolverOptions(O);
+    Logged.prepare();
+    BidirectionalSolver &S = *Logged.solver();
+    ASSERT_EQ(S.solve(), Status::Solved);
+    ASSERT_FALSE(S.lastProofDiag()) << S.lastProofDiag()->render();
+    EXPECT_EQ(Logged.collectViolations(), Want);
+
+    rasccheck::CheckResult C = check(Path);
+    EXPECT_EQ(C.ExitCode, 0) << C.Message;
+    EXPECT_EQ(C.Edges + C.Conflicts, S.stats().EdgesInserted);
+    EXPECT_GT(C.TransitiveObligations, 0u);
+    EXPECT_GT(C.ProjectionObligations, 0u);
+  }
+  std::remove(Path.c_str());
+}
 
 // The acceptance gate: every corpus log validates, under both dedup
 // layouts.
