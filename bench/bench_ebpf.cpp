@@ -15,8 +15,8 @@
 ///     query (violations / uninit reads / flowsPN).
 ///
 /// BM_EbpfBatchFlow keeps a batch of flow analyses alive together, as
-/// `rasctool --ebpf-batch` does, so they share one interned monoid.
-/// The full batch path (all three systems of every program pooled on
+/// `rasctool --ebpf-batch` does; each grows its own monoid. The full
+/// batch path (all three systems of every program pooled on
 /// one BatchSolver) is perfbench's `ebpf-batch` workload.
 ///
 /// The corpus is generateEbpf() with fixed seeds, so numbers are
@@ -178,10 +178,8 @@ void BM_EbpfPipelineFlow(benchmark::State &State) {
 BENCHMARK(BM_EbpfPipelineFlow)->UseRealTime();
 
 /// The `rasctool --ebpf-batch` shape of the flow pipeline: all
-/// kBatchPrograms analyses stay alive until the batch is answered, so
-/// they share one interned flow monoid, built once per iteration.
-/// BM_EbpfPipelineFlow holds one analysis at a time and so builds the
-/// monoid for every program.
+/// kBatchPrograms analyses stay alive until the batch is answered.
+/// BM_EbpfPipelineFlow holds one analysis at a time.
 void BM_EbpfBatchFlow(benchmark::State &State) {
   std::vector<ebpf::Cfg> Gs = cfgs(corpus(kBatchPrograms));
   uint64_t CtxFlows = 0;

@@ -53,9 +53,8 @@ int main() {
   for (unsigned Bits = 1; Bits <= 8; ++Bits) {
     auto Start = std::chrono::steady_clock::now();
     Dfa M = buildNBitMachine(Bits);
-    TransitionMonoid::Options Opts;
-    Opts.DenseTableLimit = 1024;
-    TransitionMonoid Mon(M, Opts);
+    TransitionMonoid Mon(M);
+    Mon.enumerateAll();
     double T = seconds(Start);
     size_t Expected = 1;
     for (unsigned I = 0; I != Bits; ++I)

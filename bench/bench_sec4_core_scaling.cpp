@@ -10,7 +10,7 @@
 /// calls out:
 ///
 ///   * core solver scaling in the system size n (chain + random DAG);
-///   * composition via precomputed dense table vs memoized hash map;
+///   * composition through the lazily filled table (misses, then hits);
 ///   * useless-annotation filtering on/off (the paper's "no match
 ///     operation needed" observation);
 ///   * offline cycle elimination on/off on cyclic systems.
@@ -73,33 +73,49 @@ BENCHMARK(BM_SolveDag)
     ->Arg(800)
     ->UseRealTime();
 
-void BM_ComposeDenseTable(benchmark::State &State) {
-  Dfa M = buildAdversarialMachine(4); // 256 elements
-  TransitionMonoid::Options Opts;
-  Opts.DenseTableLimit = 1 << 20;
-  TransitionMonoid Mon(M, Opts);
-  Rng R(7);
-  size_t N = Mon.size();
-  for (auto _ : State)
-    benchmark::DoNotOptimize(
-        Mon.compose(static_cast<FnId>(R.below(N)),
-                    static_cast<FnId>(R.below(N))));
+void BM_SolveDagAdversarial(benchmark::State &State) {
+  // BM_SolveDag's shape over the 5-state adversarial machine (3125
+  // elements): a solve that records hundreds of annotation ids, so the
+  // Auto dedup passes AnnBitsetThreshold partway through. The second
+  // argument is the SolverOptions::DedupBackend (0 Auto, 1 Bitset,
+  // 2 FlatSet).
+  unsigned NumVars = static_cast<unsigned>(State.range(0));
+  MonoidDomain Dom(buildAdversarialMachine(5));
+  ConstraintSystem CS(Dom);
+  buildDag(CS, Dom, NumVars, 42);
+  SolverOptions Opts;
+  Opts.Dedup = static_cast<SolverOptions::DedupBackend>(State.range(1));
+  double Edges = 0, Bytes = 0;
+  for (auto _ : State) {
+    BidirectionalSolver S(CS, Opts);
+    benchmark::DoNotOptimize(S.solve());
+    Edges = static_cast<double>(S.stats().EdgesInserted);
+    Bytes = static_cast<double>(S.memoryBytes());
+  }
+  State.counters["edges"] = Edges;
+  State.counters["anns"] = static_cast<double>(Dom.size());
+  State.counters["solver_mb"] = Bytes / (1 << 20);
 }
-BENCHMARK(BM_ComposeDenseTable);
+BENCHMARK(BM_SolveDagAdversarial)
+    ->ArgsProduct({{400, 3200}, {0, 1, 2}})
+    ->UseRealTime();
 
-void BM_ComposeMemoized(benchmark::State &State) {
+void BM_ComposeTable(benchmark::State &State) {
+  // Random pairs over the enumerated 256-element monoid: the first
+  // visit of a pair composes the state tables, later ones read the
+  // row.
   Dfa M = buildAdversarialMachine(4);
-  TransitionMonoid::Options Opts;
-  Opts.DenseTableLimit = 0; // force the memo path
-  TransitionMonoid Mon(M, Opts);
+  TransitionMonoid Mon(M);
+  Mon.enumerateAll();
   Rng R(7);
   size_t N = Mon.size();
   for (auto _ : State)
     benchmark::DoNotOptimize(
         Mon.compose(static_cast<FnId>(R.below(N)),
                     static_cast<FnId>(R.below(N))));
+  State.counters["misses"] = static_cast<double>(Mon.composeMisses());
 }
-BENCHMARK(BM_ComposeMemoized);
+BENCHMARK(BM_ComposeTable);
 
 void BM_UselessFiltering(benchmark::State &State) {
   bool Filter = State.range(0) != 0;

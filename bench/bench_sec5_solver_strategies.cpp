@@ -124,7 +124,9 @@ int main() {
   std::printf("|-----|-----------|--------------|------------|"
               "-----------|--------------|-------|\n");
   for (unsigned S = 2; S <= 5; ++S) {
-    MonoidDomain Probe(buildAdversarialMachine(S));
+    Dfa Machine = buildAdversarialMachine(S);
+    TransitionMonoid Probe(Machine);
+    Probe.enumerateAll();
     Measurement M = run(S, 600, 42, /*RunBidirectional=*/true);
     if (M.BiSeconds < 0)
       std::printf("| %3u | %9zu | %12s | %10s | %9.3f | %12zu | %5s "

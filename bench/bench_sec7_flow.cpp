@@ -84,9 +84,10 @@ void measure(const char *Label, const std::string &Src) {
   // blow-up instead of hanging.
   TransitionMonoid::Options Probe;
   Probe.MaxElements = 10000;
-  Probe.DenseTableLimit = 0;
   TransitionMonoid PairMon(PairM, Probe);
   TransitionMonoid CallMon(CallM, Probe);
+  PairMon.enumerateAll();
+  CallMon.enumerateAll();
 
   FExprId Target = P->functions().back().Body;
   FExprId Lit = P->literals().front();

@@ -38,6 +38,7 @@ int main() {
 
   SpecAutomaton Spec = fullPrivilegeSpec();
   TransitionMonoid Mon(Spec.machine());
+  Mon.enumerateAll();
   std::printf("Property: %u states, %u symbols; |F_M^≡| = %zu "
               "(paper's model: 11 states, 9 symbols, 58 functions)\n\n",
               Spec.machine().numStates(), Spec.machine().numSymbols(),

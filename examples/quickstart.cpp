@@ -29,7 +29,9 @@ int main() {
 
   // --- 1. The annotation language -------------------------------------
   // Annotations are words of a regular language; the solver only ever
-  // sees the transition monoid F_M^≡ of its DFA.
+  // sees the transition monoid F_M^≡ of its DFA. A domain starts with
+  // the identity and one function per symbol, and interns products as
+  // they are composed; for this machine those three are all of F_M^≡.
   MonoidDomain Dom(buildOneBitMachine());
   const TransitionMonoid &Mon = Dom.monoid();
   std::printf("M_1bit has %u states; |F_M^≡| = %zu classes:\n",

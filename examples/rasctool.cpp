@@ -218,9 +218,9 @@ int run(const std::string &Source, const char *Name, CliOptions Cli) {
 
   const MonoidDomain &Dom = P->domain();
   std::printf("%s: %zu constraints, annotation language with %u "
-              "states, |F_M^≡| = %zu\n",
+              "states and %u symbols\n",
               Name, P->system().constraints().size(),
-              Dom.machine().numStates(), Dom.size());
+              Dom.machine().numStates(), Dom.machine().numSymbols());
 
   Cli.Solver.TrackProvenance |= Cli.Explain;
   if (!Cli.Retract.empty()) {
@@ -243,6 +243,13 @@ int run(const std::string &Source, const char *Name, CliOptions Cli) {
         InterruptRequested.load(std::memory_order_relaxed)) {
       // A signal, not a budget: resuming would immediately re-cancel.
       std::printf("cancelled by signal\n");
+      return statusExitCode(S);
+    }
+    if (S == Status::MemoryLimit && Dom.overflowed()) {
+      // The element cap is not a budget this loop can lift.
+      std::printf("the annotation monoid passed its cap of %zu elements; "
+                  "use a smaller language\n",
+                  TransitionMonoid::Options{}.MaxElements);
       return statusExitCode(S);
     }
     std::printf("resuming with budgets lifted...\n");
@@ -292,11 +299,12 @@ int run(const std::string &Source, const char *Name, CliOptions Cli) {
 
   const SolverStats &Stats = Solver.stats();
   std::printf("%s: %llu edges, %llu compositions, %llu function "
-              "constraints%s\n\n",
+              "constraints, %llu monoid elements%s\n\n",
               statusName(S),
               static_cast<unsigned long long>(Stats.EdgesInserted),
               static_cast<unsigned long long>(Stats.ComposeCalls),
               static_cast<unsigned long long>(Stats.FnVarConstraints),
+              static_cast<unsigned long long>(Stats.MonoidElements),
               Stats.Resumes ? " (resumed)" : "");
 
   if (S == Status::Inconsistent && Cli.Explain &&

@@ -6,20 +6,11 @@
 
 #include "automata/Dfa.h"
 
-#include "support/Hashing.h"
 
 #include <deque>
 #include <sstream>
 
 using namespace rasc;
-
-uint64_t Dfa::hash() const {
-  uint64_t H = hashCombine(NumStatesVal, StartState);
-  H = hashCombine(H, AcceptingStates.hash());
-  for (const std::string &Name : SymbolNames)
-    H = hashCombine(H, std::hash<std::string>{}(Name));
-  return hashRange(Transitions.begin(), Transitions.end(), H);
-}
 
 DynamicBitset Dfa::liveStates() const {
   // Reverse reachability from the accepting states.

@@ -122,15 +122,6 @@ public:
   /// Graphviz rendering, for documentation and debugging.
   std::string toDot(std::string_view Title = "M") const;
 
-  /// Exact equality: the same symbol names in the same order, state
-  /// count, start state, accepting set and transition table. Two
-  /// isomorphic automata that number their states differently are not
-  /// equal.
-  bool operator==(const Dfa &O) const = default;
-
-  /// A hash consistent with operator==.
-  uint64_t hash() const;
-
 private:
   std::vector<std::string> SymbolNames;
   uint32_t NumStatesVal;

@@ -31,9 +31,9 @@ using AnnId = uint32_t;
 constexpr AnnId InvalidAnn = ~AnnId(0);
 
 /// A finite monoid of annotation classes. Elements are interned; a
-/// domain may grow while the solver runs (substitution environments
-/// intern compositions on demand), but composition of existing
-/// elements must always be defined.
+/// domain may grow while the solver runs (transition monoids and
+/// substitution environments intern compositions on demand), but
+/// composition of existing elements must always be defined.
 class AnnotationDomain {
 public:
   virtual ~AnnotationDomain() = default;
@@ -46,25 +46,6 @@ public:
   ///   se1 ⊆^F X ∧ X ⊆^G se2  ⇒  se1 ⊆^{G∘F} se2
   /// calls compose(G, F).
   virtual AnnId compose(AnnId F, AnnId G) const = 0;
-
-  /// Optional O(1)-composition fast path: a dense row of products
-  /// with the left operand fixed, composeRowLhs(F)[G] == compose(F, G)
-  /// for every currently interned G. The solver hoists the row (and
-  /// with it this virtual call) out of its inner closure loops.
-  /// \returns nullptr when no dense table exists; callers must fall
-  /// back to compose(). The pointer is invalidated by interning new
-  /// elements into the domain.
-  virtual const AnnId *composeRowLhs(AnnId F) const {
-    (void)F;
-    return nullptr;
-  }
-
-  /// The transposed fast path, fixing the right operand:
-  /// composeRowRhs(G)[F] == compose(F, G).
-  virtual const AnnId *composeRowRhs(AnnId G) const {
-    (void)G;
-    return nullptr;
-  }
 
   /// \returns true if no extension of a word in class \p F can be in
   /// L(M); the solver may drop such annotations (Section 3.1).
@@ -82,6 +63,19 @@ public:
 
   /// Human-readable rendering for diagnostics.
   virtual std::string toString(AnnId F) const = 0;
+
+  /// \returns true once a domain that interns on compose() has grown
+  /// past its element cap. The solver checks this between worklist
+  /// pops and interrupts with Status::MemoryLimit.
+  virtual bool overflowed() const { return false; }
+
+  /// Heap bytes the domain's interned elements occupy; the solver
+  /// counts them in its memoryBytes() budget.
+  virtual size_t memoryBytes() const { return 0; }
+
+  /// compose() calls that computed a product instead of reading it
+  /// back (0 for domains that do not count them).
+  virtual uint64_t composeMisses() const { return 0; }
 };
 
 } // namespace rasc

@@ -24,7 +24,7 @@
 #include "automata/Dfa.h"
 #include "automata/Monoid.h"
 #include "core/Annotation.h"
-#include "support/Diag.h"
+#include "core/Observe.h"
 #include "support/Hashing.h"
 
 #include <memory>
@@ -46,46 +46,19 @@ public:
     return 0;
   }
   bool isAccepting(AnnId) const override { return true; }
-  const AnnId *composeRowLhs(AnnId F) const override {
-    assert(F == 0 && "trivial domain has one element");
-    (void)F;
-    static constexpr AnnId Row[1] = {0};
-    return Row;
-  }
-  const AnnId *composeRowRhs(AnnId G) const override {
-    return composeRowLhs(G);
-  }
   size_t size() const override { return 1; }
   std::string toString(AnnId) const override { return "eps"; }
 };
 
 /// Annotation classes are representative functions of a DFA M. Owns
 /// the automaton and its transition monoid. AnnId coincides with the
-/// monoid's FnId.
+/// monoid's FnId. The monoid interns elements as the solve composes
+/// them, so a domain belongs to one analysis: every analysis builds
+/// its own, and only one thread uses it at a time.
 class MonoidDomain final : public AnnotationDomain {
 public:
-  /// A private domain for trusted automata: asserts that the monoid
-  /// fits in Opts.MaxElements.
   explicit MonoidDomain(Dfa M,
                         TransitionMonoid::Options Opts = defaultOptions());
-
-  /// The interned domain of \p M. While some caller still holds the
-  /// result for an equal automaton (Dfa::operator==) and equal
-  /// options, that same immutable domain is returned instead of a new
-  /// build, so analyses over one automaton share one monoid. Only
-  /// complete dense-table monoids are shared; a memo-path monoid (more
-  /// than Opts.DenseTableLimit elements) writes on compose() and is
-  /// returned private. The table holds weak references: a domain is
-  /// freed, and its entry removed, when its last holder lets go.
-  ///
-  /// A monoid that exceeds Opts.MaxElements is reported as a Diag
-  /// (without a location; the caller knows where the automaton came
-  /// from), so this is also the entry point for user input.
-  static Expected<std::shared_ptr<const MonoidDomain>>
-  create(Dfa M, TransitionMonoid::Options Opts = defaultOptions());
-
-  /// The number of domains currently in create()'s intern table.
-  static size_t internedCount();
 
   static TransitionMonoid::Options defaultOptions() {
     return TransitionMonoid::Options{};
@@ -93,20 +66,18 @@ public:
 
   AnnId identity() const override { return Mon->identity(); }
   AnnId compose(AnnId F, AnnId G) const override {
-    return Mon->compose(F, G);
+    return observe::metricsEnabled() ? composeCounted(F, G)
+                                     : Mon->compose(F, G);
   }
   bool isUseless(AnnId F) const override { return Mon->isUseless(F); }
   bool isAccepting(AnnId F) const override {
     return Mon->acceptingFromStart(F);
   }
-  const AnnId *composeRowLhs(AnnId F) const override {
-    return Mon->composeRowLhs(F);
-  }
-  const AnnId *composeRowRhs(AnnId G) const override {
-    return Mon->composeRowRhs(G);
-  }
   size_t size() const override { return Mon->size(); }
   std::string toString(AnnId F) const override { return Mon->toString(F); }
+  bool overflowed() const override { return Mon->overflowed(); }
+  size_t memoryBytes() const override { return Mon->memoryBytes(); }
+  uint64_t composeMisses() const override { return Mon->composeMisses(); }
 
   /// The class of a single symbol; the surface syntax of constraints
   /// (se1 ⊆^x se2, x in Sigma or eps) uses exactly these.
@@ -126,8 +97,9 @@ public:
   const TransitionMonoid &monoid() const { return *Mon; }
 
 private:
-  struct Unchecked {};
-  MonoidDomain(Dfa M, TransitionMonoid::Options Opts, Unchecked);
+  /// compose() that also feeds the monoid.elements and
+  /// monoid.compose_misses counters.
+  AnnId composeCounted(AnnId F, AnnId G) const;
 
   std::unique_ptr<Dfa> Machine; // stable address for the monoid
   std::unique_ptr<TransitionMonoid> Mon;

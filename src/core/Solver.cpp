@@ -23,20 +23,22 @@ using namespace rasc;
 
 namespace {
 
-/// Resolves SolverOptions::Dedup against the domain size observed at
-/// solver construction.
-EdgeDedup::Backend resolveDedupBackend(const SolverOptions &Opts,
-                                       const AnnotationDomain &D) {
+/// The edge dedup SolverOptions::Dedup asks for. Auto starts on bitset
+/// rows and moves to flat sets when the solve records an annotation id
+/// above AnnBitsetThreshold, so the choice follows the ids in use, not
+/// how far the domain had grown when the solver was built.
+EdgeDedup makeEdgeDedup(const SolverOptions &Opts, const AnnotationDomain &D) {
   switch (Opts.Dedup) {
   case SolverOptions::DedupBackend::Bitset:
-    return EdgeDedup::Backend::Bitset;
+    return EdgeDedup(EdgeDedup::Backend::Bitset, D.size());
   case SolverOptions::DedupBackend::FlatSet:
-    return EdgeDedup::Backend::Flat;
+    return EdgeDedup(EdgeDedup::Backend::Flat);
   case SolverOptions::DedupBackend::Auto:
     break;
   }
-  return D.size() <= Opts.AnnBitsetThreshold ? EdgeDedup::Backend::Bitset
-                                             : EdgeDedup::Backend::Flat;
+  return EdgeDedup(EdgeDedup::Backend::Bitset,
+                   std::min<size_t>(D.size(), Opts.AnnBitsetThreshold),
+                   Opts.AnnBitsetThreshold);
 }
 
 double secondsSince(std::chrono::steady_clock::time_point Start) {
@@ -96,8 +98,8 @@ std::vector<ConsId> AtomReachability::witnessStack(VarId V,
 BidirectionalSolver::BidirectionalSolver(const ConstraintSystem &CS,
                                          SolverOptions Opts)
     : CS(CS), Options(Opts),
-      EdgeSeen(resolveDedupBackend(Opts, CS.domain()), CS.domain().size()),
-      FnVarSeen(resolveDedupBackend(Opts, CS.domain()), CS.domain().size()) {}
+      EdgeSeen(makeEdgeDedup(Opts, CS.domain())),
+      FnVarSeen(makeEdgeDedup(Opts, CS.domain())) {}
 
 BidirectionalSolver::~BidirectionalSolver() = default;
 
@@ -391,33 +393,31 @@ void BidirectionalSolver::process(const Edge &E) {
   // (support/Adjacency.h).
   if (SrcKind == KCons && DstKind == KVar) {
     // Forward: E then (Dst ⊆^g S) gives compose(g, E.Ann) with g
-    // varying — hoist the right-operand row when the domain has a
-    // dense table (Theorem 2.1's table lookup without the
-    // per-iteration virtual call and row multiply).
-    const AnnId *Row = D.composeRowRhs(E.Ann);
+    // varying.
     uint32_t Deg = SuccDone[E.Dst];
     Stats.ComposeCalls += Deg;
     // Aggregated per scan, not per join: an event inside the chunk
     // loops would put a flag load in the innermost hot path.
     if (trace::enabled() && Deg)
       trace::instant("solver.compose", Deg, E.Dst);
-    // Prefetch pass first: the dedup probes of one chunk are
-    // independent, so their cache misses overlap instead of
-    // serializing (the probe stream has no locality). Only worth it
-    // when the composed annotation is a table lookup and the dedup
-    // table has outgrown the caches.
-    bool Pf = Row && EdgeSeen.prefetchWorthwhile();
+    // Each chunk composes first, then prefetches when the dedup table
+    // has outgrown the caches: the chunk's dedup probes are
+    // independent, so their misses overlap instead of serializing
+    // (the probe stream has no locality).
+    bool Pf = EdgeSeen.prefetchWorthwhile();
     Succs.forEachChunks(
         E.Dst, Deg, [&](const AdjacencyLists::Chunk &Ch, uint32_t N) {
+          AnnId Anns[AdjacencyLists::ChunkCap];
+          for (uint32_t I = 0; I != N; ++I)
+            Anns[I] = D.compose(Ch.Anns[I], E.Ann);
           if (Pf)
             for (uint32_t I = 0; I != N; ++I)
-              EdgeSeen.prefetch(E.Src, Ch.Peers[I], Row[Ch.Anns[I]]);
+              EdgeSeen.prefetch(E.Src, Ch.Peers[I], Anns[I]);
           for (uint32_t I = 0; I != N; ++I) {
             if (Track)
               CurProv = {EdgeProv::Rule::Transitive, ~0u, E,
                          Edge{E.Dst, Ch.Peers[I], Ch.Anns[I]}};
-            addEdge(E.Src, Ch.Peers[I],
-                    Row ? Row[Ch.Anns[I]] : D.compose(Ch.Anns[I], E.Ann));
+            addEdge(E.Src, Ch.Peers[I], Anns[I]);
           }
         });
     // Projection rule: new constructor lower bound meets watchers.
@@ -434,33 +434,34 @@ void BidirectionalSolver::process(const Edge &E) {
         if (Track)
           CurProv = {EdgeProv::Rule::Projection, W.ConsIdx, E};
         addEdge(varNode(SE.Args[W.Index]), varNode(W.Target),
-                Row ? Row[W.Ann] : D.compose(W.Ann, E.Ann));
+                D.compose(W.Ann, E.Ann));
       }
     }
   }
 
   if (SrcKind == KVar) {
-    // Backward: (c ⊆^g Src) then E gives compose(E.Ann, g) — the
-    // left-operand row. Preds holds constructor sources only, so
-    // every scanned entry is a join. A variable self-loop needs no
-    // self-join: it is never a left premise.
-    const AnnId *Row = D.composeRowLhs(E.Ann);
+    // Backward: (c ⊆^g Src) then E gives compose(E.Ann, g). Preds
+    // holds constructor sources only, so every scanned entry is a
+    // join. A variable self-loop needs no self-join: it is never a
+    // left premise.
     uint32_t Deg = PredDone[E.Src];
     Stats.ComposeCalls += Deg;
     if (trace::enabled() && Deg)
       trace::instant("solver.compose", Deg, E.Src);
-    bool Pf = Row && EdgeSeen.prefetchWorthwhile();
+    bool Pf = EdgeSeen.prefetchWorthwhile();
     Preds.forEachChunks(
         E.Src, Deg, [&](const AdjacencyLists::Chunk &Ch, uint32_t N) {
+          AnnId Anns[AdjacencyLists::ChunkCap];
+          for (uint32_t I = 0; I != N; ++I)
+            Anns[I] = D.compose(E.Ann, Ch.Anns[I]);
           if (Pf)
             for (uint32_t I = 0; I != N; ++I)
-              EdgeSeen.prefetch(Ch.Peers[I], E.Dst, Row[Ch.Anns[I]]);
+              EdgeSeen.prefetch(Ch.Peers[I], E.Dst, Anns[I]);
           for (uint32_t I = 0; I != N; ++I) {
             if (Track)
               CurProv = {EdgeProv::Rule::Transitive, ~0u,
                          Edge{Ch.Peers[I], E.Src, Ch.Anns[I]}, E};
-            addEdge(Ch.Peers[I], E.Dst,
-                    Row ? Row[Ch.Anns[I]] : D.compose(E.Ann, Ch.Anns[I]));
+            addEdge(Ch.Peers[I], E.Dst, Anns[I]);
           }
         });
   }
@@ -521,6 +522,10 @@ BidirectionalSolver::governanceCheck(std::chrono::steady_clock::time_point Start
   if (Options.DeadlineSeconds > 0 &&
       secondsSince(Start) >= Options.DeadlineSeconds)
     return Status::Deadline;
+  // The domain interns as the closure composes: its element cap is a
+  // memory budget like the solver's own.
+  if (CS.domain().overflowed())
+    return Status::MemoryLimit;
   if (Options.MaxMemoryBytes && memoryBytes() > Options.MaxMemoryBytes)
     return Status::MemoryLimit;
   if (Options.GroupMemory) {
@@ -568,6 +573,10 @@ BidirectionalSolver::runClosure(std::chrono::steady_clock::time_point Start) {
   const uint32_t Interval =
       Options.GovernanceCheckInterval ? Options.GovernanceCheckInterval : 1;
   uint32_t UntilSlow = Interval;
+  // A domain past its element cap stays past it, so a resume must not
+  // grow it by another interval's work before noticing.
+  if (PendingHead != EdgeArena.size() && CS.domain().overflowed())
+    return Status::MemoryLimit;
 
   while (PendingHead != EdgeArena.size()) {
     if (Options.MaxEdges != 0 && Stats.EdgesInserted > Options.MaxEdges)
@@ -639,6 +648,8 @@ BidirectionalSolver::Status BidirectionalSolver::solve() {
   }
 
   Stats.ClosureSeconds += secondsSince(ClosureStart);
+  Stats.MonoidElements = CS.domain().size();
+  Stats.ComposeMisses = CS.domain().composeMisses();
   auto FnVarStart = std::chrono::steady_clock::now();
 
   FnVarSolFresh = false;
@@ -1247,9 +1258,7 @@ BidirectionalSolver::retract(uint32_t Idx) {
     }
     FnVarCons.resize(W);
     Stats.FnVarConstraints = W;
-    FnVarSeen =
-        EdgeDedup(resolveDedupBackend(Options, CS.domain()),
-                  CS.domain().size());
+    FnVarSeen = makeEdgeDedup(Options, CS.domain());
     for (const FnVarConstraint &C : FnVarCons)
       FnVarSeen.insert(C.From, C.To, C.Fn);
     EagerFnVarSol.clear();
@@ -1319,12 +1328,12 @@ void BidirectionalSolver::resetToFresh() {
   NodeKind.clear();
   SuccDone.clear();
   PredDone.clear();
-  EdgeSeen = EdgeDedup(resolveDedupBackend(Options, D), D.size());
+  EdgeSeen = makeEdgeDedup(Options, D);
   EdgeArena.clear();
   PendingHead = 0;
   Conflicts.clear();
   FnVarCons.clear();
-  FnVarSeen = EdgeDedup(resolveDedupBackend(Options, D), D.size());
+  FnVarSeen = makeEdgeDedup(Options, D);
   EagerFnVarSol.clear();
   FnVarSolFresh = false;
   VarNode.clear();
@@ -1353,7 +1362,7 @@ size_t BidirectionalSolver::memoryBytes() const {
     N += W.capacity() * sizeof(Watcher);
   if (Proof)
     N += Proof->memoryBytes();
-  return N;
+  return N + CS.domain().memoryBytes();
 }
 
 std::vector<std::string>

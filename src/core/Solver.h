@@ -101,9 +101,10 @@ struct SolverOptions {
   double DeadlineSeconds = 0;
 
   /// Approximate budget on solver-owned heap memory (edge arena,
-  /// adjacency chunks, dedup tables, fn-var store — see
-  /// memoryBytes()); 0 = unlimited. Exceeding it interrupts with
-  /// Status::MemoryLimit (resumable). Approximate: container
+  /// adjacency chunks, dedup tables, fn-var store, interned
+  /// annotations — see memoryBytes()); 0 = unlimited. Exceeding it,
+  /// or the annotation domain growing past its element cap, interrupts
+  /// with Status::MemoryLimit (resumable). Approximate: container
   /// capacities, sampled at the governance cadence.
   uint64_t MaxMemoryBytes = 0;
 
@@ -179,16 +180,15 @@ struct SolverOptions {
   enum class DedupBackend : uint8_t { Auto, Bitset, FlatSet };
   DedupBackend Dedup = DedupBackend::Auto;
 
-  /// Auto picks Bitset when domain().size() at solver construction is
-  /// at most this, FlatSet otherwise. (A domain that interns past the
-  /// threshold mid-solve stays on its chosen backend; the bitset rows
-  /// widen on demand.)
+  /// Auto starts on Bitset and moves every recorded edge to FlatSet
+  /// the first time the solve records an annotation id above this.
+  /// (Lazily interned domains reach large ids only mid-solve, so the
+  /// domain's size at construction says little.)
   uint32_t AnnBitsetThreshold = 256;
 };
 
 /// Counters for the complexity experiments. ComposeCalls counts
-/// logical compositions (including those served by a hoisted dense
-/// row rather than an AnnotationDomain::compose call).
+/// logical compositions (AnnotationDomain::compose calls).
 struct SolverStats {
   uint64_t EdgesInserted = 0;
   uint64_t EdgesDropped = 0; // duplicate edges
@@ -198,6 +198,12 @@ struct SolverStats {
   uint64_t ProjectionSteps = 0;
   uint64_t FnVarConstraints = 0;
   uint64_t CollapsedVars = 0;
+
+  // The annotation domain as of the end of the last solve() (domains
+  // intern on compose, so both grow during solves and queries):
+  // elements interned, and compose() calls that computed a product.
+  uint64_t MonoidElements = 0;
+  uint64_t ComposeMisses = 0;
 
   // Resource-governance counters.
   uint64_t BudgetChecks = 0; ///< slow governance checks performed
@@ -235,6 +241,8 @@ struct SolverStats {
     ProjectionSteps += O.ProjectionSteps;
     FnVarConstraints += O.FnVarConstraints;
     CollapsedVars += O.CollapsedVars;
+    MonoidElements += O.MonoidElements;
+    ComposeMisses += O.ComposeMisses;
     BudgetChecks += O.BudgetChecks;
     Interrupts += O.Interrupts;
     Resumes += O.Resumes;
@@ -376,9 +384,10 @@ public:
   const SolverOptions &options() const { return Options; }
 
   /// Approximate solver-owned heap memory: the edge arena, both
-  /// adjacency stores, both dedup tables, watchers, and the fn-var
-  /// store, by container capacity. This is what MaxMemoryBytes is
-  /// checked against.
+  /// adjacency stores, both dedup tables, watchers, the fn-var store,
+  /// and the annotation domain's interned elements (which grow as the
+  /// closure composes), by container capacity. This is what
+  /// MaxMemoryBytes is checked against.
   size_t memoryBytes() const;
 
   /// What this solver has published into the shared aggregate-memory

@@ -110,6 +110,10 @@ public:
   bool isAccepting(AnnId F) const override;
   size_t size() const override { return Envs.size(); }
   std::string toString(AnnId F) const override;
+  // The base monoid is what grows without bound.
+  bool overflowed() const override { return Base.overflowed(); }
+  size_t memoryBytes() const override { return Base.memoryBytes(); }
+  uint64_t composeMisses() const override { return Base.composeMisses(); }
 
   const AnnotationDomain &base() const { return Base; }
 

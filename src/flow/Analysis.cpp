@@ -51,9 +51,17 @@ std::string bracketName(const FlowProgram &P, bool Open,
   return N;
 }
 
+/// The index of a bracket in buildPairAutomaton's BracketSyms.
+size_t bracketKey(const FlowProgram &P, bool Open, uint32_t Index,
+                  TypeId CompTy) {
+  return (2 * static_cast<size_t>(Index) + (Open ? 0 : 1)) * P.numTypes() +
+         CompTy;
+}
+
 } // namespace
 
-Dfa rasc::buildPairAutomaton(const FlowProgram &P) {
+Dfa rasc::buildPairAutomaton(const FlowProgram &P,
+                             std::vector<SymbolId> *BracketSyms) {
   // Bracket symbols: one open/close pair per (component index,
   // component type) of any pair type in the program.
   std::vector<Bracket> Brackets;
@@ -74,6 +82,14 @@ Dfa rasc::buildPairAutomaton(const FlowProgram &P) {
   for (size_t I = 0; I != Brackets.size(); ++I) {
     OpenSym[I] = Builder.addSymbol(bracketName(P, true, Brackets[I]));
     CloseSym[I] = Builder.addSymbol(bracketName(P, false, Brackets[I]));
+  }
+  if (BracketSyms) {
+    BracketSyms->assign(4 * static_cast<size_t>(P.numTypes()), InvalidSymbol);
+    for (size_t I = 0; I != Brackets.size(); ++I) {
+      const Bracket &B = Brackets[I];
+      (*BracketSyms)[bracketKey(P, true, B.Index, B.CompTy)] = OpenSym[I];
+      (*BracketSyms)[bracketKey(P, false, B.Index, B.CompTy)] = CloseSym[I];
+    }
   }
 
   // States: descent chains of brackets. A new frame (j, tau') may
@@ -294,11 +310,9 @@ Dfa rasc::buildCallAutomaton(const FlowProgram &P,
 
 FlowAnalysis::FlowAnalysis(const FlowProgram &P, FlowMode Mode)
     : P(P), Mode(Mode) {
-  Expected<std::shared_ptr<const MonoidDomain>> D = MonoidDomain::create(
-      Mode == FlowMode::Primal ? buildPairAutomaton(P)
+  Dom = std::make_unique<MonoidDomain>(
+      Mode == FlowMode::Primal ? buildPairAutomaton(P, &BracketSyms)
                                : buildCallAutomaton(P, &RecursiveSite));
-  assert(D && "flow annotation monoid exceeded the element cap");
-  Dom = std::move(*D);
   CS = std::make_unique<ConstraintSystem>(*Dom);
 
   if (Mode == FlowMode::Primal) {
@@ -352,9 +366,12 @@ FlowAnalysis::LType FlowAnalysis::spread(TypeId T) {
   return L;
 }
 
-AnnId FlowAnalysis::bracketAnn(bool Open, uint32_t Index, TypeId CompTy) {
-  Bracket B{Index, CompTy};
-  return Dom->symbolAnn(bracketName(P, Open, B));
+AnnId FlowAnalysis::bracketAnn(bool Open, uint32_t Index,
+                               TypeId CompTy) const {
+  assert(Index < 2 && CompTy < P.numTypes() && "bracket out of range");
+  SymbolId Sym = BracketSyms[bracketKey(P, Open, Index, CompTy)];
+  assert(Sym != InvalidSymbol && "bracket of no pair type");
+  return Dom->symbolAnn(Sym);
 }
 
 AnnId FlowAnalysis::callAnn(bool Open, uint32_t CallSite) {

@@ -54,8 +54,12 @@ enum class FlowMode {
 /// types: states are descent chains into the program's types, symbols
 /// are "[i_tau" / "]i_tau" per (component index, component type),
 /// acceptance at the empty chain (a fully cancelled bracket string).
-/// Exposed for tests and benches.
-Dfa buildPairAutomaton(const FlowProgram &P);
+/// When \p BracketSyms is given it receives each bracket's symbol by
+/// key: the symbol of "[i_tau" (open) or "]i_tau" is at index
+/// (2 * i + (open ? 0 : 1)) * P.numTypes() + tau, and InvalidSymbol
+/// marks a (component index, component type) no pair type has.
+Dfa buildPairAutomaton(const FlowProgram &P,
+                       std::vector<SymbolId> *BracketSyms = nullptr);
 
 /// Builds the call-string automaton for the dual analysis: symbols
 /// "[i" / "]i" per non-recursive call site, states are acyclic call
@@ -122,18 +126,19 @@ private:
   LType spread(TypeId T);
   LType inferPrimal(const FFunc &F, const LType &ParamLT, FExprId E);
   LType inferDual(const FFunc &F, const LType &ParamLT, FExprId E);
-  AnnId bracketAnn(bool Open, uint32_t Index, TypeId CompTy);
+  AnnId bracketAnn(bool Open, uint32_t Index, TypeId CompTy) const;
   AnnId callAnn(bool Open, uint32_t CallSite);
   ConsId sourceConstant(FExprId From);
   void ensureSolved();
 
   const FlowProgram &P;
   FlowMode Mode;
-  std::shared_ptr<const MonoidDomain> Dom;
+  std::unique_ptr<const MonoidDomain> Dom;
   std::unique_ptr<ConstraintSystem> CS;
   std::unique_ptr<BidirectionalSolver> Solver;
   bool Solved = false;
 
+  std::vector<SymbolId> BracketSyms; // primal: see buildPairAutomaton
   std::vector<bool> RecursiveSite; // dual: call sites with eps annotation
   std::vector<VarId> ParamLabels, RetLabels;
   std::map<FExprId, VarId> ExprLabel;

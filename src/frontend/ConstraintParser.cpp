@@ -149,20 +149,8 @@ private:
     return N;
   }
 
-  /// Builds the program's domain; a monoid over the element cap is
-  /// reported at the 'language' keyword.
-  bool makeDomain(ConstraintProgram &P, Dfa M, SourceLoc KwLoc) {
-    Expected<std::shared_ptr<const MonoidDomain>> Dom =
-        MonoidDomain::create(std::move(M));
-    if (!Dom)
-      return failAt("language: " + Dom.error().message(), KwLoc);
-    P.Dom = std::move(*Dom);
-    return true;
-  }
-
   bool parseLanguage(ConstraintProgram &P) {
     skipTrivia();
-    SourceLoc KwLoc{Line, col()};
     auto Kw = ident();
     if (!Kw || *Kw != "language")
       return fail("constraint files start with a 'language' block");
@@ -195,8 +183,7 @@ private:
         L.Line = L.valid() ? StartLine + L.Line - 1 : StartLine;
         return failAt("language block: " + Spec.error().message(), L);
       }
-      if (!makeDomain(P, Spec->machine(), KwLoc))
-        return false;
+      P.Dom = std::make_unique<MonoidDomain>(Spec->machine());
     } else {
       auto Sub = ident();
       if (!Sub || *Sub != "regex")
@@ -222,7 +209,8 @@ private:
                       SourceLoc{Line, static_cast<uint32_t>(
                                           Start - LineStart + PatCol)});
       }
-      if (!makeDomain(P, std::move(*M), KwLoc) || !eat(';'))
+      P.Dom = std::make_unique<MonoidDomain>(std::move(*M));
+      if (!eat(';'))
         return false;
     }
     P.CS = std::make_unique<ConstraintSystem>(*P.Dom);

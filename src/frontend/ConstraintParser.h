@@ -109,7 +109,7 @@ public:
 private:
   ConstraintProgram() = default;
 
-  std::shared_ptr<const MonoidDomain> Dom;
+  std::unique_ptr<const MonoidDomain> Dom;
   std::unique_ptr<ConstraintSystem> CS;
   std::vector<std::pair<std::string, VarId>> Vars;
   std::vector<std::pair<std::string, ConsId>> Constructors;

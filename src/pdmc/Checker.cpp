@@ -43,10 +43,7 @@ RascChecker::RascChecker(const Program &Prog, const SpecAutomaton &Spec,
     Parametric |= Spec.isParametric(S);
   assert((!Parametric || Strategy == SolveStrategy::Bidirectional) &&
          "parametric annotations require the bidirectional solver");
-  Expected<std::shared_ptr<const MonoidDomain>> D =
-      MonoidDomain::create(Spec.machine());
-  assert(D && "property annotation monoid exceeded the element cap");
-  Base = std::move(*D);
+  Base = std::make_unique<MonoidDomain>(Spec.machine());
   if (Parametric) {
     EnvDom = std::make_unique<SubstEnvDomain>(*Base);
     CS = std::make_unique<ConstraintSystem>(*EnvDom);
@@ -284,10 +281,13 @@ std::vector<Violation> RascChecker::collectViolations() {
           V.Where = S;
           V.CallStack = callStack();
           // The event trace: a sample word of the reaching class,
-          // then this statement's own operation.
-          for (SymbolId Sym : Base->monoid().sampleWord(F))
-            V.EventTrace.push_back(M.symbolName(Sym));
-          V.EventTrace.push_back(St.OpSymbol);
+          // then this statement's own operation. None if the word
+          // search passes the monoid's element cap.
+          if (std::optional<Word> W = Base->monoid().sampleWord(F)) {
+            for (SymbolId Sym : *W)
+              V.EventTrace.push_back(M.symbolName(Sym));
+            V.EventTrace.push_back(St.OpSymbol);
+          }
           Found.insert(std::move(V));
         }
         continue;

@@ -62,7 +62,8 @@ struct Violation {
   /// Property-relevant events of one violating path, ending with this
   /// statement's own operation (a word of L(M), reconstructed from the
   /// representative function's sample word). Bidirectional
-  /// non-parametric checking only; empty otherwise.
+  /// non-parametric checking only; empty otherwise, and when the
+  /// sample-word search passes the monoid's element cap.
   std::vector<std::string> EventTrace;
 
   friend bool operator<(const Violation &A, const Violation &B) {
@@ -149,7 +150,7 @@ private:
   const SpecAutomaton &Spec;
   SolveStrategy Strategy;
   bool Parametric;
-  std::shared_ptr<const MonoidDomain> Base;
+  std::unique_ptr<const MonoidDomain> Base;
   std::unique_ptr<SubstEnvDomain> EnvDom;
   std::unique_ptr<ConstraintSystem> CS;
   std::vector<VarId> StmtVars;

@@ -164,6 +164,25 @@ public:
     return InlineMode ? InlineCount : Rows.size();
   }
 
+  /// Calls \p Fn(Key, Ann) for every set bit.
+  template <typename FnT> void forEach(FnT Fn) const {
+    auto Bits64 = [&](uint64_t Key, uint64_t W, uint32_t Base) {
+      for (; W; W &= W - 1)
+        Fn(Key, Base + static_cast<uint32_t>(__builtin_ctzll(W)));
+    };
+    if (InlineMode) {
+      for (const Slot &S : Slots)
+        if (S.Key != Empty)
+          Bits64(S.Key, S.Bits, 0);
+      return;
+    }
+    Rows.forEach([&](uint64_t Key, uint32_t Row) {
+      for (size_t W = 0; W != Stride; ++W)
+        Bits64(Key, Bits[static_cast<size_t>(Row) * Stride + W],
+               static_cast<uint32_t>(W * 64));
+    });
+  }
+
   /// Issues a prefetch for the home slot of row \p Key. The closure's
   /// probe stream has no locality (derived edges hash all over the
   /// table), so batching prefetches a chunk ahead turns a serial chain
@@ -292,8 +311,9 @@ private:
 /// Deduplication of annotated edges (A, B, Ann): the bitset backend
 /// keys rows by the packed (A, B) pair; the flat backend keeps one
 /// open-addressed set of packed (A, Ann) keys per B. The solver picks
-/// a backend per SolverOptions (bitsets when the annotation domain is
-/// small, flat sets otherwise).
+/// a backend per SolverOptions: bitsets while the annotation ids in
+/// use are small, flat sets once one passes a threshold (a lazily
+/// interned domain reaches large ids only mid-solve).
 class EdgeDedup {
 public:
   enum class Backend : uint8_t {
@@ -301,17 +321,23 @@ public:
     Flat,   ///< per-B FlatSet64 of packed (A, ann) keys (sparse)
   };
 
+  /// A Bitset dedup moves every recorded edge to the flat backend, and
+  /// stays there, the first time an id above \p FlatAbove is inserted.
   explicit EdgeDedup(Backend B = Backend::Bitset,
-                     size_t AnnCapacityHint = 64)
-      : Which(B), Bitsets(AnnCapacityHint) {}
+                     size_t AnnCapacityHint = 64,
+                     uint32_t FlatAbove = ~uint32_t(0))
+      : Which(B), FlatAbove(FlatAbove), Bitsets(AnnCapacityHint) {}
 
   Backend backend() const { return Which; }
 
   /// Records the edge. \returns true if it was not present.
   bool insert(uint32_t A, uint32_t B, uint32_t Ann) {
-    if (Which == Backend::Bitset)
-      return Bitsets.testAndSet(
-          (static_cast<uint64_t>(A) << 32) | B, Ann);
+    if (Which == Backend::Bitset) {
+      if (Ann <= FlatAbove)
+        return Bitsets.testAndSet(
+            (static_cast<uint64_t>(A) << 32) | B, Ann);
+      toFlat();
+    }
     if (B >= PerDst.size())
       PerDst.resize(static_cast<size_t>(B) + 1);
     return PerDst[B].insert((static_cast<uint64_t>(A) << 32) | Ann);
@@ -357,7 +383,19 @@ public:
   }
 
 private:
+  void toFlat() {
+    Bitsets.forEach([&](uint64_t Key, uint32_t Ann) {
+      uint32_t B = static_cast<uint32_t>(Key);
+      if (B >= PerDst.size())
+        PerDst.resize(static_cast<size_t>(B) + 1);
+      PerDst[B].insert((Key & ~uint64_t(0xffffffff)) | Ann);
+    });
+    Bitsets = AnnBitsetTable();
+    Which = Backend::Flat;
+  }
+
   Backend Which;
+  uint32_t FlatAbove;
   AnnBitsetTable Bitsets;
   std::vector<FlatSet64> PerDst;
 };

@@ -228,6 +228,13 @@ public:
     Count = 0;
   }
 
+  /// Calls \p Fn(Key, Value) for every entry, in slot order.
+  template <typename FnT> void forEach(FnT Fn) const {
+    for (size_t J = 0, E = Keys.size(); J != E; ++J)
+      if (Keys[J] != Empty)
+        Fn(Keys[J], Values[J]);
+  }
+
   /// Heap bytes held (for the solver's approximate memory budget).
   size_t memoryBytes() const {
     return Keys.capacity() * sizeof(uint64_t) +

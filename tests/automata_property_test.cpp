@@ -151,6 +151,7 @@ TEST_P(AutomataRandom, UselessMeansNoAcceptingExtension) {
   if (isEmptyLanguage(M))
     GTEST_SKIP();
   TransitionMonoid Mon(M);
+  ASSERT_TRUE(Mon.enumerateAll());
   DynamicBitset Live = M.liveStates();
   for (FnId F = 0; F != Mon.size(); ++F) {
     bool AnyLive = false;

@@ -10,7 +10,8 @@
 /// truncated input, overlong numbers, raw non-ASCII bytes, unbalanced
 /// delimiters, huge arities, pathological repetition, and deep
 /// nesting with a clean positioned Diag — never a crash, hang, or
-/// silent wrap. Plus the checked constraint-system builders.
+/// silent wrap. Plus the checked constraint-system builders, and the
+/// budgets that end a solve over a superexponential monoid.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +20,10 @@
 #include "core/Domains.h"
 #include "frontend/ConstraintParser.h"
 #include "spec/SpecParser.h"
+
+#include <chrono>
+#include <fstream>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
@@ -418,21 +423,104 @@ TEST(CheckedBuilders, AddChecked) {
   EXPECT_EQ(CS.constraints().size(), 1u);
 }
 
-TEST(CheckedBuilders, MonoidOverflowIsADiag) {
-  // 6^6 = 46656 elements against a cap of 1000: a Diag, not the
-  // asserting constructor's abort.
+//===----------------------------------------------------------------------===//
+// Governance of the lazily interned monoid
+//===----------------------------------------------------------------------===//
+
+std::string readTestData(const char *Name) {
+  std::ifstream In(std::string(RASC_TEST_DATA_DIR) + "/" + Name);
+  EXPECT_TRUE(In.good()) << Name;
+  return {std::istreambuf_iterator<char>(In), std::istreambuf_iterator<char>()};
+}
+
+/// c <= X plus a self-loop on X per symbol: the constant's lower
+/// bounds on X are every element the generators reach, i.e. the whole
+/// monoid.
+void addSelfLoops(ConstraintSystem &CS, const MonoidDomain &Dom) {
+  ConsId C = CS.addConstant("c");
+  VarId X = CS.freshVar();
+  CS.add(CS.cons(C), CS.var(X));
+  for (SymbolId A = 0; A != Dom.machine().numSymbols(); ++A)
+    CS.add(CS.var(X), CS.var(X), Dom.symbolAnn(A));
+}
+
+TEST(Governance, Figure2FileIsAnsweredQuickly) {
+  // The paper's Figure 2 machine on 8 states has 8^8 elements; the
+  // file's two constraints compose one product.
+  std::string Source = readTestData("fig2.rasc");
+  auto T0 = std::chrono::steady_clock::now();
+  Expected<ConstraintProgram> P = ConstraintProgram::parseEx(Source);
+  ASSERT_TRUE(P) << P.error().render();
+  std::vector<ConstraintProgram::Answer> A = P->solveAndAnswer();
+  double Ms = std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - T0)
+                  .count();
+  ASSERT_EQ(A.size(), 2u);
+  EXPECT_FALSE(A[0].Holds) << A[0].Q->Text;
+  EXPECT_TRUE(A[1].Holds) << A[1].Q->Text;
+  EXPECT_EQ(P->domain().machine().numStates(), 8u);
+  // The identity, three generators and swap ∘ rotate.
+  EXPECT_EQ(P->domain().size(), 5u);
+  EXPECT_LT(Ms, 50.0);
+}
+
+TEST(Governance, ElementCapIsAResumableInterrupt) {
+  // 6^6 = 46656 elements against a cap of 1000: the solve that
+  // interns past the cap stops at its next governance check instead
+  // of aborting, with its worklist tail kept.
   TransitionMonoid::Options Opts;
   Opts.MaxElements = 1000;
-  Expected<std::shared_ptr<const MonoidDomain>> Dom =
-      MonoidDomain::create(buildAdversarialMachine(6), Opts);
-  ASSERT_FALSE(Dom);
-  EXPECT_NE(Dom.error().message().find("1000"), std::string::npos)
-      << Dom.error().render();
+  MonoidDomain Dom(buildAdversarialMachine(6), Opts);
+  ConstraintSystem CS(Dom);
+  addSelfLoops(CS, Dom);
+  BidirectionalSolver S(CS);
+  EXPECT_EQ(S.solve(), BidirectionalSolver::Status::MemoryLimit);
+  EXPECT_TRUE(Dom.overflowed());
+  // Overshoot is bounded by one governance interval of fan-out.
+  EXPECT_LE(Dom.size(), 1000u + 3 * S.options().GovernanceCheckInterval);
+  EXPECT_NE(S.pendingEdges(), 0u);
+  // A resume stops at once: the cap cannot be lifted by retrying.
+  size_t Size = Dom.size(), Pending = S.pendingEdges();
+  EXPECT_EQ(S.solve(), BidirectionalSolver::Status::MemoryLimit);
+  EXPECT_EQ(S.stats().Resumes, 1u);
+  EXPECT_EQ(Dom.size(), Size);
+  EXPECT_EQ(S.pendingEdges(), Pending);
 
-  // Under the cap the checked path yields the same domain.
-  Dom = MonoidDomain::create(buildAdversarialMachine(3), Opts);
-  ASSERT_TRUE(Dom) << Dom.error().render();
-  EXPECT_EQ((*Dom)->size(), 27u);
+  // Under the cap the same system closes over the whole monoid.
+  MonoidDomain Small(buildAdversarialMachine(3), Opts);
+  ConstraintSystem SmallCS(Small);
+  addSelfLoops(SmallCS, Small);
+  BidirectionalSolver SmallS(SmallCS);
+  EXPECT_EQ(SmallS.solve(), BidirectionalSolver::Status::Solved);
+  EXPECT_EQ(Small.size(), 27u);
+  EXPECT_EQ(SmallS.stats().MonoidElements, 27u);
+}
+
+TEST(Governance, HostileLanguageEndsWithinItsBudget) {
+  // The Figure 2 language with a self-loop per symbol: the closure
+  // would intern all 8^8 elements. A deadline and a memory budget end
+  // it in a resumable interrupt within the deadline plus slack.
+  std::string Source = readTestData("fig2.rasc");
+  Source = Source.substr(0, Source.find("constant pc;")) +
+           "constant pc;\nvar X;\npc <= X;\nX <= [rotate] X;\n"
+           "X <= [swap] X;\nX <= [merge] X;\nquery pc in X;\n";
+  Expected<ConstraintProgram> P = ConstraintProgram::parseEx(Source);
+  ASSERT_TRUE(P) << P.error().render();
+  SolverOptions Opts;
+  Opts.DeadlineSeconds = 0.2;
+  Opts.MaxMemoryBytes = uint64_t(64) << 20;
+  BidirectionalSolver S(P->system(), Opts);
+  auto T0 = std::chrono::steady_clock::now();
+  BidirectionalSolver::Status St = S.solve();
+  double Seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - T0)
+                       .count();
+  EXPECT_TRUE(St == BidirectionalSolver::Status::Deadline ||
+              St == BidirectionalSolver::Status::MemoryLimit)
+      << static_cast<int>(St);
+  EXPECT_LT(Seconds, 0.2 + 1.0);
+  EXPECT_GT(P->domain().size(), 1000u);
+  EXPECT_FALSE(P->domain().overflowed());
 }
 
 } // namespace

@@ -94,6 +94,7 @@ TEST_P(GenKillVsDfa, MonoidActionsAgreeOnRandomWords) {
   size_t Expected = 1;
   for (unsigned I = 0; I != Bits; ++I)
     Expected *= 3;
+  EXPECT_TRUE(Mon.enumerateAll());
   EXPECT_EQ(Mon.size(), Expected);
 }
 

@@ -94,6 +94,7 @@ TEST(Monoid, CongruenceIsSound) {
 TEST(Monoid, AssociativityAndIdentity) {
   Dfa M = buildAdversarialMachine(3);
   TransitionMonoid Mon(M);
+  EXPECT_TRUE(Mon.enumerateAll());
   size_t N = Mon.size();
   ASSERT_EQ(N, 27u); // 3^3 functions
   for (FnId F = 0; F != N; ++F) {
@@ -115,6 +116,7 @@ TEST(Monoid, AdversarialGrowthIsSuperexponential) {
   for (unsigned N = 2; N <= 5; ++N) {
     Dfa M = buildAdversarialMachine(N);
     TransitionMonoid Mon(M);
+    EXPECT_TRUE(Mon.enumerateAll());
     size_t Expected = 1;
     for (unsigned I = 0; I != N; ++I)
       Expected *= N;
@@ -128,6 +130,8 @@ TEST(Monoid, OverflowCapIsHonored) {
   TransitionMonoid::Options Opts;
   Opts.MaxElements = 1000;
   TransitionMonoid Mon(M, Opts);
+  EXPECT_FALSE(Mon.overflowed()) << "only the generators are interned";
+  EXPECT_FALSE(Mon.enumerateAll());
   EXPECT_TRUE(Mon.overflowed());
   EXPECT_LE(Mon.size(), 1001u);
 }
@@ -152,46 +156,92 @@ TEST(Monoid, SampleWordsRoundTrip) {
   for (unsigned N : {2u, 3u, 4u}) {
     Dfa M = buildAdversarialMachine(N);
     TransitionMonoid Mon(M);
-    EXPECT_TRUE(Mon.sampleWord(Mon.identity()).empty());
+    Mon.enumerateAll();
+    EXPECT_EQ(Mon.sampleWord(Mon.identity()), Word{});
     for (FnId F = 0; F != Mon.size(); ++F) {
-      Word W = Mon.sampleWord(F);
+      Word W = Mon.sampleWord(F).value();
       EXPECT_EQ(Mon.wordFn(W), F) << "N=" << N << " F=" << F;
     }
   }
 }
 
-/// The dense table, built by the Cayley recurrence, against the memo
-/// monoid (DenseTableLimit = 0), whose every product is a composeSlow
-/// call: all N^2 pairs, through both row orders. \returns the size.
-size_t expectTableMatchesComposeSlow(const Dfa &M) {
-  TransitionMonoid::Options Dense, Memo;
-  Dense.DenseTableLimit = 4096;
-  Memo.DenseTableLimit = 0;
-  TransitionMonoid DenseMon(M, Dense), MemoMon(M, Memo);
-  size_t N = DenseMon.size();
-  EXPECT_EQ(N, MemoMon.size());
-  EXPECT_EQ(MemoMon.composeRowLhs(0), nullptr);
+TEST(Monoid, SampleWordsDoNotDependOnQueryOrder) {
+  // The search resumes across calls; asking for the deepest classes
+  // first gives the same words as asking in breadth-first order.
+  Dfa M = buildAdversarialMachine(4);
+  TransitionMonoid Forward(M), Backward(M);
+  Forward.enumerateAll();
+  Backward.enumerateAll();
+  std::vector<std::optional<Word>> Words(Forward.size());
+  for (FnId F = 0; F != Forward.size(); ++F)
+    Words[F] = Forward.sampleWord(F);
+  for (FnId F = Backward.size(); F-- != 0;)
+    EXPECT_EQ(Backward.sampleWord(F), Words[F]) << "F=" << F;
+}
+
+TEST(Monoid, SampleWordSearchStopsAtTheElementCap) {
+  // The search reaches functions in shortlex order of their least
+  // words; a class whose least word lies past MaxElements functions
+  // has no sample word under that cap, and the search stays bounded.
+  Dfa M = buildAdversarialMachine(4);
+  TransitionMonoid Full(M);
+  Full.enumerateAll();
+  Word Deepest = Full.sampleWord(static_cast<FnId>(Full.size() - 1)).value();
+  ASSERT_GE(Deepest.size(), 4u);
+
+  TransitionMonoid::Options Opts;
+  Opts.MaxElements = 20;
+  TransitionMonoid Capped(M, Opts);
+  FnId F = Capped.wordFn(Deepest);
+  size_t Before = Capped.memoryBytes();
+  EXPECT_EQ(Capped.sampleWord(F), std::nullopt);
+  EXPECT_LT(Capped.memoryBytes() - Before, size_t(4096));
+  // Classes within the cap still get their words.
+  EXPECT_EQ(Capped.sampleWord(Capped.symbolFn(0)), Word{0});
+}
+
+/// Every product of the enumerated monoid of \p M against the state
+/// tables, through both a breadth-first enumeration and a monoid that
+/// interns the same elements in a shuffled order: all N^2 pairs give
+/// the composed state table, and each element's sample word maps back
+/// to it and is the same word whatever the interning order.
+/// \returns the size.
+size_t expectComposeMatchesStateTables(const Dfa &M) {
+  TransitionMonoid Mon(M);
+  EXPECT_TRUE(Mon.enumerateAll());
+  size_t N = Mon.size();
   size_t Mismatches = 0;
-  for (FnId F = 0; F != N; ++F) {
-    // Both monoids intern in the same BFS order.
-    EXPECT_EQ(DenseMon.toString(F), MemoMon.toString(F));
-    const FnId *Row = DenseMon.composeRowLhs(F);
-    if (!Row) {
-      ADD_FAILURE() << "no dense table for " << N << " elements";
-      return N;
-    }
+  for (FnId F = 0; F != N; ++F)
     for (FnId G = 0; G != N; ++G) {
-      FnId Want = MemoMon.compose(F, G);
-      if (Row[G] != Want || DenseMon.composeRowRhs(G)[F] != Want) {
-        if (++Mismatches == 1)
-          ADD_FAILURE() << "F=" << F << " G=" << G << ": table "
-                        << Row[G] << ", transpose "
-                        << DenseMon.composeRowRhs(G)[F] << ", composeSlow "
-                        << Want;
-      }
+      FnId R = Mon.compose(F, G);
+      for (StateId S = 0; S != M.numStates(); ++S)
+        if (Mon.apply(R, S) != Mon.apply(F, Mon.apply(G, S))) {
+          if (++Mismatches == 1)
+            ADD_FAILURE() << "F=" << F << " G=" << G << ": compose gives "
+                          << Mon.toString(R);
+          break;
+        }
     }
-  }
   EXPECT_EQ(Mismatches, 0u);
+  EXPECT_EQ(Mon.size(), N) << "a product outside the enumeration";
+
+  // A second monoid reaches the elements through the sample words of
+  // the first, in a shuffled order, so its ids differ.
+  std::vector<FnId> Order(N);
+  for (FnId F = 0; F != N; ++F)
+    Order[F] = F;
+  Rng R(N);
+  for (size_t I = N; I > 1; --I)
+    std::swap(Order[I - 1], Order[R.below(I)]);
+  TransitionMonoid Shuffled(M);
+  for (FnId F : Order) {
+    Word W = Mon.sampleWord(F).value();
+    EXPECT_EQ(Mon.wordFn(W), F) << "F=" << F;
+    FnId Other = Shuffled.wordFn(W);
+    EXPECT_EQ(Shuffled.toString(Other), Mon.toString(F));
+    EXPECT_EQ(Shuffled.sampleWord(Other), W) << "F=" << F;
+  }
+  EXPECT_EQ(Shuffled.size(), N);
   return N;
 }
 
@@ -214,34 +264,36 @@ Dfa identitySymbolMachine() {
   return B.build();
 }
 
-TEST(Monoid, DenseAndMemoAgree) {
+TEST(Monoid, LazyComposeMatchesStateTables) {
   for (unsigned N : {2u, 3u, 4u}) {
     SCOPED_TRACE("adversarial " + std::to_string(N));
-    expectTableMatchesComposeSlow(buildAdversarialMachine(N));
+    expectComposeMatchesStateTables(buildAdversarialMachine(N));
   }
   {
     SCOPED_TRACE("3-bit gen/kill");
-    EXPECT_EQ(expectTableMatchesComposeSlow(minimize(buildNBitMachine(3))),
-              27u);
+    EXPECT_EQ(
+        expectComposeMatchesStateTables(minimize(buildNBitMachine(3))),
+        27u);
   }
   {
     SCOPED_TRACE("identity symbol");
     Dfa M = identitySymbolMachine();
     EXPECT_EQ(TransitionMonoid(M).symbolFn(*M.symbol("n")), 0u);
-    expectTableMatchesComposeSlow(M);
+    expectComposeMatchesStateTables(M);
   }
   for (const auto &[Name, Spec] :
        {std::pair{"full privilege", fullPrivilegeSpec()},
         std::pair{"file state", fileStateSpec()},
         std::pair{"eBPF map check", ebpf::mapCheckSpec()}}) {
     SCOPED_TRACE(Name);
-    expectTableMatchesComposeSlow(Spec.machine());
+    expectComposeMatchesStateTables(Spec.machine());
   }
 }
 
-TEST(Monoid, DenseAndMemoAgreeOnEbpfFlowMonoid) {
-  // The flow pair automaton of a golden eBPF program, whose monoid is
-  // the 906-element table every ebpf-batch program builds.
+TEST(Monoid, LazyComposeMatchesStateTablesOnEbpfFlowMonoid) {
+  // The flow pair automaton of a golden eBPF program: 906 elements
+  // when enumerated, of which a flow analysis interns a small part
+  // (FlowAnalysisInternsWhatItComposes below).
   std::ifstream In(std::string(RASC_TEST_DATA_DIR) + "/ebpf/gen-009.bpf",
                    std::ios::binary);
   ASSERT_TRUE(In.good());
@@ -252,7 +304,7 @@ TEST(Monoid, DenseAndMemoAgreeOnEbpfFlowMonoid) {
   ASSERT_TRUE(D) << D.error().render();
   ebpf::Cfg G = ebpf::buildCfg(std::move(*D));
   ebpf::FlowLowering Fl = ebpf::lowerToFlowProgram(G);
-  EXPECT_EQ(expectTableMatchesComposeSlow(buildPairAutomaton(Fl.Prog)),
+  EXPECT_EQ(expectComposeMatchesStateTables(buildPairAutomaton(Fl.Prog)),
             906u);
 }
 
@@ -263,10 +315,60 @@ TEST(Monoid, NBitMachineMonoidIsPowOfThree) {
   for (unsigned Bits = 1; Bits <= 3; ++Bits) {
     Dfa M = minimize(buildNBitMachine(Bits));
     TransitionMonoid Mon(M);
+    EXPECT_TRUE(Mon.enumerateAll());
     size_t Expected = 1;
     for (unsigned I = 0; I != Bits; ++I)
       Expected *= 3;
     EXPECT_EQ(Mon.size(), Expected) << "bits=" << Bits;
+  }
+}
+
+TEST(Monoid, ConstructionInternsGeneratorsOnly) {
+  // Figure 2 on 8 states: 8^8 elements, none built up front.
+  Dfa M = buildAdversarialMachine(8);
+  TransitionMonoid Mon(M);
+  EXPECT_EQ(Mon.size(), 4u); // identity, rotate, swap, merge
+  EXPECT_EQ(Mon.composeMisses(), 0u);
+  EXPECT_LT(Mon.memoryBytes(), size_t(4096));
+
+  // A product is computed once, then read back.
+  FnId Rot = Mon.symbolFn(*M.symbol("rotate"));
+  FnId Swap = Mon.symbolFn(*M.symbol("swap"));
+  FnId P = Mon.compose(Swap, Rot);
+  EXPECT_EQ(Mon.size(), 5u);
+  EXPECT_EQ(Mon.composeMisses(), 1u);
+  EXPECT_EQ(Mon.compose(Swap, Rot), P);
+  EXPECT_EQ(Mon.composeMisses(), 1u);
+  EXPECT_EQ(Mon.sampleWord(P), (Word{*M.symbol("rotate"), *M.symbol("swap")}));
+  // A product that is already an element interns nothing new.
+  EXPECT_EQ(Mon.compose(Mon.identity(), Rot), Rot);
+  EXPECT_EQ(Mon.size(), 5u);
+  EXPECT_EQ(Mon.composeMisses(), 2u);
+}
+
+TEST(Monoid, FlowAnalysisInternsWhatItComposes) {
+  // A flow analysis of a golden eBPF program touches a small part of
+  // its pair automaton's 906-element monoid, and every element it
+  // interned is a product of the generators with the right table.
+  std::ifstream In(std::string(RASC_TEST_DATA_DIR) + "/ebpf/gen-009.bpf",
+                   std::ios::binary);
+  ASSERT_TRUE(In.good());
+  std::string Bytes((std::istreambuf_iterator<char>(In)),
+                    std::istreambuf_iterator<char>());
+  Expected<ebpf::DecodedProgram> D = ebpf::decode(
+      {reinterpret_cast<const uint8_t *>(Bytes.data()), Bytes.size()});
+  ASSERT_TRUE(D) << D.error().render();
+  ebpf::Cfg G = ebpf::buildCfg(std::move(*D));
+  ebpf::FlowLowering Fl = ebpf::lowerToFlowProgram(G);
+  FlowAnalysis A(Fl.Prog, FlowMode::Primal);
+  A.flowsPN(Fl.CtxLit, Fl.ResultExpr);
+  const TransitionMonoid &Mon = A.domain().monoid();
+  EXPECT_LT(Mon.size(), 906u / 4);
+  for (FnId F = 0; F != Mon.size(); ++F) {
+    Word W = Mon.sampleWord(F).value();
+    EXPECT_EQ(Mon.wordFn(W), F);
+    for (StateId S = 0; S != Mon.numStates(); ++S)
+      ASSERT_EQ(Mon.apply(F, S), Mon.automaton().run(W, S)) << "F=" << F;
   }
 }
 

@@ -194,10 +194,13 @@ TEST(Pdmc, FullPrivilegeModelShape) {
   EXPECT_EQ(Spec.machine().numSymbols(), 9u);
 
   // The representative function set stays far below the
-  // superexponential worst case (the paper's automaton had 58).
+  // superexponential worst case (the paper's automaton had 58; this
+  // model's transition table gives 47).
   TransitionMonoid Mon(Spec.machine());
+  EXPECT_TRUE(Mon.enumerateAll());
   EXPECT_LT(Mon.size(), 500u);
   EXPECT_GT(Mon.size(), 10u);
+  EXPECT_EQ(Mon.size(), 47u);
 }
 
 TEST(Pdmc, FullPrivilegeModelCatchesTemporaryDropBug) {
@@ -363,7 +366,7 @@ bool isParametric(const SpecAutomaton &Spec) {
 /// of a non-call statement (identity when the statement is irrelevant),
 /// o_i(S) ⊆ F_entry and o_i^-1(F_exit) ⊆ Si for calls, pc ⊆ S_main.
 struct LiteralEncoding {
-  std::shared_ptr<const MonoidDomain> Base;
+  std::unique_ptr<MonoidDomain> Base;
   std::unique_ptr<SubstEnvDomain> Env;
   std::unique_ptr<ConstraintSystem> CS;
   std::vector<VarId> Vars;
@@ -372,7 +375,7 @@ struct LiteralEncoding {
 
   LiteralEncoding(const Program &P, const SpecAutomaton &Spec) {
     const Dfa &M = Spec.machine();
-    Base = *MonoidDomain::create(M);
+    Base = std::make_unique<MonoidDomain>(M);
     if (isParametric(Spec)) {
       Env = std::make_unique<SubstEnvDomain>(*Base);
       CS = std::make_unique<ConstraintSystem>(*Env);

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 using namespace rasc;
 using testgen::addRandomConstraints;
@@ -96,26 +97,35 @@ TEST_P(SolverDifferential, OptionsDoNotChangeQueries) {
 
 TEST_P(SolverDifferential, DedupBackendsMatchReference) {
   // Both edge-dedup backends (annotation bitsets and per-destination
-  // flat sets) must compute the identical closure; Auto merely picks
-  // between them by domain size.
+  // flat sets) must compute the identical closure. Auto starts on
+  // bitsets and moves to flat sets at the first annotation id above
+  // AnnBitsetThreshold; a threshold of 1 makes the move happen partway
+  // through the closure. Dedup is exact, so every backend inserts the
+  // same number of edges.
   Rng R(GetParam() ^ 0xded09);
   RandomSystem Sys = randomSystem(R);
 
   ReferenceSolver Ref(*Sys.CS);
   bool RefConsistent = Ref.solve();
+  std::optional<uint64_t> Inserted;
 
   for (SolverOptions::DedupBackend Backend :
        {SolverOptions::DedupBackend::Bitset,
-        SolverOptions::DedupBackend::FlatSet}) {
+        SolverOptions::DedupBackend::FlatSet,
+        SolverOptions::DedupBackend::Auto}) {
     SCOPED_TRACE(testgen::seedContext(GetParam(), Backend));
     SolverOptions Opts;
     Opts.FilterUseless = false;
     Opts.CycleElimination = false;
     Opts.Dedup = Backend;
+    Opts.AnnBitsetThreshold = 1;
     BidirectionalSolver Fast(*Sys.CS, Opts);
     BidirectionalSolver::Status St = Fast.solve();
     ASSERT_NE(St, BidirectionalSolver::Status::EdgeLimit);
     EXPECT_EQ(RefConsistent, St == BidirectionalSolver::Status::Solved);
+    if (!Inserted)
+      Inserted = Fast.stats().EdgesInserted;
+    EXPECT_EQ(Fast.stats().EdgesInserted, *Inserted);
 
     for (ConsId K : Sys.Constants)
       for (VarId V : Sys.Vars) {

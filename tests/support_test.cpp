@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/AnnSet.h"
 #include "support/DynamicBitset.h"
 #include "support/Hashing.h"
 #include "support/Rng.h"
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
 
 using namespace rasc;
 
@@ -139,6 +141,33 @@ TEST(Hashing, CombineDispersesPairs) {
     for (uint64_t B = 0; B != 50; ++B)
       Hashes.insert(hashCombine(A, B));
   EXPECT_EQ(Hashes.size(), 2500u);
+}
+
+TEST(EdgeDedup, MovingToFlatKeepsEveryEdge) {
+  // Bitset rows, inline (ids < 64) or spilled (wider ids), move to flat
+  // sets on the first id above the threshold; every edge recorded
+  // before the move is still a duplicate afterwards, and erase keeps
+  // working on the moved edges.
+  for (uint32_t Threshold : {40u, 200u}) {
+    SCOPED_TRACE(Threshold);
+    EdgeDedup D(EdgeDedup::Backend::Bitset, 64, Threshold);
+    std::set<std::tuple<uint32_t, uint32_t, uint32_t>> Edges;
+    Rng R(Threshold);
+    for (int I = 0; I != 2000; ++I) {
+      uint32_t A = R.below(30), B = R.below(30), Ann = R.below(Threshold + 1);
+      EXPECT_EQ(D.insert(A, B, Ann), Edges.insert({A, B, Ann}).second);
+    }
+    EXPECT_EQ(D.backend(), EdgeDedup::Backend::Bitset);
+    EXPECT_TRUE(D.insert(7, 9, Threshold + 1));
+    Edges.insert({7, 9, Threshold + 1});
+    EXPECT_EQ(D.backend(), EdgeDedup::Backend::Flat);
+    for (auto [A, B, Ann] : Edges)
+      EXPECT_FALSE(D.insert(A, B, Ann));
+    auto [A, B, Ann] = *Edges.begin();
+    EXPECT_TRUE(D.erase(A, B, Ann));
+    EXPECT_TRUE(D.insert(A, B, Ann));
+    EXPECT_TRUE(D.insert(30, 30, 0));
+  }
 }
 
 } // namespace
