@@ -217,9 +217,9 @@ CertificationReport rasc::certifyFixpoint(const BidirectionalSolver &S) {
                     edgeStr(CS, Src, Dst, Ann));
         return;
       }
-      for (size_t I = 0; I != SE.Args.size(); ++I) {
-        VarId A = S.rep(SE.Args[I]);
-        VarId B = S.rep(DE.Args[I]);
+      for (uint32_t I = 0; I != SE.NumArgs; ++I) {
+        VarId A = S.rep(CS.arg(SE, I));
+        VarId B = S.rep(CS.arg(DE, I));
         ExprId AN = A < V.VarExpr.size() ? V.VarExpr[A] : InvalidExpr;
         ExprId BN = B < V.VarExpr.size() ? V.VarExpr[B] : InvalidExpr;
         bool Dropped = V.FilterUseless && D.isUseless(Ann);
@@ -271,7 +271,7 @@ CertificationReport rasc::certifyFixpoint(const BidirectionalSolver &S) {
       if (SrcE.Kind != ExprKind::Cons || SrcE.C != L.C)
         continue;
       ++R.ProjectionObligations;
-      VarId Arg = S.rep(SrcE.Args[L.Index]);
+      VarId Arg = S.rep(CS.arg(SrcE, L.Index));
       ExprId ArgNode =
           Arg < V.VarExpr.size() ? V.VarExpr[Arg] : InvalidExpr;
       ExprId TgtNode =
@@ -312,29 +312,16 @@ CertificationReport rasc::certifyFixpoint(const BidirectionalSolver &S) {
         return Rp < V.VarExpr.size() ? V.VarExpr[Rp] : InvalidExpr;
       }
       case ExprKind::Cons: {
+        std::span<const VarId> Args = CS.args(Ex);
+        std::vector<VarId> Reps(Args.size());
         bool Changed = false;
-        for (VarId A : Ex.Args)
-          Changed |= S.rep(A) != A;
-        if (!Changed)
-          return E;
-        // Find the interned rewritten cons expression by scanning:
-        // rare (only cycle-collapsed systems reach here), and the
-        // certifier must not intern into the system.
-        for (ExprId I = 0, N = CS.numExprs(); I != N; ++I) {
-          const Expr &Cand = CS.expr(I);
-          if (Cand.Kind != ExprKind::Cons || Cand.C != Ex.C ||
-              Cand.Args.size() != Ex.Args.size())
-            continue;
-          bool Match = true;
-          for (size_t J = 0; J != Ex.Args.size(); ++J)
-            if (Cand.Args[J] != S.rep(Ex.Args[J])) {
-              Match = false;
-              break;
-            }
-          if (Match)
-            return I;
+        for (size_t J = 0; J != Args.size(); ++J) {
+          Reps[J] = S.rep(Args[J]);
+          Changed |= Reps[J] != Args[J];
         }
-        return InvalidExpr;
+        // The certifier must not intern into the system: a rewritten
+        // expression the solver never built has no node.
+        return Changed ? CS.findCons(Ex.C, Reps) : E;
       }
       case ExprKind::Proj:
         return InvalidExpr; // unreachable: filtered above

@@ -6,29 +6,78 @@
 
 #include "core/ConstraintSystem.h"
 
+#include <algorithm>
+#include <functional>
 #include <sstream>
 
 using namespace rasc;
 
-ExprId ConstraintSystem::intern(Expr E) const {
+namespace {
+
+/// The structural hash of a Cons/Proj expression. The all-ones value is
+/// FlatMap64's empty marker and is folded onto zero.
+uint64_t structuralHash(const Expr &E, std::span<const VarId> Args) {
   uint64_t H = hashCombine(static_cast<uint64_t>(E.Kind),
                            (static_cast<uint64_t>(E.C) << 32) | E.Index);
   H = hashCombine(H, E.V);
-  H = hashRange(E.Args.begin(), E.Args.end(), H);
+  H = hashRange(Args.begin(), Args.end(), H);
+  return H == ~uint64_t(0) ? 0 : H;
+}
 
-  auto Range = ExprIds.equal_range(H);
-  for (auto It = Range.first; It != Range.second; ++It) {
-    const Expr &Cand = Exprs[It->second];
+} // namespace
+
+ExprId ConstraintSystem::find(const Expr &E, std::span<const VarId> Args,
+                              uint64_t H) const {
+  const uint32_t *Head = ExprIndex.lookup(H);
+  for (ExprId Id = Head ? *Head : InvalidExpr; Id != InvalidExpr;
+       Id = SameHash[Id]) {
+    const Expr &Cand = Exprs[Id];
     if (Cand.Kind == E.Kind && Cand.C == E.C && Cand.Index == E.Index &&
-        Cand.V == E.V && Cand.Args == E.Args)
-      return It->second;
+        Cand.V == E.V && Cand.NumArgs == Args.size() &&
+        std::equal(Args.begin(), Args.end(),
+                   ArgArena.begin() + Cand.ArgBegin))
+      return Id;
   }
-  if (E.Kind == ExprKind::Cons)
-    E.Alpha = NumFnVars++;
+  return InvalidExpr;
+}
+
+ExprId ConstraintSystem::intern(const Expr &E,
+                                std::span<const VarId> Args) const {
+  uint64_t H = structuralHash(E, Args);
+  if (ExprId Id = find(E, Args, H); Id != InvalidExpr)
+    return Id;
+  // Arguments read out of the arena itself (say, args() of another
+  // expr) would dangle when the insert below reallocates it.
+  const VarId *Arena = ArgArena.data();
+  if (!Args.empty() && std::less_equal<>()(Arena, Args.data()) &&
+      std::less<>()(Args.data(), Arena + ArgArena.size())) {
+    std::vector<VarId> Copy(Args.begin(), Args.end());
+    return intern(E, Copy);
+  }
   ExprId Id = static_cast<ExprId>(Exprs.size());
-  Exprs.push_back(std::move(E));
-  ExprIds.emplace(H, Id);
+  Expr &New = Exprs.emplace_back(E);
+  if (E.Kind == ExprKind::Cons) {
+    New.Alpha = NumFnVars++;
+    New.ArgBegin = static_cast<uint32_t>(ArgArena.size());
+    New.NumArgs = static_cast<uint32_t>(Args.size());
+    ArgArena.insert(ArgArena.end(), Args.begin(), Args.end());
+  }
+  // A new hash heads its own chain; a colliding expr is linked in
+  // right after the existing head.
+  auto [Head, Fresh] = ExprIndex.findOrInsert(H, Id);
+  if (Fresh) {
+    SameHash.push_back(InvalidExpr);
+  } else {
+    SameHash.push_back(SameHash[Head]);
+    SameHash[Head] = Id;
+  }
   return Id;
+}
+
+ExprId ConstraintSystem::findCons(ConsId C,
+                                  std::span<const VarId> Args) const {
+  Expr E{ExprKind::Cons, C, 0, InvalidVar};
+  return find(E, Args, structuralHash(E, Args));
 }
 
 Expected<ExprId> ConstraintSystem::varChecked(VarId V) const {
@@ -38,11 +87,18 @@ Expected<ExprId> ConstraintSystem::varChecked(VarId V) const {
                     std::to_string(VarNames.size()) + " variables)");
     return *LastDiag;
   }
-  return intern(Expr{ExprKind::Var, 0, 0, V, 0, {}});
+  if (V >= VarExpr.size())
+    VarExpr.resize(VarNames.size(), InvalidExpr);
+  if (VarExpr[V] == InvalidExpr) {
+    VarExpr[V] = static_cast<ExprId>(Exprs.size());
+    Exprs.push_back(Expr{ExprKind::Var, 0, 0, V});
+    SameHash.push_back(InvalidExpr);
+  }
+  return VarExpr[V];
 }
 
-Expected<ExprId> ConstraintSystem::consChecked(ConsId C,
-                                               std::vector<VarId> Args) const {
+Expected<ExprId>
+ConstraintSystem::consChecked(ConsId C, std::span<const VarId> Args) const {
   if (C >= Constructors.size()) {
     LastDiag = Diag("constructor id " + std::to_string(C) +
                     " out of range (system has " +
@@ -62,7 +118,7 @@ Expected<ExprId> ConstraintSystem::consChecked(ConsId C,
                       "' out of range");
       return *LastDiag;
     }
-  return intern(Expr{ExprKind::Cons, C, 0, InvalidVar, 0, std::move(Args)});
+  return intern(Expr{ExprKind::Cons, C, 0, InvalidVar}, Args);
 }
 
 Expected<ExprId> ConstraintSystem::projChecked(ConsId C, uint32_t Index,
@@ -85,7 +141,7 @@ Expected<ExprId> ConstraintSystem::projChecked(ConsId C, uint32_t Index,
                     std::to_string(Subject) + " out of range");
     return *LastDiag;
   }
-  return intern(Expr{ExprKind::Proj, C, Index, Subject, 0, {}});
+  return intern(Expr{ExprKind::Proj, C, Index, Subject}, {});
 }
 
 std::optional<Diag> ConstraintSystem::addChecked(ExprId Lhs, ExprId Rhs,
@@ -119,12 +175,12 @@ std::string ConstraintSystem::exprToString(ExprId Id) const {
     break;
   case ExprKind::Cons:
     OS << constructor(E.C).Name;
-    if (!E.Args.empty()) {
+    if (E.NumArgs) {
       OS << "(";
-      for (size_t I = 0; I != E.Args.size(); ++I) {
+      for (uint32_t I = 0; I != E.NumArgs; ++I) {
         if (I)
           OS << ", ";
-        OS << varName(E.Args[I]);
+        OS << varName(arg(E, I));
       }
       OS << ")";
     }

@@ -25,7 +25,12 @@
 /// left-hand side requires a variable right-hand side.
 ///
 /// Expressions are hash-consed: structurally equal expressions share
-/// an ExprId (and hence a function variable), as in BANSHEE.
+/// an ExprId (and hence a function variable), as in BANSHEE. The store
+/// is flat: an Expr is a plain record, constructor arguments live in one
+/// VarId arena addressed by (begin, count), variable expressions are
+/// found through a direct VarId -> ExprId table, and constructor and
+/// projection expressions through an open-addressed structural-hash
+/// index whose collisions are chained and compared in full.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,13 +39,13 @@
 
 #include "core/Annotation.h"
 #include "support/Diag.h"
-#include "support/Hashing.h"
+#include "support/FlatSet.h"
 
 #include <cassert>
+#include <initializer_list>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace rasc {
@@ -65,14 +70,18 @@ enum class ExprKind : uint8_t {
   Proj, ///< c^-i(X), 0-based component index.
 };
 
-/// One hash-consed set expression.
+/// One hash-consed set expression: a plain record, safe to copy. A
+/// constructor's argument variables are ConstraintSystem::args(E);
+/// ArgBegin indexes the system's argument arena, so it stays valid
+/// when the arena grows.
 struct Expr {
   ExprKind Kind;
-  ConsId C = 0;             ///< Cons / Proj: the constructor.
-  uint32_t Index = 0;       ///< Proj: projected component (0-based).
-  VarId V = InvalidVar;     ///< Var: the variable; Proj: the subject.
-  FnVarId Alpha = 0;        ///< Cons: this occurrence's function variable.
-  std::vector<VarId> Args;  ///< Cons: argument variables.
+  ConsId C = 0;          ///< Cons / Proj: the constructor.
+  uint32_t Index = 0;    ///< Proj: projected component (0-based).
+  VarId V = InvalidVar;  ///< Var: the variable; Proj: the subject.
+  FnVarId Alpha = 0;     ///< Cons: this occurrence's function variable.
+  uint32_t ArgBegin = 0; ///< Cons: first argument in the arena.
+  uint32_t NumArgs = 0;  ///< Cons: arity.
 };
 
 /// One constraint Lhs ⊆^Ann Rhs.
@@ -129,10 +138,28 @@ public:
     return Constructors[C];
   }
 
+  /// The record of \p E. The reference is invalidated by the next
+  /// interning (var/cons/proj); copy the record to keep it across one.
   const Expr &expr(ExprId E) const {
     assert(E < Exprs.size() && "expression out of range");
     return Exprs[E];
   }
+
+  /// The argument variables of a constructor expression (empty for the
+  /// other kinds). The span points into the argument arena and is
+  /// invalidated by the next interning; arg() reads one argument
+  /// through the arena index and is safe across interning.
+  std::span<const VarId> args(const Expr &E) const {
+    return {ArgArena.data() + E.ArgBegin, E.NumArgs};
+  }
+  VarId arg(const Expr &E, uint32_t I) const {
+    assert(I < E.NumArgs && "argument index out of range");
+    return ArgArena[E.ArgBegin + I];
+  }
+
+  /// The id of c(Args...) if it was interned already, else InvalidExpr.
+  /// Never interns (the certifier looks up rewritten expressions).
+  ExprId findCons(ConsId C, std::span<const VarId> Args) const;
 
   /// \name Checked builders
   /// Validating variants of var/cons/proj/add for untrusted input
@@ -141,7 +168,12 @@ public:
   /// The failure is also recorded in lastDiag().
   /// @{
   Expected<ExprId> varChecked(VarId V) const;
-  Expected<ExprId> consChecked(ConsId C, std::vector<VarId> Args = {}) const;
+  Expected<ExprId> consChecked(ConsId C,
+                               std::span<const VarId> Args = {}) const;
+  Expected<ExprId> consChecked(ConsId C,
+                               std::initializer_list<VarId> Args) const {
+    return consChecked(C, std::span<const VarId>(Args.begin(), Args.size()));
+  }
   Expected<ExprId> projChecked(ConsId C, uint32_t Index,
                                VarId Subject) const;
   std::optional<Diag> addChecked(ExprId Lhs, ExprId Rhs, AnnId Ann);
@@ -161,12 +193,19 @@ public:
   /// InvalidExpr result (builders) or a dropped constraint (add),
   /// with the Diag in lastDiag(). Passing InvalidExpr onward into
   /// add() is itself caught, so errors propagate without UB.
-  ExprId var(VarId V) const { return must(varChecked(V)); }
+  ExprId var(VarId V) const {
+    if (V < VarExpr.size() && VarExpr[V] != InvalidExpr)
+      return VarExpr[V];
+    return must(varChecked(V));
+  }
 
   /// The expression c^alpha(Args...); a fresh function variable alpha
   /// is allocated the first time this exact expression is built.
-  ExprId cons(ConsId C, std::vector<VarId> Args = {}) const {
-    return must(consChecked(C, std::move(Args)));
+  ExprId cons(ConsId C, std::span<const VarId> Args = {}) const {
+    return must(consChecked(C, Args));
+  }
+  ExprId cons(ConsId C, std::initializer_list<VarId> Args) const {
+    return cons(C, std::span<const VarId>(Args.begin(), Args.size()));
   }
 
   /// The expression c^-Index(Subject) with a 0-based Index (the paper
@@ -227,17 +266,18 @@ public:
   /// A coarse size measure (number of symbols), the "n" of the paper's
   /// complexity discussion (Section 4).
   size_t sizeInSymbols() const {
-    size_t N = ConstraintList.size();
-    for (const Expr &E : Exprs)
-      N += 1 + E.Args.size();
-    return N;
+    return ConstraintList.size() + Exprs.size() + ArgArena.size();
   }
 
   /// Renders an expression for diagnostics.
   std::string exprToString(ExprId E) const;
 
 private:
-  ExprId intern(Expr E) const;
+  /// Interns a Cons (with \p Args) or Proj expression.
+  ExprId intern(const Expr &E, std::span<const VarId> Args) const;
+  /// The interned expression structurally equal to \p E with \p Args,
+  /// looked up under its hash \p H, or InvalidExpr.
+  ExprId find(const Expr &E, std::span<const VarId> Args, uint64_t H) const;
 
   /// Unwraps a checked-builder result for the asserting API.
   ExprId must(Expected<ExprId> E) const {
@@ -256,7 +296,12 @@ private:
   // Hash-consing tables. Interning is logically const (ids are stable
   // and deduplicated), hence mutable.
   mutable std::vector<Expr> Exprs;
-  mutable std::unordered_multimap<uint64_t, ExprId> ExprIds;
+  mutable std::vector<VarId> ArgArena;   ///< every Cons's arguments
+  mutable std::vector<ExprId> VarExpr;   ///< VarId -> its Var expr
+  /// Structural hash -> first Cons/Proj expr with that hash; further
+  /// exprs with the same hash follow through SameHash.
+  mutable FlatMap64 ExprIndex;
+  mutable std::vector<ExprId> SameHash; ///< per expr; InvalidExpr ends
   mutable FnVarId NumFnVars = 0;
 };
 

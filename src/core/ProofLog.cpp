@@ -254,7 +254,7 @@ void ProofLogWriter::needNode(ExprId E) {
     break;
   case ExprKind::Cons:
     needCtor(X.C);
-    for (VarId A : X.Args)
+    for (VarId A : CS.args(X))
       needVar(A);
     break;
   case ExprKind::Proj:
@@ -272,8 +272,8 @@ void ProofLogWriter::needNode(ExprId E) {
   case ExprKind::Cons:
     Buf.u32(X.C);
     Buf.u32(X.Alpha);
-    Buf.u32(static_cast<uint32_t>(X.Args.size()));
-    for (VarId A : X.Args)
+    Buf.u32(X.NumArgs);
+    for (VarId A : CS.args(X))
       Buf.u32(A);
     break;
   case ExprKind::Proj:

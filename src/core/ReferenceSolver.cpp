@@ -49,9 +49,9 @@ bool ReferenceSolver::solve() {
       // Structural rule.
       if (AL.Kind == ExprKind::Cons && AR.Kind == ExprKind::Cons &&
           AL.C == AR.C)
-        for (size_t K = 0; K != AL.Args.size(); ++K)
-          Changed |= addConstraint(CS.var(AL.Args[K]),
-                                   CS.var(AR.Args[K]), A.Ann);
+        for (uint32_t K = 0; K != AL.NumArgs; ++K)
+          Changed |= addConstraint(CS.var(CS.arg(AL, K)),
+                                   CS.var(CS.arg(AR, K)), A.Ann);
 
       for (size_t J = 0; J != N; ++J) {
         Constraint B = Cons[J];
@@ -68,7 +68,7 @@ bool ReferenceSolver::solve() {
         if (AL.Kind == ExprKind::Cons && AR.Kind == ExprKind::Var &&
             BL.Kind == ExprKind::Proj && BL.C == AL.C &&
             BL.V == AR.V)
-          Changed |= addConstraint(CS.var(AL.Args[BL.Index]), B.Rhs,
+          Changed |= addConstraint(CS.var(CS.arg(AL, BL.Index)), B.Rhs,
                                    D.compose(B.Ann, A.Ann));
       }
     }
@@ -82,7 +82,7 @@ std::vector<AnnId> ReferenceSolver::constantAnnotations(ConsId C,
   for (const Constraint &Con : Cons) {
     const Expr &L = CS.expr(Con.Lhs);
     const Expr &R = CS.expr(Con.Rhs);
-    if (L.Kind == ExprKind::Cons && L.C == C && L.Args.empty() &&
+    if (L.Kind == ExprKind::Cons && L.C == C && L.NumArgs == 0 &&
         R.Kind == ExprKind::Var && R.V == V &&
         std::find(Out.begin(), Out.end(), Con.Ann) == Out.end())
       Out.push_back(Con.Ann);

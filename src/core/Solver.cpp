@@ -139,15 +139,16 @@ ExprId BidirectionalSolver::canonicalize(ExprId E) {
   case ExprKind::Var:
     return varNode(rep(Ex.V));
   case ExprKind::Cons: {
-    std::vector<VarId> Args;
-    Args.reserve(Ex.Args.size());
-    bool Changed = false;
-    for (VarId A : Ex.Args) {
-      VarId R = rep(A);
-      Changed |= R != A;
-      Args.push_back(R);
-    }
-    return Changed ? CS.cons(Ex.C, std::move(Args)) : E;
+    std::span<const VarId> Args = CS.args(Ex);
+    auto Moved = std::find_if(Args.begin(), Args.end(),
+                              [&](VarId A) { return rep(A) != A; });
+    if (Moved == Args.end())
+      return E;
+    std::vector<VarId> Reps;
+    Reps.reserve(Args.size());
+    for (VarId A : Args)
+      Reps.push_back(rep(A));
+    return CS.cons(Ex.C, Reps);
   }
   case ExprKind::Proj: {
     VarId R = rep(Ex.V);
@@ -289,7 +290,7 @@ void BidirectionalSolver::ingest(const Constraint &C, uint32_t Idx) {
     const Expr &SE = CS.expr(Src);
     if (SE.C != LE.C)
       return;
-    VarId Arg = SE.Args[LE.Index]; // before varNode can invalidate SE
+    VarId Arg = CS.arg(SE, LE.Index); // before varNode can invalidate SE
     ++Stats.ProjectionSteps;
     ++Stats.ComposeCalls;
     if (trace::enabled())
@@ -361,8 +362,8 @@ void BidirectionalSolver::decompose(const Edge &E) {
     trace::instant("solver.decompose", E.Src, E.Dst);
   if (NeedProv)
     CurProv = {EdgeProv::Rule::Decompose, ~0u, E};
-  for (size_t I = 0; I != L.Args.size(); ++I)
-    addEdge(varNode(L.Args[I]), varNode(R.Args[I]), E.Ann);
+  for (uint32_t I = 0; I != L.NumArgs; ++I)
+    addEdge(varNode(CS.arg(L, I)), varNode(CS.arg(R, I)), E.Ann);
   if (addFnVarConstraint(L.Alpha, E.Ann, R.Alpha) && Proof)
     Proof->fnvar(L.Alpha, E.Ann, R.Alpha, {E.Src, E.Dst, E.Ann});
 }
@@ -433,7 +434,7 @@ void BidirectionalSolver::process(const Edge &E) {
           trace::instant("solver.projection", E.Src, E.Dst);
         if (Track)
           CurProv = {EdgeProv::Rule::Projection, W.ConsIdx, E};
-        addEdge(varNode(SE.Args[W.Index]), varNode(W.Target),
+        addEdge(varNode(CS.arg(SE, W.Index)), varNode(W.Target),
                 D.compose(W.Ann, E.Ann));
       }
     }
@@ -1181,9 +1182,9 @@ BidirectionalSolver::retract(uint32_t Idx) {
       // this edge would re-derive.
       const Expr &L = CS.expr(E.Src);
       const Expr &R = CS.expr(E.Dst);
-      for (size_t A = 0; !F && A != L.Args.size(); ++A) {
-        ExprId SN = varNodeIfAny(rep(L.Args[A]));
-        ExprId DN = varNodeIfAny(rep(R.Args[A]));
+      for (uint32_t A = 0; !F && A != L.NumArgs; ++A) {
+        ExprId SN = varNodeIfAny(rep(CS.arg(L, A)));
+        ExprId DN = varNodeIfAny(rep(CS.arg(R, A)));
         F = SN != InvalidExpr && DN != InvalidExpr && RemovedSrc[SN] &&
             RemovedDst[DN];
       }
@@ -1199,7 +1200,7 @@ BidirectionalSolver::retract(uint32_t Idx) {
       for (const Watcher &W : Watchers[E.Dst]) {
         if (W.C != SE.C)
           continue;
-        ExprId AN = varNodeIfAny(rep(SE.Args[W.Index]));
+        ExprId AN = varNodeIfAny(rep(CS.arg(SE, W.Index)));
         ExprId TN = varNodeIfAny(rep(W.Target));
         if (AN != InvalidExpr && TN != InvalidExpr && RemovedSrc[AN] &&
             RemovedDst[TN]) {
@@ -1537,7 +1538,7 @@ BidirectionalSolver::constantAnnotations(ConsId C, VarId V) const {
   AnnSet Seen;
   for (auto [Src, Ann] : consLowerBounds(V)) {
     const Expr &E = CS.expr(Src);
-    if (E.C == C && E.Args.empty())
+    if (E.C == C && E.NumArgs == 0)
       Seen.insert(Ann);
   }
   return Seen.takeMembers();
@@ -1649,10 +1650,10 @@ BidirectionalSolver::atomReachability(ConsId Atom,
       continue;
     Preds.forEach(Node, [&](ExprId Src, AnnId Ann) {
       const Expr &SE = CS.expr(Src);
-      if (SE.C == Atom && SE.Args.empty())
+      if (SE.C == Atom && SE.NumArgs == 0)
         addFact(NE.V, Ann, /*Phase=*/false, {});
-      for (uint32_t I = 0; I != SE.Args.size(); ++I)
-        WrapIdx[rep(SE.Args[I])].push_back({NE.V, Ann, SE.C});
+      for (VarId A : CS.args(SE))
+        WrapIdx[rep(A)].push_back({NE.V, Ann, SE.C});
     });
   }
 
@@ -1727,7 +1728,8 @@ void BidirectionalSolver::enumerateTerms(VarId V, unsigned MaxDepth,
     if (Out.size() >= MaxCount)
       break;
     const Expr &SE = CS.expr(Src);
-    if (SE.Args.empty()) {
+    std::span<const VarId> Args = CS.args(SE);
+    if (Args.empty()) {
       for (AnnId Root : rootAnns(SE, F))
         Out.push_back(GroundTerm{SE.C, Root, {}});
       continue;
@@ -1735,10 +1737,10 @@ void BidirectionalSolver::enumerateTerms(VarId V, unsigned MaxDepth,
     if (MaxDepth == 0)
       continue;
     // Enumerate each component, then take the capped product.
-    std::vector<std::vector<GroundTerm>> KidChoices(SE.Args.size());
+    std::vector<std::vector<GroundTerm>> KidChoices(Args.size());
     bool AnyEmpty = false;
-    for (size_t I = 0; I != SE.Args.size(); ++I) {
-      enumerateTerms(SE.Args[I], MaxDepth - 1, MaxCount, Visiting,
+    for (size_t I = 0; I != Args.size(); ++I) {
+      enumerateTerms(Args[I], MaxDepth - 1, MaxCount, Visiting,
                      KidChoices[I]);
       if (KidChoices[I].empty())
         AnyEmpty = true;
@@ -1746,7 +1748,7 @@ void BidirectionalSolver::enumerateTerms(VarId V, unsigned MaxDepth,
     if (AnyEmpty)
       continue; // see Solver.h: bottom components are not materialized
     for (AnnId Root : rootAnns(SE, F)) {
-      std::vector<size_t> Pick(SE.Args.size(), 0);
+      std::vector<size_t> Pick(Args.size(), 0);
       while (Out.size() < MaxCount) {
         GroundTerm T{SE.C, Root, {}};
         for (size_t I = 0; I != Pick.size(); ++I)
@@ -1793,8 +1795,8 @@ bool BidirectionalSolver::exprIntersectsVar(
     // Each component of the bound must share terms with the query
     // expression's corresponding component variable.
     bool AllShare = true;
-    for (size_t I = 0; I != Ex.Args.size() && AllShare; ++I)
-      AllShare = solutionsIntersect(Ex.Args[I], SE.Args[I],
+    for (uint32_t I = 0; I != Ex.NumArgs && AllShare; ++I)
+      AllShare = solutionsIntersect(CS.arg(Ex, I), CS.arg(SE, I),
                                     MaxDepth > 0 ? MaxDepth - 1 : 0,
                                     MaxCount);
     if (AllShare)

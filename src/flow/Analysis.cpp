@@ -6,13 +6,11 @@
 
 #include "flow/Analysis.h"
 
-#include "support/Hashing.h"
+#include "support/FlatSet.h"
 #include "support/Trace.h"
 
 #include <algorithm>
 #include <deque>
-#include <map>
-#include <sstream>
 
 using namespace rasc;
 
@@ -35,19 +33,27 @@ struct Bracket {
   }
 };
 
+/// Appends the name of type \p T with its syntax flattened to
+/// identifier characters: "(a, b)" is written "_axb_".
+void appendTypeName(const FlowProgram &P, TypeId T, std::string &Out) {
+  const FType &Ty = P.type(T);
+  if (Ty.Kind == FType::Int) {
+    Out += "int";
+    return;
+  }
+  Out += '_';
+  appendTypeName(P, Ty.A, Out);
+  Out += "x_";
+  appendTypeName(P, Ty.B, Out);
+  Out += '_';
+}
+
 std::string bracketName(const FlowProgram &P, bool Open,
                         const Bracket &B) {
-  std::ostringstream OS;
-  OS << (Open ? "open" : "close") << (B.Index + 1) << "_"
-     << P.typeName(B.CompTy);
-  std::string N = OS.str();
-  // Symbol names are identifiers; flatten the type syntax.
-  for (char &C : N) {
-    if (C == '(' || C == ')' || C == ' ')
-      C = '_';
-    if (C == ',')
-      C = 'x';
-  }
+  std::string N = Open ? "open" : "close";
+  N += std::to_string(B.Index + 1);
+  N += '_';
+  appendTypeName(P, B.CompTy, N);
   return N;
 }
 
@@ -56,6 +62,45 @@ size_t bracketKey(const FlowProgram &P, bool Open, uint32_t Index,
                   TypeId CompTy) {
   return (2 * static_cast<size_t>(Index) + (Open ? 0 : 1)) * P.numTypes() +
          CompTy;
+}
+
+/// Adds the states and transitions of a descent-chain automaton to
+/// \p Builder, whose symbols must all be added already. A state is a
+/// chain of frames, and the empty chain is the accepting start state.
+/// Frame J may extend a chain ending in frame I iff Follows(I, J), and
+/// any frame extends the empty chain; OpenSym[J] pushes J and
+/// CloseSym[J] pops a chain ending in J. Frames are tried in the order
+/// of \p Frames. The chains form a trie: each state is interned once
+/// under the key (parent state, last frame), and states are numbered in
+/// breadth-first discovery order, as a worklist over explicit chains
+/// would number them.
+template <typename FollowsT>
+void addChainStates(DfaBuilder &Builder, std::span<const uint32_t> Frames,
+                    std::span<const SymbolId> OpenSym,
+                    std::span<const SymbolId> CloseSym, FollowsT Follows) {
+  std::vector<StateId> Parent{InvalidState};
+  std::vector<uint32_t> Last{~0u};
+  StateId Root = Builder.addState();
+  Builder.setStart(Root);
+  Builder.setAccepting(Root);
+  FlatMap64 Trie; // (parent state << 32 | frame) -> state
+  for (StateId S = Root; S != Parent.size(); ++S) {
+    for (uint32_t J : Frames) {
+      if (S == Root || Follows(Last[S], J)) {
+        uint64_t Key = (static_cast<uint64_t>(S) << 32) | J;
+        auto [To, Fresh] =
+            Trie.findOrInsert(Key, static_cast<StateId>(Parent.size()));
+        if (Fresh) {
+          Builder.addState();
+          Parent.push_back(S);
+          Last.push_back(J);
+        }
+        Builder.addTransition(S, OpenSym[J], To);
+      }
+      if (S != Root && Last[S] == J)
+        Builder.addTransition(S, CloseSym[J], Parent[S]);
+    }
+  }
 }
 
 } // namespace
@@ -79,9 +124,11 @@ Dfa rasc::buildPairAutomaton(const FlowProgram &P,
 
   DfaBuilder Builder;
   std::vector<SymbolId> OpenSym(Brackets.size()), CloseSym(Brackets.size());
-  for (size_t I = 0; I != Brackets.size(); ++I) {
+  std::vector<uint32_t> Frames(Brackets.size());
+  for (uint32_t I = 0; I != Brackets.size(); ++I) {
     OpenSym[I] = Builder.addSymbol(bracketName(P, true, Brackets[I]));
     CloseSym[I] = Builder.addSymbol(bracketName(P, false, Brackets[I]));
+    Frames[I] = I;
   }
   if (BracketSyms) {
     BracketSyms->assign(4 * static_cast<size_t>(P.numTypes()), InvalidSymbol);
@@ -98,46 +145,13 @@ Dfa rasc::buildPairAutomaton(const FlowProgram &P,
   // frame (see Analysis.h). Chains strictly grow the component type,
   // so the construction terminates — the paper's "bounded by the size
   // of the largest type".
-  std::map<std::vector<Bracket>, StateId> States;
-  std::deque<std::vector<Bracket>> WorkList;
-  auto internState = [&](std::vector<Bracket> Chain) -> StateId {
-    auto It = States.find(Chain);
-    if (It != States.end())
-      return It->second;
-    StateId S = Builder.addState();
-    States.emplace(Chain, S);
-    WorkList.push_back(std::move(Chain));
-    return S;
-  };
-
-  StateId Root = internState({});
-  Builder.setStart(Root);
-  Builder.setAccepting(Root);
-
-  while (!WorkList.empty()) {
-    std::vector<Bracket> Chain = std::move(WorkList.front());
-    WorkList.pop_front();
-    StateId From = States[Chain];
-    for (size_t I = 0; I != Brackets.size(); ++I) {
-      const Bracket &B = Brackets[I];
-      bool Allowed = true;
-      if (!Chain.empty()) {
-        const Bracket &Last = Chain.back();
-        const FType &Ty = P.type(B.CompTy);
-        Allowed = Ty.Kind == FType::Pair &&
-                  (Last.Index == 0 ? Ty.A : Ty.B) == Last.CompTy;
-      }
-      if (Allowed) {
-        std::vector<Bracket> Next = Chain;
-        Next.push_back(B);
-        Builder.addTransition(From, OpenSym[I], internState(Next));
-      }
-      if (!Chain.empty() && Chain.back() == B) {
-        std::vector<Bracket> Popped(Chain.begin(), Chain.end() - 1);
-        Builder.addTransition(From, CloseSym[I], internState(Popped));
-      }
-    }
-  }
+  addChainStates(Builder, Frames, OpenSym, CloseSym,
+                 [&](uint32_t I, uint32_t J) {
+                   const Bracket &Last = Brackets[I];
+                   const FType &Ty = P.type(Brackets[J].CompTy);
+                   return Ty.Kind == FType::Pair &&
+                          (Last.Index == 0 ? Ty.A : Ty.B) == Last.CompTy;
+                 });
   return Builder.build();
 }
 
@@ -146,47 +160,39 @@ Dfa rasc::buildPairAutomaton(const FlowProgram &P,
 //===----------------------------------------------------------------------===//
 
 Dfa rasc::buildCallAutomaton(const FlowProgram &P,
-                             std::vector<bool> *RecursiveSiteOut) {
+                             std::vector<SymbolId> *CallSyms) {
   uint32_t NumFuncs = static_cast<uint32_t>(P.functions().size());
 
-  // Call graph and call sites: (site, caller, callee).
-  struct Site {
-    uint32_t Id;
-    FFuncId Caller;
-    FFuncId Callee;
-  };
-  std::vector<Site> Sites;
+  // Call graph and call sites, in body-walk order; a site reached twice
+  // through a shared subexpression is listed twice.
+  std::vector<uint32_t> Sites;
+  std::vector<FFuncId> Caller(P.numCallSites()), Callee(P.numCallSites());
   std::vector<std::vector<FFuncId>> Adj(NumFuncs);
-  {
-    // Owning function of each expression: walk bodies.
-    std::vector<FFuncId> Owner(P.numExprs(), 0);
-    for (FFuncId F = 0; F != NumFuncs; ++F) {
-      std::deque<FExprId> Work{P.functions()[F].Body};
-      while (!Work.empty()) {
-        FExprId E = Work.front();
-        Work.pop_front();
-        Owner[E] = F;
-        const FExpr &Ex = P.expr(E);
-        switch (Ex.Kind) {
-        case FExpr::MkPair:
-          Work.push_back(Ex.Kid0);
-          Work.push_back(Ex.Kid1);
-          break;
-        case FExpr::Proj:
-        case FExpr::Call:
-          Work.push_back(Ex.Kid0);
-          break;
-        default:
-          break;
-        }
-        if (Ex.Kind == FExpr::Call) {
-          Sites.push_back({Ex.CallSite, F, Ex.Callee});
-          Adj[F].push_back(Ex.Callee);
-        }
+  for (FFuncId F = 0; F != NumFuncs; ++F) {
+    std::deque<FExprId> Work{P.functions()[F].Body};
+    while (!Work.empty()) {
+      const FExpr &Ex = P.expr(Work.front());
+      Work.pop_front();
+      switch (Ex.Kind) {
+      case FExpr::MkPair:
+        Work.push_back(Ex.Kid0);
+        Work.push_back(Ex.Kid1);
+        break;
+      case FExpr::Proj:
+      case FExpr::Call:
+        Work.push_back(Ex.Kid0);
+        break;
+      default:
+        break;
+      }
+      if (Ex.Kind == FExpr::Call) {
+        Sites.push_back(Ex.CallSite);
+        Caller[Ex.CallSite] = F;
+        Callee[Ex.CallSite] = Ex.Callee;
+        Adj[F].push_back(Ex.Callee);
       }
     }
   }
-
   // Call-graph SCCs (simple iterative Tarjan).
   std::vector<uint32_t> Scc(NumFuncs, ~0u);
   {
@@ -238,69 +244,34 @@ Dfa rasc::buildCallAutomaton(const FlowProgram &P,
   }
 
   // A site is "recursive" (gets the empty annotation, i.e. the
-  // monomorphic approximation) if it stays within one SCC.
-  std::vector<bool> Recursive(P.numCallSites(), false);
-  for (const Site &S : Sites)
-    Recursive[S.Id] = Scc[S.Caller] == Scc[S.Callee];
-  if (RecursiveSiteOut)
-    *RecursiveSiteOut = Recursive;
-
+  // monomorphic approximation) if it stays within one SCC; it gets no
+  // symbols and is no frame.
   DfaBuilder Builder;
   std::vector<SymbolId> OpenSym(P.numCallSites(), InvalidSymbol);
   std::vector<SymbolId> CloseSym(P.numCallSites(), InvalidSymbol);
-  for (const Site &S : Sites) {
-    if (Recursive[S.Id])
+  std::vector<uint32_t> Frames;
+  for (uint32_t Id : Sites) {
+    if (Scc[Caller[Id]] == Scc[Callee[Id]])
       continue;
-    OpenSym[S.Id] = Builder.addSymbol("call" + std::to_string(S.Id));
-    CloseSym[S.Id] = Builder.addSymbol("ret" + std::to_string(S.Id));
+    Frames.push_back(Id);
+    OpenSym[Id] = Builder.addSymbol("call" + std::to_string(Id));
+    CloseSym[Id] = Builder.addSymbol("ret" + std::to_string(Id));
+  }
+  if (CallSyms) {
+    CallSyms->resize(2 * static_cast<size_t>(P.numCallSites()));
+    for (uint32_t Id = 0; Id != P.numCallSites(); ++Id) {
+      (*CallSyms)[2 * Id] = OpenSym[Id];
+      (*CallSyms)[2 * Id + 1] = CloseSym[Id];
+    }
   }
 
   // States: chains of non-recursive sites where each next site lives
   // in the previous site's callee. Cross-SCC edges strictly descend
   // the condensation, so chains are finite.
-  std::map<std::vector<uint32_t>, StateId> States;
-  std::deque<std::vector<uint32_t>> WorkList;
-  auto internState = [&](std::vector<uint32_t> Chain) -> StateId {
-    auto It = States.find(Chain);
-    if (It != States.end())
-      return It->second;
-    StateId S = Builder.addState();
-    States.emplace(Chain, S);
-    WorkList.push_back(std::move(Chain));
-    return S;
-  };
-  StateId Root = internState({});
-  Builder.setStart(Root);
-  Builder.setAccepting(Root);
-
-  auto siteById = [&](uint32_t Id) -> const Site & {
-    for (const Site &S : Sites)
-      if (S.Id == Id)
-        return S;
-    assert(false && "unknown call site");
-    return Sites.front();
-  };
-
-  while (!WorkList.empty()) {
-    std::vector<uint32_t> Chain = std::move(WorkList.front());
-    WorkList.pop_front();
-    StateId From = States[Chain];
-    for (const Site &S : Sites) {
-      if (Recursive[S.Id])
-        continue;
-      bool Allowed =
-          Chain.empty() || siteById(Chain.back()).Callee == S.Caller;
-      if (Allowed) {
-        std::vector<uint32_t> Next = Chain;
-        Next.push_back(S.Id);
-        Builder.addTransition(From, OpenSym[S.Id], internState(Next));
-      }
-      if (!Chain.empty() && Chain.back() == S.Id) {
-        std::vector<uint32_t> Popped(Chain.begin(), Chain.end() - 1);
-        Builder.addTransition(From, CloseSym[S.Id], internState(Popped));
-      }
-    }
-  }
+  addChainStates(Builder, Frames, OpenSym, CloseSym,
+                 [&](uint32_t I, uint32_t J) {
+                   return Callee[I] == Caller[J];
+                 });
   return Builder.build();
 }
 
@@ -309,10 +280,12 @@ Dfa rasc::buildCallAutomaton(const FlowProgram &P,
 //===----------------------------------------------------------------------===//
 
 FlowAnalysis::FlowAnalysis(const FlowProgram &P, FlowMode Mode)
-    : P(P), Mode(Mode) {
+    : P(P), Mode(Mode), ExprLabel(P.numExprs(), InvalidVar),
+      InferCache(P.numExprs()), InferStamp(P.numExprs(), ~FFuncId(0)),
+      SourceCons(P.numExprs(), NoCons) {
   Dom = std::make_unique<MonoidDomain>(
       Mode == FlowMode::Primal ? buildPairAutomaton(P, &BracketSyms)
-                               : buildCallAutomaton(P, &RecursiveSite));
+                               : buildCallAutomaton(P, &CallSyms));
   CS = std::make_unique<ConstraintSystem>(*Dom);
 
   if (Mode == FlowMode::Primal) {
@@ -325,6 +298,8 @@ FlowAnalysis::FlowAnalysis(const FlowProgram &P, FlowMode Mode)
 
   // Signatures first: recursion and forward calls need them.
   std::vector<LType> ParamLTs, RetLTs;
+  ParamLTs.reserve(P.functions().size());
+  RetLTs.reserve(P.functions().size());
   for (const FFunc &F : P.functions()) {
     ParamLTs.push_back(spread(F.ParamTy));
     RetLTs.push_back(spread(F.RetTy));
@@ -334,10 +309,9 @@ FlowAnalysis::FlowAnalysis(const FlowProgram &P, FlowMode Mode)
 
   for (FFuncId F = 0; F != P.functions().size(); ++F) {
     const FFunc &Fn = P.functions()[F];
-    InferCache.clear(); // Var nodes mean this function's parameter
     LType Body = Mode == FlowMode::Primal
-                     ? inferPrimal(Fn, ParamLTs[F], Fn.Body)
-                     : inferDual(Fn, ParamLTs[F], Fn.Body);
+                     ? inferPrimal(F, ParamLTs[F], Fn.Body)
+                     : inferDual(F, ParamLTs[F], Fn.Body);
     // (Def) + (Sub): the body's result flows to the declared return
     // type, top-level only (non-structural subtyping step).
     CS->add(CS->var(Body.L), CS->var(RetLTs[F].L));
@@ -349,21 +323,25 @@ FlowAnalysis::FlowAnalysis(const FlowProgram &P, FlowMode Mode)
   // reached from a function body carry no label (programmatic
   // builders — the eBPF front-end overwriting a register slot —
   // orphan nodes in the arena); a dead value needs no source.
-  for (FExprId Lit : P.literals())
-    if (ExprLabel.count(Lit))
-      sourceConstant(Lit);
+  for (FExprId E = 0; E != P.numExprs(); ++E)
+    if (P.expr(E).Kind == FExpr::Lit && hasLabel(E))
+      sourceConstant(E);
+}
+
+bool FlowAnalysis::hasLabel(FExprId E) const {
+  return E < ExprLabel.size() && ExprLabel[E] != InvalidVar;
+}
+
+VarId FlowAnalysis::labelOf(FExprId E) const {
+  assert(hasLabel(E) && "expression outside every function body");
+  return ExprLabel[E];
 }
 
 FlowAnalysis::LType FlowAnalysis::spread(TypeId T) {
-  LType L;
-  L.Ty = T;
-  L.L = CS->freshVar();
-  const FType &Ty = P.type(T);
-  if (Ty.Kind == FType::Pair) {
-    L.Kids.push_back(spread(Ty.A));
-    L.Kids.push_back(spread(Ty.B));
-  }
-  return L;
+  // Paper Section 7: matching of type constructors is carried by the
+  // bracket annotations (primal) or the pair constructor (dual), so an
+  // expression needs only its top-level label.
+  return {T, CS->freshVar()};
 }
 
 AnnId FlowAnalysis::bracketAnn(bool Open, uint32_t Index,
@@ -374,19 +352,25 @@ AnnId FlowAnalysis::bracketAnn(bool Open, uint32_t Index,
   return Dom->symbolAnn(Sym);
 }
 
-AnnId FlowAnalysis::callAnn(bool Open, uint32_t CallSite) {
-  std::string Name =
-      std::string(Open ? "call" : "ret") + std::to_string(CallSite);
-  return Dom->symbolAnn(Name);
+AnnId FlowAnalysis::callAnn(bool Open, uint32_t CallSite) const {
+  SymbolId Sym = CallSyms[2 * static_cast<size_t>(CallSite) + (Open ? 0 : 1)];
+  assert(Sym != InvalidSymbol && "call site inside a call-graph cycle");
+  return Dom->symbolAnn(Sym);
 }
 
-FlowAnalysis::LType FlowAnalysis::inferPrimal(const FFunc &F,
+void FlowAnalysis::remember(FFuncId F, FExprId E, const LType &LT) {
+  ExprLabel[E] = LT.L;
+  InferCache[E] = LT;
+  InferStamp[E] = F;
+}
+
+FlowAnalysis::LType FlowAnalysis::inferPrimal(FFuncId F,
                                               const LType &ParamLT,
                                               FExprId EId) {
   // Shared sub-DAGs (programmatic builders) are inferred exactly
   // once, so every use sees the same label and constraint set.
-  if (auto It = InferCache.find(EId); It != InferCache.end())
-    return It->second;
+  if (InferStamp[EId] == F)
+    return InferCache[EId];
   const FExpr &E = P.expr(EId);
   LType Result{};
   switch (E.Kind) {
@@ -399,15 +383,13 @@ FlowAnalysis::LType FlowAnalysis::inferPrimal(const FFunc &F,
   case FExpr::MkPair: {
     LType A = inferPrimal(F, ParamLT, E.Kid0);
     LType B = inferPrimal(F, ParamLT, E.Kid1);
-    Result.Ty = E.Type;
-    Result.L = CS->freshVar();
+    Result = spread(E.Type);
     // (Pair WL): components flow into the pair label under open
     // brackets indexed by (position, component type).
     CS->add(CS->var(A.L), CS->var(Result.L),
             bracketAnn(true, 0, P.expr(E.Kid0).Type));
     CS->add(CS->var(B.L), CS->var(Result.L),
             bracketAnn(true, 1, P.expr(E.Kid1).Type));
-    Result.Kids = {std::move(A), std::move(B)};
     break;
   }
   case FExpr::Proj: {
@@ -430,16 +412,14 @@ FlowAnalysis::LType FlowAnalysis::inferPrimal(const FFunc &F,
     break;
   }
   }
-  ExprLabel[EId] = Result.L;
-  InferCache.emplace(EId, Result);
+  remember(F, EId, Result);
   return Result;
 }
 
-FlowAnalysis::LType FlowAnalysis::inferDual(const FFunc &F,
-                                            const LType &ParamLT,
+FlowAnalysis::LType FlowAnalysis::inferDual(FFuncId F, const LType &ParamLT,
                                             FExprId EId) {
-  if (auto It = InferCache.find(EId); It != InferCache.end())
-    return It->second;
+  if (InferStamp[EId] == F)
+    return InferCache[EId];
   const FExpr &E = P.expr(EId);
   LType Result{};
   switch (E.Kind) {
@@ -452,11 +432,9 @@ FlowAnalysis::LType FlowAnalysis::inferDual(const FFunc &F,
   case FExpr::MkPair: {
     LType A = inferDual(F, ParamLT, E.Kid0);
     LType B = inferDual(F, ParamLT, E.Kid1);
-    Result.Ty = E.Type;
-    Result.L = CS->freshVar();
+    Result = spread(E.Type);
     // Section 7.6: a real binary constructor models the pair.
     CS->add(CS->cons(PairCons, {A.L, B.L}), CS->var(Result.L));
-    Result.Kids = {std::move(A), std::move(B)};
     break;
   }
   case FExpr::Proj: {
@@ -469,7 +447,7 @@ FlowAnalysis::LType FlowAnalysis::inferDual(const FFunc &F,
   case FExpr::Call: {
     LType Arg = inferDual(F, ParamLT, E.Kid0);
     Result = spread(E.Type);
-    if (RecursiveSite[E.CallSite]) {
+    if (CallSyms[2 * static_cast<size_t>(E.CallSite)] == InvalidSymbol) {
       // Monomorphic approximation inside call-graph cycles.
       CS->add(CS->var(Arg.L), CS->var(ParamLabels[E.Callee]));
       CS->add(CS->var(RetLabels[E.Callee]), CS->var(Result.L));
@@ -482,18 +460,16 @@ FlowAnalysis::LType FlowAnalysis::inferDual(const FFunc &F,
     break;
   }
   }
-  ExprLabel[EId] = Result.L;
-  InferCache.emplace(EId, Result);
+  remember(F, EId, Result);
   return Result;
 }
 
 ConsId FlowAnalysis::sourceConstant(FExprId From) {
-  auto It = SourceCons.find(From);
-  if (It != SourceCons.end())
-    return It->second;
+  if (SourceCons[From] != NoCons)
+    return SourceCons[From];
   ConsId C = CS->addConstant("src@" + std::to_string(From));
   CS->add(CS->cons(C), CS->var(labelOf(From)));
-  SourceCons.emplace(From, C);
+  SourceCons[From] = C;
   Solved = false;
   return C;
 }
@@ -543,7 +519,7 @@ const BidirectionalSolver &FlowAnalysis::solver() {
 bool FlowAnalysis::flows(FExprId From, FExprId To) {
   // An expression outside every function body was never inferred and
   // has no label: its value exists nowhere, so nothing flows.
-  if (!ExprLabel.count(From) || !ExprLabel.count(To))
+  if (!hasLabel(From) || !hasLabel(To))
     return false;
   ConsId C = sourceConstant(From);
   ensureSolved();
@@ -551,7 +527,7 @@ bool FlowAnalysis::flows(FExprId From, FExprId To) {
 }
 
 bool FlowAnalysis::flowsPN(FExprId From, FExprId To) {
-  if (!ExprLabel.count(From) || !ExprLabel.count(To))
+  if (!hasLabel(From) || !hasLabel(To))
     return false;
   ConsId C = sourceConstant(From);
   ensureSolved();

@@ -38,7 +38,6 @@
 #include "core/Solver.h"
 #include "flow/Lang.h"
 
-#include <map>
 #include <memory>
 #include <span>
 
@@ -64,9 +63,11 @@ Dfa buildPairAutomaton(const FlowProgram &P,
 /// Builds the call-string automaton for the dual analysis: symbols
 /// "[i" / "]i" per non-recursive call site, states are acyclic call
 /// chains; call sites within call-graph SCCs are excluded (they get
-/// the empty annotation).
+/// the empty annotation). When \p CallSyms is given it receives each
+/// call site's symbols: "[i" at index 2 * i and "]i" at 2 * i + 1,
+/// InvalidSymbol for a site inside a call-graph cycle.
 Dfa buildCallAutomaton(const FlowProgram &P,
-                       std::vector<bool> *RecursiveSite = nullptr);
+                       std::vector<SymbolId> *CallSyms = nullptr);
 
 /// One run of either analysis over a program.
 class FlowAnalysis {
@@ -83,8 +84,14 @@ public:
   /// Only meaningful for the primal analysis.
   bool flowsPN(FExprId From, FExprId To);
 
-  /// The label variable of an expression's top-level type.
-  VarId labelOf(FExprId E) const { return ExprLabel.at(E); }
+  /// Does expression \p E have a label? Only expressions reached from
+  /// some function body do; a node a programmatic builder orphaned
+  /// (never reached from a body) has none.
+  bool hasLabel(FExprId E) const;
+
+  /// The label variable of an expression's top-level type; asserts
+  /// hasLabel(E).
+  VarId labelOf(FExprId E) const;
 
   /// The top-level label of a function's parameter / result.
   VarId paramLabel(FFuncId F) const { return ParamLabels[F]; }
@@ -116,18 +123,18 @@ public:
            SolverStats *MergedStats = nullptr);
 
 private:
-  /// A labeled type: one fresh set variable per position.
+  /// A labeled type: the type and the set variable of its top level.
   struct LType {
     TypeId Ty;
     VarId L;
-    std::vector<LType> Kids;
   };
 
   LType spread(TypeId T);
-  LType inferPrimal(const FFunc &F, const LType &ParamLT, FExprId E);
-  LType inferDual(const FFunc &F, const LType &ParamLT, FExprId E);
+  LType inferPrimal(FFuncId F, const LType &ParamLT, FExprId E);
+  LType inferDual(FFuncId F, const LType &ParamLT, FExprId E);
+  void remember(FFuncId F, FExprId E, const LType &LT);
   AnnId bracketAnn(bool Open, uint32_t Index, TypeId CompTy) const;
-  AnnId callAnn(bool Open, uint32_t CallSite);
+  AnnId callAnn(bool Open, uint32_t CallSite) const;
   ConsId sourceConstant(FExprId From);
   void ensureSolved();
 
@@ -139,17 +146,21 @@ private:
   bool Solved = false;
 
   std::vector<SymbolId> BracketSyms; // primal: see buildPairAutomaton
-  std::vector<bool> RecursiveSite; // dual: call sites with eps annotation
+  std::vector<SymbolId> CallSyms;    // dual: see buildCallAutomaton
   std::vector<VarId> ParamLabels, RetLabels;
-  std::map<FExprId, VarId> ExprLabel;
+  /// Per expression: its label, InvalidVar if it has none.
+  std::vector<VarId> ExprLabel;
   /// Per-function memo of inferred expression nodes: programmatic
   /// builders (the eBPF front-end in particular) share subexpression
   /// DAGs, and each shared node must get exactly one label so that
-  /// labelOf/flows queries see every constraint generated for it.
-  /// Cleared between functions — a Var node's meaning depends on the
-  /// enclosing function's parameter labeling.
-  std::map<FExprId, LType> InferCache;
-  std::map<FExprId, ConsId> SourceCons;
+  /// labelOf/flows queries see every constraint generated for it. An
+  /// entry is valid only while InferStamp names the function being
+  /// inferred — a Var node's meaning depends on the enclosing
+  /// function's parameter labeling.
+  std::vector<LType> InferCache;
+  std::vector<FFuncId> InferStamp;
+  static constexpr ConsId NoCons = ~ConsId(0);
+  std::vector<ConsId> SourceCons; ///< per literal, NoCons until seeded
   std::vector<ConsId> CallCons; // primal: o_i per call site
   ConsId PairCons = 0;          // dual
 };

@@ -65,23 +65,23 @@ void UnidirectionalSolver::encode() {
         varSym(R.V);
       } else {
         // X ⊆^h c(Y1..Yn): n pseudo-projections on subject X.
-        for (uint32_t I = 0; I != R.Args.size(); ++I)
+        for (uint32_t I = 0; I != R.NumArgs; ++I)
           Consumers.emplace_back(L.V,
-                                 Consumer{R.C, I, R.Args[I], C.Ann});
+                                 Consumer{R.C, I, CS.arg(R, I), C.Ann});
         varSym(L.V);
-        for (VarId A : R.Args)
+        for (VarId A : CS.args(R))
           varSym(A);
       }
       break;
     case ExprKind::Cons:
       if (R.Kind == ExprKind::Var) {
-        if (L.Args.empty()) {
+        if (L.NumArgs == 0) {
           AtomSources[L.C].emplace_back(
               Dom.apply(C.Ann, Dom.machine().start()), R.V);
         } else {
           Wraps.push_back({C.Lhs, R.V, C.Ann});
-          for (uint32_t I = 0; I != L.Args.size(); ++I) {
-            varSym(L.Args[I]);
+          for (uint32_t I = 0; I != L.NumArgs; ++I) {
+            varSym(CS.arg(L, I));
             wrapSym(C.Lhs, I);
           }
         }
@@ -92,10 +92,10 @@ void UnidirectionalSolver::encode() {
           Mismatch = true;
           break;
         }
-        for (size_t I = 0; I != L.Args.size(); ++I) {
-          VarVars.push_back({L.Args[I], R.Args[I], C.Ann});
-          varSym(L.Args[I]);
-          varSym(R.Args[I]);
+        for (uint32_t I = 0; I != L.NumArgs; ++I) {
+          VarVars.push_back({CS.arg(L, I), CS.arg(R, I), C.Ann});
+          varSym(CS.arg(L, I));
+          varSym(CS.arg(R, I));
         }
       }
       break;
@@ -128,9 +128,9 @@ void UnidirectionalSolver::encode() {
 
   for (const WrapSpec &Spec : Wraps) {
     const Expr &CE = CS.expr(Spec.ConsExpr);
-    for (uint32_t I = 0; I != CE.Args.size(); ++I)
+    for (uint32_t I = 0; I != CE.NumArgs; ++I)
       for (StateId S = 0; S != NumStates; ++S)
-        P.addRule(S, varSym(CE.Args[I]), Dom.apply(Spec.Ann, S),
+        P.addRule(S, varSym(CS.arg(CE, I)), Dom.apply(Spec.Ann, S),
                   {varSym(Spec.To), wrapSym(Spec.ConsExpr, I)});
   }
 

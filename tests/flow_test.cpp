@@ -4,10 +4,21 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ebpf/Cfg.h"
+#include "ebpf/Decode.h"
+#include "ebpf/Lower.h"
 #include "flow/Analysis.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <deque>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <sstream>
 
 using namespace rasc;
 
@@ -215,12 +226,16 @@ main (z : int) : (int, int) = (rec(1), rec(2));
   // (rec(x) = rec(x) loops), so neither literal flows anywhere on a
   // matched path. What distinguishes the analyses is the recursive
   // call site: the dual approximates it with the empty annotation.
-  std::vector<bool> RecSites;
-  buildCallAutomaton(*P, &RecSites);
-  ASSERT_EQ(RecSites.size(), 3u);
+  // A recursive site gets no call/return symbols.
+  std::vector<SymbolId> CallSyms;
+  buildCallAutomaton(*P, &CallSyms);
+  ASSERT_EQ(CallSyms.size(), 2 * 3u);
   unsigned NumRecursive = 0;
-  for (bool B : RecSites)
-    NumRecursive += B;
+  for (uint32_t Site = 0; Site != 3; ++Site) {
+    bool Recursive = CallSyms[2 * Site] == InvalidSymbol;
+    EXPECT_EQ(Recursive, CallSyms[2 * Site + 1] == InvalidSymbol);
+    NumRecursive += Recursive;
+  }
   EXPECT_EQ(NumRecursive, 1u); // only the self-call
 }
 
@@ -280,7 +295,9 @@ struct ProgramBuilder {
   /// with index < NumCallable (ensuring a DAG call graph).
   FExprId build(TypeId Want, const FFunc &Ctx, size_t NumCallable,
                 unsigned Depth) {
-    const FType &Ty = P.type(Want);
+    // A copy: the recursive builds below may add pair types and
+    // reallocate the type table.
+    const FType Ty = P.type(Want);
     // Base cases.
     if (Depth == 0 || R.chance(1, 4)) {
       if (Want == Ctx.ParamTy && R.chance(1, 2)) {
@@ -395,5 +412,314 @@ TEST_P(FlowDifferential, PrimalEqualsDualOnRecursionFreePrograms) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, FlowDifferential,
                          ::testing::Range(uint64_t(1), uint64_t(60)));
+
+//===----------------------------------------------------------------===//
+// Orphaned expressions: a node no function body reaches
+//===----------------------------------------------------------------===//
+
+TEST(FlowAnalysis, OrphanedLiteralHasNoLabelAndFlowsNowhere) {
+  // id (x : int) : int = x;  main (z : int) : int = id(1);  plus a
+  // literal 9 that no body reaches, as the eBPF front-end leaves one
+  // behind when it overwrites a register slot.
+  FlowProgram P = FlowProgram::empty();
+  auto add = [&](FExpr::KindTy K, FExprId Kid = 0, const char *Name = "") {
+    FExpr E;
+    E.Kind = K;
+    E.Name = Name;
+    E.Kid0 = Kid;
+    E.LitValue = 1;
+    return P.addExpr(std::move(E));
+  };
+  FExprId X = add(FExpr::Var, 0, "x");
+  P.addFunction("id", "x", P.intType(), P.intType(), X);
+  FExprId One = add(FExpr::Lit);
+  FExprId Orphan = add(FExpr::Lit);
+  FExprId Call = add(FExpr::Call, One, "id");
+  P.addFunction("main", "z", P.intType(), P.intType(), Call);
+  std::string Err;
+  ASSERT_TRUE(P.typecheck(&Err)) << Err;
+
+  for (FlowMode Mode : {FlowMode::Primal, FlowMode::Dual}) {
+    SCOPED_TRACE(Mode == FlowMode::Primal ? "primal" : "dual");
+    FlowAnalysis FA(P, Mode);
+    EXPECT_TRUE(FA.hasLabel(One));
+    EXPECT_TRUE(FA.hasLabel(Call));
+    EXPECT_FALSE(FA.hasLabel(Orphan));
+    EXPECT_FALSE(FA.hasLabel(P.numExprs())); // past the arena
+    EXPECT_TRUE(FA.flows(One, Call));
+    EXPECT_FALSE(FA.flows(Orphan, Call));
+    EXPECT_FALSE(FA.flows(One, Orphan));
+    EXPECT_FALSE(FA.flows(Orphan, Orphan));
+    EXPECT_FALSE(FA.flowsPN(Orphan, Call));
+    EXPECT_FALSE(FA.flowsPN(One, Orphan));
+    // Only the reached literal got a source constant, before and after
+    // the queries.
+    const ConstraintSystem &CS = FA.system();
+    for (ConsId C = 0; C != CS.numConstructors(); ++C)
+      EXPECT_NE(CS.constructor(C).Name, "src@" + std::to_string(Orphan));
+    EXPECT_DEBUG_DEATH((void)FA.labelOf(Orphan),
+                       "outside every function body");
+  }
+}
+
+//===----------------------------------------------------------------===//
+// The rewrites of the front-end: trie-built automata and one label
+// per expression
+//===----------------------------------------------------------------===//
+
+/// The programs of this file (parsed and random) plus the flow
+/// lowerings of the golden eBPF corpus.
+std::vector<FlowProgram> corpus() {
+  std::vector<FlowProgram> Out;
+  const char *Sources[] = {
+      Figure11,
+      "mk (p : (int, int)) : ((int, int), int) = (p, 7);\n"
+      "main (z : int) : int = mk((1, 2)).1.2;",
+      "rec (x : int) : int = rec(x);\n"
+      "main (z : int) : (int, int) = (rec(1), rec(2));",
+      "id (x : int) : int = x;\n"
+      "main (z : int) : (int, int) = (id(1), id(2));",
+      "f (p : (int, int)) : int = 0;\n"
+      "main (z : int) : int = (f((1, 2)), f((3, 4))).1;",
+  };
+  for (const char *Src : Sources) {
+    std::string Err;
+    std::optional<FlowProgram> P = FlowProgram::parse(Src, &Err);
+    EXPECT_TRUE(P) << Err;
+    if (P)
+      Out.push_back(std::move(*P));
+  }
+  for (uint64_t Seed = 1; Seed != 21; ++Seed) {
+    FlowProgram P = ProgramBuilder(Seed).generate();
+    std::string Err;
+    EXPECT_TRUE(P.typecheck(&Err)) << Err;
+    Out.push_back(std::move(P));
+  }
+  std::vector<std::filesystem::path> Files;
+  for (const auto &E : std::filesystem::directory_iterator(
+           std::string(RASC_TEST_DATA_DIR) + "/ebpf"))
+    if (E.path().extension() == ".bpf")
+      Files.push_back(E.path());
+  std::sort(Files.begin(), Files.end());
+  EXPECT_FALSE(Files.empty());
+  for (const std::filesystem::path &F : Files) {
+    std::ifstream In(F, std::ios::binary);
+    std::string Bytes((std::istreambuf_iterator<char>(In)),
+                      std::istreambuf_iterator<char>());
+    Expected<ebpf::DecodedProgram> D = ebpf::decode(
+        {reinterpret_cast<const uint8_t *>(Bytes.data()), Bytes.size()});
+    EXPECT_TRUE(D) << F;
+    if (D)
+      Out.push_back(
+          ebpf::lowerToFlowProgram(ebpf::buildCfg(std::move(*D))).Prog);
+  }
+  return Out;
+}
+
+/// The chain-based construction of the Figure 10 automaton: every state
+/// is an explicit bracket chain interned in an ordered map, worked off
+/// breadth first.
+Dfa referencePairAutomaton(const FlowProgram &P) {
+  using Bracket = std::pair<uint32_t, TypeId>; // (index, component type)
+  std::vector<Bracket> Brackets;
+  for (TypeId T = 0; T != P.numTypes(); ++T)
+    if (P.type(T).Kind == FType::Pair)
+      for (uint32_t I = 0; I != 2; ++I) {
+        Bracket B{I, I == 0 ? P.type(T).A : P.type(T).B};
+        if (std::find(Brackets.begin(), Brackets.end(), B) == Brackets.end())
+          Brackets.push_back(B);
+      }
+  std::sort(Brackets.begin(), Brackets.end());
+  auto name = [&](bool Open, const Bracket &B) {
+    std::ostringstream OS;
+    OS << (Open ? "open" : "close") << (B.first + 1) << "_"
+       << P.typeName(B.second);
+    std::string N = OS.str();
+    for (char &C : N) {
+      if (C == '(' || C == ')' || C == ' ')
+        C = '_';
+      if (C == ',')
+        C = 'x';
+    }
+    return N;
+  };
+  DfaBuilder Builder;
+  std::vector<SymbolId> Open, Close;
+  for (const Bracket &B : Brackets) {
+    Open.push_back(Builder.addSymbol(name(true, B)));
+    Close.push_back(Builder.addSymbol(name(false, B)));
+  }
+  std::map<std::vector<Bracket>, StateId> States;
+  std::deque<std::vector<Bracket>> Work;
+  auto intern = [&](const std::vector<Bracket> &Chain) {
+    auto [It, New] = States.emplace(Chain, 0);
+    if (New) {
+      It->second = Builder.addState();
+      Work.push_back(Chain);
+    }
+    return It->second;
+  };
+  StateId Root = intern({});
+  Builder.setStart(Root);
+  Builder.setAccepting(Root);
+  while (!Work.empty()) {
+    std::vector<Bracket> Chain = Work.front();
+    Work.pop_front();
+    StateId From = States.at(Chain);
+    for (size_t I = 0; I != Brackets.size(); ++I) {
+      const Bracket &B = Brackets[I];
+      const FType &Ty = P.type(B.second);
+      if (Chain.empty() ||
+          (Ty.Kind == FType::Pair &&
+           (Chain.back().first == 0 ? Ty.A : Ty.B) == Chain.back().second)) {
+        std::vector<Bracket> Next = Chain;
+        Next.push_back(B);
+        Builder.addTransition(From, Open[I], intern(Next));
+      }
+      if (!Chain.empty() && Chain.back() == B)
+        Builder.addTransition(
+            From, Close[I],
+            intern(std::vector<Bracket>(Chain.begin(), Chain.end() - 1)));
+    }
+  }
+  return Builder.build();
+}
+
+/// The chain-based construction of the dual analysis's call-string
+/// automaton, recursive sites given.
+Dfa referenceCallAutomaton(const FlowProgram &P,
+                           const std::vector<bool> &Recursive) {
+  struct Site {
+    uint32_t Id;
+    FFuncId Caller, Callee;
+  };
+  std::vector<Site> Sites;
+  for (FFuncId F = 0; F != P.functions().size(); ++F) {
+    std::deque<FExprId> Work{P.functions()[F].Body};
+    while (!Work.empty()) {
+      const FExpr &Ex = P.expr(Work.front());
+      Work.pop_front();
+      if (Ex.Kind == FExpr::MkPair)
+        Work.insert(Work.end(), {Ex.Kid0, Ex.Kid1});
+      else if (Ex.Kind == FExpr::Proj || Ex.Kind == FExpr::Call)
+        Work.push_back(Ex.Kid0);
+      if (Ex.Kind == FExpr::Call)
+        Sites.push_back({Ex.CallSite, F, Ex.Callee});
+    }
+  }
+  DfaBuilder Builder;
+  std::map<uint32_t, std::pair<SymbolId, SymbolId>> Syms;
+  for (const Site &S : Sites)
+    if (!Recursive[S.Id])
+      Syms[S.Id] = {Builder.addSymbol("call" + std::to_string(S.Id)),
+                    Builder.addSymbol("ret" + std::to_string(S.Id))};
+  auto siteById = [&](uint32_t Id) {
+    return *std::find_if(Sites.begin(), Sites.end(),
+                         [&](const Site &S) { return S.Id == Id; });
+  };
+  std::map<std::vector<uint32_t>, StateId> States;
+  std::deque<std::vector<uint32_t>> Work;
+  auto intern = [&](const std::vector<uint32_t> &Chain) {
+    auto [It, New] = States.emplace(Chain, 0);
+    if (New) {
+      It->second = Builder.addState();
+      Work.push_back(Chain);
+    }
+    return It->second;
+  };
+  StateId Root = intern({});
+  Builder.setStart(Root);
+  Builder.setAccepting(Root);
+  while (!Work.empty()) {
+    std::vector<uint32_t> Chain = Work.front();
+    Work.pop_front();
+    StateId From = States.at(Chain);
+    for (const Site &S : Sites) {
+      if (Recursive[S.Id])
+        continue;
+      if (Chain.empty() || siteById(Chain.back()).Callee == S.Caller) {
+        std::vector<uint32_t> Next = Chain;
+        Next.push_back(S.Id);
+        Builder.addTransition(From, Syms[S.Id].first, intern(Next));
+      }
+      if (!Chain.empty() && Chain.back() == S.Id)
+        Builder.addTransition(
+            From, Syms[S.Id].second,
+            intern(std::vector<uint32_t>(Chain.begin(), Chain.end() - 1)));
+    }
+  }
+  return Builder.build();
+}
+
+/// The two automata are the same: alphabet, state numbering,
+/// acceptance and every transition.
+void expectSameDfa(const Dfa &A, const Dfa &B) {
+  ASSERT_EQ(A.alphabet(), B.alphabet());
+  ASSERT_EQ(A.numStates(), B.numStates());
+  EXPECT_EQ(A.start(), B.start());
+  for (StateId S = 0; S != A.numStates(); ++S) {
+    EXPECT_EQ(A.isAccepting(S), B.isAccepting(S)) << "state " << S;
+    for (SymbolId Sym = 0; Sym != A.numSymbols(); ++Sym)
+      EXPECT_EQ(A.next(S, Sym), B.next(S, Sym))
+          << "state " << S << " symbol " << A.symbolName(Sym);
+  }
+}
+
+TEST(FlowAutomaton, TrieBuildMatchesChainConstruction) {
+  std::vector<FlowProgram> Corpus = corpus();
+  size_t NonTrivialCall = 0;
+  for (size_t I = 0; I != Corpus.size(); ++I) {
+    SCOPED_TRACE("program " + std::to_string(I));
+    const FlowProgram &P = Corpus[I];
+    expectSameDfa(buildPairAutomaton(P), referencePairAutomaton(P));
+    std::vector<SymbolId> CallSyms;
+    Dfa Calls = buildCallAutomaton(P, &CallSyms);
+    std::vector<bool> Recursive(P.numCallSites());
+    for (uint32_t Site = 0; Site != P.numCallSites(); ++Site)
+      Recursive[Site] = CallSyms[2 * Site] == InvalidSymbol;
+    expectSameDfa(Calls, referenceCallAutomaton(P, Recursive));
+    NonTrivialCall += Calls.numStates() > 2;
+  }
+  EXPECT_GT(NonTrivialCall, 0u);
+}
+
+TEST(FlowAnalysis, EveryVariableOccursInSomeConstraint) {
+  // One variable per expression label and per signature: an analysis
+  // allocates no label that no constraint reads. The one exception is
+  // the parameter label of a function nobody calls whose body never
+  // reads its parameter (main (z : int) ... in most programs here):
+  // its signature is labeled up front, and nothing flows in or out.
+  std::vector<FlowProgram> Corpus = corpus();
+  for (size_t I = 0; I != Corpus.size(); ++I)
+    for (FlowMode Mode : {FlowMode::Primal, FlowMode::Dual}) {
+      SCOPED_TRACE("program " + std::to_string(I) +
+                   (Mode == FlowMode::Primal ? " primal" : " dual"));
+      const FlowProgram &P = Corpus[I];
+      FlowAnalysis FA(P, Mode);
+      const ConstraintSystem &CS = FA.system();
+      std::vector<bool> Used(CS.numVars(), false);
+      auto mark = [&](ExprId E) {
+        const Expr &X = CS.expr(E);
+        if (X.Kind != ExprKind::Cons)
+          Used[X.V] = true;
+        for (VarId A : CS.args(X))
+          Used[A] = true;
+      };
+      for (const Constraint &C : CS.constraints()) {
+        mark(C.Lhs);
+        mark(C.Rhs);
+      }
+      std::vector<bool> Called(P.functions().size(), false);
+      for (FExprId E = 0; E != P.numExprs(); ++E)
+        if (P.expr(E).Kind == FExpr::Call)
+          Called[P.expr(E).Callee] = true;
+      std::vector<bool> IdleParam(CS.numVars(), false);
+      for (FFuncId F = 0; F != P.functions().size(); ++F)
+        if (!Called[F])
+          IdleParam[FA.paramLabel(F)] = true;
+      for (VarId V = 0; V != CS.numVars(); ++V)
+        EXPECT_TRUE(Used[V] || IdleParam[V]) << "variable " << CS.varName(V);
+    }
+}
 
 } // namespace

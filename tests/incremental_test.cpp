@@ -60,8 +60,8 @@ std::string renderExpr(const ConstraintSystem &CS, ExprId E) {
   if (X.Kind == ExprKind::Var)
     return "v" + std::to_string(X.V);
   std::string S = CS.constructor(X.C).Name + "(";
-  for (size_t I = 0; I != X.Args.size(); ++I)
-    S += (I ? ",v" : "v") + std::to_string(X.Args[I]);
+  for (uint32_t I = 0; I != X.NumArgs; ++I)
+    S += (I ? ",v" : "v") + std::to_string(CS.arg(X, I));
   return S + ")";
 }
 
