@@ -36,7 +36,10 @@ trap 'rm -rf "$TMPDIR_BENCH"' EXIT
 
 for R in $(seq 1 "$ROUNDS"); do
   # Old google-benchmark: --benchmark_min_time takes a plain double.
-  "$BIN" --benchmark_filter='BM_SolveDag' \
+  # The filter is anchored: a bare 'BM_SolveDag' also matches
+  # BM_SolveDagAdversarial, whose runs the size parser below would
+  # file under BM_SolveDag's sizes.
+  "$BIN" --benchmark_filter='^BM_SolveDag/' \
          --benchmark_min_time="$MIN_TIME" \
          --benchmark_format=json >"$TMPDIR_BENCH/round_$R.json"
   echo "round $R/$ROUNDS done" >&2

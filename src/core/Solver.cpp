@@ -23,24 +23,6 @@ using namespace rasc;
 
 namespace {
 
-/// The edge dedup SolverOptions::Dedup asks for. Auto starts on bitset
-/// rows and moves to flat sets when the solve records an annotation id
-/// above AnnBitsetThreshold, so the choice follows the ids in use, not
-/// how far the domain had grown when the solver was built.
-EdgeDedup makeEdgeDedup(const SolverOptions &Opts, const AnnotationDomain &D) {
-  switch (Opts.Dedup) {
-  case SolverOptions::DedupBackend::Bitset:
-    return EdgeDedup(EdgeDedup::Backend::Bitset, D.size());
-  case SolverOptions::DedupBackend::FlatSet:
-    return EdgeDedup(EdgeDedup::Backend::Flat);
-  case SolverOptions::DedupBackend::Auto:
-    break;
-  }
-  return EdgeDedup(EdgeDedup::Backend::Bitset,
-                   std::min<size_t>(D.size(), Opts.AnnBitsetThreshold),
-                   Opts.AnnBitsetThreshold);
-}
-
 double secondsSince(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        Start)
@@ -98,8 +80,7 @@ std::vector<ConsId> AtomReachability::witnessStack(VarId V,
 BidirectionalSolver::BidirectionalSolver(const ConstraintSystem &CS,
                                          SolverOptions Opts)
     : CS(CS), Options(Opts),
-      EdgeSeen(makeEdgeDedup(Opts, CS.domain())),
-      FnVarSeen(makeEdgeDedup(Opts, CS.domain())) {}
+      EdgeSeen(CS.domain().size()), FnVarSeen(CS.domain().size()) {}
 
 BidirectionalSolver::~BidirectionalSolver() = default;
 
@@ -413,7 +394,7 @@ void BidirectionalSolver::process(const Edge &E) {
             Anns[I] = D.compose(Ch.Anns[I], E.Ann);
           if (Pf)
             for (uint32_t I = 0; I != N; ++I)
-              EdgeSeen.prefetch(E.Src, Ch.Peers[I], Anns[I]);
+              EdgeSeen.prefetch(E.Src, Ch.Peers[I]);
           for (uint32_t I = 0; I != N; ++I) {
             if (Track)
               CurProv = {EdgeProv::Rule::Transitive, ~0u, E,
@@ -457,7 +438,7 @@ void BidirectionalSolver::process(const Edge &E) {
             Anns[I] = D.compose(E.Ann, Ch.Anns[I]);
           if (Pf)
             for (uint32_t I = 0; I != N; ++I)
-              EdgeSeen.prefetch(Ch.Peers[I], E.Dst, Anns[I]);
+              EdgeSeen.prefetch(Ch.Peers[I], E.Dst);
           for (uint32_t I = 0; I != N; ++I) {
             if (Track)
               CurProv = {EdgeProv::Rule::Transitive, ~0u,
@@ -651,15 +632,7 @@ BidirectionalSolver::Status BidirectionalSolver::solve() {
   Stats.ClosureSeconds += secondsSince(ClosureStart);
   Stats.MonoidElements = CS.domain().size();
   Stats.ComposeMisses = CS.domain().composeMisses();
-  auto FnVarStart = std::chrono::steady_clock::now();
-
   FnVarSolFresh = false;
-  if (Options.EagerFunctionVars && S == Status::Solved) {
-    RASC_TRACE_SCOPE("solver.fnvar");
-    runEagerFnVars();
-  }
-
-  Stats.FnVarSeconds += secondsSince(FnVarStart);
 
   if (S == Status::Solved) {
     Stat = Conflicts.empty() ? Status::Solved : Status::Inconsistent;
@@ -706,8 +679,6 @@ void BidirectionalSolver::recordSolveMetrics(
       .add(Ns(Stats.IngestSeconds - Before.IngestSeconds));
   M.counter("solver.closure_ns")
       .add(Ns(Stats.ClosureSeconds - Before.ClosureSeconds));
-  M.counter("solver.fnvar_ns")
-      .add(Ns(Stats.FnVarSeconds - Before.FnVarSeconds));
   M.gauge("solver.monoid_size").set(CS.domain().size());
   M.gauge("solver.dedup_bytes").set(EdgeSeen.memoryBytes());
   M.gauge("solver.memory_bytes").set(memoryBytes());
@@ -949,9 +920,8 @@ void BidirectionalSolver::rebuildProvIndex() {
 ///    (alternative projection).
 ///
 /// 3. *Erase.* Cone edges and dead conflicts release their dedup
-///    bits (backward-shift/flag-clear erase in the backends; see
-///    support/FlatSet.h, support/AnnSet.h) and dead watchers of a
-///    retracted projection constraint are dropped.
+///    bits (a bit clear in the row; see support/AnnSet.h) and dead
+///    watchers of a retracted projection constraint are dropped.
 ///
 /// 4. *Compact.* The arena keeps survivors in derivation order with
 ///    the frontier moved to the pending tail; adjacency is rebuilt
@@ -1259,10 +1229,10 @@ BidirectionalSolver::retract(uint32_t Idx) {
     }
     FnVarCons.resize(W);
     Stats.FnVarConstraints = W;
-    FnVarSeen = makeEdgeDedup(Options, CS.domain());
+    FnVarSeen = EdgeDedup(CS.domain().size());
     for (const FnVarConstraint &C : FnVarCons)
       FnVarSeen.insert(C.From, C.To, C.Fn);
-    EagerFnVarSol.clear();
+    FnVarSol.clear();
     FnVarSolFresh = false;
   }
   Succs.clear();
@@ -1329,13 +1299,13 @@ void BidirectionalSolver::resetToFresh() {
   NodeKind.clear();
   SuccDone.clear();
   PredDone.clear();
-  EdgeSeen = makeEdgeDedup(Options, D);
+  EdgeSeen = EdgeDedup(D.size());
   EdgeArena.clear();
   PendingHead = 0;
   Conflicts.clear();
   FnVarCons.clear();
-  FnVarSeen = makeEdgeDedup(Options, D);
-  EagerFnVarSol.clear();
+  FnVarSeen = EdgeDedup(D.size());
+  FnVarSol.clear();
   FnVarSolFresh = false;
   VarNode.clear();
   Proof.reset();
@@ -1590,18 +1560,16 @@ std::vector<std::vector<AnnId>> BidirectionalSolver::fnVarLeastSolution(
 
 const std::vector<std::vector<AnnId>> &
 BidirectionalSolver::fnVarSolution() const {
-  if (!FnVarSolFresh || EagerFnVarSol.size() != CS.numFnVars()) {
+  if (!FnVarSolFresh || FnVarSol.size() != CS.numFnVars()) {
     std::vector<std::pair<FnVarId, AnnId>> Seeds;
     Seeds.reserve(CS.numFnVars());
     for (FnVarId A = 0, E = CS.numFnVars(); A != E; ++A)
       Seeds.emplace_back(A, CS.domain().identity());
-    EagerFnVarSol = fnVarLeastSolution(Seeds);
+    FnVarSol = fnVarLeastSolution(Seeds);
     FnVarSolFresh = true;
   }
-  return EagerFnVarSol;
+  return FnVarSol;
 }
-
-void BidirectionalSolver::runEagerFnVars() { (void)fnVarSolution(); }
 
 AtomReachability
 BidirectionalSolver::atomReachability(ConsId Atom,

@@ -73,12 +73,6 @@ struct SolverOptions {
   /// sound to collapse in the annotated setting).
   bool CycleElimination = true;
 
-  /// Maintain the function-variable least solution (seeded with the
-  /// identity everywhere) during solving instead of reconstructing it
-  /// at query time. The paper's implementation omits the eager work
-  /// (Section 8); both modes answer queries identically.
-  bool EagerFunctionVars = false;
-
   /// Cap on inserted edges; 0 = unlimited. Reaching it interrupts the
   /// closure with Status::EdgeLimit (protects the superexponential
   /// bidirectional worst case, Section 4). The interrupt is
@@ -170,21 +164,6 @@ struct SolverOptions {
   /// either flag. Costs two hash-map operations per fresh edge; off by
   /// default.
   bool Incremental = false;
-
-  /// Edge-dedup data layout (DESIGN.md "Solver data layout"). Bitset
-  /// keeps one annotation bitset per (src, dst) node pair — dedup is
-  /// a test-and-set, ideal while annotation ids are dense and small.
-  /// FlatSet keeps one open-addressed set of packed (src, ann) keys
-  /// per destination — bounded memory per present edge when the
-  /// domain is large or grows without bound.
-  enum class DedupBackend : uint8_t { Auto, Bitset, FlatSet };
-  DedupBackend Dedup = DedupBackend::Auto;
-
-  /// Auto starts on Bitset and moves every recorded edge to FlatSet
-  /// the first time the solve records an annotation id above this.
-  /// (Lazily interned domains reach large ids only mid-solve, so the
-  /// domain's size at construction says little.)
-  uint32_t AnnBitsetThreshold = 256;
 };
 
 /// Counters for the complexity experiments. ComposeCalls counts
@@ -226,7 +205,6 @@ struct SolverStats {
   // Wall-clock phase timings, accumulated across solve() calls.
   double IngestSeconds = 0;  ///< canonicalization + surface ingest
   double ClosureSeconds = 0; ///< worklist transitive/projection closure
-  double FnVarSeconds = 0;   ///< eager function-variable propagation
 
   /// Field-wise merge, for aggregating per-solver stats across a
   /// batch (core/BatchSolver.h). Every counter and timing is a plain
@@ -255,7 +233,6 @@ struct SolverStats {
     RequeuedEdges += O.RequeuedEdges;
     IngestSeconds += O.IngestSeconds;
     ClosureSeconds += O.ClosureSeconds;
-    FnVarSeconds += O.FnVarSeconds;
     return *this;
   }
 };
@@ -378,8 +355,6 @@ public:
 
   /// The solver's options. The mutable overload lets a caller raise
   /// budgets between solve() calls to resume an interrupted closure.
-  /// The dedup backend choice (Dedup, AnnBitsetThreshold) is resolved
-  /// at construction; changing it afterwards has no effect.
   SolverOptions &options() { return Options; }
   const SolverOptions &options() const { return Options; }
 
@@ -520,8 +495,8 @@ public:
   std::vector<std::vector<AnnId>> fnVarLeastSolution(
       std::span<const std::pair<FnVarId, AnnId>> Seeds) const;
 
-  /// The eager all-identity-seeded function-variable solution (cached;
-  /// maintained online when Options.EagerFunctionVars).
+  /// The all-identity-seeded function-variable solution (computed on
+  /// first use and cached until the next solve).
   const std::vector<std::vector<AnnId>> &fnVarSolution() const;
 
   /// PN-reachability: annotation classes of the constant \p Atom in
@@ -632,7 +607,6 @@ private:
   void decompose(const Edge &E);
   /// \returns true when the constraint was fresh (not a dedup drop).
   bool addFnVarConstraint(FnVarId From, AnnId Fn, FnVarId To);
-  void runEagerFnVars();
   void collapseCycles(size_t FirstNew);
   bool isVarNode(ExprId E) const {
     return CS.expr(E).Kind == ExprKind::Var;
@@ -784,10 +758,10 @@ private:
   std::vector<uint32_t> SuccDone;
   std::vector<uint32_t> PredDone;
 
-  // Edge dedup (annotation bitsets or per-destination flat sets; see
-  // SolverOptions::Dedup) and the edge arena. The arena doubles as the
-  // FIFO worklist: every edge is enqueued exactly once, so the ring
-  // never wraps and the head cursor suffices.
+  // Edge dedup (per-(src, dst) annotation bitset rows) and the edge
+  // arena. The arena doubles as the FIFO worklist: every edge is
+  // enqueued exactly once, so the ring never wraps and the head cursor
+  // suffices.
   EdgeDedup EdgeSeen;
   std::vector<Edge> EdgeArena;
   size_t PendingHead = 0;
@@ -795,7 +769,7 @@ private:
 
   std::vector<FnVarConstraint> FnVarCons;
   EdgeDedup FnVarSeen; // dedup of FnVarCons
-  mutable std::vector<std::vector<AnnId>> EagerFnVarSol;
+  mutable std::vector<std::vector<AnnId>> FnVarSol;
   mutable bool FnVarSolFresh = false;
 
   // VarId -> ExprId node (or InvalidExpr), for query-side lookups

@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -273,9 +274,18 @@ std::optional<Diag> Rascd::start() {
   observe::setMetricsEnabled(true);
   if (std::optional<Diag> D = warmBoot())
     return D;
-  Pool = std::make_unique<ThreadPool>(
-      Opts.MaxSessions ? Opts.MaxSessions : 1);
-  Acceptor = std::thread([this] { acceptLoop(); });
+  // The session pool is spawned at its full width up front. A host
+  // that cannot spawn that many threads (or the acceptor) gets a
+  // startup Diag; the workers already spawned are joined by then.
+  unsigned Width = Opts.MaxSessions ? Opts.MaxSessions : 1;
+  try {
+    Pool = std::make_unique<ThreadPool>(Width);
+    Acceptor = std::thread([this] { acceptLoop(); });
+  } catch (const std::system_error &E) {
+    Pool.reset();
+    return Diag("cannot start " + std::to_string(Width) +
+                " session workers: " + E.what());
+  }
   Started.store(true);
   return std::nullopt;
 }

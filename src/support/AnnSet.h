@@ -12,16 +12,11 @@
 ///   * AnnSet — a small insertion-ordered set of AnnIds (growable
 ///     bitset membership + member vector), replacing linear
 ///     std::find dedup passes on query paths.
-///   * AnnBitsetTable — per-key rows of annotation bits; the key is a
-///     packed (src, dst) node pair, so edge dedup is one hash probe
-///     plus a test-and-set. Rows share one arena with a common word
-///     stride that grows (rarely) when the domain interns new
-///     elements past the current capacity.
-///   * EdgeDedup — the solver's dedup front end: annotation bitsets
-///     while the domain is small (dense ids, near-perfect bit
-///     utilization), per-destination FlatSet64 of packed (src, ann)
-///     keys when it is large or unbounded (sparse sets; bitset rows
-///     would be mostly zero words).
+///   * EdgeDedup — the solver's edge dedup: per-(src, dst) rows of
+///     annotation bits keyed by the packed node pair, so dedup is one
+///     hash probe plus a test-and-set. Rows live inline in the hash
+///     slots while every id is below 64 and spill to one arena with a
+///     common word stride at the first wider id.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,7 +83,12 @@ private:
   std::vector<uint32_t> Members;
 };
 
-/// Rows of annotation bits addressed by an arbitrary 64-bit key.
+/// Deduplication of annotated edges (A, B, Ann): one row of
+/// annotation bits per (A, B) node pair, keyed by the packed pair, so
+/// a derived bound costs one hash probe plus a test-and-set — the
+/// O(1) per bound that the paper's O(n^3 i^2) cost model assumes.
+/// Annotation ids are dense from 0 (domains intern on compose), so a
+/// row needs no more words than the solve's largest id.
 ///
 /// While every annotation id fits in one word (id < 64 — true for the
 /// paper's machines, whose monoids have a few dozen elements), rows
@@ -97,22 +97,24 @@ private:
 /// attempts on dense workloads — touches exactly one 16-byte slot.
 /// The first wider id migrates all rows to a spilled arena with a
 /// shared word stride that doubles on demand (a domain interning
-/// elements mid-solve, e.g. GenKillDomain); O(total bits) per
-/// doubling and geometrically rare.
-class AnnBitsetTable {
+/// elements mid-solve); O(total bits) per doubling and geometrically
+/// rare.
+class EdgeDedup {
   static constexpr uint64_t Empty = ~uint64_t(0);
 
 public:
-  explicit AnnBitsetTable(size_t AnnCapacityHint = 64) {
+  /// \p AnnCapacityHint is the domain's size when the solver is built:
+  /// above 64 the rows start spilled, with room for that many ids.
+  explicit EdgeDedup(size_t AnnCapacityHint) {
     if (AnnCapacityHint > 64) {
       InlineMode = false;
       Stride = (AnnCapacityHint + 63) / 64;
     }
   }
 
-  /// Tests and sets bit \p Ann of row \p Key. \returns true if the
-  /// bit was clear (the edge is new).
-  bool testAndSet(uint64_t Key, uint32_t Ann) {
+  /// Records the edge. \returns true if it was not present.
+  bool insert(uint32_t A, uint32_t B, uint32_t Ann) {
+    uint64_t Key = pack(A, B);
     assert(Key != Empty && "the all-ones key is reserved");
     if (InlineMode) {
       if (Ann < 64)
@@ -122,12 +124,14 @@ public:
     return testAndSetSpilled(Key, Ann);
   }
 
-  /// Clears bit \p Ann of row \p Key. The row's slot is kept even when
-  /// its last bit clears — a retraction is usually followed by
-  /// re-derivation into the same (src, dst) pairs, and an occupied
-  /// zero-bits row costs nothing on the probe path. \returns true if
-  /// the bit was set.
-  bool testAndClear(uint64_t Key, uint32_t Ann) {
+  /// Removes the edge (the incremental solver's cone invalidation).
+  /// The row's slot is kept even when its last bit clears — a
+  /// retraction is usually followed by re-derivation into the same
+  /// (A, B) pairs, and an occupied zero-bits row costs nothing on the
+  /// probe path — so memoryBytes() is unchanged by erases. \returns
+  /// true if the edge was recorded.
+  bool erase(uint32_t A, uint32_t B, uint32_t Ann) {
+    uint64_t Key = pack(A, B);
     if (InlineMode) {
       if (Ann >= 64 || Slots.empty())
         return false;
@@ -160,37 +164,15 @@ public:
     return true;
   }
 
-  size_t numRows() const {
-    return InlineMode ? InlineCount : Rows.size();
-  }
-
-  /// Calls \p Fn(Key, Ann) for every set bit.
-  template <typename FnT> void forEach(FnT Fn) const {
-    auto Bits64 = [&](uint64_t Key, uint64_t W, uint32_t Base) {
-      for (; W; W &= W - 1)
-        Fn(Key, Base + static_cast<uint32_t>(__builtin_ctzll(W)));
-    };
-    if (InlineMode) {
-      for (const Slot &S : Slots)
-        if (S.Key != Empty)
-          Bits64(S.Key, S.Bits, 0);
-      return;
-    }
-    Rows.forEach([&](uint64_t Key, uint32_t Row) {
-      for (size_t W = 0; W != Stride; ++W)
-        Bits64(Key, Bits[static_cast<size_t>(Row) * Stride + W],
-               static_cast<uint32_t>(W * 64));
-    });
-  }
-
-  /// Issues a prefetch for the home slot of row \p Key. The closure's
-  /// probe stream has no locality (derived edges hash all over the
-  /// table), so batching prefetches a chunk ahead turns a serial chain
-  /// of cache misses into overlapped ones.
-  void prefetch(uint64_t Key) const {
+  /// Issues a prefetch for the home slot of row (A, B), which a
+  /// subsequent insert(A, B, Ann) will probe. The closure's probe
+  /// stream has no locality (derived edges hash all over the table),
+  /// so batching prefetches a chunk ahead turns a serial chain of
+  /// cache misses into overlapped ones.
+  void prefetch(uint32_t A, uint32_t B) const {
     if (InlineMode && !Slots.empty())
-      __builtin_prefetch(
-          &Slots[static_cast<size_t>(mix64(Key)) & (Slots.size() - 1)]);
+      __builtin_prefetch(&Slots[static_cast<size_t>(mix64(pack(A, B))) &
+                                (Slots.size() - 1)]);
   }
 
   /// Whether the table has outgrown on-chip caches enough that probe
@@ -207,6 +189,10 @@ public:
   }
 
 private:
+  static uint64_t pack(uint32_t A, uint32_t B) {
+    return (static_cast<uint64_t>(A) << 32) | B;
+  }
+
   bool testAndSetInline(uint64_t Key, uint32_t Ann) {
     if (Slots.empty())
       rehashInline(16);
@@ -251,13 +237,14 @@ private:
   void spill() {
     InlineMode = false;
     Rows.reserve(InlineCount);
+    Bits.reserve(InlineCount * Stride);
     for (const Slot &S : Slots) {
       if (S.Key == Empty)
         continue;
       auto [Row, Inserted] =
           Rows.findOrInsert(S.Key, static_cast<uint32_t>(Rows.size()));
       (void)Inserted;
-      Bits.resize(Bits.size() + Stride, 0);
+      appendRow();
       Bits[static_cast<size_t>(Row) * Stride] = S.Bits;
     }
     Slots.clear();
@@ -271,13 +258,23 @@ private:
     auto [Row, Inserted] =
         Rows.findOrInsert(Key, static_cast<uint32_t>(Rows.size()));
     if (Inserted)
-      Bits.resize(Bits.size() + Stride, 0);
+      appendRow();
     uint64_t Mask = uint64_t(1) << (Ann % 64);
     uint64_t &Word = Bits[static_cast<size_t>(Row) * Stride + Ann / 64];
     if (Word & Mask)
       return false;
     Word |= Mask;
     return true;
+  }
+
+  /// Appends one zeroed row to the arena. The arena grows by a quarter,
+  /// not by doubling: a row is Stride words (dozens once a domain has
+  /// thousands of elements), so a doubled arena can be half unused
+  /// capacity, and that capacity counts against the memory budget.
+  void appendRow() {
+    if (Bits.size() + Stride > Bits.capacity())
+      Bits.reserve(Bits.size() + Bits.size() / 4 + Stride);
+    Bits.resize(Bits.size() + Stride, 0);
   }
 
   void growStride(uint32_t Ann) {
@@ -306,98 +303,6 @@ private:
   FlatMap64 Rows;
   std::vector<uint64_t> Bits;
   size_t Stride = 1;
-};
-
-/// Deduplication of annotated edges (A, B, Ann): the bitset backend
-/// keys rows by the packed (A, B) pair; the flat backend keeps one
-/// open-addressed set of packed (A, Ann) keys per B. The solver picks
-/// a backend per SolverOptions: bitsets while the annotation ids in
-/// use are small, flat sets once one passes a threshold (a lazily
-/// interned domain reaches large ids only mid-solve).
-class EdgeDedup {
-public:
-  enum class Backend : uint8_t {
-    Bitset, ///< per-(A,B) annotation bitset rows (dense ann ids)
-    Flat,   ///< per-B FlatSet64 of packed (A, ann) keys (sparse)
-  };
-
-  /// A Bitset dedup moves every recorded edge to the flat backend, and
-  /// stays there, the first time an id above \p FlatAbove is inserted.
-  explicit EdgeDedup(Backend B = Backend::Bitset,
-                     size_t AnnCapacityHint = 64,
-                     uint32_t FlatAbove = ~uint32_t(0))
-      : Which(B), FlatAbove(FlatAbove), Bitsets(AnnCapacityHint) {}
-
-  Backend backend() const { return Which; }
-
-  /// Records the edge. \returns true if it was not present.
-  bool insert(uint32_t A, uint32_t B, uint32_t Ann) {
-    if (Which == Backend::Bitset) {
-      if (Ann <= FlatAbove)
-        return Bitsets.testAndSet(
-            (static_cast<uint64_t>(A) << 32) | B, Ann);
-      toFlat();
-    }
-    if (B >= PerDst.size())
-      PerDst.resize(static_cast<size_t>(B) + 1);
-    return PerDst[B].insert((static_cast<uint64_t>(A) << 32) | Ann);
-  }
-
-  /// Removes the edge (the incremental solver's cone invalidation).
-  /// \returns true if it was recorded. Capacity is retained by both
-  /// backends, so memoryBytes() is unchanged by erases.
-  bool erase(uint32_t A, uint32_t B, uint32_t Ann) {
-    if (Which == Backend::Bitset)
-      return Bitsets.testAndClear(
-          (static_cast<uint64_t>(A) << 32) | B, Ann);
-    if (B >= PerDst.size())
-      return false;
-    return PerDst[B].erase((static_cast<uint64_t>(A) << 32) | Ann);
-  }
-
-  /// Prefetches the slot a subsequent insert(A, B, Ann) will probe.
-  void prefetch(uint32_t A, uint32_t B, uint32_t Ann) const {
-    if (Which == Backend::Bitset)
-      Bitsets.prefetch((static_cast<uint64_t>(A) << 32) | B);
-    else if (B < PerDst.size())
-      PerDst[B].prefetch((static_cast<uint64_t>(A) << 32) | Ann);
-  }
-
-  /// Whether a prefetch pass over a batch of probes is likely to pay
-  /// off (the working set no longer sits in on-chip caches).
-  bool prefetchWorthwhile() const {
-    return Which == Backend::Bitset ? Bitsets.prefetchWorthwhile()
-                                    : PerDst.size() >= 4096;
-  }
-
-  /// Heap bytes held. O(1) for the bitset backend; O(#destinations)
-  /// for the flat backend, so callers amortize (the solver checks its
-  /// memory budget every GovernanceCheckInterval worklist pops).
-  size_t memoryBytes() const {
-    if (Which == Backend::Bitset)
-      return Bitsets.memoryBytes();
-    size_t N = PerDst.capacity() * sizeof(FlatSet64);
-    for (const FlatSet64 &S : PerDst)
-      N += S.memoryBytes();
-    return N;
-  }
-
-private:
-  void toFlat() {
-    Bitsets.forEach([&](uint64_t Key, uint32_t Ann) {
-      uint32_t B = static_cast<uint32_t>(Key);
-      if (B >= PerDst.size())
-        PerDst.resize(static_cast<size_t>(B) + 1);
-      PerDst[B].insert((Key & ~uint64_t(0xffffffff)) | Ann);
-    });
-    Bitsets = AnnBitsetTable();
-    Which = Backend::Flat;
-  }
-
-  Backend Which;
-  uint32_t FlatAbove;
-  AnnBitsetTable Bitsets;
-  std::vector<FlatSet64> PerDst;
 };
 
 } // namespace rasc

@@ -69,6 +69,12 @@ enum class Point : unsigned {
   /// time). The connection is dropped, a counter records it, and the
   /// accept loop must keep admitting later connections.
   ServiceAcceptFail,
+  /// ThreadSpawn: a ThreadPool worker spawn (support/ThreadPool.h)
+  /// fails the way std::thread does when the host has no thread left
+  /// to give, by throwing std::system_error. Arming it with k fails
+  /// the (k + 1)-th spawn, so a test reaches a partly built pool
+  /// without asking the host for a huge width.
+  ThreadSpawn,
   NumPoints,
 };
 

@@ -8,12 +8,7 @@
 /// Cache-friendly open-addressed hash containers over 64-bit integer
 /// keys, used on the solver's closure hot path where the generality of
 /// std::unordered_set (chained buckets, one allocation per node) costs
-/// more than the work being deduplicated. Probing stays tombstone-free
-/// even though FlatSet64 supports erase: deletion is backward-shift
-/// (displaced keys slide back into the hole), so lookups never probe
-/// past a dead marker and the incremental solver's retraction path
-/// (SolverOptions::Incremental) pays no probe-length tax on the solves
-/// that follow an erase.
+/// more than the work being deduplicated.
 ///
 /// The empty slot is marked with the all-ones key, so ~0ULL cannot be
 /// stored; the solver packs (id, id) pairs of valid 32-bit ids, which
@@ -34,9 +29,9 @@
 
 namespace rasc {
 
-/// Open-addressed set of uint64_t keys (linear probing, power-of-two
-/// capacity, grown at 7/8 load) with tombstone-free backward-shift
-/// erase. The key ~0ULL is reserved as the empty marker.
+/// Insert-only open-addressed set of uint64_t keys (linear probing,
+/// power-of-two capacity, grown at 7/8 load). The key ~0ULL is
+/// reserved as the empty marker.
 class FlatSet64 {
   static constexpr uint64_t Empty = ~uint64_t(0);
 
@@ -83,45 +78,6 @@ public:
     }
   }
 
-  /// Removes \p Key via backward-shift deletion: members of the probe
-  /// cluster after the hole slide back into it when their home slot
-  /// permits, so the table never holds a tombstone and lookups keep
-  /// their empty-slot termination. Capacity is never shrunk (an erase
-  /// is usually followed by re-derivation of a similar set), so
-  /// memoryBytes() is unchanged. \returns true if the key was present.
-  bool erase(uint64_t Key) {
-    if (Slots.empty())
-      return false;
-    size_t Mask = Slots.size() - 1;
-    size_t I = static_cast<size_t>(mix64(Key)) & Mask;
-    while (true) {
-      uint64_t S = Slots[I];
-      if (S == Empty)
-        return false;
-      if (S == Key)
-        break;
-      I = (I + 1) & Mask;
-    }
-    size_t Hole = I;
-    size_t J = I;
-    while (true) {
-      J = (J + 1) & Mask;
-      uint64_t S = Slots[J];
-      if (S == Empty)
-        break;
-      size_t Home = static_cast<size_t>(mix64(S)) & Mask;
-      // S can fill the hole iff the hole lies cyclically within
-      // [Home, J) — moving it back never breaks its own probe chain.
-      if (((J - Home) & Mask) >= ((J - Hole) & Mask)) {
-        Slots[Hole] = S;
-        Hole = J;
-      }
-    }
-    Slots[Hole] = Empty;
-    --Count;
-    return true;
-  }
-
   void reserve(size_t N) {
     size_t Cap = 8;
     while (Cap * 7 < N * 8)
@@ -129,17 +85,6 @@ public:
     if (Cap > Slots.size())
       rehash(Cap);
   }
-
-  /// Issues a prefetch for the home slot of \p Key (probing in batches
-  /// overlaps the cache misses of independent lookups).
-  void prefetch(uint64_t Key) const {
-    if (!Slots.empty())
-      __builtin_prefetch(
-          &Slots[static_cast<size_t>(mix64(Key)) & (Slots.size() - 1)]);
-  }
-
-  /// Heap bytes held (for the solver's approximate memory budget).
-  size_t memoryBytes() const { return Slots.capacity() * sizeof(uint64_t); }
 
 private:
   void rehash(size_t NewCap) {
@@ -226,13 +171,6 @@ public:
     std::fill(Keys.begin(), Keys.end(), Empty);
     std::fill(Values.begin(), Values.end(), 0u);
     Count = 0;
-  }
-
-  /// Calls \p Fn(Key, Value) for every entry, in slot order.
-  template <typename FnT> void forEach(FnT Fn) const {
-    for (size_t J = 0, E = Keys.size(); J != E; ++J)
-      if (Keys[J] != Empty)
-        Fn(Keys[J], Values[J]);
   }
 
   /// Heap bytes held (for the solver's approximate memory budget).

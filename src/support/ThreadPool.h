@@ -19,6 +19,7 @@
 #ifndef RASC_SUPPORT_THREADPOOL_H
 #define RASC_SUPPORT_THREADPOOL_H
 
+#include "support/FailPoint.h"
 #include "support/Trace.h"
 
 #include <atomic>
@@ -30,6 +31,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -38,25 +40,31 @@ namespace rasc {
 
 class ThreadPool {
 public:
-  /// Spawns \p Threads workers (at least one).
+  /// Spawns \p Threads workers (at least one). A spawn the host
+  /// refuses throws std::system_error; the workers already spawned are
+  /// stopped and joined first, so the failure reaches the caller
+  /// instead of destroying joinable threads (std::terminate).
   explicit ThreadPool(unsigned Threads) {
     Queues.resize(Threads ? Threads : 1);
     for (auto &Q : Queues)
       Q = std::make_unique<WorkerQueue>();
     Workers.reserve(Queues.size());
-    for (unsigned I = 0; I != Queues.size(); ++I)
-      Workers.emplace_back([this, I] { workerLoop(I); });
+    try {
+      for (unsigned I = 0; I != Queues.size(); ++I) {
+        if (failpoints::armedAny() &&
+            failpoints::hit(failpoints::Point::ThreadSpawn))
+          throw std::system_error(
+              std::make_error_code(std::errc::resource_unavailable_try_again),
+              "injected thread spawn failure");
+        Workers.emplace_back([this, I] { workerLoop(I); });
+      }
+    } catch (...) {
+      stopAndJoin();
+      throw;
+    }
   }
 
-  ~ThreadPool() {
-    {
-      std::lock_guard<std::mutex> L(SleepMx);
-      Stop = true;
-    }
-    WorkCv.notify_all();
-    for (std::thread &T : Workers)
-      T.join();
-  }
+  ~ThreadPool() { stopAndJoin(); }
 
   ThreadPool(const ThreadPool &) = delete;
   ThreadPool &operator=(const ThreadPool &) = delete;
@@ -121,6 +129,16 @@ public:
   }
 
 private:
+  void stopAndJoin() {
+    {
+      std::lock_guard<std::mutex> L(SleepMx);
+      Stop = true;
+    }
+    WorkCv.notify_all();
+    for (std::thread &T : Workers)
+      T.join();
+  }
+
   struct WorkerQueue {
     std::mutex Mx;
     std::deque<std::function<void()>> Jobs;

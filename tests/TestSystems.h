@@ -142,27 +142,13 @@ inline RandomSystem randomSystem(Rng &R) {
   return Sys;
 }
 
-/// Renders one differential-test iteration's identity — seed, dedup
-/// backend, plus any extra context — for gtest failure output. The
-/// randomized tests loop hundreds of (seed, backend) combinations
-/// inside one TEST body; a bare assertion failure there is
-/// unreproducible without this string. Use via
-/// SCOPED_TRACE(seedContext(...)).
-inline std::string seedContext(uint64_t Seed,
-                               SolverOptions::DedupBackend Backend,
-                               std::string_view Extra = {}) {
-  std::string S = "seed " + std::to_string(Seed) + ", dedup ";
-  switch (Backend) {
-  case SolverOptions::DedupBackend::Auto:
-    S += "auto";
-    break;
-  case SolverOptions::DedupBackend::Bitset:
-    S += "bitset";
-    break;
-  case SolverOptions::DedupBackend::FlatSet:
-    S += "flatset";
-    break;
-  }
+/// Renders one differential-test iteration's identity — seed plus any
+/// extra context — for gtest failure output. The randomized tests loop
+/// hundreds of seeds or configurations inside one TEST body; a bare
+/// assertion failure there is unreproducible without this string. Use
+/// via SCOPED_TRACE(seedContext(...)).
+inline std::string seedContext(uint64_t Seed, std::string_view Extra = {}) {
+  std::string S = "seed " + std::to_string(Seed);
   if (!Extra.empty()) {
     S += ", ";
     S += Extra;

@@ -192,23 +192,16 @@ using Status = BidirectionalSolver::Status;
 
 constexpr uint64_t NumSeeds = 59;
 
-SolverOptions optsFor(uint64_t Seed) {
-  SolverOptions O;
-  O.Dedup = (Seed % 2) ? SolverOptions::DedupBackend::Bitset
-                       : SolverOptions::DedupBackend::FlatSet;
-  return O;
-}
-
 /// Solves a fresh copy of seed \p Seed's system to completion and
 /// hands it to \p Mutate; asserts the certifier accepted the honest
 /// state and rejects the mutant. \returns false when \p Mutate
 /// declined (mutation not applicable to this system).
 template <typename Fn>
 bool runMutation(uint64_t Seed, const char *Kind, Fn &&Mutate) {
-  SCOPED_TRACE(testgen::seedContext(Seed, optsFor(Seed).Dedup, Kind));
+  SCOPED_TRACE(testgen::seedContext(Seed, Kind));
   Rng R(Seed * 7919 + 17);
   RandomSystem Sys = testgen::randomSystem(R);
-  BidirectionalSolver S(*Sys.CS, optsFor(Seed));
+  BidirectionalSolver S(*Sys.CS);
   S.solve();
   EXPECT_TRUE(certifyFixpoint(S).Ok)
       << "honest solved state must certify";
@@ -286,8 +279,8 @@ TEST(CertifierMutation, RejectsEveryMutant) {
   // its own solver setup (edge budget to force the interrupt,
   // provenance to prove the tail held an obligated edge).
   for (uint64_t Seed = 1; Seed <= NumSeeds; ++Seed) {
-    SolverOptions O = optsFor(Seed);
-    SCOPED_TRACE(testgen::seedContext(Seed, O.Dedup, "truncate-worklist"));
+    SolverOptions O;
+    SCOPED_TRACE(testgen::seedContext(Seed, "truncate-worklist"));
     Rng R(Seed * 7919 + 17);
     RandomSystem Sys = testgen::randomSystem(R);
 
@@ -334,14 +327,14 @@ TEST(CertifierMutation, RejectsEveryMutant) {
 /// closedness pass can. \returns false when no edge qualifies.
 template <typename Fn>
 bool dropInBothCheckers(uint64_t Seed, const char *Kind, Fn &&Pick) {
-  SCOPED_TRACE(testgen::seedContext(Seed, optsFor(Seed).Dedup, Kind));
+  SCOPED_TRACE(testgen::seedContext(Seed, Kind));
   const std::string Log =
       (std::filesystem::path(::testing::TempDir()) /
        ("certmut_" + std::to_string(::getpid()) + ".rprf"))
           .string();
   Rng R(Seed * 7919 + 17);
   RandomSystem Sys = testgen::randomSystem(R);
-  SolverOptions O = optsFor(Seed);
+  SolverOptions O;
   O.TrackProvenance = true;
   O.ProofLogPath = Log;
   BidirectionalSolver S(*Sys.CS, O);

@@ -12,8 +12,8 @@
 /// fresh rebuild serve as the comparator for every solver
 /// configuration:
 ///
-///   * 50 generated programs x all three lowerings x both edge-dedup
-///     backends: identical semantic fixpoints;
+///   * 50 generated programs x all three lowerings: two independent
+///     builds reach identical semantic fixpoints;
 ///   * incremental retraction of one constraint after the solve lands
 ///     on the same fixpoint as a fresh build with that constraint
 ///     retracted before the solve, and both pass the independent
@@ -100,9 +100,8 @@ Fixpoint snapshot(const BidirectionalSolver &S, const ConstraintSystem &CS,
 
 /// Incremental-capable options: provenance on, cycle elimination off
 /// so any constraint is a legal retraction target.
-SolverOptions incrementalOptions(SolverOptions::DedupBackend Backend) {
+SolverOptions incrementalOptions() {
   SolverOptions O;
-  O.Dedup = Backend;
   O.Incremental = true;
   O.TrackProvenance = true;
   O.CycleElimination = false;
@@ -224,7 +223,7 @@ Fixpoint freshFixpoint(uint64_t Seed, App A, uint32_t Retract,
 }
 
 //===----------------------------------------------------------------===//
-// The matrix: 50 programs x 3 apps x 2 backends,
+// The matrix: 50 programs x 3 apps,
 // solve -> snapshot -> retract -> snapshot-vs-fresh, all certified
 //===----------------------------------------------------------------===//
 
@@ -233,56 +232,44 @@ class EbpfDifferential : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(EbpfDifferential, RetractMatchesFreshAcrossConfigs) {
   const uint64_t Seed = GetParam();
   for (App A : AllApps) {
-    // The reference fixpoint for this seed/app: Bitset dedup.
+    SCOPED_TRACE(std::string(appName(A)) + ", seed " + std::to_string(Seed));
+    // The reference fixpoint for this seed/app, from its own build.
     std::unique_ptr<Pipeline> Ref = buildPipeline(Seed, A);
     ConstraintSystem &RefCS = Ref->system(A);
-    const uint32_t N =
-        static_cast<uint32_t>(RefCS.constraints().size());
+    const uint32_t N = static_cast<uint32_t>(RefCS.constraints().size());
     ASSERT_GT(N, 0u);
     const uint32_t Retract = static_cast<uint32_t>(Seed % N);
 
-    SolverOptions RefO =
-        incrementalOptions(SolverOptions::DedupBackend::Bitset);
-    BidirectionalSolver RefS(RefCS, RefO);
+    SolverOptions O = incrementalOptions();
+    BidirectionalSolver RefS(RefCS, O);
     RefS.solve();
     const Fixpoint Expect = snapshot(RefS, RefCS, Ref->domain(A));
 
-    for (SolverOptions::DedupBackend Backend :
-         {SolverOptions::DedupBackend::Bitset,
-          SolverOptions::DedupBackend::FlatSet}) {
-      SCOPED_TRACE(std::string(appName(A)) + ", seed " +
-                   std::to_string(Seed) + ", backend " +
-                   (Backend == SolverOptions::DedupBackend::Bitset
-                        ? "bitset"
-                        : "flatset"));
-      SolverOptions O = incrementalOptions(Backend);
-      std::unique_ptr<Pipeline> P = buildPipeline(Seed, A);
-      ConstraintSystem &CS = P->system(A);
-      ASSERT_EQ(CS.constraints().size(), N)
-          << "lowering is not deterministic";
+    std::unique_ptr<Pipeline> P = buildPipeline(Seed, A);
+    ConstraintSystem &CS = P->system(A);
+    ASSERT_EQ(CS.constraints().size(), N) << "lowering is not deterministic";
 
-      BidirectionalSolver S(CS, O);
-      Status St = S.solve();
-      ASSERT_FALSE(BidirectionalSolver::isInterrupted(St));
-      EXPECT_EQ(snapshot(S, CS, P->domain(A)), Expect)
-          << "pre-retract fixpoint diverged";
-      if (S.status() == Status::Solved) {
-        CertificationReport Rep = certifyFixpoint(S);
-        EXPECT_TRUE(Rep.Ok) << Rep.summary();
-      }
+    BidirectionalSolver S(CS, O);
+    Status St = S.solve();
+    ASSERT_FALSE(BidirectionalSolver::isInterrupted(St));
+    EXPECT_EQ(snapshot(S, CS, P->domain(A)), Expect)
+        << "pre-retract fixpoint diverged";
+    if (S.status() == Status::Solved) {
+      CertificationReport Rep = certifyFixpoint(S);
+      EXPECT_TRUE(Rep.Ok) << Rep.summary();
+    }
 
-      // One-constraint incremental edit vs. a fresh build.
-      ASSERT_FALSE(CS.retract(Retract));
-      Expected<Status> RS = S.retract(Retract);
-      ASSERT_TRUE(RS) << RS.error().render();
-      ASSERT_FALSE(BidirectionalSolver::isInterrupted(*RS));
-      EXPECT_EQ(snapshot(S, CS, P->domain(A)),
-                freshFixpoint(Seed, A, Retract, O))
-          << "post-retract fixpoint diverged from fresh";
-      if (S.status() == Status::Solved) {
-        CertificationReport Rep = certifyFixpoint(S);
-        EXPECT_TRUE(Rep.Ok) << Rep.summary();
-      }
+    // One-constraint incremental edit vs. a fresh build.
+    ASSERT_FALSE(CS.retract(Retract));
+    Expected<Status> RS = S.retract(Retract);
+    ASSERT_TRUE(RS) << RS.error().render();
+    ASSERT_FALSE(BidirectionalSolver::isInterrupted(*RS));
+    EXPECT_EQ(snapshot(S, CS, P->domain(A)),
+              freshFixpoint(Seed, A, Retract, O))
+        << "post-retract fixpoint diverged from fresh";
+    if (S.status() == Status::Solved) {
+      CertificationReport Rep = certifyFixpoint(S);
+      EXPECT_TRUE(Rep.Ok) << Rep.summary();
     }
   }
 }

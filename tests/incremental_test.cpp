@@ -9,28 +9,24 @@
 /// §11): BidirectionalSolver::retract must land on the *semantic*
 /// fixpoint a fresh solve of the edited system reaches — same status,
 /// same answer to every query, same enumerated terms — across seeded
-/// random systems and both edge-dedup backends. Work counters are
+/// random systems. Work counters are
 /// deliberately *not* compared: a delta re-solve reuses surviving
 /// derivations, so it composes less than a fresh run.
 ///
 /// Also here: the retract() precondition diagnostics (and that a
 /// rejected call leaves the solver unchanged, so resetToFresh() is a
-/// safe fallback), the parser's "retract N;" statement, and the
-/// backward-shift erase of the FlatSet64 dedup layer against a
-/// reference set.
+/// safe fallback) and the parser's "retract N;" statement.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestSystems.h"
 #include "core/Certifier.h"
 #include "frontend/ConstraintParser.h"
-#include "support/FlatSet.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 using namespace rasc;
@@ -103,9 +99,8 @@ Fixpoint semantics(const BidirectionalSolver &S, const ConstraintSystem &CS,
 /// elimination is off so *any* constraint is a legal retraction
 /// target (retract() rejects un-merging a collapsed identity cycle);
 /// the gate itself is covered separately below.
-SolverOptions incrementalOptions(SolverOptions::DedupBackend Backend) {
+SolverOptions incrementalOptions() {
   SolverOptions O;
-  O.Dedup = Backend;
   O.Incremental = true;
   O.TrackProvenance = true;
   O.CycleElimination = false;
@@ -133,45 +128,39 @@ class IncrementalDifferential : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(IncrementalDifferential, RetractMatchesFreshSolve) {
   const uint64_t Seed = GetParam();
-  for (SolverOptions::DedupBackend Backend :
-       {SolverOptions::DedupBackend::Bitset,
-        SolverOptions::DedupBackend::FlatSet}) {
-    SCOPED_TRACE(testgen::seedContext(Seed, Backend, "incremental"));
-    Rng R(Seed);
-    testgen::RandomSystem Sys = testgen::randomSystem(R);
-    const uint32_t N =
-        static_cast<uint32_t>(Sys.CS->constraints().size());
-    SolverOptions O = incrementalOptions(Backend);
-    BidirectionalSolver S(*Sys.CS, O);
-    Status St = S.solve();
-    ASSERT_FALSE(BidirectionalSolver::isInterrupted(St));
+  SCOPED_TRACE(testgen::seedContext(Seed, "incremental"));
+  Rng R(Seed);
+  testgen::RandomSystem Sys = testgen::randomSystem(R);
+  const uint32_t N = static_cast<uint32_t>(Sys.CS->constraints().size());
+  SolverOptions O = incrementalOptions();
+  BidirectionalSolver S(*Sys.CS, O);
+  Status St = S.solve();
+  ASSERT_FALSE(BidirectionalSolver::isInterrupted(St));
 
-    // Two successive single-constraint edits — the second retract
-    // runs on an already-compacted arena, covering the post-retract
-    // index rebuild.
-    uint32_t First = static_cast<uint32_t>(Seed % N);
-    uint32_t Second = static_cast<uint32_t>((Seed / 3 + 7) % N);
-    std::vector<uint32_t> Flagged;
-    for (uint32_t Idx : {First, Second}) {
-      if (std::find(Flagged.begin(), Flagged.end(), Idx) !=
-          Flagged.end())
-        continue;
-      SCOPED_TRACE("retract " + std::to_string(Idx));
-      ASSERT_FALSE(Sys.CS->retract(Idx));
-      Flagged.push_back(Idx);
-      Expected<Status> RS = S.retract(Idx);
-      ASSERT_TRUE(RS) << RS.error().render();
-      ASSERT_FALSE(BidirectionalSolver::isInterrupted(*RS));
+  // Two successive single-constraint edits — the second retract
+  // runs on an already-compacted arena, covering the post-retract
+  // index rebuild.
+  uint32_t First = static_cast<uint32_t>(Seed % N);
+  uint32_t Second = static_cast<uint32_t>((Seed / 3 + 7) % N);
+  std::vector<uint32_t> Flagged;
+  for (uint32_t Idx : {First, Second}) {
+    if (std::find(Flagged.begin(), Flagged.end(), Idx) != Flagged.end())
+      continue;
+    SCOPED_TRACE("retract " + std::to_string(Idx));
+    ASSERT_FALSE(Sys.CS->retract(Idx));
+    Flagged.push_back(Idx);
+    Expected<Status> RS = S.retract(Idx);
+    ASSERT_TRUE(RS) << RS.error().render();
+    ASSERT_FALSE(BidirectionalSolver::isInterrupted(*RS));
 
-      EXPECT_EQ(semantics(S, *Sys.CS, *Sys.Dom),
-                freshFixpoint(Seed, Flagged, O));
-      if (S.status() == Status::Solved) {
-        CertificationReport Rep = certifyFixpoint(S);
-        EXPECT_TRUE(Rep.Ok) << Rep.summary();
-      }
+    EXPECT_EQ(semantics(S, *Sys.CS, *Sys.Dom),
+              freshFixpoint(Seed, Flagged, O));
+    if (S.status() == Status::Solved) {
+      CertificationReport Rep = certifyFixpoint(S);
+      EXPECT_TRUE(Rep.Ok) << Rep.summary();
     }
-    EXPECT_EQ(S.stats().Retractions, Flagged.size());
   }
+  EXPECT_EQ(S.stats().Retractions, Flagged.size());
 }
 
 // 59 seeds, matching the other differential suites.
@@ -185,7 +174,7 @@ TEST(IncrementalDrain, RetractEverythingLeavesNothing) {
     SCOPED_TRACE("seed " + std::to_string(Seed));
     Rng R(Seed);
     testgen::RandomSystem Sys = testgen::randomSystem(R);
-    SolverOptions O = incrementalOptions(SolverOptions::DedupBackend::FlatSet);
+    SolverOptions O = incrementalOptions();
     BidirectionalSolver S(*Sys.CS, O);
     ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
     const uint32_t N = static_cast<uint32_t>(Sys.CS->constraints().size());
@@ -233,7 +222,7 @@ TEST(RetractDiags, RequiresIncrementalOptionsFromFirstSolve) {
 TEST(RetractDiags, RequiresSystemFlagFirst) {
   Rng R(4);
   testgen::RandomSystem Sys = testgen::randomSystem(R);
-  SolverOptions O = incrementalOptions(SolverOptions::DedupBackend::Bitset);
+  SolverOptions O = incrementalOptions();
   BidirectionalSolver S(*Sys.CS, O);
   S.solve();
   Fixpoint Before = semantics(S, *Sys.CS, *Sys.Dom);
@@ -246,7 +235,7 @@ TEST(RetractDiags, RequiresSystemFlagFirst) {
 TEST(RetractDiags, OutOfRangeIndex) {
   Rng R(5);
   testgen::RandomSystem Sys = testgen::randomSystem(R);
-  SolverOptions O = incrementalOptions(SolverOptions::DedupBackend::Bitset);
+  SolverOptions O = incrementalOptions();
   BidirectionalSolver S(*Sys.CS, O);
   S.solve();
   Expected<Status> RS = S.retract(1u << 20);
@@ -267,7 +256,7 @@ TEST(RetractDiags, DoubleRetractRejectedBySystem) {
 TEST(RetractDiags, RejectedWhileInterruptedThenWorksAfterResume) {
   Rng R(7);
   testgen::RandomSystem Sys = testgen::randomSystem(R);
-  SolverOptions O = incrementalOptions(SolverOptions::DedupBackend::FlatSet);
+  SolverOptions O = incrementalOptions();
   O.MaxEdges = 2;
   BidirectionalSolver S(*Sys.CS, O);
   Status St = S.solve();
@@ -284,8 +273,7 @@ TEST(RetractDiags, RejectedWhileInterruptedThenWorksAfterResume) {
   ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
   Expected<Status> RS2 = S.retract(0);
   ASSERT_TRUE(RS2) << RS2.error().render();
-  SolverOptions FreshO =
-      incrementalOptions(SolverOptions::DedupBackend::FlatSet);
+  SolverOptions FreshO = incrementalOptions();
   std::vector<uint32_t> Flagged = {0};
   EXPECT_EQ(semantics(S, *Sys.CS, *Sys.Dom),
             freshFixpoint(7, Flagged, FreshO));
@@ -354,7 +342,7 @@ TEST(RetractDiags, CollapsedIdentityCycleGated) {
 TEST(RetractDiags, NeverIngestedIndexIsJustASolve) {
   Rng R(9);
   testgen::RandomSystem Sys = testgen::randomSystem(R);
-  SolverOptions O = incrementalOptions(SolverOptions::DedupBackend::Bitset);
+  SolverOptions O = incrementalOptions();
   BidirectionalSolver S(*Sys.CS, O);
   ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
   Fixpoint Before = semantics(S, *Sys.CS, *Sys.Dom);
@@ -443,35 +431,6 @@ TEST(RetractStatement, TextReplayReachesTheSameFixpoint) {
 }
 
 //===----------------------------------------------------------------===//
-// FlatSet64 backward-shift erase
-//===----------------------------------------------------------------===//
-
-TEST(FlatSet64Erase, MatchesReferenceSetUnderChurn) {
-  // A small key universe forces long probe chains, so erases routinely
-  // backward-shift displaced keys across the hole.
-  Rng R(123);
-  FlatSet64 S;
-  std::unordered_set<uint64_t> Ref;
-  for (unsigned I = 0; I != 50000; ++I) {
-    uint64_t K = R.below(512);
-    if (R.chance(2, 3))
-      EXPECT_EQ(S.insert(K), Ref.insert(K).second) << "step " << I;
-    else
-      EXPECT_EQ(S.erase(K), Ref.erase(K) > 0) << "step " << I;
-    ASSERT_EQ(S.size(), Ref.size()) << "step " << I;
-  }
-  for (uint64_t K = 0; K != 512; ++K)
-    EXPECT_EQ(S.contains(K), Ref.count(K) > 0) << "key " << K;
-  // Erase to empty and rebuild: tombstone-free means no decay.
-  for (uint64_t K = 0; K != 512; ++K)
-    S.erase(K);
-  EXPECT_TRUE(S.empty());
-  for (uint64_t K = 0; K != 512; ++K)
-    EXPECT_TRUE(S.insert(K));
-  EXPECT_EQ(S.size(), 512u);
-}
-
-//===----------------------------------------------------------------===//
 // Provenance memory accounting
 //===----------------------------------------------------------------===//
 
@@ -482,7 +441,7 @@ TEST(IncrementalMemory, RetractionIndexesAreAccounted) {
   Plain.solve();
   Rng R2(19);
   testgen::RandomSystem Sys2 = testgen::randomSystem(R2);
-  SolverOptions O = incrementalOptions(SolverOptions::DedupBackend::Bitset);
+  SolverOptions O = incrementalOptions();
   O.CycleElimination = true; // match Plain's defaults otherwise
   BidirectionalSolver Inc(*Sys2.CS, O);
   Inc.solve();

@@ -10,9 +10,8 @@
 /// the *independent* checker behind rasccheck (check/Checker.h) —
 /// which shares no code with the solver — validates it. Covered here:
 ///
-///  - A 59-seed random-system corpus, crossed with both edge-dedup
-///    backends and thread counts {1, 4}, every log validating with
-///    the exit code matching the solve status.
+///  - A 59-seed random-system corpus, every log validating with the
+///    exit code matching the solve status.
 ///  - Torn tails: appended garbage is an incomplete proof until
 ///    recoverProofLog() truncates back to the last CRC-complete
 ///    chunk; mid-chunk truncation degrades the same way.
@@ -136,29 +135,24 @@ TEST_F(ProofLogTest, RascCheckerPackageValidates) {
   std::remove(Path.c_str());
 }
 
-// The acceptance gate: every corpus log validates, under both dedup
-// layouts.
+// The acceptance gate: every corpus log validates.
 TEST_F(ProofLogTest, CorpusValidatesAcrossBackends) {
   const std::string Path = tempPath("corpus.rprf");
   for (uint64_t Seed = 0; Seed != 59; ++Seed) {
-    for (auto Backend : {SolverOptions::DedupBackend::Bitset,
-                         SolverOptions::DedupBackend::FlatSet}) {
-      SCOPED_TRACE(testgen::seedContext(Seed, Backend));
-      Rng R(Seed * 7919 + 17);
-      testgen::RandomSystem Sys = testgen::randomSystem(R);
-      SolverOptions O;
-      O.Dedup = Backend;
-      O.ProofLogPath = Path;
-      BidirectionalSolver S(*Sys.CS, O);
-      Status St = S.solve();
-      ASSERT_FALSE(S.lastProofDiag()) << S.lastProofDiag()->render();
-      rasccheck::CheckResult C = check(Path);
-      EXPECT_TRUE(C.ok()) << C.Message;
-      EXPECT_EQ(C.ExitCode, St == Status::Inconsistent ? 1 : 0) << C.Message;
-      // The log accounts for every inserted edge: the checker's
-      // edge+conflict tally matches the solver's dedup-fresh count.
-      EXPECT_EQ(C.Edges + C.Conflicts, S.stats().EdgesInserted);
-    }
+    SCOPED_TRACE(testgen::seedContext(Seed));
+    Rng R(Seed * 7919 + 17);
+    testgen::RandomSystem Sys = testgen::randomSystem(R);
+    SolverOptions O;
+    O.ProofLogPath = Path;
+    BidirectionalSolver S(*Sys.CS, O);
+    Status St = S.solve();
+    ASSERT_FALSE(S.lastProofDiag()) << S.lastProofDiag()->render();
+    rasccheck::CheckResult C = check(Path);
+    EXPECT_TRUE(C.ok()) << C.Message;
+    EXPECT_EQ(C.ExitCode, St == Status::Inconsistent ? 1 : 0) << C.Message;
+    // The log accounts for every inserted edge: the checker's
+    // edge+conflict tally matches the solver's dedup-fresh count.
+    EXPECT_EQ(C.Edges + C.Conflicts, S.stats().EdgesInserted);
   }
   std::remove(Path.c_str());
 }

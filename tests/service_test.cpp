@@ -692,6 +692,23 @@ TEST_F(ServiceTest, InjectedAcceptFailureDropsOneConnection) {
   expectStillServing();
 }
 
+TEST_F(ServiceTest, SessionPoolSpawnFailureIsAStartupDiag) {
+  // The host refuses the third of four session workers: start() reports
+  // a Diag instead of aborting, and a later start succeeds.
+  Opts.MaxSessions = 4;
+  failpoints::arm(failpoints::Point::ThreadSpawn, 2);
+  D = std::make_unique<Rascd>(Opts);
+  std::optional<Diag> E = D->start();
+  ASSERT_TRUE(E);
+  EXPECT_NE(E->message().find("cannot start 4 session workers"),
+            std::string::npos)
+      << E->render();
+  failpoints::disarmAll();
+  D.reset();
+  startDaemon();
+  expectStillServing();
+}
+
 //===----------------------------------------------------------------------===//
 // Per-session budgets.
 //===----------------------------------------------------------------------===//

@@ -14,12 +14,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestSystems.h"
+#include "automata/Machines.h"
 #include "core/ReferenceSolver.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
 
 using namespace rasc;
 using testgen::addRandomConstraints;
@@ -70,7 +70,6 @@ TEST_P(SolverDifferential, OptionsDoNotChangeQueries) {
   SolverOptions Tuned;
   Tuned.FilterUseless = true;
   Tuned.CycleElimination = true;
-  Tuned.EagerFunctionVars = true;
   BidirectionalSolver B(*Sys.CS, Tuned);
   B.solve();
 
@@ -95,44 +94,75 @@ TEST_P(SolverDifferential, OptionsDoNotChangeQueries) {
     }
 }
 
+/// Two variables wired by edges annotated with the rotate and swap
+/// symbols of the 5-state adversarial machine, which generate the 120
+/// permutations of its states. X0 carries both as self-loops, so the
+/// constant flowing into it picks up every permutation and the solve
+/// records more than 64 annotation ids; the seed draws the other edges.
+RandomSystem permutationSystem(Rng &R) {
+  RandomSystem Sys;
+  Sys.Dom = std::make_unique<MonoidDomain>(buildAdversarialMachine(5));
+  Sys.CS = std::make_unique<ConstraintSystem>(*Sys.Dom);
+  Sys.Constants.push_back(Sys.CS->addConstant("src"));
+  for (unsigned I = 0; I != 2; ++I)
+    Sys.Vars.push_back(Sys.CS->freshVar());
+  const AnnId Gens[] = {Sys.Dom->symbolAnn("rotate"),
+                        Sys.Dom->symbolAnn("swap")};
+  auto Var = [&](size_t I) { return Sys.CS->var(Sys.Vars[I]); };
+  Sys.CS->add(Sys.CS->cons(Sys.Constants[0]), Var(0));
+  for (AnnId G : Gens)
+    Sys.CS->add(Var(0), Var(0), G);
+  for (unsigned I = 0; I != 2; ++I)
+    Sys.CS->add(Var(R.below(2)), Var(R.below(2)), Gens[R.below(2)]);
+  return Sys;
+}
+
 TEST_P(SolverDifferential, DedupBackendsMatchReference) {
-  // Both edge-dedup backends (annotation bitsets and per-destination
-  // flat sets) must compute the identical closure. Auto starts on
-  // bitsets and moves to flat sets at the first annotation id above
-  // AnnBitsetThreshold; a threshold of 1 makes the move happen partway
-  // through the closure. Dedup is exact, so every backend inserts the
+  // Edge dedup keeps its rows inline while every annotation id is below
+  // 64 and spills them to a shared-stride arena at the first wider id.
+  // Each system is solved twice: by a solver built before any solve,
+  // whose rows start inline (on the permutations they spill partway
+  // through the closure), and by one built after, whose rows are sized
+  // by the grown domain (spilled from the start on the permutations).
+  // Both match the reference, and dedup is exact, so both insert the
   // same number of edges.
   Rng R(GetParam() ^ 0xded09);
-  RandomSystem Sys = randomSystem(R);
+  RandomSystem Rand = randomSystem(R);
+  RandomSystem Perm = permutationSystem(R);
 
-  ReferenceSolver Ref(*Sys.CS);
-  bool RefConsistent = Ref.solve();
-  std::optional<uint64_t> Inserted;
-
-  for (SolverOptions::DedupBackend Backend :
-       {SolverOptions::DedupBackend::Bitset,
-        SolverOptions::DedupBackend::FlatSet,
-        SolverOptions::DedupBackend::Auto}) {
-    SCOPED_TRACE(testgen::seedContext(GetParam(), Backend));
+  for (RandomSystem *Sys : {&Rand, &Perm}) {
+    SCOPED_TRACE(testgen::seedContext(GetParam(),
+                                      Sys == &Perm ? "permutations"
+                                                   : "random system"));
     SolverOptions Opts;
     Opts.FilterUseless = false;
     Opts.CycleElimination = false;
-    Opts.Dedup = Backend;
-    Opts.AnnBitsetThreshold = 1;
-    BidirectionalSolver Fast(*Sys.CS, Opts);
-    BidirectionalSolver::Status St = Fast.solve();
+    // Built before anything composes: the domain holds only the
+    // identity and the generators.
+    BidirectionalSolver Fresh(*Sys->CS, Opts);
+    BidirectionalSolver::Status St = Fresh.solve();
     ASSERT_NE(St, BidirectionalSolver::Status::EdgeLimit);
-    EXPECT_EQ(RefConsistent, St == BidirectionalSolver::Status::Solved);
-    if (!Inserted)
-      Inserted = Fast.stats().EdgesInserted;
-    EXPECT_EQ(Fast.stats().EdgesInserted, *Inserted);
+    BidirectionalSolver Grown(*Sys->CS, Opts);
+    EXPECT_EQ(Grown.solve(), St);
+    EXPECT_EQ(Grown.stats().EdgesInserted, Fresh.stats().EdgesInserted);
 
-    for (ConsId K : Sys.Constants)
-      for (VarId V : Sys.Vars) {
-        std::vector<AnnId> A = Fast.constantAnnotations(K, V);
-        std::sort(A.begin(), A.end());
-        EXPECT_EQ(A, Ref.constantAnnotations(K, V));
+    ReferenceSolver Ref(*Sys->CS);
+    EXPECT_EQ(Ref.solve(), St == BidirectionalSolver::Status::Solved);
+    AnnId MaxAnn = 0;
+    for (ConsId K : Sys->Constants)
+      for (VarId V : Sys->Vars) {
+        std::vector<AnnId> Want = Ref.constantAnnotations(K, V);
+        for (BidirectionalSolver *S : {&Fresh, &Grown}) {
+          std::vector<AnnId> A = S->constantAnnotations(K, V);
+          std::sort(A.begin(), A.end());
+          EXPECT_EQ(A, Want);
+        }
+        for (AnnId F : Want)
+          MaxAnn = std::max(MaxAnn, F);
       }
+    if (Sys == &Perm) {
+      EXPECT_GE(MaxAnn, 64u) << "the solve never spilled the inline rows";
+    }
   }
 }
 

@@ -15,6 +15,7 @@
 
 #include <set>
 #include <tuple>
+#include <vector>
 
 using namespace rasc;
 
@@ -143,30 +144,46 @@ TEST(Hashing, CombineDispersesPairs) {
   EXPECT_EQ(Hashes.size(), 2500u);
 }
 
-TEST(EdgeDedup, MovingToFlatKeepsEveryEdge) {
-  // Bitset rows, inline (ids < 64) or spilled (wider ids), move to flat
-  // sets on the first id above the threshold; every edge recorded
-  // before the move is still a duplicate afterwards, and erase keeps
-  // working on the moved edges.
-  for (uint32_t Threshold : {40u, 200u}) {
-    SCOPED_TRACE(Threshold);
-    EdgeDedup D(EdgeDedup::Backend::Bitset, 64, Threshold);
-    std::set<std::tuple<uint32_t, uint32_t, uint32_t>> Edges;
-    Rng R(Threshold);
-    for (int I = 0; I != 2000; ++I) {
-      uint32_t A = R.below(30), B = R.below(30), Ann = R.below(Threshold + 1);
-      EXPECT_EQ(D.insert(A, B, Ann), Edges.insert({A, B, Ann}).second);
+TEST(EdgeDedup, MatchesReferenceSetAcrossSpillAndStrideGrowth) {
+  // One layout, three regimes: ids below 64 keep their rows inline in
+  // the hash slots, the first wider id spills every row to the arena,
+  // and an id past the arena's stride doubles it. After each step every
+  // recorded edge is still a duplicate, and erase works on the rows of
+  // that regime. A capacity hint above 64 starts the rows spilled.
+  using EdgeT = std::tuple<uint32_t, uint32_t, uint32_t>;
+  for (size_t Hint : {size_t(64), size_t(300)}) {
+    SCOPED_TRACE(Hint);
+    EdgeDedup D(Hint);
+    std::set<EdgeT> Ref;
+    Rng R(Hint);
+    for (uint32_t MaxAnn : {63u, 200u, 1000u}) {
+      SCOPED_TRACE(MaxAnn);
+      for (int I = 0; I != 2000; ++I) {
+        uint32_t A = R.below(30), B = R.below(30), Ann = R.below(MaxAnn + 1);
+        EXPECT_EQ(D.insert(A, B, Ann), Ref.insert({A, B, Ann}).second);
+      }
+      for (auto [A, B, Ann] : Ref)
+        EXPECT_FALSE(D.insert(A, B, Ann));
+
+      // Erase every 7th edge (old and new ids alike), then re-insert.
+      size_t Bytes = D.memoryBytes();
+      std::vector<EdgeT> Gone;
+      size_t K = 0;
+      for (const EdgeT &E : Ref)
+        if (K++ % 7 == 0)
+          Gone.push_back(E);
+      for (auto [A, B, Ann] : Gone) {
+        EXPECT_TRUE(D.erase(A, B, Ann));
+        EXPECT_FALSE(D.erase(A, B, Ann));
+      }
+      EXPECT_EQ(D.memoryBytes(), Bytes);
+      EXPECT_FALSE(D.erase(30, 30, 0));        // no such row
+      EXPECT_FALSE(D.erase(0, 0, MaxAnn + 1)); // id never recorded
+      for (auto [A, B, Ann] : Gone)
+        EXPECT_TRUE(D.insert(A, B, Ann));
+      for (auto [A, B, Ann] : Ref)
+        EXPECT_FALSE(D.insert(A, B, Ann));
     }
-    EXPECT_EQ(D.backend(), EdgeDedup::Backend::Bitset);
-    EXPECT_TRUE(D.insert(7, 9, Threshold + 1));
-    Edges.insert({7, 9, Threshold + 1});
-    EXPECT_EQ(D.backend(), EdgeDedup::Backend::Flat);
-    for (auto [A, B, Ann] : Edges)
-      EXPECT_FALSE(D.insert(A, B, Ann));
-    auto [A, B, Ann] = *Edges.begin();
-    EXPECT_TRUE(D.erase(A, B, Ann));
-    EXPECT_TRUE(D.insert(A, B, Ann));
-    EXPECT_TRUE(D.insert(30, 30, 0));
   }
 }
 
