@@ -256,87 +256,6 @@ else
   echo "note: $OBS_BIN not built; skipping observability A/B" >&2
 fi
 
-# --- Incremental re-solve A/B (DESIGN.md §11) --------------------------
-# Runs bench_incremental: undoing one constraint of the n=800 DAG
-# system by a fresh solve of the edited system vs by retract() (cone
-# invalidation + frontier re-closure), both under the same
-# provenance-tracking options. Every round is one process invocation
-# covering both sides, so fresh and retract are interleaved A/B across
-# rounds (min-of-9 by default); "speedup" compares the two mins. The
-# retract side uses google-benchmark manual time (the untimed part of
-# each iteration rebuilds and re-solves the system that the timed
-# retract consumes), so a smaller min time keeps rounds short without
-# losing iterations. Skipped when the incremental bench is not built.
-
-INC_BIN="${BENCH_INC_BIN:-$REPO_ROOT/build/bench/bench_incremental}"
-INC_ROUNDS="${BENCH_INC_ROUNDS:-9}"
-INC_MIN_TIME="${BENCH_INC_MIN_TIME:-0.05}"
-
-if [ -x "$INC_BIN" ]; then
-  for R in $(seq 1 "$INC_ROUNDS"); do
-    "$INC_BIN" --benchmark_min_time="$INC_MIN_TIME" \
-               --benchmark_format=json >"$TMPDIR_BENCH/inc_$R.json"
-    echo "incremental round $R/$INC_ROUNDS done" >&2
-  done
-
-  python3 - "$OUT" "$LABEL" "$TMPDIR_BENCH" "$INC_ROUNDS" <<'EOF'
-import json, os, statistics, sys
-
-out_path, label, tmpdir, rounds = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
-
-per_cfg = {}  # benchmark name -> {"ms": [...], "counters": {...}}
-for r in range(1, rounds + 1):
-    with open(os.path.join(tmpdir, f"inc_{r}.json")) as f:
-        doc = json.load(f)
-    for b in doc["benchmarks"]:
-        rec = per_cfg.setdefault(b["name"].removesuffix("/real_time"), {"ms": [], "counters": {}})
-        rec["ms"].append(b["real_time"] / 1e6)  # ns -> ms
-        for k in ("edges", "retracted_edges", "requeued_edges"):
-            if k in b:
-                rec["counters"][k] = int(b[k])
-
-configs = {
-    name: {
-        "min_ms": round(min(rec["ms"]), 3),
-        "median_ms": round(statistics.median(rec["ms"]), 3),
-        **rec["counters"],
-    }
-    for name, rec in sorted(per_cfg.items())
-}
-
-entry = {
-    "label": label,
-    "benchmark": "incremental",
-    "rounds": rounds,
-    "hardware_threads": os.cpu_count(),
-    "configs": configs,
-}
-fresh = min((c["min_ms"] for n, c in configs.items()
-             if n.startswith("BM_EditFreshSolve")), default=None)
-retract = min((c["min_ms"] for n, c in configs.items()
-               if n.startswith("BM_RetractReclose")), default=None)
-if fresh and retract:
-    entry["speedup_fresh_over_retract"] = round(fresh / retract, 2)
-
-doc = {"runs": []}
-if os.path.exists(out_path):
-    with open(out_path) as f:
-        doc = json.load(f)
-doc.setdefault("runs", []).append(entry)
-with open(out_path, "w") as f:
-    json.dump(doc, f, indent=2)
-    f.write("\n")
-print(f"appended 'incremental' entry for '{label}' to {out_path}")
-for name, cfg in sorted(configs.items()):
-    print(f"  {name}: min {cfg['min_ms']:.2f} ms, "
-          f"median {cfg['median_ms']:.2f} ms")
-if fresh and retract:
-    print(f"  speedup (fresh/retract): {fresh / retract:.2f}x")
-EOF
-else
-  echo "note: $INC_BIN not built; skipping incremental A/B" >&2
-fi
-
 # --- Proof-emission overhead A/B (DESIGN.md §12) -----------------------
 # Runs bench_proof_overhead (the Section 4 DAG closure with proof
 # logging off / streaming to a temp file) and appends a "proof" entry.

@@ -12,15 +12,17 @@
 #      LOAD/ADD survived (zero accepted-work loss)
 #   4. rasctool --certify on the recovered .rasc: the independent
 #      certifier accepts a solve of the text the daemon kept
-#   5. RETRACT round-trip: withdraw a constraint online (incremental
-#      re-solve), kill -9, restart — the retraction survives because
+#   5. RETRACT round-trip: withdraw a constraint online (the daemon
+#      re-solves the edited system), kill -9, restart — the retraction
+#      survives because
 #      the durable text gained a "retract N;" statement before the Ok
 #   6. rasctool SIGINT: cooperative cancel (exit 14, or 0 if the solve
 #      won the race), and a rerun of the same command exits 0
 #   7. proof logging across the trust boundary: SOLVE proof=1 streams
 #      a derivation log the standalone rasccheck accepts, kill -9
 #      under live load + a simulated torn tail is truncated on warm
-#      boot, and the re-solved log passes the checker again
+#      boot, the re-solved log passes the checker again, and so does
+#      the log a RETRACT on the proof-enabled system rewrites
 #
 # The binaries must already be built (cmake --build build -j).
 
@@ -126,11 +128,11 @@ pass "rasctool --certify accepts a solve of the recovered text"
 start_daemon
 OUT="$(rpc entail dur "c in X1")" || fail "entail before retract"
 echo "$OUT" | grep -q "holds=true" || fail "unexpected pre-retract state: $OUT"
-# Withdraw "X0 <= X1" (constraint 1 of dur.rasc): the answer flips
-# without a from-scratch solve.
+# Withdraw "X0 <= X1" (constraint 1 of dur.rasc): the re-solve of the
+# edited system reports its status, and the answer flips.
 OUT="$(rpc retract dur 1)" || fail "retract"
-echo "$OUT" | grep -q "mode=incremental" \
-  || fail "retract did not take the incremental path: $OUT"
+echo "$OUT" | grep -q "status=solved" \
+  || fail "retract did not re-solve the edited system: $OUT"
 OUT="$(rpc entail dur "c in X1")" || fail "entail after retract"
 echo "$OUT" | grep -q "holds=false" || fail "retract had no effect: $OUT"
 OUT="$(rpc entail dur "c in X0")" || fail "entail X0 after retract"
@@ -144,7 +146,7 @@ OUT="$(rpc entail dur "c in X1")" || fail "entail after retract+kill"
 echo "$OUT" | grep -q "holds=false" || fail "acknowledged RETRACT lost: $OUT"
 kill -TERM "$DAEMON_PID"; wait "$DAEMON_PID" || fail "post-retract drain failed"
 DAEMON_PID=""
-pass "RETRACT round-trip (incremental re-solve, survived kill -9)"
+pass "RETRACT round-trip (re-solved, survived kill -9)"
 
 # --- 6. rasctool SIGINT: cancel, then rerun ------------------------------
 
@@ -203,13 +205,23 @@ grep -q "truncated torn tail" "$WORK/rascd.log" \
   || fail "warm boot did not truncate the torn proof tail: $(cat "$WORK/rascd.log")"
 "$RASCCHECK" "$DATA/dur.rprf" >/dev/null \
   || fail "truncated log no longer checks"
-# Re-opt-in: the restarted daemon rebuilds the proof from provenance.
+# Re-opt-in: the restarted daemon re-solves with a fresh log.
 OUT="$(rpc solve dur --proof)" || fail "solve --proof after recovery"
 echo "$OUT" | grep -q "proof=streaming" || fail "proof not rebuilt: $OUT"
 "$RASCCHECK" "$DATA/dur.rprf" >/dev/null \
   || fail "rasccheck rejected the rebuilt log"
+# RETRACT on the proof-enabled system: its re-solve rewrites the log,
+# which proves exactly the durable text ending in "retract 0;".
+OUT="$(rpc retract dur 0)" || fail "retract on the proved system"
+echo "$OUT" | grep -q "status=solved" || fail "proved retract: $OUT"
+OUT="$(rpc entail dur "c in X0")" || fail "entail after proved retract"
+echo "$OUT" | grep -q "holds=false" || fail "proved retract had no effect: $OUT"
+"$RASCCHECK" "$DATA/dur.rprf" >/dev/null \
+  || fail "rasccheck rejected the post-retract log"
+"$RASCCHECK" "$DATA/dur.rprf" --system "$DATA/dur.rasc" >/dev/null \
+  || fail "post-retract log does not prove the durable text"
 kill -TERM "$DAEMON_PID"; wait "$DAEMON_PID" || fail "final drain failed"
 DAEMON_PID=""
-pass "proof log: streamed, torn tail truncated, rebuilt, checker-clean"
+pass "proof log: streamed, torn tail truncated, rebuilt, checker-clean across RETRACT"
 
 echo "service smoke: all checks passed"

@@ -14,15 +14,17 @@
 ///   attach NAME           check that NAME is resident
 ///   add NAME FILE         append FILE's statements to NAME
 ///   retract NAME INDEX    withdraw constraint INDEX (0-based) from
-///                         NAME and re-solve incrementally; the
-///                         "retract INDEX;" statement is persisted
+///                         NAME and re-solve the edited system from
+///                         scratch (rewriting its proof log, if any);
+///                         the "retract INDEX;" statement is persisted
 ///                         before the Ok, so it replays on a warm boot
 ///   solve NAME [--proof]  solve NAME and print the response; the exit
 ///                         code mirrors rasctool (solved=0,
 ///                         inconsistent=1, deadline=10, ...). With
-///                         --proof the daemon streams a derivation log
-///                         to DataDir/NAME.rprf (validate it with
-///                         rasccheck; see DESIGN.md §12)
+///                         --proof the daemon re-solves NAME with a
+///                         derivation log streaming to DataDir/NAME.rprf
+///                         (validate it with rasccheck; see DESIGN.md
+///                         §12); later solves keep appending to it
 ///   entail NAME "c in V"  matched entailment query (Section 3.2)
 ///   pn NAME "c in V"      PN reachability query (Section 6.2)
 ///   stats                 print the daemon's metrics JSON

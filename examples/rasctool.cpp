@@ -38,13 +38,11 @@
 ///                    the aggregate solver statistics
 ///   --no-resume      report an interrupted solve instead of resuming
 ///   --explain        on inconsistency, print a derivation witness
-///   --retract N      after the solve reaches a fixpoint, withdraw
-///                    constraint N (0-based ingestion order) and
-///                    re-solve incrementally (DESIGN.md section 11);
-///                    repeatable, applied in order. Implies
-///                    provenance + incremental indexes. Falls back to
-///                    a fresh re-solve if the incremental
-///                    preconditions fail (e.g. after cycle collapse).
+///   --retract N      withdraw constraint N (0-based ingestion order)
+///                    before solving, as a "retract N;" statement at
+///                    the end of the input would (DESIGN.md section
+///                    11); repeatable. The one solve, its answers and
+///                    its --prove log cover the edited system.
 ///
 /// Certification (DESIGN.md section 7):
 ///
@@ -58,10 +56,8 @@
 ///                    The log is self-describing — the rasccheck tool
 ///                    validates it without this binary, the solver, or
 ///                    the input file. Emission degrades, never aborts:
-///                    if the log cannot be written (or a retraction
-///                    invalidates already-emitted derivations) the
-///                    solve continues and the abandonment reason is
-///                    reported on stderr.
+///                    if the log cannot be written the solve continues
+///                    and the abandonment reason is reported on stderr.
 ///   --check FILE     after the run, validate FILE with the embedded
 ///                    proof checker (the same verdict the standalone
 ///                    rasccheck binary would give). Combine with
@@ -182,7 +178,7 @@ struct CliOptions {
   bool Resume = true;
   bool Explain = false;
   bool Certify = false;
-  std::vector<uint32_t> Retract; // applied in order after the solve
+  std::vector<uint32_t> Retract; // flagged in order before the solve
   std::string CheckPath;         // --check: validate this proof log
 };
 
@@ -222,12 +218,18 @@ int run(const std::string &Source, const char *Name, CliOptions Cli) {
               Name, P->system().constraints().size(),
               Dom.machine().numStates(), Dom.machine().numSymbols());
 
-  Cli.Solver.TrackProvenance |= Cli.Explain;
-  if (!Cli.Retract.empty()) {
-    // The retraction indexes must exist from the first solve.
-    Cli.Solver.TrackProvenance = true;
-    Cli.Solver.Incremental = true;
+  for (uint32_t Idx : Cli.Retract) {
+    // Same path as a "retract N;" statement: the solve skips the
+    // flagged constraints, so no solver state needs undoing.
+    std::optional<Diag> FlagDiag =
+        P->addStatements("retract " + std::to_string(Idx) + ";", nullptr);
+    if (FlagDiag) {
+      std::fprintf(stderr, "%s: %s\n", Name, FlagDiag->render().c_str());
+      return 1;
+    }
   }
+
+  Cli.Solver.TrackProvenance |= Cli.Explain;
   BidirectionalSolver Solver(P->system(), Cli.Solver);
   Status S = Solver.solve();
   while (BidirectionalSolver::isInterrupted(S)) {
@@ -258,38 +260,6 @@ int run(const std::string &Source, const char *Name, CliOptions Cli) {
     Solver.options().DeadlineSeconds = 0;
     Solver.options().MaxMemoryBytes = 0;
     S = Solver.solve();
-  }
-
-  for (uint32_t Idx : Cli.Retract) {
-    // Flag the constraint in the system first (retract() validates the
-    // flag), then invalidate its derivation cone and re-close.
-    std::optional<Diag> FlagDiag =
-        P->addStatements("retract " + std::to_string(Idx) + ";", nullptr);
-    if (FlagDiag) {
-      std::fprintf(stderr, "%s: %s\n", Name, FlagDiag->render().c_str());
-      return 1;
-    }
-    uint64_t RemovedBefore = Solver.stats().RetractedEdges;
-    uint64_t RequeuedBefore = Solver.stats().RequeuedEdges;
-    Expected<Status> RS = Solver.retract(Idx);
-    if (RS) {
-      S = *RS;
-      std::printf("retracted constraint %u: removed %llu edges, "
-                  "requeued %llu, now %s\n",
-                  Idx,
-                  static_cast<unsigned long long>(
-                      Solver.stats().RetractedEdges - RemovedBefore),
-                  static_cast<unsigned long long>(
-                      Solver.stats().RequeuedEdges - RequeuedBefore),
-                  statusName(S));
-    } else {
-      // E.g. cycle elimination collapsed variables: representatives
-      // cannot be un-merged, so re-solve the edited system fresh.
-      std::printf("retract %u: %s; re-solving from scratch\n", Idx,
-                  RS.error().message().c_str());
-      Solver.resetToFresh();
-      S = Solver.solve();
-    }
   }
 
   if (!Cli.Solver.ProofLogPath.empty())

@@ -705,7 +705,7 @@ Verdict passB(VerifyState &S) {
   for (const LogStatus &St : M.Statuses)
     if (St.Code == 7)
       return incomplete("solver marked this log unproven (abandoned "
-                        "emission or a retraction)");
+                        "emission)");
 
   // Trailer progress counters, each against the records before it. A
   // resumed solver appends one trailer per solve; all are checked,

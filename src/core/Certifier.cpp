@@ -249,8 +249,8 @@ CertificationReport rasc::certifyFixpoint(const BidirectionalSolver &S) {
   const std::vector<Constraint> &Cons = CS.constraints();
   size_t Ingested = S.ingestedConstraints();
   for (size_t Idx = 0; Idx < Ingested; ++Idx) {
-    // A retracted constraint carries no obligations: its watcher was
-    // removed and its cone invalidated (BidirectionalSolver::retract).
+    // A retracted constraint carries no obligations: ingestion skipped
+    // it, so it registered no watcher and derived nothing.
     if (CS.isRetracted(static_cast<uint32_t>(Idx)))
       continue;
     const Expr &L = CS.expr(Cons[Idx].Lhs);

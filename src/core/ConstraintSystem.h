@@ -232,9 +232,10 @@ public:
   /// \name Retraction
   /// Constraints are never removed from the list (ids are stable and
   /// solvers index into it), they are *flagged*: a retracted
-  /// constraint is skipped by ingestion, excluded from the certifier's
-  /// obligations, and its derivation cone is invalidated by
-  /// BidirectionalSolver::retract. Flagging keeps the system's text
+  /// constraint is skipped by cycle elimination and ingestion and
+  /// excluded from the certifier's obligations; a solver that already
+  /// ingested it reaches the edited fixpoint by resetToFresh() +
+  /// solve() (DESIGN.md §11). Flagging keeps the system's text
   /// replayable — "retract N;" statements re-apply on a warm boot.
   /// @{
   std::optional<Diag> retract(uint32_t Idx) {

@@ -66,8 +66,8 @@ struct ProofPremise {
 };
 
 /// Cumulative emission counters, surfaced through SolverStats: the
-/// writer bumps raw pointers so the counts survive writer teardown
-/// and aggregate across rebuilds. Null pointers are skipped.
+/// writer bumps raw pointers so the counts survive writer teardown.
+/// Null pointers are skipped.
 struct ProofSinks {
   uint64_t *Records = nullptr;
   uint64_t *Chunks = nullptr;
@@ -108,8 +108,8 @@ public:
   };
 
   /// Status byte of RecStatus. 0–6 mirror BidirectionalSolver::Status;
-  /// Unproven marks a log the solver abandoned (emission failure or a
-  /// retraction) — the checker refuses to certify such a log.
+  /// Unproven marks a log the solver abandoned (emission failure) —
+  /// the checker refuses to certify such a log.
   enum StatusCode : uint8_t {
     StSolved = 0,
     StInconsistent = 1,

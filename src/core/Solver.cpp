@@ -316,18 +316,8 @@ void BidirectionalSolver::insertFreshEdge(ExprId Src, ExprId Dst,
   if (NodeKind[Src] == KCons)
     Preds.append(Dst, Src, Ann);
   EdgeArena.push_back({Src, Dst, Ann});
-  if (Options.TrackProvenance) {
+  if (Options.TrackProvenance)
     EdgeProvs.push_back(CurProv);
-    if (Options.Incremental) {
-      // Retraction indexes: register this triple and resolve the
-      // premise triples to their arena indices while they are O(1)
-      // lookups (premises are always already-inserted edges).
-      uint32_t I = static_cast<uint32_t>(EdgeArena.size() - 1);
-      registerProvEdge(Src, Dst, Ann, I);
-      ProvPar1.push_back(provEdgeIndex(CurProv.P1));
-      ProvPar2.push_back(provEdgeIndex(CurProv.P2));
-    }
-  }
   if (Proof)
     emitProofEdge(/*IsConflict=*/false, Src, Dst, Ann);
 }
@@ -689,23 +679,15 @@ void BidirectionalSolver::recordSolveMetrics(
 void BidirectionalSolver::openProofLogIfRequested() {
   if (Options.ProofLogPath.empty() || Proof || ProofDisabled)
     return;
-  const bool Started = NumIngested != 0 || !EdgeArena.empty();
-  if (Started) {
-    // Rebuilding a started solver's log replays its derivations from
-    // provenance, so the records must be complete and the solver
-    // quiescent (an interrupted closure still owes derivations whose
-    // positions a rebuilt log could not promise).
-    if (!Options.TrackProvenance || EdgeProvs.size() != EdgeArena.size() ||
-        ConflictProvs.size() != Conflicts.size() || isInterrupted(Stat) ||
-        pendingEdges() != 0) {
-      LastProofDiag = Diag(
-          "proof log unavailable: enabling ProofLogPath on a started "
-          "solver requires TrackProvenance from the first solve() and a "
-          "quiescent (fully closed) state");
-      ProofDisabled = true;
-      ++Stats.ProofFailures;
-      return;
-    }
+  // The log is written live: every record must precede the records
+  // that use it as a premise, so it starts with the first ingestion.
+  if (NumIngested != 0) {
+    LastProofDiag = Diag("proof log unavailable: ProofLogPath was set on "
+                         "a started solver; call resetToFresh() before "
+                         "the proof-logged solve()");
+    ProofDisabled = true;
+    ++Stats.ProofFailures;
+    return;
   }
   auto W = ProofLogWriter::open(
       Options.ProofLogPath, CS, Options.FilterUseless,
@@ -719,117 +701,6 @@ void BidirectionalSolver::openProofLogIfRequested() {
     return;
   }
   Proof = std::move(*W);
-  if (Started) {
-    rebuildProofLog();
-    if (Proof && !Proof->ok())
-      abandonProof(nullptr);
-  }
-}
-
-void BidirectionalSolver::rebuildProofLog() {
-  // Collapses first: everything after them is phrased in
-  // representatives.
-  for (VarId V = 0; V != CS.numVars(); ++V) {
-    VarId R = rep(V);
-    if (R != V)
-      Proof->collapse(V, R);
-  }
-  // Ingested (surviving) constraints, re-canonicalized — pure lookups:
-  // every canonical form was interned at its original ingest under the
-  // same representatives.
-  for (uint32_t J = 0; J != NumIngested; ++J) {
-    if (CS.isRetracted(J))
-      continue;
-    const Constraint &C = CS.constraints()[J];
-    Proof->constraint(J, C, canonicalize(C.Lhs), canonicalize(C.Rhs));
-  }
-
-  // Edge replay order: the arena is derivation order, except that a
-  // retraction's compaction can move a requeued parent behind a
-  // surviving child — then a Kahn walk over the premise links
-  // restores a premise-before-use order (index-order FIFO keeps it
-  // near arena order and deterministic).
-  const uint32_t E = static_cast<uint32_t>(EdgeArena.size());
-  std::vector<uint32_t> Order(E);
-  if (Stats.Retractions == 0 || ProvPar1.size() != E ||
-      ProvPar2.size() != E) {
-    for (uint32_t I = 0; I != E; ++I)
-      Order[I] = I;
-  } else {
-    std::vector<uint32_t> Indeg(E, 0);
-    std::vector<uint32_t> ChildHead(E, ~0u), ChildNext1(E, ~0u),
-        ChildNext2(E, ~0u);
-    for (uint32_t I = 0; I != E; ++I) {
-      if (uint32_t P = ProvPar1[I]; P != ~0u) {
-        ChildNext1[I] = ChildHead[P];
-        ChildHead[P] = I;
-        ++Indeg[I];
-      }
-      if (uint32_t P = ProvPar2[I]; P != ~0u && P != ProvPar1[I]) {
-        ChildNext2[I] = ChildHead[P];
-        ChildHead[P] = I;
-        ++Indeg[I];
-      }
-    }
-    std::vector<uint32_t> Queue;
-    Queue.reserve(E);
-    for (uint32_t I = 0; I != E; ++I)
-      if (Indeg[I] == 0)
-        Queue.push_back(I);
-    size_t Head = 0, Done = 0;
-    while (Head != Queue.size()) {
-      uint32_t P = Queue[Head++];
-      Order[Done++] = P;
-      for (uint32_t C = ChildHead[P]; C != ~0u;
-           C = ProvPar1[C] == P ? ChildNext1[C] : ChildNext2[C])
-        if (--Indeg[C] == 0)
-          Queue.push_back(C);
-    }
-    if (Done != E) {
-      abandonProof("proof log rebuild failed: premise links do not "
-                   "topologically order the arena");
-      return;
-    }
-  }
-
-  // Walk the edges; each fn-var constraint is emitted at its first
-  // justifying constructor-constructor edge (the same "first
-  // derivation decides" convention retract() uses).
-  std::map<std::array<uint32_t, 3>, bool> FnPending;
-  for (const FnVarConstraint &C : FnVarCons)
-    FnPending[{C.From, C.Fn, C.To}] = true;
-  constexpr uint8_t KCons = static_cast<uint8_t>(ExprKind::Cons);
-  for (uint32_t K = 0; K != E && Proof->ok(); ++K) {
-    const Edge &Ed = EdgeArena[Order[K]];
-    const EdgeProv &P = EdgeProvs[Order[K]];
-    Proof->edge(Ed.Src, Ed.Dst, Ed.Ann,
-                static_cast<ProofLogWriter::Rule>(P.Kind), P.CIdx,
-                {P.P1.Src, P.P1.Dst, P.P1.Ann},
-                {P.P2.Src, P.P2.Dst, P.P2.Ann});
-    if (!FnPending.empty() && Ed.Src < NodeKind.size() &&
-        Ed.Dst < NodeKind.size() && NodeKind[Ed.Src] == KCons &&
-        NodeKind[Ed.Dst] == KCons) {
-      const Expr &L = CS.expr(Ed.Src);
-      const Expr &R = CS.expr(Ed.Dst);
-      auto It = FnPending.find({L.Alpha, Ed.Ann, R.Alpha});
-      if (It != FnPending.end()) {
-        Proof->fnvar(L.Alpha, Ed.Ann, R.Alpha, {Ed.Src, Ed.Dst, Ed.Ann});
-        FnPending.erase(It);
-      }
-    }
-  }
-  if (!FnPending.empty()) {
-    abandonProof("proof log rebuild failed: function-variable "
-                 "constraint has no surviving deriving edge");
-    return;
-  }
-  for (size_t I = 0; I != Conflicts.size() && Proof->ok(); ++I) {
-    const EdgeProv &P = ConflictProvs[I];
-    Proof->conflict(Conflicts[I].Src, Conflicts[I].Dst, Conflicts[I].Ann,
-                    static_cast<ProofLogWriter::Rule>(P.Kind), P.CIdx,
-                    {P.P1.Src, P.P1.Dst, P.P1.Ann},
-                    {P.P2.Src, P.P2.Dst, P.P2.Ann});
-  }
 }
 
 void BidirectionalSolver::emitProofEdge(bool IsConflict, ExprId Src,
@@ -857,427 +728,6 @@ void BidirectionalSolver::abandonProof(const char *Why) {
   ++Stats.ProofFailures;
 }
 
-uint32_t BidirectionalSolver::provEdgeIndex(const Edge &E) const {
-  if (E.Src == InvalidExpr)
-    return ~0u;
-  const uint32_t *Pid =
-      ProvPairIds.lookup((static_cast<uint64_t>(E.Src) << 32) | E.Dst);
-  if (!Pid)
-    return ~0u;
-  const uint32_t *Idx =
-      ProvTriples.lookup((static_cast<uint64_t>(*Pid) << 32) | E.Ann);
-  return Idx ? *Idx : ~0u;
-}
-
-void BidirectionalSolver::registerProvEdge(ExprId Src, ExprId Dst,
-                                           AnnId Ann, uint32_t I) {
-  auto [Pid, Fresh] = ProvPairIds.findOrInsert(
-      (static_cast<uint64_t>(Src) << 32) | Dst, NextProvPairId);
-  if (Fresh)
-    ++NextProvPairId;
-  ProvTriples.findOrInsert((static_cast<uint64_t>(Pid) << 32) | Ann, I);
-}
-
-void BidirectionalSolver::rebuildProvIndex() {
-  ProvPairIds.clear();
-  ProvTriples.clear();
-  NextProvPairId = 0;
-  const uint32_t E = static_cast<uint32_t>(EdgeArena.size());
-  ProvPairIds.reserve(E);
-  ProvTriples.reserve(E);
-  // Two passes: a retraction compaction can move a requeued parent
-  // *behind* its surviving child in the arena, so every triple must
-  // be registered before any premise is resolved.
-  for (uint32_t I = 0; I != E; ++I)
-    registerProvEdge(EdgeArena[I].Src, EdgeArena[I].Dst, EdgeArena[I].Ann,
-                     I);
-  ProvPar1.assign(E, ~0u);
-  ProvPar2.assign(E, ~0u);
-  for (uint32_t I = 0; I != E; ++I) {
-    ProvPar1[I] = provEdgeIndex(EdgeProvs[I].P1);
-    ProvPar2[I] = provEdgeIndex(EdgeProvs[I].P2);
-  }
-}
-
-/// Delta re-solve (DESIGN.md §11), in five steps:
-///
-/// 1. *Cone.* The parent links are inverted into a transient children
-///    index and the derivation cone of the retracted constraint's
-///    facts — surface/projection records with its index, plus
-///    everything whose *first* derivation rests on a cone edge — is
-///    collected by BFS. Conflicts are checked against the same cone
-///    through their premise triples.
-///
-/// 2. *Affected set and frontier.* Every endpoint of a removed edge
-///    or conflict is "affected". A surviving edge is requeued when it
-///    touches an affected node (it may hold an alternative transitive
-///    derivation of a removed edge: both endpoints of that edge are
-///    affected, so both premises of any 2-path deriving it requeue),
-///    when it is a constructor-constructor edge one of whose argument
-///    pairs or function-variable facts was removed (alternative
-///    decompose), or when it is a constructor lower bound of a
-///    watched variable and a surviving watcher's output was removed
-///    (alternative projection).
-///
-/// 3. *Erase.* Cone edges and dead conflicts release their dedup
-///    bits (a bit clear in the row; see support/AnnSet.h) and dead
-///    watchers of a retracted projection constraint are dropped.
-///
-/// 4. *Compact.* The arena keeps survivors in derivation order with
-///    the frontier moved to the pending tail; adjacency is rebuilt
-///    from the compacted arena into the retained chunk arenas, the
-///    exactly-once processed-prefix counters are recounted over the
-///    new processed prefix, and the retraction indexes are rebuilt.
-///
-/// 5. *Re-ingest and re-close.* Surviving surface constraints are
-///    re-added (a dedup bit first claimed by a removed derivation
-///    must not orphan a still-asserted surface fact) and solve()
-///    drains the frontier to the fixpoint a fresh solve of the edited
-///    system reaches — differentially tested and certified.
-Expected<BidirectionalSolver::Status>
-BidirectionalSolver::retract(uint32_t Idx) {
-  if (!incrementalActive())
-    return Diag("retract: requires SolverOptions::Incremental and "
-                "SolverOptions::TrackProvenance from the first solve()");
-  if (Idx >= CS.constraints().size())
-    return Diag("retract: constraint index " + std::to_string(Idx) +
-                " out of range (have " +
-                std::to_string(CS.constraints().size()) + ")");
-  if (!CS.isRetracted(Idx))
-    return Diag("retract: constraint " + std::to_string(Idx) +
-                " must be flagged via ConstraintSystem::retract first");
-  if (isInterrupted(Stat) || pendingEdges() != 0)
-    return Diag("retract: solver must be quiescent (Solved or "
-                "Inconsistent with an empty worklist); resume the "
-                "interrupted solve first");
-  if (EdgeProvs.size() != EdgeArena.size() ||
-      ConflictProvs.size() != Conflicts.size() ||
-      ProvPar1.size() != EdgeArena.size() ||
-      ProvPar2.size() != EdgeArena.size())
-    return Diag("retract: provenance records are incomplete — "
-                "Incremental and TrackProvenance must both be on from "
-                "the first solve()");
-  const Constraint &RC = CS.constraints()[Idx];
-  if (Stats.CollapsedVars > 0 && RC.Ann == CS.domain().identity() &&
-      CS.expr(RC.Lhs).Kind == ExprKind::Var &&
-      CS.expr(RC.Rhs).Kind == ExprKind::Var)
-    return Diag("retract: cannot retract an identity variable-variable "
-                "constraint after cycle elimination merged variables "
-                "(representatives cannot be un-merged); solve with "
-                "SolverOptions::CycleElimination = false to keep such "
-                "constraints retractable");
-
-  ++Stats.Retractions;
-  if (Idx >= NumIngested)
-    return solve(); // never ingested: the system flag alone suffices
-                    // (and the proof log, having never mentioned the
-                    // constraint, stays valid)
-
-  // An ingested retraction invalidates every log emitted so far: its
-  // records mention derivations about to be erased. Seal the file as
-  // Unproven, drop the writer, and clear the request — re-setting
-  // ProofLogPath after this retract rebuilds a fresh log from the
-  // post-retract state (ProofDisabled latches only for I/O failures).
-  if (Proof) {
-    Proof->finish(ProofLogWriter::StUnproven, PendingHead, NumIngested);
-    abandonProof("proof log abandoned: retract() erases derivations the "
-                 "log already recorded; set ProofLogPath again to "
-                 "rebuild a post-retract log");
-    Options.ProofLogPath.clear();
-    ProofDisabled = false;
-  }
-
-  RASC_TRACE_SCOPE("solver.retract", Idx, EdgeArena.size());
-  const uint32_t OldE = static_cast<uint32_t>(EdgeArena.size());
-  constexpr uint8_t KCons = static_cast<uint8_t>(ExprKind::Cons);
-  constexpr uint8_t KVar = static_cast<uint8_t>(ExprKind::Var);
-
-  // Step 1: derivation cone. Children index: per-parent intrusive
-  // lists threaded through the two per-child slots (a child links
-  // into at most two parents' lists).
-  std::vector<uint32_t> ChildHead(OldE, ~0u);
-  std::vector<uint32_t> ChildNext1(OldE, ~0u);
-  std::vector<uint32_t> ChildNext2(OldE, ~0u);
-  for (uint32_t I = 0; I != OldE; ++I) {
-    if (uint32_t P = ProvPar1[I]; P != ~0u) {
-      ChildNext1[I] = ChildHead[P];
-      ChildHead[P] = I;
-    }
-    if (uint32_t P = ProvPar2[I]; P != ~0u && P != ProvPar1[I]) {
-      ChildNext2[I] = ChildHead[P];
-      ChildHead[P] = I;
-    }
-  }
-  std::vector<uint8_t> InCone(OldE, 0);
-  std::vector<uint32_t> Work;
-  auto isSeed = [&](const EdgeProv &P) {
-    return (P.Kind == EdgeProv::Rule::Surface ||
-            P.Kind == EdgeProv::Rule::Projection) &&
-           P.CIdx == Idx;
-  };
-  for (uint32_t I = 0; I != OldE; ++I)
-    if (isSeed(EdgeProvs[I])) {
-      InCone[I] = 1;
-      Work.push_back(I);
-    }
-  while (!Work.empty()) {
-    uint32_t P = Work.back();
-    Work.pop_back();
-    for (uint32_t C = ChildHead[P]; C != ~0u;
-         C = ProvPar1[C] == P ? ChildNext1[C] : ChildNext2[C])
-      if (!InCone[C]) {
-        InCone[C] = 1;
-        Work.push_back(C);
-      }
-  }
-  uint32_t ConeCount = 0;
-  for (uint32_t I = 0; I != OldE; ++I)
-    ConeCount += InCone[I];
-
-  // Step 2a: affected nodes, split by side. RemovedSrc[N] / RemovedDst[N]
-  // hold "some removed fact had N as its source / destination" — the
-  // direction matters because each re-derivation rule consumes its
-  // premise on a known side (see Step 2b), and the one-sided sets keep
-  // a retraction near a hub node from requeueing the hub's entire
-  // unrelated neighborhood.
-  std::vector<uint8_t> RemovedSrc(NodeKind.size(), 0);
-  std::vector<uint8_t> RemovedDst(NodeKind.size(), 0);
-  auto markRemoved = [&](ExprId Src, ExprId Dst) {
-    if (Src < RemovedSrc.size())
-      RemovedSrc[Src] = 1;
-    if (Dst < RemovedDst.size())
-      RemovedDst[Dst] = 1;
-  };
-  for (uint32_t I = 0; I != OldE; ++I)
-    if (InCone[I])
-      markRemoved(EdgeArena[I].Src, EdgeArena[I].Dst);
-
-  // Conflicts resting on the cone (or asserted by the retracted
-  // constraint itself) die with it; their endpoints count as affected
-  // so surviving premises requeue and re-derive any conflict that is
-  // still derivable.
-  std::vector<uint8_t> ConflictGone(Conflicts.size(), 0);
-  for (size_t I = 0; I != Conflicts.size(); ++I) {
-    const EdgeProv &P = ConflictProvs[I];
-    bool Gone = isSeed(P);
-    if (!Gone && P.P1.Src != InvalidExpr) {
-      uint32_t J = provEdgeIndex(P.P1);
-      Gone = J != ~0u && InCone[J];
-    }
-    if (!Gone && P.P2.Src != InvalidExpr) {
-      uint32_t J = provEdgeIndex(P.P2);
-      Gone = J != ~0u && InCone[J];
-    }
-    if (!Gone)
-      continue;
-    ConflictGone[I] = 1;
-    markRemoved(Conflicts[I].Src, Conflicts[I].Dst);
-    EdgeSeen.erase(Conflicts[I].Src, Conflicts[I].Dst, Conflicts[I].Ann);
-  }
-
-  // Step 3 (watchers first: the frontier rules below must only see
-  // surviving watchers): a retracted projection constraint takes its
-  // watcher registrations with it.
-  if (CS.expr(RC.Lhs).Kind == ExprKind::Proj)
-    for (std::vector<Watcher> &WL : Watchers)
-      WL.erase(std::remove_if(WL.begin(), WL.end(),
-                              [&](const Watcher &W) {
-                                return W.ConsIdx == Idx;
-                              }),
-               WL.end());
-
-  // Function-variable constraints whose deriving decompose is in the
-  // cone. The deriving edge of a fn-var fact is the first processed
-  // constructor-constructor edge emitting its triple — recomputed
-  // here (arena order is processing order).
-  std::vector<uint8_t> FnGone(FnVarCons.size(), 0);
-  FlatSet64 DroppedFnPairs;
-  if (!FnVarCons.empty()) {
-    std::map<std::array<uint32_t, 3>, uint32_t> FnIdx;
-    for (uint32_t K = 0; K != FnVarCons.size(); ++K)
-      FnIdx.emplace(std::array<uint32_t, 3>{FnVarCons[K].From,
-                                            FnVarCons[K].Fn,
-                                            FnVarCons[K].To},
-                    K);
-    for (uint32_t I = 0; I != OldE && !FnIdx.empty(); ++I) {
-      const Edge &E = EdgeArena[I];
-      if (NodeKind[E.Src] != KCons || NodeKind[E.Dst] != KCons)
-        continue;
-      const Expr &L = CS.expr(E.Src);
-      const Expr &R = CS.expr(E.Dst);
-      auto It = FnIdx.find({L.Alpha, E.Ann, R.Alpha});
-      if (It == FnIdx.end())
-        continue;
-      if (InCone[I]) {
-        FnGone[It->second] = 1;
-        DroppedFnPairs.insert(
-            (static_cast<uint64_t>(FnVarCons[It->second].From) << 32) |
-            FnVarCons[It->second].To);
-      }
-      FnIdx.erase(It); // only the first derivation decides
-    }
-  }
-
-  // Step 2b: frontier marking among survivors. Every removed fact that
-  // is still derivable must be re-derivable by reprocessing some
-  // frontier edge, and each rule pins which premise side suffices:
-  //
-  //  * Transitive: a removed U→W re-derivable as (U→V, V→W) only needs
-  //    its *right* premise requeued — joins go through variable middle
-  //    nodes from a constructor U, and process() on V→W scans the
-  //    processed prefix of Preds[V], which holds every surviving left
-  //    premise (two requeued premises meet by the usual later-edge-joins
-  //    discipline). So the general rule is RemovedDst[E.Dst] alone;
-  //    adding the src side would requeue hub out-neighborhoods for
-  //    nothing.
-  //  * Decompose / projection are single-premise: the premise edge is
-  //    requeued iff some conclusion it would re-emit was removed,
-  //    recognized by the conclusion's (src, dst) pair — a directional
-  //    conjunction, not an either-endpoint test.
-  //
-  // Conflicts are conclusions of the same rules (insertFreshEdge turns
-  // a constructor mismatch into a conflict instead of an edge), so the
-  // markRemoved calls above cover their re-derivation too.
-  std::vector<uint8_t> IsFrontier(OldE, 0);
-  uint32_t FrontierCount = 0;
-  for (uint32_t I = 0; I != OldE; ++I) {
-    if (InCone[I])
-      continue;
-    const Edge &E = EdgeArena[I];
-    uint8_t SK = NodeKind[E.Src];
-    uint8_t DK = NodeKind[E.Dst];
-    bool F = RemovedDst[E.Dst];
-    if (!F && SK == KCons && DK == KCons) {
-      // Alternative decompose: a removed argument edge or fn-var fact
-      // this edge would re-derive.
-      const Expr &L = CS.expr(E.Src);
-      const Expr &R = CS.expr(E.Dst);
-      for (uint32_t A = 0; !F && A != L.NumArgs; ++A) {
-        ExprId SN = varNodeIfAny(rep(CS.arg(L, A)));
-        ExprId DN = varNodeIfAny(rep(CS.arg(R, A)));
-        F = SN != InvalidExpr && DN != InvalidExpr && RemovedSrc[SN] &&
-            RemovedDst[DN];
-      }
-      if (!F && !DroppedFnPairs.empty())
-        F = DroppedFnPairs.contains(
-            (static_cast<uint64_t>(L.Alpha) << 32) | R.Alpha);
-    }
-    if (!F && SK == KCons && DK == KVar && E.Dst < Watchers.size() &&
-        !Watchers[E.Dst].empty()) {
-      // Alternative projection: a surviving watcher whose output from
-      // this lower bound was removed.
-      const Expr &SE = CS.expr(E.Src);
-      for (const Watcher &W : Watchers[E.Dst]) {
-        if (W.C != SE.C)
-          continue;
-        ExprId AN = varNodeIfAny(rep(CS.arg(SE, W.Index)));
-        ExprId TN = varNodeIfAny(rep(W.Target));
-        if (AN != InvalidExpr && TN != InvalidExpr && RemovedSrc[AN] &&
-            RemovedDst[TN]) {
-          F = true;
-          break;
-        }
-      }
-    }
-    if (F) {
-      IsFrontier[I] = 1;
-      ++FrontierCount;
-    }
-  }
-
-  // Step 3: release the cone's dedup bits.
-  for (uint32_t I = 0; I != OldE; ++I)
-    if (InCone[I])
-      EdgeSeen.erase(EdgeArena[I].Src, EdgeArena[I].Dst, EdgeArena[I].Ann);
-
-  // Step 4: compaction. Conflicts first, then the arena — survivors
-  // in derivation order, frontier moved to the pending tail.
-  {
-    size_t W = 0;
-    for (size_t I = 0; I != Conflicts.size(); ++I) {
-      if (ConflictGone[I])
-        continue;
-      Conflicts[W] = Conflicts[I];
-      ConflictProvs[W] = ConflictProvs[I];
-      ++W;
-    }
-    Conflicts.resize(W);
-    ConflictProvs.resize(W);
-  }
-  {
-    std::vector<Edge> NewArena;
-    std::vector<EdgeProv> NewProvs;
-    NewArena.reserve(OldE - ConeCount);
-    NewProvs.reserve(OldE - ConeCount);
-    for (int Pass = 0; Pass != 2; ++Pass)
-      for (uint32_t I = 0; I != OldE; ++I) {
-        if (InCone[I] || IsFrontier[I] != (Pass == 1))
-          continue;
-        NewArena.push_back(EdgeArena[I]);
-        NewProvs.push_back(EdgeProvs[I]);
-      }
-    EdgeArena = std::move(NewArena);
-    EdgeProvs = std::move(NewProvs);
-    PendingHead = EdgeArena.size() - FrontierCount;
-  }
-  {
-    size_t W = 0;
-    for (size_t K = 0; K != FnVarCons.size(); ++K) {
-      if (FnGone[K])
-        continue;
-      FnVarCons[W++] = FnVarCons[K];
-    }
-    FnVarCons.resize(W);
-    Stats.FnVarConstraints = W;
-    FnVarSeen = EdgeDedup(CS.domain().size());
-    for (const FnVarConstraint &C : FnVarCons)
-      FnVarSeen.insert(C.From, C.To, C.Fn);
-    FnVarSol.clear();
-    FnVarSolFresh = false;
-  }
-  Succs.clear();
-  Preds.clear();
-  for (const Edge &E : EdgeArena) {
-    Succs.append(E.Src, E.Dst, E.Ann);
-    if (NodeKind[E.Src] == KCons)
-      Preds.append(E.Dst, E.Src, E.Ann);
-  }
-  std::fill(SuccDone.begin(), SuccDone.end(), 0);
-  std::fill(PredDone.begin(), PredDone.end(), 0);
-  for (size_t I = 0; I != PendingHead; ++I) {
-    ++SuccDone[EdgeArena[I].Src];
-    if (NodeKind[EdgeArena[I].Src] == KCons)
-      ++PredDone[EdgeArena[I].Dst];
-  }
-  rebuildProvIndex();
-
-  // Step 5a: re-ingest surviving surface constraints. A constraint
-  // whose surface triple was first claimed by a removed derivation
-  // would otherwise lose its fact; re-adding is a dedup drop for the
-  // (overwhelming) rest. Projection constraints are skipped — their
-  // watchers survived above, and re-registering would double them.
-  for (uint32_t J = 0; J != NumIngested; ++J) {
-    if (CS.isRetracted(J))
-      continue;
-    const Constraint &C = CS.constraints()[J];
-    ExprId L = canonicalize(C.Lhs);
-    if (CS.expr(L).Kind == ExprKind::Proj)
-      continue;
-    ExprId R = canonicalize(C.Rhs);
-    CurProv = {EdgeProv::Rule::Surface, J};
-    addEdge(L, R, C.Ann);
-  }
-
-  Stats.RetractedEdges += ConeCount;
-  Stats.RequeuedEdges += FrontierCount;
-  if (trace::enabled())
-    trace::instant("solver.retract", ConeCount, FrontierCount);
-
-  // Step 5b: drain the frontier (plus any re-ingested edges) to the
-  // post-retract fixpoint.
-  return solve();
-}
-
 void BidirectionalSolver::resetToFresh() {
   const AnnotationDomain &D = CS.domain();
   Stats = SolverStats{};
@@ -1287,11 +737,6 @@ void BidirectionalSolver::resetToFresh() {
   EdgeProvs.clear();
   ConflictProvs.clear();
   CurProv = EdgeProv{};
-  ProvPar1.clear();
-  ProvPar2.clear();
-  ProvPairIds = FlatMap64{};
-  ProvTriples = FlatMap64{};
-  NextProvPairId = 0;
   VarReps = UnionFind{};
   Succs = AdjacencyLists{};
   Preds = AdjacencyLists{};
@@ -1325,9 +770,6 @@ size_t BidirectionalSolver::memoryBytes() const {
              VarNode.capacity() * sizeof(ExprId) +
              (EdgeProvs.capacity() + ConflictProvs.capacity()) *
                  sizeof(EdgeProv) +
-             (ProvPar1.capacity() + ProvPar2.capacity()) *
-                 sizeof(uint32_t) +
-             ProvPairIds.memoryBytes() + ProvTriples.memoryBytes() +
              Watchers.capacity() * sizeof(std::vector<Watcher>);
   for (const std::vector<Watcher> &W : Watchers)
     N += W.capacity() * sizeof(Watcher);

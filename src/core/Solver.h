@@ -136,16 +136,13 @@ struct SolverOptions {
   /// when non-empty, every solve() streams a derivation log to this
   /// path — one record per inserted edge naming its closure-rule
   /// premises — which the standalone rasccheck tool can verify
-  /// without trusting solver code. Setting the path on an unstarted
-  /// solver logs live; setting it on a started, quiescent solver with
-  /// TrackProvenance replays the existing derivations from provenance
-  /// first. An emission failure (disk full, injected fault) never
-  /// interrupts the solve: the log is abandoned with a final
-  /// "unproven" trailer and the Diag lands in lastProofDiag().
-  /// retract() likewise abandons the log (a compaction reorders the
-  /// arena, invalidating the emitted premise order) and clears this
-  /// path; re-set it to rebuild a fresh proof from the post-retract
-  /// state.
+  /// without trusting solver code. The log is written live, so the
+  /// path must be set before the first solve(): setting it on a
+  /// started solver yields the "proof log unavailable" Diag in
+  /// lastProofDiag() — call resetToFresh() first to log a re-solve.
+  /// An emission failure (disk full, injected fault) never interrupts
+  /// the solve: the log is abandoned with a final "unproven" trailer
+  /// and the Diag lands in lastProofDiag().
   std::string ProofLogPath;
 
   /// Record the provenance of every derived edge (which rule, from
@@ -154,16 +151,6 @@ struct SolverOptions {
   /// and resolution steps. Costs memory per edge and time per fresh
   /// insert; off by default.
   bool TrackProvenance = false;
-
-  /// Maintain the retraction indexes during solving — the premise
-  /// parent links of every derived edge plus the (src, dst, ann) →
-  /// arena map they are resolved through — so that retract() can
-  /// compute a derivation cone without replaying the closure (DESIGN.md
-  /// §11). Requires TrackProvenance (the parent links compress the
-  /// premise records it keeps); retract() rejects solvers missing
-  /// either flag. Costs two hash-map operations per fresh edge; off by
-  /// default.
-  bool Incremental = false;
 };
 
 /// Counters for the complexity experiments. ComposeCalls counts
@@ -189,18 +176,13 @@ struct SolverStats {
   uint64_t Interrupts = 0;   ///< solves ended by a budget/cancel/failpoint
   uint64_t Resumes = 0;      ///< solves that continued an interrupted closure
 
-  // Proof-logging counters (SolverOptions::ProofLogPath). Cumulative
-  // across writer rebuilds; ProofFailures counts logs abandoned to an
-  // I/O failure, an unsupported state, or a retraction.
+  // Proof-logging counters (SolverOptions::ProofLogPath). ProofFailures
+  // counts logs abandoned to an I/O failure or to the path being set
+  // on a started solver.
   uint64_t ProofRecords = 0;  ///< derivation records emitted
   uint64_t ProofChunks = 0;   ///< CRC-framed chunks written
   uint64_t ProofBytes = 0;    ///< log bytes written
   uint64_t ProofFailures = 0; ///< proof logs abandoned
-
-  // Incremental re-solve counters (SolverOptions::Incremental).
-  uint64_t Retractions = 0;    ///< validated retract() calls
-  uint64_t RetractedEdges = 0; ///< derivation-cone edges removed
-  uint64_t RequeuedEdges = 0;  ///< surviving edges requeued for re-closure
 
   // Wall-clock phase timings, accumulated across solve() calls.
   double IngestSeconds = 0;  ///< canonicalization + surface ingest
@@ -228,9 +210,6 @@ struct SolverStats {
     ProofChunks += O.ProofChunks;
     ProofBytes += O.ProofBytes;
     ProofFailures += O.ProofFailures;
-    Retractions += O.Retractions;
-    RetractedEdges += O.RetractedEdges;
-    RequeuedEdges += O.RequeuedEdges;
     IngestSeconds += O.IngestSeconds;
     ClosureSeconds += O.ClosureSeconds;
     return *this;
@@ -324,30 +303,12 @@ public:
   /// to an uninterrupted one (differentially tested).
   Status solve();
 
-  /// Incremental retraction (delta re-solve, DESIGN.md §11): undoes
-  /// the consequences of constraint \p Idx — which the caller must
-  /// already have flagged via ConstraintSystem::retract — and re-runs
-  /// the closure from the surviving support, reaching the fixpoint a
-  /// fresh solve of the edited system would (differentially tested
-  /// and certified). The derivation cone of the constraint's surface
-  /// facts is removed from the arena, adjacency, and dedup tables;
-  /// surviving edges incident to an affected node (or carrying an
-  /// alternative decompose/projection derivation into one) are
-  /// requeued, and surviving surface constraints are re-ingested so a
-  /// shared dedup bit never orphans an independently-derivable fact.
-  ///
-  /// Requires SolverOptions::Incremental and TrackProvenance from the
-  /// first solve(), and a quiescent solver (Solved or Inconsistent,
-  /// empty worklist). Retracting an identity variable-variable
-  /// constraint after cycle elimination merged variables is rejected
-  /// (representatives cannot be un-merged); every other shape is fair
-  /// game. On any Diag the solver is unchanged.
-  Expected<Status> retract(uint32_t Idx);
-
-  /// Returns the solver to its freshly-constructed state: the callers'
-  /// fallback when retract()'s preconditions fail — a fresh solve()
-  /// then re-ingests the edited system (retracted constraints are
-  /// skipped), which is always correct, just not incremental.
+  /// Returns the solver to its freshly-constructed state (options
+  /// kept). Retraction (DESIGN.md §11) is a flag plus this: after
+  /// ConstraintSystem::retract, resetToFresh() + solve() re-ingests
+  /// the edited system — flagged constraints are skipped by cycle
+  /// elimination and ingestion — and reaches its fixpoint. Also the
+  /// way to start a proof log on a started solver.
   void resetToFresh();
 
   Status status() const { return Stat; }
@@ -379,10 +340,10 @@ public:
   /// @{
 
   /// Why the proof log (SolverOptions::ProofLogPath) was abandoned,
-  /// if it was: an emission failure, an unsupported state when the
-  /// path was set, or a retraction. An abandoned proof never
-  /// interrupts a solve — the result stands, it is merely unproven.
-  /// Cleared by resetToFresh().
+  /// if it was: an emission failure, or the path being set on a
+  /// started solver. An abandoned proof never interrupts a solve —
+  /// the result stands, it is merely unproven. Cleared by
+  /// resetToFresh().
   const std::optional<Diag> &lastProofDiag() const {
     return LastProofDiag;
   }
@@ -647,40 +608,14 @@ private:
   /// \returns Solved when nothing tripped.
   Status governanceCheck(std::chrono::steady_clock::time_point Start);
 
-  /// True when the retraction indexes are maintained (both flags are
-  /// required; retract() enforces the pairing with a Diag).
-  bool incrementalActive() const {
-    return Options.Incremental && Options.TrackProvenance;
-  }
-
-  /// Arena index of the edge with this exact (src, dst, ann) triple,
-  /// or ~0u when absent / the triple is an invalid premise slot.
-  /// O(1) via the incremental triple map.
-  uint32_t provEdgeIndex(const Edge &E) const;
-
-  /// Registers arena edge \p I in the triple map (two-level: (src,
-  /// dst) pair id, then (pair, ann) → index).
-  void registerProvEdge(ExprId Src, ExprId Dst, AnnId Ann, uint32_t I);
-
-  /// Rebuilds the triple map and the parent links from
-  /// EdgeArena/EdgeProvs after a retraction compaction (both are
-  /// deterministic functions of the provenance records).
-  void rebuildProvIndex();
-
   /// \name Proof emission (core/ProofLog.cpp hosts the writer;
   /// Solver.cpp hosts these hooks)
   /// @{
 
-  /// Opens (or rebuilds) the proof log when Options.ProofLogPath is
-  /// set and no writer is live. On a started solver this replays the
-  /// existing derivations from provenance in premise-respecting
-  /// order; any unsupported state degrades to lastProofDiag().
+  /// Opens the proof log when Options.ProofLogPath is set, no writer
+  /// is live, and the solver has not started; a started solver
+  /// degrades to lastProofDiag() (the log is only ever written live).
   void openProofLogIfRequested();
-
-  /// Replays collapses, ingested constraints, arena edges (topological
-  /// over the parent links after a retraction, arena order otherwise),
-  /// fn-var constraints, and conflicts into a freshly opened writer.
-  void rebuildProofLog();
 
   /// Emits the EDGE / CONFLICT record for the derivation described by
   /// CurProv. Only called while the writer is live.
@@ -719,18 +654,6 @@ private:
   std::vector<EdgeProv> EdgeProvs;
   std::vector<EdgeProv> ConflictProvs;
   EdgeProv CurProv;
-
-  // Retraction indexes (incrementalActive()): per arena edge, the
-  // arena indices of its first derivation's premise edges (~0u =
-  // none/not an edge premise), resolved at insertion through the
-  // two-level triple map below. retract() inverts the parent links
-  // into a children index on demand and walks it to the derivation
-  // cone. Parallel to EdgeArena, like EdgeProvs.
-  std::vector<uint32_t> ProvPar1;
-  std::vector<uint32_t> ProvPar2;
-  FlatMap64 ProvPairIds; // (src << 32 | dst) -> dense pair id
-  FlatMap64 ProvTriples; // (pair id << 32 | ann) -> arena index
-  uint32_t NextProvPairId = 0;
 
   // Cycle elimination: variable representatives.
   mutable UnionFind VarReps;

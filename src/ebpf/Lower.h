@@ -7,7 +7,7 @@
 /// \file
 /// Lowers a bytecode CFG into the native inputs of the three
 /// applications (DESIGN.md §13), so the entire existing stack —
-/// constraint generation, the closure, incremental retract, proof
+/// constraint generation, the closure, retraction, proof
 /// logging, rascd, BatchSolver — runs on real programs unchanged:
 ///
 ///   * pdmc: a Program whose Op statements are the property-relevant

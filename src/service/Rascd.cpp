@@ -170,10 +170,6 @@ std::optional<Diag> Rascd::bindAndListen() {
 
 SolverOptions Rascd::solverOptionsFor(ResidentSystem &Sys) const {
   SolverOptions O = Opts.Session;
-  if (Opts.IncrementalRetract) {
-    O.Incremental = true;
-    O.TrackProvenance = true;
-  }
   O.CancelFlag = &Sys.Cancel;
   O.GroupMemory = const_cast<std::atomic<uint64_t> *>(&GroupMem);
   O.MaxGroupMemoryBytes = Opts.MaxTotalMemoryBytes;

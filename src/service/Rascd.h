@@ -39,8 +39,14 @@
 ///    the solver, so a client need not believe a "solved" answer — it
 ///    can demand the proof. Kill -9 mid-stream leaves a torn tail;
 ///    warm boot truncates it back to the last CRC-complete chunk
-///    (recoverProofLog), and the next proof-enabled SOLVE rebuilds a
-///    complete log from provenance.
+///    (recoverProofLog), and the next proof-enabled SOLVE re-solves
+///    the system from scratch with the log open, writing a complete
+///    one.
+///
+///  - Retraction: RETRACT flags the constraint (a "retract N;" line in
+///    the durable text) and re-solves the edited system from scratch
+///    (DESIGN.md §11); a proof-enabled system's log is rewritten by
+///    that re-solve.
 ///
 ///  - Drain: requestDrain() (the DRAIN op, or SIGTERM in the rascd
 ///    binary) stops admission, lets in-flight requests finish — the
@@ -92,15 +98,6 @@ struct RascdOptions {
   /// calls. CancelFlag / GroupMemory fields are overwritten per
   /// system by the daemon.
   SolverOptions Session;
-
-  /// Run resident solvers with Incremental + TrackProvenance so the
-  /// RETRACT op can invalidate just the retracted constraint's
-  /// derivation cone and re-close from the surviving frontier
-  /// (DESIGN.md §11). Provenance forces the sequential closure path
-  /// and costs memory per derived edge; switch off to trade RETRACT
-  /// latency (it then falls back to a fresh re-solve) for cheaper
-  /// steady-state solves.
-  bool IncrementalRetract = true;
 
   /// Aggregate cap on solver-owned memory summed over every resident
   /// system (enforced through one shared GroupMemory cell at

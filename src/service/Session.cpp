@@ -198,7 +198,6 @@ Frame Session::handleRetract(const std::string &Body) {
       Tok.size() > 9)
     return err("retract wants a decimal constraint index, got '" +
                Body.substr(0, 80) + "'");
-  uint32_t Idx = static_cast<uint32_t>(std::stoul(Tok));
 
   ResidentSystem &Sys = *Attached;
   std::lock_guard<std::mutex> L(Sys.Mx);
@@ -224,28 +223,15 @@ Frame Session::handleRetract(const std::string &Body) {
     return err("retract applied in memory but not persisted: " +
                PersistDiag->render());
 
-  // Prefer the incremental path (cone invalidation + frontier
-  // re-closure); any retract() precondition Diag — interrupted solve,
-  // cycle-elimination collapse — degrades to a fresh re-solve, which
-  // is always correct because ingestion skips flagged constraints.
+  // Re-solve the edited system from scratch: ingestion skips the
+  // flagged constraint, and a proof-enabled system's log (the path
+  // survives the reset) is rewritten live by the same solve.
   BidirectionalSolver &S = *Sys.Solver;
-  const char *Mode = "fresh";
-  Status St;
-  Expected<Status> RS = S.retract(Idx);
-  if (RS) {
-    Mode = "incremental";
-    St = *RS;
-  } else {
-    S.resetToFresh();
-    St = solveAttached(Sys);
-  }
+  S.resetToFresh();
+  Status St = solveAttached(Sys);
   std::string Resp;
   Resp += "status=";
   Resp += solveStatusName(St);
-  Resp += "\nmode=";
-  Resp += Mode;
-  Resp += "\nretracted-edges=" + std::to_string(S.stats().RetractedEdges);
-  Resp += "\nrequeued-edges=" + std::to_string(S.stats().RequeuedEdges);
   Resp += "\nedges=" + std::to_string(S.stats().EdgesInserted);
   return ok(std::move(Resp));
 }
@@ -264,12 +250,14 @@ Frame Session::handleSolve(const std::string &Body) {
   // solver streams a machine-checkable log to DataDir/<name>.rprf
   // (durable next to the program text; rasccheck validates it offline).
   // Opt-in is sticky for the resident solver — later plain SOLVEs
-  // keep appending so the log always covers the whole closure. On a
-  // started solver the writer replays existing derivations from
-  // provenance (rascd runs with TrackProvenance by default).
+  // keep appending so the log always covers the whole closure. The
+  // log is only written live, so a started solver re-solves from
+  // scratch with it open.
   if (Body.find("proof=1") != std::string::npos &&
-      S.options().ProofLogPath.empty())
+      S.options().ProofLogPath.empty()) {
+    S.resetToFresh();
     S.options().ProofLogPath = Sys.ProofPath;
+  }
   Status St = solveAttached(Sys);
   std::string B;
   B += "status=";

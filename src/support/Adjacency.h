@@ -119,17 +119,6 @@ public:
     forEach(Node, degree(Node), static_cast<Fn &&>(F));
   }
 
-  /// Empties every list and returns all chunks to the arena, keeping
-  /// the node table size and every capacity. The incremental solver
-  /// rebuilds adjacency from the compacted edge arena after a
-  /// retraction; reusing the arenas avoids re-paying their growth, and
-  /// memoryBytes() (capacity-based) is unchanged.
-  void clear() {
-    std::fill(Nodes.begin(), Nodes.end(), NodeRef{});
-    Chunks.clear();
-    NextChunk.clear();
-  }
-
   /// Heap bytes held (for the solver's approximate memory budget).
   size_t memoryBytes() const {
     return Nodes.capacity() * sizeof(NodeRef) +

@@ -124,46 +124,6 @@ public:
     return testAndSetSpilled(Key, Ann);
   }
 
-  /// Removes the edge (the incremental solver's cone invalidation).
-  /// The row's slot is kept even when its last bit clears — a
-  /// retraction is usually followed by re-derivation into the same
-  /// (A, B) pairs, and an occupied zero-bits row costs nothing on the
-  /// probe path — so memoryBytes() is unchanged by erases. \returns
-  /// true if the edge was recorded.
-  bool erase(uint32_t A, uint32_t B, uint32_t Ann) {
-    uint64_t Key = pack(A, B);
-    if (InlineMode) {
-      if (Ann >= 64 || Slots.empty())
-        return false;
-      size_t Mask = Slots.size() - 1;
-      size_t I = static_cast<size_t>(mix64(Key)) & Mask;
-      uint64_t Bit = uint64_t(1) << Ann;
-      while (true) {
-        Slot &S = Slots[I];
-        if (S.Key == Key) {
-          if (!(S.Bits & Bit))
-            return false;
-          S.Bits &= ~Bit;
-          return true;
-        }
-        if (S.Key == Empty)
-          return false;
-        I = (I + 1) & Mask;
-      }
-    }
-    if (Ann >= Stride * 64)
-      return false;
-    const uint32_t *Row = Rows.lookup(Key);
-    if (!Row)
-      return false;
-    uint64_t Mask = uint64_t(1) << (Ann % 64);
-    uint64_t &Word = Bits[static_cast<size_t>(*Row) * Stride + Ann / 64];
-    if (!(Word & Mask))
-      return false;
-    Word &= ~Mask;
-    return true;
-  }
-
   /// Issues a prefetch for the home slot of row (A, B), which a
   /// subsequent insert(A, B, Ann) will probe. The closure's probe
   /// stream has no locality (derived edges hash all over the table),

@@ -165,14 +165,6 @@ public:
       rehash(Cap);
   }
 
-  /// Empties the map but keeps its capacity (the incremental solver
-  /// rebuilds its provenance indexes in place after a retraction).
-  void clear() {
-    std::fill(Keys.begin(), Keys.end(), Empty);
-    std::fill(Values.begin(), Values.end(), 0u);
-    Count = 0;
-  }
-
   /// Heap bytes held (for the solver's approximate memory budget).
   size_t memoryBytes() const {
     return Keys.capacity() * sizeof(uint64_t) +

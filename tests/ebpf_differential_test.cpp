@@ -14,9 +14,11 @@
 ///
 ///   * 50 generated programs x all three lowerings: two independent
 ///     builds reach identical semantic fixpoints;
-///   * incremental retraction of one constraint after the solve lands
-///     on the same fixpoint as a fresh build with that constraint
-///     retracted before the solve, and both pass the independent
+///   * retracting one constraint after the solve (flag, then
+///     resetToFresh() + solve() under the default options, cycle
+///     elimination included) lands on the same fixpoint as a fresh
+///     build with that constraint retracted before the solve, and both
+///     pass the independent
 ///     Certifier (the acceptance gate: Certifier-clean fixpoints);
 ///   * pdmc verdicts on pinned bytecode match a hand-built reference
 ///     Program carrying the same event structure — the bytecode
@@ -96,16 +98,6 @@ Fixpoint snapshot(const BidirectionalSolver &S, const ConstraintSystem &CS,
     F.Terms.push_back(std::move(Trm));
   }
   return F;
-}
-
-/// Incremental-capable options: provenance on, cycle elimination off
-/// so any constraint is a legal retraction target.
-SolverOptions incrementalOptions() {
-  SolverOptions O;
-  O.Incremental = true;
-  O.TrackProvenance = true;
-  O.CycleElimination = false;
-  return O;
 }
 
 //===----------------------------------------------------------------===//
@@ -207,12 +199,11 @@ std::unique_ptr<Pipeline> buildPipeline(uint64_t Seed, App A) {
 
 /// Fresh comparator: rebuild the pipeline from bytecode, retract
 /// \p Retract before the first solve, solve once.
-Fixpoint freshFixpoint(uint64_t Seed, App A, uint32_t Retract,
-                       SolverOptions O) {
+Fixpoint freshFixpoint(uint64_t Seed, App A, uint32_t Retract) {
   std::unique_ptr<Pipeline> P = buildPipeline(Seed, A);
   ConstraintSystem &CS = P->system(A);
   EXPECT_FALSE(CS.retract(Retract));
-  BidirectionalSolver S(CS, O);
+  BidirectionalSolver S(CS);
   S.solve();
   Fixpoint F = snapshot(S, CS, P->domain(A));
   if (S.status() == Status::Solved) {
@@ -240,8 +231,7 @@ TEST_P(EbpfDifferential, RetractMatchesFreshAcrossConfigs) {
     ASSERT_GT(N, 0u);
     const uint32_t Retract = static_cast<uint32_t>(Seed % N);
 
-    SolverOptions O = incrementalOptions();
-    BidirectionalSolver RefS(RefCS, O);
+    BidirectionalSolver RefS(RefCS);
     RefS.solve();
     const Fixpoint Expect = snapshot(RefS, RefCS, Ref->domain(A));
 
@@ -249,7 +239,7 @@ TEST_P(EbpfDifferential, RetractMatchesFreshAcrossConfigs) {
     ConstraintSystem &CS = P->system(A);
     ASSERT_EQ(CS.constraints().size(), N) << "lowering is not deterministic";
 
-    BidirectionalSolver S(CS, O);
+    BidirectionalSolver S(CS);
     Status St = S.solve();
     ASSERT_FALSE(BidirectionalSolver::isInterrupted(St));
     EXPECT_EQ(snapshot(S, CS, P->domain(A)), Expect)
@@ -259,13 +249,12 @@ TEST_P(EbpfDifferential, RetractMatchesFreshAcrossConfigs) {
       EXPECT_TRUE(Rep.Ok) << Rep.summary();
     }
 
-    // One-constraint incremental edit vs. a fresh build.
+    // One-constraint edit, re-solved from scratch, vs. a fresh build.
     ASSERT_FALSE(CS.retract(Retract));
-    Expected<Status> RS = S.retract(Retract);
-    ASSERT_TRUE(RS) << RS.error().render();
-    ASSERT_FALSE(BidirectionalSolver::isInterrupted(*RS));
+    S.resetToFresh();
+    ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
     EXPECT_EQ(snapshot(S, CS, P->domain(A)),
-              freshFixpoint(Seed, A, Retract, O))
+              freshFixpoint(Seed, A, Retract))
         << "post-retract fixpoint diverged from fresh";
     if (S.status() == Status::Solved) {
       CertificationReport Rep = certifyFixpoint(S);

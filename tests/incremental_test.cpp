@@ -5,17 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Differential tests of the incremental re-solve path (DESIGN.md
-/// §11): BidirectionalSolver::retract must land on the *semantic*
-/// fixpoint a fresh solve of the edited system reaches — same status,
-/// same answer to every query, same enumerated terms — across seeded
-/// random systems. Work counters are
-/// deliberately *not* compared: a delta re-solve reuses surviving
-/// derivations, so it composes less than a fresh run.
+/// Differential tests of retraction (DESIGN.md §11): flagging a
+/// constraint via ConstraintSystem::retract and then resetToFresh() +
+/// solve() on the solver that already closed the system must land on
+/// the fixpoint a solver built after the flag reaches — same status,
+/// same answer to every query, same enumerated terms, same number of
+/// inserted edges — across seeded random systems, with cycle
+/// elimination on, and the result must certify.
 ///
-/// Also here: the retract() precondition diagnostics (and that a
-/// rejected call leaves the solver unchanged, so resetToFresh() is a
-/// safe fallback) and the parser's "retract N;" statement.
+/// Also here: retraction while a solve is interrupted or after cycle
+/// elimination merged the retracted constraint's variables, the
+/// system-level flag diagnostics, and the parser's "retract N;"
+/// statement.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,13 +36,13 @@ namespace {
 
 using Status = BidirectionalSolver::Status;
 
-/// Everything a *semantic* comparison covers: status plus every
-/// query-level answer. Unlike the parallel differential's Fixpoint,
-/// no work counters — an incremental re-solve keeps surviving
-/// derivations, so ComposeCalls etc. legitimately differ from a
-/// fresh solve of the edited system.
+/// Everything the comparison covers: status, every query-level
+/// answer, and the inserted-edge count — a reset re-solve is a fresh
+/// solve, so it must do exactly the work of one (a stale arena, dedup
+/// row or watcher surviving resetToFresh() shows up here first).
 struct Fixpoint {
   Status St;
+  uint64_t Edges;
   std::vector<bool> Entails;
   std::vector<std::vector<std::string>> ConstAnns;
   std::vector<std::vector<std::string>> Succs;
@@ -65,6 +66,7 @@ Fixpoint semantics(const BidirectionalSolver &S, const ConstraintSystem &CS,
                    const AnnotationDomain &D) {
   Fixpoint F;
   F.St = S.status();
+  F.Edges = S.stats().EdgesInserted;
   for (ConsId C = 0; C != CS.numConstructors(); ++C) {
     if (CS.constructor(C).Arity != 0)
       continue;
@@ -95,29 +97,25 @@ Fixpoint semantics(const BidirectionalSolver &S, const ConstraintSystem &CS,
   return F;
 }
 
-/// The option set every incremental test solves under. Cycle
-/// elimination is off so *any* constraint is a legal retraction
-/// target (retract() rejects un-merging a collapsed identity cycle);
-/// the gate itself is covered separately below.
-SolverOptions incrementalOptions() {
-  SolverOptions O;
-  O.Incremental = true;
-  O.TrackProvenance = true;
-  O.CycleElimination = false;
-  return O;
-}
-
 /// Fresh comparator: the same system regenerated from \p Seed with
 /// \p Flagged retracted *before* the first solve.
-Fixpoint freshFixpoint(uint64_t Seed, const std::vector<uint32_t> &Flagged,
-                       SolverOptions O) {
+Fixpoint freshFixpoint(uint64_t Seed, const std::vector<uint32_t> &Flagged) {
   Rng R(Seed);
   testgen::RandomSystem Sys = testgen::randomSystem(R);
   for (uint32_t Idx : Flagged)
     EXPECT_FALSE(Sys.CS->retract(Idx));
-  BidirectionalSolver S(*Sys.CS, O);
+  BidirectionalSolver S(*Sys.CS);
   S.solve();
   return semantics(S, *Sys.CS, *Sys.Dom);
+}
+
+/// Retraction as every caller does it: flag the constraint, then
+/// re-solve the edited system from scratch.
+Status retractAndResolve(ConstraintSystem &CS, BidirectionalSolver &S,
+                         uint32_t Idx) {
+  EXPECT_FALSE(CS.retract(Idx));
+  S.resetToFresh();
+  return S.solve();
 }
 
 //===----------------------------------------------------------------===//
@@ -132,14 +130,12 @@ TEST_P(IncrementalDifferential, RetractMatchesFreshSolve) {
   Rng R(Seed);
   testgen::RandomSystem Sys = testgen::randomSystem(R);
   const uint32_t N = static_cast<uint32_t>(Sys.CS->constraints().size());
-  SolverOptions O = incrementalOptions();
-  BidirectionalSolver S(*Sys.CS, O);
+  BidirectionalSolver S(*Sys.CS);
   Status St = S.solve();
   ASSERT_FALSE(BidirectionalSolver::isInterrupted(St));
 
-  // Two successive single-constraint edits — the second retract
-  // runs on an already-compacted arena, covering the post-retract
-  // index rebuild.
+  // Two successive single-constraint edits — the second re-solve runs
+  // on a solver that was already reset once.
   uint32_t First = static_cast<uint32_t>(Seed % N);
   uint32_t Second = static_cast<uint32_t>((Seed / 3 + 7) % N);
   std::vector<uint32_t> Flagged;
@@ -147,20 +143,16 @@ TEST_P(IncrementalDifferential, RetractMatchesFreshSolve) {
     if (std::find(Flagged.begin(), Flagged.end(), Idx) != Flagged.end())
       continue;
     SCOPED_TRACE("retract " + std::to_string(Idx));
-    ASSERT_FALSE(Sys.CS->retract(Idx));
     Flagged.push_back(Idx);
-    Expected<Status> RS = S.retract(Idx);
-    ASSERT_TRUE(RS) << RS.error().render();
-    ASSERT_FALSE(BidirectionalSolver::isInterrupted(*RS));
+    ASSERT_FALSE(BidirectionalSolver::isInterrupted(
+        retractAndResolve(*Sys.CS, S, Idx)));
 
-    EXPECT_EQ(semantics(S, *Sys.CS, *Sys.Dom),
-              freshFixpoint(Seed, Flagged, O));
+    EXPECT_EQ(semantics(S, *Sys.CS, *Sys.Dom), freshFixpoint(Seed, Flagged));
     if (S.status() == Status::Solved) {
       CertificationReport Rep = certifyFixpoint(S);
       EXPECT_TRUE(Rep.Ok) << Rep.summary();
     }
   }
-  EXPECT_EQ(S.stats().Retractions, Flagged.size());
 }
 
 // 59 seeds, matching the other differential suites.
@@ -174,18 +166,13 @@ TEST(IncrementalDrain, RetractEverythingLeavesNothing) {
     SCOPED_TRACE("seed " + std::to_string(Seed));
     Rng R(Seed);
     testgen::RandomSystem Sys = testgen::randomSystem(R);
-    SolverOptions O = incrementalOptions();
-    BidirectionalSolver S(*Sys.CS, O);
+    BidirectionalSolver S(*Sys.CS);
     ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
     const uint32_t N = static_cast<uint32_t>(Sys.CS->constraints().size());
-    for (uint32_t Idx = 0; Idx != N; ++Idx) {
-      ASSERT_FALSE(Sys.CS->retract(Idx));
-      Expected<Status> RS = S.retract(Idx);
-      ASSERT_TRUE(RS) << RS.error().render();
-    }
+    for (uint32_t Idx = 0; Idx != N; ++Idx)
+      retractAndResolve(*Sys.CS, S, Idx);
     EXPECT_EQ(S.status(), Status::Solved);
-    // EdgesInserted is cumulative and never rewound; the *live* state
-    // is what must be empty.
+    EXPECT_EQ(S.stats().EdgesInserted, 0u);
     EXPECT_EQ(S.processedEdges(), 0u);
     EXPECT_EQ(S.pendingEdges(), 0u);
     for (VarId V = 0; V != Sys.CS->numVars(); ++V) {
@@ -196,51 +183,16 @@ TEST(IncrementalDrain, RetractEverythingLeavesNothing) {
 }
 
 //===----------------------------------------------------------------===//
-// Precondition diagnostics: a rejected retract() leaves the solver
-// unchanged, and resetToFresh() + solve() is always a valid fallback.
+// Retraction edge cases and the system-level flag diagnostics
 //===----------------------------------------------------------------===//
-
-TEST(RetractDiags, RequiresIncrementalOptionsFromFirstSolve) {
-  Rng R(2);
-  testgen::RandomSystem Sys = testgen::randomSystem(R);
-  BidirectionalSolver S(*Sys.CS); // no Incremental, no TrackProvenance
-  S.solve();
-  ASSERT_FALSE(Sys.CS->retract(0));
-  Expected<Status> RS = S.retract(0);
-  ASSERT_FALSE(RS);
-  EXPECT_NE(RS.error().message().find("Incremental"), std::string::npos)
-      << RS.error().render();
-
-  // The documented fallback: fresh re-solve of the edited system.
-  S.resetToFresh();
-  S.solve();
-  std::vector<uint32_t> Flagged = {0};
-  EXPECT_EQ(semantics(S, *Sys.CS, *Sys.Dom),
-            freshFixpoint(2, Flagged, SolverOptions{}));
-}
-
-TEST(RetractDiags, RequiresSystemFlagFirst) {
-  Rng R(4);
-  testgen::RandomSystem Sys = testgen::randomSystem(R);
-  SolverOptions O = incrementalOptions();
-  BidirectionalSolver S(*Sys.CS, O);
-  S.solve();
-  Fixpoint Before = semantics(S, *Sys.CS, *Sys.Dom);
-  Expected<Status> RS = S.retract(0); // not flagged in the system
-  ASSERT_FALSE(RS);
-  EXPECT_NE(RS.error().message().find("flagged"), std::string::npos);
-  EXPECT_EQ(semantics(S, *Sys.CS, *Sys.Dom), Before); // unchanged
-}
 
 TEST(RetractDiags, OutOfRangeIndex) {
   Rng R(5);
   testgen::RandomSystem Sys = testgen::randomSystem(R);
-  SolverOptions O = incrementalOptions();
-  BidirectionalSolver S(*Sys.CS, O);
-  S.solve();
-  Expected<Status> RS = S.retract(1u << 20);
-  ASSERT_FALSE(RS);
-  EXPECT_NE(RS.error().message().find("out of range"), std::string::npos);
+  std::optional<Diag> D = Sys.CS->retract(1u << 20);
+  ASSERT_TRUE(D);
+  EXPECT_NE(D->message().find("out of range"), std::string::npos);
+  EXPECT_EQ(Sys.CS->numRetracted(), 0u);
 }
 
 TEST(RetractDiags, DoubleRetractRejectedBySystem) {
@@ -254,37 +206,35 @@ TEST(RetractDiags, DoubleRetractRejectedBySystem) {
 }
 
 TEST(RetractDiags, RejectedWhileInterruptedThenWorksAfterResume) {
+  // A retraction needs no quiescent solver: flagging during an
+  // interrupted closure and re-solving from scratch abandons the
+  // interrupted work, and the (re-interrupted) re-solve resumes to the
+  // edited system's fixpoint once the budget is lifted.
   Rng R(7);
   testgen::RandomSystem Sys = testgen::randomSystem(R);
-  SolverOptions O = incrementalOptions();
+  SolverOptions O;
   O.MaxEdges = 2;
   BidirectionalSolver S(*Sys.CS, O);
-  Status St = S.solve();
-  ASSERT_TRUE(BidirectionalSolver::isInterrupted(St));
+  ASSERT_TRUE(BidirectionalSolver::isInterrupted(S.solve()));
 
-  ASSERT_FALSE(Sys.CS->retract(0));
-  Expected<Status> RS = S.retract(0);
-  ASSERT_FALSE(RS);
-  EXPECT_NE(RS.error().message().find("quiescent"), std::string::npos);
-
-  // Resume to quiescence; the same retract now goes through and lands
-  // on the edited system's fixpoint.
+  Status St = retractAndResolve(*Sys.CS, S, 0);
   S.options().MaxEdges = 0;
-  ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
-  Expected<Status> RS2 = S.retract(0);
-  ASSERT_TRUE(RS2) << RS2.error().render();
-  SolverOptions FreshO = incrementalOptions();
+  if (BidirectionalSolver::isInterrupted(St))
+    St = S.solve();
+  ASSERT_FALSE(BidirectionalSolver::isInterrupted(St));
   std::vector<uint32_t> Flagged = {0};
-  EXPECT_EQ(semantics(S, *Sys.CS, *Sys.Dom),
-            freshFixpoint(7, Flagged, FreshO));
+  EXPECT_EQ(semantics(S, *Sys.CS, *Sys.Dom), freshFixpoint(7, Flagged));
+  if (St == Status::Solved) {
+    CertificationReport Rep = certifyFixpoint(S);
+    EXPECT_TRUE(Rep.Ok) << Rep.summary();
+  }
 }
 
 TEST(RetractDiags, CollapsedIdentityCycleGated) {
   // v0 <=1 v1, v1 <=1 v0 is an identity cycle: with cycle elimination
-  // on (the default) the two variables merge, and the merge cannot be
-  // undone edge-wise — retract() must refuse the identity var-var
-  // constraints, accept every other shape, and the refused edit must
-  // still be reachable through the fresh-solve fallback.
+  // on (the default) the two variables merge. Retracting either half
+  // must un-merge them — the re-solve's cycle elimination no longer
+  // sees the flagged edge — and any other shape retracts the same way.
   auto build = [] {
     Rng R(8);
     testgen::RandomSystem Sys = testgen::randomSkeleton(R);
@@ -295,71 +245,58 @@ TEST(RetractDiags, CollapsedIdentityCycleGated) {
     CS.add(CS.cons(Sys.Constants[0]), CS.var(Sys.Vars[0]), One); // 2
     return Sys;
   };
-  SolverOptions O;
-  O.Incremental = true;
-  O.TrackProvenance = true; // CycleElimination stays at its default
+  auto freshAfter = [&](uint32_t Idx) {
+    testgen::RandomSystem Fresh = build();
+    EXPECT_FALSE(Fresh.CS->retract(Idx));
+    BidirectionalSolver FS(*Fresh.CS);
+    EXPECT_FALSE(BidirectionalSolver::isInterrupted(FS.solve()));
+    return semantics(FS, *Fresh.CS, *Fresh.Dom);
+  };
 
+  // The identity var-var constraint v0 -> v1: the constant bounds v0
+  // but no longer v1.
   testgen::RandomSystem Sys = build();
-  BidirectionalSolver S(*Sys.CS, O);
+  BidirectionalSolver S(*Sys.CS);
   ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
   ASSERT_GT(S.stats().CollapsedVars, 0u);
-
-  ASSERT_FALSE(Sys.CS->retract(0));
-  Expected<Status> RS = S.retract(0);
-  ASSERT_FALSE(RS);
-  EXPECT_NE(RS.error().message().find("cycle elimination"),
-            std::string::npos)
-      << RS.error().render();
-
-  // The fallback reaches the edited fixpoint: with the v0 -> v1 half
-  // of the cycle gone, the constant bounds v0 but no longer v1.
-  S.resetToFresh();
-  ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
+  ASSERT_FALSE(BidirectionalSolver::isInterrupted(
+      retractAndResolve(*Sys.CS, S, 0)));
+  EXPECT_EQ(S.stats().CollapsedVars, 0u);
+  EXPECT_NE(S.rep(Sys.Vars[0]), S.rep(Sys.Vars[1]));
   EXPECT_FALSE(S.consLowerBounds(Sys.Vars[0]).empty());
   EXPECT_TRUE(S.consLowerBounds(Sys.Vars[1]).empty());
+  EXPECT_EQ(semantics(S, *Sys.CS, *Sys.Dom), freshAfter(0));
+  CertificationReport Rep = certifyFixpoint(S);
+  EXPECT_TRUE(Rep.Ok) << Rep.summary();
 
-  // A non-identity-var-var constraint retracts fine after a collapse:
-  // dropping the constant bound empties both merged variables, and
-  // the result matches a fresh solve of the edited system.
+  // The constant bound: both merged variables empty, still merged.
   testgen::RandomSystem Sys2 = build();
-  BidirectionalSolver S2(*Sys2.CS, O);
+  BidirectionalSolver S2(*Sys2.CS);
   ASSERT_FALSE(BidirectionalSolver::isInterrupted(S2.solve()));
-  ASSERT_GT(S2.stats().CollapsedVars, 0u);
-  ASSERT_FALSE(Sys2.CS->retract(2));
-  Expected<Status> RS2 = S2.retract(2);
-  ASSERT_TRUE(RS2) << RS2.error().render();
+  ASSERT_FALSE(BidirectionalSolver::isInterrupted(
+      retractAndResolve(*Sys2.CS, S2, 2)));
+  EXPECT_GT(S2.stats().CollapsedVars, 0u);
   EXPECT_TRUE(S2.consLowerBounds(Sys2.Vars[0]).empty());
   EXPECT_TRUE(S2.consLowerBounds(Sys2.Vars[1]).empty());
-
-  testgen::RandomSystem Fresh = build();
-  ASSERT_FALSE(Fresh.CS->retract(2));
-  BidirectionalSolver FS(*Fresh.CS, O);
-  ASSERT_FALSE(BidirectionalSolver::isInterrupted(FS.solve()));
-  EXPECT_EQ(semantics(S2, *Sys2.CS, *Sys2.Dom),
-            semantics(FS, *Fresh.CS, *Fresh.Dom));
+  EXPECT_EQ(semantics(S2, *Sys2.CS, *Sys2.Dom), freshAfter(2));
 }
 
 TEST(RetractDiags, NeverIngestedIndexIsJustASolve) {
   Rng R(9);
   testgen::RandomSystem Sys = testgen::randomSystem(R);
-  SolverOptions O = incrementalOptions();
-  BidirectionalSolver S(*Sys.CS, O);
+  BidirectionalSolver S(*Sys.CS);
   ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
   Fixpoint Before = semantics(S, *Sys.CS, *Sys.Dom);
-  uint64_t EdgesBefore = S.stats().EdgesInserted;
 
   // A constraint added after the solve and retracted before the next
-  // one never contributes a fact: the system flag alone suffices, no
-  // cone to invalidate.
+  // one never contributes a fact: the system flag alone suffices, and
+  // the online solve() needs no reset.
   uint32_t NewIdx = static_cast<uint32_t>(Sys.CS->constraints().size());
   Sys.CS->add(Sys.CS->var(Sys.Vars[0]), Sys.CS->var(Sys.Vars[1]),
               Sys.Dom->identity());
   ASSERT_FALSE(Sys.CS->retract(NewIdx));
-  Expected<Status> RS = S.retract(NewIdx);
-  ASSERT_TRUE(RS) << RS.error().render();
-  EXPECT_EQ(S.stats().Retractions, 1u);
-  EXPECT_EQ(S.stats().RetractedEdges, 0u);
-  EXPECT_EQ(S.stats().EdgesInserted, EdgesBefore);
+  ASSERT_FALSE(BidirectionalSolver::isInterrupted(S.solve()));
+  EXPECT_EQ(S.ingestedConstraints(), Sys.CS->constraints().size());
   EXPECT_EQ(semantics(S, *Sys.CS, *Sys.Dom), Before);
 }
 
@@ -428,27 +365,6 @@ TEST(RetractStatement, TextReplayReachesTheSameFixpoint) {
   ASSERT_EQ(B.size(), 1u);
   EXPECT_EQ(A[0].Holds, B[0].Holds);
   EXPECT_FALSE(B[0].Holds); // c no longer reaches X, let alone Y
-}
-
-//===----------------------------------------------------------------===//
-// Provenance memory accounting
-//===----------------------------------------------------------------===//
-
-TEST(IncrementalMemory, RetractionIndexesAreAccounted) {
-  Rng R(19);
-  testgen::RandomSystem Sys = testgen::randomSystem(R);
-  BidirectionalSolver Plain(*Sys.CS);
-  Plain.solve();
-  Rng R2(19);
-  testgen::RandomSystem Sys2 = testgen::randomSystem(R2);
-  SolverOptions O = incrementalOptions();
-  O.CycleElimination = true; // match Plain's defaults otherwise
-  BidirectionalSolver Inc(*Sys2.CS, O);
-  Inc.solve();
-  // Same closure, plus provenance records, parent links, and the
-  // two-level triple map: the incremental solver must report the
-  // difference rather than hide it from the memory governor.
-  EXPECT_GT(Inc.memoryBytes(), Plain.memoryBytes());
 }
 
 } // namespace

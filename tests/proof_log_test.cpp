@@ -19,10 +19,12 @@
 ///    fsync abandons the log (lastProofDiag) without interrupting the
 ///    solve; an injected short read makes recovery truncate — which
 ///    is always safe, the log merely proves less.
-///  - Enabling the log on an already-solved provenance-tracking
-///    solver rebuilds a complete, checkable proof.
-///  - retract() seals the log as unproven and clears the request;
-///    re-setting the path rebuilds a fresh valid proof.
+///  - The log is only written live: enabling it on a started solver
+///    is a Diag, and resetToFresh() + solve() then writes a complete,
+///    checkable proof.
+///  - Retraction (flag + resetToFresh() + solve()) rewrites the log as
+///    a complete proof of the edited system, which the --system
+///    cross-check accepts against the text with its "retract N;" line.
 ///  - The --system cross-check accepts the very file the log was
 ///    solved from and rejects a semantically edited one.
 ///  - The byte layer the log is framed with (support/Serialize.h):
@@ -74,8 +76,7 @@ protected:
   void TearDown() override { failpoints::disarmAll(); }
 };
 
-/// A tiny hand-built system (no identity var-var cycles, so retract()
-/// always has a legal target): k <= A, A <=[g] B, c0(A) <= C.
+/// A tiny hand-built system: k <= A, A <=[g] B, c0(A) <= C.
 testgen::RandomSystem smallSystem() {
   testgen::RandomSystem Sys;
   DfaBuilder B;
@@ -250,58 +251,81 @@ TEST_F(ProofLogTest, InjectedShortReadTruncatesRecovery) {
   std::remove(Path.c_str());
 }
 
-TEST_F(ProofLogTest, RebuildFromProvenanceOnStartedSolver) {
-  const std::string Path = tempPath("rebuild.rprf");
+TEST_F(ProofLogTest, LateOptInNeedsResetToFresh) {
+  const std::string Path = tempPath("lateoptin.rprf");
   for (uint64_t Seed : {3u, 17u, 41u}) {
     SCOPED_TRACE("seed " + std::to_string(Seed));
     Rng R(Seed * 7919 + 17);
     testgen::RandomSystem Sys = testgen::randomSystem(R);
-    SolverOptions O;
-    O.TrackProvenance = true;
-    BidirectionalSolver S(*Sys.CS, O);
+    BidirectionalSolver S(*Sys.CS);
     Status First = S.solve();
-    // Enable the log only now: the writer must replay the existing
-    // closure from provenance before sealing a checkable trailer.
+    // Enabling the log only now cannot be honored: the records of the
+    // existing closure were never written. The solve itself stands.
     S.options().ProofLogPath = Path;
-    Status Second = S.solve();
-    EXPECT_EQ(First, Second);
+    EXPECT_EQ(S.solve(), First);
+    ASSERT_TRUE(S.lastProofDiag());
+    EXPECT_NE(S.lastProofDiag()->message().find("proof log unavailable"),
+              std::string::npos)
+        << S.lastProofDiag()->render();
+    EXPECT_FALSE(S.proofActive());
+
+    // A reset keeps the path and logs the re-solve live.
+    S.resetToFresh();
+    EXPECT_EQ(S.solve(), First);
     ASSERT_FALSE(S.lastProofDiag()) << S.lastProofDiag()->render();
+    EXPECT_TRUE(S.proofActive());
     rasccheck::CheckResult C = check(Path);
     EXPECT_TRUE(C.ok()) << C.Message;
   }
   std::remove(Path.c_str());
 }
 
-TEST_F(ProofLogTest, RetractSealsUnprovenThenRebuilds) {
-  const std::string Path = tempPath("retract.rprf");
-  const std::string Path2 = tempPath("retract2.rprf");
-  testgen::RandomSystem Sys = smallSystem();
+TEST_F(ProofLogTest, LogStaysCheckableAcrossRetract) {
+  const char *Source = "language regex \"g+\";\n"
+                       "constant k;\n"
+                       "constructor c0 1;\n"
+                       "var A B C;\n"
+                       "k <= A;\n"
+                       "A <= [g] B;\n"
+                       "c0(A) <= C;\n"
+                       "query k in B;\n";
+  Expected<ConstraintProgram> P = ConstraintProgram::parseEx(Source);
+  ASSERT_TRUE(static_cast<bool>(P)) << P.error().render();
+  const std::string Log = tempPath("retract.rprf");
+  const std::string Rasc = tempPath("retract.rasc");
+  auto writeText = [&](const std::string &Text) {
+    std::ofstream F(Rasc);
+    F << Text;
+  };
   SolverOptions O;
-  O.ProofLogPath = Path;
-  O.TrackProvenance = true;
-  O.Incremental = true;
-  BidirectionalSolver S(*Sys.CS, O);
+  O.ProofLogPath = Log;
+  BidirectionalSolver S(P->system(), O);
   ASSERT_EQ(S.solve(), Status::Solved);
-  ASSERT_EQ(check(Path).ExitCode, 0);
+  ASSERT_TRUE(P->answer(S).at(0).Holds);
+  writeText(Source);
+  ASSERT_EQ(check(Log, Rasc).ExitCode, 0) << check(Log, Rasc).Message;
 
-  ASSERT_FALSE(Sys.CS->retract(1));
-  Expected<Status> RS = S.retract(1);
-  ASSERT_TRUE(static_cast<bool>(RS)) << RS.error().message();
-
-  // The old log is sealed as unproven (its records cite erased
-  // derivations) and the request is cleared, not latched.
-  ASSERT_TRUE(S.lastProofDiag());
-  EXPECT_TRUE(S.options().ProofLogPath.empty());
-  EXPECT_FALSE(S.proofActive());
-  EXPECT_EQ(check(Path).ExitCode, rasccheck::ExitIncomplete);
-
-  // Re-requesting builds a fresh, valid proof of the edited system.
-  S.options().ProofLogPath = Path2;
+  // Retract "A <= [g] B": the re-solve rewrites the log from its
+  // header, so it is a complete proof of the edited system.
+  ASSERT_FALSE(P->addStatements("retract 1;\n"));
+  S.resetToFresh();
   ASSERT_EQ(S.solve(), Status::Solved);
-  rasccheck::CheckResult C = check(Path2);
-  EXPECT_TRUE(C.ok()) << C.Message;
-  std::remove(Path.c_str());
-  std::remove(Path2.c_str());
+  ASSERT_FALSE(S.lastProofDiag()) << S.lastProofDiag()->render();
+  EXPECT_TRUE(S.proofActive());
+  std::vector<ConstraintProgram::Answer> Answers = P->answer(S);
+  ASSERT_EQ(Answers.size(), 1u);
+  EXPECT_FALSE(Answers[0].Holds); // k no longer reaches B
+  rasccheck::CheckResult C = check(Log);
+  EXPECT_EQ(C.ExitCode, 0) << C.Message;
+
+  // The durable text of the edit carries the "retract 1;" line; the
+  // cross-check accepts it and rejects the pre-retract text.
+  writeText(std::string(Source) + "retract 1;\n");
+  EXPECT_EQ(check(Log, Rasc).ExitCode, 0) << check(Log, Rasc).Message;
+  writeText(Source);
+  EXPECT_EQ(check(Log, Rasc).ExitCode, rasccheck::ExitSystemMismatch);
+  std::remove(Log.c_str());
+  std::remove(Rasc.c_str());
 }
 
 TEST_F(ProofLogTest, SystemCrossCheckAcceptsSourceRejectsEdit) {

@@ -323,14 +323,11 @@ TEST_F(ServiceTest, RetractUndoesAConstraintOnline) {
   startDaemon();
   Conn C = loadAndSolve("undo");
   // Constraint 1 (0-based ingestion order) is "X0 <= X1": with it
-  // withdrawn, c still bounds X0 but no longer reaches X1. The
-  // resident solver runs with IncrementalRetract, so the edit goes
-  // through cone invalidation, not a fresh re-solve.
+  // withdrawn, c still bounds X0 but no longer reaches X1.
   Frame R = rpc(C, Op::Retract, "1");
   ASSERT_EQ(R.Kind, Op::Ok) << R.Body;
   EXPECT_EQ(kvGet(R.Body, "status"), "solved");
-  EXPECT_EQ(kvGet(R.Body, "mode"), "incremental");
-  EXPECT_FALSE(kvGet(R.Body, "retracted-edges").empty());
+  EXPECT_FALSE(kvGet(R.Body, "edges").empty());
   R = rpc(C, Op::Entail, "c in X1");
   EXPECT_EQ(kvGet(R.Body, "holds"), "false");
   R = rpc(C, Op::Entail, "c in X0");
@@ -408,8 +405,8 @@ TEST_F(ServiceTest, ProofOptInStreamsCheckableLogAcrossHardKill) {
     ASSERT_EQ(R.Kind, Op::Ok) << R.Body;
     EXPECT_EQ(kvGet(R.Body, "proof"), "off");
     EXPECT_FALSE(fs::exists(Log));
-    // proof=1 on a started solver takes the rebuild-from-provenance
-    // path (the daemon tracks provenance for incremental retract).
+    // proof=1 on a started solver re-solves it from scratch with the
+    // log open (the log is only ever written live).
     R = rpc(C, Op::Solve, "proof=1");
     ASSERT_EQ(R.Kind, Op::Ok) << R.Body;
     EXPECT_EQ(kvGet(R.Body, "proof"), "streaming") << R.Body;
@@ -439,7 +436,8 @@ TEST_F(ServiceTest, ProofOptInStreamsCheckableLogAcrossHardKill) {
   CO.LogPath = Log.string();
   EXPECT_EQ(rasccheck::checkProofLog(CO).ExitCode, rasccheck::ExitSolved)
       << "recovered log no longer checks";
-  // Opt in again after recovery: a fresh log rebuilt from provenance.
+  // Opt in again after recovery: the warm-booted solver is started,
+  // so this re-solves it with a fresh log.
   Conn C = connect();
   Frame R = rpc(C, Op::Load, "proved");
   ASSERT_EQ(R.Kind, Op::Ok) << R.Body;
@@ -447,6 +445,38 @@ TEST_F(ServiceTest, ProofOptInStreamsCheckableLogAcrossHardKill) {
   ASSERT_EQ(R.Kind, Op::Ok) << R.Body;
   EXPECT_EQ(kvGet(R.Body, "proof"), "streaming") << R.Body;
   EXPECT_EQ(rasccheck::checkProofLog(CO).ExitCode, rasccheck::ExitSolved);
+}
+
+TEST_F(ServiceTest, RetractOnProvedSystemRewritesCheckableLog) {
+  startDaemon();
+  fs::path Log = Dir / "edited.rprf";
+  Conn C = connect();
+  Frame R = rpc(C, Op::Load, std::string("edited\n") + SmallProgram);
+  ASSERT_EQ(R.Kind, Op::Ok) << R.Body;
+  R = rpc(C, Op::Solve, "proof=1");
+  ASSERT_EQ(R.Kind, Op::Ok) << R.Body;
+  ASSERT_EQ(kvGet(R.Body, "proof"), "streaming") << R.Body;
+
+  // The retraction's re-solve rewrites the log as a complete proof of
+  // the edited system, and the durable text (now ending in
+  // "retract 1;") is exactly the system it proves.
+  R = rpc(C, Op::Retract, "1");
+  ASSERT_EQ(R.Kind, Op::Ok) << R.Body;
+  EXPECT_EQ(kvGet(R.Body, "status"), "solved");
+  R = rpc(C, Op::Entail, "c in X1");
+  EXPECT_EQ(kvGet(R.Body, "holds"), "false");
+  rasccheck::CheckOptions CO;
+  CO.LogPath = Log.string();
+  rasccheck::CheckResult CR = rasccheck::checkProofLog(CO);
+  EXPECT_EQ(CR.ExitCode, rasccheck::ExitSolved) << CR.Message;
+  CO.SystemPath = (Dir / "edited.rasc").string();
+  CR = rasccheck::checkProofLog(CO);
+  EXPECT_EQ(CR.ExitCode, rasccheck::ExitSolved) << CR.Message;
+
+  // Later plain solves keep the log streaming.
+  R = rpc(C, Op::Solve, "");
+  ASSERT_EQ(R.Kind, Op::Ok) << R.Body;
+  EXPECT_EQ(kvGet(R.Body, "proof"), "streaming") << R.Body;
 }
 
 TEST_F(ServiceTest, StatsExposesServiceMetrics) {
