@@ -22,6 +22,10 @@
 /// The corpus is generateEbpf() with fixed seeds, so numbers are
 /// comparable across runs and machines modulo hardware.
 ///
+/// This binary replaces the global operator new with a counting one,
+/// so BM_EbpfPipelineFlow can report heap allocations per program. The
+/// count repeats exactly from run to run, unlike the timings.
+///
 //===----------------------------------------------------------------------===//
 
 #include "dataflow/BitVector.h"
@@ -34,11 +38,32 @@
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <vector>
 
 using namespace rasc;
+
+namespace {
+std::atomic<uint64_t> HeapAllocs{0};
+} // namespace
+
+// Counting replacements; new[] and the nothrow forms route here. Kept
+// out of line so the compiler does not pair an inlined free() with a
+// new-expression and warn about a mismatch.
+[[gnu::noinline]] void *operator new(std::size_t N) {
+  HeapAllocs.fetch_add(1, std::memory_order_relaxed);
+  if (void *P = std::malloc(N ? N : 1))
+    return P;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void *P) noexcept { std::free(P); }
+[[gnu::noinline]] void operator delete(void *P, std::size_t) noexcept {
+  std::free(P);
+}
 
 namespace {
 
@@ -161,19 +186,26 @@ BENCHMARK(BM_EbpfPipelineDataflow)->UseRealTime();
 void BM_EbpfPipelineFlow(benchmark::State &State) {
   std::vector<ebpf::Cfg> Gs = cfgs(corpus(kPrograms));
   uint64_t CtxFlows = 0;
+  uint64_t Allocs = 0;
   for (auto _ : State) {
     CtxFlows = 0;
+    uint64_t Before = HeapAllocs.load(std::memory_order_relaxed);
     for (const ebpf::Cfg &G : Gs) {
       ebpf::FlowLowering Fl = ebpf::lowerToFlowProgram(G);
       FlowAnalysis A(Fl.Prog, FlowMode::Primal);
       A.prepare(SolverOptions{});
       CtxFlows += A.flowsPN(Fl.CtxLit, Fl.ResultExpr);
     }
+    Allocs = HeapAllocs.load(std::memory_order_relaxed) - Before;
   }
   State.counters["programs_per_s"] = benchmark::Counter(
       static_cast<double>(kPrograms * State.iterations()),
       benchmark::Counter::kIsRate);
   State.counters["ctx_flows"] = static_cast<double>(CtxFlows);
+  // Lowering, analysis construction, solve and query of one program,
+  // averaged over the corpus (the last iteration's count).
+  State.counters["allocs_per_program"] =
+      static_cast<double>(Allocs) / kPrograms;
 }
 BENCHMARK(BM_EbpfPipelineFlow)->UseRealTime();
 

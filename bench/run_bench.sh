@@ -339,7 +339,8 @@ fi
 # Every round is one process invocation covering all stages,
 # interleaved A/B across rounds (min-of-9 by default). The pooled
 # batch shape is perfbench's ebpf-batch. Appends an "ebpf" entry keyed by
-# benchmark name with min/median ms and the throughput counters.
+# benchmark name with min/median ms and the throughput counters, plus
+# BM_EbpfPipelineFlow's heap allocations per program (allocs_per_program).
 # Skipped when the ebpf bench is not built.
 
 EBPF_BIN="${BENCH_EBPF_BIN:-$REPO_ROOT/build/bench/bench_ebpf}"
@@ -371,6 +372,9 @@ for r in range(1, rounds + 1):
                 # Rate counters vary by round; keep the best.
                 cur = rec["counters"].get(k, 0)
                 rec["counters"][k] = max(cur, round(b[k], 1))
+        # A count that repeats exactly; kept from the last round.
+        if "allocs_per_program" in b:
+            rec["counters"]["allocs_per_program"] = round(b["allocs_per_program"], 3)
 
 configs = {
     name: {

@@ -118,6 +118,7 @@
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <string_view>
 
 using namespace rasc;
 
@@ -224,7 +225,13 @@ int run(const std::string &Source, const char *Name, CliOptions Cli) {
     std::optional<Diag> FlagDiag =
         P->addStatements("retract " + std::to_string(Idx) + ";", nullptr);
     if (FlagDiag) {
-      std::fprintf(stderr, "%s: %s\n", Name, FlagDiag->render().c_str());
+      // The statement is synthetic: name the flag, not a position in
+      // a line the user never wrote.
+      std::string_view Msg = FlagDiag->message();
+      if (Msg.starts_with("retract: "))
+        Msg.remove_prefix(sizeof("retract: ") - 1);
+      std::fprintf(stderr, "%s: --retract %u: %.*s\n", Name, Idx,
+                   static_cast<int>(Msg.size()), Msg.data());
       return 1;
     }
   }

@@ -6,33 +6,41 @@
 
 #include "automata/Dfa.h"
 
-
-#include <deque>
+#include <algorithm>
 #include <sstream>
 
 using namespace rasc;
 
 DynamicBitset Dfa::liveStates() const {
-  // Reverse reachability from the accepting states.
-  std::vector<std::vector<StateId>> Preds(NumStatesVal);
-  for (StateId S = 0; S != NumStatesVal; ++S)
-    for (SymbolId A = 0, E = numSymbols(); A != E; ++A)
-      Preds[next(S, A)].push_back(S);
+  // Reverse reachability from the accepting states, over predecessor
+  // lists in CSR form: Begin[T] counts T's in-edges, the prefix sum
+  // makes it the end of T's range, and the fill walks it back to the
+  // start.
+  uint32_t K = numSymbols();
+  std::vector<uint32_t> Begin(NumStatesVal + 1, 0);
+  for (StateId T : Transitions)
+    ++Begin[T];
+  for (StateId S = 1; S <= NumStatesVal; ++S)
+    Begin[S] += Begin[S - 1];
+  std::vector<StateId> Preds(Transitions.size());
+  for (StateId S = NumStatesVal; S-- != 0;)
+    for (SymbolId A = K; A-- != 0;)
+      Preds[--Begin[next(S, A)]] = S;
 
   DynamicBitset Live(NumStatesVal);
-  std::deque<StateId> Work;
+  std::vector<StateId> Work;
   for (StateId S = 0; S != NumStatesVal; ++S)
     if (AcceptingStates.test(S)) {
       Live.set(S);
       Work.push_back(S);
     }
   while (!Work.empty()) {
-    StateId S = Work.front();
-    Work.pop_front();
-    for (StateId P : Preds[S])
-      if (!Live.test(P)) {
-        Live.set(P);
-        Work.push_back(P);
+    StateId S = Work.back();
+    Work.pop_back();
+    for (uint32_t I = Begin[S]; I != Begin[S + 1]; ++I)
+      if (!Live.test(Preds[I])) {
+        Live.set(Preds[I]);
+        Work.push_back(Preds[I]);
       }
   }
   return Live;
@@ -41,10 +49,10 @@ DynamicBitset Dfa::liveStates() const {
 DynamicBitset Dfa::reachableStates() const {
   DynamicBitset Seen(NumStatesVal);
   Seen.set(StartState);
-  std::deque<StateId> Work{StartState};
+  std::vector<StateId> Work{StartState};
   while (!Work.empty()) {
-    StateId S = Work.front();
-    Work.pop_front();
+    StateId S = Work.back();
+    Work.pop_back();
     for (SymbolId A = 0, E = numSymbols(); A != E; ++A) {
       StateId T = next(S, A);
       if (!Seen.test(T)) {
@@ -76,40 +84,43 @@ SymbolId DfaBuilder::addSymbol(std::string_view Name) {
   for (SymbolId I = 0, E = static_cast<SymbolId>(Symbols.size()); I != E; ++I)
     if (Symbols[I] == Name)
       return I;
+  size_t K = Symbols.size();
   Symbols.emplace_back(Name);
-  for (auto &Row : Rows)
-    Row.push_back(InvalidState);
-  return static_cast<SymbolId>(Symbols.size() - 1);
+  if (numStates() != 0) {
+    // A symbol after states: re-lay the rows out one column wider.
+    std::vector<StateId> Wider(numStates() * (K + 1), InvalidState);
+    for (size_t S = 0, N = numStates(); S != N; ++S)
+      std::copy_n(Trans.begin() + S * K, K, Wider.begin() + S * (K + 1));
+    Trans = std::move(Wider);
+  }
+  return static_cast<SymbolId>(K);
 }
 
-StateId DfaBuilder::addState(std::string_view Name) {
-  Names.emplace_back(Name);
+StateId DfaBuilder::addState() {
   Accepting.push_back(false);
-  Rows.emplace_back(Symbols.size(), InvalidState);
-  return static_cast<StateId>(Names.size() - 1);
+  Trans.resize(Trans.size() + Symbols.size(), InvalidState);
+  return static_cast<StateId>(Accepting.size() - 1);
 }
 
 void DfaBuilder::setAccepting(StateId S, bool IsAccepting) {
-  assert(S < Names.size() && "state out of range");
+  assert(S < numStates() && "state out of range");
   Accepting[S] = IsAccepting;
 }
 
 void DfaBuilder::addTransition(StateId From, SymbolId Sym, StateId To) {
-  assert(From < Names.size() && To < Names.size() && "state out of range");
+  assert(From < numStates() && To < numStates() && "state out of range");
   assert(Sym < Symbols.size() && "symbol out of range");
-  assert((Rows[From][Sym] == InvalidState || Rows[From][Sym] == To) &&
+  StateId &Slot = Trans[static_cast<size_t>(From) * Symbols.size() + Sym];
+  assert((Slot == InvalidState || Slot == To) &&
          "conflicting deterministic transition");
-  Rows[From][Sym] = To;
+  Slot = To;
 }
 
 Dfa DfaBuilder::build() const {
-  uint32_t N = static_cast<uint32_t>(Names.size());
+  uint32_t N = numStates();
   assert(N > 0 && "automaton needs at least one state");
-  bool NeedDead = false;
-  for (const auto &Row : Rows)
-    for (StateId T : Row)
-      if (T == InvalidState)
-        NeedDead = true;
+  bool NeedDead =
+      std::find(Trans.begin(), Trans.end(), InvalidState) != Trans.end();
 
   uint32_t Total = N + (NeedDead ? 1 : 0);
   StateId Dead = N;
@@ -118,18 +129,11 @@ Dfa DfaBuilder::build() const {
     if (Accepting[I])
       Acc.set(I);
 
-  std::vector<StateId> Trans(static_cast<size_t>(Total) * Symbols.size());
-  for (uint32_t S = 0; S != N; ++S)
-    for (uint32_t A = 0, E = static_cast<uint32_t>(Symbols.size()); A != E;
-         ++A) {
-      StateId T = Rows[S][A];
-      Trans[static_cast<size_t>(S) * Symbols.size() + A] =
-          T == InvalidState ? Dead : T;
-    }
-  if (NeedDead)
-    for (uint32_t A = 0, E = static_cast<uint32_t>(Symbols.size()); A != E;
-         ++A)
-      Trans[static_cast<size_t>(Dead) * Symbols.size() + A] = Dead;
-
-  return Dfa(Symbols, Total, Start, std::move(Acc), std::move(Trans));
+  // Unset transitions, and every transition of the dead state, go to
+  // the dead state.
+  std::vector<StateId> Table(static_cast<size_t>(Total) * Symbols.size(),
+                             Dead);
+  std::replace_copy(Trans.begin(), Trans.end(), Table.begin(), InvalidState,
+                    Dead);
+  return Dfa(Symbols, Total, Start, std::move(Acc), std::move(Table));
 }

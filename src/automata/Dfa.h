@@ -130,21 +130,23 @@ private:
   std::vector<StateId> Transitions; // NumStates x NumSymbols, row-major
 };
 
-/// Incremental construction of a total DFA with named states. Missing
-/// transitions are routed to an implicitly created dead state.
+/// Incremental construction of a total DFA. Missing transitions are
+/// routed to an implicitly created dead state.
 class DfaBuilder {
 public:
   /// Adds (or finds) an alphabet symbol.
   SymbolId addSymbol(std::string_view Name);
 
-  /// Adds a new state. \p Name is used only for diagnostics.
-  StateId addState(std::string_view Name = "");
+  /// Adds a new state with every transition unset.
+  StateId addState();
 
   void setStart(StateId S) { Start = S; }
   void setAccepting(StateId S, bool Accepting = true);
   void addTransition(StateId From, SymbolId Sym, StateId To);
 
-  uint32_t numStates() const { return static_cast<uint32_t>(Names.size()); }
+  uint32_t numStates() const {
+    return static_cast<uint32_t>(Accepting.size());
+  }
 
   /// Finalizes the automaton. Unset transitions go to a fresh dead
   /// state (created only if some transition is missing).
@@ -152,11 +154,10 @@ public:
 
 private:
   std::vector<std::string> Symbols;
-  std::vector<std::string> Names;
-  std::vector<bool> Accepting;
-  // Trans[s * Symbols.size() + a], InvalidState if unset. Resized lazily
-  // in build(); stored sparsely here.
-  std::vector<std::vector<StateId>> Rows;
+  std::vector<bool> Accepting; // one per state
+  // Trans[s * Symbols.size() + a], InvalidState if unset: one flat
+  // table, re-laid out only when a symbol is added after states.
+  std::vector<StateId> Trans;
   StateId Start = 0;
 };
 

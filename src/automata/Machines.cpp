@@ -14,8 +14,8 @@ Dfa rasc::buildOneBitMachine() {
   DfaBuilder B;
   SymbolId G = B.addSymbol("g");
   SymbolId K = B.addSymbol("k");
-  StateId S0 = B.addState("0");
-  StateId S1 = B.addState("1");
+  StateId S0 = B.addState();
+  StateId S1 = B.addState();
   B.setStart(S0);
   B.setAccepting(S1);
   B.addTransition(S0, G, S1);
@@ -36,7 +36,7 @@ Dfa rasc::buildNBitMachine(unsigned NumBits) {
   // One state per bit-vector value.
   uint32_t NumStates = 1u << NumBits;
   for (uint32_t V = 0; V != NumStates; ++V)
-    B.addState(std::to_string(V));
+    B.addState();
   B.setStart(0);
   for (uint32_t V = 0; V != NumStates; ++V) {
     if (V == NumStates - 1)
@@ -56,7 +56,7 @@ Dfa rasc::buildAdversarialMachine(unsigned NumStates) {
   SymbolId Swap = B.addSymbol("swap");
   SymbolId Merge = B.addSymbol("merge");
   for (unsigned I = 0; I != NumStates; ++I)
-    B.addState(std::to_string(I));
+    B.addState();
   B.setStart(0);
   B.setAccepting(0);
   for (unsigned I = 0; I != NumStates; ++I) {
@@ -76,8 +76,8 @@ Dfa rasc::buildFileStateMachine() {
   DfaBuilder B;
   SymbolId Open = B.addSymbol("open");
   SymbolId Close = B.addSymbol("close");
-  StateId Closed = B.addState("closed");
-  StateId Opened = B.addState("opened");
+  StateId Closed = B.addState();
+  StateId Opened = B.addState();
   B.setStart(Closed);
   B.setAccepting(Closed);
   B.addTransition(Closed, Open, Opened);

@@ -15,41 +15,55 @@
 
 using namespace rasc;
 
-std::pair<FnId, bool> TransitionMonoid::FnTable::insert(const StateId *Fn) {
-  if (2 * (Count + 1) > Slots.size())
-    rehash();
+uint64_t TransitionMonoid::FnTable::hash(const StateId *Fn) const {
+  // A multiply-add per word of two states (state ids are 32-bit), then
+  // one full mix: every state moves the high bits, and the mix carries
+  // them into the low bits that pick the home slot.
+  constexpr uint64_t K = 0x9e3779b97f4a7c15ULL;
+  uint64_t H = NumStates;
+  uint32_t S = 0;
+  for (; S + 1 < NumStates; S += 2)
+    H = (H + (Fn[S] | static_cast<uint64_t>(Fn[S + 1]) << 32)) * K;
+  if (S != NumStates)
+    H = (H + Fn[S]) * K;
+  return mix64(H);
+}
+
+size_t TransitionMonoid::FnTable::probe(const StateId *Fn, uint64_t H) const {
   size_t Mask = Slots.size() - 1;
-  for (size_t I = hashRange(Fn, Fn + NumStates) & Mask;; I = (I + 1) & Mask) {
+  for (size_t I = H & Mask;; I = (I + 1) & Mask) {
     FnId Id = Slots[I];
-    if (Id == InvalidFn) {
-      Id = static_cast<FnId>(Count++);
-      Slots[I] = Id;
-      Funcs.insert(Funcs.end(), Fn, Fn + NumStates);
-      return {Id, true};
-    }
-    if (std::equal(Fn, Fn + NumStates, get(Id)))
-      return {Id, false};
+    if (Id == InvalidFn ||
+        (Hashes[Id] == H && std::equal(Fn, Fn + NumStates, get(Id))))
+      return I;
   }
+}
+
+std::pair<FnId, bool> TransitionMonoid::FnTable::insert(const StateId *Fn) {
+  if (2 * (size() + 1) > Slots.size())
+    rehash();
+  uint64_t H = hash(Fn);
+  size_t I = probe(Fn, H);
+  if (Slots[I] != InvalidFn)
+    return {Slots[I], false};
+  FnId Id = static_cast<FnId>(size());
+  Slots[I] = Id;
+  Funcs.insert(Funcs.end(), Fn, Fn + NumStates);
+  Hashes.push_back(H);
+  return {Id, true};
 }
 
 FnId TransitionMonoid::FnTable::find(const StateId *Fn) const {
   if (Slots.empty())
     return InvalidFn;
-  size_t Mask = Slots.size() - 1;
-  for (size_t I = hashRange(Fn, Fn + NumStates) & Mask;; I = (I + 1) & Mask) {
-    FnId Id = Slots[I];
-    if (Id == InvalidFn || std::equal(Fn, Fn + NumStates, get(Id)))
-      return Id;
-  }
+  return Slots[probe(Fn, hash(Fn))];
 }
 
 void TransitionMonoid::FnTable::rehash() {
-  std::vector<FnId> Old(std::max<size_t>(16, 2 * Slots.size()), InvalidFn);
-  Old.swap(Slots);
+  Slots.assign(std::max<size_t>(64, 2 * Slots.size()), InvalidFn);
   size_t Mask = Slots.size() - 1;
-  for (FnId Id = 0; Id != Count; ++Id) {
-    const StateId *Fn = get(Id);
-    size_t I = hashRange(Fn, Fn + NumStates) & Mask;
+  for (FnId Id = 0, E = static_cast<FnId>(size()); Id != E; ++Id) {
+    size_t I = Hashes[Id] & Mask;
     while (Slots[I] != InvalidFn)
       I = (I + 1) & Mask;
     Slots[I] = Id;
@@ -82,22 +96,33 @@ FnId TransitionMonoid::intern(const StateId *Fn) const {
   return Id;
 }
 
+void TransitionMonoid::growRow(RowSpan &Row) const {
+  // Room for every element known now (so the next misses on the row
+  // skip this), and at least double the old span.
+  size_t Cap = std::max<size_t>(size(), 2 * size_t(Row.Cap));
+  if (Row.Cap != 0 && Row.Off + Row.Cap == RowData.size()) {
+    // Already the last span: extend it where it is.
+    RowData.resize(Row.Off + Cap, InvalidFn);
+  } else {
+    size_t Off = RowData.size();
+    RowData.resize(Off + Cap, InvalidFn);
+    std::copy_n(RowData.begin() + Row.Off, Row.Cap, RowData.begin() + Off);
+    Row.Off = Off;
+  }
+  Row.Cap = static_cast<uint32_t>(Cap);
+}
+
 FnId TransitionMonoid::composeMiss(FnId F, FnId G) const {
   ++Misses;
   const StateId *Ff = Fns.get(F), *Gf = Fns.get(G);
   for (StateId S = 0; S != NumStates; ++S)
     Scratch[S] = Ff[Gf[S]];
   FnId R = intern(Scratch.data());
-  // Interning may have appended a row; take F's afterwards. Sizing the
-  // row to every element known now lets the next misses on it skip the
-  // resize.
-  std::vector<FnId> &Row = Rows[F];
-  if (G >= Row.size()) {
-    size_t Before = Row.capacity();
-    Row.resize(size(), InvalidFn);
-    RowBytes += (Row.capacity() - Before) * sizeof(FnId);
-  }
-  Row[G] = R;
+  // Interning may have appended a span; take F's afterwards.
+  RowSpan &Row = Rows[F];
+  if (G >= Row.Cap)
+    growRow(Row);
+  RowData[Row.Off + G] = R;
   return R;
 }
 
@@ -114,7 +139,8 @@ bool TransitionMonoid::enumerateAll() const {
 
 size_t TransitionMonoid::memoryBytes() const {
   return Fns.memoryBytes() + Useless.capacity() / 8 +
-         Rows.capacity() * sizeof(std::vector<FnId>) + RowBytes +
+         Rows.capacity() * sizeof(RowSpan) +
+         RowData.capacity() * sizeof(FnId) +
          SymbolFns.capacity() * sizeof(FnId) + Sampled.memoryBytes() +
          SampleSteps.capacity() * sizeof(SampleStep);
 }

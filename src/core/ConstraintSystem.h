@@ -101,6 +101,17 @@ public:
 
   const AnnotationDomain &domain() const { return Domain; }
 
+  /// Makes room for \p N variables, \p N expressions and \p N
+  /// constraints, for a generator that knows its size up front (about
+  /// one of each per program node, say).
+  void reserve(size_t N) {
+    VarNames.reserve(N);
+    ConstraintList.reserve(N);
+    Exprs.reserve(N);
+    SameHash.reserve(N);
+    VarExpr.reserve(N);
+  }
+
   /// Declares a constructor. Names are for diagnostics; distinct calls
   /// always create distinct constructors.
   ConsId addConstructor(std::string Name, uint32_t Arity) {
@@ -113,10 +124,9 @@ public:
     return addConstructor(std::move(Name), 0);
   }
 
-  /// Creates a fresh set variable.
+  /// Creates a fresh set variable. An unnamed one is named "X<id>"
+  /// when varName() asks, not here.
   VarId freshVar(std::string Name = "") {
-    if (Name.empty())
-      Name = "X" + std::to_string(VarNames.size());
     VarNames.push_back(std::move(Name));
     return static_cast<VarId>(VarNames.size() - 1);
   }
@@ -128,9 +138,9 @@ public:
     return static_cast<uint32_t>(Constructors.size());
   }
 
-  const std::string &varName(VarId V) const {
+  std::string varName(VarId V) const {
     assert(V < VarNames.size() && "variable out of range");
-    return VarNames[V];
+    return VarNames[V].empty() ? "X" + std::to_string(V) : VarNames[V];
   }
 
   const Constructor &constructor(ConsId C) const {

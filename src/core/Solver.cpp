@@ -89,21 +89,19 @@ VarId BidirectionalSolver::rep(VarId V) const {
   return VarReps.find(V);
 }
 
-void BidirectionalSolver::growTo(ExprId E) {
+void BidirectionalSolver::growNodes(ExprId E) {
   size_t Need = std::max<size_t>(E + 1, CS.numExprs());
-  if (Succs.numNodes() < Need) {
-    size_t Old = Succs.numNodes();
-    Succs.ensureNodes(Need);
-    Preds.ensureNodes(Need);
-    Watchers.resize(Need);
-    SuccDone.resize(Need, 0);
-    PredDone.resize(Need, 0);
-    // Every id below numExprs() is interned by now, so the kind cache
-    // can be filled for the whole new range.
-    NodeKind.resize(Need);
-    for (size_t I = Old; I != Need; ++I)
-      NodeKind[I] = static_cast<uint8_t>(CS.expr(I).Kind);
-  }
+  size_t Old = Succs.numNodes();
+  Succs.ensureNodes(Need);
+  Preds.ensureNodes(Need);
+  Watchers.resize(Need);
+  SuccDone.resize(Need, 0);
+  PredDone.resize(Need, 0);
+  // Every id below numExprs() is interned by now, so the kind cache
+  // can be filled for the whole new range.
+  NodeKind.resize(Need);
+  for (size_t I = Old; I != Need; ++I)
+    NodeKind[I] = static_cast<uint8_t>(CS.expr(I).Kind);
 }
 
 ExprId BidirectionalSolver::varNode(VarId V) {
@@ -147,8 +145,9 @@ void BidirectionalSolver::collapseCycles(size_t FirstNew) {
   const std::vector<Constraint> &Cons = CS.constraints();
   AnnId Identity = CS.domain().identity();
 
-  std::vector<std::vector<uint32_t>> Adj(CS.numVars());
-  bool Any = false;
+  // The identity var→var edges; most systems have none, and then this
+  // allocates nothing.
+  std::vector<std::pair<uint32_t, uint32_t>> Pairs;
   for (size_t I = FirstNew; I != Cons.size(); ++I) {
     if (CS.isRetracted(static_cast<uint32_t>(I)))
       continue;
@@ -157,14 +156,27 @@ void BidirectionalSolver::collapseCycles(size_t FirstNew) {
     if (Cons[I].Ann != Identity || L.Kind != ExprKind::Var ||
         R.Kind != ExprKind::Var)
       continue;
-    Adj[L.V].push_back(R.V);
-    Any = true;
+    Pairs.emplace_back(L.V, R.V);
   }
-  if (!Any)
+  if (Pairs.empty())
     return;
 
-  // Iterative Tarjan SCC.
+  // Successor lists in CSR form, each in constraint order: Begin[V]
+  // counts V's edges, the prefix sum makes it the end of V's range,
+  // and the fill walks it back to the start.
   uint32_t N = CS.numVars();
+  std::vector<uint32_t> Begin(N + 1, 0);
+  for (auto [From, To] : Pairs)
+    ++Begin[From];
+  for (uint32_t V = 1; V <= N; ++V)
+    Begin[V] += Begin[V - 1];
+  std::vector<uint32_t> Adj(Pairs.size());
+  for (size_t I = Pairs.size(); I-- != 0;)
+    Adj[--Begin[Pairs[I].first]] = Pairs[I].second;
+
+  // Iterative Tarjan SCC. A variable without out-edges is a singleton
+  // component unless reached from another root, so only variables with
+  // out-edges start a search.
   std::vector<uint32_t> Index(N, ~0u), Low(N, 0);
   std::vector<bool> OnStack(N, false);
   std::vector<uint32_t> Stack;
@@ -178,7 +190,7 @@ void BidirectionalSolver::collapseCycles(size_t FirstNew) {
 
   VarReps.grow(N);
   for (uint32_t Root = 0; Root != N; ++Root) {
-    if (Index[Root] != ~0u)
+    if (Index[Root] != ~0u || Begin[Root] == Begin[Root + 1])
       continue;
     Frames.push_back({Root, 0});
     while (!Frames.empty()) {
@@ -189,8 +201,8 @@ void BidirectionalSolver::collapseCycles(size_t FirstNew) {
         Stack.push_back(V);
         OnStack[V] = true;
       }
-      if (F.Child < Adj[V].size()) {
-        uint32_t W = Adj[V][F.Child++];
+      if (F.Child < Begin[V + 1] - Begin[V]) {
+        uint32_t W = Adj[Begin[V] + F.Child++];
         if (Index[W] == ~0u) {
           Frames.push_back({W, 0});
         } else if (OnStack[W]) {
@@ -602,6 +614,18 @@ BidirectionalSolver::Status BidirectionalSolver::solve() {
     collapseCycles(0);
 
   const std::vector<Constraint> &Cons = CS.constraints();
+  if (NumIngested == 0 && !Cons.empty()) {
+    // A first solve knows its size: node tables for every expression
+    // and variable so far, room for twice as many edges as constraints,
+    // and a successor chunk per constraint (a predecessor chunk per two:
+    // Preds holds only constructor-source edges).
+    growTo(static_cast<ExprId>(CS.numExprs() - 1));
+    VarReps.grow(CS.numVars());
+    EdgeArena.reserve(2 * Cons.size());
+    EdgeSeen.reserveRows(2 * Cons.size());
+    Succs.reserveChunks(Cons.size());
+    Preds.reserveChunks(Cons.size() / 2);
+  }
   {
     RASC_TRACE_SCOPE("solver.ingest", Cons.size() - NumIngested);
     while (NumIngested < Cons.size()) {
@@ -1022,13 +1046,13 @@ BidirectionalSolver::atomReachability(ConsId Atom,
 
   // Index: wrap steps. For each constructor lower bound ce ⊆^f Y with
   // ce = c(..., Xi, ...), an atom at Xi with class a occurs inside Y's
-  // terms with class f ∘ a.
+  // terms with class f ∘ a. The index is CSR by rep(Xi), filled in
+  // the order the bounds are scanned.
   struct WrapStep {
     VarId Outer;
     AnnId Fn;
     ConsId C;
   };
-  std::vector<std::vector<WrapStep>> WrapIdx(CS.numVars());
   R.Facts.resize(CS.numVars());
 
   // Phase: false = "N" (unmatched projections still allowed), true =
@@ -1036,6 +1060,8 @@ BidirectionalSolver::atomReachability(ConsId Atom,
   std::vector<std::tuple<VarId, AnnId, bool>> Work;
   size_t Head = 0;
   FlatSet64 Seen;
+  Seen.reserve(CS.numVars());
+  R.ParentIdx.reserve(CS.numVars());
 
   auto addFact = [&](VarId V, AnnId A, bool Phase,
                      AtomReachability::Provenance Prov) {
@@ -1054,24 +1080,43 @@ BidirectionalSolver::atomReachability(ConsId Atom,
     Work.emplace_back(V, A, Phase);
   };
 
+  // One scan of the constructor lower bounds on variables seeds the
+  // atom's facts and lists the wrap steps with their rep(Xi), counted
+  // into WrapBegin[rep + 1]; a counting sort then files them by
+  // rep(Xi), keeping scan order within each.
+  std::vector<uint32_t> WrapBegin(CS.numVars() + 1, 0);
+  std::vector<std::pair<VarId, WrapStep>> Scanned;
   for (ExprId Node = 0; Node != Preds.numNodes(); ++Node) {
-    const Expr &NE = CS.expr(Node);
-    if (NE.Kind != ExprKind::Var)
+    if (Preds.degree(Node) == 0 ||
+        NodeKind[Node] != static_cast<uint8_t>(ExprKind::Var))
       continue;
+    VarId Outer = CS.expr(Node).V;
     Preds.forEach(Node, [&](ExprId Src, AnnId Ann) {
       const Expr &SE = CS.expr(Src);
       if (SE.C == Atom && SE.NumArgs == 0)
-        addFact(NE.V, Ann, /*Phase=*/false, {});
-      for (VarId A : CS.args(SE))
-        WrapIdx[rep(A)].push_back({NE.V, Ann, SE.C});
+        addFact(Outer, Ann, /*Phase=*/false, {});
+      for (VarId A : CS.args(SE)) {
+        VarId Inner = rep(A);
+        ++WrapBegin[Inner + 1];
+        Scanned.push_back({Inner, {Outer, Ann, SE.C}});
+      }
     });
+  }
+  for (size_t V = 1; V < WrapBegin.size(); ++V)
+    WrapBegin[V] += WrapBegin[V - 1];
+  std::vector<WrapStep> Wraps(Scanned.size());
+  {
+    std::vector<uint32_t> Next(WrapBegin.begin(), WrapBegin.end() - 1);
+    for (const auto &[Inner, W] : Scanned)
+      Wraps[Next[Inner]++] = W;
   }
 
   while (Head != Work.size()) {
     auto [V, A, Phase] = Work[Head++];
 
     // P steps: wrap under a constructor flowing somewhere.
-    for (const WrapStep &W : WrapIdx[V]) {
+    for (uint32_t I = WrapBegin[V]; I != WrapBegin[V + 1]; ++I) {
+      const WrapStep &W = Wraps[I];
       AnnId Wrapped = D.compose(W.Fn, A);
       if (Options.FilterUseless && D.isUseless(Wrapped))
         continue;

@@ -45,6 +45,7 @@
 #include "support/Trace.h"
 #include "support/UnionFind.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -572,7 +573,13 @@ private:
   bool isVarNode(ExprId E) const {
     return CS.expr(E).Kind == ExprKind::Var;
   }
-  void growTo(ExprId E);
+  /// Sizes the per-node tables to cover \p E and every expression
+  /// interned so far; the common already-covered case stays inline.
+  void growTo(ExprId E) {
+    if (Succs.numNodes() < std::max<size_t>(E + 1, CS.numExprs()))
+      growNodes(E);
+  }
+  void growNodes(ExprId E);
 
   /// The expression node of (representative) variable \p V, interned
   /// on first use and recorded in the VarNode index. All solving-side

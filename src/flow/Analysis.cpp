@@ -287,6 +287,8 @@ FlowAnalysis::FlowAnalysis(const FlowProgram &P, FlowMode Mode)
       Mode == FlowMode::Primal ? buildPairAutomaton(P, &BracketSyms)
                                : buildCallAutomaton(P, &CallSyms));
   CS = std::make_unique<ConstraintSystem>(*Dom);
+  // About one label, one constraint and one set expression per node.
+  CS->reserve(P.numExprs());
 
   if (Mode == FlowMode::Primal) {
     CallCons.resize(P.numCallSites());

@@ -261,7 +261,7 @@ Expected<SpecAutomaton> rasc::parseSpecEx(std::string_view Text) {
   for (const StateDecl &D : States) {
     if (StateIds.count(D.Name))
       return Diag("duplicate state '" + D.Name + "'", at(D.Line));
-    StateIds[D.Name] = B.addState(D.Name);
+    StateIds[D.Name] = B.addState();
     StateNames.push_back(D.Name);
   }
 

@@ -52,6 +52,14 @@ public:
       Nodes.resize(N);
   }
 
+  /// Makes room for \p N chunks (one per list of up to ChunkCap
+  /// entries), so a caller that knows roughly how many lists it fills
+  /// skips the arena's doublings.
+  void reserveChunks(size_t N) {
+    Chunks.reserve(N);
+    NextChunk.reserve(N);
+  }
+
   uint32_t degree(uint32_t Node) const {
     assert(Node < Nodes.size() && "node out of range");
     return Nodes[Node].Size;

@@ -124,6 +124,22 @@ public:
     return testAndSetSpilled(Key, Ann);
   }
 
+  /// Makes room for \p N (src, dst) rows, so a solve that knows its
+  /// size up front skips the doublings from the smallest table. Spilled
+  /// rows reserve only their index: the bit arena keeps growing by a
+  /// quarter (see appendRow).
+  void reserveRows(size_t N) {
+    if (!InlineMode) {
+      Rows.reserve(N);
+      return;
+    }
+    size_t Cap = 16;
+    while (Cap * 7 <= N * 8)
+      Cap *= 2;
+    if (Cap > Slots.size())
+      rehashInline(Cap);
+  }
+
   /// Issues a prefetch for the home slot of row (A, B), which a
   /// subsequent insert(A, B, Ann) will probe. The closure's probe
   /// stream has no locality (derived edges hash all over the table),

@@ -17,6 +17,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 namespace rasc {
@@ -27,10 +28,12 @@ class UnionFind {
 public:
   /// Ensures ids [0, N) exist.
   void grow(uint32_t N) {
-    while (Parent.size() < N) {
-      Parent.push_back(static_cast<uint32_t>(Parent.size()));
-      Rank.push_back(0);
-    }
+    if (Parent.size() >= N)
+      return;
+    uint32_t Old = static_cast<uint32_t>(Parent.size());
+    Parent.resize(N);
+    std::iota(Parent.begin() + Old, Parent.end(), Old);
+    Rank.resize(N, 0);
   }
 
   /// \returns the representative of \p X, with path halving.

@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 using namespace rasc;
 
 namespace {
@@ -158,6 +160,63 @@ TEST_P(AutomataRandom, UselessMeansNoAcceptingExtension) {
     for (StateId S = 0; S != M.numStates(); ++S)
       AnyLive |= Live.test(Mon.apply(F, S));
     EXPECT_EQ(Mon.isUseless(F), !AnyLive);
+  }
+}
+
+TEST_P(AutomataRandom, LiveAndReachableMatchReferenceBfs) {
+  Rng R(GetParam() ^ 0x1717);
+  // Partial transition tables, so some automata gain a dead state.
+  DfaBuilder B;
+  unsigned NumStates = 1 + static_cast<unsigned>(R.below(9));
+  unsigned NumSyms = 1 + static_cast<unsigned>(R.below(3));
+  for (unsigned I = 0; I != NumSyms; ++I)
+    B.addSymbol("s" + std::to_string(I));
+  for (unsigned I = 0; I != NumStates; ++I)
+    B.addState();
+  B.setStart(static_cast<StateId>(R.below(NumStates)));
+  for (unsigned I = 0; I != NumStates; ++I) {
+    if (R.chance(1, 4))
+      B.setAccepting(I);
+    for (SymbolId S = 0; S != NumSyms; ++S)
+      if (!R.chance(1, 4))
+        B.addTransition(I, S, static_cast<StateId>(R.below(NumStates)));
+  }
+  Dfa M = B.build();
+
+  // Reference: breadth-first search with a queue, forward from the
+  // start and backward (over a scan for predecessors) from the
+  // accepting states.
+  auto bfs = [&](std::vector<StateId> Seeds, bool Backward) {
+    std::vector<bool> Seen(M.numStates(), false);
+    std::deque<StateId> Q;
+    for (StateId S : Seeds) {
+      Seen[S] = true;
+      Q.push_back(S);
+    }
+    while (!Q.empty()) {
+      StateId S = Q.front();
+      Q.pop_front();
+      for (StateId T = 0; T != M.numStates(); ++T)
+        for (SymbolId A = 0; A != M.numSymbols(); ++A) {
+          bool Edge = Backward ? M.next(T, A) == S : M.next(S, A) == T;
+          if (Edge && !Seen[T]) {
+            Seen[T] = true;
+            Q.push_back(T);
+          }
+        }
+    }
+    return Seen;
+  };
+  std::vector<StateId> Accepting;
+  for (StateId S = 0; S != M.numStates(); ++S)
+    if (M.isAccepting(S))
+      Accepting.push_back(S);
+  std::vector<bool> Live = bfs(Accepting, /*Backward=*/true);
+  std::vector<bool> Reach = bfs({M.start()}, /*Backward=*/false);
+  DynamicBitset GotLive = M.liveStates(), GotReach = M.reachableStates();
+  for (StateId S = 0; S != M.numStates(); ++S) {
+    EXPECT_EQ(GotLive.test(S), Live[S]) << "state " << S;
+    EXPECT_EQ(GotReach.test(S), Reach[S]) << "state " << S;
   }
 }
 

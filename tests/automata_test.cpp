@@ -56,6 +56,64 @@ TEST(DfaBuilder, SymbolAddedAfterStateGetsDeadTransitions) {
   EXPECT_FALSE(M.accepts(Word{A}));
 }
 
+TEST(DfaBuilder, SymbolAddedAfterStatesMatchesSymbolAddedFirst) {
+  // Transitions (from, symbol, to) over symbols "a" and "b"; state 2
+  // lacks a "b" transition, so both automata get a dead state.
+  const StateId Edges[][3] = {{0, 0, 1}, {0, 1, 2}, {1, 0, 2},
+                              {1, 1, 0}, {2, 0, 2}};
+  auto finish = [&](DfaBuilder &B) {
+    for (const auto &E : Edges)
+      B.addTransition(E[0], E[1], E[2]);
+    B.setStart(0);
+    B.setAccepting(2);
+    return B.build();
+  };
+  DfaBuilder First;
+  First.addSymbol("a");
+  First.addSymbol("b");
+  for (int I = 0; I != 3; ++I)
+    First.addState();
+  DfaBuilder Late;
+  Late.addSymbol("a");
+  Late.addState();
+  Late.addState();
+  EXPECT_EQ(Late.addSymbol("b"), 1u); // re-lays two rows out
+  Late.addState();
+  EXPECT_EQ(Late.addSymbol("a"), 0u); // a known symbol adds nothing
+  Dfa A = finish(First), B = finish(Late);
+  ASSERT_EQ(A.numStates(), 4u);
+  ASSERT_EQ(B.numStates(), A.numStates());
+  ASSERT_EQ(B.alphabet(), A.alphabet());
+  EXPECT_EQ(B.start(), A.start());
+  for (StateId S = 0; S != A.numStates(); ++S) {
+    EXPECT_EQ(B.isAccepting(S), A.isAccepting(S));
+    for (SymbolId Sym = 0; Sym != A.numSymbols(); ++Sym)
+      EXPECT_EQ(B.next(S, Sym), A.next(S, Sym)) << S << " " << Sym;
+  }
+}
+
+TEST(DfaBuilder, DeadStateOnlyWhenATransitionIsMissing) {
+  DfaBuilder B;
+  SymbolId A = B.addSymbol("a");
+  StateId S0 = B.addState(), S1 = B.addState();
+  B.setAccepting(S1);
+  B.addTransition(S0, A, S1);
+  B.addTransition(S1, A, S0);
+  Dfa Complete = B.build();
+  EXPECT_EQ(Complete.numStates(), 2u);
+
+  SymbolId Bsym = B.addSymbol("b"); // both states now lack "b"
+  Dfa Partial = B.build();
+  ASSERT_EQ(Partial.numStates(), 3u);
+  StateId Dead = 2;
+  EXPECT_FALSE(Partial.isAccepting(Dead));
+  EXPECT_EQ(Partial.next(S0, Bsym), Dead);
+  EXPECT_EQ(Partial.next(S1, Bsym), Dead);
+  EXPECT_EQ(Partial.next(S0, A), S1);
+  for (SymbolId Sym : {A, Bsym})
+    EXPECT_EQ(Partial.next(Dead, Sym), Dead);
+}
+
 TEST(OneBit, AcceptsGenEndings) {
   Dfa M = buildOneBitMachine();
   EXPECT_FALSE(M.accepts(Word{}));

@@ -18,6 +18,7 @@
 #include <fstream>
 #include <gtest/gtest.h>
 #include <iterator>
+#include <map>
 
 using namespace rasc;
 
@@ -370,6 +371,78 @@ TEST(Monoid, FlowAnalysisInternsWhatItComposes) {
     for (StateId S = 0; S != Mon.numStates(); ++S)
       ASSERT_EQ(Mon.apply(F, S), Mon.automaton().run(W, S)) << "F=" << F;
   }
+}
+
+TEST(Monoid, InterningSurvivesIndexRehashesAndRowMoves) {
+  // 5^5 = 3125 elements: the index rehashes from 64 slots upwards, and
+  // every generator's row outgrows its span and moves as the
+  // enumeration interns past it.
+  Dfa M = buildAdversarialMachine(5);
+  TransitionMonoid Mon(M);
+  size_t Before = Mon.memoryBytes();
+  ASSERT_TRUE(Mon.enumerateAll());
+  ASSERT_EQ(Mon.size(), 3125u);
+  EXPECT_GT(Mon.memoryBytes(), Before);
+
+  // Ids follow first use: the order of a reference closure over the
+  // state tables (identity, generators, then right extensions).
+  using Table = std::vector<StateId>;
+  std::map<Table, FnId> Seen;
+  std::vector<Table> Order;
+  auto add = [&](Table T) {
+    if (Seen.emplace(T, static_cast<FnId>(Order.size())).second)
+      Order.push_back(std::move(T));
+  };
+  Table Id(M.numStates());
+  for (StateId S = 0; S != M.numStates(); ++S)
+    Id[S] = S;
+  add(Id);
+  for (SymbolId A = 0; A != M.numSymbols(); ++A) {
+    Table T(M.numStates());
+    for (StateId S = 0; S != M.numStates(); ++S)
+      T[S] = M.next(S, A);
+    add(T);
+  }
+  for (size_t F = 0; F != Order.size(); ++F)
+    for (SymbolId A = 0; A != M.numSymbols(); ++A) {
+      Table T(M.numStates());
+      for (StateId S = 0; S != M.numStates(); ++S)
+        T[S] = M.next(Order[F][S], A);
+      add(T);
+    }
+  ASSERT_EQ(Order.size(), Mon.size());
+  for (FnId F = 0; F != Mon.size(); ++F)
+    for (StateId S = 0; S != M.numStates(); ++S)
+      ASSERT_EQ(Mon.apply(F, S), Order[F][S]) << "element " << F;
+
+  // The enumeration filled every generator's row, moving each several
+  // times; reading them back is all table reads.
+  uint64_t Misses = Mon.composeMisses();
+  for (SymbolId A = 0; A != M.numSymbols(); ++A)
+    for (FnId G = 0; G != Mon.size(); ++G)
+      Mon.compose(Mon.symbolFn(A), G);
+  EXPECT_EQ(Mon.composeMisses(), Misses) << "a moved row lost a product";
+
+  // compose() equals the state-table product on the miss that fills a
+  // slot and on every later read, which misses nothing. The rows other
+  // than the generators' start here, after which the arena only grows.
+  size_t Last = Mon.memoryBytes();
+  for (int Pass = 0; Pass != 2; ++Pass) {
+    Misses = Mon.composeMisses();
+    for (FnId F = 0; F < Mon.size(); F += F < 8 ? 1 : 97) {
+      for (FnId G = 0; G != Mon.size(); ++G) {
+        FnId P = Mon.compose(F, G);
+        for (StateId S = 0; S != M.numStates(); ++S)
+          ASSERT_EQ(Mon.apply(P, S), Mon.apply(F, Mon.apply(G, S)))
+              << F << " o " << G << " pass " << Pass;
+      }
+      EXPECT_GE(Mon.memoryBytes(), Last);
+      Last = Mon.memoryBytes();
+    }
+    if (Pass == 1)
+      EXPECT_EQ(Mon.composeMisses(), Misses) << "a read recomputed";
+  }
+  EXPECT_EQ(Mon.size(), 3125u) << "a product outside the monoid";
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 using namespace rasc;
 
@@ -531,6 +532,79 @@ TEST(Solver, TrivialDomainIsPlainSetConstraints) {
   ASSERT_EQ(S.solve(), BidirectionalSolver::Status::Solved);
   EXPECT_TRUE(S.entailsConstant(C, Y));
   EXPECT_EQ(Dom.size(), 1u);
+}
+
+TEST(Solver, CollapseWithoutIdentityVarEdgesKeepsEveryRep) {
+  // Cycles through annotated and constructor edges only: nothing to
+  // collapse, so every variable stays its own representative.
+  MonoidDomain Dom(buildOneBitMachine());
+  ConstraintSystem CS(Dom);
+  ConsId C = CS.addConstant("c");
+  ConsId O = CS.addConstructor("o", 1);
+  VarId X = CS.freshVar(), Y = CS.freshVar(), Z = CS.freshVar();
+  AnnId G = Dom.symbolAnn("g");
+  CS.add(CS.var(X), CS.var(Y), G);
+  CS.add(CS.var(Y), CS.var(X), G);
+  CS.add(CS.cons(O, {X}), CS.var(Z));
+  CS.add(CS.var(Z), CS.cons(O, {Y}));
+  CS.add(CS.cons(C), CS.var(X));
+  BidirectionalSolver S(CS);
+  ASSERT_TRUE(S.options().CycleElimination);
+  ASSERT_EQ(S.solve(), BidirectionalSolver::Status::Solved);
+  EXPECT_EQ(S.stats().CollapsedVars, 0u);
+  for (VarId V = 0; V != CS.numVars(); ++V)
+    EXPECT_EQ(S.rep(V), V);
+}
+
+TEST(Solver, AtomReachabilityThroughCollapsedConstructorArgument) {
+  // X and Y form an identity cycle, so one of them is collapsed into
+  // the other, and one of the constructor bounds o(X), o(Y) has an
+  // argument whose representative is another variable. The wrap index
+  // must file it under the representative: the PN answers equal the
+  // ones without cycle elimination.
+  MonoidDomain Dom(buildOneBitMachine());
+  ConstraintSystem CS(Dom);
+  ConsId C = CS.addConstant("c");
+  ConsId O = CS.addConstructor("o", 1);
+  VarId X = CS.freshVar("X"), Y = CS.freshVar("Y"), Z = CS.freshVar("Z");
+  VarId W = CS.freshVar("W"), U = CS.freshVar("U"), T = CS.freshVar("T");
+  AnnId G = Dom.symbolAnn("g");
+  CS.add(CS.cons(C), CS.var(X), G);
+  CS.add(CS.var(X), CS.var(Y));
+  CS.add(CS.var(Y), CS.var(X));
+  CS.add(CS.cons(O, {X}), CS.var(Z));
+  CS.add(CS.cons(O, {Y}), CS.var(W), Dom.symbolAnn("k"));
+  CS.add(CS.proj(O, 0, Z), CS.var(U));
+  CS.add(CS.var(U), CS.var(T), G);
+
+  auto solved = [&](bool Collapse) {
+    SolverOptions Opts;
+    Opts.CycleElimination = Collapse;
+    auto S = std::make_unique<BidirectionalSolver>(CS, Opts);
+    EXPECT_EQ(S->solve(), BidirectionalSolver::Status::Solved);
+    return S;
+  };
+  std::unique_ptr<BidirectionalSolver> On = solved(true), Off = solved(false);
+  ASSERT_EQ(On->rep(X), On->rep(Y));
+  ASSERT_TRUE(On->rep(X) != X || On->rep(Y) != Y);
+  for (bool Unmatched : {false, true}) {
+    AtomReachability A = On->atomReachability(C, Unmatched);
+    AtomReachability B = Off->atomReachability(C, Unmatched);
+    size_t Facts = 0;
+    for (VarId V = 0; V != CS.numVars(); ++V) {
+      std::vector<AnnId> Got = A.annotations(V), Want = B.annotations(V);
+      std::sort(Got.begin(), Got.end());
+      std::sort(Want.begin(), Want.end());
+      EXPECT_EQ(Got, Want) << CS.varName(V) << " unmatched=" << Unmatched;
+      for (AnnId Ann : Want)
+        EXPECT_EQ(A.witnessStack(V, Ann).size(),
+                  B.witnessStack(V, Ann).size())
+            << CS.varName(V);
+      Facts += Want.size();
+    }
+    EXPECT_GT(Facts, 0u);
+    EXPECT_FALSE(B.annotations(W).empty()) << "c reaches W wrapped in o";
+  }
 }
 
 } // namespace
