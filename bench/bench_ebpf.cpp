@@ -23,8 +23,9 @@
 /// comparable across runs and machines modulo hardware.
 ///
 /// This binary replaces the global operator new with a counting one,
-/// so BM_EbpfPipelineFlow can report heap allocations per program. The
-/// count repeats exactly from run to run, unlike the timings.
+/// so BM_EbpfLowerAllThree and BM_EbpfPipelineFlow can report heap
+/// allocations per program. The count repeats exactly from run to run,
+/// unlike the timings.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -128,7 +129,9 @@ BENCHMARK(BM_EbpfDecodeCfg)->UseRealTime();
 
 void BM_EbpfLowerAllThree(benchmark::State &State) {
   std::vector<ebpf::Cfg> Gs = cfgs(corpus(kDecodePrograms));
+  uint64_t Allocs = 0;
   for (auto _ : State) {
+    uint64_t Before = HeapAllocs.load(std::memory_order_relaxed);
     for (const ebpf::Cfg &G : Gs) {
       ebpf::PdmcLowering Pd = ebpf::lowerToProgram(G);
       ebpf::DataflowLowering Df = ebpf::lowerToDataflow(G);
@@ -137,10 +140,15 @@ void BM_EbpfLowerAllThree(benchmark::State &State) {
       benchmark::DoNotOptimize(Df.Reads.size());
       benchmark::DoNotOptimize(Fl.InsnLit.size());
     }
+    Allocs = HeapAllocs.load(std::memory_order_relaxed) - Before;
   }
   State.counters["programs_per_s"] = benchmark::Counter(
       static_cast<double>(kDecodePrograms * State.iterations()),
       benchmark::Counter::kIsRate);
+  // The three lowerings of one program, averaged over the corpus (the
+  // last iteration's count).
+  State.counters["allocs_per_program"] =
+      static_cast<double>(Allocs) / kDecodePrograms;
 }
 BENCHMARK(BM_EbpfLowerAllThree)->UseRealTime();
 

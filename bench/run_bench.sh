@@ -410,6 +410,54 @@ else
   echo "note: $EBPF_BIN not built; skipping ebpf pipeline" >&2
 fi
 
+# --- Section 7 flow table (DESIGN.md §3) ------------------------------
+# Runs bench_sec7_flow once (a table, not a google-benchmark binary) and
+# appends a "sec7_flow" entry with its rows: the pair and call automata
+# sizes (|S|/|F|) and the primal/dual seconds per program. Skipped when
+# the binary is not built.
+
+SEC7_BIN="${BENCH_SEC7_BIN:-$REPO_ROOT/build/bench/bench_sec7_flow}"
+
+if [ -x "$SEC7_BIN" ]; then
+  "$SEC7_BIN" >"$TMPDIR_BENCH/sec7.txt"
+
+  python3 - "$OUT" "$LABEL" "$TMPDIR_BENCH/sec7.txt" <<'EOF'
+import json, os, sys
+
+out_path, label, table_path = sys.argv[1], sys.argv[2], sys.argv[3]
+
+rows = {}
+with open(table_path) as f:
+    for line in f:
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 5 or cells[0] in ("program", "") or cells[0].startswith("-"):
+            continue
+        rows[cells[0]] = dict(zip(("pair_S_F", "call_S_F", "primal_s", "dual_s"),
+                                  cells[1:]))
+
+entry = {
+    "label": label,
+    "benchmark": "sec7_flow",
+    "hardware_threads": os.cpu_count(),
+    "rows": rows,
+}
+
+doc = {"runs": []}
+if os.path.exists(out_path):
+    with open(out_path) as f:
+        doc = json.load(f)
+doc.setdefault("runs", []).append(entry)
+with open(out_path, "w") as f:
+    json.dump(doc, f, indent=2)
+    f.write("\n")
+print(f"appended 'sec7_flow' entry for '{label}' to {out_path}")
+for name, row in rows.items():
+    print(f"  {name}: primal {row['primal_s']}, dual {row['dual_s']}")
+EOF
+else
+  echo "note: $SEC7_BIN not built; skipping the Section 7 table" >&2
+fi
+
 # --- Solve-service latency (DESIGN.md §10) -----------------------------
 # Boots rascd on an ephemeral port, drives it with the rascdclient
 # load harness (N concurrent connections, an ADD/SOLVE/ENTAIL mix

@@ -476,7 +476,7 @@ int runEbpf(const std::string &Path, CliOptions Cli) {
   std::printf("map-check: %zu violation(s)\n", Violations.size());
   for (const Violation &V : Violations)
     std::printf("  unchecked dereference at %s\n",
-                A->Pd.Prog->stmt(V.Where).Note.c_str());
+                A->Pd.Prog->note(V.Where).c_str());
 
   A->Reg->prepare(Opts);
   A->Reg->solve();

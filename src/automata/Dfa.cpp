@@ -11,6 +11,23 @@
 
 using namespace rasc;
 
+std::vector<std::string> Dfa::alphabet() const {
+  if (!Namer)
+    return SymbolNames;
+  std::vector<std::string> Out;
+  Out.reserve(NumSyms);
+  for (SymbolId Sym = 0; Sym != NumSyms; ++Sym)
+    Out.push_back(Namer(Sym));
+  return Out;
+}
+
+std::optional<SymbolId> Dfa::symbol(std::string_view Name) const {
+  for (SymbolId I = 0; I != NumSyms; ++I)
+    if (Namer ? Namer(I) == Name : SymbolNames[I] == Name)
+      return I;
+  return std::nullopt;
+}
+
 DynamicBitset Dfa::liveStates() const {
   // Reverse reachability from the accepting states, over predecessor
   // lists in CSR form: Begin[T] counts T's in-edges, the prefix sum
@@ -75,17 +92,27 @@ std::string Dfa::toDot(std::string_view Title) const {
   for (StateId S = 0; S != NumStatesVal; ++S)
     for (SymbolId A = 0, E = numSymbols(); A != E; ++A)
       OS << "  s" << S << " -> s" << next(S, A) << " [label=\""
-         << SymbolNames[A] << "\"];\n";
+         << symbolName(A) << "\"];\n";
   OS << "}\n";
   return OS.str();
 }
 
 SymbolId DfaBuilder::addSymbol(std::string_view Name) {
-  for (SymbolId I = 0, E = static_cast<SymbolId>(Symbols.size()); I != E; ++I)
+  assert(Symbols.size() == NumSyms && "named symbol in a generated alphabet");
+  for (SymbolId I = 0; I != NumSyms; ++I)
     if (Symbols[I] == Name)
       return I;
-  size_t K = Symbols.size();
   Symbols.emplace_back(Name);
+  return widen();
+}
+
+SymbolId DfaBuilder::addGeneratedSymbol() {
+  assert(Symbols.empty() && "generated symbol in a named alphabet");
+  return widen();
+}
+
+SymbolId DfaBuilder::widen() {
+  size_t K = NumSyms++;
   if (numStates() != 0) {
     // A symbol after states: re-lay the rows out one column wider.
     std::vector<StateId> Wider(numStates() * (K + 1), InvalidState);
@@ -98,7 +125,7 @@ SymbolId DfaBuilder::addSymbol(std::string_view Name) {
 
 StateId DfaBuilder::addState() {
   Accepting.push_back(false);
-  Trans.resize(Trans.size() + Symbols.size(), InvalidState);
+  Trans.resize(Trans.size() + NumSyms, InvalidState);
   return static_cast<StateId>(Accepting.size() - 1);
 }
 
@@ -109,8 +136,8 @@ void DfaBuilder::setAccepting(StateId S, bool IsAccepting) {
 
 void DfaBuilder::addTransition(StateId From, SymbolId Sym, StateId To) {
   assert(From < numStates() && To < numStates() && "state out of range");
-  assert(Sym < Symbols.size() && "symbol out of range");
-  StateId &Slot = Trans[static_cast<size_t>(From) * Symbols.size() + Sym];
+  assert(Sym < NumSyms && "symbol out of range");
+  StateId &Slot = Trans[static_cast<size_t>(From) * NumSyms + Sym];
   assert((Slot == InvalidState || Slot == To) &&
          "conflicting deterministic transition");
   Slot = To;
@@ -131,9 +158,12 @@ Dfa DfaBuilder::build() const {
 
   // Unset transitions, and every transition of the dead state, go to
   // the dead state.
-  std::vector<StateId> Table(static_cast<size_t>(Total) * Symbols.size(),
-                             Dead);
+  std::vector<StateId> Table(static_cast<size_t>(Total) * NumSyms, Dead);
   std::replace_copy(Trans.begin(), Trans.end(), Table.begin(), InvalidState,
                     Dead);
+  if (Namer)
+    return Dfa(NumSyms, Namer, Total, Start, std::move(Acc),
+               std::move(Table));
+  assert(Symbols.size() == NumSyms && "generated symbols need a namer");
   return Dfa(Symbols, Total, Start, std::move(Acc), std::move(Table));
 }

@@ -26,6 +26,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -43,29 +44,40 @@ constexpr SymbolId InvalidSymbol = ~SymbolId(0);
 /// A word over the (dense) symbol alphabet.
 using Word = std::vector<SymbolId>;
 
+/// Names the symbols of a generated alphabet on demand (the Section 7
+/// bracket and call-string automata, whose names only proof logs and
+/// witnesses read). It must own what it reads.
+using SymbolNamer = std::function<std::string(SymbolId)>;
+
 /// A total deterministic finite automaton.
 ///
 /// States and symbols are dense indices. The alphabet is a list of
-/// symbol names; automata combined by products or used to drive the
-/// same constraint system must share identical alphabets (asserted).
+/// symbol names, stored or rendered by a SymbolNamer; automata combined
+/// by products or used to drive the same constraint system must share
+/// identical alphabets (asserted).
 class Dfa {
 public:
   Dfa(std::vector<std::string> SymbolNames, uint32_t NumStates,
       StateId Start, DynamicBitset Accepting, std::vector<StateId> Trans)
-      : SymbolNames(std::move(SymbolNames)), NumStatesVal(NumStates),
+      : SymbolNames(std::move(SymbolNames)),
+        NumSyms(static_cast<uint32_t>(this->SymbolNames.size())),
+        NumStatesVal(NumStates), StartState(Start),
+        AcceptingStates(std::move(Accepting)), Transitions(std::move(Trans)) {
+    checkShape();
+  }
+
+  /// An automaton over \p NumSymbols generated symbols that \p Namer
+  /// names when asked.
+  Dfa(uint32_t NumSymbols, SymbolNamer Namer, uint32_t NumStates,
+      StateId Start, DynamicBitset Accepting, std::vector<StateId> Trans)
+      : Namer(std::move(Namer)), NumSyms(NumSymbols), NumStatesVal(NumStates),
         StartState(Start), AcceptingStates(std::move(Accepting)),
         Transitions(std::move(Trans)) {
-    assert(StartState < NumStatesVal && "start state out of range");
-    assert(AcceptingStates.size() == NumStatesVal && "accept set size");
-    assert(Transitions.size() ==
-               static_cast<size_t>(NumStatesVal) * this->SymbolNames.size() &&
-           "transition table size");
+    checkShape();
   }
 
   uint32_t numStates() const { return NumStatesVal; }
-  uint32_t numSymbols() const {
-    return static_cast<uint32_t>(SymbolNames.size());
-  }
+  uint32_t numSymbols() const { return NumSyms; }
   StateId start() const { return StartState; }
 
   bool isAccepting(StateId S) const {
@@ -78,8 +90,8 @@ public:
   /// The successor of \p S on \p Sym; always defined (total automaton).
   StateId next(StateId S, SymbolId Sym) const {
     assert(S < NumStatesVal && "state out of range");
-    assert(Sym < SymbolNames.size() && "symbol out of range");
-    return Transitions[static_cast<size_t>(S) * SymbolNames.size() + Sym];
+    assert(Sym < NumSyms && "symbol out of range");
+    return Transitions[static_cast<size_t>(S) * NumSyms + Sym];
   }
 
   /// Runs the automaton on \p W from \p From (default: the start state).
@@ -95,20 +107,16 @@ public:
     return isAccepting(run(W));
   }
 
-  const std::string &symbolName(SymbolId Sym) const {
-    assert(Sym < SymbolNames.size() && "symbol out of range");
-    return SymbolNames[Sym];
+  std::string symbolName(SymbolId Sym) const {
+    assert(Sym < NumSyms && "symbol out of range");
+    return Namer ? Namer(Sym) : SymbolNames[Sym];
   }
 
-  const std::vector<std::string> &alphabet() const { return SymbolNames; }
+  /// Every symbol's name, in id order.
+  std::vector<std::string> alphabet() const;
 
   /// \returns the id of the symbol named \p Name, if any.
-  std::optional<SymbolId> symbol(std::string_view Name) const {
-    for (SymbolId I = 0, E = numSymbols(); I != E; ++I)
-      if (SymbolNames[I] == Name)
-        return I;
-    return std::nullopt;
-  }
+  std::optional<SymbolId> symbol(std::string_view Name) const;
 
   /// \returns the set of states from which some accepting state is
   /// reachable ("live" states). A word whose representative function
@@ -123,7 +131,16 @@ public:
   std::string toDot(std::string_view Title = "M") const;
 
 private:
-  std::vector<std::string> SymbolNames;
+  void checkShape() const {
+    assert(StartState < NumStatesVal && "start state out of range");
+    assert(AcceptingStates.size() == NumStatesVal && "accept set size");
+    assert(Transitions.size() == static_cast<size_t>(NumStatesVal) * NumSyms &&
+           "transition table size");
+  }
+
+  std::vector<std::string> SymbolNames; ///< empty when Namer names them
+  SymbolNamer Namer;
+  uint32_t NumSyms;
   uint32_t NumStatesVal;
   StateId StartState;
   DynamicBitset AcceptingStates;
@@ -136,6 +153,12 @@ class DfaBuilder {
 public:
   /// Adds (or finds) an alphabet symbol.
   SymbolId addSymbol(std::string_view Name);
+
+  /// Adds a generated symbol: one without a name string, which the
+  /// namer given by setSymbolNamer() renders on demand. A builder's
+  /// symbols are either all named or all generated.
+  SymbolId addGeneratedSymbol();
+  void setSymbolNamer(SymbolNamer N) { Namer = std::move(N); }
 
   /// Adds a new state with every transition unset.
   StateId addState();
@@ -153,10 +176,15 @@ public:
   Dfa build() const;
 
 private:
-  std::vector<std::string> Symbols;
+  /// Appends a column to the transition table.
+  SymbolId widen();
+
+  std::vector<std::string> Symbols; // empty for a generated alphabet
+  SymbolNamer Namer;
+  uint32_t NumSyms = 0;
   std::vector<bool> Accepting; // one per state
-  // Trans[s * Symbols.size() + a], InvalidState if unset: one flat
-  // table, re-laid out only when a symbol is added after states.
+  // Trans[s * NumSyms + a], InvalidState if unset: one flat table,
+  // re-laid out only when a symbol is added after states.
   std::vector<StateId> Trans;
   StateId Start = 0;
 };

@@ -106,7 +106,7 @@ ConstraintSystem::consChecked(ConsId C, std::span<const VarId> Args) const {
     return *LastDiag;
   }
   if (Args.size() != Constructors[C].Arity) {
-    LastDiag = Diag("arity mismatch: constructor '" + Constructors[C].Name +
+    LastDiag = Diag("arity mismatch: constructor '" + constructorName(C) +
                     "' takes " + std::to_string(Constructors[C].Arity) +
                     " arguments, got " + std::to_string(Args.size()));
     return *LastDiag;
@@ -114,7 +114,7 @@ ConstraintSystem::consChecked(ConsId C, std::span<const VarId> Args) const {
   for (VarId A : Args)
     if (A >= VarNames.size()) {
       LastDiag = Diag("argument variable id " + std::to_string(A) +
-                      " of constructor '" + Constructors[C].Name +
+                      " of constructor '" + constructorName(C) +
                       "' out of range");
       return *LastDiag;
     }
@@ -132,7 +132,7 @@ Expected<ExprId> ConstraintSystem::projChecked(ConsId C, uint32_t Index,
   if (Index >= Constructors[C].Arity) {
     LastDiag = Diag("projection index " + std::to_string(Index + 1) +
                     " out of range for constructor '" +
-                    Constructors[C].Name + "' of arity " +
+                    constructorName(C) + "' of arity " +
                     std::to_string(Constructors[C].Arity));
     return *LastDiag;
   }
@@ -174,7 +174,7 @@ std::string ConstraintSystem::exprToString(ExprId Id) const {
     OS << varName(E.V);
     break;
   case ExprKind::Cons:
-    OS << constructor(E.C).Name;
+    OS << constructorName(E.C);
     if (E.NumArgs) {
       OS << "(";
       for (uint32_t I = 0; I != E.NumArgs; ++I) {
@@ -186,7 +186,7 @@ std::string ConstraintSystem::exprToString(ExprId Id) const {
     }
     break;
   case ExprKind::Proj:
-    OS << constructor(E.C).Name << "^-" << (E.Index + 1) << "("
+    OS << constructorName(E.C) << "^-" << (E.Index + 1) << "("
        << varName(E.V) << ")";
     break;
   }

@@ -46,6 +46,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rasc {
@@ -58,9 +59,21 @@ using FnVarId = uint32_t;
 constexpr ExprId InvalidExpr = ~ExprId(0);
 constexpr VarId InvalidVar = ~VarId(0);
 
-/// A term constructor with a fixed arity.
+/// How a variable or constructor is named, without owning a string:
+/// a static prefix plus a number rendered on demand ("S12", "o@7"), a
+/// slice of the system's name arena (parsed names), or nothing (the
+/// default name). Per-op generators name thousands of variables and
+/// constructors that only diagnostics and proof logs ever read.
+struct NameRef {
+  const char *Prefix = nullptr; ///< static text; then Num is the number
+  uint32_t Num = 0;             ///< number, or arena offset
+  uint32_t Len = 0;             ///< arena length; 0 without a Prefix: none
+};
+
+/// A term constructor with a fixed arity. Its name is
+/// ConstraintSystem::constructorName().
 struct Constructor {
-  std::string Name;
+  NameRef Name;
   uint32_t Arity;
 };
 
@@ -114,20 +127,37 @@ public:
 
   /// Declares a constructor. Names are for diagnostics; distinct calls
   /// always create distinct constructors.
-  ConsId addConstructor(std::string Name, uint32_t Arity) {
-    Constructors.push_back({std::move(Name), Arity});
+  ConsId addConstructor(std::string_view Name, uint32_t Arity) {
+    Constructors.push_back({ownName(Name), Arity});
+    return static_cast<ConsId>(Constructors.size() - 1);
+  }
+
+  /// Declares a constructor named \p Prefix followed by \p Num, rendered
+  /// only when constructorName() asks. \p Prefix must be static text (a
+  /// string literal).
+  ConsId addNumberedConstructor(const char *Prefix, uint32_t Num,
+                                uint32_t Arity) {
+    Constructors.push_back({NameRef{Prefix, Num, 0}, Arity});
     return static_cast<ConsId>(Constructors.size() - 1);
   }
 
   /// Convenience for an arity-0 constructor (a constant).
-  ConsId addConstant(std::string Name) {
-    return addConstructor(std::move(Name), 0);
+  ConsId addConstant(std::string_view Name) { return addConstructor(Name, 0); }
+  ConsId addNumberedConstant(const char *Prefix, uint32_t Num) {
+    return addNumberedConstructor(Prefix, Num, 0);
   }
 
   /// Creates a fresh set variable. An unnamed one is named "X<id>"
   /// when varName() asks, not here.
-  VarId freshVar(std::string Name = "") {
-    VarNames.push_back(std::move(Name));
+  VarId freshVar(std::string_view Name = {}) {
+    VarNames.push_back(ownName(Name));
+    return static_cast<VarId>(VarNames.size() - 1);
+  }
+
+  /// Creates a fresh set variable named \p Prefix followed by \p Num,
+  /// rendered only when varName() asks. \p Prefix must be static text.
+  VarId numberedVar(const char *Prefix, uint32_t Num) {
+    VarNames.push_back(NameRef{Prefix, Num, 0});
     return static_cast<VarId>(VarNames.size() - 1);
   }
 
@@ -140,7 +170,12 @@ public:
 
   std::string varName(VarId V) const {
     assert(V < VarNames.size() && "variable out of range");
-    return VarNames[V].empty() ? "X" + std::to_string(V) : VarNames[V];
+    const NameRef &N = VarNames[V];
+    return N.Prefix || N.Len ? render(N) : "X" + std::to_string(V);
+  }
+
+  std::string constructorName(ConsId C) const {
+    return render(constructor(C).Name);
   }
 
   const Constructor &constructor(ConsId C) const {
@@ -284,6 +319,19 @@ public:
   std::string exprToString(ExprId E) const;
 
 private:
+  /// Copies \p Name into the name arena (an empty name stays unnamed).
+  NameRef ownName(std::string_view Name) {
+    NameRef N{nullptr, static_cast<uint32_t>(NameArena.size()),
+              static_cast<uint32_t>(Name.size())};
+    NameArena.append(Name);
+    return N;
+  }
+  std::string render(const NameRef &N) const {
+    if (N.Prefix)
+      return N.Prefix + std::to_string(N.Num);
+    return NameArena.substr(N.Num, N.Len);
+  }
+
   /// Interns a Cons (with \p Args) or Proj expression.
   ExprId intern(const Expr &E, std::span<const VarId> Args) const;
   /// The interned expression structurally equal to \p E with \p Args,
@@ -298,7 +346,8 @@ private:
 
   const AnnotationDomain &Domain;
   std::vector<Constructor> Constructors;
-  std::vector<std::string> VarNames;
+  std::vector<NameRef> VarNames;
+  std::string NameArena; ///< every owned name, back to back
   std::vector<Constraint> ConstraintList;
   std::vector<uint8_t> RetractedFlags; ///< grown lazily to list size
   uint32_t NumRetracted = 0;

@@ -29,7 +29,7 @@ bool rasc::sameSkeleton(const GroundTerm &A, const GroundTerm &B) {
 
 std::string rasc::toString(const ConstraintSystem &CS, const GroundTerm &T) {
   std::ostringstream OS;
-  OS << CS.constructor(T.C).Name << "^" << CS.domain().toString(T.Ann);
+  OS << CS.constructorName(T.C) << "^" << CS.domain().toString(T.Ann);
   if (!T.Kids.empty()) {
     OS << "(";
     for (size_t I = 0; I != T.Kids.size(); ++I) {

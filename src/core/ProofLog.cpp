@@ -218,12 +218,12 @@ void ProofLogWriter::needCtor(ConsId C) {
   if (C >= CtorEmitted.size())
     CtorEmitted.resize(C + 1, false);
   CtorEmitted[C] = true;
-  const Constructor &K = CS.constructor(C);
+  const std::string Name = CS.constructorName(C);
   beginRecord(RecCtor);
   Buf.u32(C);
-  Buf.u32(K.Arity);
-  Buf.u32(static_cast<uint32_t>(K.Name.size()));
-  Buf.bytes(K.Name.data(), K.Name.size());
+  Buf.u32(CS.constructor(C).Arity);
+  Buf.u32(static_cast<uint32_t>(Name.size()));
+  Buf.bytes(Name.data(), Name.size());
 }
 
 void ProofLogWriter::needVar(VarId V) {
@@ -232,7 +232,7 @@ void ProofLogWriter::needVar(VarId V) {
   if (V >= VarEmitted.size())
     VarEmitted.resize(V + 1, false);
   VarEmitted[V] = true;
-  const std::string &Name = CS.varName(V);
+  const std::string Name = CS.varName(V);
   beginRecord(RecVarName);
   Buf.u32(V);
   Buf.u32(static_cast<uint32_t>(Name.size()));

@@ -34,7 +34,7 @@ void AnnotatedBitVectorAnalysis::prepare(SolverOptions Opts) {
   const Program &Prog = Problem.program();
   StmtVars.assign(Prog.numStatements(), 0);
   for (StmtId S = 0; S != Prog.numStatements(); ++S)
-    StmtVars[S] = CS->freshVar("S" + std::to_string(S));
+    StmtVars[S] = CS->numberedVar("S", S);
 
   Pc = CS->addConstant("pc");
   CS->add(CS->cons(Pc),
@@ -43,7 +43,7 @@ void AnnotatedBitVectorAnalysis::prepare(SolverOptions Opts) {
   for (StmtId S = 0; S != Prog.numStatements(); ++S) {
     const Stmt &St = Prog.stmt(S);
     if (St.Kind == Stmt::Call) {
-      ConsId O = CS->addConstructor("o@" + std::to_string(S), 1);
+      ConsId O = CS->addNumberedConstructor("o@", S, 1);
       CS->add(CS->cons(O, {StmtVars[S]}),
               CS->var(StmtVars[Prog.entry(St.Callee)]));
       for (StmtId Succ : St.Succs)

@@ -17,48 +17,69 @@ namespace ebpf {
 // pdmc lowering
 //===----------------------------------------------------------------------===//
 
-/// The property-relevant event of an instruction, or null. The "check"
-/// event is direction-insensitive: either branch of "if r0 == 0" counts
-/// as having tested the lookup result (the real verifier is
+namespace {
+/// The property-relevant events and their symbols in mapCheckSpec().
+enum Event : uint8_t { Lookup, Helper, Check, Deref, NumEvents, NoEvent };
+constexpr const char *EventNames[NumEvents] = {"lookup", "helper", "check",
+                                               "deref"};
+} // namespace
+
+/// The property-relevant event of an instruction, or NoEvent. The
+/// "check" event is direction-insensitive: either branch of "if r0 ==
+/// 0" counts as having tested the lookup result (the real verifier is
 /// path-sensitive here; see DESIGN.md §13 for the deliberate gap).
-static const char *eventOf(const Insn &I) {
+static Event eventOf(const Insn &I) {
   if (I.isCall())
-    return I.Imm == HelperMapLookup ? "lookup" : "helper";
+    return I.Imm == HelperMapLookup ? Lookup : Helper;
   if (I.isBranch() && !I.isUncondJump() && !I.srcIsReg() && I.Dst == 0 &&
       I.Imm == 0 &&
       (I.jmpOp() == JmpOp::Jeq || I.jmpOp() == JmpOp::Jne))
-    return "check";
+    return Check;
   if (I.cls() == InsnClass::Ldx && I.Src == 0)
-    return "deref";
+    return Deref;
   if ((I.cls() == InsnClass::St || I.cls() == InsnClass::Stx) && I.Dst == 0)
-    return "deref";
-  return nullptr;
+    return Deref;
+  return NoEvent;
+}
+
+/// Lets \p P render its instruction notes from a copy of the
+/// instructions, so the notes outlive the decoded program.
+static void renderInsnNotes(Program &P, const DecodedProgram &D) {
+  P.setInsnRenderer(
+      [Insns = D.Insns](uint32_t I) { return toString(Insns[I]); });
 }
 
 PdmcLowering lowerToProgram(const Cfg &G, std::string FuncName) {
   PdmcLowering L;
   L.Prog = std::make_unique<Program>();
   Program &P = *L.Prog;
-  FuncId F = P.addFunction(std::move(FuncName));
   const DecodedProgram &D = G.Prog;
+  // Entry, exit, a head per block and at most one event per
+  // instruction.
+  P.reserveStatements(2 + G.numBlocks() + D.numInsns());
+  FuncId F = P.addFunction(std::move(FuncName));
+  renderInsnNotes(P, D);
 
   // One head Nop per block, then the block's events in instruction
-  // order.
+  // order. Statements carry source tags; their notes are rendered only
+  // when a report asks.
+  std::array<OpSymId, NumEvents> Sym;
+  Sym.fill(~OpSymId(0));
   std::vector<StmtId> Tail(G.numBlocks());
   L.BlockHead.resize(G.numBlocks());
   for (uint32_t B = 0; B != G.numBlocks(); ++B) {
     const Block &Blk = G.Blocks[B];
-    StmtId Head = P.addNop(F, "b" + std::to_string(B));
+    StmtId Head = P.addNop(F, SourceTag::block(B));
     L.BlockHead[B] = Head;
     StmtId Cur = Head;
     for (uint32_t I = Blk.FirstInsn, E = Blk.FirstInsn + Blk.NumInsns; I != E;
          ++I) {
-      const char *Ev = eventOf(D.Insns[I]);
-      if (!Ev)
+      Event Ev = eventOf(D.Insns[I]);
+      if (Ev == NoEvent)
         continue;
-      StmtId S = P.addOp(F, Ev, {},
-                         "insn " + std::to_string(I) + ": " +
-                             toString(D.Insns[I]));
+      if (Sym[Ev] == ~OpSymId(0))
+        Sym[Ev] = P.internSymbol(EventNames[Ev]);
+      StmtId S = P.addOp(F, Sym[Ev], SourceTag::insn(I));
       P.addEdge(Cur, S);
       Cur = S;
       L.EventInsn.emplace_back(S, I);
@@ -167,14 +188,15 @@ DataflowLowering lowerToDataflow(const Cfg &G) {
   DataflowLowering L;
   L.Prog = std::make_unique<Program>();
   Program &P = *L.Prog;
-  FuncId F = P.addFunction("ebpf");
   const DecodedProgram &D = G.Prog;
   const uint32_t N = D.numInsns();
+  P.reserveStatements(N + 3); // entry, exit, the init Nop
+  FuncId F = P.addFunction("ebpf");
+  renderInsnNotes(P, D);
 
   L.InsnStmt.resize(N);
   for (uint32_t I = 0; I != N; ++I)
-    L.InsnStmt[I] = P.addNop(F, "insn " + std::to_string(I) + ": " +
-                                    toString(D.Insns[I]));
+    L.InsnStmt[I] = P.addNop(F, SourceTag::insn(I));
 
   // The BPF calling convention initializes r1 (context pointer) and
   // r10 (frame pointer) before the first instruction.
@@ -230,10 +252,9 @@ static FExprId mkLit(FlowProgram &P, long V) {
   return P.addExpr(E);
 }
 
-static FExprId mkVar(FlowProgram &P, std::string Name) {
+static FExprId mkParam(FlowProgram &P) {
   FExpr E;
   E.Kind = FExpr::Var;
-  E.Name = std::move(Name);
   return P.addExpr(E);
 }
 
@@ -253,10 +274,10 @@ static FExprId mkPairOf(FlowProgram &P, FExprId A, FExprId B) {
   return P.addExpr(E);
 }
 
-static FExprId mkCallTo(FlowProgram &P, std::string Callee, FExprId Arg) {
+static FExprId mkCallTo(FlowProgram &P, FFuncId Callee, FExprId Arg) {
   FExpr E;
   E.Kind = FExpr::Call;
-  E.Name = std::move(Callee);
+  E.Callee = Callee;
   E.Kid0 = Arg;
   return P.addExpr(E);
 }
@@ -296,7 +317,14 @@ FlowLowering lowerToFlowProgram(const Cfg &G) {
   const TypeId Int = P.intType();
   const TypeId StateTy = stateType(P);
   L.InsnLit.assign(D.numInsns(), ~FExprId(0));
+
+  // Every function is declared before any body is built, so calls name
+  // their callee by id and typecheck() resolves no names.
   L.BlockFn.resize(G.numBlocks());
+  for (uint32_t B = 0; B != G.numBlocks(); ++B)
+    L.BlockFn[B] = P.declareFunction(blockName(B), "s", StateTy, Int);
+  L.RetFn = P.declareFunction("retv", "s", StateTy, Int);
+  L.MainFn = P.declareFunction("main", "z", Int, Int);
 
   // Distinct literal values aid debugging only; flow identity is the
   // expression node. 0/1 are the register seeds, 2.. everything else.
@@ -304,7 +332,7 @@ FlowLowering lowerToFlowProgram(const Cfg &G) {
 
   for (uint32_t B = 0; B != G.numBlocks(); ++B) {
     const Block &Blk = G.Blocks[B];
-    FExprId S = mkVar(P, "s");
+    FExprId S = mkParam(P);
     std::array<FExprId, FlowTrackedRegs> Cur;
     for (unsigned R = 0; R != FlowTrackedRegs; ++R)
       Cur[R] = extractReg(P, S, R);
@@ -353,27 +381,27 @@ FlowLowering lowerToFlowProgram(const Cfg &G) {
 
     FExprId Body;
     if (Blk.Succs.empty()) {
-      Body = mkCallTo(P, "retv", packState(P, Cur));
+      Body = mkCallTo(P, L.RetFn, packState(P, Cur));
     } else if (Blk.Succs.size() == 1) {
-      Body = mkCallTo(P, blockName(Blk.Succs[0]), packState(P, Cur));
+      Body = mkCallTo(P, L.BlockFn[Blk.Succs[0]], packState(P, Cur));
     } else {
       // Both successor calls must be reachable from the body so both
       // are inferred (the projection's *value* is irrelevant — the
       // flow query observes retv's parameter, not block results).
       FExprId St = packState(P, Cur);
-      FExprId C0 = mkCallTo(P, blockName(Blk.Succs[0]), St);
-      FExprId C1 = mkCallTo(P, blockName(Blk.Succs[1]), St);
+      FExprId C0 = mkCallTo(P, L.BlockFn[Blk.Succs[0]], St);
+      FExprId C1 = mkCallTo(P, L.BlockFn[Blk.Succs[1]], St);
       Body = mkProj(P, mkPairOf(P, C0, C1), 0);
     }
-    L.BlockFn[B] = P.addFunction(blockName(B), "s", StateTy, Int, Body);
+    P.defineFunction(L.BlockFn[B], Body);
   }
 
   // retv: the exit join. Its parameter merges the final state of every
   // return path; ResultExpr is r0 of that join.
   {
-    FExprId S = mkVar(P, "s");
+    FExprId S = mkParam(P);
     L.ResultExpr = extractReg(P, S, 0);
-    L.RetFn = P.addFunction("retv", "s", StateTy, Int, L.ResultExpr);
+    P.defineFunction(L.RetFn, L.ResultExpr);
   }
 
   // main: seed the register file. r1 = context pointer (CtxLit), the
@@ -384,8 +412,8 @@ FlowLowering lowerToFlowProgram(const Cfg &G) {
     Init[1] = L.CtxLit = mkLit(P, 1);
     for (unsigned R = 2; R != FlowTrackedRegs; ++R)
       Init[R] = mkLit(P, 0);
-    FExprId Body = mkCallTo(P, blockName(0), packState(P, Init));
-    L.MainFn = P.addFunction("main", "z", Int, Int, Body);
+    FExprId Body = mkCallTo(P, L.BlockFn[0], packState(P, Init));
+    P.defineFunction(L.MainFn, Body);
   }
 
   std::string Error;

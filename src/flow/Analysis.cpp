@@ -33,27 +33,29 @@ struct Bracket {
   }
 };
 
-/// Appends the name of type \p T with its syntax flattened to
-/// identifier characters: "(a, b)" is written "_axb_".
-void appendTypeName(const FlowProgram &P, TypeId T, std::string &Out) {
-  const FType &Ty = P.type(T);
+/// Appends the name of type \p T of the type table \p Types with its
+/// syntax flattened to identifier characters: "(a, b)" is written
+/// "_axb_".
+void appendTypeName(std::span<const FType> Types, TypeId T,
+                    std::string &Out) {
+  const FType &Ty = Types[T];
   if (Ty.Kind == FType::Int) {
     Out += "int";
     return;
   }
   Out += '_';
-  appendTypeName(P, Ty.A, Out);
+  appendTypeName(Types, Ty.A, Out);
   Out += "x_";
-  appendTypeName(P, Ty.B, Out);
+  appendTypeName(Types, Ty.B, Out);
   Out += '_';
 }
 
-std::string bracketName(const FlowProgram &P, bool Open,
+std::string bracketName(std::span<const FType> Types, bool Open,
                         const Bracket &B) {
   std::string N = Open ? "open" : "close";
   N += std::to_string(B.Index + 1);
   N += '_';
-  appendTypeName(P, B.CompTy, N);
+  appendTypeName(Types, B.CompTy, N);
   return N;
 }
 
@@ -122,14 +124,24 @@ Dfa rasc::buildPairAutomaton(const FlowProgram &P,
   }
   std::sort(Brackets.begin(), Brackets.end());
 
+  // Symbol 2i opens bracket i and 2i + 1 closes it. Their names
+  // ("open1_int", ...) are rendered only when asked, from copies of
+  // the brackets and the type table.
   DfaBuilder Builder;
   std::vector<SymbolId> OpenSym(Brackets.size()), CloseSym(Brackets.size());
   std::vector<uint32_t> Frames(Brackets.size());
   for (uint32_t I = 0; I != Brackets.size(); ++I) {
-    OpenSym[I] = Builder.addSymbol(bracketName(P, true, Brackets[I]));
-    CloseSym[I] = Builder.addSymbol(bracketName(P, false, Brackets[I]));
+    OpenSym[I] = Builder.addGeneratedSymbol();
+    CloseSym[I] = Builder.addGeneratedSymbol();
     Frames[I] = I;
   }
+  std::vector<FType> Types(P.numTypes());
+  for (TypeId T = 0; T != P.numTypes(); ++T)
+    Types[T] = P.type(T);
+  Builder.setSymbolNamer(
+      [Types = std::move(Types), Brackets](SymbolId Sym) {
+        return bracketName(Types, Sym % 2 == 0, Brackets[Sym / 2]);
+      });
   if (BracketSyms) {
     BracketSyms->assign(4 * static_cast<size_t>(P.numTypes()), InvalidSymbol);
     for (size_t I = 0; I != Brackets.size(); ++I) {
@@ -245,18 +257,25 @@ Dfa rasc::buildCallAutomaton(const FlowProgram &P,
 
   // A site is "recursive" (gets the empty annotation, i.e. the
   // monomorphic approximation) if it stays within one SCC; it gets no
-  // symbols and is no frame.
+  // symbols and is no frame. Symbol 2k is "call<site>" and 2k + 1
+  // "ret<site>" for the k-th site given symbols, named when asked.
   DfaBuilder Builder;
   std::vector<SymbolId> OpenSym(P.numCallSites(), InvalidSymbol);
   std::vector<SymbolId> CloseSym(P.numCallSites(), InvalidSymbol);
-  std::vector<uint32_t> Frames;
+  std::vector<uint32_t> Frames, SymSite;
   for (uint32_t Id : Sites) {
     if (Scc[Caller[Id]] == Scc[Callee[Id]])
       continue;
     Frames.push_back(Id);
-    OpenSym[Id] = Builder.addSymbol("call" + std::to_string(Id));
-    CloseSym[Id] = Builder.addSymbol("ret" + std::to_string(Id));
+    if (OpenSym[Id] != InvalidSymbol)
+      continue; // a site listed twice keeps its symbols
+    OpenSym[Id] = Builder.addGeneratedSymbol();
+    CloseSym[Id] = Builder.addGeneratedSymbol();
+    SymSite.push_back(Id);
   }
+  Builder.setSymbolNamer([SymSite = std::move(SymSite)](SymbolId Sym) {
+    return (Sym % 2 == 0 ? "call" : "ret") + std::to_string(SymSite[Sym / 2]);
+  });
   if (CallSyms) {
     CallSyms->resize(2 * static_cast<size_t>(P.numCallSites()));
     for (uint32_t Id = 0; Id != P.numCallSites(); ++Id) {
@@ -293,7 +312,7 @@ FlowAnalysis::FlowAnalysis(const FlowProgram &P, FlowMode Mode)
   if (Mode == FlowMode::Primal) {
     CallCons.resize(P.numCallSites());
     for (uint32_t I = 0; I != P.numCallSites(); ++I)
-      CallCons[I] = CS->addConstructor("o" + std::to_string(I), 1);
+      CallCons[I] = CS->addNumberedConstructor("o", I, 1);
   } else {
     PairCons = CS->addConstructor("pair", 2);
   }
@@ -319,15 +338,9 @@ FlowAnalysis::FlowAnalysis(const FlowProgram &P, FlowMode Mode)
     CS->add(CS->var(Body.L), CS->var(RetLTs[F].L));
   }
 
-  // Seed a source constant at every literal up front; flow queries
-  // (Section 7.3) and the alias queries of Section 7.5 (which compare
-  // least-solution term sets) both need them. Literal nodes never
-  // reached from a function body carry no label (programmatic
-  // builders — the eBPF front-end overwriting a register slot —
-  // orphan nodes in the arena); a dead value needs no source.
-  for (FExprId E = 0; E != P.numExprs(); ++E)
-    if (P.expr(E).Kind == FExpr::Lit && hasLabel(E))
-      sourceConstant(E);
+  // Source constants are seeded when a query names them (flows,
+  // flowsPN) or all at once before an alias query (mayAlias); see
+  // DESIGN.md §5.
 }
 
 bool FlowAnalysis::hasLabel(FExprId E) const {
@@ -469,10 +482,11 @@ FlowAnalysis::LType FlowAnalysis::inferDual(FFuncId F, const LType &ParamLT,
 ConsId FlowAnalysis::sourceConstant(FExprId From) {
   if (SourceCons[From] != NoCons)
     return SourceCons[From];
-  ConsId C = CS->addConstant("src@" + std::to_string(From));
+  ConsId C = CS->addNumberedConstant("src@", From);
   CS->add(CS->cons(C), CS->var(labelOf(From)));
   SourceCons[From] = C;
   Solved = false;
+  PnReach.reset();
   return C;
 }
 
@@ -486,6 +500,7 @@ void FlowAnalysis::ensureSolved() {
   prepare();
   if (!Solved) {
     RASC_TRACE_SCOPE("flow.solve");
+    PnReach.reset();
     Solver->solve();
     Solved = true;
   }
@@ -505,9 +520,11 @@ FlowAnalysis::solveAll(std::span<FlowAnalysis *const> Analyses,
   std::vector<BatchSolver::Result> Results = Batch.solveAll(Solvers);
   // An interrupted analysis stays "unsolved" so its next query resumes
   // the solve to completion; a solved one answers queries directly.
-  for (size_t I = 0; I != Analyses.size(); ++I)
+  for (size_t I = 0; I != Analyses.size(); ++I) {
     Analyses[I]->Solved =
         !BidirectionalSolver::isInterrupted(Analyses[I]->Solver->status());
+    Analyses[I]->PnReach.reset();
+  }
   if (MergedStats)
     *MergedStats = Batch.mergedStats();
   return Results;
@@ -533,15 +550,26 @@ bool FlowAnalysis::flowsPN(FExprId From, FExprId To) {
     return false;
   ConsId C = sourceConstant(From);
   ensureSolved();
-  AtomReachability AR =
-      Solver->atomReachability(C, /*AllowUnmatchedProjections=*/true);
-  for (AnnId F : AR.annotations(labelOf(To)))
+  // One reachability pass answers every target of this source.
+  if (!PnReach || PnSource != C) {
+    PnReach =
+        Solver->atomReachability(C, /*AllowUnmatchedProjections=*/true);
+    PnSource = C;
+  }
+  for (AnnId F : PnReach->annotations(labelOf(To)))
     if (Dom->isAccepting(F))
       return true;
   return false;
 }
 
 bool FlowAnalysis::mayAlias(VarId A, VarId B) {
+  // Term sets are compared whole, so every value must be in them.
+  // Literal nodes never reached from a function body carry no label
+  // (the eBPF front-end orphans one when it overwrites a register
+  // slot); a dead value needs no source.
+  for (FExprId E = 0; E != P.numExprs(); ++E)
+    if (P.expr(E).Kind == FExpr::Lit && hasLabel(E))
+      sourceConstant(E);
   ensureSolved();
   return Solver->solutionsIntersect(A, B);
 }

@@ -39,6 +39,7 @@
 #include "flow/Lang.h"
 
 #include <memory>
+#include <optional>
 #include <span>
 
 namespace rasc {
@@ -76,12 +77,16 @@ public:
 
   /// Matched flow (Section 7.3): does the value of expression \p From
   /// flow to the *top level* of expression \p To along a path whose
-  /// call/returns and constructor/destructor uses all cancel?
+  /// call/returns and constructor/destructor uses all cancel? The
+  /// first query that names \p From seeds its source constant, and the
+  /// solve picks it up incrementally.
   bool flows(FExprId From, FExprId To);
 
   /// PN flow: also counts values that sit under unreturned calls
   /// (primal) — e.g. a caller's argument observed inside the callee.
-  /// Only meaningful for the primal analysis.
+  /// Only meaningful for the primal analysis. Seeds like flows(); the
+  /// reachability of the last source asked about is kept, so asking
+  /// many targets of one source costs one reachability pass.
   bool flowsPN(FExprId From, FExprId To);
 
   /// Does expression \p E have a label? Only expressions reached from
@@ -100,7 +105,7 @@ public:
   /// Stack-aware alias query (Section 7.5): do the least solutions of
   /// the two labels share a term? Only meaningful for analyses whose
   /// solutions are term sets (the dual analysis and primal call
-  /// terms).
+  /// terms). Seeds a source at every labelled literal first.
   bool mayAlias(VarId A, VarId B);
 
   const ConstraintSystem &system() const { return *CS; }
@@ -160,7 +165,15 @@ private:
   std::vector<LType> InferCache;
   std::vector<FFuncId> InferStamp;
   static constexpr ConsId NoCons = ~ConsId(0);
-  std::vector<ConsId> SourceCons; ///< per literal, NoCons until seeded
+  /// Per expression: its source constant, NoCons until a query seeds
+  /// it. The least solution is monotone in the constraints and an
+  /// arity-0 source feeds no projection, so a source seeded late
+  /// changes no answer about the others.
+  std::vector<ConsId> SourceCons;
+  /// flowsPN's reachability of source PnSource; seeding a source or a
+  /// re-solve drops it.
+  std::optional<AtomReachability> PnReach;
+  ConsId PnSource = NoCons;
   std::vector<ConsId> CallCons; // primal: o_i per call site
   ConsId PairCons = 0;          // dual
 };

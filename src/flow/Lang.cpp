@@ -6,6 +6,7 @@
 
 #include "flow/Lang.h"
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 
@@ -45,16 +46,37 @@ std::vector<FExprId> FlowProgram::literals() const {
 FFuncId FlowProgram::addFunction(std::string Name, std::string Param,
                                  TypeId ParamTy, TypeId RetTy,
                                  FExprId Body) {
+  FFuncId F =
+      declareFunction(std::move(Name), std::move(Param), ParamTy, RetTy);
+  defineFunction(F, Body);
+  return F;
+}
+
+FFuncId FlowProgram::declareFunction(std::string Name, std::string Param,
+                                     TypeId ParamTy, TypeId RetTy) {
   Funcs.push_back(
-      {std::move(Name), std::move(Param), ParamTy, RetTy, Body});
+      {std::move(Name), std::move(Param), ParamTy, RetTy, ~FExprId(0)});
   return static_cast<FFuncId>(Funcs.size() - 1);
+}
+
+void FlowProgram::defineFunction(FFuncId F, FExprId Body) {
+  assert(F < Funcs.size() && "function out of range");
+  Funcs[F].Body = Body;
 }
 
 FExprId FlowProgram::addExpr(FExpr E) {
   if (E.Kind == FExpr::Call)
     E.CallSite = NumCallSites++;
-  Exprs.push_back(std::move(E));
+  Exprs.push_back(E);
   return static_cast<FExprId>(Exprs.size() - 1);
+}
+
+FExprId FlowProgram::addNamedExpr(FExpr E, std::string Name) {
+  assert((E.Kind == FExpr::Var || E.Kind == FExpr::Call) &&
+         "only variables and calls refer by name");
+  FExprId Id = addExpr(E);
+  RefNames.emplace_back(Id, std::move(Name));
+  return Id;
 }
 
 //===----------------------------------------------------------------------===//
@@ -65,6 +87,7 @@ namespace {
 
 struct Checker {
   FlowProgram &P;
+  const std::vector<std::pair<FExprId, std::string>> &RefNames;
   std::string *Error;
 
   bool fail(const std::string &Msg) {
@@ -73,14 +96,22 @@ struct Checker {
     return false;
   }
 
+  /// The source name of \p E, or null if it refers by id.
+  const std::string *refName(FExprId E) const {
+    auto It = std::lower_bound(
+        RefNames.begin(), RefNames.end(), E,
+        [](const auto &R, FExprId Id) { return R.first < Id; });
+    return It != RefNames.end() && It->first == E ? &It->second : nullptr;
+  }
+
   bool checkExpr(FExprId EId, const FFunc &F) {
     // Exprs vector may reallocate nowhere here (no additions); safe to
     // take a mutable reference via index each time.
     FExpr &E = const_cast<FExpr &>(P.expr(EId));
     switch (E.Kind) {
     case FExpr::Var:
-      if (E.Name != F.Param)
-        return fail("unbound variable '" + E.Name + "' in function '" +
+      if (const std::string *Name = refName(EId); Name && *Name != F.Param)
+        return fail("unbound variable '" + *Name + "' in function '" +
                     F.Name + "'");
       E.Type = F.ParamTy;
       return true;
@@ -106,10 +137,15 @@ struct Checker {
       return true;
     }
     case FExpr::Call: {
-      std::optional<FFuncId> Callee = P.functionByName(E.Name);
-      if (!Callee)
-        return fail("call to undeclared function '" + E.Name + "'");
-      E.Callee = *Callee;
+      if (const std::string *Name = refName(EId)) {
+        std::optional<FFuncId> Callee = P.functionByName(*Name);
+        if (!Callee)
+          return fail("call to undeclared function '" + *Name + "'");
+        E.Callee = *Callee;
+      } else if (E.Callee >= P.functions().size()) {
+        return fail("call to undeclared function #" +
+                    std::to_string(E.Callee) + " in '" + F.Name + "'");
+      }
       if (!checkExpr(E.Kid0, F))
         return false;
       // Non-structural subtyping (Sub) permits any argument type; the
@@ -117,7 +153,7 @@ struct Checker {
       // reject the plainly ill-formed case of projecting later, which
       // static types catch above.
       const_cast<FExpr &>(P.expr(EId)).Type =
-          P.functions()[*Callee].RetTy;
+          P.functions()[P.expr(EId).Callee].RetTy;
       return true;
     }
     }
@@ -128,10 +164,13 @@ struct Checker {
 } // namespace
 
 bool FlowProgram::typecheck(std::string *Error) {
-  Checker C{*this, Error};
-  for (const FFunc &F : Funcs)
+  Checker C{*this, RefNames, Error};
+  for (const FFunc &F : Funcs) {
+    if (F.Body >= Exprs.size())
+      return C.fail("function '" + F.Name + "' has no body");
     if (!C.checkExpr(F.Body, F))
       return false;
+  }
   return true;
 }
 
@@ -280,14 +319,12 @@ private:
         return std::nullopt;
       FExpr E;
       E.Kind = FExpr::Call;
-      E.Name = *Id;
       E.Kid0 = *Arg;
-      return P.addExpr(std::move(E));
+      return P.addNamedExpr(E, std::move(*Id));
     }
     FExpr E;
     E.Kind = FExpr::Var;
-    E.Name = *Id;
-    return P.addExpr(std::move(E));
+    return P.addNamedExpr(E, std::move(*Id));
   }
 
   std::optional<FExprId> parseExpr() {

@@ -30,6 +30,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace rasc {
@@ -47,15 +48,17 @@ struct FType {
   TypeId B = InvalidType; ///< Pair: second component.
 };
 
-/// Expressions; kids index into the program's expression arena.
+/// Expressions; kids index into the program's expression arena. A Var
+/// is the enclosing function's parameter (functions take one). Source
+/// names live in the program's side table (FlowProgram::addNamedExpr),
+/// so a program built in code carries no strings per node.
 struct FExpr {
   enum KindTy : uint8_t { Var, Lit, MkPair, Proj, Call } Kind;
-  std::string Name;      ///< Var: variable; Call: callee name.
   long LitValue = 0;     ///< Lit.
   uint32_t ProjIdx = 0;  ///< Proj: 0-based component.
   FExprId Kid0 = 0;      ///< MkPair/Proj/Call operand(s).
   FExprId Kid1 = 0;      ///< MkPair second component.
-  FFuncId Callee = 0;    ///< Call: resolved in a second pass.
+  FFuncId Callee = 0;    ///< Call: the callee; by name: set by typecheck.
   uint32_t CallSite = 0; ///< Call: unique instantiation index.
   TypeId Type = InvalidType; ///< Filled by type checking.
 };
@@ -103,10 +106,21 @@ public:
   // Construction (used by the parser and by generators) --------------------
   FFuncId addFunction(std::string Name, std::string Param, TypeId ParamTy,
                       TypeId RetTy, FExprId Body);
-  FExprId addExpr(FExpr E);
+  /// Reserves a function whose body defineFunction() supplies later, so
+  /// that bodies built earlier can call it by id.
+  FFuncId declareFunction(std::string Name, std::string Param,
+                          TypeId ParamTy, TypeId RetTy);
+  void defineFunction(FFuncId F, FExprId Body);
 
-  /// Resolves call targets and computes static types; returns false
-  /// and sets \p Error on a type error.
+  /// Adds an expression; a Call names its callee by id in E.Callee.
+  FExprId addExpr(FExpr E);
+  /// Adds a Var or Call that refers by source name: a Var must name the
+  /// enclosing function's parameter, a Call's callee is resolved by
+  /// typecheck(). The text parser builds this way.
+  FExprId addNamedExpr(FExpr E, std::string Name);
+
+  /// Resolves by-name references and computes static types; returns
+  /// false and sets \p Error on a type error.
   bool typecheck(std::string *Error);
 
 private:
@@ -118,6 +132,9 @@ private:
   std::vector<FType> Types;
   std::vector<FFunc> Funcs;
   std::vector<FExpr> Exprs;
+  /// Source names of the expressions added by addNamedExpr(), in
+  /// expression order.
+  std::vector<std::pair<FExprId, std::string>> RefNames;
   uint32_t NumCallSites = 0;
 
   friend class FlowProgramBuilder;

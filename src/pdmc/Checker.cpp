@@ -22,6 +22,16 @@ using namespace rasc;
 
 namespace {
 
+/// Maps each symbol of \p Prog to the symbol of the same name in \p M,
+/// InvalidSymbol where \p M has none: one name lookup per distinct
+/// program symbol, not one per statement.
+std::vector<SymbolId> specSymbols(const Program &Prog, const Dfa &M) {
+  std::vector<SymbolId> Out(Prog.numSymbols());
+  for (OpSymId S = 0; S != Prog.numSymbols(); ++S)
+    Out[S] = M.symbol(Prog.symbolName(S)).value_or(InvalidSymbol);
+  return Out;
+}
+
 double secondsSince(
     std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -53,13 +63,11 @@ RascChecker::RascChecker(const Program &Prog, const SpecAutomaton &Spec,
 }
 
 bool RascChecker::isRelevant(const Stmt &St) const {
-  return St.Kind == Stmt::Op &&
-         Spec.machine().symbol(St.OpSymbol).has_value();
+  return St.Kind == Stmt::Op && SpecSym[St.OpSym] != InvalidSymbol;
 }
 
 AnnId RascChecker::opAnn(const Stmt &St) const {
-  const Dfa &M = Spec.machine();
-  SymbolId Sym = *M.symbol(St.OpSymbol);
+  SymbolId Sym = SpecSym[St.OpSym];
   AnnId BaseAnn = Base->symbolAnn(Sym);
   if (!Parametric)
     return BaseAnn;
@@ -79,6 +87,7 @@ void RascChecker::generate() {
   if (Generated)
     return;
   Generated = true;
+  SpecSym = specSymbols(Prog, Spec.machine());
 
   // Constraint generation (Section 6.1), with offline variable
   // substitution (Rountev & Chandra, PLDI 2000). The paper gives every
@@ -165,7 +174,7 @@ void RascChecker::generate() {
   for (StmtId S = 0; S != N; ++S) {
     VarId &V = ClassVar[Classes.find(S)];
     if (V == InvalidVar) {
-      V = CS->freshVar("S" + std::to_string(S));
+      V = CS->numberedVar("S", S);
       ++Vars;
     }
     StmtVars[S] = V;
@@ -183,7 +192,7 @@ void RascChecker::generate() {
     const Stmt &St = Prog.stmt(S);
     if (St.Kind == Stmt::Call) {
       // o_i(S) ⊆ F_entry and o_i^-1(F_exit) ⊆ S_i.
-      ConsId O = CS->addConstructor("o@" + std::to_string(S), 1);
+      ConsId O = CS->addNumberedConstructor("o@", S, 1);
       ConsToCall[O] = S;
       CallCons.emplace_back(S, O);
       CS->add(CS->cons(O, {StmtVars[S]}),
@@ -286,7 +295,7 @@ std::vector<Violation> RascChecker::collectViolations() {
           if (std::optional<Word> W = Base->monoid().sampleWord(F)) {
             for (SymbolId Sym : *W)
               V.EventTrace.push_back(M.symbolName(Sym));
-            V.EventTrace.push_back(St.OpSymbol);
+            V.EventTrace.push_back(Prog.symbolName(St.OpSym));
           }
           Found.insert(std::move(V));
         }
@@ -361,7 +370,7 @@ std::vector<Violation> RascChecker::checkForward() {
     const Stmt &St = Prog.stmt(S);
     if (!isRelevant(St))
       continue;
-    SymbolId Sym = *M.symbol(St.OpSymbol);
+    SymbolId Sym = SpecSym[St.OpSym];
     for (StateId Q : U.pnStates(Pc, StmtVars[S]))
       if (!M.isAccepting(Q) && M.isAccepting(M.next(Q, Sym))) {
         Violation V;
@@ -386,14 +395,15 @@ std::vector<Violation> MopsChecker::check() {
 
   // Collect the label tuples of parametric operations; MOPS checks
   // each instantiation separately.
+  SpecSym = specSymbols(Prog, Spec.machine());
   std::set<std::vector<std::string>> Instances;
   bool AnyParametric = false;
   for (StmtId S = 0; S != Prog.numStatements(); ++S) {
     const Stmt &St = Prog.stmt(S);
     if (St.Kind != Stmt::Op)
       continue;
-    auto Sym = Spec.machine().symbol(St.OpSymbol);
-    if (!Sym || !Spec.isParametric(*Sym))
+    SymbolId Sym = SpecSym[St.OpSym];
+    if (Sym == InvalidSymbol || !Spec.isParametric(Sym))
       continue;
     AnyParametric = true;
     Instances.insert(St.OpLabels);
@@ -420,10 +430,9 @@ void MopsChecker::checkInstance(const std::vector<std::string> &Labels,
   auto relevantSym = [&](const Stmt &St) -> std::optional<SymbolId> {
     if (St.Kind != Stmt::Op)
       return std::nullopt;
-    auto Sym = M.symbol(St.OpSymbol);
-    if (!Sym)
-      return std::nullopt;
-    if (Spec.isParametric(*Sym) && St.OpLabels != Labels)
+    SymbolId Sym = SpecSym[St.OpSym];
+    if (Sym == InvalidSymbol ||
+        (Spec.isParametric(Sym) && St.OpLabels != Labels))
       return std::nullopt;
     return Sym;
   };

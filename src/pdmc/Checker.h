@@ -153,6 +153,8 @@ private:
   std::unique_ptr<const MonoidDomain> Base;
   std::unique_ptr<SubstEnvDomain> EnvDom;
   std::unique_ptr<ConstraintSystem> CS;
+  /// Per program symbol: the spec's symbol, or InvalidSymbol.
+  std::vector<SymbolId> SpecSym;
   std::vector<VarId> StmtVars;
   ConsId Pc = 0;
   std::vector<std::pair<StmtId, ConsId>> CallCons; // call site -> o_i
@@ -195,6 +197,8 @@ private:
 
   const Program &Prog;
   const SpecAutomaton &Spec;
+  /// Per program symbol: the spec's symbol, or InvalidSymbol.
+  std::vector<SymbolId> SpecSym;
   CheckStats Stats;
 };
 

@@ -13,13 +13,24 @@ using namespace rasc;
 FuncId Program::addFunction(std::string Name) {
   FuncId F = static_cast<FuncId>(Funcs.size());
   Funcs.push_back({std::move(Name), 0, 0});
-  Stmt Entry;
-  Entry.Note = "entry";
-  Funcs[F].Entry = addStmt(F, std::move(Entry));
-  Stmt Exit;
-  Exit.Note = "exit";
-  Funcs[F].Exit = addStmt(F, std::move(Exit));
+  Funcs[F].Entry = addNop(F, SourceTag{SourceTag::Entry});
+  Funcs[F].Exit = addNop(F, SourceTag{SourceTag::Exit});
   return F;
+}
+
+OpSymId Program::internSymbol(std::string_view Name) {
+  for (OpSymId I = 0, E = numSymbols(); I != E; ++I)
+    if (Symbols[I] == Name)
+      return I;
+  Symbols.emplace_back(Name);
+  return numSymbols() - 1;
+}
+
+SourceTag Program::textTag(std::string_view Note) {
+  if (Note.empty())
+    return {};
+  Notes.emplace_back(Note);
+  return {SourceTag::Text, static_cast<uint32_t>(Notes.size() - 1)};
 }
 
 StmtId Program::addStmt(FuncId F, Stmt St) {
@@ -29,28 +40,39 @@ StmtId Program::addStmt(FuncId F, Stmt St) {
   return static_cast<StmtId>(Stmts.size() - 1);
 }
 
-StmtId Program::addNop(FuncId F, std::string Note) {
+StmtId Program::addNop(FuncId F, std::string_view Note) {
+  return addNop(F, textTag(Note));
+}
+
+StmtId Program::addNop(FuncId F, SourceTag Tag) {
   Stmt St;
-  St.Note = std::move(Note);
+  St.Tag = Tag;
   return addStmt(F, std::move(St));
 }
 
-StmtId Program::addOp(FuncId F, std::string Symbol,
-                      std::vector<std::string> Labels, std::string Note) {
+StmtId Program::addOp(FuncId F, std::string_view Symbol,
+                      std::vector<std::string> Labels,
+                      std::string_view Note) {
+  StmtId S = addOp(F, internSymbol(Symbol), textTag(Note));
+  Stmts[S].OpLabels = std::move(Labels);
+  return S;
+}
+
+StmtId Program::addOp(FuncId F, OpSymId Sym, SourceTag Tag) {
+  assert(Sym < Symbols.size() && "symbol out of range");
   Stmt St;
   St.Kind = Stmt::Op;
-  St.OpSymbol = std::move(Symbol);
-  St.OpLabels = std::move(Labels);
-  St.Note = std::move(Note);
+  St.OpSym = Sym;
+  St.Tag = Tag;
   return addStmt(F, std::move(St));
 }
 
-StmtId Program::addCall(FuncId F, FuncId Callee, std::string Note) {
+StmtId Program::addCall(FuncId F, FuncId Callee, std::string_view Note) {
   assert(Callee < Funcs.size() && "callee out of range");
   Stmt St;
   St.Kind = Stmt::Call;
   St.Callee = Callee;
-  St.Note = std::move(Note);
+  St.Tag = textTag(Note);
   return addStmt(F, std::move(St));
 }
 
@@ -65,16 +87,41 @@ void Program::finalize() {
   }
 }
 
+std::string Program::note(StmtId S) const {
+  const SourceTag &T = stmt(S).Tag;
+  switch (T.Kind) {
+  case SourceTag::None:
+    return "";
+  case SourceTag::Text:
+    return Notes[T.Index];
+  case SourceTag::Entry:
+    return "entry";
+  case SourceTag::Exit:
+    return "exit";
+  case SourceTag::Block:
+    return "b" + std::to_string(T.Index);
+  case SourceTag::Insn: {
+    std::string N = "insn " + std::to_string(T.Index);
+    if (InsnText)
+      N += ": " + InsnText(T.Index);
+    return N;
+  }
+  }
+  return "";
+}
+
 std::string Program::describe(StmtId S) const {
   const Stmt &St = stmt(S);
   std::ostringstream OS;
   OS << funcName(St.Parent) << ":" << S << " ";
   switch (St.Kind) {
-  case Stmt::Nop:
-    OS << (St.Note.empty() ? "nop" : St.Note);
+  case Stmt::Nop: {
+    std::string Note = note(S);
+    OS << (Note.empty() ? "nop" : Note);
     break;
+  }
   case Stmt::Op:
-    OS << St.OpSymbol;
+    OS << symbolName(St.OpSym);
     if (!St.OpLabels.empty()) {
       OS << "(";
       for (size_t I = 0; I != St.OpLabels.size(); ++I) {

@@ -23,15 +23,39 @@
 
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rasc {
 
 using FuncId = uint32_t;
 using StmtId = uint32_t;
+/// An operation symbol, interned per Program (Program::symbolName()).
+using OpSymId = uint32_t;
 
 constexpr FuncId InvalidFunc = ~FuncId(0);
+
+/// Where a statement came from, for diagnostics. A front end that
+/// builds a program per request tags its statements with a number (an
+/// instruction index, a block id) instead of building text, and
+/// Program::note() renders the text only when a report asks.
+struct SourceTag {
+  enum KindTy : uint8_t {
+    None,  ///< No note.
+    Text,  ///< Index: a note in the program's own note table.
+    Entry, ///< A function's entry statement: "entry".
+    Exit,  ///< A function's exit statement: "exit".
+    Block, ///< Index: a basic block: "b<Index>".
+    Insn,  ///< Index: an instruction: "insn <Index>: <text>".
+  };
+  KindTy Kind = None;
+  uint32_t Index = 0;
+
+  static SourceTag block(uint32_t B) { return {Block, B}; }
+  static SourceTag insn(uint32_t I) { return {Insn, I}; }
+};
 
 /// One CFG statement.
 struct Stmt {
@@ -42,12 +66,12 @@ struct Stmt {
   };
 
   KindTy Kind = Nop;
-  std::string OpSymbol;              ///< Op: the property symbol.
+  OpSymId OpSym = 0;                 ///< Op: the property symbol.
   std::vector<std::string> OpLabels; ///< Op: parameter labels, if any.
   FuncId Callee = InvalidFunc;       ///< Call.
   FuncId Parent = InvalidFunc;
   std::vector<StmtId> Succs;
-  std::string Note; ///< Free-form source location for diagnostics.
+  SourceTag Tag; ///< Source location for diagnostics; see note().
 };
 
 /// A whole program: functions, statements, edges.
@@ -61,16 +85,36 @@ public:
   StmtId exit(FuncId F) const { return Funcs[F].Exit; }
   const std::string &funcName(FuncId F) const { return Funcs[F].Name; }
 
-  /// Adds a Nop statement to \p F.
-  StmtId addNop(FuncId F, std::string Note = "");
+  /// Interns an operation symbol: equal names get equal ids.
+  OpSymId internSymbol(std::string_view Name);
+  const std::string &symbolName(OpSymId Sym) const {
+    assert(Sym < Symbols.size() && "symbol out of range");
+    return Symbols[Sym];
+  }
+  uint32_t numSymbols() const {
+    return static_cast<uint32_t>(Symbols.size());
+  }
+
+  /// Adds a Nop statement to \p F, with a free-form note.
+  StmtId addNop(FuncId F, std::string_view Note = {});
+  StmtId addNop(FuncId F, SourceTag Tag);
 
   /// Adds an operation statement (a property-alphabet symbol with
   /// optional parameter labels).
-  StmtId addOp(FuncId F, std::string Symbol,
-               std::vector<std::string> Labels = {}, std::string Note = "");
+  StmtId addOp(FuncId F, std::string_view Symbol,
+               std::vector<std::string> Labels = {},
+               std::string_view Note = {});
+  StmtId addOp(FuncId F, OpSymId Sym, SourceTag Tag);
 
   /// Adds a call statement.
-  StmtId addCall(FuncId F, FuncId Callee, std::string Note = "");
+  StmtId addCall(FuncId F, FuncId Callee, std::string_view Note = {});
+
+  /// Renders the Insn-tagged notes: \p Render returns the text of
+  /// instruction \p I, and must own what it reads. Without one, such
+  /// a note reads "insn <I>".
+  void setInsnRenderer(std::function<std::string(uint32_t I)> Render) {
+    InsnText = std::move(Render);
+  }
 
   /// Adds a CFG edge.
   void addEdge(StmtId From, StmtId To) {
@@ -88,6 +132,9 @@ public:
   uint32_t numFunctions() const {
     return static_cast<uint32_t>(Funcs.size());
   }
+  /// Makes room for \p N statements, for a front end that knows about
+  /// how many it adds.
+  void reserveStatements(size_t N) { Stmts.reserve(N); }
   uint32_t numStatements() const {
     return static_cast<uint32_t>(Stmts.size());
   }
@@ -95,6 +142,10 @@ public:
     assert(S < Stmts.size() && "statement out of range");
     return Stmts[S];
   }
+
+  /// The free-form source location of a statement, rendered from its
+  /// tag ("" if it has none).
+  std::string note(StmtId S) const;
 
   /// A short human-readable description of a statement.
   std::string describe(StmtId S) const;
@@ -107,9 +158,13 @@ private:
   };
 
   StmtId addStmt(FuncId F, Stmt St);
+  SourceTag textTag(std::string_view Note);
 
   std::vector<Func> Funcs;
   std::vector<Stmt> Stmts;
+  std::vector<std::string> Symbols;
+  std::vector<std::string> Notes; ///< the Text tags' notes
+  std::function<std::string(uint32_t)> InsnText;
 };
 
 } // namespace rasc

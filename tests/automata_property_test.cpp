@@ -101,10 +101,12 @@ TEST_P(AutomataRandom, ClosuresAcceptExactlyTheFragments) {
       for (size_t Hi = Lo; Hi <= W.size(); ++Hi) {
         Word Frag(W.begin() + Lo, W.begin() + Hi);
         EXPECT_TRUE(Sub.accepts(Frag));
-        if (Lo == 0)
+        if (Lo == 0) {
           EXPECT_TRUE(Pre.accepts(Frag));
-        if (Hi == W.size())
+        }
+        if (Hi == W.size()) {
           EXPECT_TRUE(Suf.accepts(Frag));
+        }
       }
   }
 

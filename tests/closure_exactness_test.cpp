@@ -201,7 +201,7 @@ void compareWithOracle(const System &S, SolverOptions Opts) {
       std::vector<AnnId> A = Fast.constantAnnotations(K, V);
       std::sort(A.begin(), A.end());
       EXPECT_EQ(A, keepUseful(D, Ref.constantAnnotations(K, V), DropUseless))
-          << "constant " << CS.constructor(K).Name << " in "
+          << "constant " << CS.constructorName(K) << " in "
           << CS.varName(V);
     }
 

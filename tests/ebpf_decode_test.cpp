@@ -361,11 +361,12 @@ TEST(EbpfDecode, MalformedCorpus) {
     EXPECT_EQ(D.error().loc().Line, M.Slot);
     // Slot-level rejections always carry the byte offset.
     if (M.Slot != 0 &&
-        D.error().message().find("not a multiple") == std::string::npos)
+        D.error().message().find("not a multiple") == std::string::npos) {
       EXPECT_NE(D.error().message().find("at byte offset " +
                                          std::to_string((M.Slot - 1) * 8)),
                 std::string::npos)
           << "got: " << D.error().message();
+    }
   }
 }
 

@@ -202,8 +202,9 @@ TEST(EbpfCfgInvariants, PartitionLeadersTerminators) {
                      !G.Prog.Insns[I].isCall())
             << "branch in the middle of block " << B;
       }
-      if (Term.isExit())
+      if (Term.isExit()) {
         EXPECT_TRUE(Blk.Succs.empty());
+      }
       if (Term.isBranch() && !Term.isUncondJump()) {
         // Both outcomes, deduplicated when the taken target IS the
         // fall-through ("goto +0").

@@ -9,14 +9,19 @@
 /// extension): matched flow implies PN flow, values observed inside a
 /// call are PN-only, and the dual analysis agrees with the primal on
 /// matched queries even when PN sets differ. Plus pinned flowsPN
-/// answers on the Section 7 bench programs and the eBPF corpus.
+/// answers on the Section 7 bench programs and the eBPF corpus, and
+/// query-order independence: sources are seeded when a query names
+/// them and flowsPN keeps the last source's reachability, so every
+/// answer must be the same in any query order and on a fresh analysis.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "core/Certifier.h"
 #include "ebpf/Cfg.h"
 #include "ebpf/Decode.h"
 #include "ebpf/Lower.h"
 #include "flow/Analysis.h"
+#include "progen/EbpfGen.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -41,8 +46,9 @@ main (z : int) : int = dup(3).1;
   FlowAnalysis FA(*P, FlowMode::Primal);
   for (FExprId Lit : P->literals())
     for (const FFunc &F : P->functions())
-      if (FA.flows(Lit, F.Body))
+      if (FA.flows(Lit, F.Body)) {
         EXPECT_TRUE(FA.flowsPN(Lit, F.Body));
+      }
 }
 
 TEST(FlowPn, ArgumentVisibleInsideCalleeOnlyViaPn) {
@@ -111,8 +117,9 @@ TEST(FlowPn, RandomProgramsMatchedSubsetOfPn) {
       Targets.push_back(F.Body);
     for (FExprId Lit : P->literals())
       for (FExprId T : Targets)
-        if (FA.flows(Lit, T))
+        if (FA.flows(Lit, T)) {
           EXPECT_TRUE(FA.flowsPN(Lit, T)) << "seed " << Seed;
+        }
   }
 }
 
@@ -146,8 +153,9 @@ TEST(FlowPn, CycleEliminationKeepsAnswers) {
         Flowing += Pn;
       }
     EXPECT_GT(Flowing, 0u);
-    if (Mode == FlowMode::Dual)
+    if (Mode == FlowMode::Dual) {
       EXPECT_GT(With.solver().stats().CollapsedVars, 0u);
+    }
   }
 }
 
@@ -288,5 +296,129 @@ TEST(FlowPnPinned, EbpfCorpus) {
     EXPECT_EQ(A.pin(), It == Pins.end() ? "" : It->second) << A.Bits;
   }
 }
+
+//===----------------------------------------------------------------------===//
+// Query-order independence: lazily seeded sources and the flowsPN cache
+//===----------------------------------------------------------------------===//
+
+namespace order {
+
+enum class Ask { Flows, FlowsPN, MayAlias };
+
+struct Query {
+  Ask K;
+  FExprId Lit, To;
+};
+
+bool ask(FlowAnalysis &A, const Query &Q) {
+  switch (Q.K) {
+  case Ask::Flows:
+    return A.flows(Q.Lit, Q.To);
+  case Ask::FlowsPN:
+    return A.flowsPN(Q.Lit, Q.To);
+  case Ask::MayAlias:
+    return A.hasLabel(Q.Lit) && A.hasLabel(Q.To) &&
+           A.mayAlias(A.labelOf(Q.Lit), A.labelOf(Q.To));
+  }
+  return false;
+}
+
+/// Answers \p Qs on one analysis in the order \p Order gives, checking
+/// the fixpoint after every query; the answers are in query order.
+std::vector<bool> askInOrder(const FlowProgram &P, FlowMode Mode,
+                             const std::vector<Query> &Qs,
+                             const std::vector<size_t> &Order) {
+  FlowAnalysis A(P, Mode);
+  std::vector<bool> Out(Qs.size());
+  for (size_t I : Order) {
+    Out[I] = ask(A, Qs[I]);
+    EXPECT_TRUE(certifyFixpoint(A.solver()).Ok) << "after query " << I;
+  }
+  return Out;
+}
+
+/// Asks flows, flowsPN and mayAlias for every (literal, target) pair
+/// four ways — literal-major on one analysis, the reverse of that on
+/// another (mayAlias, which seeds every source, comes first), target-
+/// major on a third (flowsPN's source changes every query), and each
+/// query on a fresh analysis — and expects the same answers.
+void expectOrderFree(const FlowProgram &P, FlowMode Mode,
+                     const std::vector<FExprId> &Lits,
+                     const std::vector<FExprId> &Targets) {
+  std::vector<Query> Qs;
+  for (Ask K : {Ask::Flows, Ask::FlowsPN, Ask::MayAlias})
+    for (FExprId Lit : Lits)
+      for (FExprId To : Targets)
+        Qs.push_back({K, Lit, To});
+  std::vector<size_t> Forward(Qs.size()), TargetMajor;
+  for (size_t I = 0; I != Qs.size(); ++I)
+    Forward[I] = I;
+  std::vector<size_t> Reverse(Forward.rbegin(), Forward.rend());
+  for (size_t K = 0; K != 3; ++K)
+    for (size_t T = 0; T != Targets.size(); ++T)
+      for (size_t L = 0; L != Lits.size(); ++L)
+        TargetMajor.push_back((K * Lits.size() + L) * Targets.size() + T);
+
+  std::vector<bool> Fresh(Qs.size());
+  for (size_t I = 0; I != Qs.size(); ++I)
+    Fresh[I] = askInOrder(P, Mode, Qs, {I})[I];
+  EXPECT_EQ(askInOrder(P, Mode, Qs, Forward), Fresh) << "forward order";
+  EXPECT_EQ(askInOrder(P, Mode, Qs, Reverse), Fresh) << "reverse order";
+  EXPECT_EQ(askInOrder(P, Mode, Qs, TargetMajor), Fresh)
+      << "target-major order";
+}
+
+} // namespace order
+
+TEST(FlowQueryOrder, Section7Programs) {
+  const std::string Srcs[] = {
+      pin::deepTypeProgram(1), pin::deepTypeProgram(3),
+      pin::deepCallProgram(4),
+      // Figure 11, and a value observed inside a callee (PN only).
+      "pair (y : int) : (int, int) = (1, y);\n"
+      "main (z : int) : int = pair(2).2;\n",
+      "id (x : int) : int = x;\n"
+      "use (x : int) : int = id(x);\n"
+      "main (z : int) : int = (use(4), id(5)).1;\n",
+  };
+  for (const std::string &Src : Srcs)
+    for (FlowMode Mode : {FlowMode::Primal, FlowMode::Dual}) {
+      SCOPED_TRACE(Src);
+      std::optional<FlowProgram> P = FlowProgram::parse(Src);
+      ASSERT_TRUE(P);
+      std::vector<FExprId> Targets(P->numExprs());
+      for (FExprId E = 0; E != P->numExprs(); ++E)
+        Targets[E] = E;
+      order::expectOrderFree(*P, Mode, P->literals(), Targets);
+    }
+}
+
+class FlowQueryOrderEbpf : public ::testing::TestWithParam<uint64_t> {};
+
+// The canonical ebpf-batch query shape on the generator corpus: every
+// instruction literal and the context literal, into the program result
+// and every block function's body.
+TEST_P(FlowQueryOrderEbpf, GeneratedPrograms) {
+  EbpfGenOptions O;
+  O.Seed = GetParam();
+  O.MaxBlocks = 6;
+  O.MaxBodyInsns = 5;
+  std::vector<uint8_t> Bytes = generateEbpf(O);
+  Expected<ebpf::DecodedProgram> D = ebpf::decode(Bytes);
+  ASSERT_TRUE(D) << D.error().render();
+  ebpf::Cfg G = ebpf::buildCfg(std::move(*D));
+  ebpf::FlowLowering Fl = ebpf::lowerToFlowProgram(G);
+  std::vector<FExprId> Lits{Fl.CtxLit};
+  for (FExprId Lit : Fl.InsnLit)
+    if (Lit != ~0u)
+      Lits.push_back(Lit);
+  std::vector<FExprId> Targets{Fl.ResultExpr};
+  for (FFuncId F : Fl.BlockFn)
+    Targets.push_back(Fl.Prog.functions()[F].Body);
+  order::expectOrderFree(Fl.Prog, FlowMode::Primal, Lits, Targets);
+}
+
+INSTANTIATE_TEST_SUITE_P(Corpus, FlowQueryOrderEbpf,
+                         ::testing::Range(uint64_t(1), uint64_t(65)));
 
 } // namespace

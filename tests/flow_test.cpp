@@ -60,6 +60,44 @@ TEST(FlowLang, TypeErrors) {
   EXPECT_NE(Err.find("no functions"), std::string::npos);
 }
 
+// Programs built in code call by id: a function declared before its
+// body can be called from bodies built earlier, and typecheck() checks
+// the ids instead of resolving names.
+TEST(FlowLang, CallsByIdAfterDeclaration) {
+  FlowProgram P = FlowProgram::empty();
+  TypeId Int = P.intType();
+  FFuncId Main = P.declareFunction("main", "z", Int, Int);
+  FFuncId Id = P.declareFunction("id", "x", Int, Int);
+  FExpr Lit;
+  Lit.Kind = FExpr::Lit;
+  FExpr Call;
+  Call.Kind = FExpr::Call;
+  Call.Callee = Id;
+  Call.Kid0 = P.addExpr(Lit);
+  FExprId CallE = P.addExpr(Call);
+  P.defineFunction(Main, CallE);
+  std::string Err;
+  EXPECT_FALSE(P.typecheck(&Err));
+  EXPECT_NE(Err.find("'id' has no body"), std::string::npos) << Err;
+
+  FExpr Param;
+  Param.Kind = FExpr::Var;
+  P.defineFunction(Id, P.addExpr(Param));
+  Err.clear();
+  ASSERT_TRUE(P.typecheck(&Err)) << Err;
+  EXPECT_EQ(P.expr(CallE).Type, Int);
+  FlowAnalysis A(P, FlowMode::Primal);
+  EXPECT_TRUE(A.flows(Call.Kid0, CallE));
+
+  FlowProgram Q = FlowProgram::empty();
+  Call.Callee = 7;
+  Call.Kid0 = Q.addExpr(Lit);
+  Q.addFunction("main", "z", Q.intType(), Q.intType(), Q.addExpr(Call));
+  Err.clear();
+  EXPECT_FALSE(Q.typecheck(&Err));
+  EXPECT_NE(Err.find("undeclared function #7"), std::string::npos) << Err;
+}
+
 TEST(FlowAutomaton, Figure10Shape) {
   // For a program whose largest type is (int, int), the pair automaton
   // has the Figure 10 shape: root + one state per component position,
@@ -303,8 +341,7 @@ struct ProgramBuilder {
       if (Want == Ctx.ParamTy && R.chance(1, 2)) {
         FExpr E;
         E.Kind = FExpr::Var;
-        E.Name = Ctx.Param;
-        return P.addExpr(std::move(E));
+        return P.addExpr(E);
       }
       if (Ty.Kind == FType::Int) {
         FExpr E;
@@ -323,7 +360,7 @@ struct ProgramBuilder {
         FFuncId Callee = Fits[R.below(Fits.size())];
         FExpr E;
         E.Kind = FExpr::Call;
-        E.Name = P.functions()[Callee].Name;
+        E.Callee = Callee;
         E.Kid0 = build(P.functions()[Callee].ParamTy, Ctx, NumCallable,
                        Depth > 0 ? Depth - 1 : 0);
         return P.addExpr(std::move(E));
@@ -425,10 +462,9 @@ TEST(FlowAnalysis, OrphanedLiteralHasNoLabelAndFlowsNowhere) {
   auto add = [&](FExpr::KindTy K, FExprId Kid = 0, const char *Name = "") {
     FExpr E;
     E.Kind = K;
-    E.Name = Name;
     E.Kid0 = Kid;
     E.LitValue = 1;
-    return P.addExpr(std::move(E));
+    return *Name ? P.addNamedExpr(E, Name) : P.addExpr(E);
   };
   FExprId X = add(FExpr::Var, 0, "x");
   P.addFunction("id", "x", P.intType(), P.intType(), X);
@@ -456,7 +492,7 @@ TEST(FlowAnalysis, OrphanedLiteralHasNoLabelAndFlowsNowhere) {
     // the queries.
     const ConstraintSystem &CS = FA.system();
     for (ConsId C = 0; C != CS.numConstructors(); ++C)
-      EXPECT_NE(CS.constructor(C).Name, "src@" + std::to_string(Orphan));
+      EXPECT_NE(CS.constructorName(C), "src@" + std::to_string(Orphan));
     EXPECT_DEBUG_DEATH((void)FA.labelOf(Orphan),
                        "outside every function body");
   }

@@ -56,7 +56,7 @@ std::string renderExpr(const ConstraintSystem &CS, ExprId E) {
   const Expr &X = CS.expr(E);
   if (X.Kind == ExprKind::Var)
     return "v" + std::to_string(X.V);
-  std::string S = CS.constructor(X.C).Name + "(";
+  std::string S = CS.constructorName(X.C) + "(";
   for (uint32_t I = 0; I != X.NumArgs; ++I)
     S += (I ? ",v" : "v") + std::to_string(CS.arg(X, I));
   return S + ")";

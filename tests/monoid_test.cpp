@@ -439,8 +439,9 @@ TEST(Monoid, InterningSurvivesIndexRehashesAndRowMoves) {
       EXPECT_GE(Mon.memoryBytes(), Last);
       Last = Mon.memoryBytes();
     }
-    if (Pass == 1)
+    if (Pass == 1) {
       EXPECT_EQ(Mon.composeMisses(), Misses) << "a read recomputed";
+    }
   }
   EXPECT_EQ(Mon.size(), 3125u) << "a product outside the monoid";
 }

@@ -348,7 +348,7 @@ std::set<std::string> canonicalSet(const AnnotationDomain &D,
 
 ConsId findConstant(const ConstraintSystem &CS, const std::string &Name) {
   for (ConsId C = 0; C != CS.numConstructors(); ++C)
-    if (CS.constructor(C).Name == Name)
+    if (CS.constructorName(C) == Name)
       return C;
   ADD_FAILURE() << "no constructor " << Name;
   return 0;
@@ -398,7 +398,7 @@ struct LiteralEncoding {
       }
       AnnId Ann = CS->domain().identity();
       std::optional<SymbolId> Sym =
-          St.Kind == Stmt::Op ? M.symbol(St.OpSymbol) : std::nullopt;
+          St.Kind == Stmt::Op ? M.symbol(P.symbolName(St.OpSym)) : std::nullopt;
       if (Sym) {
         Ann = Base->symbolAnn(*Sym);
         const SpecSymbol &Decl = Spec.symbols()[*Sym];
@@ -681,7 +681,7 @@ TEST(PdmcWitness, PackageViolationWitnessesAreRealizable) {
       }
       EXPECT_EQ(P.stmt(V.Where).Parent, F) << What;
       ASSERT_FALSE(V.EventTrace.empty()) << What;
-      EXPECT_EQ(V.EventTrace.back(), P.stmt(V.Where).OpSymbol) << What;
+      EXPECT_EQ(V.EventTrace.back(), P.symbolName(P.stmt(V.Where).OpSym)) << What;
       StateId Q = M.start();
       for (const std::string &Event : V.EventTrace) {
         std::optional<SymbolId> Sym = M.symbol(Event);

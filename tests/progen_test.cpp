@@ -26,7 +26,10 @@ TEST(ProGen, DeterministicInSeed) {
   ASSERT_EQ(P1.numStatements(), P2.numStatements());
   for (StmtId S = 0; S != P1.numStatements(); ++S) {
     EXPECT_EQ(P1.stmt(S).Kind, P2.stmt(S).Kind);
-    EXPECT_EQ(P1.stmt(S).OpSymbol, P2.stmt(S).OpSymbol);
+    if (P1.stmt(S).Kind == Stmt::Op) {
+      EXPECT_EQ(P1.symbolName(P1.stmt(S).OpSym),
+                P2.symbolName(P2.stmt(S).OpSym));
+    }
     EXPECT_EQ(P1.stmt(S).Succs, P2.stmt(S).Succs);
   }
   O.Seed = 78;
@@ -53,10 +56,12 @@ TEST(ProGen, StructuralInvariants) {
     for (StmtId Succ : St.Succs)
       EXPECT_EQ(P.stmt(Succ).Parent, St.Parent);
     // After finalize() only exits are successor-free.
-    if (St.Succs.empty())
+    if (St.Succs.empty()) {
       EXPECT_EQ(S, P.exit(St.Parent));
-    if (St.Kind == Stmt::Call)
+    }
+    if (St.Kind == Stmt::Call) {
       EXPECT_LT(St.Callee, P.numFunctions());
+    }
   }
   // Entry reaches exit within each function (the generator builds a
   // straight spine plus forward branches).
@@ -84,8 +89,9 @@ TEST(ProGen, NoRecursionMeansDagCallGraph) {
   Program P = generateProgram(O);
   for (StmtId S = 0; S != P.numStatements(); ++S) {
     const Stmt &St = P.stmt(S);
-    if (St.Kind == Stmt::Call)
+    if (St.Kind == Stmt::Call) {
       EXPECT_GT(St.Callee, St.Parent) << "call must point forward";
+    }
   }
 }
 
@@ -98,9 +104,11 @@ TEST(ProGen, PackageScalesWithLines) {
 
   // Ops use the property's alphabet.
   for (StmtId S = 0; S != Small.numStatements(); ++S)
-    if (Small.stmt(S).Kind == Stmt::Op)
-      EXPECT_TRUE(
-          Spec.machine().symbol(Small.stmt(S).OpSymbol).has_value());
+    if (Small.stmt(S).Kind == Stmt::Op) {
+      EXPECT_TRUE(Spec.machine()
+                      .symbol(Small.symbolName(Small.stmt(S).OpSym))
+                      .has_value());
+    }
 }
 
 TEST(ProGen, ParametricLabelsAttachOnlyToParametricSymbols) {
@@ -111,7 +119,7 @@ TEST(ProGen, ParametricLabelsAttachOnlyToParametricSymbols) {
     const Stmt &St = P.stmt(S);
     if (St.Kind != Stmt::Op)
       continue;
-    auto Sym = Spec.machine().symbol(St.OpSymbol);
+    auto Sym = Spec.machine().symbol(P.symbolName(St.OpSym));
     ASSERT_TRUE(Sym.has_value());
     EXPECT_EQ(Spec.isParametric(*Sym), !St.OpLabels.empty());
     SawLabel |= !St.OpLabels.empty();

@@ -51,7 +51,7 @@ TEST_P(SolverDifferential, MatchesReference) {
       std::vector<AnnId> A = Fast.constantAnnotations(K, V);
       std::sort(A.begin(), A.end());
       std::vector<AnnId> B = Ref.constantAnnotations(K, V);
-      EXPECT_EQ(A, B) << "constant " << Sys.CS->constructor(K).Name
+      EXPECT_EQ(A, B) << "constant " << Sys.CS->constructorName(K)
                       << " in " << Sys.CS->varName(V) << " (seed "
                       << GetParam() << ")";
     }
