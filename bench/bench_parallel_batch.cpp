@@ -5,11 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// BM_BatchSolve — batch throughput of the SolvePool, the one
-/// parallel mode (DESIGN.md §8), on the Section 5 workload (random
+/// BM_BatchSolve — batch throughput of the BatchSolver fork-join, the
+/// one parallel mode (DESIGN.md §8), on the Section 5 workload (random
 /// DAG over the adversarial machine): K independent systems solved
-/// per iteration through one BatchSolver, for pool widths
-/// {1, 2, 4, 8}. Each solve itself is sequential.
+/// per iteration through one BatchSolver, for widths {1, 2, 4, 8}.
+/// Each solve itself is sequential. This is the one caller that reuses
+/// a BatchSolver across calls, so each iteration also pays the
+/// spawn and join of width - 1 threads.
 ///
 /// Speedups above 1 thread require physical cores; on a single-core
 /// host the sweep is expected flat — bench/run_bench.sh stamps
@@ -78,7 +80,7 @@ void BM_BatchSolve(benchmark::State &State) {
   double Edges = 0;
   for (auto _ : State) {
     // Fresh solvers each iteration: the measured region is K full
-    // closures through the pool.
+    // closures through the batch, thread spawns included.
     std::vector<std::unique_ptr<BidirectionalSolver>> Solvers;
     std::vector<BidirectionalSolver *> Ptrs;
     for (BatchTask &T : Tasks) {

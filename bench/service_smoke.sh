@@ -111,7 +111,7 @@ wait "$BENCH_PID" 2>/dev/null || true
 start_daemon
 grep -q "systems resident" "$WORK/rascd.log" || fail "no warm-boot banner"
 OUT="$(rpc entail dur "c in X1")" || fail "entail after recovery"
-echo "$OUT" | grep -q "holds=true" || fail "acknowledged work lost: $OUT"
+grep -q "holds=true" <<<"$OUT" || fail "acknowledged work lost: $OUT"
 pass "kill -9 + restart recovered acknowledged state"
 
 # --- 4. independent certification of the recovered text -----------------
@@ -127,23 +127,23 @@ pass "rasctool --certify accepts a solve of the recovered text"
 
 start_daemon
 OUT="$(rpc entail dur "c in X1")" || fail "entail before retract"
-echo "$OUT" | grep -q "holds=true" || fail "unexpected pre-retract state: $OUT"
+grep -q "holds=true" <<<"$OUT" || fail "unexpected pre-retract state: $OUT"
 # Withdraw "X0 <= X1" (constraint 1 of dur.rasc): the re-solve of the
 # edited system reports its status, and the answer flips.
 OUT="$(rpc retract dur 1)" || fail "retract"
-echo "$OUT" | grep -q "status=solved" \
+grep -q "status=solved" <<<"$OUT" \
   || fail "retract did not re-solve the edited system: $OUT"
 OUT="$(rpc entail dur "c in X1")" || fail "entail after retract"
-echo "$OUT" | grep -q "holds=false" || fail "retract had no effect: $OUT"
+grep -q "holds=false" <<<"$OUT" || fail "retract had no effect: $OUT"
 OUT="$(rpc entail dur "c in X0")" || fail "entail X0 after retract"
-echo "$OUT" | grep -q "holds=true" || fail "retract removed too much: $OUT"
+grep -q "holds=true" <<<"$OUT" || fail "retract removed too much: $OUT"
 # The axe again: the acknowledged retraction must ride the durable
 # text ("retract 1;" was appended before the Ok) through a hard kill.
 { kill -9 "$DAEMON_PID" && wait "$DAEMON_PID"; } 2>/dev/null || true
 DAEMON_PID=""
 start_daemon
 OUT="$(rpc entail dur "c in X1")" || fail "entail after retract+kill"
-echo "$OUT" | grep -q "holds=false" || fail "acknowledged RETRACT lost: $OUT"
+grep -q "holds=false" <<<"$OUT" || fail "acknowledged RETRACT lost: $OUT"
 kill -TERM "$DAEMON_PID"; wait "$DAEMON_PID" || fail "post-retract drain failed"
 DAEMON_PID=""
 pass "RETRACT round-trip (re-solved, survived kill -9)"
@@ -180,7 +180,7 @@ pass "rasctool SIGINT cancel (exit $RC) + clean rerun"
 
 start_daemon
 OUT="$(rpc solve dur --proof)" || fail "solve --proof"
-echo "$OUT" | grep -q "proof=streaming" || fail "proof not streaming: $OUT"
+grep -q "proof=streaming" <<<"$OUT" || fail "proof not streaming: $OUT"
 [ -f "$DATA/dur.rprf" ] || fail "no proof log on disk"
 # The daemon fsyncs a sealed trailer after every proof-enabled solve,
 # so the standalone checker can validate the log while rascd is live.
@@ -207,15 +207,15 @@ grep -q "truncated torn tail" "$WORK/rascd.log" \
   || fail "truncated log no longer checks"
 # Re-opt-in: the restarted daemon re-solves with a fresh log.
 OUT="$(rpc solve dur --proof)" || fail "solve --proof after recovery"
-echo "$OUT" | grep -q "proof=streaming" || fail "proof not rebuilt: $OUT"
+grep -q "proof=streaming" <<<"$OUT" || fail "proof not rebuilt: $OUT"
 "$RASCCHECK" "$DATA/dur.rprf" >/dev/null \
   || fail "rasccheck rejected the rebuilt log"
 # RETRACT on the proof-enabled system: its re-solve rewrites the log,
 # which proves exactly the durable text ending in "retract 0;".
 OUT="$(rpc retract dur 0)" || fail "retract on the proved system"
-echo "$OUT" | grep -q "status=solved" || fail "proved retract: $OUT"
+grep -q "status=solved" <<<"$OUT" || fail "proved retract: $OUT"
 OUT="$(rpc entail dur "c in X0")" || fail "entail after proved retract"
-echo "$OUT" | grep -q "holds=false" || fail "proved retract had no effect: $OUT"
+grep -q "holds=false" <<<"$OUT" || fail "proved retract had no effect: $OUT"
 "$RASCCHECK" "$DATA/dur.rprf" >/dev/null \
   || fail "rasccheck rejected the post-retract log"
 "$RASCCHECK" "$DATA/dur.rprf" --system "$DATA/dur.rasc" >/dev/null \

@@ -17,7 +17,7 @@
 ///   --port N             listen port; 0 = ephemeral (default)
 ///   --port-file F        write the bound port to F once listening
 ///   --data DIR           durable state directory (required)
-///   --max-sessions N     admission cap / session pool width (8)
+///   --max-sessions N     admission cap: concurrent session threads (8)
 ///   --session-deadline S per-solve wall-clock budget, seconds (0)
 ///   --session-max-edges N    per-session edge budget (2^24)
 ///   --session-max-steps N    per-session compose-step budget (0)

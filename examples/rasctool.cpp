@@ -19,7 +19,7 @@
 ///                              init dataflow, context label flow)
 ///   rasctool --ebpf-batch DIR  the same for every .bpf file under
 ///                              DIR, all constraint systems solved
-///                              concurrently on one BatchSolver pool
+///                              concurrently on one BatchSolver
 ///
 /// Both honour --certify; a malformed input is reported as the
 /// decoder's structured diagnostic (byte offset and slot) and exits 1.
@@ -30,7 +30,7 @@
 ///   --step-budget N  stop after N compose steps (0 = unlimited)
 ///   --deadline S     wall-clock budget in seconds (0 = none);
 ///                    in batch mode this is shared by the whole batch
-///   --threads N      solve pool width for --batch and --ebpf-batch
+///   --threads N      batch width for --batch and --ebpf-batch
 ///                    (0 = hardware threads); a usage error without
 ///                    either. Each solve itself is sequential.
 ///   --batch DIR      solve every .rasc file under DIR concurrently on
@@ -311,7 +311,8 @@ int run(const std::string &Source, const char *Name, CliOptions Cli) {
 }
 
 /// Batch mode: every .rasc file under \p Dir becomes one solver task
-/// on one pool; the --deadline budget is shared by the whole batch.
+/// on one BatchSolver; the --deadline budget is shared by the whole
+/// batch.
 int runBatch(const std::string &Dir, CliOptions Cli) {
   namespace fs = std::filesystem;
   std::vector<std::string> Paths;
@@ -506,7 +507,7 @@ int runEbpf(const std::string &Path, CliOptions Cli) {
 }
 
 /// Batch mode: every .bpf file under \p Dir, the three constraint
-/// systems per program all solved concurrently on one pool.
+/// systems per program all solved concurrently on one BatchSolver.
 int runEbpfBatch(const std::string &Dir, CliOptions Cli) {
   namespace fs = std::filesystem;
   std::vector<std::string> Paths;
@@ -559,7 +560,7 @@ int runEbpfBatch(const std::string &Dir, CliOptions Cli) {
     Ptrs.push_back(A->Checker->solver());
     Ptrs.push_back(A->Reg->solver());
     // FlowAnalysis re-solves lazily on the first query; handing its
-    // solver to the pool just brings it to the fixpoint early.
+    // solver to the batch just brings it to the fixpoint early.
     Ptrs.push_back(const_cast<BidirectionalSolver *>(&A->Flow->solver()));
   }
 
@@ -712,7 +713,7 @@ int main(int Argc, char **Argv) {
   }
 
   if (ThreadsGiven && !BatchDir && !EbpfDir) {
-    // A single solve is sequential; only the batch pools have a width.
+    // A single solve is sequential; only a batch has a width.
     std::fprintf(stderr, "--threads sizes the solve pool of --batch or "
                          "--ebpf-batch; give one of them\n");
     return 1;
@@ -720,7 +721,7 @@ int main(int Argc, char **Argv) {
 
   if (BatchDir &&
       (!Cli.Solver.ProofLogPath.empty() || !Cli.CheckPath.empty())) {
-    // One log path cannot serve a pool of solvers writing concurrently.
+    // One log path cannot serve a batch of solvers writing concurrently.
     std::fprintf(stderr,
                  "--prove/--check apply to a single system, not --batch\n");
     return 1;

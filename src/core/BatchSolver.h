@@ -1,4 +1,4 @@
-//===- core/BatchSolver.h - Pooled solving of independent systems -*- C++ -*-===//
+//===- core/BatchSolver.h - Fork-join batch solving ------------*- C++ -*-===//
 //
 // Part of the RASC project: regularly annotated set constraints.
 //
@@ -9,10 +9,10 @@
 /// systems per run — one per spec/entry pair in the pushdown checker
 /// (Section 6), one per function in the bit-vector baseline
 /// (Section 3), one per SCC in the flow analysis (Section 7). The
-/// batch solver runs them concurrently on a work-stealing pool under
-/// *shared* governance: one wall-clock deadline for the whole batch,
-/// one aggregate memory budget across all tasks, and one cancel flag
-/// fanned out to a per-task flag each solver polls.
+/// batch solver runs them side by side as a fork-join over plain
+/// threads under *shared* governance: one wall-clock deadline for the
+/// whole batch, one aggregate memory budget across all tasks, and the
+/// caller's one cancel flag, which every task's solver polls directly.
 ///
 /// Interrupted tasks stay resumable: a task that hits the batch
 /// deadline (or never started before it expired) keeps its worklist
@@ -27,31 +27,28 @@
 #include "core/Solver.h"
 
 #include <atomic>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
 namespace rasc {
 
-class ThreadPool;
-
-/// Solves batches of independent BidirectionalSolvers on a shared
-/// pool. One BatchSolver owns one pool and one aggregate-memory cell;
-/// reuse the same instance for repeated solveAll() calls over the
-/// same solvers (e.g. resuming after an interrupt) so the memory
-/// accounting deltas stay on one cell.
+/// Solves batches of independent BidirectionalSolvers side by side.
+/// One BatchSolver owns one aggregate-memory cell; reuse the same
+/// instance for repeated solveAll() calls over the same solvers
+/// (e.g. resuming after an interrupt) so the memory accounting deltas
+/// stay on one cell.
 class BatchSolver {
 public:
   struct Options {
-    /// Pool width; 0 = one thread per hardware thread. A call with
-    /// fewer tasks than this spawns only one worker per task.
+    /// Width; 0 = one thread per hardware thread. A call runs
+    /// min(Threads, tasks) claimers: the calling thread plus that
+    /// many minus one spawned threads.
     unsigned Threads = 0;
 
     /// Shared wall-clock budget for one solveAll() call, measured
     /// from its entry; 0 = none. Each task gets the time remaining
-    /// when it starts; tasks still queued at expiry are returned as
-    /// Status::Deadline without solving (resumable). A task's own
+    /// when it starts; tasks not yet started at expiry are returned
+    /// as Status::Deadline without solving (resumable). A task's own
     /// DeadlineSeconds, if set, still applies (the smaller wins).
     double DeadlineSeconds = 0;
 
@@ -61,12 +58,11 @@ public:
     /// tasks over budget interrupt with Status::MemoryLimit.
     uint64_t MaxTotalMemoryBytes = 0;
 
-    /// External cancellation: when non-null and set, every running
-    /// task is cancelled (Status::Cancelled, resumable). Fanned out
-    /// to per-task flags by the supervisor, so the pointee only needs
-    /// to outlive solveAll(). Only with an external flag does
-    /// solveAll() poll at all; cancelAll() alone wakes tasks through
-    /// their flags directly and solveAll() blocks on the pool.
+    /// External cancellation: when non-null, it replaces every task's
+    /// own SolverOptions::CancelFlag for the call, so setting it
+    /// interrupts each running task with Status::Cancelled
+    /// (resumable) at its next governance check. The pointee must
+    /// outlive solveAll(). When null, each task keeps its own flag.
     const std::atomic<bool> *CancelFlag = nullptr;
   };
 
@@ -77,28 +73,21 @@ public:
   };
 
   BatchSolver() : BatchSolver(Options{}) {}
-  explicit BatchSolver(Options Opts);
-  ~BatchSolver();
+  explicit BatchSolver(Options Opts) : Opts(Opts) {}
   BatchSolver(const BatchSolver &) = delete;
   BatchSolver &operator=(const BatchSolver &) = delete;
 
-  /// Solves every system concurrently and returns per-task results in
-  /// input order. Each solver's options are overridden with the batch
-  /// governance for the duration of the call and restored afterwards
-  /// (so no pointer into this BatchSolver outlives the call inside a
-  /// solver's options). Solvers must be distinct objects; their
-  /// constraint systems must also be distinct — two solvers sharing
-  /// one ConstraintSystem would race on its interning tables.
+  /// Solves every system and returns per-task results in input
+  /// order. Each solver's options are overridden with the batch
+  /// governance for the duration of the call and restored before it
+  /// returns or throws. Every thread is joined first, so no task is
+  /// still running when the call ends. A task that throws does not
+  /// stop the others; the first exception is rethrown after the
+  /// restore. Solvers must be distinct objects; their constraint
+  /// systems must also be distinct — two solvers sharing one
+  /// ConstraintSystem would race on its interning tables.
   std::vector<Result>
   solveAll(std::span<BidirectionalSolver *const> Solvers);
-
-  /// Requests cancellation of the in-flight solveAll() from another
-  /// thread; running tasks interrupt with Status::Cancelled. Writes
-  /// the per-task flags directly (no supervisor round-trip), so it
-  /// takes effect at each task's next governance check even while
-  /// solveAll() blocks on the pool. A call with no solveAll() in
-  /// flight is a no-op.
-  void cancelAll();
 
   /// Field-wise sum of stats() over the solvers of the last
   /// solveAll() call (each solver's stats are cumulative over its own
@@ -109,15 +98,8 @@ public:
 
 private:
   Options Opts;
-  std::unique_ptr<ThreadPool> Pool;
   std::atomic<uint64_t> GroupMemory{0};
   SolverStats Merged;
-
-  // The in-flight call's per-task cancel flags, registered by
-  // solveAll() and written by cancelAll() under the mutex. Empty when
-  // no call is in flight.
-  std::mutex FanMx;
-  std::vector<std::atomic<bool> *> LiveTaskFlags;
 };
 
 } // namespace rasc

@@ -295,7 +295,7 @@ public:
   explicit BidirectionalSolver(const ConstraintSystem &CS)
       : BidirectionalSolver(CS, SolverOptions{}) {}
   BidirectionalSolver(const ConstraintSystem &CS, SolverOptions Opts);
-  ~BidirectionalSolver(); // out-of-line: owns the (fwd-declared) pool
+  ~BidirectionalSolver(); // out-of-line: owns the (fwd-declared) proof log
 
   /// Ingests constraints added to the system since the last call and
   /// runs the closure to quiescence — or to the first exhausted budget

@@ -76,24 +76,6 @@ void AnnotatedBitVectorAnalysis::solve() {
   finalize();
 }
 
-std::vector<BatchSolver::Result> AnnotatedBitVectorAnalysis::solveAll(
-    std::span<AnnotatedBitVectorAnalysis *const> Analyses,
-    const BatchSolver::Options &BatchOpts, SolverStats *MergedStats) {
-  std::vector<BidirectionalSolver *> Solvers;
-  Solvers.reserve(Analyses.size());
-  for (AnnotatedBitVectorAnalysis *A : Analyses) {
-    A->prepare();
-    Solvers.push_back(A->solver());
-  }
-  BatchSolver Batch(BatchOpts);
-  std::vector<BatchSolver::Result> Results = Batch.solveAll(Solvers);
-  for (AnnotatedBitVectorAnalysis *A : Analyses)
-    A->finalize();
-  if (MergedStats)
-    *MergedStats = Batch.mergedStats();
-  return Results;
-}
-
 bool AnnotatedBitVectorAnalysis::mayHold(StmtId S, unsigned Bit) const {
   for (AnnId F : Reaching[S])
     if ((Dom->apply(F, 0) >> Bit) & 1)

@@ -27,13 +27,11 @@
 #ifndef RASC_DATAFLOW_BITVECTOR_H
 #define RASC_DATAFLOW_BITVECTOR_H
 
-#include "core/BatchSolver.h"
 #include "core/Domains.h"
 #include "core/Solver.h"
 #include "pdmc/Program.h"
 
 #include <memory>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -85,8 +83,9 @@ public:
   /// Runs constraint generation and resolution.
   void solve();
 
-  /// Splits solve() for batch use (solveAll): generates the
-  /// constraints and constructs the solver without running it.
+  /// Splits solve() for batch use: generates the constraints and
+  /// constructs the solver without running it; batch callers hand
+  /// solver() to BatchSolver::solveAll and then call finalize().
   /// Idempotent.
   void prepare(SolverOptions Opts = SolverOptions());
 
@@ -97,16 +96,6 @@ public:
   /// The query half of solve(): reads the reaching classes off the
   /// solved constraint graph. Requires prepare() and a solve.
   void finalize();
-
-  /// Solves many independent analyses concurrently on one BatchSolver
-  /// pool under shared governance; equivalent to calling solve() on
-  /// each (differentially tested). Returns the per-analysis results
-  /// in input order; interrupted analyses have partial (sound)
-  /// query answers and resume under a later solveAll or solve.
-  static std::vector<BatchSolver::Result>
-  solveAll(std::span<AnnotatedBitVectorAnalysis *const> Analyses,
-           const BatchSolver::Options &BatchOpts = {},
-           SolverStats *MergedStats = nullptr);
 
   /// May-analysis: can fact \p Bit hold on entry to \p S on some valid
   /// interprocedural path from main's entry (all facts initially

@@ -117,8 +117,9 @@ public:
   /// take effect on the first call (before the solver exists).
   void prepare(SolverOptions Opts = SolverOptions());
 
-  /// Solves many independent analyses concurrently on one BatchSolver
-  /// pool under shared governance. Queries afterwards behave exactly
+  /// Solves many independent analyses side by side on one
+  /// BatchSolver under shared governance, without solver() solving
+  /// each on the caller first. Queries afterwards behave exactly
   /// as after an eager solve; analyses whose batch solve was
   /// interrupted stay unsolved and re-solve (resume) lazily on their
   /// next query. Returns the per-analysis results in input order.

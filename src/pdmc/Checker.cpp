@@ -325,39 +325,6 @@ std::vector<Violation> RascChecker::collectViolations() {
   return std::vector<Violation>(Found.begin(), Found.end());
 }
 
-std::vector<std::vector<Violation>>
-rasc::checkAllProperties(const Program &Prog,
-                         std::span<const SpecAutomaton *const> Specs,
-                         const BatchSolver::Options &BatchOpts,
-                         const SolverOptions &SolverOpts,
-                         SolverStats *MergedStats) {
-  // One checker — one constraint system, one solver — per property;
-  // generation is sequential (it is cheap next to solving), the
-  // solves run concurrently on the pool.
-  std::vector<std::unique_ptr<RascChecker>> Checkers;
-  std::vector<BidirectionalSolver *> Solvers;
-  Checkers.reserve(Specs.size());
-  Solvers.reserve(Specs.size());
-  for (const SpecAutomaton *Spec : Specs) {
-    auto C = std::make_unique<RascChecker>(Prog, *Spec);
-    C->setSolverOptions(SolverOpts);
-    C->prepare();
-    Solvers.push_back(C->solver());
-    Checkers.push_back(std::move(C));
-  }
-
-  BatchSolver Batch(BatchOpts);
-  Batch.solveAll(Solvers);
-
-  std::vector<std::vector<Violation>> Out;
-  Out.reserve(Checkers.size());
-  for (auto &C : Checkers)
-    Out.push_back(C->collectViolations());
-  if (MergedStats)
-    *MergedStats = Batch.mergedStats();
-  return Out;
-}
-
 std::vector<Violation> RascChecker::checkForward() {
   // Section 5: forward solving tracks facts (pc, variable, state of
   // the right congruence) with the unmatched calls as a pushdown

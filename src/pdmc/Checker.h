@@ -33,7 +33,6 @@
 #ifndef RASC_PDMC_CHECKER_H
 #define RASC_PDMC_CHECKER_H
 
-#include "core/BatchSolver.h"
 #include "core/Domains.h"
 #include "core/Solver.h"
 #include "core/SubstEnv.h"
@@ -44,7 +43,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -105,15 +103,16 @@ public:
   /// instantiation).
   std::vector<Violation> check();
 
-  /// Splits check() for batch solving (checkAllProperties): generates
-  /// the constraint system and constructs the bidirectional solver
-  /// without solving. Idempotent. The Forward strategy has no
-  /// separate solver object; prepare() only generates.
+  /// Splits check() for batch solving: generates the constraint
+  /// system and constructs the bidirectional solver without solving.
+  /// Idempotent. The Forward strategy has no separate solver object;
+  /// prepare() only generates.
   void prepare();
 
   /// The prepared solver (null before prepare(), and always for the
-  /// Forward strategy). The batch entry point hands these to a
-  /// BatchSolver; queries then run through collectViolations().
+  /// Forward strategy). Batch callers hand these to
+  /// BatchSolver::solveAll; queries then run through
+  /// collectViolations().
   BidirectionalSolver *solver() { return Solver.get(); }
 
   /// The query half of check(): reads violations off the solved (or
@@ -165,20 +164,6 @@ private:
   bool EdgeLimit = false;
   CheckStats Stats;
 };
-
-/// Batch checking: one constraint system per property, all solved
-/// concurrently on a BatchSolver pool under the shared governance in
-/// \p BatchOpts; \p SolverOpts applies to every per-property solver.
-/// Returns the violations per spec, in input order — identical to
-/// running RascChecker::check() per spec (each system is independent).
-/// When \p MergedStats is non-null it receives the field-wise sum of
-/// the per-property solver stats.
-std::vector<std::vector<Violation>>
-checkAllProperties(const Program &Prog,
-                   std::span<const SpecAutomaton *const> Specs,
-                   const BatchSolver::Options &BatchOpts = {},
-                   const SolverOptions &SolverOpts = {},
-                   SolverStats *MergedStats = nullptr);
 
 /// The MOPS-style pushdown model checker baseline.
 class MopsChecker {

@@ -10,7 +10,6 @@
 #include "core/ProofLog.h"
 #include "service/Session.h"
 #include "support/FailPoint.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -270,17 +269,15 @@ std::optional<Diag> Rascd::start() {
   observe::setMetricsEnabled(true);
   if (std::optional<Diag> D = warmBoot())
     return D;
-  // The session pool is spawned at its full width up front. A host
-  // that cannot spawn that many threads (or the acceptor) gets a
-  // startup Diag; the workers already spawned are joined by then.
-  unsigned Width = Opts.MaxSessions ? Opts.MaxSessions : 1;
+  // Only the acceptor is spawned here; session threads come one per
+  // admitted connection. A host that refuses even the acceptor gets a
+  // startup Diag.
   try {
-    Pool = std::make_unique<ThreadPool>(Width);
+    failpoints::throwIfSpawnRefused();
     Acceptor = std::thread([this] { acceptLoop(); });
-  } catch (const std::system_error &E) {
-    Pool.reset();
-    return Diag("cannot start " + std::to_string(Width) +
-                " session workers: " + E.what());
+  } catch (const std::exception &E) {
+    return Diag(std::string("cannot start the acceptor thread: ") +
+                E.what());
   }
   Started.store(true);
   return std::nullopt;
@@ -305,6 +302,7 @@ void Rascd::acceptLoop() {
       while (::read(WakePipe[0], Scratch, sizeof Scratch) > 0)
         ;
     }
+    reapSessions();
     if (R <= 0 || !(P[0].revents & POLLIN))
       continue;
     int Fd = ::accept(ListenFd, nullptr, nullptr);
@@ -325,37 +323,66 @@ void Rascd::acceptLoop() {
     bool Drain = Draining.load(std::memory_order_relaxed);
     if (Drain || ActiveSessions.load(std::memory_order_relaxed) >=
                      Opts.MaxSessions) {
-      // Admission rejected: structured Busy with a backoff hint, then
-      // half-close and briefly drain so the hint outruns the RST.
-      SessionsBusy.add(1);
-      Conn B(Fd);
-      B.setWriteTimeoutMs(Opts.WriteTimeoutMs);
-      B.writeFrame(Op::Busy,
-                   "retry-after-ms=" + std::to_string(Opts.RetryAfterMs) +
-                       "\nreason=" +
-                       (Drain ? "draining" : "capacity"));
-      ::shutdown(B.fd(), SHUT_WR);
-      struct pollfd Q = {B.fd(), POLLIN, 0};
-      if (::poll(&Q, 1, 100) > 0) {
-        char Scratch[256];
-        while (::recv(B.fd(), Scratch, sizeof Scratch, 0) > 0)
-          ;
-      }
-      continue; // Conn dtor closes
+      rejectBusy(Fd, Drain ? "draining" : "capacity");
+      continue;
+    }
+    ActiveSessions.fetch_add(1, std::memory_order_relaxed);
+    try {
+      // Built aside and spliced in (no allocation, no throw) once its
+      // thread runs, so a failed spawn leaves Sessions untouched.
+      std::list<SessionThread> New(1);
+      failpoints::throwIfSpawnRefused();
+      New.front().Thread = std::thread([this, Fd, Done = &New.front().Done] {
+        try {
+          Session S(*this, Conn(Fd));
+          S.serve();
+        } catch (const std::exception &E) {
+          std::fprintf(stderr, "rascd: session died: %s\n", E.what());
+        } catch (...) {
+          std::fprintf(stderr, "rascd: session died: unknown exception\n");
+        }
+        ActiveSessions.fetch_sub(1, std::memory_order_relaxed);
+        Done->store(true, std::memory_order_release);
+      });
+      Sessions.splice(Sessions.end(), New);
+    } catch (const std::exception &) {
+      // The host has no thread to give: to the client that is the
+      // same as a full house, and the daemon keeps serving.
+      ActiveSessions.fetch_sub(1, std::memory_order_relaxed);
+      rejectBusy(Fd, "capacity");
+      continue;
     }
     SessionsAccepted.add(1);
-    ActiveSessions.fetch_add(1, std::memory_order_relaxed);
-    Pool->run([this, Fd] {
-      try {
-        Session S(*this, Conn(Fd));
-        S.serve();
-      } catch (const std::exception &E) {
-        std::fprintf(stderr, "rascd: session died: %s\n", E.what());
-      } catch (...) {
-        std::fprintf(stderr, "rascd: session died: unknown exception\n");
-      }
-      ActiveSessions.fetch_sub(1, std::memory_order_relaxed);
-    });
+  }
+}
+
+void Rascd::rejectBusy(int Fd, const char *Reason) {
+  // Structured Busy with a backoff hint, then half-close and briefly
+  // drain so the hint outruns the RST.
+  SessionsBusy.add(1);
+  Conn B(Fd);
+  B.setWriteTimeoutMs(Opts.WriteTimeoutMs);
+  B.writeFrame(Op::Busy, "retry-after-ms=" +
+                             std::to_string(Opts.RetryAfterMs) +
+                             "\nreason=" + Reason);
+  ::shutdown(B.fd(), SHUT_WR);
+  struct pollfd Q = {B.fd(), POLLIN, 0};
+  if (::poll(&Q, 1, 100) > 0) {
+    char Scratch[256];
+    while (::recv(B.fd(), Scratch, sizeof Scratch, 0) > 0)
+      ;
+  }
+  // The Conn destructor closes Fd.
+}
+
+void Rascd::reapSessions() {
+  for (auto It = Sessions.begin(); It != Sessions.end();) {
+    if (!It->Done.load(std::memory_order_acquire)) {
+      ++It;
+      continue;
+    }
+    It->Thread.join();
+    It = Sessions.erase(It);
   }
 }
 
@@ -377,13 +404,9 @@ void Rascd::joinAndTeardown() {
   }
   if (Acceptor.joinable())
     Acceptor.join();
-  if (Pool) {
-    try {
-      Pool->waitIdle();
-    } catch (const std::exception &E) {
-      std::fprintf(stderr, "rascd: session escaped: %s\n", E.what());
-    }
-  }
+  for (SessionThread &T : Sessions)
+    T.Thread.join();
+  Sessions.clear();
   if (ListenFd >= 0) {
     ::close(ListenFd);
     ListenFd = -1;

@@ -11,10 +11,11 @@
 /// §10). The daemon is an exercise in running the resumable solver of
 /// Sections 3–6 under live, hostile load:
 ///
-///  - Admission control: at most MaxSessions concurrent connections
-///    (sessions map 1:1 onto support/ThreadPool.h workers); a
-///    connection beyond the cap is answered with a Busy frame carrying
-///    a retry-after-ms backoff hint instead of queueing unboundedly.
+///  - Admission control: at most MaxSessions concurrent connections,
+///    each served on its own thread; a connection beyond the cap (or
+///    one whose thread the host refuses to spawn) is answered with a
+///    Busy frame carrying a retry-after-ms backoff hint instead of
+///    queueing unboundedly.
 ///    Every session solves under the per-session budgets in
 ///    Options.Session (deadline / edges / memory), and all resident
 ///    solvers share one aggregate-memory cell (SolverOptions::
@@ -65,6 +66,7 @@
 #include "support/Diag.h"
 
 #include <atomic>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -74,9 +76,6 @@
 #include <thread>
 
 namespace rasc {
-
-class ThreadPool;
-
 namespace service {
 
 struct RascdOptions {
@@ -90,7 +89,7 @@ struct RascdOptions {
   std::string DataDir;
 
   /// Admission cap: concurrent sessions beyond this are answered Busy
-  /// with RetryAfterMs and closed. Also the session pool's width.
+  /// with RetryAfterMs and closed. Also the warm-boot batch's width.
   unsigned MaxSessions = 8;
 
   /// Per-session solve governance: DeadlineSeconds / MaxEdges /
@@ -143,10 +142,11 @@ public:
   Rascd &operator=(const Rascd &) = delete;
 
   /// Binds and listens, warm-boots every persisted system from
-  /// DataDir, then starts admitting connections. A Diag means the
-  /// daemon never came up (bad address, unusable data dir); corrupt
-  /// persisted state is *not* fatal — bad text is skipped with a
-  /// stderr warning.
+  /// DataDir, then spawns the acceptor thread, the only thread that
+  /// outlives the call (each admitted session gets its own). A Diag
+  /// means the daemon never came up (bad address, unusable data dir,
+  /// acceptor spawn refused); corrupt persisted state is *not*
+  /// fatal — bad text is skipped with a stderr warning.
   std::optional<Diag> start();
 
   /// The bound port (after start()); useful with Options.Port == 0.
@@ -164,8 +164,8 @@ public:
     return Draining.load(std::memory_order_relaxed);
   }
 
-  /// Graceful shutdown: requestDrain(), join the accept loop, and wait
-  /// for every session to finish. Idempotent; call from the owning
+  /// Graceful shutdown: requestDrain(), join the accept loop, and join
+  /// every session thread. Idempotent; call from the owning
   /// thread.
   void stop();
 
@@ -192,7 +192,7 @@ public:
   std::optional<Diag> persistSystemText(ResidentSystem &Sys);
 
   size_t numResidentSystems() const;
-  /// Sessions currently admitted (counted until their worker returns).
+  /// Sessions currently admitted (counted until their thread is done).
   unsigned activeSessions() const {
     return ActiveSessions.load(std::memory_order_relaxed);
   }
@@ -228,6 +228,11 @@ private:
   std::optional<Diag> bindAndListen();
   std::optional<Diag> warmBoot();
   void acceptLoop();
+  /// Answers \p Fd with a Busy frame (\p Reason: "capacity" or
+  /// "draining"), counts it, and closes it.
+  void rejectBusy(int Fd, const char *Reason);
+  /// Joins the session threads that are done (acceptor only).
+  void reapSessions();
   void joinAndTeardown();
 
   /// Builds the solver options for \p Sys: Options.Session plus the
@@ -239,8 +244,6 @@ private:
   uint16_t BoundPort = 0;
   int WakePipe[2] = {-1, -1};
 
-  std::unique_ptr<ThreadPool> Pool;
-  std::thread Acceptor;
   std::atomic<bool> Draining{false};
   /// Separate from Draining: a draining acceptor keeps answering late
   /// connections with Busy (reason=draining); only teardown ends it.
@@ -256,6 +259,18 @@ private:
 
   std::mutex FdMx;
   std::set<int> SessionFds;
+
+  // The threads come last: they use every member above.
+  std::thread Acceptor;
+  /// One thread per admitted session. Owned by the acceptor, which
+  /// reaps the finished ones; joinAndTeardown() joins the rest after
+  /// the acceptor has exited. Nodes are stable, so a session thread
+  /// sets its own Done flag through a pointer.
+  struct SessionThread {
+    std::thread Thread;
+    std::atomic<bool> Done{false};
+  };
+  std::list<SessionThread> Sessions;
 };
 
 } // namespace service

@@ -6,12 +6,12 @@
 ///
 /// \file
 /// One admitted connection's request loop. A Session owns its Conn,
-/// runs to completion on a ThreadPool worker (sessions map 1:1 onto
-/// workers; admission control in Rascd guarantees a free worker), and
-/// dies without taking anything else with it: every failure — parser
-/// Diag, exhausted budget, malformed frame, injected fault, slow
-/// client — becomes either a structured Error/Busy response or a
-/// session close, never an exception that crosses the pool boundary.
+/// runs to completion on its own thread (one per admitted connection;
+/// admission control in Rascd bounds how many), and dies without
+/// taking anything else with it: every failure — parser Diag,
+/// exhausted budget, malformed frame, injected fault, slow client —
+/// becomes either a structured Error/Busy response or a session
+/// close, never an exception that escapes its thread.
 ///
 /// The session attaches to at most one ResidentSystem at a time (the
 /// LOAD op); SOLVE / ADD / RETRACT / ENTAIL / PN operate on the attachment

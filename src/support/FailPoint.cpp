@@ -6,6 +6,8 @@
 
 #include "support/FailPoint.h"
 
+#include <system_error>
+
 using namespace rasc;
 using namespace rasc::failpoints;
 
@@ -60,6 +62,13 @@ bool hit(Point P) {
   }
   R.store(Cur - 1, std::memory_order_relaxed);
   return false;
+}
+
+void throwIfSpawnRefused() {
+  if (armedAny() && hit(Point::ThreadSpawn))
+    throw std::system_error(
+        std::make_error_code(std::errc::resource_unavailable_try_again),
+        "injected thread spawn failure");
 }
 
 } // namespace failpoints

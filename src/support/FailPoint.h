@@ -69,11 +69,12 @@ enum class Point : unsigned {
   /// time). The connection is dropped, a counter records it, and the
   /// accept loop must keep admitting later connections.
   ServiceAcceptFail,
-  /// ThreadSpawn: a ThreadPool worker spawn (support/ThreadPool.h)
+  /// ThreadSpawn: a thread spawn (a batch claimer in
+  /// core/BatchSolver.cpp, a rascd session or the rascd acceptor)
   /// fails the way std::thread does when the host has no thread left
-  /// to give, by throwing std::system_error. Arming it with k fails
-  /// the (k + 1)-th spawn, so a test reaches a partly built pool
-  /// without asking the host for a huge width.
+  /// to give, by throwing std::system_error (see throwIfSpawnRefused).
+  /// Arming it with k fails the (k + 1)-th spawn, so a test reaches a
+  /// partly spawned batch without asking the host for a huge width.
   ThreadSpawn,
   NumPoints,
 };
@@ -102,6 +103,11 @@ void disarmAll();
 /// Counts one hit of \p P. \returns true exactly once per arming: on
 /// the hit that exhausts the countdown. Unarmed points never trip.
 bool hit(Point P);
+
+/// Consulted right before each std::thread spawn: throws the
+/// std::system_error a refused std::thread throws when ThreadSpawn
+/// trips, so one catch handles the injected and the real refusal.
+void throwIfSpawnRefused();
 
 /// Scoped arming: arms \p P for the lifetime of the object and disarms
 /// it on scope exit, so a test that returns early (or a failing

@@ -7,8 +7,7 @@
 /// \file
 /// A zero-cost-when-disabled event-tracing sink. Instrumented code
 /// emits structured events (worklist pops, compose scans, edge
-/// inserts, checkpoint saves, thread-pool steals, ...) into a
-/// per-thread ring buffer; a quiescent reader exports everything as
+/// inserts, batch tasks, ...) into a per-thread ring buffer; a quiescent reader exports everything as
 /// Chrome `trace_event` JSON loadable in chrome://tracing or Perfetto.
 ///
 /// Cost model (the part the <2% overhead budget in EXPERIMENTS.md is
@@ -41,7 +40,7 @@
 /// Threading: emission is single-writer per ring (the owning thread).
 /// The ring head is an atomic so that export from another thread reads
 /// a consistent prefix, but export is only well-defined when emitters
-/// are quiescent (solve finished / pool idle); callers in this repo
+/// are quiescent (solve finished / batch joined); callers in this repo
 /// export after solve() returns.
 ///
 //===----------------------------------------------------------------------===//

@@ -1,15 +1,16 @@
-//===- tests/batch_solver_test.cpp - SolvePool & batch wiring ---*- C++ -*-===//
+//===- tests/batch_solver_test.cpp - Batch solving & wiring -----*- C++ -*-===//
 //
 // Part of the RASC project: regularly annotated set constraints.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Unit tests for the batch-solving layer: the work-stealing
-/// ThreadPool, SolverStats merging, BatchSolver governance, and the
-/// per-application batch entry points (pdmc checkAllProperties,
-/// dataflow AnnotatedBitVectorAnalysis::solveAll, flow
-/// FlowAnalysis::solveAll) against their sequential equivalents.
+/// Unit tests for the batch-solving layer: SolverStats merging, the
+/// BatchSolver fork-join (claimer spawn failures, task exceptions,
+/// governance), and batches built the way the applications build them
+/// (pdmc and dataflow through prepare() / solver() / finalize(), flow
+/// through FlowAnalysis::solveAll) against their sequential
+/// equivalents.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,14 +23,13 @@
 #include "spec/SpecParser.h"
 #include "support/FailPoint.h"
 #include "support/Rng.h"
-#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
+#include <memory>
+#include <span>
 #include <stdexcept>
-#include <system_error>
 #include <thread>
 #include <tuple>
 
@@ -38,104 +38,6 @@ using namespace rasc;
 namespace {
 
 using Status = BidirectionalSolver::Status;
-
-//===----------------------------------------------------------------------===//
-// ThreadPool
-//===----------------------------------------------------------------------===//
-
-TEST(ThreadPool, RunsEveryJob) {
-  ThreadPool Pool(4);
-  EXPECT_EQ(Pool.numThreads(), 4u);
-  std::atomic<int> Count{0};
-  for (int I = 0; I != 100; ++I)
-    Pool.run([&Count] { Count.fetch_add(1, std::memory_order_relaxed); });
-  Pool.waitIdle();
-  EXPECT_EQ(Count.load(), 100);
-}
-
-TEST(ThreadPool, FailedSpawnJoinsTheSpawnedWorkersAndThrows) {
-  // The third spawn fails: the two running workers are joined before
-  // the error leaves the constructor (no std::terminate).
-  failpoints::ScopedFailPoint Fail(failpoints::Point::ThreadSpawn, 2);
-  EXPECT_THROW(ThreadPool Pool(4), std::system_error);
-}
-
-TEST(ThreadPool, JobsCanSubmitJobs) {
-  ThreadPool Pool(2);
-  std::atomic<int> Count{0};
-  for (int I = 0; I != 8; ++I)
-    Pool.run([&] {
-      Count.fetch_add(1, std::memory_order_relaxed);
-      Pool.run([&] { Count.fetch_add(1, std::memory_order_relaxed); });
-    });
-  Pool.waitIdle();
-  EXPECT_EQ(Count.load(), 16);
-}
-
-TEST(ThreadPool, WaitIdleForTimesOut) {
-  ThreadPool Pool(1);
-  std::atomic<bool> Release{false};
-  Pool.run([&] {
-    while (!Release.load(std::memory_order_relaxed))
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  });
-  EXPECT_FALSE(Pool.waitIdleFor(std::chrono::milliseconds(20)));
-  Release.store(true, std::memory_order_relaxed);
-  Pool.waitIdle();
-  EXPECT_TRUE(Pool.waitIdleFor(std::chrono::milliseconds(1)));
-}
-
-TEST(ThreadPool, JobExceptionPropagatesToWaiter) {
-  ThreadPool Pool(4);
-  std::atomic<int> Ran{0};
-  for (int I = 0; I != 32; ++I)
-    Pool.run([&Ran, I] {
-      if (I == 7)
-        throw std::runtime_error("job failed");
-      Ran.fetch_add(1, std::memory_order_relaxed);
-    });
-  // The first exception is rethrown from the wait that observes the
-  // drained pool — no deadlock, no std::terminate.
-  EXPECT_THROW(Pool.waitIdle(), std::runtime_error);
-  // The throwing job did not abandon the rest of the queue...
-  EXPECT_EQ(Ran.load(), 31);
-  // ...and the pool is reusable with no stale rethrow.
-  Pool.run([&Ran] { Ran.fetch_add(1, std::memory_order_relaxed); });
-  Pool.waitIdle();
-  EXPECT_EQ(Ran.load(), 32);
-}
-
-TEST(ThreadPool, WaitIdleForRethrowsOnlyWhenDrained) {
-  ThreadPool Pool(2);
-  std::atomic<bool> Release{false};
-  Pool.run([&] {
-    while (!Release.load(std::memory_order_relaxed))
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    throw std::runtime_error("boom");
-  });
-  // Not drained yet: the timed wait times out without rethrowing.
-  EXPECT_FALSE(Pool.waitIdleFor(std::chrono::milliseconds(20)));
-  Release.store(true, std::memory_order_relaxed);
-  bool Threw = false;
-  try {
-    while (!Pool.waitIdleFor(std::chrono::milliseconds(50))) {
-    }
-  } catch (const std::runtime_error &E) {
-    Threw = true;
-    EXPECT_STREQ(E.what(), "boom");
-  }
-  EXPECT_TRUE(Threw);
-  EXPECT_TRUE(Pool.waitIdleFor(std::chrono::milliseconds(1)));
-}
-
-TEST(ThreadPool, ZeroThreadsClampsToOne) {
-  ThreadPool Pool(0);
-  EXPECT_EQ(Pool.numThreads(), 1u);
-  std::atomic<int> Count{0};
-  Pool.run([&] { Count.fetch_add(1); });
-  Pool.waitIdle();
-  EXPECT_EQ(Count.load(), 1);
-}
 
 //===----------------------------------------------------------------------===//
 // SolverStats merging
@@ -190,6 +92,50 @@ Program makeProgram(uint64_t Seed,
   PG.OpSymbols = std::move(Ops);
   return generateProgram(PG);
 }
+
+/// The derived edges of a solve, in arena order, plus its status:
+/// enough to tell two solves of one system apart.
+std::vector<std::tuple<ExprId, ExprId, AnnId>>
+derivedEdges(const BidirectionalSolver &S) {
+  std::vector<std::tuple<ExprId, ExprId, AnnId>> Out;
+  S.forEachDerivedEdge([&](ExprId Src, ExprId Dst, AnnId Ann, bool) {
+    Out.emplace_back(Src, Dst, Ann);
+  });
+  return Out;
+}
+
+/// K random systems from seeds Seed0.., one solver each.
+struct RandomBatch {
+  std::vector<testgen::RandomSystem> Systems;
+  std::vector<std::unique_ptr<BidirectionalSolver>> Solvers;
+  std::vector<BidirectionalSolver *> Ptrs;
+
+  RandomBatch(size_t K, uint64_t Seed0, SolverOptions O = {}) {
+    for (size_t I = 0; I != K; ++I) {
+      Rng R(Seed0 + I);
+      Systems.push_back(testgen::randomSystem(R));
+      Solvers.push_back(
+          std::make_unique<BidirectionalSolver>(*Systems.back().CS, O));
+      Ptrs.push_back(Solvers.back().get());
+    }
+  }
+
+  /// Every task's status, fixpoint and compose count equal a
+  /// dedicated sequential solve of the same seed.
+  void expectSequentialAnswers(std::span<const BatchSolver::Result> Results,
+                               uint64_t Seed0) const {
+    ASSERT_EQ(Results.size(), Solvers.size());
+    for (size_t I = 0; I != Solvers.size(); ++I) {
+      Rng R(Seed0 + I);
+      testgen::RandomSystem Sys = testgen::randomSystem(R);
+      BidirectionalSolver Seq(*Sys.CS);
+      EXPECT_EQ(Results[I].St, Seq.solve()) << I;
+      EXPECT_EQ(derivedEdges(*Solvers[I]), derivedEdges(Seq)) << I;
+      EXPECT_EQ(Solvers[I]->stats().ComposeCalls, Seq.stats().ComposeCalls)
+          << I;
+    }
+  }
+};
 
 TEST(BatchSolver, EmptyBatch) {
   BatchSolver Batch;
@@ -259,34 +205,24 @@ TEST(BatchSolver, CancellationIsResumable) {
   EXPECT_EQ(Second[0].St, Status::Solved);
 }
 
-TEST(BatchSolver, CancelAllWakesBlockedSolveAll) {
-  // Without an external CancelFlag, solveAll blocks on the pool's
-  // condition variable (no polling); cancelAll from another thread
-  // reaches the running tasks directly through their registered
-  // per-task flags. Timing-dependent like the flag-based test above,
-  // so the checked property is the deterministic one: every task ends
-  // Solved or Cancelled, cancelled tasks resume, and nothing
-  // deadlocks.
+TEST(BatchSolver, CancelFlagSetMidBatchReachesRunningTasks) {
+  // Another thread sets the batch flag while solveAll runs; every
+  // task's solver reads it directly at its next governance check.
+  // Timing-dependent like the test above, so the checked property is
+  // the deterministic one: every task ends Solved or Cancelled,
+  // cancelled tasks resume, and nothing deadlocks.
   constexpr size_t K = 4;
-  std::vector<testgen::RandomSystem> Systems;
-  std::vector<std::unique_ptr<BidirectionalSolver>> Solvers;
-  std::vector<BidirectionalSolver *> Ptrs;
-  for (size_t I = 0; I != K; ++I) {
-    Rng R(200 + I);
-    Systems.push_back(testgen::randomSystem(R));
-    SolverOptions O;
-    O.GovernanceCheckInterval = 1;
-    Solvers.push_back(
-        std::make_unique<BidirectionalSolver>(*Systems.back().CS, O));
-    Ptrs.push_back(Solvers.back().get());
-  }
+  SolverOptions O;
+  O.GovernanceCheckInterval = 1;
+  RandomBatch B(K, 200, O);
 
+  std::atomic<bool> Cancel{false};
   BatchSolver::Options BO;
   BO.Threads = 2;
+  BO.CancelFlag = &Cancel;
   BatchSolver Batch(BO);
-  Batch.cancelAll(); // no call in flight: documented no-op
-  std::thread Canceller([&Batch] { Batch.cancelAll(); });
-  std::vector<BatchSolver::Result> First = Batch.solveAll(Ptrs);
+  std::thread Canceller([&Cancel] { Cancel.store(true); });
+  std::vector<BatchSolver::Result> First = Batch.solveAll(B.Ptrs);
   Canceller.join();
   ASSERT_EQ(First.size(), K);
   for (size_t I = 0; I != K; ++I)
@@ -294,53 +230,155 @@ TEST(BatchSolver, CancelAllWakesBlockedSolveAll) {
                 First[I].St == Status::Cancelled)
         << I;
 
-  std::vector<BatchSolver::Result> Second = Batch.solveAll(Ptrs);
+  Cancel.store(false);
+  std::vector<BatchSolver::Result> Second = Batch.solveAll(B.Ptrs);
   for (size_t I = 0; I != K; ++I)
     EXPECT_FALSE(BidirectionalSolver::isInterrupted(Second[I].St)) << I;
 }
 
-/// The derived edges of a solve, in arena order, plus its status:
-/// enough to tell two solves of one system apart.
-std::vector<std::tuple<ExprId, ExprId, AnnId>>
-derivedEdges(const BidirectionalSolver &S) {
-  std::vector<std::tuple<ExprId, ExprId, AnnId>> Out;
-  S.forEachDerivedEdge([&](ExprId Src, ExprId Dst, AnnId Ann, bool) {
-    Out.emplace_back(Src, Dst, Ann);
-  });
-  return Out;
+TEST(BatchSolver, WithoutABatchFlagEachTaskKeepsItsOwn) {
+  // No batch CancelFlag: a task's own flag stays in force, so a set
+  // flag cancels that task alone, and the batch leaves it in place.
+  RandomBatch B(3, 260);
+  std::atomic<bool> Own{true};
+  B.Solvers[1]->options().CancelFlag = &Own;
+  B.Solvers[1]->options().GovernanceCheckInterval = 1;
+
+  BatchSolver::Options BO;
+  BO.Threads = 2;
+  BatchSolver Batch(BO);
+  std::vector<BatchSolver::Result> First = Batch.solveAll(B.Ptrs);
+  EXPECT_EQ(B.Solvers[1]->options().CancelFlag, &Own);
+  EXPECT_EQ(First[1].St, Status::Cancelled);
+  EXPECT_FALSE(BidirectionalSolver::isInterrupted(First[0].St));
+  EXPECT_FALSE(BidirectionalSolver::isInterrupted(First[2].St));
+  Own.store(false);
+  for (const BatchSolver::Result &R : Batch.solveAll(B.Ptrs))
+    EXPECT_FALSE(BidirectionalSolver::isInterrupted(R.St));
 }
 
 TEST(BatchSolver, WidthAboveTaskCountSpawnsOnlyClaimers) {
   // A configured width far beyond what the host can spawn: the pool
   // must be sized to the claimers actually run (one per task), not
   // to the width, or thread creation fails and aborts the process.
-  constexpr size_t K = 2;
-  std::vector<testgen::RandomSystem> Systems;
-  std::vector<std::unique_ptr<BidirectionalSolver>> Solvers;
-  std::vector<BidirectionalSolver *> Ptrs;
-  for (size_t I = 0; I != K; ++I) {
-    Rng R(300 + I);
-    Systems.push_back(testgen::randomSystem(R));
-    Solvers.push_back(
-        std::make_unique<BidirectionalSolver>(*Systems.back().CS));
-    Ptrs.push_back(Solvers.back().get());
-  }
-
+  RandomBatch B(2, 300);
   BatchSolver::Options BO;
   BO.Threads = 100000;
   BatchSolver Batch(BO);
   EXPECT_EQ(Batch.numThreads(), 100000u);
-  std::vector<BatchSolver::Result> Results = Batch.solveAll(Ptrs);
-  ASSERT_EQ(Results.size(), K);
+  B.expectSequentialAnswers(Batch.solveAll(B.Ptrs), 300);
+}
+
+TEST(BatchSolver, SolvesEveryTaskOnce) {
+  // More tasks than claimers: the cursor hands each task to exactly
+  // one claimer, so every fixpoint and compose count equals a
+  // dedicated solve's (a task solved twice would count its ingest
+  // twice, one skipped would stay unsolved).
+  RandomBatch B(32, 400);
+  BatchSolver::Options BO;
+  BO.Threads = 4;
+  BatchSolver Batch(BO);
+  B.expectSequentialAnswers(Batch.solveAll(B.Ptrs), 400);
+  uint64_t Sum = 0;
+  for (const auto &S : B.Solvers)
+    Sum += S->stats().EdgesInserted;
+  EXPECT_EQ(Batch.mergedStats().EdgesInserted, Sum);
+}
+
+TEST(BatchSolver, ZeroThreadsMeansOnePerHardwareThread) {
+  BatchSolver Batch;
+  unsigned Hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(Batch.numThreads(), Hw ? Hw : 1u);
+  RandomBatch B(3, 450);
+  B.expectSequentialAnswers(Batch.solveAll(B.Ptrs), 450);
+}
+
+TEST(BatchSolver, RefusedClaimerSpawnStillMatchesSequential) {
+  // A claimer the host refuses is not an error: the claimers already
+  // running, the caller at least, drain the cursor. Arming with k
+  // refuses the (k + 1)-th spawn: 0 leaves the caller alone, 1 the
+  // caller plus one thread.
+  for (uint64_t AfterHits : {0u, 1u}) {
+    SCOPED_TRACE(AfterHits);
+    RandomBatch B(6, 500);
+    BatchSolver::Options BO;
+    BO.Threads = 4;
+    BatchSolver Batch(BO);
+    std::vector<BatchSolver::Result> Results;
+    {
+      failpoints::ScopedFailPoint Fail(failpoints::Point::ThreadSpawn,
+                                       AfterHits);
+      Results = Batch.solveAll(B.Ptrs);
+    }
+    B.expectSequentialAnswers(Results, 500);
+  }
+}
+
+/// A one-element domain whose compose() throws once armed: a task
+/// that fails mid-solve, the way an allocation failure would.
+class ThrowingDomain final : public AnnotationDomain {
+public:
+  AnnId identity() const override { return 0; }
+  AnnId compose(AnnId, AnnId) const override {
+    throw std::runtime_error("compose failed");
+  }
+  bool isAccepting(AnnId) const override { return true; }
+  size_t size() const override { return 1; }
+  std::string toString(AnnId) const override { return "eps"; }
+};
+
+TEST(BatchSolver, TaskExceptionRestoresOptionsAndRethrows) {
+  // Task 1's domain throws from compose. solveAll must join every
+  // claimer, restore every solver's options, and only then rethrow;
+  // the other tasks still reach their fixpoints.
+  constexpr size_t K = 4;
+  TrivialDomain Trivial;
+  ThrowingDomain Throwing;
+  std::vector<std::unique_ptr<ConstraintSystem>> Systems;
+  for (size_t I = 0; I != K; ++I) {
+    auto CS = std::make_unique<ConstraintSystem>(
+        I == 1 ? static_cast<const AnnotationDomain &>(Throwing) : Trivial);
+    ConsId C = CS->addConstant("c");
+    VarId X = CS->freshVar(), Y = CS->freshVar(), Z = CS->freshVar();
+    CS->add(CS->cons(C), CS->var(X));
+    CS->add(CS->var(X), CS->var(Y));
+    CS->add(CS->var(Y), CS->var(Z));
+    Systems.push_back(std::move(CS));
+  }
+
+  std::atomic<bool> Own{false};
+  std::vector<std::unique_ptr<BidirectionalSolver>> Solvers;
+  std::vector<BidirectionalSolver *> Ptrs;
+  for (size_t I = 0; I != K; ++I) {
+    SolverOptions O;
+    O.MaxEdges = 1000 + I;
+    O.CancelFlag = &Own;
+    Solvers.push_back(std::make_unique<BidirectionalSolver>(*Systems[I], O));
+    Ptrs.push_back(Solvers.back().get());
+  }
+
+  std::atomic<bool> BatchCancel{false};
+  BatchSolver::Options BO;
+  BO.Threads = 2;
+  BO.DeadlineSeconds = 60;
+  BO.MaxTotalMemoryBytes = 1 << 30;
+  BO.CancelFlag = &BatchCancel;
+  BatchSolver Batch(BO);
+  EXPECT_THROW(Batch.solveAll(Ptrs), std::runtime_error);
 
   for (size_t I = 0; I != K; ++I) {
-    Rng R(300 + I);
-    testgen::RandomSystem Sys = testgen::randomSystem(R);
-    BidirectionalSolver Seq(*Sys.CS);
-    EXPECT_EQ(Results[I].St, Seq.solve()) << I;
+    const SolverOptions &O = Solvers[I]->options();
+    EXPECT_EQ(O.MaxEdges, 1000 + I) << I;
+    EXPECT_EQ(O.CancelFlag, &Own) << I;
+    EXPECT_EQ(O.GroupMemory, nullptr) << I;
+    EXPECT_EQ(O.MaxGroupMemoryBytes, 0u) << I;
+    EXPECT_EQ(O.DeadlineSeconds, 0.0) << I;
+    if (I == 1)
+      continue;
+    EXPECT_EQ(Solvers[I]->status(), Status::Solved) << I;
+    BidirectionalSolver Seq(*Systems[I]);
+    Seq.solve();
     EXPECT_EQ(derivedEdges(*Solvers[I]), derivedEdges(Seq)) << I;
-    EXPECT_EQ(Solvers[I]->stats().ComposeCalls, Seq.stats().ComposeCalls)
-        << I;
   }
 }
 
@@ -373,14 +411,29 @@ TEST(BatchApps, PdmcCheckAllProperties) {
     Expect.push_back(C.check());
   }
 
-  std::vector<const SpecAutomaton *> Specs{&*A, &*B};
+  // Batch: the way rasctool and perfbench build it — prepare() each
+  // checker, hand its solver() to one BatchSolver, then query.
+  std::vector<std::unique_ptr<RascChecker>> Checkers;
+  std::vector<BidirectionalSolver *> Ptrs;
+  for (const SpecAutomaton *S : {&*A, &*B}) {
+    Checkers.push_back(std::make_unique<RascChecker>(Prog, *S));
+    Checkers.back()->prepare();
+    Ptrs.push_back(Checkers.back()->solver());
+  }
   BatchSolver::Options BO;
   BO.Threads = 4;
-  SolverStats Merged;
-  std::vector<std::vector<Violation>> Got = checkAllProperties(
-      Prog, Specs, BO, SolverOptions(), &Merged);
+  BatchSolver Batch(BO);
+  for (const BatchSolver::Result &R : Batch.solveAll(Ptrs))
+    EXPECT_EQ(R.St, Status::Solved);
+  std::vector<std::vector<Violation>> Got;
+  uint64_t SumEdges = 0;
+  for (auto &C : Checkers) {
+    Got.push_back(C->collectViolations());
+    SumEdges += C->solver()->stats().EdgesInserted;
+  }
   EXPECT_EQ(Got, Expect);
-  EXPECT_GT(Merged.EdgesInserted, 0u);
+  EXPECT_GT(Batch.mergedStats().EdgesInserted, 0u);
+  EXPECT_EQ(Batch.mergedStats().EdgesInserted, SumEdges);
 }
 
 TEST(BatchApps, DataflowSolveAll) {
@@ -414,20 +467,25 @@ TEST(BatchApps, DataflowSolveAll) {
       }
   }
 
-  // Batch: fresh analyses over the same problems, one pool.
+  // Batch: fresh analyses over the same problems, built the way
+  // rasctool and perfbench build them — prepare(), solver() on one
+  // BatchSolver, then finalize().
   std::vector<std::unique_ptr<AnnotatedBitVectorAnalysis>> Analyses;
-  std::vector<AnnotatedBitVectorAnalysis *> Ptrs;
+  std::vector<BidirectionalSolver *> Ptrs;
   for (size_t I = 0; I != K; ++I) {
     Analyses.push_back(
         std::make_unique<AnnotatedBitVectorAnalysis>(*Problems[I]));
-    Ptrs.push_back(Analyses.back().get());
+    Analyses.back()->prepare();
+    Ptrs.push_back(Analyses.back()->solver());
   }
   BatchSolver::Options BO;
   BO.Threads = 4;
-  SolverStats Merged;
-  std::vector<BatchSolver::Result> Results =
-      AnnotatedBitVectorAnalysis::solveAll(Ptrs, BO, &Merged);
+  BatchSolver Batch(BO);
+  std::vector<BatchSolver::Result> Results = Batch.solveAll(Ptrs);
   ASSERT_EQ(Results.size(), K);
+  for (auto &A : Analyses)
+    A->finalize();
+  const SolverStats &Merged = Batch.mergedStats();
 
   uint64_t SumEdges = 0;
   for (size_t I = 0; I != K; ++I) {
@@ -466,7 +524,7 @@ TEST(BatchApps, FlowSolveAll) {
     Expect.push_back(std::move(Ans));
   }
 
-  // Batch: both analyses prepared up front, solved on one pool.
+  // Batch: both analyses prepared up front, solved on one BatchSolver.
   FlowAnalysis Primal(*P, FlowMode::Primal);
   FlowAnalysis Dual(*P, FlowMode::Dual);
   std::vector<FlowAnalysis *> Ptrs{&Primal, &Dual};

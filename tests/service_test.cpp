@@ -722,20 +722,63 @@ TEST_F(ServiceTest, InjectedAcceptFailureDropsOneConnection) {
   expectStillServing();
 }
 
-TEST_F(ServiceTest, SessionPoolSpawnFailureIsAStartupDiag) {
-  // The host refuses the third of four session workers: start() reports
-  // a Diag instead of aborting, and a later start succeeds.
-  Opts.MaxSessions = 4;
-  failpoints::arm(failpoints::Point::ThreadSpawn, 2);
+TEST_F(ServiceTest, RefusedSessionSpawnIsBusyAndKeepsServing) {
+  // The host refuses the thread for an admitted connection: the client
+  // gets a structured Busy (reason=capacity), the refusal is counted,
+  // and the next connection is served.
+  startDaemon();
+  uint64_t BusyBefore = D->SessionsBusy.get();
+  {
+    failpoints::ScopedFailPoint Fail(failpoints::Point::ThreadSpawn, 0);
+    Conn Refused = connect();
+    Frame B;
+    ASSERT_EQ(Refused.readFrame(B, DefaultMaxFrameBytes, nullptr, 5000),
+              ReadStatus::Ok);
+    EXPECT_EQ(B.Kind, Op::Busy);
+    EXPECT_EQ(kvGet(B.Body, "reason"), "capacity");
+    EXPECT_EQ(kvGet(B.Body, "retry-after-ms"),
+              std::to_string(Opts.RetryAfterMs));
+  }
+  EXPECT_EQ(D->SessionsBusy.get(), BusyBefore + 1);
+  EXPECT_EQ(D->activeSessions(), 0u);
+  expectStillServing();
+}
+
+TEST_F(ServiceTest, AcceptorSpawnFailureIsAStartupDiag) {
+  // The host refuses the acceptor thread: start() reports a Diag
+  // instead of aborting, and a later start succeeds.
+  failpoints::arm(failpoints::Point::ThreadSpawn, 0);
   D = std::make_unique<Rascd>(Opts);
   std::optional<Diag> E = D->start();
   ASSERT_TRUE(E);
-  EXPECT_NE(E->message().find("cannot start 4 session workers"),
+  EXPECT_NE(E->message().find("cannot start the acceptor thread"),
             std::string::npos)
       << E->render();
   failpoints::disarmAll();
   D.reset();
   startDaemon();
+  expectStillServing();
+}
+
+TEST_F(ServiceTest, StartSpawnsOnlyTheAcceptor) {
+  // Session threads come one per admitted connection, so a wide
+  // admission cap costs no threads up front: start() adds exactly
+  // the acceptor.
+  auto threadCount = [] {
+    size_t N = 0;
+    for ([[maybe_unused]] const auto &E :
+         fs::directory_iterator("/proc/self/task"))
+      ++N;
+    return N;
+  };
+  Opts.MaxSessions = 64;
+  // A runtime may start a helper thread with the process's first
+  // spawn (ThreadSanitizer does); spawn and join one first so it is
+  // counted in Before.
+  std::thread([] {}).join();
+  size_t Before = threadCount();
+  startDaemon();
+  EXPECT_EQ(threadCount(), Before + 1);
   expectStillServing();
 }
 
