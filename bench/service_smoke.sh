@@ -42,9 +42,23 @@ done
 WORK="$(mktemp -d)"
 DATA="$WORK/data"
 DAEMON_PID=""
+# On exit the script must leave no process of its own behind: the
+# daemon is killed here, and every other child must have been waited
+# for. pgrep never lists itself, so any child it finds fails the run.
 cleanup() {
-  [ -n "$DAEMON_PID" ] && kill -9 "$DAEMON_PID" 2>/dev/null || true
+  local RC=$?
+  if [ -n "$DAEMON_PID" ]; then
+    kill -9 "$DAEMON_PID" 2>/dev/null || true
+    wait "$DAEMON_PID" 2>/dev/null || true
+  fi
+  if pgrep -P $$ >"$WORK/left"; then
+    echo "FAIL: child process(es) still running at exit:" \
+         "$(tr '\n' ' ' <"$WORK/left")" >&2
+    xargs kill -9 <"$WORK/left" 2>/dev/null || true
+    RC=1
+  fi
   rm -rf "$WORK"
+  exit "$RC"
 }
 trap cleanup EXIT
 
@@ -99,8 +113,11 @@ printf 'language regex "g*";\nconstant c;\nvar X0 X1;\nc <= X0;\nX0 <= X1;\nquer
   >"$WORK/dur.rasc"
 rpc load dur "$WORK/dur.rasc" >/dev/null || fail "load dur"
 rpc solve dur >/dev/null || fail "solve dur"
-# Live load when the axe falls.
-rpc bench --connections 4 --ops 200 >/dev/null 2>&1 &
+# Live load when the axe falls. The client binary itself goes to the
+# background, not the rpc function: "$!" of a backgrounded function is
+# a subshell, and killing that would leave the client running.
+"$CLIENT" --port-file "$WORK/port" bench --connections 4 --ops 200 \
+  >/dev/null 2>&1 &
 BENCH_PID=$!
 sleep 0.5
 { kill -9 "$DAEMON_PID" && wait "$DAEMON_PID"; } 2>/dev/null || true
@@ -189,7 +206,8 @@ grep -q "proof=streaming" <<<"$OUT" || fail "proof not streaming: $OUT"
 # The axe under live load, then make the torn tail deterministic: a
 # hard kill can leave a half-written frame, which we simulate so the
 # truncation path is exercised on every run, not only on lucky races.
-rpc bench --connections 4 --ops 200 >/dev/null 2>&1 &
+"$CLIENT" --port-file "$WORK/port" bench --connections 4 --ops 200 \
+  >/dev/null 2>&1 &
 BENCH_PID=$!
 sleep 0.3
 { kill -9 "$DAEMON_PID" && wait "$DAEMON_PID"; } 2>/dev/null || true

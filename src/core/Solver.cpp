@@ -54,26 +54,27 @@ ProofLogWriter::StatusCode proofStatusCode(BidirectionalSolver::Status S) {
 
 } // namespace
 
-const std::vector<AnnId> &AtomReachability::annotations(VarId V) const {
-  static const std::vector<AnnId> Empty;
+std::span<const AnnId> AtomReachability::annotations(VarId V) const {
   if (Solver)
     V = Solver->rep(V);
-  return V < Facts.size() ? Facts[V] : Empty;
+  if (static_cast<size_t>(V) + 1 >= Begin.size())
+    return {};
+  return {Anns.data() + Begin[V], Begin[V + 1] - Begin[V]};
 }
 
 std::vector<ConsId> AtomReachability::witnessStack(VarId V,
                                                    AnnId Ann) const {
   std::vector<ConsId> Stack;
-  if (Solver)
-    V = Solver->rep(V);
-  const uint32_t *I =
-      ParentIdx.lookup((static_cast<uint64_t>(V) << 32) | Ann);
-  while (I && Parents[*I].InnerVar != InvalidVar) {
-    const Provenance &P = Parents[*I];
-    Stack.push_back(P.C);
-    I = ParentIdx.lookup((static_cast<uint64_t>(P.InnerVar) << 32) |
-                         P.InnerAnn);
-  }
+  std::span<const AnnId> Classes = annotations(V);
+  auto It = std::find(Classes.begin(), Classes.end(), Ann);
+  if (It == Classes.end())
+    return Stack;
+  // Walk the premises back to the seed: the fact's own step is the
+  // outermost constructor, and var steps wrap nothing.
+  for (uint32_t I = AnnEntry[static_cast<size_t>(&*It - Anns.data())];
+       I != NoParent; I = Entries[I].Parent)
+    if (Entries[I].Wrap != NoWrap)
+      Stack.push_back(Entries[I].Wrap);
   return Stack;
 }
 
@@ -264,6 +265,9 @@ void BidirectionalSolver::ingest(const Constraint &C, uint32_t Idx) {
     if (NeedProv)
       CurProv = {EdgeProv::Rule::Surface, Idx};
     addEdge(L, R, C.Ann);
+    if (LE.Kind == ExprKind::Cons && CS.expr(R).Kind == ExprKind::Var &&
+        !(Options.FilterUseless && CS.domain().isUseless(C.Ann)))
+      SurfaceBounds.push_back({L, CS.expr(R).V, C.Ann});
     return;
   }
 
@@ -776,6 +780,7 @@ void BidirectionalSolver::resetToFresh() {
   FnVarSeen = EdgeDedup(D.size());
   FnVarSol.clear();
   FnVarSolFresh = false;
+  SurfaceBounds.clear();
   VarNode.clear();
   Proof.reset();
   NeedProv = false;
@@ -789,6 +794,7 @@ size_t BidirectionalSolver::memoryBytes() const {
              FnVarSeen.memoryBytes() +
              Conflicts.capacity() * sizeof(SolvedEdge) +
              FnVarCons.capacity() * sizeof(FnVarConstraint) +
+             SurfaceBounds.capacity() * sizeof(SurfaceBound) +
              NodeKind.capacity() +
              (SuccDone.capacity() + PredDone.capacity()) * sizeof(uint32_t) +
              VarNode.capacity() * sizeof(ExprId) +
@@ -1040,120 +1046,153 @@ BidirectionalSolver::fnVarSolution() const {
 AtomReachability
 BidirectionalSolver::atomReachability(ConsId Atom,
                                       bool AllowUnmatchedProjections) const {
+  trace::Scope Span("solver.reach");
+  const bool Metrics = observe::metricsEnabled();
+  const auto Start = Metrics ? std::chrono::steady_clock::now()
+                             : std::chrono::steady_clock::time_point{};
   AtomReachability R;
   R.Solver = this;
   const AnnotationDomain &D = CS.domain();
+  const bool Filter = Options.FilterUseless;
+  const uint32_t NumVars = CS.numVars();
+  constexpr uint8_t KVar = static_cast<uint8_t>(ExprKind::Var);
 
-  // Index: wrap steps. For each constructor lower bound ce ⊆^f Y with
-  // ce = c(..., Xi, ...), an atom at Xi with class a occurs inside Y's
-  // terms with class f ∘ a. The index is CSR by rep(Xi), filled in
-  // the order the bounds are scanned.
+  // Wrap steps, CSR by rep(Xi): for each surface bound c(..Xi..) ⊆^f
+  // Y, an atom at Xi with class a occurs inside Y's terms with class
+  // f ∘ a. Counts go to WrapBegin[Xi + 2]; after the prefix sum,
+  // WrapBegin[Xi + 1] is Xi's fill cursor and ends as Xi + 1's start.
   struct WrapStep {
     VarId Outer;
     AnnId Fn;
     ConsId C;
   };
-  R.Facts.resize(CS.numVars());
-
-  // Phase: false = "N" (unmatched projections still allowed), true =
-  // "P" (under unmatched constructors). N steps precede P steps.
-  std::vector<std::tuple<VarId, AnnId, bool>> Work;
-  size_t Head = 0;
-  FlatSet64 Seen;
-  Seen.reserve(CS.numVars());
-  R.ParentIdx.reserve(CS.numVars());
-
-  auto addFact = [&](VarId V, AnnId A, bool Phase,
-                     AtomReachability::Provenance Prov) {
-    uint64_t Key =
-        (static_cast<uint64_t>(V) << 33) | (static_cast<uint64_t>(A) << 1) |
-        (Phase ? 1 : 0);
-    if (!Seen.insert(Key))
-      return;
-    if (R.ParentIdx
-            .findOrInsert((static_cast<uint64_t>(V) << 32) | A,
-                          static_cast<uint32_t>(R.Parents.size()))
-            .second) {
-      R.Facts[V].push_back(A);
-      R.Parents.push_back(Prov);
+  std::vector<uint32_t> WrapBegin(NumVars + 2, 0);
+  size_t NumWraps = 0;
+  for (const SurfaceBound &B : SurfaceBounds)
+    for (VarId A : CS.args(CS.expr(B.Cons))) {
+      ++WrapBegin[rep(A) + 2];
+      ++NumWraps;
     }
-    Work.emplace_back(V, A, Phase);
+  for (size_t V = 2; V < WrapBegin.size(); ++V)
+    WrapBegin[V] += WrapBegin[V - 1];
+  std::vector<WrapStep> Wraps(NumWraps);
+  for (const SurfaceBound &B : SurfaceBounds) {
+    const Expr &E = CS.expr(B.Cons);
+    for (VarId A : CS.args(E))
+      Wraps[WrapBegin[rep(A) + 1]++] = {B.Outer, B.Ann, E.C};
+  }
+
+  // Phase 0 = "N" (unmatched projections still allowed), 1 = "P"
+  // (under an unmatched constructor); N steps precede P steps. Without
+  // unmatched projections the two phases take the same steps, so every
+  // fact stays in phase 0. With them, row (V, 2) of Seen marks the
+  // classes V holds in either phase, so a class is listed once.
+  // Flags: bit 0 = phase P, bit 1 = first entry of its (var, class).
+  const bool TwoPhases = AllowUnmatchedProjections;
+  EdgeDedup Seen(D.size());
+  std::vector<uint8_t> Flags;
+  uint64_t Steps = 0;
+  auto addFact = [&](VarId V, AnnId A, uint8_t Phase, uint32_t Parent,
+                     ConsId Wrap) {
+    if (!Seen.insert(V, Phase, A))
+      return;
+    bool First = !TwoPhases || Seen.insert(V, 2, A);
+    R.Entries.push_back({V, A, Parent, Wrap});
+    Flags.push_back(static_cast<uint8_t>(Phase | (First ? 2 : 0)));
   };
 
-  // One scan of the constructor lower bounds on variables seeds the
-  // atom's facts and lists the wrap steps with their rep(Xi), counted
-  // into WrapBegin[rep + 1]; a counting sort then files them by
-  // rep(Xi), keeping scan order within each.
-  std::vector<uint32_t> WrapBegin(CS.numVars() + 1, 0);
-  std::vector<std::pair<VarId, WrapStep>> Scanned;
-  for (ExprId Node = 0; Node != Preds.numNodes(); ++Node) {
-    if (Preds.degree(Node) == 0 ||
-        NodeKind[Node] != static_cast<uint8_t>(ExprKind::Var))
-      continue;
-    VarId Outer = CS.expr(Node).V;
-    Preds.forEach(Node, [&](ExprId Src, AnnId Ann) {
-      const Expr &SE = CS.expr(Src);
-      if (SE.C == Atom && SE.NumArgs == 0)
-        addFact(Outer, Ann, /*Phase=*/false, {});
-      for (VarId A : CS.args(SE)) {
-        VarId Inner = rep(A);
-        ++WrapBegin[Inner + 1];
-        Scanned.push_back({Inner, {Outer, Ann, SE.C}});
-      }
-    });
-  }
-  for (size_t V = 1; V < WrapBegin.size(); ++V)
-    WrapBegin[V] += WrapBegin[V - 1];
-  std::vector<WrapStep> Wraps(Scanned.size());
-  {
-    std::vector<uint32_t> Next(WrapBegin.begin(), WrapBegin.end() - 1);
-    for (const auto &[Inner, W] : Scanned)
-      Wraps[Next[Inner]++] = W;
+  for (const SurfaceBound &B : SurfaceBounds) {
+    const Expr &E = CS.expr(B.Cons);
+    if (E.C == Atom && E.NumArgs == 0)
+      addFact(B.Outer, B.Ann, 0, AtomReachability::NoParent,
+              AtomReachability::NoWrap);
   }
 
-  while (Head != Work.size()) {
-    auto [V, A, Phase] = Work[Head++];
+  // Facts are found in rounds of one more wrap each (a 0-1 BFS): var
+  // and N steps extend the current round, wrap steps wait in NextRound.
+  // A witness stack is then one of the fewest unmatched calls, as when
+  // the query wrapped under every derived bound.
+  std::vector<AtomReachability::Entry> NextRound;
+  for (uint32_t I = 0;; ++I) {
+    if (I == R.Entries.size()) {
+      for (const AtomReachability::Entry &E : NextRound)
+        addFact(E.Var, E.Ann, TwoPhases ? 1 : 0, E.Parent, E.Wrap);
+      NextRound.clear();
+      if (I == R.Entries.size())
+        break;
+    }
+    // By value: addFact appends to Entries.
+    const VarId V = R.Entries[I].Var;
+    const AnnId A = R.Entries[I].Ann;
+    const uint8_t Phase = Flags[I] & 1;
 
     // P steps: wrap under a constructor flowing somewhere.
-    for (uint32_t I = WrapBegin[V]; I != WrapBegin[V + 1]; ++I) {
-      const WrapStep &W = Wraps[I];
-      AnnId Wrapped = D.compose(W.Fn, A);
-      if (Options.FilterUseless && D.isUseless(Wrapped))
+    for (uint32_t W = WrapBegin[V]; W != WrapBegin[V + 1]; ++W) {
+      ++Steps;
+      AnnId Wrapped = D.compose(Wraps[W].Fn, A);
+      if (Filter && D.isUseless(Wrapped))
         continue;
-      addFact(W.Outer, Wrapped, /*Phase=*/true, {W.C, V, A});
+      NextRound.push_back({Wraps[W].Outer, Wrapped, I, Wraps[W].C});
     }
 
-    if (!AllowUnmatchedProjections || Phase)
-      continue;
-
-    // N steps (phase N only): follow a projection constraint whose
-    // subject contains the atom's context unmatched, and then plain
-    // variable flow from the landing spot (which the closure has not
-    // pre-propagated, unlike the initial facts). The closure keeps
-    // only base var→var edges, so this worklist walks them one step
-    // per fact. V is a representative, so the VarNode index applies.
     ExprId Node = varNodeIfAny(V);
     if (Node == InvalidExpr)
       continue;
-    if (Node < Watchers.size()) {
+
+    // N steps (phase N only): follow a projection constraint whose
+    // subject contains the atom's context unmatched.
+    if (TwoPhases && Phase == 0 && Node < Watchers.size()) {
       for (const Watcher &W : Watchers[Node]) {
+        ++Steps;
         AnnId Out = D.compose(W.Ann, A);
-        if (Options.FilterUseless && D.isUseless(Out))
+        if (Filter && D.isUseless(Out))
           continue;
-        addFact(rep(W.Target), Out, /*Phase=*/false, {});
+        addFact(rep(W.Target), Out, 0, I, AtomReachability::NoWrap);
       }
     }
+
+    // Var steps, in the fact's own phase: the base var→var edges the
+    // closure carried the surface bounds along (decision 13). A useless
+    // class stays useless when extended, so cutting it loses nothing.
     if (Node < Succs.numNodes()) {
-      Succs.forEach(Node, [&, A = A](ExprId Dst, AnnId G) {
-        const Expr &DE = CS.expr(Dst);
-        if (DE.Kind != ExprKind::Var)
+      Succs.forEach(Node, [&](ExprId Dst, AnnId G) {
+        if (NodeKind[Dst] != KVar)
           return;
+        ++Steps;
         AnnId Out = D.compose(G, A);
-        if (Options.FilterUseless && D.isUseless(Out))
+        if (Filter && D.isUseless(Out))
           return;
-        addFact(DE.V, Out, /*Phase=*/false, {});
+        addFact(CS.expr(Dst).V, Out, Phase, I, AtomReachability::NoWrap);
       });
     }
+  }
+
+  // CSR by variable over the first entry of each (var, class), in
+  // discovery order; the same counting scheme as the wrap index.
+  R.Begin.assign(NumVars + 2, 0);
+  for (uint32_t I = 0; I != R.Entries.size(); ++I)
+    if (Flags[I] & 2)
+      ++R.Begin[R.Entries[I].Var + 2];
+  for (size_t V = 2; V < R.Begin.size(); ++V)
+    R.Begin[V] += R.Begin[V - 1];
+  R.Anns.resize(R.Begin.back());
+  R.AnnEntry.resize(R.Begin.back());
+  for (uint32_t I = 0; I != R.Entries.size(); ++I) {
+    if (!(Flags[I] & 2))
+      continue;
+    uint32_t Slot = R.Begin[R.Entries[I].Var + 1]++;
+    R.Anns[Slot] = R.Entries[I].Ann;
+    R.AnnEntry[Slot] = I;
+  }
+  R.Begin.pop_back();
+
+  Span.args(R.numFacts(), Steps);
+  if (Metrics) {
+    MetricsRegistry &M = MetricsRegistry::global();
+    M.counter("solver.reach_facts").add(R.numFacts());
+    M.counter("solver.reach_steps").add(Steps);
+    M.counter("solver.reach_ns")
+        .add(static_cast<uint64_t>(secondsSince(Start) * 1e9));
   }
   return R;
 }

@@ -41,7 +41,6 @@
 #include "core/GroundTerm.h"
 #include "support/Adjacency.h"
 #include "support/AnnSet.h"
-#include "support/FlatSet.h"
 #include "support/Trace.h"
 #include "support/UnionFind.h"
 
@@ -50,6 +49,7 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace rasc {
@@ -238,30 +238,47 @@ class BidirectionalSolver;
 /// of annotation classes with which the queried constant occurs
 /// (possibly nested under unmatched constructors) in the variable's
 /// least solution. See Section 6.2.
+///
+/// One flat fact table (DESIGN.md §5): the query's distinct
+/// (variable, class, phase) entries in discovery order, each naming
+/// the entry it was derived from, plus a CSR by variable over the
+/// first entry of every distinct (variable, class).
 class AtomReachability {
 public:
-  /// Annotation classes of the atom at \p V (empty if none). \p V may
-  /// be any variable; cycle-collapsed representatives are resolved.
-  const std::vector<AnnId> &annotations(VarId V) const;
+  /// Annotation classes of the atom at \p V (empty if none), in
+  /// discovery order. \p V may be any variable; cycle-collapsed
+  /// representatives are resolved. The span lives as long as this
+  /// object.
+  std::span<const AnnId> annotations(VarId V) const;
 
   /// The unmatched-constructor context ("stack") under which the atom
   /// occurs at \p V with annotation \p Ann: outermost first. Empty for
   /// top-level occurrences.
   std::vector<ConsId> witnessStack(VarId V, AnnId Ann) const;
 
+  /// Distinct (variable, class) facts: the sum of annotations() sizes.
+  size_t numFacts() const { return Anns.size(); }
+
 private:
   friend class BidirectionalSolver;
-  struct Provenance {
-    // Wrap step: the atom at InnerVar with InnerAnn was wrapped by
-    // constructor C. InnerVar == InvalidVar marks an initial fact.
-    ConsId C = 0;
-    VarId InnerVar = InvalidVar;
-    AnnId InnerAnn = InvalidAnn;
+  static constexpr uint32_t NoParent = ~0u;
+  static constexpr ConsId NoWrap = ~0u;
+  /// One distinct (variable, class, phase) fact. A seed has no
+  /// parent; a var step (base var→var edge or N-phase projection)
+  /// wraps nothing.
+  struct Entry {
+    VarId Var;
+    AnnId Ann;
+    uint32_t Parent; ///< index of the premise entry, or NoParent
+    ConsId Wrap;     ///< constructor wrapped by this step, or NoWrap
   };
   const BidirectionalSolver *Solver = nullptr;
-  std::vector<std::vector<AnnId>> Facts; // by representative VarId
-  FlatMap64 ParentIdx; // (var, ann) packed -> index into Parents
-  std::vector<Provenance> Parents;
+  std::vector<Entry> Entries;
+  // CSR by representative VarId: Begin[V]..Begin[V + 1] index Anns and,
+  // in parallel, AnnEntry (the first entry that derived that class).
+  std::vector<uint32_t> Begin;
+  std::vector<AnnId> Anns;
+  std::vector<uint32_t> AnnEntry;
 };
 
 /// Online bidirectional solver over one constraint system.
@@ -469,6 +486,13 @@ public:
   /// PN reachability [15], needed for flow queries that observe a
   /// value after it escaped the call that created it (Section 7.3).
   /// N steps precede P steps on any PN path.
+  ///
+  /// The query reads the surface constructor lower bounds and the base
+  /// var→var edges only (DESIGN.md §4 decision 13): wrap steps come
+  /// from the surface bounds, and every fact walks its variable's base
+  /// successors, which is how the closure carried those bounds to the
+  /// derived ones. On an interrupted solver the facts are sound: each
+  /// is also a fact of the completed solve.
   AtomReachability
   atomReachability(ConsId Atom,
                    bool AllowUnmatchedProjections = false) const;
@@ -699,6 +723,18 @@ private:
 
   std::vector<FnVarConstraint> FnVarCons;
   EdgeDedup FnVarSeen; // dedup of FnVarCons
+
+  /// The ingested surface constructor lower bounds c(..) ⊆^f Y, on
+  /// canonical nodes (Y a representative), useless ones dropped like
+  /// the closure drops them. Every derived constructor lower bound is
+  /// one of these carried along base var→var edges, so they are all
+  /// atomReachability needs for its wrap steps and seeds.
+  struct SurfaceBound {
+    ExprId Cons;
+    VarId Outer;
+    AnnId Ann;
+  };
+  std::vector<SurfaceBound> SurfaceBounds;
   mutable std::vector<std::vector<AnnId>> FnVarSol;
   mutable bool FnVarSolFresh = false;
 

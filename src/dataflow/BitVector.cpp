@@ -62,11 +62,7 @@ void AnnotatedBitVectorAnalysis::prepare(SolverOptions Opts) {
 void AnnotatedBitVectorAnalysis::finalize() {
   RASC_TRACE_SCOPE("dataflow.finalize");
   assert(Solver && "finalize() requires prepare()");
-  const Program &Prog = Problem.program();
-  AtomReachability AR = Solver->atomReachability(Pc);
-  Reaching.assign(Prog.numStatements(), {});
-  for (StmtId S = 0; S != Prog.numStatements(); ++S)
-    Reaching[S] = AR.annotations(StmtVars[S]);
+  Reach = Solver->atomReachability(Pc);
 }
 
 void AnnotatedBitVectorAnalysis::solve() {
@@ -77,23 +73,24 @@ void AnnotatedBitVectorAnalysis::solve() {
 }
 
 bool AnnotatedBitVectorAnalysis::mayHold(StmtId S, unsigned Bit) const {
-  for (AnnId F : Reaching[S])
+  for (AnnId F : Reach.annotations(StmtVars[S]))
     if ((Dom->apply(F, 0) >> Bit) & 1)
       return true;
   return false;
 }
 
 bool AnnotatedBitVectorAnalysis::mustHold(StmtId S, unsigned Bit) const {
-  if (Reaching[S].empty())
+  std::span<const AnnId> Classes = Reach.annotations(StmtVars[S]);
+  if (Classes.empty())
     return false;
-  for (AnnId F : Reaching[S])
+  for (AnnId F : Classes)
     if (!((Dom->apply(F, 0) >> Bit) & 1))
       return false;
   return true;
 }
 
 size_t AnnotatedBitVectorAnalysis::numReachingClasses(StmtId S) const {
-  return Reaching[S].size();
+  return Reach.annotations(StmtVars[S]).size();
 }
 
 //===----------------------------------------------------------------------===//

@@ -125,8 +125,9 @@ private:
   std::vector<VarId> StmtVars;
   bool Generated = false;
   ConsId Pc = 0;
-  // Reaching annotation classes per statement, filled by solve().
-  std::vector<std::vector<AnnId>> Reaching;
+  // The pc atom's reachability, kept whole by finalize(): the
+  // reaching classes of statement S are Reach.annotations(StmtVars[S]).
+  AtomReachability Reach;
 };
 
 /// Classical summary-based iterative baseline.

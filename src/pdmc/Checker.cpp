@@ -193,8 +193,9 @@ void RascChecker::generate() {
     if (St.Kind == Stmt::Call) {
       // o_i(S) ⊆ F_entry and o_i^-1(F_exit) ⊆ S_i.
       ConsId O = CS->addNumberedConstructor("o@", S, 1);
+      if (O >= ConsToCall.size())
+        ConsToCall.resize(O + 1, NoCall);
       ConsToCall[O] = S;
-      CallCons.emplace_back(S, O);
       CS->add(CS->cons(O, {StmtVars[S]}),
               CS->var(StmtVars[Prog.entry(St.Callee)]));
       for (StmtId Succ : St.Succs)
@@ -264,9 +265,8 @@ std::vector<Violation> RascChecker::collectViolations() {
         std::vector<ConsId> Spine = AR.witnessStack(StmtVars[S], F);
         std::vector<StmtId> CallStack;
         for (auto C = Spine.rbegin(); C != Spine.rend(); ++C) {
-          auto It = ConsToCall.find(*C);
-          if (It != ConsToCall.end())
-            CallStack.push_back(It->second);
+          if (*C < ConsToCall.size() && ConsToCall[*C] != NoCall)
+            CallStack.push_back(ConsToCall[*C]);
         }
         return CallStack;
       };

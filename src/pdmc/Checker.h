@@ -40,7 +40,6 @@
 #include "pds/Pds.h"
 #include "spec/SpecParser.h"
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -156,8 +155,9 @@ private:
   std::vector<SymbolId> SpecSym;
   std::vector<VarId> StmtVars;
   ConsId Pc = 0;
-  std::vector<std::pair<StmtId, ConsId>> CallCons; // call site -> o_i
-  std::map<ConsId, StmtId> ConsToCall;
+  /// Per constructor: the call site whose o_i it is, or NoCall.
+  static constexpr StmtId NoCall = ~StmtId(0);
+  std::vector<StmtId> ConsToCall;
   std::unique_ptr<BidirectionalSolver> Solver;
   bool Generated = false;
   SolverOptions SolverOpts;

@@ -24,6 +24,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ReachReference.h"
 #include "TestSystems.h"
 #include "core/ReferenceSolver.h"
 #include "core/SubstEnv.h"
@@ -254,11 +255,32 @@ void compareAllOptions(const System &S) {
     }
 }
 
-class ClosureExactness : public ::testing::TestWithParam<uint64_t> {};
+/// PN reachability of every constant of \p S, in both modes and under
+/// every option setting, against the reference that wraps every
+/// derived constructor lower bound (tests/ReachReference.h).
+void compareAtomReachability(const System &S) {
+  for (bool Filter : {false, true})
+    for (bool Collapse : {false, true}) {
+      SolverOptions Opts;
+      Opts.FilterUseless = Filter;
+      Opts.CycleElimination = Collapse;
+      BidirectionalSolver Fast(*S.CS, Opts);
+      ASSERT_FALSE(BidirectionalSolver::isInterrupted(Fast.solve()));
+      for (ConsId K : S.Constants)
+        for (bool Unmatched : {false, true})
+          EXPECT_EQ(testgen::solverAtomReachability(Fast, K, Unmatched),
+                    testgen::referenceAtomReachability(Fast, K, Unmatched))
+              << "FilterUseless=" << Filter << " CycleElimination="
+              << Collapse << " unmatched=" << Unmatched << " constant "
+              << S.CS->constructorName(K);
+    }
+}
 
-TEST_P(ClosureExactness, MonoidSystemsMatchOracle) {
+/// Builds seed \p Seed's random system over a transition monoid and
+/// runs \p Check on it.
+void onMonoidSystem(uint64_t Seed, void (*Check)(const System &)) {
   // The oracle's naive closure grows with |F|: two or three states.
-  Rng R(GetParam() * 6007 + 3);
+  Rng R(Seed * 6007 + 3);
   MonoidDomain Dom(testgen::randomDfa(R, 2 + static_cast<unsigned>(R.below(2)),
                                       2 + static_cast<unsigned>(R.below(2))));
   ConstraintSystem CS(Dom);
@@ -267,14 +289,15 @@ TEST_P(ClosureExactness, MonoidSystemsMatchOracle) {
     S.Anns.push_back(Dom.symbolAnn(Sym));
   addSymbols(S, R);
   addConstraints(S, R, 4 + static_cast<unsigned>(R.below(8)));
-  SCOPED_TRACE("seed " + std::to_string(GetParam()));
-  compareAllOptions(S);
+  SCOPED_TRACE("seed " + std::to_string(Seed));
+  Check(S);
 }
 
-TEST_P(ClosureExactness, SubstEnvSystemsMatchOracle) {
-  // The parametric domain: annotations are environments over two
-  // labels of one parameter, plus lifted (non-parametric) elements.
-  Rng R(GetParam() * 7717 + 5);
+/// Builds seed \p Seed's random system over the parametric domain:
+/// annotations are environments over two labels of one parameter,
+/// plus lifted (non-parametric) elements. Runs \p Check on it.
+void onSubstEnvSystem(uint64_t Seed, void (*Check)(const System &)) {
+  Rng R(Seed * 7717 + 5);
   MonoidDomain Base(testgen::randomDfa(R, 2 + static_cast<unsigned>(R.below(2)),
                                        2));
   SubstEnvDomain Dom(Base);
@@ -290,8 +313,26 @@ TEST_P(ClosureExactness, SubstEnvSystemsMatchOracle) {
   }
   addSymbols(S, R);
   addConstraints(S, R, 4 + static_cast<unsigned>(R.below(6)));
-  SCOPED_TRACE("seed " + std::to_string(GetParam()));
-  compareAllOptions(S);
+  SCOPED_TRACE("seed " + std::to_string(Seed));
+  Check(S);
+}
+
+class ClosureExactness : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ClosureExactness, MonoidSystemsMatchOracle) {
+  onMonoidSystem(GetParam(), compareAllOptions);
+}
+
+TEST_P(ClosureExactness, SubstEnvSystemsMatchOracle) {
+  onSubstEnvSystem(GetParam(), compareAllOptions);
+}
+
+TEST_P(ClosureExactness, MonoidSystemsAtomReachabilityMatchesReference) {
+  onMonoidSystem(GetParam(), compareAtomReachability);
+}
+
+TEST_P(ClosureExactness, SubstEnvSystemsAtomReachabilityMatchesReference) {
+  onSubstEnvSystem(GetParam(), compareAtomReachability);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, ClosureExactness,

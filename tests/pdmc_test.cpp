@@ -339,7 +339,7 @@ std::string canonical(const AnnotationDomain &D, AnnId F) {
 }
 
 std::set<std::string> canonicalSet(const AnnotationDomain &D,
-                                   const std::vector<AnnId> &Anns) {
+                                   std::span<const AnnId> Anns) {
   std::set<std::string> Out;
   for (AnnId F : Anns)
     Out.insert(canonical(D, F));
@@ -660,39 +660,60 @@ TEST(PdmcExactness, ParametricOpsInARejoinedDiamond) {
   EXPECT_EQ(V[0].Instantiation, "x:fd1");
 }
 
-/// Every bidirectional violation's witnesses on Table 1-sized packages:
-/// the call stack is a realizable chain of unreturned calls from main
-/// to the violating statement's function, and the event trace drives
-/// the property from its start state into an accepting state.
+/// Checks every bidirectional violation's witnesses on \p P: the call
+/// stack is a realizable chain of unreturned calls from main to the
+/// violating statement's function, and the event trace drives the
+/// property from its start state into an accepting state. Counts the
+/// violations checked and those under at least one call.
+void checkWitnesses(const Program &P, const SpecAutomaton &Spec,
+                    const std::string &Package, size_t &Checked,
+                    size_t &Nested) {
+  const Dfa &M = Spec.machine();
+  for (const Violation &V : RascChecker(P, Spec).check()) {
+    std::string What = Package + ", violation at " + P.describe(V.Where);
+    FuncId F = P.mainFunction();
+    for (StmtId Call : V.CallStack) {
+      ASSERT_EQ(P.stmt(Call).Kind, Stmt::Call) << What;
+      EXPECT_EQ(P.stmt(Call).Parent, F) << What;
+      F = P.stmt(Call).Callee;
+    }
+    EXPECT_EQ(P.stmt(V.Where).Parent, F) << What;
+    ASSERT_FALSE(V.EventTrace.empty()) << What;
+    EXPECT_EQ(V.EventTrace.back(), P.symbolName(P.stmt(V.Where).OpSym)) << What;
+    StateId Q = M.start();
+    for (const std::string &Event : V.EventTrace) {
+      std::optional<SymbolId> Sym = M.symbol(Event);
+      ASSERT_TRUE(Sym) << What << ": " << Event;
+      Q = M.next(Q, *Sym);
+    }
+    EXPECT_TRUE(M.isAccepting(Q)) << What;
+    ++Checked;
+    Nested += !V.CallStack.empty();
+  }
+}
+
+/// Every bidirectional violation's witnesses on Table 1-sized packages.
 TEST(PdmcWitness, PackageViolationWitnessesAreRealizable) {
   SpecAutomaton Spec = fullPrivilegeSpec();
-  const Dfa &M = Spec.machine();
   size_t Checked = 0, Nested = 0;
-  for (size_t Lines : {4000, 8000, 16000, 32000}) {
-    Program P = generatePackage(Lines, Spec, 7 + Lines);
-    for (const Violation &V : RascChecker(P, Spec).check()) {
-      std::string What = std::to_string(Lines) + " lines, violation at " +
-                         P.describe(V.Where);
-      FuncId F = P.mainFunction();
-      for (StmtId Call : V.CallStack) {
-        ASSERT_EQ(P.stmt(Call).Kind, Stmt::Call) << What;
-        EXPECT_EQ(P.stmt(Call).Parent, F) << What;
-        F = P.stmt(Call).Callee;
-      }
-      EXPECT_EQ(P.stmt(V.Where).Parent, F) << What;
-      ASSERT_FALSE(V.EventTrace.empty()) << What;
-      EXPECT_EQ(V.EventTrace.back(), P.symbolName(P.stmt(V.Where).OpSym)) << What;
-      StateId Q = M.start();
-      for (const std::string &Event : V.EventTrace) {
-        std::optional<SymbolId> Sym = M.symbol(Event);
-        ASSERT_TRUE(Sym) << What << ": " << Event;
-        Q = M.next(Q, *Sym);
-      }
-      EXPECT_TRUE(M.isAccepting(Q)) << What;
-      ++Checked;
-      Nested += !V.CallStack.empty();
-    }
-  }
+  for (size_t Lines : {4000, 8000, 16000, 32000})
+    checkWitnesses(generatePackage(Lines, Spec, 7 + Lines), Spec,
+                   std::to_string(Lines) + " lines", Checked, Nested);
+  EXPECT_GT(Checked, 0u);
+  EXPECT_GT(Nested, 0u);
+}
+
+/// The same on the benchmark's package sizes, five seeds each: the
+/// witnesses follow the query's fact table back to its seed.
+TEST(PdmcWitness, WitnessesAcrossPackageSizesAndSeeds) {
+  SpecAutomaton Spec = fullPrivilegeSpec();
+  size_t Checked = 0, Nested = 0;
+  for (size_t Lines : {1000, 2000, 4000, 8000})
+    for (uint64_t Seed = 1; Seed <= 5; ++Seed)
+      checkWitnesses(generatePackage(Lines, Spec, Seed), Spec,
+                     std::to_string(Lines) + " lines, seed " +
+                         std::to_string(Seed),
+                     Checked, Nested);
   EXPECT_GT(Checked, 0u);
   EXPECT_GT(Nested, 0u);
 }

@@ -13,6 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ReachReference.h"
 #include "TestSystems.h"
 #include "automata/Machines.h"
 #include "core/ReferenceSolver.h"
@@ -220,11 +221,111 @@ TEST_P(SolverDifferential, AtomReachabilityIncludesTopLevel) {
   for (ConsId K : Sys.Constants) {
     AtomReachability AR = S.atomReachability(K);
     for (VarId V : Sys.Vars) {
-      const std::vector<AnnId> &All = AR.annotations(V);
+      std::span<const AnnId> All = AR.annotations(V);
       for (AnnId F : S.constantAnnotations(K, V))
         EXPECT_NE(std::find(All.begin(), All.end(), F), All.end())
             << "seed " << GetParam();
     }
+  }
+}
+
+TEST_P(SolverDifferential, AtomReachabilityMatchesReference) {
+  // The base-edge walk against the wrap-every-derived-bound reference,
+  // per constant, in both modes, under every option setting.
+  Rng R(GetParam() ^ 0x9e3779b9);
+  RandomSystem Sys = randomSystem(R);
+  for (bool Filter : {false, true})
+    for (bool Collapse : {false, true}) {
+      SolverOptions Opts;
+      Opts.FilterUseless = Filter;
+      Opts.CycleElimination = Collapse;
+      BidirectionalSolver S(*Sys.CS, Opts);
+      if (S.solve() == BidirectionalSolver::Status::EdgeLimit)
+        GTEST_SKIP();
+      for (ConsId K : Sys.Constants)
+        for (bool Unmatched : {false, true}) {
+          EXPECT_EQ(testgen::solverAtomReachability(S, K, Unmatched),
+                    testgen::referenceAtomReachability(S, K, Unmatched))
+              << "seed " << GetParam() << " FilterUseless=" << Filter
+              << " CycleElimination=" << Collapse
+              << " unmatched=" << Unmatched << " constant "
+              << Sys.CS->constructorName(K);
+        }
+    }
+}
+
+TEST(SolverDifferentialSuite, AtomReachabilityDifferentialIsNotVacuous) {
+  // Over the suite's seeds, the reference must find facts, nested
+  // ones (under a constructor) and unmatched-projection ones.
+  size_t Facts = 0, Nested = 0, UnmatchedOnly = 0;
+  for (uint64_t Seed = 1; Seed != 60; ++Seed) {
+    Rng R(Seed ^ 0x9e3779b9);
+    RandomSystem Sys = randomSystem(R);
+    BidirectionalSolver S(*Sys.CS);
+    if (S.solve() == BidirectionalSolver::Status::EdgeLimit)
+      continue;
+    for (ConsId K : Sys.Constants) {
+      auto P = testgen::referenceAtomReachability(S, K, false);
+      auto PN = testgen::referenceAtomReachability(S, K, true);
+      AtomReachability AR = S.atomReachability(K, true);
+      for (VarId V : Sys.Vars) {
+        Facts += P[V].size();
+        UnmatchedOnly += PN[V].size() - P[V].size();
+        for (AnnId A : PN[V])
+          Nested += !AR.witnessStack(V, A).empty();
+      }
+    }
+  }
+  EXPECT_GT(Facts, 0u);
+  EXPECT_GT(Nested, 0u);
+  EXPECT_GT(UnmatchedOnly, 0u);
+}
+
+TEST_P(SolverDifferential, AtomReachabilitySoundWhenInterrupted) {
+  // After an edge or step interrupt every fact is a fact of the
+  // completed solve; after the resume the facts equal it.
+  Rng R(GetParam() ^ 0x9e3779b9);
+  RandomSystem Sys = randomSystem(R);
+  BidirectionalSolver Straight(*Sys.CS);
+  if (BidirectionalSolver::isInterrupted(Straight.solve()))
+    GTEST_SKIP();
+  const uint64_t N = 1 + GetParam() % 7;
+  unsigned Interrupts = 0;
+  for (bool Steps : {false, true}) {
+    SolverOptions Opts;
+    if (Steps)
+      Opts.MaxComposeSteps = N;
+    else
+      Opts.MaxEdges = N;
+    BidirectionalSolver S(*Sys.CS, Opts);
+    for (unsigned Round = 0;; ++Round) {
+      ASSERT_LT(Round, 100000u) << "no forward progress";
+      BidirectionalSolver::Status St = S.solve();
+      for (ConsId K : Sys.Constants)
+        for (bool Unmatched : {false, true}) {
+          auto Got = testgen::solverAtomReachability(S, K, Unmatched);
+          auto Want =
+              testgen::solverAtomReachability(Straight, K, Unmatched);
+          if (BidirectionalSolver::isInterrupted(St)) {
+            EXPECT_TRUE(testgen::factsIncluded(Got, Want))
+                << "seed " << GetParam() << " round " << Round
+                << (Steps ? " step" : " edge") << " interrupt";
+          } else {
+            EXPECT_EQ(Got, Want) << "seed " << GetParam() << " resumed";
+          }
+        }
+      if (!BidirectionalSolver::isInterrupted(St))
+        break;
+      ++Interrupts;
+      if (Steps)
+        S.options().MaxComposeSteps += N + 1;
+      else
+        S.options().MaxEdges += N + 1;
+    }
+  }
+  // Not vacuous: a closure that inserts more edges than the cap trips.
+  if (Straight.stats().EdgesInserted > N + 1) {
+    EXPECT_GT(Interrupts, 0u) << "seed " << GetParam();
   }
 }
 

@@ -19,7 +19,7 @@ using namespace rasc;
 
 namespace {
 
-bool containsAnn(const std::vector<AnnId> &V, AnnId A) {
+bool containsAnn(std::span<const AnnId> V, AnnId A) {
   return std::find(V.begin(), V.end(), A) != V.end();
 }
 
@@ -592,7 +592,10 @@ TEST(Solver, AtomReachabilityThroughCollapsedConstructorArgument) {
     AtomReachability B = Off->atomReachability(C, Unmatched);
     size_t Facts = 0;
     for (VarId V = 0; V != CS.numVars(); ++V) {
-      std::vector<AnnId> Got = A.annotations(V), Want = B.annotations(V);
+      std::span<const AnnId> GotS = A.annotations(V),
+                             WantS = B.annotations(V);
+      std::vector<AnnId> Got(GotS.begin(), GotS.end()),
+          Want(WantS.begin(), WantS.end());
       std::sort(Got.begin(), Got.end());
       std::sort(Want.begin(), Want.end());
       EXPECT_EQ(Got, Want) << CS.varName(V) << " unmatched=" << Unmatched;

@@ -483,6 +483,52 @@ TEST(Metrics, SolverRecordsDeltasWhenEnabled) {
             S.stats().EdgesInserted);
 }
 
+TEST(Metrics, AtomReachabilityCountsFactsStepsAndTime) {
+  // solver.reach_* are recorded per query, only when metrics are on;
+  // the solver.reach span carries (facts, steps) when tracing is on.
+  ObservabilityOff Guard;
+  MetricsRegistry &G = MetricsRegistry::global();
+  MonoidDomain Dom(buildOneBitMachine());
+  ConstraintSystem CS(Dom);
+  ConsId Pc = CS.addConstant("pc");
+  ConsId O = CS.addConstructor("o", 1);
+  VarId X = CS.freshVar(), Y = CS.freshVar(), Z = CS.freshVar();
+  CS.add(CS.cons(Pc), CS.var(X));
+  CS.add(CS.cons(O, {X}), CS.var(Y));
+  CS.add(CS.var(Y), CS.var(Z));
+  BidirectionalSolver S(CS);
+  S.solve();
+
+  uint64_t Facts = G.counter("solver.reach_facts").get();
+  uint64_t Steps = G.counter("solver.reach_steps").get();
+  uint64_t Ns = G.counter("solver.reach_ns").get();
+  EXPECT_EQ(S.atomReachability(Pc).numFacts(), 3u); // X, o(X) at Y and Z
+  EXPECT_EQ(G.counter("solver.reach_facts").get(), Facts);
+  EXPECT_EQ(G.counter("solver.reach_steps").get(), Steps);
+  EXPECT_EQ(G.counter("solver.reach_ns").get(), Ns);
+
+  observe::setMetricsEnabled(true);
+  trace::clear();
+  trace::setEnabled(true);
+  S.atomReachability(Pc);
+  trace::setEnabled(false);
+  observe::setMetricsEnabled(false);
+  EXPECT_EQ(G.counter("solver.reach_facts").get() - Facts, 3u);
+  // One wrap (X into o(X) at Y) and one var step (Y to Z).
+  EXPECT_EQ(G.counter("solver.reach_steps").get() - Steps, 2u);
+  EXPECT_GT(G.counter("solver.reach_ns").get(), Ns);
+
+  Json Root;
+  ASSERT_TRUE(JsonParser(trace::exportChromeJson()).parse(Root));
+  const Json *Reach = nullptr;
+  for (const Json &E : Root.at("traceEvents").A)
+    if (E.at("ph").S == "X" && E.at("name").S == "solver.reach")
+      Reach = &E;
+  ASSERT_TRUE(Reach);
+  EXPECT_EQ(Reach->at("args").at("a").N, 3);
+  EXPECT_EQ(Reach->at("args").at("b").N, 2);
+}
+
 TEST(Metrics, MonoidCountsElementsAndComposeMisses) {
   ObservabilityOff Guard;
   std::ifstream In(std::string(RASC_TEST_DATA_DIR) + "/ebpf/gen-009.bpf",
