@@ -21,8 +21,10 @@
 ///                              DIR, all constraint systems solved
 ///                              concurrently on one BatchSolver
 ///
-/// Both honour --certify; a malformed input is reported as the
-/// decoder's structured diagnostic (byte offset and slot) and exits 1.
+/// Both honour --certify and the resume contract below (--prove and
+/// --check are usage errors: one log cannot hold three solves); a
+/// malformed input is reported as the decoder's structured diagnostic
+/// (byte offset and slot) and exits 1.
 ///
 /// Options (resource governance; see DESIGN.md sections 7 and 8):
 ///
@@ -34,7 +36,7 @@
 ///                    (0 = hardware threads); a usage error without
 ///                    either. Each solve itself is sequential.
 ///   --batch DIR      solve every .rasc file under DIR concurrently on
-///                    one SolvePool, then print per-system status and
+///                    one BatchSolver, then print per-system status and
 ///                    the aggregate solver statistics
 ///   --no-resume      report an interrupted solve instead of resuming
 ///   --explain        on inconsistency, print a derivation witness
@@ -74,10 +76,14 @@
 ///                    every N seconds while solving (implies metrics
 ///                    collection for the gauges it reads)
 ///
-/// An interrupted solve is resumed with the budgets lifted (unless
-/// --no-resume), demonstrating the solver's resumability contract:
-/// the second solve() continues from the persisted closure state and
-/// reaches the same fixpoint a fresh unbudgeted run would.
+/// In every mode (.rasc, --batch, --ebpf, --ebpf-batch) an interrupted
+/// solve is reported on stderr and, unless --no-resume, resumed with
+/// the budgets lifted, demonstrating the solver's resumability
+/// contract: the second solve() continues from the persisted closure
+/// state and reaches the same fixpoint a fresh unbudgeted run would,
+/// so the eBPF modes print the unbudgeted answers (and the label-flow
+/// query, which solves its seeded source, runs unbudgeted too). A
+/// signal, or a monoid past its element cap, is not resumed.
 ///
 /// Exit codes (scriptable; see statusExitCode in core/Solver.h):
 /// solved=0, inconsistent=1, and with --no-resume the interrupt kind:
@@ -117,7 +123,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <sstream>
 #include <string_view>
 
 using namespace rasc;
@@ -206,6 +211,103 @@ int certify(const BidirectionalSolver &Solver, const char *Name) {
   return ExitCodeCertifyFailed;
 }
 
+BatchSolver::Options batchOptions(const CliOptions &Cli) {
+  BatchSolver::Options BO;
+  BO.Threads = Cli.Threads;
+  BO.DeadlineSeconds = Cli.Solver.DeadlineSeconds;
+  BO.CancelFlag = &InterruptRequested;
+  return BO;
+}
+
+/// The solve, resume and exit policy of every mode. Solves \p Solvers
+/// side by side on --threads threads under the shared --deadline and
+/// reports each interrupted solve on stderr. Unless --no-resume, a
+/// signal, or an annotation monoid past its element cap stopped them,
+/// the solves resume with every budget lifted until none is
+/// interrupted; the budgets then stay lifted, so a query that solves
+/// lazily (the flow analysis seeds its source on demand) is unbudgeted
+/// too. \returns the last round's results.
+std::vector<BatchSolver::Result>
+solveAll(std::span<BidirectionalSolver *const> Solvers,
+         std::span<const std::string> Names, const CliOptions &Cli) {
+  BatchSolver::Options BO = batchOptions(Cli);
+  for (;;) {
+    std::vector<BatchSolver::Result> Results =
+        BatchSolver(BO).solveAll(Solvers);
+    bool Interrupted = false, Resume = Cli.Resume;
+    for (size_t I = 0; I != Solvers.size(); ++I) {
+      Status S = Results[I].St;
+      if (!BidirectionalSolver::isInterrupted(S))
+        continue;
+      Interrupted = true;
+      const SolverStats &St = Solvers[I]->stats();
+      std::fprintf(stderr,
+                   "%s: interrupted (%s) after %llu edges, %llu "
+                   "compositions\n",
+                   Names[I].c_str(), statusName(S),
+                   static_cast<unsigned long long>(St.EdgesInserted),
+                   static_cast<unsigned long long>(St.ComposeCalls));
+      if (S == Status::MemoryLimit &&
+          Solvers[I]->system().domain().overflowed() && Resume) {
+        // The element cap is not a budget that lifting can raise.
+        std::fprintf(stderr,
+                     "the annotation monoid passed its cap of %zu "
+                     "elements; use a smaller language\n",
+                     TransitionMonoid::Options{}.MaxElements);
+        Resume = false;
+      }
+    }
+    if (Interrupted && Resume &&
+        InterruptRequested.load(std::memory_order_relaxed)) {
+      // A signal, not a budget: resuming would immediately re-cancel.
+      std::fprintf(stderr, "cancelled by signal\n");
+      Resume = false;
+    }
+    if (Cli.Resume)
+      for (BidirectionalSolver *S : Solvers) {
+        S->options().MaxEdges = 0;
+        S->options().MaxComposeSteps = 0;
+        S->options().DeadlineSeconds = 0;
+        S->options().MaxMemoryBytes = 0;
+      }
+    if (!Interrupted || !Resume)
+      return Results;
+    std::fprintf(stderr, "resuming with budgets lifted...\n");
+    BO.DeadlineSeconds = 0;
+  }
+}
+
+/// The regular files under \p Dir with extension \p Ext, sorted; an
+/// unreadable directory or none found is reported and yields nothing.
+std::vector<std::string> listFiles(const std::string &Dir, const char *Ext) {
+  namespace fs = std::filesystem;
+  std::vector<std::string> Paths;
+  std::error_code EC;
+  for (const fs::directory_entry &E : fs::directory_iterator(Dir, EC))
+    if (E.is_regular_file() && E.path().extension() == Ext)
+      Paths.push_back(E.path().string());
+  if (EC) {
+    std::fprintf(stderr, "cannot read %s: %s\n", Dir.c_str(),
+                 EC.message().c_str());
+    return {};
+  }
+  if (Paths.empty())
+    std::fprintf(stderr, "no %s files under %s\n", Ext, Dir.c_str());
+  std::sort(Paths.begin(), Paths.end());
+  return Paths;
+}
+
+/// The bytes of \p Path; a file that cannot be opened is reported.
+std::optional<std::string> readFile(const std::string &Path) {
+  std::ifstream File(Path, std::ios::binary);
+  if (!File) {
+    std::fprintf(stderr, "cannot open %s\n", Path.c_str());
+    return std::nullopt;
+  }
+  return std::string((std::istreambuf_iterator<char>(File)),
+                     std::istreambuf_iterator<char>());
+}
+
 int run(const std::string &Source, const char *Name, CliOptions Cli) {
   Expected<ConstraintProgram> P = ConstraintProgram::parseEx(Source);
   if (!P) {
@@ -238,36 +340,11 @@ int run(const std::string &Source, const char *Name, CliOptions Cli) {
 
   Cli.Solver.TrackProvenance |= Cli.Explain;
   BidirectionalSolver Solver(P->system(), Cli.Solver);
-  Status S = Solver.solve();
-  while (BidirectionalSolver::isInterrupted(S)) {
-    std::printf("interrupted (%s) after %llu edges, %llu compositions\n",
-                statusName(S),
-                static_cast<unsigned long long>(
-                    Solver.stats().EdgesInserted),
-                static_cast<unsigned long long>(
-                    Solver.stats().ComposeCalls));
-    if (!Cli.Resume)
-      return statusExitCode(S);
-    if (S == Status::Cancelled &&
-        InterruptRequested.load(std::memory_order_relaxed)) {
-      // A signal, not a budget: resuming would immediately re-cancel.
-      std::printf("cancelled by signal\n");
-      return statusExitCode(S);
-    }
-    if (S == Status::MemoryLimit && Dom.overflowed()) {
-      // The element cap is not a budget this loop can lift.
-      std::printf("the annotation monoid passed its cap of %zu elements; "
-                  "use a smaller language\n",
-                  TransitionMonoid::Options{}.MaxElements);
-      return statusExitCode(S);
-    }
-    std::printf("resuming with budgets lifted...\n");
-    Solver.options().MaxEdges = 0;
-    Solver.options().MaxComposeSteps = 0;
-    Solver.options().DeadlineSeconds = 0;
-    Solver.options().MaxMemoryBytes = 0;
-    S = Solver.solve();
-  }
+  BidirectionalSolver *const Solvers[] = {&Solver};
+  const std::string Names[] = {Name};
+  Status S = solveAll(Solvers, Names, Cli)[0].St;
+  if (BidirectionalSolver::isInterrupted(S))
+    return statusExitCode(S);
 
   if (!Cli.Solver.ProofLogPath.empty())
     if (const std::optional<Diag> &D = Solver.lastProofDiag())
@@ -314,33 +391,16 @@ int run(const std::string &Source, const char *Name, CliOptions Cli) {
 /// on one BatchSolver; the --deadline budget is shared by the whole
 /// batch.
 int runBatch(const std::string &Dir, CliOptions Cli) {
-  namespace fs = std::filesystem;
-  std::vector<std::string> Paths;
-  std::error_code EC;
-  for (const fs::directory_entry &E : fs::directory_iterator(Dir, EC))
-    if (E.is_regular_file() && E.path().extension() == ".rasc")
-      Paths.push_back(E.path().string());
-  if (EC) {
-    std::fprintf(stderr, "cannot read %s: %s\n", Dir.c_str(),
-                 EC.message().c_str());
+  std::vector<std::string> Paths = listFiles(Dir, ".rasc");
+  if (Paths.empty())
     return 1;
-  }
-  if (Paths.empty()) {
-    std::fprintf(stderr, "no .rasc files under %s\n", Dir.c_str());
-    return 1;
-  }
-  std::sort(Paths.begin(), Paths.end());
 
   std::vector<ConstraintProgram> Programs;
   for (const std::string &Path : Paths) {
-    std::ifstream File(Path);
-    if (!File) {
-      std::fprintf(stderr, "cannot open %s\n", Path.c_str());
+    std::optional<std::string> Text = readFile(Path);
+    if (!Text)
       return 1;
-    }
-    std::ostringstream SS;
-    SS << File.rdbuf();
-    Expected<ConstraintProgram> P = ConstraintProgram::parseEx(SS.str());
+    Expected<ConstraintProgram> P = ConstraintProgram::parseEx(*Text);
     if (!P) {
       std::fprintf(stderr, "%s: %s\n", Path.c_str(),
                    P.error().render().c_str());
@@ -358,31 +418,9 @@ int runBatch(const std::string &Dir, CliOptions Cli) {
     Ptrs.push_back(Solvers.back().get());
   }
 
-  BatchSolver::Options BO;
-  BO.Threads = Cli.Threads;
-  BO.DeadlineSeconds = Cli.Solver.DeadlineSeconds;
-  BO.CancelFlag = &InterruptRequested;
-  BatchSolver Batch(BO);
   std::printf("batch: %zu systems on %u threads\n\n", Programs.size(),
-              Batch.numThreads());
-  std::vector<BatchSolver::Result> Results = Batch.solveAll(Ptrs);
-
-  bool Interrupted = false;
-  for (const BatchSolver::Result &R : Results)
-    Interrupted |= BidirectionalSolver::isInterrupted(R.St);
-  if (Interrupted && Cli.Resume &&
-      !InterruptRequested.load(std::memory_order_relaxed)) {
-    std::printf("interrupted tasks; resuming with budgets lifted...\n");
-    for (std::unique_ptr<BidirectionalSolver> &S : Solvers) {
-      S->options().MaxEdges = 0;
-      S->options().MaxComposeSteps = 0;
-      S->options().DeadlineSeconds = 0;
-      S->options().MaxMemoryBytes = 0;
-    }
-    BO.DeadlineSeconds = 0;
-    BatchSolver Resume(BO);
-    Results = Resume.solveAll(Ptrs);
-  }
+              BatchSolver(batchOptions(Cli)).numThreads());
+  std::vector<BatchSolver::Result> Results = solveAll(Ptrs, Paths, Cli);
 
   int Exit = 0;
   SolverStats Total;
@@ -415,17 +453,25 @@ int runBatch(const std::string &Dir, CliOptions Cli) {
 // eBPF bytecode front-end (--ebpf / --ebpf-batch)
 //===----------------------------------------------------------------------===//
 
-std::optional<std::vector<uint8_t>> readBytes(const std::string &Path) {
-  std::ifstream File(Path, std::ios::binary);
-  if (!File)
+/// The CFG of the eBPF object at \p Path; an unreadable file or a
+/// decoder diagnostic is reported.
+std::optional<ebpf::Cfg> readCfg(const std::string &Path) {
+  std::optional<std::string> Bytes = readFile(Path);
+  if (!Bytes)
     return std::nullopt;
-  return std::vector<uint8_t>((std::istreambuf_iterator<char>(File)),
-                              std::istreambuf_iterator<char>());
+  Expected<ebpf::DecodedProgram> D = ebpf::decode(
+      {reinterpret_cast<const uint8_t *>(Bytes->data()), Bytes->size()});
+  if (!D) {
+    std::fprintf(stderr, "%s: %s\n", Path.c_str(),
+                 D.error().render().c_str());
+    return std::nullopt;
+  }
+  return ebpf::buildCfg(std::move(*D));
 }
 
-/// One decoded program's three analyses. Heap-pinned: the analysis
-/// objects hold references into the lowerings, so the whole bundle is
-/// created in place and never moved.
+/// One decoded program's three analyses, prepared. Heap-pinned: the
+/// analysis objects hold references into the lowerings, so the whole
+/// bundle is created in place and never moved.
 struct EbpfAnalyses {
   ebpf::Cfg G;
   ebpf::PdmcLowering Pd;
@@ -434,7 +480,16 @@ struct EbpfAnalyses {
   std::unique_ptr<RascChecker> Checker;
   std::unique_ptr<AnnotatedBitVectorAnalysis> Reg;
   std::unique_ptr<FlowAnalysis> Flow;
+  /// The three analyses' solvers, in EbpfAppNames order.
+  BidirectionalSolver *Solvers[3];
+  /// The answers, read off the solved analyses by answer().
+  std::vector<Violation> Violations;
+  std::vector<ebpf::UninitRead> Uninit;
+  bool Ctx = false;
 };
+
+const std::string EbpfAppNames[] = {"map-check", "register init",
+                                   "label flow"};
 
 std::unique_ptr<EbpfAnalyses> makeEbpfAnalyses(ebpf::Cfg G,
                                                const SpecAutomaton &Spec,
@@ -446,162 +501,116 @@ std::unique_ptr<EbpfAnalyses> makeEbpfAnalyses(ebpf::Cfg G,
   A->Fl = ebpf::lowerToFlowProgram(A->G);
   A->Checker = std::make_unique<RascChecker>(*A->Pd.Prog, Spec);
   A->Checker->setSolverOptions(Opts);
+  A->Checker->prepare();
   A->Reg = std::make_unique<AnnotatedBitVectorAnalysis>(*A->Df.Problem);
+  A->Reg->prepare(Opts);
   A->Flow = std::make_unique<FlowAnalysis>(A->Fl.Prog, FlowMode::Primal);
+  A->Flow->prepare(Opts);
+  // solver() solves the flow system on the caller; solveAll() then
+  // resumes it if that solve was interrupted.
+  A->Solvers[0] = A->Checker->solver();
+  A->Solvers[1] = A->Reg->solver();
+  A->Solvers[2] = const_cast<BidirectionalSolver *>(&A->Flow->solver());
   return A;
 }
 
-int runEbpf(const std::string &Path, CliOptions Cli) {
-  std::optional<std::vector<uint8_t>> Bytes = readBytes(Path);
-  if (!Bytes) {
-    std::fprintf(stderr, "cannot open %s\n", Path.c_str());
-    return 1;
-  }
-  Expected<ebpf::DecodedProgram> D = ebpf::decode(*Bytes);
-  if (!D) {
-    std::fprintf(stderr, "%s: %s\n", Path.c_str(),
-                 D.error().render().c_str());
-    return 1;
-  }
-  ebpf::Cfg G = ebpf::buildCfg(std::move(*D));
-  std::printf("%s: %u instructions (%u slots), %u blocks, %u edges\n\n%s\n",
-              Path.c_str(), G.Prog.numInsns(), G.Prog.numSlots(),
-              G.numBlocks(), G.numEdges(), ebpf::dump(G.Prog).c_str());
+void answer(EbpfAnalyses &A) {
+  A.Violations = A.Checker->collectViolations();
+  A.Reg->finalize();
+  A.Uninit = ebpf::uninitReads(A.Df, *A.Reg);
+  A.Ctx = A.Flow->flowsPN(A.Fl.CtxLit, A.Fl.ResultExpr);
+}
 
-  SolverOptions Opts = Cli.Solver;
+/// The exit code of one program after answer() (the flow query solves
+/// its seeded source), certifying each solve under --certify.
+int ebpfExit(const EbpfAnalyses &A, std::span<const std::string> Names,
+             const CliOptions &Cli) {
+  int Exit = 0;
+  for (size_t I = 0; I != 3; ++I) {
+    Exit = std::max(Exit, statusExitCode(A.Solvers[I]->status()));
+    if (Cli.Certify)
+      if (int E = certify(*A.Solvers[I], Names[I].c_str()))
+        Exit = std::max(Exit, E);
+  }
+  return Exit;
+}
+
+int runEbpf(const std::string &Path, CliOptions Cli) {
+  std::optional<ebpf::Cfg> G = readCfg(Path);
+  if (!G)
+    return 1;
+  std::printf("%s: %u instructions (%u slots), %u blocks, %u edges\n\n%s\n",
+              Path.c_str(), G->Prog.numInsns(), G->Prog.numSlots(),
+              G->numBlocks(), G->numEdges(), ebpf::dump(G->Prog).c_str());
+
   SpecAutomaton Spec = ebpf::mapCheckSpec();
   std::unique_ptr<EbpfAnalyses> A =
-      makeEbpfAnalyses(std::move(G), Spec, Opts);
+      makeEbpfAnalyses(std::move(*G), Spec, Cli.Solver);
+  solveAll(A->Solvers, EbpfAppNames, Cli);
+  answer(*A);
 
-  std::vector<Violation> Violations = A->Checker->check();
-  std::printf("map-check: %zu violation(s)\n", Violations.size());
-  for (const Violation &V : Violations)
+  std::printf("map-check: %zu violation(s)\n", A->Violations.size());
+  for (const Violation &V : A->Violations)
     std::printf("  unchecked dereference at %s\n",
                 A->Pd.Prog->note(V.Where).c_str());
-
-  A->Reg->prepare(Opts);
-  A->Reg->solve();
-  std::vector<ebpf::UninitRead> Uninit = ebpf::uninitReads(A->Df, *A->Reg);
   std::printf("register init: %zu read(s) before initialization\n",
-              Uninit.size());
-  for (const ebpf::UninitRead &U : Uninit)
+              A->Uninit.size());
+  for (const ebpf::UninitRead &U : A->Uninit)
     std::printf("  r%u %s at %u: %s\n", U.Reg,
                 U.Definite ? "never initialized" : "maybe uninitialized",
                 A->G.Prog.SlotOf[U.InsnIdx],
                 ebpf::toString(A->G.Prog.Insns[U.InsnIdx]).c_str());
-
-  A->Flow->prepare(Opts);
-  bool Ctx = A->Flow->flowsPN(A->Fl.CtxLit, A->Fl.ResultExpr);
   std::printf("label flow: context pointer (r1) %s to the return value\n",
-              Ctx ? "flows" : "does not flow");
-
-  if (Cli.Certify) {
-    if (int E = certify(*A->Checker->solver(), "map-check"))
-      return E;
-    if (int E = certify(*A->Reg->solver(), "register init"))
-      return E;
-    if (int E = certify(A->Flow->solver(), "label flow"))
-      return E;
-  }
-  return 0;
+              A->Ctx ? "flows" : "does not flow");
+  return ebpfExit(*A, EbpfAppNames, Cli);
 }
 
 /// Batch mode: every .bpf file under \p Dir, the three constraint
 /// systems per program all solved concurrently on one BatchSolver.
 int runEbpfBatch(const std::string &Dir, CliOptions Cli) {
-  namespace fs = std::filesystem;
-  std::vector<std::string> Paths;
-  std::error_code EC;
-  for (const fs::directory_entry &E : fs::directory_iterator(Dir, EC))
-    if (E.is_regular_file() && E.path().extension() == ".bpf")
-      Paths.push_back(E.path().string());
-  if (EC) {
-    std::fprintf(stderr, "cannot read %s: %s\n", Dir.c_str(),
-                 EC.message().c_str());
-    return 1;
-  }
-  if (Paths.empty()) {
-    std::fprintf(stderr, "no .bpf files under %s\n", Dir.c_str());
-    return 1;
-  }
-  std::sort(Paths.begin(), Paths.end());
-
   int Exit = 0;
-  SolverOptions Opts = Cli.Solver;
   SpecAutomaton Spec = ebpf::mapCheckSpec();
   std::vector<std::string> Kept;
   std::vector<std::unique_ptr<EbpfAnalyses>> All;
-  for (const std::string &Path : Paths) {
-    std::optional<std::vector<uint8_t>> Bytes = readBytes(Path);
-    if (!Bytes) {
-      std::fprintf(stderr, "cannot open %s\n", Path.c_str());
-      Exit = std::max(Exit, 1);
-      continue;
-    }
-    Expected<ebpf::DecodedProgram> D = ebpf::decode(*Bytes);
-    if (!D) {
-      std::fprintf(stderr, "%s: %s\n", Path.c_str(),
-                   D.error().render().c_str());
-      Exit = std::max(Exit, 1);
+  for (const std::string &Path : listFiles(Dir, ".bpf")) {
+    std::optional<ebpf::Cfg> G = readCfg(Path);
+    if (!G) {
+      Exit = 1;
       continue;
     }
     Kept.push_back(Path);
-    All.push_back(makeEbpfAnalyses(ebpf::buildCfg(std::move(*D)), Spec,
-                                   Opts));
+    All.push_back(makeEbpfAnalyses(std::move(*G), Spec, Cli.Solver));
   }
   if (All.empty())
     return std::max(Exit, 1);
 
   std::vector<BidirectionalSolver *> Ptrs;
-  for (std::unique_ptr<EbpfAnalyses> &A : All) {
-    A->Checker->prepare();
-    A->Reg->prepare(Opts);
-    A->Flow->prepare(Opts);
-    Ptrs.push_back(A->Checker->solver());
-    Ptrs.push_back(A->Reg->solver());
-    // FlowAnalysis re-solves lazily on the first query; handing its
-    // solver to the batch just brings it to the fixpoint early.
-    Ptrs.push_back(const_cast<BidirectionalSolver *>(&A->Flow->solver()));
-  }
-
-  BatchSolver::Options BO;
-  BO.Threads = Cli.Threads;
-  BO.DeadlineSeconds = Cli.Solver.DeadlineSeconds;
-  BO.CancelFlag = &InterruptRequested;
-  BatchSolver Batch(BO);
+  std::vector<std::string> Names;
+  for (size_t I = 0; I != All.size(); ++I)
+    for (size_t S = 0; S != 3; ++S) {
+      Ptrs.push_back(All[I]->Solvers[S]);
+      Names.push_back(Kept[I] + ": " + EbpfAppNames[S]);
+    }
   std::printf("ebpf batch: %zu programs (%zu systems) on %u threads\n\n",
-              All.size(), Ptrs.size(), Batch.numThreads());
-  std::vector<BatchSolver::Result> Results = Batch.solveAll(Ptrs);
+              All.size(), Ptrs.size(),
+              BatchSolver(batchOptions(Cli)).numThreads());
+  solveAll(Ptrs, Names, Cli);
 
   size_t TotalInsns = 0, TotalViolations = 0, TotalUninit = 0,
          TotalCtxFlows = 0;
   for (size_t I = 0; I != All.size(); ++I) {
     EbpfAnalyses &A = *All[I];
-    int FileExit = 0;
-    for (size_t S = 0; S != 3; ++S)
-      FileExit = std::max(FileExit, statusExitCode(Results[3 * I + S].St));
-    Exit = std::max(Exit, FileExit);
-
-    std::vector<Violation> Violations = A.Checker->collectViolations();
-    A.Reg->finalize();
-    std::vector<ebpf::UninitRead> Uninit = ebpf::uninitReads(A.Df, *A.Reg);
-    bool Ctx = A.Flow->flowsPN(A.Fl.CtxLit, A.Fl.ResultExpr);
+    answer(A);
     TotalInsns += A.G.Prog.numInsns();
-    TotalViolations += Violations.size();
-    TotalUninit += Uninit.size();
-    TotalCtxFlows += Ctx;
+    TotalViolations += A.Violations.size();
+    TotalUninit += A.Uninit.size();
+    TotalCtxFlows += A.Ctx;
     std::printf("%s: %u insns, %u blocks; %zu map-check violation(s), "
                 "%zu uninit read(s), ctx->ret %s\n",
                 Kept[I].c_str(), A.G.Prog.numInsns(), A.G.numBlocks(),
-                Violations.size(), Uninit.size(), Ctx ? "yes" : "no");
-    if (Cli.Certify) {
-      if (int E = certify(*A.Checker->solver(), Kept[I].c_str()))
-        Exit = std::max(Exit, E);
-      if (int E = certify(*A.Reg->solver(), Kept[I].c_str()))
-        Exit = std::max(Exit, E);
-      if (int E = certify(A.Flow->solver(), Kept[I].c_str()))
-        Exit = std::max(Exit, E);
-    }
+                A.Violations.size(), A.Uninit.size(), A.Ctx ? "yes" : "no");
+    Exit = std::max(Exit, ebpfExit(A, std::span(Names).subspan(3 * I, 3),
+                                   Cli));
   }
   std::printf("\nebpf batch total: %zu programs, %zu instructions, "
               "%zu violations, %zu uninit reads, %zu ctx-flows\n",
@@ -719,11 +728,12 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  if (BatchDir &&
+  if ((BatchDir || EbpfPath || EbpfDir) &&
       (!Cli.Solver.ProofLogPath.empty() || !Cli.CheckPath.empty())) {
-    // One log path cannot serve a batch of solvers writing concurrently.
-    std::fprintf(stderr,
-                 "--prove/--check apply to a single system, not --batch\n");
+    // One log path cannot serve several solvers (three per eBPF
+    // program) writing concurrently.
+    std::fprintf(stderr, "--prove/--check apply to a single .rasc "
+                         "system, not --batch or the eBPF modes\n");
     return 1;
   }
 
@@ -751,14 +761,10 @@ int main(int Argc, char **Argv) {
                 "demo)\n\n");
     Exit = run(Demo, "demo", Cli);
   } else {
-    std::ifstream File(Path);
-    if (!File) {
-      std::fprintf(stderr, "cannot open %s\n", Path);
+    std::optional<std::string> Text = readFile(Path);
+    if (!Text)
       return 1;
-    }
-    std::ostringstream SS;
-    SS << File.rdbuf();
-    Exit = run(SS.str(), Path, Cli);
+    Exit = run(*Text, Path, Cli);
   }
 
   if (TracePath) {

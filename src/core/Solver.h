@@ -344,16 +344,6 @@ public:
   /// MaxMemoryBytes is checked against.
   size_t memoryBytes() const;
 
-  /// What this solver has published into the shared aggregate-memory
-  /// cell \p Cell via Options.GroupMemory (0 when it last published
-  /// into a different cell, or never). A long-lived owner of the cell
-  /// (core/BatchSolver.h keeps one per batch; the solve service keeps
-  /// one per daemon) subtracts this when retiring a solver, so the
-  /// aggregate does not accumulate the footprints of dead sessions.
-  uint64_t publishedGroupMemory(const std::atomic<uint64_t> *Cell) const {
-    return Cell && LastGroupCell == Cell ? LastPublishedMemory : 0;
-  }
-
   /// \name Proof logging (core/ProofLog.h)
   /// @{
 

@@ -25,44 +25,24 @@ AnnotatedBitVectorAnalysis::AnnotatedBitVectorAnalysis(
 
 void AnnotatedBitVectorAnalysis::prepare(SolverOptions Opts) {
   RASC_TRACE_SCOPE("dataflow.prepare");
-  if (Generated) {
-    if (!Solver)
-      Solver = std::make_unique<BidirectionalSolver>(*CS, Opts);
+  if (Solver)
     return;
-  }
-  Generated = true;
+  // A statement that neither gens nor kills is an identity statement;
+  // every other non-call carries its transfer function.
   const Program &Prog = Problem.program();
-  StmtVars.assign(Prog.numStatements(), 0);
+  std::vector<AnnId> Anns(Prog.numStatements(), IdentityStmt);
   for (StmtId S = 0; S != Prog.numStatements(); ++S)
-    StmtVars[S] = CS->numberedVar("S", S);
-
-  Pc = CS->addConstant("pc");
-  CS->add(CS->cons(Pc),
-          CS->var(StmtVars[Prog.entry(Prog.mainFunction())]));
-
-  for (StmtId S = 0; S != Prog.numStatements(); ++S) {
-    const Stmt &St = Prog.stmt(S);
-    if (St.Kind == Stmt::Call) {
-      ConsId O = CS->addNumberedConstructor("o@", S, 1);
-      CS->add(CS->cons(O, {StmtVars[S]}),
-              CS->var(StmtVars[Prog.entry(St.Callee)]));
-      for (StmtId Succ : St.Succs)
-        CS->add(CS->proj(O, 0, StmtVars[Prog.exit(St.Callee)]),
-                CS->var(StmtVars[Succ]));
-      continue;
-    }
-    AnnId Ann = Dom->transfer(Problem.gens(S), Problem.kills(S));
-    for (StmtId Succ : St.Succs)
-      CS->add(CS->var(StmtVars[S]), CS->var(StmtVars[Succ]), Ann);
-  }
-
+    if (Prog.stmt(S).Kind != Stmt::Call &&
+        (Problem.gens(S) != 0 || Problem.kills(S) != 0))
+      Anns[S] = Dom->transfer(Problem.gens(S), Problem.kills(S));
+  Enc = encodeProgram(Prog, *CS, Anns, "dataflow");
   Solver = std::make_unique<BidirectionalSolver>(*CS, Opts);
 }
 
 void AnnotatedBitVectorAnalysis::finalize() {
   RASC_TRACE_SCOPE("dataflow.finalize");
   assert(Solver && "finalize() requires prepare()");
-  Reach = Solver->atomReachability(Pc);
+  Reach = Solver->atomReachability(Enc.Pc);
 }
 
 void AnnotatedBitVectorAnalysis::solve() {
@@ -73,14 +53,14 @@ void AnnotatedBitVectorAnalysis::solve() {
 }
 
 bool AnnotatedBitVectorAnalysis::mayHold(StmtId S, unsigned Bit) const {
-  for (AnnId F : Reach.annotations(StmtVars[S]))
+  for (AnnId F : Reach.annotations(Enc.StmtVars[S]))
     if ((Dom->apply(F, 0) >> Bit) & 1)
       return true;
   return false;
 }
 
 bool AnnotatedBitVectorAnalysis::mustHold(StmtId S, unsigned Bit) const {
-  std::span<const AnnId> Classes = Reach.annotations(StmtVars[S]);
+  std::span<const AnnId> Classes = Reach.annotations(Enc.StmtVars[S]);
   if (Classes.empty())
     return false;
   for (AnnId F : Classes)
@@ -90,7 +70,7 @@ bool AnnotatedBitVectorAnalysis::mustHold(StmtId S, unsigned Bit) const {
 }
 
 size_t AnnotatedBitVectorAnalysis::numReachingClasses(StmtId S) const {
-  return Reach.annotations(StmtVars[S]).size();
+  return Reach.annotations(Enc.StmtVars[S]).size();
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,10 +9,13 @@
 /// constraints (paper Sections 3.3 and 6): the gen/kill language over
 /// the alphabet {g_1..g_n, k_1..k_n} annotates CFG edges, and the set
 /// of reaching transfer-function classes at a statement is exactly the
-/// meet-over-valid-paths information. The n-bit language's
-/// representative functions are the 3^n classical transfer functions
-/// (id/gen/kill per bit), which GenKillDomain represents directly as
-/// mask pairs; there is no need to build the 2^n-state product DFA.
+/// meet-over-valid-paths information. The constraints are the model
+/// checker's Section 6.1 encoding (encodeProgram in pdmc/Program.h),
+/// with a statement's transfer function as its edges' annotation. The
+/// n-bit language's representative functions are the 3^n classical
+/// transfer functions (id/gen/kill per bit), which GenKillDomain
+/// represents directly as mask pairs; there is no need to build the
+/// 2^n-state product DFA.
 ///
 /// The baseline is a classical summary-based iterative interprocedural
 /// solver (the functional approach specialized to distributive
@@ -113,20 +116,23 @@ public:
 
   const SolverStats &solverStats() const { return Solver->stats(); }
 
-  /// The generated constraint system (populated by solve()); exposed
+  /// The generated constraint system (populated by prepare()); exposed
   /// so tests can re-solve the same system under different budgets.
   const ConstraintSystem &system() const { return *CS; }
+
+  /// The constraint variable of a statement (for tests); statements
+  /// may share one (encodeProgram in pdmc/Program.h). Valid after
+  /// prepare().
+  VarId stmtVar(StmtId S) const { return Enc.StmtVars[S]; }
 
 private:
   const BitVectorProblem &Problem;
   std::unique_ptr<GenKillDomain> Dom;
   std::unique_ptr<ConstraintSystem> CS;
   std::unique_ptr<BidirectionalSolver> Solver;
-  std::vector<VarId> StmtVars;
-  bool Generated = false;
-  ConsId Pc = 0;
-  // The pc atom's reachability, kept whole by finalize(): the
-  // reaching classes of statement S are Reach.annotations(StmtVars[S]).
+  ProgramEncoding Enc;
+  // The pc atom's reachability, kept whole by finalize(): the reaching
+  // classes of statement S are Reach.annotations(Enc.StmtVars[S]).
   AtomReachability Reach;
 };
 

@@ -485,7 +485,6 @@ ConsId FlowAnalysis::sourceConstant(FExprId From) {
   ConsId C = CS->addNumberedConstant("src@", From);
   CS->add(CS->cons(C), CS->var(labelOf(From)));
   SourceCons[From] = C;
-  Solved = false;
   PnReach.reset();
   return C;
 }
@@ -498,11 +497,13 @@ void FlowAnalysis::prepare(SolverOptions Opts) {
 
 void FlowAnalysis::ensureSolved() {
   prepare();
-  if (!Solved) {
+  // Solved means every constraint ingested (a seeded source adds one)
+  // and the last solve not interrupted; otherwise solve (or resume).
+  if (Solver->ingestedConstraints() != CS->constraints().size() ||
+      BidirectionalSolver::isInterrupted(Solver->status())) {
     RASC_TRACE_SCOPE("flow.solve");
     PnReach.reset();
     Solver->solve();
-    Solved = true;
   }
 }
 
@@ -518,13 +519,10 @@ FlowAnalysis::solveAll(std::span<FlowAnalysis *const> Analyses,
   }
   BatchSolver Batch(BatchOpts);
   std::vector<BatchSolver::Result> Results = Batch.solveAll(Solvers);
-  // An interrupted analysis stays "unsolved" so its next query resumes
-  // the solve to completion; a solved one answers queries directly.
-  for (size_t I = 0; I != Analyses.size(); ++I) {
-    Analyses[I]->Solved =
-        !BidirectionalSolver::isInterrupted(Analyses[I]->Solver->status());
-    Analyses[I]->PnReach.reset();
-  }
+  // An interrupted analysis resumes on its next query (ensureSolved);
+  // a solved one answers queries directly.
+  for (FlowAnalysis *A : Analyses)
+    A->PnReach.reset();
   if (MergedStats)
     *MergedStats = Batch.mergedStats();
   return Results;

@@ -109,6 +109,8 @@ public:
   bool mayAlias(VarId A, VarId B);
 
   const ConstraintSystem &system() const { return *CS; }
+  /// The solver, solved (or an interrupted solve resumed) on the
+  /// caller first.
   const BidirectionalSolver &solver();
   const MonoidDomain &domain() const { return *Dom; }
 
@@ -149,7 +151,6 @@ private:
   std::unique_ptr<const MonoidDomain> Dom;
   std::unique_ptr<ConstraintSystem> CS;
   std::unique_ptr<BidirectionalSolver> Solver;
-  bool Solved = false;
 
   std::vector<SymbolId> BracketSyms; // primal: see buildPairAutomaton
   std::vector<SymbolId> CallSyms;    // dual: see buildCallAutomaton

@@ -6,16 +6,13 @@
 
 #include "pdmc/Checker.h"
 
-#include "core/Observe.h"
 #include "pds/Unidirectional.h"
 #include "support/Trace.h"
-#include "support/UnionFind.h"
 
 #include <algorithm>
 #include <chrono>
 #include <deque>
 #include <map>
-#include <numeric>
 #include <set>
 
 using namespace rasc;
@@ -84,132 +81,16 @@ AnnId RascChecker::opAnn(const Stmt &St) const {
 }
 
 void RascChecker::generate() {
-  if (Generated)
+  if (!Enc.StmtVars.empty())
     return;
-  Generated = true;
   SpecSym = specSymbols(Prog, Spec.machine());
-
-  // Constraint generation (Section 6.1), with offline variable
-  // substitution (Rountev & Chandra, PLDI 2000). The paper gives every
-  // statement its own variable, but a statement T whose lower bounds
-  // are all identity edges from statements that share one variable V
-  // has V's least solution, so T shares V. A statement is joinable when
-  // it is not a function entry (entries get pc or o_i(S) lower bounds)
-  // and every CFG predecessor is an identity statement (a non-call
-  // that is not relevant). A joinable T joins V when its predecessors
-  // that do not already share T's variable all share V; ignoring those
-  // that do lets loops join. By induction every class is one head plus
-  // joinable statements reachable from it whose predecessors all lie
-  // in the class, so each member has exactly the head's least solution
-  // in the literal encoding, and violations, witnesses and proofs read
-  // off the shared variable stay valid.
-  //
-  // The worklist visits every statement once. A merge can only enable
-  // a statement in the smaller of the two classes or a successor of
-  // one, so it revisits exactly those: O((statements + edges) log
-  // statements) in all.
-  const StmtId N = Prog.numStatements();
-  // Predecessor lists in one array: those of S are
-  // Preds[PredBegin[S], PredBegin[S + 1]).
-  std::vector<uint32_t> PredBegin(N + 1, 0);
-  std::vector<uint8_t> Joinable(N, 1);
-  for (FuncId F = 0; F != Prog.numFunctions(); ++F)
-    Joinable[Prog.entry(F)] = 0;
-  for (StmtId S = 0; S != N; ++S) {
-    const Stmt &St = Prog.stmt(S);
-    bool Identity = St.Kind != Stmt::Call && !isRelevant(St);
-    for (StmtId Succ : St.Succs) {
-      ++PredBegin[Succ + 1];
-      Joinable[Succ] &= Identity;
-    }
-  }
-  std::partial_sum(PredBegin.begin(), PredBegin.end(), PredBegin.begin());
-  std::vector<StmtId> Preds(PredBegin[N]);
-  std::vector<uint32_t> Fill(PredBegin.begin(), PredBegin.end() - 1);
-  for (StmtId S = 0; S != N; ++S)
-    for (StmtId Succ : Prog.stmt(S).Succs)
-      Preds[Fill[Succ]++] = S;
-
-  UnionFind Classes;
-  Classes.grow(N);
-  // Each class is a ring through Next, so a merge splices two rings.
-  std::vector<StmtId> Next(N), Size(N, 1);
-  std::iota(Next.begin(), Next.end(), StmtId(0));
-  std::vector<StmtId> Work(N);
-  std::iota(Work.rbegin(), Work.rend(), StmtId(0));
-  while (!Work.empty()) {
-    StmtId T = Work.back();
-    Work.pop_back();
-    if (!Joinable[T])
-      continue;
-    uint32_t Own = Classes.find(T), Into = Own;
-    for (uint32_t I = PredBegin[T]; I != PredBegin[T + 1]; ++I) {
-      uint32_t C = Classes.find(Preds[I]);
-      if (C == Own || C == Into)
-        continue;
-      if (Into != Own) {
-        Into = Own; // predecessors in two other classes
-        break;
-      }
-      Into = C;
-    }
-    if (Into == Own)
-      continue;
-    StmtId Small = Size[Own] < Size[Into] ? Own : Into;
-    for (StmtId M = Small;;) {
-      Work.push_back(M);
-      for (StmtId Succ : Prog.stmt(M).Succs)
-        Work.push_back(Succ);
-      if ((M = Next[M]) == Small)
-        break;
-    }
-    std::swap(Next[Own], Next[Into]);
-    uint32_t Root = Classes.merge(Own, Into);
-    Size[Root] = Size[Own] + Size[Into];
-  }
-
-  StmtVars.assign(N, 0);
-  std::vector<VarId> ClassVar(N, InvalidVar);
-  uint64_t Vars = 0;
-  for (StmtId S = 0; S != N; ++S) {
-    VarId &V = ClassVar[Classes.find(S)];
-    if (V == InvalidVar) {
-      V = CS->numberedVar("S", S);
-      ++Vars;
-    }
-    StmtVars[S] = V;
-  }
-  if (observe::metricsEnabled()) {
-    MetricsRegistry &M = MetricsRegistry::global();
-    M.counter("pdmc.statements").add(N);
-    M.counter("pdmc.vars").add(Vars);
-  }
-
-  Pc = CS->addConstant("pc");
-  CS->add(CS->cons(Pc), CS->var(StmtVars[Prog.entry(Prog.mainFunction())]));
-
-  for (StmtId S = 0; S != N; ++S) {
-    const Stmt &St = Prog.stmt(S);
-    if (St.Kind == Stmt::Call) {
-      // o_i(S) ⊆ F_entry and o_i^-1(F_exit) ⊆ S_i.
-      ConsId O = CS->addNumberedConstructor("o@", S, 1);
-      if (O >= ConsToCall.size())
-        ConsToCall.resize(O + 1, NoCall);
-      ConsToCall[O] = S;
-      CS->add(CS->cons(O, {StmtVars[S]}),
-              CS->var(StmtVars[Prog.entry(St.Callee)]));
-      for (StmtId Succ : St.Succs)
-        CS->add(CS->proj(O, 0, StmtVars[Prog.exit(St.Callee)]),
-                CS->var(StmtVars[Succ]));
-      continue;
-    }
-    bool Identity = !isRelevant(St);
-    AnnId Ann = Identity ? CS->domain().identity() : opAnn(St);
-    for (StmtId Succ : St.Succs)
-      if (!Identity || StmtVars[S] != StmtVars[Succ])
-        CS->add(CS->var(StmtVars[S]), CS->var(StmtVars[Succ]), Ann);
-  }
-
+  // A relevant operation steps the property; every other non-call is
+  // an identity statement.
+  std::vector<AnnId> Anns(Prog.numStatements(), IdentityStmt);
+  for (StmtId S = 0; S != Prog.numStatements(); ++S)
+    if (isRelevant(Prog.stmt(S)))
+      Anns[S] = opAnn(Prog.stmt(S));
+  Enc = encodeProgram(Prog, *CS, Anns, "pdmc");
   Stats.Constraints = CS->constraints().size();
 }
 
@@ -245,7 +126,7 @@ std::vector<Violation> RascChecker::collectViolations() {
   EdgeLimit = BidirectionalSolver::isInterrupted(Solver->status());
   Stats.Derived = Solver->stats().EdgesInserted;
 
-  AtomReachability AR = Solver->atomReachability(Pc);
+  AtomReachability AR = Solver->atomReachability(Enc.Pc);
 
   // A violation at an operation statement s: pc reaches s with a word
   // w such that delta(w . op, s0) is accepting.
@@ -256,17 +137,18 @@ std::vector<Violation> RascChecker::collectViolations() {
     if (!isRelevant(St))
       continue;
     AnnId StepAnn = opAnn(St);
-    for (AnnId F : AR.annotations(StmtVars[S])) {
+    for (AnnId F : AR.annotations(Enc.StmtVars[S])) {
       // The witness call stack is built only for a reported violation:
       // most (statement, annotation) pairs report nothing. The term's
       // outermost constructor is the most recent call, so the spine
       // lists the stack innermost first.
       auto callStack = [&] {
-        std::vector<ConsId> Spine = AR.witnessStack(StmtVars[S], F);
+        std::vector<ConsId> Spine = AR.witnessStack(Enc.StmtVars[S], F);
         std::vector<StmtId> CallStack;
         for (auto C = Spine.rbegin(); C != Spine.rend(); ++C) {
-          if (*C < ConsToCall.size() && ConsToCall[*C] != NoCall)
-            CallStack.push_back(ConsToCall[*C]);
+          if (*C < Enc.ConsToCall.size() &&
+              Enc.ConsToCall[*C] != ProgramEncoding::NoCall)
+            CallStack.push_back(Enc.ConsToCall[*C]);
         }
         return CallStack;
       };
@@ -338,7 +220,7 @@ std::vector<Violation> RascChecker::checkForward() {
     if (!isRelevant(St))
       continue;
     SymbolId Sym = SpecSym[St.OpSym];
-    for (StateId Q : U.pnStates(Pc, StmtVars[S]))
+    for (StateId Q : U.pnStates(Enc.Pc, Enc.StmtVars[S]))
       if (!M.isAccepting(Q) && M.isAccepting(M.next(Q, Sym))) {
         Violation V;
         V.Where = S;

@@ -11,11 +11,11 @@
 ///   * RascChecker — the paper's approach (Section 6): a constraint
 ///     variable per statement, constraints S ⊆^op Si for relevant
 ///     statements, o_i(S) ⊆ F_entry / o_i^-1(F_exit) ⊆ Si for calls,
-///     pc ⊆ S_main. A statement whose lower bounds are all identity
-///     edges from one variable shares that variable, which keeps every
-///     statement's least solution (see generate()). Violations are
-///     PN-reachability queries for pc with an annotation leading to an
-///     accepting (error) state, and the witness stack is the term's
+///     pc ⊆ S_main (encodeProgram in pdmc/Program.h, which shares a
+///     variable among statements exactly where that keeps every least
+///     solution). Violations are PN-reachability queries for pc with
+///     an annotation leading to an accepting (error) state, and the
+///     witness stack is the term's
 ///     constructor spine (the runtime stack). Parametric properties
 ///     (Section 6.4) use substitution environments transparently.
 ///
@@ -135,7 +135,7 @@ public:
   /// may share a variable; each has exactly the least solution of the
   /// literal one-variable-per-statement encoding. Valid after
   /// prepare().
-  VarId stmtVar(StmtId S) const { return StmtVars[S]; }
+  VarId stmtVar(StmtId S) const { return Enc.StmtVars[S]; }
   const ConstraintSystem &system() const { return *CS; }
 
 private:
@@ -153,13 +153,8 @@ private:
   std::unique_ptr<ConstraintSystem> CS;
   /// Per program symbol: the spec's symbol, or InvalidSymbol.
   std::vector<SymbolId> SpecSym;
-  std::vector<VarId> StmtVars;
-  ConsId Pc = 0;
-  /// Per constructor: the call site whose o_i it is, or NoCall.
-  static constexpr StmtId NoCall = ~StmtId(0);
-  std::vector<StmtId> ConsToCall;
+  ProgramEncoding Enc;
   std::unique_ptr<BidirectionalSolver> Solver;
-  bool Generated = false;
   SolverOptions SolverOpts;
   bool EdgeLimit = false;
   CheckStats Stats;

@@ -16,14 +16,20 @@
 /// statements with no explicit successor fall through to the
 /// function's exit.
 ///
+/// encodeProgram() is the Section 6.1 constraint encoding that both
+/// applications (pdmc, dataflow) generate through.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RASC_PDMC_PROGRAM_H
 #define RASC_PDMC_PROGRAM_H
 
+#include "core/ConstraintSystem.h"
+
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -166,6 +172,32 @@ private:
   std::vector<std::string> Notes; ///< the Text tags' notes
   std::function<std::string(uint32_t)> InsnText;
 };
+
+/// The variables and constructors encodeProgram() made.
+struct ProgramEncoding {
+  /// Per statement: its variable. Statements may share one; each has
+  /// the least solution of the literal one-per-statement encoding.
+  std::vector<VarId> StmtVars;
+  /// The constant of pc ⊆ S_main.
+  ConsId Pc = 0;
+  /// Per constructor: the call site whose o_i it is, or NoCall.
+  static constexpr StmtId NoCall = ~StmtId(0);
+  std::vector<StmtId> ConsToCall;
+};
+
+/// In encodeProgram()'s annotation list: a statement whose edges are
+/// identity edges.
+constexpr AnnId IdentityStmt = InvalidAnn;
+
+/// Generates the Section 6.1 constraints of \p Prog into \p CS:
+/// pc ⊆ S_main, o_i(S) ⊆ F_entry and o_i^-1(F_exit) ⊆ S_succ for a
+/// call S of F, and S ⊆^a S_succ for any other statement S, where
+/// a = \p StmtAnns[S] (the domain's identity where it is IdentityStmt;
+/// a call's entry is not read). With metrics on, records
+/// "<MetricPrefix>.statements" and "<MetricPrefix>.vars".
+ProgramEncoding encodeProgram(const Program &Prog, ConstraintSystem &CS,
+                              std::span<const AnnId> StmtAnns,
+                              const char *MetricPrefix);
 
 } // namespace rasc
 

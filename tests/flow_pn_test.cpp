@@ -22,6 +22,7 @@
 #include "ebpf/Lower.h"
 #include "flow/Analysis.h"
 #include "progen/EbpfGen.h"
+#include "support/FailPoint.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -88,6 +89,31 @@ main (z : int) : (int, int) = (1, 2);
     EXPECT_FALSE(FA.flows(Lit, MainBody));
     EXPECT_FALSE(FA.flowsPN(Lit, MainBody));
   }
+}
+
+TEST(FlowPn, InterruptedLazySolveResumesOnTheNextQuery) {
+  // Figure 11: 2 comes back through y, and the return needs the
+  // closure to match o_i against o_i^-1.
+  std::optional<FlowProgram> P = FlowProgram::parse(
+      "pair (y : int) : (int, int) = (1, y);\n"
+      "main (z : int) : int = pair(2).2;\n");
+  ASSERT_TRUE(P);
+  FExprId Lit = P->literals()[1];
+  FExprId Main = P->functions()[1].Body;
+  bool Want = FlowAnalysis(*P, FlowMode::Primal).flowsPN(Lit, Main);
+  EXPECT_TRUE(Want);
+
+  FlowAnalysis A(*P, FlowMode::Primal);
+  SolverOptions O;
+  O.GovernanceCheckInterval = 1;
+  A.prepare(O);
+  {
+    // The query's solve is cancelled at its first governance check.
+    failpoints::ScopedFailPoint Cancel(failpoints::Point::SolverCancel, 0);
+    A.flowsPN(Lit, Main);
+  }
+  EXPECT_EQ(A.flowsPN(Lit, Main), Want);
+  EXPECT_EQ(A.solver().status(), BidirectionalSolver::Status::Solved);
 }
 
 TEST(FlowPn, RandomProgramsMatchedSubsetOfPn) {

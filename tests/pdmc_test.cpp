@@ -5,13 +5,23 @@
 //===----------------------------------------------------------------------===//
 
 #include "automata/Monoid.h"
+#include "dataflow/BitVector.h"
+#include "ebpf/Cfg.h"
+#include "ebpf/Decode.h"
+#include "ebpf/Lower.h"
 #include "pdmc/Checker.h"
 #include "pdmc/Properties.h"
+#include "progen/EbpfGen.h"
 #include "progen/ProgramGen.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <set>
 
 using namespace rasc;
@@ -313,7 +323,7 @@ INSTANTIATE_TEST_SUITE_P(RandomSeeds, PdmcDifferential,
                          ::testing::Range(uint64_t(1), uint64_t(40)));
 
 //===----------------------------------------------------------------------===//
-// Exactness of RascChecker's shared statement variables
+// Exactness of encodeProgram's shared statement variables
 //===----------------------------------------------------------------------===//
 
 /// Renders an annotation so that equal elements of two separately built
@@ -362,26 +372,19 @@ bool isParametric(const SpecAutomaton &Spec) {
 }
 
 /// The literal Section 6.1 encoding, built here independently of
-/// RascChecker: one variable per statement, S ⊆^op Si for every edge
-/// of a non-call statement (identity when the statement is irrelevant),
+/// encodeProgram: one variable per statement, S ⊆^a Si for every edge
+/// of a non-call statement, where a = \p Ann(S) is the statement's
+/// annotation in \p D (the identity for an identity statement),
 /// o_i(S) ⊆ F_entry and o_i^-1(F_exit) ⊆ Si for calls, pc ⊆ S_main.
 struct LiteralEncoding {
-  std::unique_ptr<MonoidDomain> Base;
-  std::unique_ptr<SubstEnvDomain> Env;
   std::unique_ptr<ConstraintSystem> CS;
   std::vector<VarId> Vars;
   std::unique_ptr<BidirectionalSolver> Solver;
   AtomReachability AR;
 
-  LiteralEncoding(const Program &P, const SpecAutomaton &Spec) {
-    const Dfa &M = Spec.machine();
-    Base = std::make_unique<MonoidDomain>(M);
-    if (isParametric(Spec)) {
-      Env = std::make_unique<SubstEnvDomain>(*Base);
-      CS = std::make_unique<ConstraintSystem>(*Env);
-    } else {
-      CS = std::make_unique<ConstraintSystem>(*Base);
-    }
+  LiteralEncoding(const Program &P, AnnotationDomain &D,
+                  const std::function<AnnId(StmtId)> &Ann) {
+    CS = std::make_unique<ConstraintSystem>(D);
     for (StmtId S = 0; S != P.numStatements(); ++S)
       Vars.push_back(CS->freshVar("L" + std::to_string(S)));
     ConsId Pc = CS->addConstant("pc");
@@ -396,28 +399,67 @@ struct LiteralEncoding {
                   CS->var(Vars[Succ]));
         continue;
       }
-      AnnId Ann = CS->domain().identity();
-      std::optional<SymbolId> Sym =
-          St.Kind == Stmt::Op ? M.symbol(P.symbolName(St.OpSym)) : std::nullopt;
-      if (Sym) {
-        Ann = Base->symbolAnn(*Sym);
-        const SpecSymbol &Decl = Spec.symbols()[*Sym];
-        if (Env && Decl.Params.empty()) {
-          Ann = Env->lift(Ann);
-        } else if (Env) {
-          std::vector<ParamBinding> Key;
-          for (size_t I = 0; I != Decl.Params.size(); ++I)
-            Key.push_back({Env->name(Decl.Params[I]),
-                           Env->name(St.OpLabels[I])});
-          Ann = Env->instantiate(std::move(Key), Ann);
-        }
-      }
+      AnnId A = Ann(S);
       for (StmtId Succ : St.Succs)
-        CS->add(CS->var(Vars[S]), CS->var(Vars[Succ]), Ann);
+        CS->add(CS->var(Vars[S]), CS->var(Vars[Succ]), A);
     }
     Solver = std::make_unique<BidirectionalSolver>(*CS);
     EXPECT_EQ(Solver->solve(), BidirectionalSolver::Status::Solved);
     AR = Solver->atomReachability(Pc);
+  }
+
+  /// Every statement's reaching classes in \p Shared (solved, with
+  /// statement variables \p StmtVar) equal this encoding's.
+  void expectSameClasses(const Program &P, BidirectionalSolver &Shared,
+                         const std::function<VarId(StmtId)> &StmtVar,
+                         const std::string &What) const {
+    const ConstraintSystem &SCS = Shared.system();
+    AtomReachability SAR = Shared.atomReachability(findConstant(SCS, "pc"));
+    for (StmtId S = 0; S != P.numStatements(); ++S)
+      ASSERT_EQ(canonicalSet(SCS.domain(), SAR.annotations(StmtVar(S))),
+                canonicalSet(CS->domain(), AR.annotations(Vars[S])))
+          << What << ", statement " << P.describe(S);
+  }
+};
+
+/// The property domain of \p Spec, and each statement's annotation in
+/// it: the symbol's step (instantiated for a parametric operation) for
+/// an operation of the property's alphabet, the identity otherwise.
+struct PdmcAnnotations {
+  const Program &P;
+  const SpecAutomaton &Spec;
+  std::unique_ptr<MonoidDomain> Base;
+  std::unique_ptr<SubstEnvDomain> Env;
+
+  PdmcAnnotations(const Program &P, const SpecAutomaton &Spec)
+      : P(P), Spec(Spec),
+        Base(std::make_unique<MonoidDomain>(Spec.machine())) {
+    if (isParametric(Spec))
+      Env = std::make_unique<SubstEnvDomain>(*Base);
+  }
+
+  AnnotationDomain &domain() {
+    return Env ? static_cast<AnnotationDomain &>(*Env) : *Base;
+  }
+
+  AnnId operator()(StmtId S) const {
+    const Stmt &St = P.stmt(S);
+    std::optional<SymbolId> Sym =
+        St.Kind == Stmt::Op ? Spec.machine().symbol(P.symbolName(St.OpSym))
+                            : std::nullopt;
+    if (!Sym)
+      return Env ? Env->identity() : Base->identity();
+    AnnId Ann = Base->symbolAnn(*Sym);
+    const SpecSymbol &Decl = Spec.symbols()[*Sym];
+    if (Env && Decl.Params.empty())
+      return Env->lift(Ann);
+    if (!Env)
+      return Ann;
+    std::vector<ParamBinding> Key;
+    for (size_t I = 0; I != Decl.Params.size(); ++I)
+      Key.push_back(
+          {Env->name(Decl.Params[I]), Env->name(St.OpLabels[I])});
+    return Env->instantiate(std::move(Key), Ann);
   }
 };
 
@@ -426,18 +468,14 @@ struct LiteralEncoding {
 /// property allows it) and MOPS checkers report the same violations.
 void expectExact(const Program &P, const SpecAutomaton &Spec,
                  const std::string &What) {
-  LiteralEncoding L(P, Spec);
+  PdmcAnnotations Ann(P, Spec);
+  LiteralEncoding L(P, Ann.domain(), [&](StmtId S) { return Ann(S); });
   RascChecker C(P, Spec);
   C.prepare();
   ASSERT_EQ(C.solver()->solve(), BidirectionalSolver::Status::Solved)
       << What;
-  AtomReachability AR =
-      C.solver()->atomReachability(findConstant(C.system(), "pc"));
-  for (StmtId S = 0; S != P.numStatements(); ++S)
-    ASSERT_EQ(canonicalSet(C.system().domain(),
-                           AR.annotations(C.stmtVar(S))),
-              canonicalSet(L.CS->domain(), L.AR.annotations(L.Vars[S])))
-        << What << ", statement " << P.describe(S);
+  L.expectSameClasses(P, *C.solver(),
+                      [&](StmtId S) { return C.stmtVar(S); }, What);
 
   std::vector<Violation> VB = C.collectViolations();
   EXPECT_EQ(VB, MopsChecker(P, Spec).check()) << What;
@@ -445,6 +483,35 @@ void expectExact(const Program &P, const SpecAutomaton &Spec,
     EXPECT_EQ(VB, RascChecker(P, Spec, SolveStrategy::Forward).check())
         << What;
   }
+}
+
+/// The same for AnnotatedBitVectorAnalysis, whose statements carry
+/// their gen/kill transfer functions; its may/must answers also equal
+/// the iterative baseline's.
+void expectDataflowExact(const BitVectorProblem &Prob,
+                         const std::string &What) {
+  const Program &P = Prob.program();
+  GenKillDomain D(Prob.numBits());
+  LiteralEncoding L(P, D, [&](StmtId S) {
+    return D.transfer(Prob.gens(S), Prob.kills(S));
+  });
+  AnnotatedBitVectorAnalysis A(Prob);
+  A.prepare();
+  ASSERT_EQ(A.solver()->solve(), BidirectionalSolver::Status::Solved)
+      << What;
+  L.expectSameClasses(P, *A.solver(),
+                      [&](StmtId S) { return A.stmtVar(S); }, What);
+
+  A.finalize();
+  IterativeBitVectorAnalysis I(Prob);
+  I.solve();
+  for (StmtId S = 0; S != P.numStatements(); ++S)
+    for (unsigned B = 0; B != Prob.numBits(); ++B) {
+      ASSERT_EQ(A.mayHold(S, B), I.mayHold(S, B))
+          << What << ", may, statement " << S << " bit " << B;
+      ASSERT_EQ(A.mustHold(S, B), I.mustHold(S, B))
+          << What << ", must, statement " << S << " bit " << B;
+    }
 }
 
 TEST(PdmcExactness, GeneratedPackages) {
@@ -483,6 +550,72 @@ TEST(PdmcExactness, GeneratedPrograms) {
       expectExact(generateProgram(O), File, What + " file-state");
     }
   }
+}
+
+TEST(PdmcExactness, DataflowGeneratedPrograms) {
+  for (uint64_t Seed = 1; Seed != 13; ++Seed) {
+    for (bool Recursion : {false, true}) {
+      ProgGenOptions O;
+      O.Seed = Seed;
+      O.NumFunctions = 3 + Seed % 4;
+      O.StmtsPerFunction = 8 + Seed % 10;
+      O.AllowRecursion = Recursion;
+      Program P = generateProgram(O);
+      // Each bit of each non-call is gen'd or killed with chance 1/6,
+      // so many statements are identity statements.
+      Rng R(Seed * 31 + Recursion);
+      unsigned Bits = 1 + Seed % 3;
+      BitVectorProblem Prob(P, Bits);
+      for (StmtId S = 0; S != P.numStatements(); ++S)
+        for (unsigned B = 0; B != Bits; ++B) {
+          if (R.chance(1, 6))
+            Prob.setGen(S, B);
+          if (R.chance(1, 6))
+            Prob.setKill(S, B);
+        }
+      expectDataflowExact(Prob, "program seed " + std::to_string(Seed) +
+                                    (Recursion ? " recursive" : " acyclic"));
+    }
+  }
+}
+
+TEST(PdmcExactness, DataflowEbpfCorpus) {
+  // The golden corpus and 57 generated programs, lowered to the
+  // register-initialization problem.
+  std::vector<std::vector<uint8_t>> Corpus;
+  std::vector<std::filesystem::path> Files;
+  for (const auto &E : std::filesystem::directory_iterator(
+           std::string(RASC_TEST_DATA_DIR) + "/ebpf"))
+    if (E.path().extension() == ".bpf")
+      Files.push_back(E.path());
+  std::sort(Files.begin(), Files.end());
+  for (const std::filesystem::path &F : Files) {
+    std::ifstream In(F, std::ios::binary);
+    Corpus.emplace_back(std::istreambuf_iterator<char>(In),
+                        std::istreambuf_iterator<char>());
+  }
+  ASSERT_GE(Corpus.size(), 7u);
+  for (uint64_t Seed = 1; Seed != 58; ++Seed) {
+    EbpfGenOptions O;
+    O.Seed = Seed;
+    Corpus.push_back(generateEbpf(O));
+  }
+  size_t Statements = 0, Vars = 0;
+  for (size_t I = 0; I != Corpus.size(); ++I) {
+    Expected<ebpf::DecodedProgram> D = ebpf::decode(Corpus[I]);
+    ASSERT_TRUE(D) << "corpus program " << I;
+    ebpf::Cfg G = ebpf::buildCfg(std::move(*D));
+    ebpf::DataflowLowering Df = ebpf::lowerToDataflow(G);
+    expectDataflowExact(*Df.Problem, "corpus program " + std::to_string(I));
+    AnnotatedBitVectorAnalysis A(*Df.Problem);
+    A.prepare();
+    Statements += Df.Prog->numStatements();
+    Vars += A.system().numVars();
+  }
+  // Most instructions define or kill a register, so the sharing is
+  // modest, but fall-through chains of stores, branches and the exit
+  // still share.
+  EXPECT_LT(Vars, Statements);
 }
 
 /// A hand-built main function for the shapes below: entry -> Z

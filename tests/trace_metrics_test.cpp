@@ -33,6 +33,7 @@
 
 #include "automata/Machines.h"
 #include "core/Observe.h"
+#include "dataflow/BitVector.h"
 #include "ebpf/Cfg.h"
 #include "ebpf/Decode.h"
 #include "ebpf/Lower.h"
@@ -609,6 +610,26 @@ TEST(Metrics, PdmcCountsStatementsAndSharedVariables) {
   EXPECT_EQ(C.stmtVar(Z), C.stmtVar(P.entry(Main)));
   EXPECT_EQ(C.stmtVar(E), C.stmtVar(N1));
   EXPECT_NE(C.stmtVar(P.exit(Main)), C.stmtVar(E));
+
+  // The dataflow analysis shares variables by the same encoding: with
+  // transfer functions at Z and E only, the same 3 variables.
+  BitVectorProblem Prob(P, 2);
+  Prob.setGen(Z, 0);
+  Prob.setKill(E, 0);
+  uint64_t DfStmts = M.counter("dataflow.statements").get();
+  uint64_t DfVars = M.counter("dataflow.vars").get();
+  AnnotatedBitVectorAnalysis(Prob).prepare(); // metrics off
+  EXPECT_EQ(M.counter("dataflow.statements").get(), DfStmts);
+  EXPECT_EQ(M.counter("dataflow.vars").get(), DfVars);
+
+  observe::setMetricsEnabled(true);
+  AnnotatedBitVectorAnalysis A(Prob);
+  A.prepare();
+  observe::setMetricsEnabled(false);
+  EXPECT_EQ(M.counter("dataflow.statements").get() - DfStmts, 6u);
+  EXPECT_EQ(M.counter("dataflow.vars").get() - DfVars, 3u);
+  EXPECT_EQ(A.system().numVars(), 3u);
+  EXPECT_EQ(A.stmtVar(E), A.stmtVar(N1));
 }
 
 //===----------------------------------------------------------------------===//
