@@ -133,10 +133,9 @@ void BM_EbpfLowerAllThree(benchmark::State &State) {
   for (auto _ : State) {
     uint64_t Before = HeapAllocs.load(std::memory_order_relaxed);
     for (const ebpf::Cfg &G : Gs) {
-      ebpf::PdmcLowering Pd = ebpf::lowerToProgram(G);
+      // The pdmc checker and the dataflow analysis share Df's program.
       ebpf::DataflowLowering Df = ebpf::lowerToDataflow(G);
       ebpf::FlowLowering Fl = ebpf::lowerToFlowProgram(G);
-      benchmark::DoNotOptimize(Pd.EventInsn.size());
       benchmark::DoNotOptimize(Df.Reads.size());
       benchmark::DoNotOptimize(Fl.InsnLit.size());
     }

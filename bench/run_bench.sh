@@ -25,6 +25,8 @@ OUT="${BENCH_OUT:-$REPO_ROOT/BENCH_solver.json}"
 LABEL="${1:-$(git -C "$REPO_ROOT" rev-parse --short HEAD 2>/dev/null || echo dev)}"
 ROUNDS="${2:-5}"
 MIN_TIME="${BENCH_MIN_TIME:-0.5}"
+# Every section's entry is aggregated and appended by this one script.
+ENTRY="$REPO_ROOT/bench/bench_entry.py"
 
 if [ ! -x "$BIN" ]; then
   echo "error: $BIN not built (run: cmake --build build -j)" >&2
@@ -37,60 +39,17 @@ trap 'rm -rf "$TMPDIR_BENCH"' EXIT
 for R in $(seq 1 "$ROUNDS"); do
   # Old google-benchmark: --benchmark_min_time takes a plain double.
   # The filter is anchored: a bare 'BM_SolveDag' also matches
-  # BM_SolveDagAdversarial, whose runs the size parser below would
-  # file under BM_SolveDag's sizes.
+  # BM_SolveDagAdversarial, whose runs the --by-size aggregation below
+  # would file under BM_SolveDag's sizes.
   "$BIN" --benchmark_filter='^BM_SolveDag/' \
          --benchmark_min_time="$MIN_TIME" \
          --benchmark_format=json >"$TMPDIR_BENCH/round_$R.json"
   echo "round $R/$ROUNDS done" >&2
 done
 
-python3 - "$OUT" "$LABEL" "$TMPDIR_BENCH" "$ROUNDS" <<'EOF'
-import json, os, statistics, sys
-
-out_path, label, tmpdir, rounds = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
-
-per_size = {}  # size -> {"ms": [..], "edges": N, "edges_per_s": [..]}
-for r in range(1, rounds + 1):
-    with open(os.path.join(tmpdir, f"round_{r}.json")) as f:
-        doc = json.load(f)
-    for b in doc["benchmarks"]:
-        size = int(b["name"].removesuffix("/real_time").rsplit("/", 1)[1])
-        rec = per_size.setdefault(size, {"ms": [], "edges": 0, "edges_per_s": []})
-        rec["ms"].append(b["real_time"] / 1e6)  # ns -> ms
-        rec["edges"] = int(b.get("edges", 0))
-        rec["edges_per_s"].append(b.get("edges_per_s", 0.0))
-
-entry = {
-    "label": label,
-    "benchmark": "bench_sec4_core_scaling:BM_SolveDag",
-    "rounds": rounds,
-    "hardware_threads": os.cpu_count(),
-    "sizes": {
-        str(size): {
-            "min_ms": round(min(rec["ms"]), 3),
-            "median_ms": round(statistics.median(rec["ms"]), 3),
-            "edges": rec["edges"],
-            "max_edges_per_s": round(max(rec["edges_per_s"])),
-        }
-        for size, rec in sorted(per_size.items())
-    },
-}
-
-doc = {"runs": []}
-if os.path.exists(out_path):
-    with open(out_path) as f:
-        doc = json.load(f)
-doc.setdefault("runs", []).append(entry)
-with open(out_path, "w") as f:
-    json.dump(doc, f, indent=2)
-    f.write("\n")
-print(f"appended run '{label}' to {out_path}")
-for size, rec in sorted(per_size.items()):
-    print(f"  /{size}: min {min(rec['ms']):.2f} ms, "
-          f"median {statistics.median(rec['ms']):.2f} ms, "
-          f"{rec['edges']} edges")
-EOF
+python3 "$ENTRY" "$OUT" "$LABEL" bench_sec4_core_scaling:BM_SolveDag gbench \
+  $(seq -f "$TMPDIR_BENCH/round_%g.json" 1 "$ROUNDS") --by-size \
+  --counter edges:int --counter edges_per_s:max0:max_edges_per_s
 
 # --- Thread-scaling sweep (DESIGN.md §8) -------------------------------
 # Runs bench_parallel_batch (the BM_BatchSolve pool sweep at widths
@@ -126,56 +85,10 @@ if [ -x "$PAR_BIN" ]; then
     echo "parallel sweep round $R/$PAR_ROUNDS done" >&2
   done
 
-  python3 - "$OUT" "$LABEL" "$TMPDIR_BENCH" "$PAR_ROUNDS" <<'EOF'
-import json, os, statistics, sys
-
-out_path, label, tmpdir, rounds = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
-
-per_cfg = {}  # benchmark name -> {"ms": [...], "counters": {...}}
-for r in range(1, rounds + 1):
-    with open(os.path.join(tmpdir, f"par_{r}.json")) as f:
-        doc = json.load(f)
-    for b in doc["benchmarks"]:
-        rec = per_cfg.setdefault(b["name"].removesuffix("/real_time"), {"ms": [], "counters": {}})
-        rec["ms"].append(b["real_time"] / 1e6)  # ns -> ms
-        for k in ("edges", "systems_per_s"):
-            if k in b:
-                rec["counters"][k] = round(float(b[k]), 3)
-
-MAX_SWEPT_THREADS = 8
-entry = {
-    "label": label,
-    "benchmark": "parallel",
-    "rounds": rounds,
-    "hardware_threads": os.cpu_count(),
-    "configs": {
-        name: {
-            "min_ms": round(min(rec["ms"]), 3),
-            "median_ms": round(statistics.median(rec["ms"]), 3),
-            **rec["counters"],
-        }
-        for name, rec in sorted(per_cfg.items())
-    },
-}
-if (os.cpu_count() or 1) < MAX_SWEPT_THREADS:
-    entry["note"] = (
-        f"host has {os.cpu_count()} hardware thread(s) < max swept "
-        f"pool width {MAX_SWEPT_THREADS}; these numbers measure parallel-mode "
-        "overhead, not speedup -- re-record on multi-core hardware")
-
-doc = {"runs": []}
-if os.path.exists(out_path):
-    with open(out_path) as f:
-        doc = json.load(f)
-doc.setdefault("runs", []).append(entry)
-with open(out_path, "w") as f:
-    json.dump(doc, f, indent=2)
-    f.write("\n")
-print(f"appended 'parallel' entry for '{label}' to {out_path}")
-for name, rec in sorted(per_cfg.items()):
-    print(f"  {name}: min {min(rec['ms']):.2f} ms, "
-          f"median {statistics.median(rec['ms']):.2f} ms")
-EOF
+  python3 "$ENTRY" "$OUT" "$LABEL" parallel gbench \
+    $(seq -f "$TMPDIR_BENCH/par_%g.json" 1 "$PAR_ROUNDS") \
+    --counter edges:r3 --counter systems_per_s:r3 \
+    --min-threads "$MAX_SWEPT_THREADS"
 else
   echo "note: $PAR_BIN not built; skipping thread-scaling sweep" >&2
 fi
@@ -199,59 +112,9 @@ if [ -x "$OBS_BIN" ]; then
     echo "observability round $R/$OBS_ROUNDS done" >&2
   done
 
-  python3 - "$OUT" "$LABEL" "$TMPDIR_BENCH" "$OBS_ROUNDS" <<'EOF'
-import json, os, statistics, sys
-
-out_path, label, tmpdir, rounds = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
-
-per_cfg = {}  # benchmark name -> {"ms": [...], "edges": N}
-for r in range(1, rounds + 1):
-    with open(os.path.join(tmpdir, f"obs_{r}.json")) as f:
-        doc = json.load(f)
-    for b in doc["benchmarks"]:
-        rec = per_cfg.setdefault(b["name"].removesuffix("/real_time"), {"ms": [], "edges": 0})
-        rec["ms"].append(b["real_time"] / 1e6)  # ns -> ms
-        rec["edges"] = int(b.get("edges", 0))
-
-configs = {
-    name: {
-        "min_ms": round(min(rec["ms"]), 3),
-        "median_ms": round(statistics.median(rec["ms"]), 3),
-        "edges": rec["edges"],
-    }
-    for name, rec in sorted(per_cfg.items())
-}
-# Overhead of each on-configuration vs the off baseline, per size.
-for name, cfg in configs.items():
-    if "Off" in name:
-        continue
-    size = name.rsplit("/", 1)[1]
-    base = configs.get(f"BM_SolveObservabilityOff/{size}")
-    if base and base["min_ms"] > 0:
-        cfg["overhead_pct"] = round(
-            100.0 * (cfg["min_ms"] - base["min_ms"]) / base["min_ms"], 2)
-
-entry = {
-    "label": label,
-    "benchmark": "observability",
-    "rounds": rounds,
-    "hardware_threads": os.cpu_count(),
-    "configs": configs,
-}
-
-doc = {"runs": []}
-if os.path.exists(out_path):
-    with open(out_path) as f:
-        doc = json.load(f)
-doc.setdefault("runs", []).append(entry)
-with open(out_path, "w") as f:
-    json.dump(doc, f, indent=2)
-    f.write("\n")
-print(f"appended 'observability' entry for '{label}' to {out_path}")
-for name, cfg in sorted(configs.items()):
-    extra = f", overhead {cfg['overhead_pct']}%" if "overhead_pct" in cfg else ""
-    print(f"  {name}: min {cfg['min_ms']:.2f} ms{extra}")
-EOF
+  python3 "$ENTRY" "$OUT" "$LABEL" observability gbench \
+    $(seq -f "$TMPDIR_BENCH/obs_%g.json" 1 "$OBS_ROUNDS") \
+    --counter edges:int --overhead-base BM_SolveObservabilityOff
 else
   echo "note: $OBS_BIN not built; skipping observability A/B" >&2
 fi
@@ -274,61 +137,10 @@ if [ -x "$PROOF_BIN" ]; then
     echo "proof round $R/$PROOF_ROUNDS done" >&2
   done
 
-  python3 - "$OUT" "$LABEL" "$TMPDIR_BENCH" "$PROOF_ROUNDS" <<'EOF'
-import json, os, statistics, sys
-
-out_path, label, tmpdir, rounds = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
-
-per_cfg = {}  # benchmark name -> {"ms": [...], "counters": {...}}
-for r in range(1, rounds + 1):
-    with open(os.path.join(tmpdir, f"proof_{r}.json")) as f:
-        doc = json.load(f)
-    for b in doc["benchmarks"]:
-        rec = per_cfg.setdefault(b["name"].removesuffix("/real_time"), {"ms": [], "counters": {}})
-        rec["ms"].append(b["real_time"] / 1e6)  # ns -> ms
-        for k in ("edges", "proof_bytes"):
-            if k in b:
-                rec["counters"][k] = int(b[k])
-
-configs = {
-    name: {
-        "min_ms": round(min(rec["ms"]), 3),
-        "median_ms": round(statistics.median(rec["ms"]), 3),
-        **rec["counters"],
-    }
-    for name, rec in sorted(per_cfg.items())
-}
-# Overhead of proof-on vs the proof-off baseline, per size.
-for name, cfg in configs.items():
-    if not name.startswith("BM_SolveProofOn"):
-        continue
-    size = name.rsplit("/", 1)[1]
-    base = configs.get(f"BM_SolveProofOff/{size}")
-    if base and base["min_ms"] > 0:
-        cfg["overhead_pct"] = round(
-            100.0 * (cfg["min_ms"] - base["min_ms"]) / base["min_ms"], 2)
-
-entry = {
-    "label": label,
-    "benchmark": "proof",
-    "rounds": rounds,
-    "hardware_threads": os.cpu_count(),
-    "configs": configs,
-}
-
-doc = {"runs": []}
-if os.path.exists(out_path):
-    with open(out_path) as f:
-        doc = json.load(f)
-doc.setdefault("runs", []).append(entry)
-with open(out_path, "w") as f:
-    json.dump(doc, f, indent=2)
-    f.write("\n")
-print(f"appended 'proof' entry for '{label}' to {out_path}")
-for name, cfg in sorted(configs.items()):
-    extra = f", overhead {cfg['overhead_pct']}%" if "overhead_pct" in cfg else ""
-    print(f"  {name}: min {cfg['min_ms']:.2f} ms{extra}")
-EOF
+  python3 "$ENTRY" "$OUT" "$LABEL" proof gbench \
+    $(seq -f "$TMPDIR_BENCH/proof_%g.json" 1 "$PROOF_ROUNDS") \
+    --counter edges:int --counter proof_bytes:int \
+    --overhead-base BM_SolveProofOff
 else
   echo "note: $PROOF_BIN not built; skipping proof-emission A/B" >&2
 fi
@@ -354,58 +166,14 @@ if [ -x "$EBPF_BIN" ]; then
     echo "ebpf round $R/$EBPF_ROUNDS done" >&2
   done
 
-  python3 - "$OUT" "$LABEL" "$TMPDIR_BENCH" "$EBPF_ROUNDS" <<'EOF'
-import json, os, statistics, sys
-
-out_path, label, tmpdir, rounds = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
-
-per_cfg = {}  # benchmark name -> {"ms": [...], "counters": {...}}
-for r in range(1, rounds + 1):
-    with open(os.path.join(tmpdir, f"ebpf_{r}.json")) as f:
-        doc = json.load(f)
-    for b in doc["benchmarks"]:
-        rec = per_cfg.setdefault(b["name"].removesuffix("/real_time"), {"ms": [], "counters": {}})
-        rec["ms"].append(b["real_time"] / 1e6)  # ns -> ms
-        for k in ("programs_per_s", "insns_per_s", "violations",
-                  "uninit_reads", "ctx_flows", "systems"):
-            if k in b:
-                # Rate counters vary by round; keep the best.
-                cur = rec["counters"].get(k, 0)
-                rec["counters"][k] = max(cur, round(b[k], 1))
-        # A count that repeats exactly; kept from the last round.
-        if "allocs_per_program" in b:
-            rec["counters"]["allocs_per_program"] = round(b["allocs_per_program"], 3)
-
-configs = {
-    name: {
-        "min_ms": round(min(rec["ms"]), 3),
-        "median_ms": round(statistics.median(rec["ms"]), 3),
-        **rec["counters"],
-    }
-    for name, rec in sorted(per_cfg.items())
-}
-
-entry = {
-    "label": label,
-    "benchmark": "ebpf",
-    "rounds": rounds,
-    "hardware_threads": os.cpu_count(),
-    "configs": configs,
-}
-
-doc = {"runs": []}
-if os.path.exists(out_path):
-    with open(out_path) as f:
-        doc = json.load(f)
-doc.setdefault("runs", []).append(entry)
-with open(out_path, "w") as f:
-    json.dump(doc, f, indent=2)
-    f.write("\n")
-print(f"appended 'ebpf' entry for '{label}' to {out_path}")
-for name, cfg in sorted(configs.items()):
-    print(f"  {name}: min {cfg['min_ms']:.2f} ms, "
-          f"median {cfg['median_ms']:.2f} ms")
-EOF
+  # Rates vary by round and keep the best; allocs_per_program is a
+  # count that repeats exactly and is kept from the last round.
+  python3 "$ENTRY" "$OUT" "$LABEL" ebpf gbench \
+    $(seq -f "$TMPDIR_BENCH/ebpf_%g.json" 1 "$EBPF_ROUNDS") \
+    --counter programs_per_s:max1 --counter insns_per_s:max1 \
+    --counter violations:max1 --counter uninit_reads:max1 \
+    --counter ctx_flows:max1 --counter systems:max1 \
+    --counter allocs_per_program:r3
 else
   echo "note: $EBPF_BIN not built; skipping ebpf pipeline" >&2
 fi
@@ -421,39 +189,7 @@ SEC7_BIN="${BENCH_SEC7_BIN:-$REPO_ROOT/build/bench/bench_sec7_flow}"
 if [ -x "$SEC7_BIN" ]; then
   "$SEC7_BIN" >"$TMPDIR_BENCH/sec7.txt"
 
-  python3 - "$OUT" "$LABEL" "$TMPDIR_BENCH/sec7.txt" <<'EOF'
-import json, os, sys
-
-out_path, label, table_path = sys.argv[1], sys.argv[2], sys.argv[3]
-
-rows = {}
-with open(table_path) as f:
-    for line in f:
-        cells = [c.strip() for c in line.strip().strip("|").split("|")]
-        if len(cells) != 5 or cells[0] in ("program", "") or cells[0].startswith("-"):
-            continue
-        rows[cells[0]] = dict(zip(("pair_S_F", "call_S_F", "primal_s", "dual_s"),
-                                  cells[1:]))
-
-entry = {
-    "label": label,
-    "benchmark": "sec7_flow",
-    "hardware_threads": os.cpu_count(),
-    "rows": rows,
-}
-
-doc = {"runs": []}
-if os.path.exists(out_path):
-    with open(out_path) as f:
-        doc = json.load(f)
-doc.setdefault("runs", []).append(entry)
-with open(out_path, "w") as f:
-    json.dump(doc, f, indent=2)
-    f.write("\n")
-print(f"appended 'sec7_flow' entry for '{label}' to {out_path}")
-for name, row in rows.items():
-    print(f"  {name}: primal {row['primal_s']}, dual {row['dual_s']}")
-EOF
+  python3 "$ENTRY" "$OUT" "$LABEL" sec7_flow table "$TMPDIR_BENCH/sec7.txt"
 else
   echo "note: $SEC7_BIN not built; skipping the Section 7 table" >&2
 fi
@@ -490,48 +226,7 @@ if [ -x "$RASCD_BIN" ] && [ -x "$RASCD_CLIENT" ]; then
     "$RASCD_CLIENT" --port-file "$SVC_DIR/port" drain >/dev/null 2>&1 || true
     wait "$RASCD_PID" 2>/dev/null || true
 
-    python3 - "$OUT" "$LABEL" "$SVC_DIR" <<'EOF'
-import json, os, sys
-
-out_path, label, svc_dir = sys.argv[1], sys.argv[2], sys.argv[3]
-bench_path = os.path.join(svc_dir, "bench.json")
-if not (os.path.exists(bench_path) and os.path.getsize(bench_path)):
-    sys.exit("no service bench output; skipping entry")
-with open(bench_path) as f:
-    bench = json.load(f)
-
-entry = {
-    "label": label,
-    "benchmark": "service",
-    "hardware_threads": os.cpu_count(),
-    **{k: bench[k] for k in ("connections", "ops_per_connection",
-                             "ops_ok", "busy_retries", "errors",
-                             "p50_us", "p99_us") if k in bench},
-}
-# Server-side log2 latency histograms (service.op.*_us) for the run.
-stats_path = os.path.join(svc_dir, "stats.json")
-if os.path.exists(stats_path) and os.path.getsize(stats_path):
-    with open(stats_path) as f:
-        stats = json.load(f)
-    entry["server_op_histograms"] = {
-        k: v for k, v in stats.get("histograms", {}).items()
-        if k.startswith("service.op.")}
-
-doc = {"runs": []}
-if os.path.exists(out_path):
-    with open(out_path) as f:
-        doc = json.load(f)
-doc.setdefault("runs", []).append(entry)
-with open(out_path, "w") as f:
-    json.dump(doc, f, indent=2)
-    f.write("\n")
-print(f"appended 'service' entry for '{label}' to {out_path}")
-print(f"  {entry.get('connections')} connections x "
-      f"{entry.get('ops_per_connection')} ops: "
-      f"p50 {entry.get('p50_us')} us, p99 {entry.get('p99_us')} us, "
-      f"{entry.get('busy_retries')} busy retries, "
-      f"{entry.get('errors')} errors")
-EOF
+    python3 "$ENTRY" "$OUT" "$LABEL" service service "$SVC_DIR"
   else
     echo "warning: rascd never came up; skipping service entry" >&2
     kill -9 "$RASCD_PID" 2>/dev/null || true

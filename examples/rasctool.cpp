@@ -471,10 +471,10 @@ std::optional<ebpf::Cfg> readCfg(const std::string &Path) {
 
 /// One decoded program's three analyses, prepared. Heap-pinned: the
 /// analysis objects hold references into the lowerings, so the whole
-/// bundle is created in place and never moved.
+/// bundle is created in place and never moved. The map check and the
+/// register-init analysis share Df's statement program.
 struct EbpfAnalyses {
   ebpf::Cfg G;
-  ebpf::PdmcLowering Pd;
   ebpf::DataflowLowering Df;
   ebpf::FlowLowering Fl;
   std::unique_ptr<RascChecker> Checker;
@@ -496,21 +496,18 @@ std::unique_ptr<EbpfAnalyses> makeEbpfAnalyses(ebpf::Cfg G,
                                                const SolverOptions &Opts) {
   auto A = std::make_unique<EbpfAnalyses>();
   A->G = std::move(G);
-  A->Pd = ebpf::lowerToProgram(A->G);
   A->Df = ebpf::lowerToDataflow(A->G);
   A->Fl = ebpf::lowerToFlowProgram(A->G);
-  A->Checker = std::make_unique<RascChecker>(*A->Pd.Prog, Spec);
+  A->Checker = std::make_unique<RascChecker>(*A->Df.Prog, Spec);
   A->Checker->setSolverOptions(Opts);
   A->Checker->prepare();
   A->Reg = std::make_unique<AnnotatedBitVectorAnalysis>(*A->Df.Problem);
   A->Reg->prepare(Opts);
   A->Flow = std::make_unique<FlowAnalysis>(A->Fl.Prog, FlowMode::Primal);
-  A->Flow->prepare(Opts);
-  // solver() solves the flow system on the caller; solveAll() then
-  // resumes it if that solve was interrupted.
+  // All three systems are prepared unsolved; solveAll() solves them.
   A->Solvers[0] = A->Checker->solver();
   A->Solvers[1] = A->Reg->solver();
-  A->Solvers[2] = const_cast<BidirectionalSolver *>(&A->Flow->solver());
+  A->Solvers[2] = A->Flow->prepare(Opts);
   return A;
 }
 
@@ -552,7 +549,7 @@ int runEbpf(const std::string &Path, CliOptions Cli) {
   std::printf("map-check: %zu violation(s)\n", A->Violations.size());
   for (const Violation &V : A->Violations)
     std::printf("  unchecked dereference at %s\n",
-                A->Pd.Prog->note(V.Where).c_str());
+                A->Df.Prog->note(V.Where).c_str());
   std::printf("register init: %zu read(s) before initialization\n",
               A->Uninit.size());
   for (const ebpf::UninitRead &U : A->Uninit)

@@ -68,10 +68,6 @@ public:
     return States[S].Trans;
   }
 
-  const std::vector<StateId> &epsilons(StateId S) const {
-    return States[S].Eps;
-  }
-
   /// Epsilon-closes \p Set in place.
   void epsilonClose(DynamicBitset &Set) const;
 

@@ -309,12 +309,6 @@ public:
   uint32_t numRetracted() const { return NumRetracted; }
   /// @}
 
-  /// A coarse size measure (number of symbols), the "n" of the paper's
-  /// complexity discussion (Section 4).
-  size_t sizeInSymbols() const {
-    return ConstraintList.size() + Exprs.size() + ArgArena.size();
-  }
-
   /// Renders an expression for diagnostics.
   std::string exprToString(ExprId E) const;
 

@@ -57,12 +57,7 @@ public:
 /// its own, and only one thread uses it at a time.
 class MonoidDomain final : public AnnotationDomain {
 public:
-  explicit MonoidDomain(Dfa M,
-                        TransitionMonoid::Options Opts = defaultOptions());
-
-  static TransitionMonoid::Options defaultOptions() {
-    return TransitionMonoid::Options{};
-  }
+  explicit MonoidDomain(Dfa M, TransitionMonoid::Options Opts = {});
 
   AnnId identity() const override { return Mon->identity(); }
   AnnId compose(AnnId F, AnnId G) const override {

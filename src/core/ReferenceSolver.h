@@ -46,8 +46,6 @@ public:
   /// function-variable constraints).
   std::vector<std::pair<ExprId, AnnId>> upperBounds(ExprId Lhs) const;
 
-  size_t numConstraints() const { return Cons.size(); }
-
 private:
   bool addConstraint(ExprId Lhs, ExprId Rhs, AnnId Ann);
 

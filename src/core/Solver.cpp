@@ -600,6 +600,7 @@ BidirectionalSolver::Status BidirectionalSolver::solve() {
   // Metrics are recorded as deltas over this call so repeated solves
   // (resumes, online re-solves) accumulate instead of double-counting.
   const SolverStats Before = Stats;
+  ++NumSolves;
 
   if (isInterrupted(Stat))
     ++Stats.Resumes;

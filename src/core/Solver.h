@@ -331,6 +331,10 @@ public:
 
   Status status() const { return Stat; }
   const SolverStats &stats() const { return Stats; }
+  /// solve() calls over the solver's lifetime (resetToFresh() keeps
+  /// the count): a result read off the closure is current while this
+  /// count has not moved.
+  uint64_t numSolves() const { return NumSolves; }
 
   /// The solver's options. The mutable overload lets a caller raise
   /// budgets between solve() calls to resume an interrupted closure.
@@ -660,6 +664,7 @@ private:
   SolverOptions Options;
   SolverStats Stats;
   Status Stat = Status::Solved;
+  uint64_t NumSolves = 0;
 
   size_t NumIngested = 0;
 

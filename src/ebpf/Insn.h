@@ -131,9 +131,6 @@ struct Insn {
   /// ALU/JMP: true when the second operand is a register.
   bool srcIsReg() const { return Opcode & SrcX; }
 
-  bool isAlu() const {
-    return cls() == InsnClass::Alu || cls() == InsnClass::Alu64;
-  }
   bool isJmpClass() const {
     return cls() == InsnClass::Jmp || cls() == InsnClass::Jmp32;
   }
@@ -148,13 +145,6 @@ struct Insn {
     return isJmpClass() && jmpOp() != JmpOp::Call && jmpOp() != JmpOp::Exit;
   }
   bool isUncondJump() const { return isBranch() && jmpOp() == JmpOp::Ja; }
-  bool isLoad() const {
-    return cls() == InsnClass::Ldx ||
-           (cls() == InsnClass::Ld && memMode() == MemMode::Imm);
-  }
-  bool isStore() const {
-    return cls() == InsnClass::St || cls() == InsnClass::Stx;
-  }
 
   /// Slots this instruction occupies (2 for LD_IMM64).
   uint32_t slots() const { return Wide ? 2 : 1; }

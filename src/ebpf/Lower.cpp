@@ -49,49 +49,45 @@ static void renderInsnNotes(Program &P, const DecodedProgram &D) {
       [Insns = D.Insns](uint32_t I) { return toString(Insns[I]); });
 }
 
-PdmcLowering lowerToProgram(const Cfg &G, std::string FuncName) {
+PdmcLowering lowerToProgram(const Cfg &G) {
   PdmcLowering L;
   L.Prog = std::make_unique<Program>();
   Program &P = *L.Prog;
   const DecodedProgram &D = G.Prog;
-  // Entry, exit, a head per block and at most one event per
-  // instruction.
-  P.reserveStatements(2 + G.numBlocks() + D.numInsns());
-  FuncId F = P.addFunction(std::move(FuncName));
+  const uint32_t N = D.numInsns();
+  P.reserveStatements(N + 3); // entry, exit, the init Nop
+  FuncId F = P.addFunction("ebpf");
   renderInsnNotes(P, D);
 
-  // One head Nop per block, then the block's events in instruction
-  // order. Statements carry source tags; their notes are rendered only
-  // when a report asks.
+  // One statement per instruction: an Op for an event, a Nop
+  // otherwise. Statements carry source tags; their notes are rendered
+  // only when a report asks.
   std::array<OpSymId, NumEvents> Sym;
   Sym.fill(~OpSymId(0));
-  std::vector<StmtId> Tail(G.numBlocks());
-  L.BlockHead.resize(G.numBlocks());
-  for (uint32_t B = 0; B != G.numBlocks(); ++B) {
-    const Block &Blk = G.Blocks[B];
-    StmtId Head = P.addNop(F, SourceTag::block(B));
-    L.BlockHead[B] = Head;
-    StmtId Cur = Head;
-    for (uint32_t I = Blk.FirstInsn, E = Blk.FirstInsn + Blk.NumInsns; I != E;
-         ++I) {
-      Event Ev = eventOf(D.Insns[I]);
-      if (Ev == NoEvent)
-        continue;
-      if (Sym[Ev] == ~OpSymId(0))
-        Sym[Ev] = P.internSymbol(EventNames[Ev]);
-      StmtId S = P.addOp(F, Sym[Ev], SourceTag::insn(I));
-      P.addEdge(Cur, S);
-      Cur = S;
-      L.EventInsn.emplace_back(S, I);
+  L.InsnStmt.resize(N);
+  for (uint32_t I = 0; I != N; ++I) {
+    Event Ev = eventOf(D.Insns[I]);
+    if (Ev == NoEvent) {
+      L.InsnStmt[I] = P.addNop(F, SourceTag::insn(I));
+      continue;
     }
-    Tail[B] = Cur;
+    if (Sym[Ev] == ~OpSymId(0))
+      Sym[Ev] = P.internSymbol(EventNames[Ev]);
+    L.InsnStmt[I] = P.addOp(F, Sym[Ev], SourceTag::insn(I));
   }
 
-  P.addEdge(P.entry(F), L.BlockHead[0]);
-  for (uint32_t B = 0; B != G.numBlocks(); ++B)
-    for (uint32_t Succ : G.Blocks[B].Succs)
-      P.addEdge(Tail[B], L.BlockHead[Succ]);
-  // Exit blocks' tails have no successor; finalize routes them to the
+  L.Init = P.addNop(F, "entry: r1 (ctx), r10 (frame) initialized");
+  P.addEdge(P.entry(F), L.Init);
+  P.addEdge(L.Init, L.InsnStmt[0]);
+  for (uint32_t B = 0; B != G.numBlocks(); ++B) {
+    const Block &Blk = G.Blocks[B];
+    for (uint32_t I = Blk.FirstInsn; I != Blk.lastInsn(); ++I)
+      P.addEdge(L.InsnStmt[I], L.InsnStmt[I + 1]);
+    for (uint32_t Succ : Blk.Succs)
+      P.addEdge(L.InsnStmt[Blk.lastInsn()],
+                L.InsnStmt[G.Blocks[Succ].FirstInsn]);
+  }
+  // Exit instructions have no successor; finalize routes them to the
   // function exit.
   P.finalize();
   return L;
@@ -185,39 +181,14 @@ RegEffect regEffect(const Insn &I) {
 }
 
 DataflowLowering lowerToDataflow(const Cfg &G) {
-  DataflowLowering L;
-  L.Prog = std::make_unique<Program>();
-  Program &P = *L.Prog;
+  DataflowLowering L{lowerToProgram(G), {}, {}};
   const DecodedProgram &D = G.Prog;
-  const uint32_t N = D.numInsns();
-  P.reserveStatements(N + 3); // entry, exit, the init Nop
-  FuncId F = P.addFunction("ebpf");
-  renderInsnNotes(P, D);
-
-  L.InsnStmt.resize(N);
-  for (uint32_t I = 0; I != N; ++I)
-    L.InsnStmt[I] = P.addNop(F, SourceTag::insn(I));
-
+  L.Problem = std::make_unique<BitVectorProblem>(*L.Prog, NumRegs);
   // The BPF calling convention initializes r1 (context pointer) and
   // r10 (frame pointer) before the first instruction.
-  StmtId Init = P.addNop(F, "entry: r1 (ctx), r10 (frame) initialized");
-  P.addEdge(P.entry(F), Init);
-  P.addEdge(Init, L.InsnStmt[0]);
-
-  for (uint32_t B = 0; B != G.numBlocks(); ++B) {
-    const Block &Blk = G.Blocks[B];
-    for (uint32_t I = Blk.FirstInsn; I != Blk.lastInsn(); ++I)
-      P.addEdge(L.InsnStmt[I], L.InsnStmt[I + 1]);
-    for (uint32_t Succ : Blk.Succs)
-      P.addEdge(L.InsnStmt[Blk.lastInsn()],
-                L.InsnStmt[G.Blocks[Succ].FirstInsn]);
-  }
-  P.finalize();
-
-  L.Problem = std::make_unique<BitVectorProblem>(P, NumRegs);
-  L.Problem->addTransfer(Init,
+  L.Problem->addTransfer(L.Init,
                          (uint64_t(1) << 1) | (uint64_t(1) << FrameReg), 0);
-  for (uint32_t I = 0; I != N; ++I) {
+  for (uint32_t I = 0; I != D.numInsns(); ++I) {
     RegEffect E = regEffect(D.Insns[I]);
     L.Problem->addTransfer(L.InsnStmt[I], E.Def, E.Kill);
     for (uint8_t R = 0; R != NumRegs; ++R)

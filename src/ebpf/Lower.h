@@ -10,19 +10,18 @@
 /// constraint generation, the closure, retraction, proof
 /// logging, rascd, BatchSolver — runs on real programs unchanged:
 ///
-///   * pdmc: a Program whose Op statements are the property-relevant
-///     events of each instruction (helper calls, null-checks of r0,
-///     dereferences through r0), checked against typestate
-///     specifications such as mapCheckSpec() — the kernel verifier's
-///     "null-check the map lookup before dereferencing" discipline as
-///     a temporal safety property.
-///
-///   * dataflow: the same CFG with one statement per instruction and
-///     the register file as the bit vector — bit r is "register r has
-///     been written". Definitions gen, helper calls clobber (kill)
-///     the caller-saved argument registers r1-r5 and gen r0; a read
-///     of r with !mustHold is a (may-)read-before-init, with
-///     !mayHold a definite one.
+///   * pdmc and dataflow: one Program with one statement per
+///     instruction. An instruction with a property-relevant event
+///     (helper calls, null-checks of r0, dereferences through r0) is an
+///     Op statement, checked against typestate specifications such as
+///     mapCheckSpec() — the kernel verifier's "null-check the map
+///     lookup before dereferencing" discipline as a temporal safety
+///     property. The dataflow lowering adds the register file as the
+///     bit vector to the same Program — bit r is "register r has been
+///     written". Definitions gen, helper calls clobber (kill) the
+///     caller-saved argument registers r1-r5 and gen r0; a read of r
+///     with !mustHold is a (may-)read-before-init, with !mayHold a
+///     definite one.
 ///
 ///   * flow: a FlowProgram encoding register label flow — the
 ///     register file r0..r5 as a nested pair tuple threaded through
@@ -57,28 +56,23 @@ constexpr int32_t HelperMapLookup = 1;
 // pdmc lowering
 //===----------------------------------------------------------------------===//
 
-/// A bytecode-derived typestate-checking program: one pdmc function,
-/// one Op statement per property-relevant instruction.
+/// The statement program of a bytecode CFG, which the pdmc checker and
+/// the dataflow analysis share: one function, one statement per
+/// instruction in instruction order, then the calling-convention init
+/// Nop. An instruction's statement is an Op over the event alphabet
+/// {lookup, helper, check, deref} when it has an event, a Nop
+/// otherwise; its note renders "insn I: <disassembly>".
 struct PdmcLowering {
   std::unique_ptr<Program> Prog;
-  /// Per block: its head statement.
-  std::vector<StmtId> BlockHead;
-  /// Op statement -> the instruction it came from (for reporting
-  /// violations as byte offsets).
-  std::vector<std::pair<StmtId, uint32_t>> EventInsn;
-
-  /// The instruction behind an Op statement, or ~0u.
-  uint32_t insnOfStmt(StmtId S) const {
-    for (const auto &[St, Insn] : EventInsn)
-      if (St == S)
-        return Insn;
-    return ~0u;
-  }
+  /// Per instruction: its statement.
+  std::vector<StmtId> InsnStmt;
+  /// The Nop between the function entry and the first instruction:
+  /// the BPF calling convention initializes r1 (context pointer) and
+  /// r10 (frame pointer) there.
+  StmtId Init = 0;
 };
 
-/// Lowers \p G to a Program over the event alphabet
-/// {lookup, check, deref, helper}.
-PdmcLowering lowerToProgram(const Cfg &G, std::string FuncName = "ebpf");
+PdmcLowering lowerToProgram(const Cfg &G);
 
 /// The map-lookup null-check discipline as a Section 8 specification
 /// (source text, and compiled — asserts on parse failure).
@@ -98,13 +92,11 @@ struct RegEffect {
 };
 RegEffect regEffect(const Insn &I);
 
-/// A bytecode-derived gen/kill problem: bit r of the vector is
-/// "register r has been written on this path".
-struct DataflowLowering {
-  std::unique_ptr<Program> Prog;
+/// A bytecode-derived gen/kill problem over lowerToProgram()'s
+/// program: bit r of the vector is "register r has been written on
+/// this path".
+struct DataflowLowering : PdmcLowering {
   std::unique_ptr<BitVectorProblem> Problem;
-  /// Per instruction: its statement.
-  std::vector<StmtId> InsnStmt;
   /// Every register read, in instruction order.
   struct Read {
     uint32_t InsnIdx;

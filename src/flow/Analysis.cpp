@@ -485,14 +485,14 @@ ConsId FlowAnalysis::sourceConstant(FExprId From) {
   ConsId C = CS->addNumberedConstant("src@", From);
   CS->add(CS->cons(C), CS->var(labelOf(From)));
   SourceCons[From] = C;
-  PnReach.reset();
   return C;
 }
 
-void FlowAnalysis::prepare(SolverOptions Opts) {
+BidirectionalSolver *FlowAnalysis::prepare(SolverOptions Opts) {
   RASC_TRACE_SCOPE("flow.prepare");
   if (!Solver)
     Solver = std::make_unique<BidirectionalSolver>(*CS, Opts);
+  return Solver.get();
 }
 
 void FlowAnalysis::ensureSolved() {
@@ -502,30 +502,8 @@ void FlowAnalysis::ensureSolved() {
   if (Solver->ingestedConstraints() != CS->constraints().size() ||
       BidirectionalSolver::isInterrupted(Solver->status())) {
     RASC_TRACE_SCOPE("flow.solve");
-    PnReach.reset();
     Solver->solve();
   }
-}
-
-std::vector<BatchSolver::Result>
-FlowAnalysis::solveAll(std::span<FlowAnalysis *const> Analyses,
-                       const BatchSolver::Options &BatchOpts,
-                       SolverStats *MergedStats) {
-  std::vector<BidirectionalSolver *> Solvers;
-  Solvers.reserve(Analyses.size());
-  for (FlowAnalysis *A : Analyses) {
-    A->prepare();
-    Solvers.push_back(A->Solver.get());
-  }
-  BatchSolver Batch(BatchOpts);
-  std::vector<BatchSolver::Result> Results = Batch.solveAll(Solvers);
-  // An interrupted analysis resumes on its next query (ensureSolved);
-  // a solved one answers queries directly.
-  for (FlowAnalysis *A : Analyses)
-    A->PnReach.reset();
-  if (MergedStats)
-    *MergedStats = Batch.mergedStats();
-  return Results;
 }
 
 const BidirectionalSolver &FlowAnalysis::solver() {
@@ -549,10 +527,11 @@ bool FlowAnalysis::flowsPN(FExprId From, FExprId To) {
   ConsId C = sourceConstant(From);
   ensureSolved();
   // One reachability pass answers every target of this source.
-  if (!PnReach || PnSource != C) {
+  if (!PnReach || PnSource != C || PnSolves != Solver->numSolves()) {
     PnReach =
         Solver->atomReachability(C, /*AllowUnmatchedProjections=*/true);
     PnSource = C;
+    PnSolves = Solver->numSolves();
   }
   for (AnnId F : PnReach->annotations(labelOf(To)))
     if (Dom->isAccepting(F))

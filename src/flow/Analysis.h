@@ -33,14 +33,12 @@
 #ifndef RASC_FLOW_ANALYSIS_H
 #define RASC_FLOW_ANALYSIS_H
 
-#include "core/BatchSolver.h"
 #include "core/Domains.h"
 #include "core/Solver.h"
 #include "flow/Lang.h"
 
 #include <memory>
 #include <optional>
-#include <span>
 
 namespace rasc {
 
@@ -98,9 +96,8 @@ public:
   /// hasLabel(E).
   VarId labelOf(FExprId E) const;
 
-  /// The top-level label of a function's parameter / result.
+  /// The top-level label of a function's parameter.
   VarId paramLabel(FFuncId F) const { return ParamLabels[F]; }
-  VarId resultLabel(FFuncId F) const { return RetLabels[F]; }
 
   /// Stack-aware alias query (Section 7.5): do the least solutions of
   /// the two labels share a term? Only meaningful for analyses whose
@@ -114,21 +111,13 @@ public:
   const BidirectionalSolver &solver();
   const MonoidDomain &domain() const { return *Dom; }
 
-  /// Splits the lazy solve for batch use (solveAll): constructs the
-  /// solver with \p Opts without running it. Idempotent; options only
-  /// take effect on the first call (before the solver exists).
-  void prepare(SolverOptions Opts = SolverOptions());
-
-  /// Solves many independent analyses side by side on one
-  /// BatchSolver under shared governance, without solver() solving
-  /// each on the caller first. Queries afterwards behave exactly
-  /// as after an eager solve; analyses whose batch solve was
-  /// interrupted stay unsolved and re-solve (resume) lazily on their
-  /// next query. Returns the per-analysis results in input order.
-  static std::vector<BatchSolver::Result>
-  solveAll(std::span<FlowAnalysis *const> Analyses,
-           const BatchSolver::Options &BatchOpts = {},
-           SolverStats *MergedStats = nullptr);
+  /// Splits the lazy solve for batch use: constructs the solver with
+  /// \p Opts without running it and \returns it, for the caller to
+  /// solve (e.g. on a BatchSolver). Queries afterwards behave exactly
+  /// as after an eager solve; an interrupted solve resumes on the next
+  /// query. Idempotent; options only take effect on the first call
+  /// (before the solver exists).
+  BidirectionalSolver *prepare(SolverOptions Opts = SolverOptions());
 
 private:
   /// A labeled type: the type and the set variable of its top level.
@@ -172,10 +161,12 @@ private:
   /// arity-0 source feeds no projection, so a source seeded late
   /// changes no answer about the others.
   std::vector<ConsId> SourceCons;
-  /// flowsPN's reachability of source PnSource; seeding a source or a
-  /// re-solve drops it.
+  /// flowsPN's reachability of source PnSource, computed after the
+  /// solver's PnSolves-th solve; any later solve (seeding a source
+  /// re-solves) makes it stale.
   std::optional<AtomReachability> PnReach;
   ConsId PnSource = NoCons;
+  uint64_t PnSolves = 0;
   std::vector<ConsId> CallCons; // primal: o_i per call site
   ConsId PairCons = 0;          // dual
 };

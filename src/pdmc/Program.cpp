@@ -102,8 +102,6 @@ std::string Program::note(StmtId S) const {
     return "entry";
   case SourceTag::Exit:
     return "exit";
-  case SourceTag::Block:
-    return "b" + std::to_string(T.Index);
   case SourceTag::Insn: {
     std::string N = "insn " + std::to_string(T.Index);
     if (InsnText)

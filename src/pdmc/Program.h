@@ -45,21 +45,19 @@ constexpr FuncId InvalidFunc = ~FuncId(0);
 
 /// Where a statement came from, for diagnostics. A front end that
 /// builds a program per request tags its statements with a number (an
-/// instruction index, a block id) instead of building text, and
-/// Program::note() renders the text only when a report asks.
+/// instruction index) instead of building text, and Program::note()
+/// renders the text only when a report asks.
 struct SourceTag {
   enum KindTy : uint8_t {
     None,  ///< No note.
     Text,  ///< Index: a note in the program's own note table.
     Entry, ///< A function's entry statement: "entry".
     Exit,  ///< A function's exit statement: "exit".
-    Block, ///< Index: a basic block: "b<Index>".
     Insn,  ///< Index: an instruction: "insn <Index>: <text>".
   };
   KindTy Kind = None;
   uint32_t Index = 0;
 
-  static SourceTag block(uint32_t B) { return {Block, B}; }
   static SourceTag insn(uint32_t I) { return {Insn, I}; }
 };
 

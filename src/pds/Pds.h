@@ -104,11 +104,6 @@ public:
   /// \returns true if the transition is new.
   bool addTransition(uint32_t From, StackSym Sym, uint32_t To);
 
-  bool hasTransition(uint32_t From, StackSym Sym, uint32_t To) const {
-    auto It = TransSet.find(key(From, Sym));
-    return It != TransSet.end() && It->second.count(To) != 0;
-  }
-
   /// All (Sym, To) out of \p From.
   const std::vector<std::pair<StackSym, uint32_t>> &
   transitionsFrom(uint32_t From) const {

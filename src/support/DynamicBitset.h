@@ -66,12 +66,6 @@ public:
     clearPadding();
   }
 
-  /// Clears every bit.
-  void resetAll() {
-    for (uint64_t &W : Words)
-      W = 0;
-  }
-
   /// \returns true if no bit is set.
   bool none() const {
     for (uint64_t W : Words)

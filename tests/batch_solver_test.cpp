@@ -9,8 +9,8 @@
 /// BatchSolver fork-join (claimer spawn failures, task exceptions,
 /// governance), and batches built the way the applications build them
 /// (pdmc and dataflow through prepare() / solver() / finalize(), flow
-/// through FlowAnalysis::solveAll) against their sequential
-/// equivalents.
+/// through the solver FlowAnalysis::prepare() returns) against their
+/// sequential equivalents.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -528,10 +528,11 @@ TEST(BatchApps, FlowSolveAll) {
   FlowAnalysis Primal(*P, FlowMode::Primal);
   FlowAnalysis Dual(*P, FlowMode::Dual);
   std::vector<FlowAnalysis *> Ptrs{&Primal, &Dual};
+  std::vector<BidirectionalSolver *> Solvers{Primal.prepare(), Dual.prepare()};
   BatchSolver::Options BO;
   BO.Threads = 2;
   std::vector<BatchSolver::Result> Results =
-      FlowAnalysis::solveAll(Ptrs, BO);
+      BatchSolver(BO).solveAll(Solvers);
   ASSERT_EQ(Results.size(), 2u);
   for (size_t I = 0; I != 2; ++I) {
     EXPECT_FALSE(BidirectionalSolver::isInterrupted(Results[I].St));

@@ -22,7 +22,10 @@
 ///     Certifier (the acceptance gate: Certifier-clean fixpoints);
 ///   * pdmc verdicts on pinned bytecode match a hand-built reference
 ///     Program carrying the same event structure — the bytecode
-///     front-end adds exactly nothing to the checker's semantics.
+///     front-end adds exactly nothing to the checker's semantics;
+///   * over the golden and generated corpora, the per-instruction
+///     program the pdmc and dataflow analyses share has the violations
+///     of a block-head program and of MopsChecker.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -138,7 +141,7 @@ const char *appName(App A) {
 struct Pipeline {
   ebpf::Cfg G;
   std::optional<SpecAutomaton> Spec;
-  ebpf::PdmcLowering Pd;
+  /// The statement program the pdmc and dataflow analyses share.
   ebpf::DataflowLowering Df;
   ebpf::FlowLowering Fl;
   std::unique_ptr<RascChecker> Checker;
@@ -176,8 +179,8 @@ std::unique_ptr<Pipeline> buildPipeline(ebpf::Cfg G, App A) {
   switch (A) {
   case App::Pdmc:
     P->Spec.emplace(ebpf::mapCheckSpec());
-    P->Pd = ebpf::lowerToProgram(P->G);
-    P->Checker = std::make_unique<RascChecker>(*P->Pd.Prog, *P->Spec);
+    P->Df = ebpf::lowerToDataflow(P->G);
+    P->Checker = std::make_unique<RascChecker>(*P->Df.Prog, *P->Spec);
     P->Checker->prepare(); // builds the system, no solve
     break;
   case App::Dataflow:
@@ -498,6 +501,102 @@ TEST(EbpfSharedDomain, CorpusFixpointsMatchPrivateBuilds) {
       EXPECT_EQ(solveAndCertify(*Live[I], A), Private[I])
           << "corpus program " << I;
   }
+}
+
+//===----------------------------------------------------------------===//
+// The shared per-instruction program vs a block-head program and MOPS:
+// over the golden corpus and perfbench-shaped generated programs,
+// RascChecker reports the same violating instructions with the same
+// event traces on both shapes, and MopsChecker the same instructions
+//===----------------------------------------------------------------===//
+
+/// A violation as its instruction index and event trace.
+using InsnViolation = std::pair<uint32_t, std::vector<std::string>>;
+
+/// The block-head shape of \p L's program over \p G: per block a head
+/// Nop, then an Op per event instruction of the block in order; the
+/// function entry leads to block 0's head and each block's last
+/// statement to its successors' heads. \p InsnOf receives each Op's
+/// instruction, by statement.
+std::unique_ptr<Program> blockHeadProgram(const ebpf::Cfg &G,
+                                          const ebpf::PdmcLowering &L,
+                                          std::vector<uint32_t> &InsnOf) {
+  auto P = std::make_unique<Program>();
+  FuncId F = P->addFunction("ebpf");
+  std::vector<StmtId> Head(G.numBlocks()), Tail(G.numBlocks());
+  for (uint32_t B = 0; B != G.numBlocks(); ++B) {
+    const ebpf::Block &Blk = G.Blocks[B];
+    Head[B] = Tail[B] = P->addNop(F);
+    for (uint32_t I = Blk.FirstInsn; I != Blk.FirstInsn + Blk.NumInsns;
+         ++I) {
+      const Stmt &St = L.Prog->stmt(L.InsnStmt[I]);
+      if (St.Kind != Stmt::Op)
+        continue;
+      StmtId S = P->addOp(F, L.Prog->symbolName(St.OpSym));
+      InsnOf.resize(S + 1, ~0u);
+      InsnOf[S] = I;
+      P->addEdge(Tail[B], S);
+      Tail[B] = S;
+    }
+  }
+  P->addEdge(P->entry(F), Head[0]);
+  for (uint32_t B = 0; B != G.numBlocks(); ++B)
+    for (uint32_t Succ : G.Blocks[B].Succs)
+      P->addEdge(Tail[B], Head[Succ]);
+  P->finalize();
+  return P;
+}
+
+TEST(EbpfPdmcReference, SharedProgramMatchesBlockHeadsAndMops) {
+  std::vector<ebpf::Cfg> Corpus = goldenCorpus();
+  ASSERT_GE(Corpus.size(), 7u);
+  // perfbench's generated shape: 4-8 blocks of 3-6 body instructions.
+  for (uint64_t Seed = 1; Seed <= 96; ++Seed) {
+    EbpfGenOptions O;
+    O.Seed = Seed;
+    O.MaxBlocks = 4 + static_cast<unsigned>(Seed % 5);
+    O.MaxBodyInsns = 3 + static_cast<unsigned>(Seed % 4);
+    Expected<ebpf::DecodedProgram> D = ebpf::decode(generateEbpf(O));
+    ASSERT_TRUE(D) << D.error().render();
+    Corpus.push_back(ebpf::buildCfg(std::move(*D)));
+  }
+  SpecAutomaton Spec = mapCheckSpec();
+  size_t Violating = 0;
+  for (size_t K = 0; K != Corpus.size(); ++K) {
+    SCOPED_TRACE("corpus program " + std::to_string(K));
+    const ebpf::Cfg &G = Corpus[K];
+    PdmcLowering L = lowerToProgram(G);
+    auto insnOf = [&](StmtId S) {
+      const SourceTag &T = L.Prog->stmt(S).Tag;
+      EXPECT_EQ(T.Kind, SourceTag::Insn);
+      return T.Index;
+    };
+    std::vector<InsnViolation> Got;
+    for (const Violation &V : RascChecker(*L.Prog, Spec).check())
+      Got.emplace_back(insnOf(V.Where), V.EventTrace);
+
+    std::vector<uint32_t> InsnOf;
+    std::unique_ptr<Program> Ref = blockHeadProgram(G, L, InsnOf);
+    std::vector<InsnViolation> Want;
+    for (const Violation &V : RascChecker(*Ref, Spec).check())
+      Want.emplace_back(InsnOf[V.Where], V.EventTrace);
+
+    std::vector<uint32_t> Mops;
+    for (const Violation &V : MopsChecker(*L.Prog, Spec).check())
+      Mops.push_back(insnOf(V.Where));
+
+    std::sort(Got.begin(), Got.end());
+    std::sort(Want.begin(), Want.end());
+    std::sort(Mops.begin(), Mops.end());
+    EXPECT_EQ(Got, Want);
+    std::vector<uint32_t> GotInsns;
+    for (const InsnViolation &V : Got)
+      GotInsns.push_back(V.first);
+    EXPECT_EQ(GotInsns, Mops);
+    Violating += !Got.empty();
+  }
+  // The corpus exercises the property, not only clean programs.
+  EXPECT_GT(Violating, 10u);
 }
 
 } // namespace

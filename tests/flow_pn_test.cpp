@@ -116,6 +116,30 @@ TEST(FlowPn, InterruptedLazySolveResumesOnTheNextQuery) {
   EXPECT_EQ(A.solver().status(), BidirectionalSolver::Status::Solved);
 }
 
+TEST(FlowPn, SolveOutsideTheAnalysisRefreshesTheCachedReachability) {
+  // A batch resumes the solver prepare() returned after a query read
+  // an interrupted closure: the next query must not answer from the
+  // reachability cached off that closure.
+  std::optional<FlowProgram> P = FlowProgram::parse(
+      "pair (y : int) : (int, int) = (1, y);\n"
+      "main (z : int) : int = pair(2).2;\n");
+  ASSERT_TRUE(P);
+  FExprId Lit = P->literals()[1];
+  FExprId Main = P->functions()[1].Body;
+
+  FlowAnalysis A(*P, FlowMode::Primal);
+  SolverOptions O;
+  O.GovernanceCheckInterval = 1;
+  BidirectionalSolver *S = A.prepare(O);
+  {
+    failpoints::ScopedFailPoint Cancel(failpoints::Point::SolverCancel, 0);
+    EXPECT_FALSE(A.flowsPN(Lit, Main)); // the closure stopped short
+  }
+  ASSERT_TRUE(BidirectionalSolver::isInterrupted(S->status()));
+  EXPECT_EQ(S->solve(), BidirectionalSolver::Status::Solved);
+  EXPECT_TRUE(A.flowsPN(Lit, Main));
+}
+
 TEST(FlowPn, RandomProgramsMatchedSubsetOfPn) {
   // On arbitrary recursion-free programs, flows() ⊆ flowsPN().
   for (uint64_t Seed = 1; Seed <= 10; ++Seed) {

@@ -76,18 +76,18 @@ TEST(PrivateDomainConcurrency, FourThreadsBuildThenPoolSolve) {
     T.join();
 
   std::set<const MonoidDomain *> Domains;
-  std::vector<FlowAnalysis *> Ptrs;
+  std::vector<BidirectionalSolver *> Ptrs;
   for (const std::unique_ptr<FlowAnalysis> &A : Analyses) {
     Domains.insert(&A->domain());
     // Construction interns the identity and the generators only.
     EXPECT_EQ(A->domain().monoid().composeMisses(), 0u);
-    Ptrs.push_back(A.get());
+    Ptrs.push_back(A->prepare());
   }
   EXPECT_EQ(Domains.size(), Systems) << "a domain is shared";
 
   BatchSolver::Options BO;
   BO.Threads = Threads;
-  std::vector<BatchSolver::Result> Res = FlowAnalysis::solveAll(Ptrs, BO);
+  std::vector<BatchSolver::Result> Res = BatchSolver(BO).solveAll(Ptrs);
   ASSERT_EQ(Res.size(), Systems);
   for (unsigned I = 0; I != Systems; ++I) {
     SCOPED_TRACE("system " + std::to_string(I));

@@ -15,9 +15,9 @@
 ///    "o<i>" and "src@<e>";
 ///  - automaton symbols: every bracket "[i_tau" of the Section 7 pair
 ///    automaton and every "call<i>"/"ret<i>" of the call automaton;
-///  - eBPF notes: "b<i>" block heads and "insn I: <disassembly>" of the
-///    pdmc and dataflow lowerings, which stay readable after the
-///    decoded program is gone;
+///  - eBPF notes: "insn I: <disassembly>" of every instruction's
+///    statement in the program the pdmc and dataflow analyses share,
+///    which stays readable after the decoded program is gone;
 ///  - Program symbols: interned once per distinct name.
 ///
 //===----------------------------------------------------------------------===//
@@ -216,39 +216,59 @@ TEST(NamesOnDemand, CallSymbolNamesMatchTheEagerRendering) {
   }
 }
 
+/// The map-check event of an instruction, "" for none: helper 1 is a
+/// lookup and any other call a helper; "if r0 ==/!= 0" is a check; a
+/// load through r0 or a store into it is a dereference.
+std::string ebpfEvent(const ebpf::Insn &I) {
+  using namespace ebpf;
+  if (I.isCall())
+    return I.Imm == HelperMapLookup ? "lookup" : "helper";
+  if (I.isBranch() && !I.isUncondJump() && !I.srcIsReg() && I.Dst == 0 &&
+      I.Imm == 0 && (I.jmpOp() == JmpOp::Jeq || I.jmpOp() == JmpOp::Jne))
+    return "check";
+  if ((I.cls() == InsnClass::Ldx && I.Src == 0) ||
+      ((I.cls() == InsnClass::St || I.cls() == InsnClass::Stx) && I.Dst == 0))
+    return "deref";
+  return "";
+}
+
 TEST(NamesOnDemand, EbpfNotesMatchTheEagerRendering) {
   for (uint64_t Seed = 1; Seed <= 64; ++Seed) {
     SCOPED_TRACE("seed " + std::to_string(Seed));
     std::vector<ebpf::Insn> Insns;
-    ebpf::PdmcLowering Pd;
     ebpf::DataflowLowering Df;
-    std::vector<uint32_t> BlockOf;
     {
-      // The lowerings outlive the decoded program they render from.
+      // The lowering outlives the decoded program it renders from.
       ebpf::Cfg G = generatedCfg(Seed);
       Insns = G.Prog.Insns;
-      Pd = ebpf::lowerToProgram(G);
       Df = ebpf::lowerToDataflow(G);
     }
     auto insnNote = [&](uint32_t I) {
       return "insn " + std::to_string(I) + ": " + ebpf::toString(Insns[I]);
     };
-    const Program &P = *Pd.Prog;
+    // One statement per instruction, an Op with its event's symbol
+    // exactly where the instruction has one, and no other statement
+    // but entry, exit and the init Nop (no block heads).
+    const Program &P = *Df.Prog;
+    ASSERT_EQ(P.numStatements(), Insns.size() + 3);
     EXPECT_EQ(P.note(P.entry(0)), "entry");
     EXPECT_EQ(P.note(P.exit(0)), "exit");
-    for (uint32_t B = 0; B != Pd.BlockHead.size(); ++B)
-      EXPECT_EQ(P.note(Pd.BlockHead[B]), "b" + std::to_string(B));
-    for (const auto &[S, I] : Pd.EventInsn)
-      EXPECT_EQ(P.note(S), insnNote(I));
-
-    const Program &Q = *Df.Prog;
+    EXPECT_EQ(P.note(Df.Init), "entry: r1 (ctx), r10 (frame) initialized");
     for (uint32_t I = 0; I != Insns.size(); ++I) {
-      EXPECT_EQ(Q.note(Df.InsnStmt[I]), insnNote(I));
-      EXPECT_EQ(Q.describe(Df.InsnStmt[I]),
-                "ebpf:" + std::to_string(Df.InsnStmt[I]) + " " + insnNote(I));
+      StmtId S = Df.InsnStmt[I];
+      EXPECT_EQ(P.note(S), insnNote(I));
+      const Stmt &St = P.stmt(S);
+      std::string Event = ebpfEvent(Insns[I]);
+      if (Event.empty()) {
+        EXPECT_EQ(St.Kind, Stmt::Nop);
+        EXPECT_EQ(P.describe(S),
+                  "ebpf:" + std::to_string(S) + " " + insnNote(I));
+      } else {
+        ASSERT_EQ(St.Kind, Stmt::Op);
+        EXPECT_EQ(P.symbolName(St.OpSym), Event);
+        EXPECT_EQ(P.describe(S), "ebpf:" + std::to_string(S) + " " + Event);
+      }
     }
-    EXPECT_EQ(Q.note(Df.InsnStmt.back() + 1),
-              "entry: r1 (ctx), r10 (frame) initialized");
   }
 }
 
