@@ -21,10 +21,18 @@
 /// when the three checkers disagree on any package, so its ctest smoke
 /// run is a differential gate.
 ///
-/// A second table lists each package's violation query: the wall time
-/// of RascChecker::collectViolations on the solved system (run again
-/// after the timed check, with metrics on) and the PN-reachability
-/// facts it read, from the solver.reach_facts counter.
+/// A second table lists, per package, the front half of a check and
+/// its violation query. "spec us" compiles the full privilege spec
+/// from its text, as every check does; "encode us" is encodeProgram
+/// on the package (both the fastest of five runs). The query is the
+/// wall time of RascChecker::collectViolations on the solved system
+/// (run again after the timed check, with metrics on), and "facts"
+/// the PN-reachability facts it read, from the solver.reach_facts
+/// counter.
+///
+/// A third table compiles generated N-state, N-symbol specs (N^2
+/// arms) and reports the compile time per arm, which stays flat as N
+/// grows from 100 to 800.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +42,7 @@
 #include "pdmc/Properties.h"
 #include "progen/ProgramGen.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -77,9 +86,23 @@ int main() {
   struct Query {
     std::string Package;
     size_t Lines;
+    double SpecUs, EncodeUs;
     double Ms;
     uint64_t Facts;
   };
+  // The fastest of five runs of \p F, in microseconds.
+  auto bestUs = [](auto F) {
+    double Best = 1e300;
+    for (int I = 0; I != 5; ++I) {
+      auto T0 = std::chrono::steady_clock::now();
+      F();
+      std::chrono::duration<double, std::micro> Us =
+          std::chrono::steady_clock::now() - T0;
+      Best = std::min(Best, Us.count());
+    }
+    return Best;
+  };
+  MonoidDomain Dom(Spec.machine());
   std::vector<Query> Queries;
   MetricsRegistry::Counter &Facts =
       MetricsRegistry::global().counter("solver.reach_facts");
@@ -95,6 +118,18 @@ int main() {
       RascChecker RC(P, Spec);
       std::vector<Violation> VR = RC.check();
       RascTotal += RC.stats().Seconds;
+      double SpecUs = bestUs([] { fullPrivilegeSpec(); });
+      // The annotations RascChecker encodes the package with.
+      std::vector<AnnId> Anns(P.numStatements(), IdentityStmt);
+      for (StmtId S = 0; S != P.numStatements(); ++S)
+        if (P.stmt(S).Kind == Stmt::Op)
+          if (std::optional<SymbolId> Sym =
+                  Spec.machine().symbol(P.symbolName(P.stmt(S).OpSym)))
+            Anns[S] = Dom.symbolAnn(*Sym);
+      double EncodeUs = bestUs([&] {
+        ConstraintSystem CS(Dom);
+        encodeProgram(P, CS, Anns, "bench");
+      });
       {
         uint64_t Before = Facts.get();
         observe::setMetricsEnabled(true);
@@ -104,8 +139,8 @@ int main() {
             std::chrono::steady_clock::now() - Q0;
         observe::setMetricsEnabled(false);
         Queries.push_back({std::string(R.Name) + " #" + std::to_string(I + 1),
-                           R.Lines / R.Programs, Ms.count(),
-                           Facts.get() - Before});
+                           R.Lines / R.Programs, SpecUs, EncodeUs,
+                           Ms.count(), Facts.get() - Before});
       }
       RascChecker FC(P, Spec, SolveStrategy::Forward);
       std::vector<Violation> VF = FC.check();
@@ -135,14 +170,46 @@ int main() {
               "strategy on the same\n"
               " constraints: i = |S| classes instead of |F_M^≡|.)\n");
 
-  std::printf("\nViolation query per package (collectViolations on the "
-              "solved system):\n\n");
-  std::printf("| %-20s | %7s | %10s | %8s |\n", "Package", "Lines",
-              "query (ms)", "facts");
-  std::printf("|----------------------|---------|------------|----------|\n");
+  std::printf("\nFront half and violation query per package (spec "
+              "compile, encodeProgram,\ncollectViolations on the solved "
+              "system):\n\n");
+  std::printf("| %-20s | %7s | %7s | %9s | %10s | %8s |\n", "Package",
+              "Lines", "spec us", "encode us", "query (ms)", "facts");
+  std::printf("|----------------------|---------|---------|-----------|"
+              "------------|----------|\n");
   for (const Query &Q : Queries)
-    std::printf("| %-20s | %7zu | %10.3f | %8llu |\n", Q.Package.c_str(),
-                Q.Lines, Q.Ms, static_cast<unsigned long long>(Q.Facts));
+    std::printf("| %-20s | %7zu | %7.1f | %9.1f | %10.3f | %8llu |\n",
+                Q.Package.c_str(), Q.Lines, Q.SpecUs, Q.EncodeUs, Q.Ms,
+                static_cast<unsigned long long>(Q.Facts));
+
+  // Spec compile scaling: q<S> goes to q<(7S + 13A + 1) mod N> on s<A>.
+  std::printf("\nSpec compile, N states x N symbols (N^2 arms):\n\n");
+  std::printf("| %4s | %9s | %10s | %10s |\n", "N", "text (MB)",
+              "compile ms", "ns per arm");
+  std::printf("|------|-----------|------------|------------|\n");
+  double MinPerArm = 1e300, MaxPerArm = 0;
+  for (unsigned N : {100u, 200u, 400u, 800u}) {
+    std::string Text;
+    for (unsigned S = 0; S != N; ++S) {
+      Text += (S == 0 ? "start accept state q" : "state q") +
+              std::to_string(S) + " :\n";
+      for (unsigned A = 0; A != N; ++A)
+        Text += "  | s" + std::to_string(A) + " -> q" +
+                std::to_string((S * 7 + A * 13 + 1) % N) + "\n";
+      Text += "  ;\n";
+    }
+    auto T0 = std::chrono::steady_clock::now();
+    bool Ok = static_cast<bool>(parseSpecEx(Text));
+    std::chrono::duration<double, std::milli> Ms =
+        std::chrono::steady_clock::now() - T0;
+    double PerArm = Ms.count() * 1e6 / (double(N) * N);
+    MinPerArm = std::min(MinPerArm, PerArm);
+    MaxPerArm = std::max(MaxPerArm, PerArm);
+    std::printf("| %4u | %9.2f | %10.1f | %10.0f |%s\n", N,
+                Text.size() / 1e6, Ms.count(), PerArm, Ok ? "" : " failed");
+  }
+  std::printf("\n(ns per arm, largest over smallest: %.2f)\n",
+              MaxPerArm / MinPerArm);
   if (!AllAgree) {
     std::fprintf(stderr, "error: the checkers disagree on a package "
                          "(rows marked '!')\n");

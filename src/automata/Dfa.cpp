@@ -99,9 +99,12 @@ std::string Dfa::toDot(std::string_view Title) const {
 
 SymbolId DfaBuilder::addSymbol(std::string_view Name) {
   assert(Symbols.size() == NumSyms && "named symbol in a generated alphabet");
-  for (SymbolId I = 0; I != NumSyms; ++I)
-    if (Symbols[I] == Name)
-      return I;
+  auto [Id, Fresh] = SymbolIds.findOrInsert(
+      Name, NumSyms, [this](uint32_t I) -> std::string_view {
+        return Symbols[I];
+      });
+  if (!Fresh)
+    return Id;
   Symbols.emplace_back(Name);
   return widen();
 }
@@ -112,20 +115,31 @@ SymbolId DfaBuilder::addGeneratedSymbol() {
 }
 
 SymbolId DfaBuilder::widen() {
-  size_t K = NumSyms++;
+  SymbolId K = NumSyms++;
+  if (K < Stride)
+    return K; // every row already has the column, unset
+  size_t NewStride = numStates() == 0 ? NumSyms : std::max(2 * Stride, 4u);
   if (numStates() != 0) {
-    // A symbol after states: re-lay the rows out one column wider.
-    std::vector<StateId> Wider(numStates() * (K + 1), InvalidState);
+    std::vector<StateId> Wider(numStates() * NewStride, InvalidState);
     for (size_t S = 0, N = numStates(); S != N; ++S)
-      std::copy_n(Trans.begin() + S * K, K, Wider.begin() + S * (K + 1));
+      std::copy_n(Trans.begin() + S * Stride, K, Wider.begin() + S * NewStride);
     Trans = std::move(Wider);
   }
-  return static_cast<SymbolId>(K);
+  Stride = static_cast<uint32_t>(NewStride);
+  return K;
+}
+
+void DfaBuilder::reserve(uint32_t States, uint32_t NumSymbols) {
+  Symbols.reserve(NumSymbols);
+  SymbolIds.reserve(NumSymbols);
+  Accepting.reserve(States);
+  Trans.reserve(static_cast<size_t>(States) *
+                std::max<size_t>(Stride, NumSymbols));
 }
 
 StateId DfaBuilder::addState() {
   Accepting.push_back(false);
-  Trans.resize(Trans.size() + NumSyms, InvalidState);
+  Trans.resize(Trans.size() + Stride, InvalidState);
   return static_cast<StateId>(Accepting.size() - 1);
 }
 
@@ -137,7 +151,7 @@ void DfaBuilder::setAccepting(StateId S, bool IsAccepting) {
 void DfaBuilder::addTransition(StateId From, SymbolId Sym, StateId To) {
   assert(From < numStates() && To < numStates() && "state out of range");
   assert(Sym < NumSyms && "symbol out of range");
-  StateId &Slot = Trans[static_cast<size_t>(From) * NumSyms + Sym];
+  StateId &Slot = Trans[static_cast<size_t>(From) * Stride + Sym];
   assert((Slot == InvalidState || Slot == To) &&
          "conflicting deterministic transition");
   Slot = To;
@@ -146,21 +160,23 @@ void DfaBuilder::addTransition(StateId From, SymbolId Sym, StateId To) {
 Dfa DfaBuilder::build() const {
   uint32_t N = numStates();
   assert(N > 0 && "automaton needs at least one state");
-  bool NeedDead =
-      std::find(Trans.begin(), Trans.end(), InvalidState) != Trans.end();
-
-  uint32_t Total = N + (NeedDead ? 1 : 0);
+  // Unset transitions, and every transition of the dead state, go to
+  // the dead state (created only if some transition is unset).
   StateId Dead = N;
+  std::vector<StateId> Table(static_cast<size_t>(N + 1) * NumSyms, Dead);
+  bool NeedDead = false;
+  for (size_t S = 0; S != N; ++S)
+    for (size_t A = 0; A != NumSyms; ++A) {
+      StateId T = Trans[S * Stride + A];
+      NeedDead |= T == InvalidState;
+      Table[S * NumSyms + A] = T == InvalidState ? Dead : T;
+    }
+  uint32_t Total = N + (NeedDead ? 1 : 0);
+  Table.resize(static_cast<size_t>(Total) * NumSyms);
   DynamicBitset Acc(Total);
   for (uint32_t I = 0; I != N; ++I)
     if (Accepting[I])
       Acc.set(I);
-
-  // Unset transitions, and every transition of the dead state, go to
-  // the dead state.
-  std::vector<StateId> Table(static_cast<size_t>(Total) * NumSyms, Dead);
-  std::replace_copy(Trans.begin(), Trans.end(), Table.begin(), InvalidState,
-                    Dead);
   if (Namer)
     return Dfa(NumSyms, Namer, Total, Start, std::move(Acc),
                std::move(Table));

@@ -23,6 +23,7 @@
 #define RASC_AUTOMATA_DFA_H
 
 #include "support/DynamicBitset.h"
+#include "support/NameIndex.h"
 
 #include <cassert>
 #include <cstdint>
@@ -149,6 +150,11 @@ private:
 
 /// Incremental construction of a total DFA. Missing transitions are
 /// routed to an implicitly created dead state.
+///
+/// Symbols and states may come in any order. Rows are laid out with a
+/// stride that doubles when a symbol outgrows it, so building a
+/// states x symbols table costs O(states x symbols) however the two
+/// interleave, and a symbol is found by name in O(1).
 class DfaBuilder {
 public:
   /// Adds (or finds) an alphabet symbol.
@@ -159,6 +165,9 @@ public:
   /// symbols are either all named or all generated.
   SymbolId addGeneratedSymbol();
   void setSymbolNamer(SymbolNamer N) { Namer = std::move(N); }
+
+  /// Makes room for \p States states over \p Symbols symbols.
+  void reserve(uint32_t States, uint32_t Symbols);
 
   /// Adds a new state with every transition unset.
   StateId addState();
@@ -180,11 +189,13 @@ private:
   SymbolId widen();
 
   std::vector<std::string> Symbols; // empty for a generated alphabet
+  NameIndex SymbolIds;              // over Symbols
   SymbolNamer Namer;
   uint32_t NumSyms = 0;
+  uint32_t Stride = 0; // row length of Trans, at least NumSyms
   std::vector<bool> Accepting; // one per state
-  // Trans[s * NumSyms + a], InvalidState if unset: one flat table,
-  // re-laid out only when a symbol is added after states.
+  // Trans[s * Stride + a], InvalidState if unset: one flat table, laid
+  // out again only when a symbol outgrows the stride.
   std::vector<StateId> Trans;
   StateId Start = 0;
 };

@@ -27,10 +27,8 @@ uint64_t structuralHash(const Expr &E, std::span<const VarId> Args) {
 } // namespace
 
 ExprId ConstraintSystem::find(const Expr &E, std::span<const VarId> Args,
-                              uint64_t H) const {
-  const uint32_t *Head = ExprIndex.lookup(H);
-  for (ExprId Id = Head ? *Head : InvalidExpr; Id != InvalidExpr;
-       Id = SameHash[Id]) {
+                              ExprId Head) const {
+  for (ExprId Id = Head; Id != InvalidExpr; Id = SameHash[Id]) {
     const Expr &Cand = Exprs[Id];
     if (Cand.Kind == E.Kind && Cand.C == E.C && Cand.Index == E.Index &&
         Cand.V == E.V && Cand.NumArgs == Args.size() &&
@@ -43,9 +41,6 @@ ExprId ConstraintSystem::find(const Expr &E, std::span<const VarId> Args,
 
 ExprId ConstraintSystem::intern(const Expr &E,
                                 std::span<const VarId> Args) const {
-  uint64_t H = structuralHash(E, Args);
-  if (ExprId Id = find(E, Args, H); Id != InvalidExpr)
-    return Id;
   // Arguments read out of the arena itself (say, args() of another
   // expr) would dangle when the insert below reallocates it.
   const VarId *Arena = ArgArena.data();
@@ -54,7 +49,20 @@ ExprId ConstraintSystem::intern(const Expr &E,
     std::vector<VarId> Copy(Args.begin(), Args.end());
     return intern(E, Copy);
   }
+  // One probe: a new hash heads its own chain at once; under a known
+  // hash, the chain is searched and a new expr is linked in right
+  // after its head.
+  uint64_t H = structuralHash(E, Args);
   ExprId Id = static_cast<ExprId>(Exprs.size());
+  auto [Head, Fresh] = ExprIndex.findOrInsert(H, Id);
+  if (!Fresh) {
+    if (ExprId Found = find(E, Args, Head); Found != InvalidExpr)
+      return Found;
+    SameHash.push_back(SameHash[Head]);
+    SameHash[Head] = Id;
+  } else {
+    SameHash.push_back(InvalidExpr);
+  }
   Expr &New = Exprs.emplace_back(E);
   if (E.Kind == ExprKind::Cons) {
     New.Alpha = NumFnVars++;
@@ -62,22 +70,14 @@ ExprId ConstraintSystem::intern(const Expr &E,
     New.NumArgs = static_cast<uint32_t>(Args.size());
     ArgArena.insert(ArgArena.end(), Args.begin(), Args.end());
   }
-  // A new hash heads its own chain; a colliding expr is linked in
-  // right after the existing head.
-  auto [Head, Fresh] = ExprIndex.findOrInsert(H, Id);
-  if (Fresh) {
-    SameHash.push_back(InvalidExpr);
-  } else {
-    SameHash.push_back(SameHash[Head]);
-    SameHash[Head] = Id;
-  }
   return Id;
 }
 
 ExprId ConstraintSystem::findCons(ConsId C,
                                   std::span<const VarId> Args) const {
   Expr E{ExprKind::Cons, C, 0, InvalidVar};
-  return find(E, Args, structuralHash(E, Args));
+  const uint32_t *Head = ExprIndex.lookup(structuralHash(E, Args));
+  return Head ? find(E, Args, *Head) : InvalidExpr;
 }
 
 Expected<ExprId> ConstraintSystem::varChecked(VarId V) const {

@@ -114,15 +114,26 @@ public:
 
   const AnnotationDomain &domain() const { return Domain; }
 
-  /// Makes room for \p N variables, \p N expressions and \p N
-  /// constraints, for a generator that knows its size up front (about
-  /// one of each per program node, say).
-  void reserve(size_t N) {
-    VarNames.reserve(N);
-    ConstraintList.reserve(N);
-    Exprs.reserve(N);
-    SameHash.reserve(N);
-    VarExpr.reserve(N);
+  /// What a generator that knows its size up front expects to add.
+  struct Capacity {
+    size_t Vars = 0;
+    size_t Exprs = 0;    ///< of every kind
+    size_t Interned = 0; ///< of the Exprs, constructor and projection ones
+    size_t Constructors = 0;
+    size_t Constraints = 0;
+  };
+
+  /// Makes room for \p C, so that the builders below do not regrow
+  /// their tables one push at a time.
+  void reserve(const Capacity &C) {
+    VarNames.reserve(VarNames.size() + C.Vars);
+    VarExpr.reserve(VarNames.size() + C.Vars);
+    Exprs.reserve(Exprs.size() + C.Exprs);
+    SameHash.reserve(Exprs.size() + C.Exprs);
+    ExprIndex.reserve(ExprIndex.size() + C.Interned);
+    ArgArena.reserve(ArgArena.size() + C.Interned);
+    Constructors.reserve(Constructors.size() + C.Constructors);
+    ConstraintList.reserve(ConstraintList.size() + C.Constraints);
   }
 
   /// Declares a constructor. Names are for diagnostics; distinct calls
@@ -328,9 +339,10 @@ private:
 
   /// Interns a Cons (with \p Args) or Proj expression.
   ExprId intern(const Expr &E, std::span<const VarId> Args) const;
-  /// The interned expression structurally equal to \p E with \p Args,
-  /// looked up under its hash \p H, or InvalidExpr.
-  ExprId find(const Expr &E, std::span<const VarId> Args, uint64_t H) const;
+  /// The interned expression structurally equal to \p E with \p Args
+  /// on the chain of equal hashes that starts at \p Head, or
+  /// InvalidExpr.
+  ExprId find(const Expr &E, std::span<const VarId> Args, ExprId Head) const;
 
   /// Unwraps a checked-builder result for the asserting API.
   ExprId must(Expected<ExprId> E) const {

@@ -172,7 +172,7 @@ void IterativeBitVectorAnalysis::solve() {
           continue; // the callee never returns; path blocked here
         Transfer OutMay = composeT(TMay[S], stmtTransfer(S, true));
         Transfer OutMust = composeT(TMust[S], stmtTransfer(S, false));
-        for (StmtId Succ : Prog.stmt(S).Succs) {
+        for (StmtId Succ : Prog.succs(S)) {
           Transfer NewMay =
               IntraReach[Succ] ? mergeMay(TMay[Succ], OutMay) : OutMay;
           Transfer NewMust =

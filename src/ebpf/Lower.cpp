@@ -55,7 +55,10 @@ PdmcLowering lowerToProgram(const Cfg &G) {
   Program &P = *L.Prog;
   const DecodedProgram &D = G.Prog;
   const uint32_t N = D.numInsns();
-  P.reserveStatements(N + 3); // entry, exit, the init Nop
+  // Statements: entry, exit, the init Nop and one per instruction.
+  // Edges: entry and init, each fall-through inside a block, each
+  // block edge, and the exits that finalize() adds.
+  P.reserve(N + 3, N + 2 + G.numEdges());
   FuncId F = P.addFunction("ebpf");
   renderInsnNotes(P, D);
 

@@ -307,7 +307,9 @@ FlowAnalysis::FlowAnalysis(const FlowProgram &P, FlowMode Mode)
                                : buildCallAutomaton(P, &CallSyms));
   CS = std::make_unique<ConstraintSystem>(*Dom);
   // About one label, one constraint and one set expression per node.
-  CS->reserve(P.numExprs());
+  CS->reserve({.Vars = P.numExprs(),
+               .Exprs = P.numExprs(),
+               .Constraints = P.numExprs()});
 
   if (Mode == FlowMode::Primal) {
     CallCons.resize(P.numCallSites());

@@ -63,20 +63,20 @@ bool RascChecker::isRelevant(const Stmt &St) const {
   return St.Kind == Stmt::Op && SpecSym[St.OpSym] != InvalidSymbol;
 }
 
-AnnId RascChecker::opAnn(const Stmt &St) const {
-  SymbolId Sym = SpecSym[St.OpSym];
+AnnId RascChecker::opAnn(StmtId S) const {
+  SymbolId Sym = SpecSym[Prog.stmt(S).OpSym];
   AnnId BaseAnn = Base->symbolAnn(Sym);
   if (!Parametric)
     return BaseAnn;
   const SpecSymbol &Decl = Spec.symbols()[Sym];
   if (Decl.Params.empty())
     return EnvDom->lift(BaseAnn);
-  assert(Decl.Params.size() == St.OpLabels.size() &&
+  std::span<const std::string> Labels = Prog.labels(S);
+  assert(Decl.Params.size() == Labels.size() &&
          "operation label count must match the symbol declaration");
   std::vector<ParamBinding> Key;
   for (size_t I = 0; I != Decl.Params.size(); ++I)
-    Key.push_back(
-        {EnvDom->name(Decl.Params[I]), EnvDom->name(St.OpLabels[I])});
+    Key.push_back({EnvDom->name(Decl.Params[I]), EnvDom->name(Labels[I])});
   return EnvDom->instantiate(std::move(Key), BaseAnn);
 }
 
@@ -89,7 +89,7 @@ void RascChecker::generate() {
   std::vector<AnnId> Anns(Prog.numStatements(), IdentityStmt);
   for (StmtId S = 0; S != Prog.numStatements(); ++S)
     if (isRelevant(Prog.stmt(S)))
-      Anns[S] = opAnn(Prog.stmt(S));
+      Anns[S] = opAnn(S);
   Enc = encodeProgram(Prog, *CS, Anns, "pdmc");
   Stats.Constraints = CS->constraints().size();
 }
@@ -136,7 +136,7 @@ std::vector<Violation> RascChecker::collectViolations() {
     const Stmt &St = Prog.stmt(S);
     if (!isRelevant(St))
       continue;
-    AnnId StepAnn = opAnn(St);
+    AnnId StepAnn = opAnn(S);
     for (AnnId F : AR.annotations(Enc.StmtVars[S])) {
       // The witness call stack is built only for a reported violation:
       // most (statement, annotation) pairs report nothing. The term's
@@ -255,7 +255,8 @@ std::vector<Violation> MopsChecker::check() {
     if (Sym == InvalidSymbol || !Spec.isParametric(Sym))
       continue;
     AnyParametric = true;
-    Instances.insert(St.OpLabels);
+    std::span<const std::string> Labels = Prog.labels(S);
+    Instances.emplace(Labels.begin(), Labels.end());
   }
 
   std::vector<Violation> Out;
@@ -276,12 +277,14 @@ void MopsChecker::checkInstance(const std::vector<std::string> &Labels,
   const Dfa &M = Spec.machine();
 
   // Is this statement a property transition in this instance?
-  auto relevantSym = [&](const Stmt &St) -> std::optional<SymbolId> {
+  auto relevantSym = [&](StmtId S) -> std::optional<SymbolId> {
+    const Stmt &St = Prog.stmt(S);
     if (St.Kind != Stmt::Op)
       return std::nullopt;
     SymbolId Sym = SpecSym[St.OpSym];
     if (Sym == InvalidSymbol ||
-        (Spec.isParametric(Sym) && St.OpLabels != Labels))
+        (Spec.isParametric(Sym) &&
+         !std::ranges::equal(Prog.labels(S), Labels)))
       return std::nullopt;
     return Sym;
   };
@@ -307,7 +310,7 @@ void MopsChecker::checkInstance(const std::vector<std::string> &Labels,
       continue;
     }
     if (St.Kind == Stmt::Call) {
-      for (StmtId Succ : St.Succs) {
+      for (StmtId Succ : Prog.succs(S)) {
         ReturnSiteToCall.emplace(StmtSym[Succ], S);
         for (StateId Q = 0; Q != M.numStates(); ++Q)
           P.addRule(Q, StmtSym[S], Q,
@@ -315,8 +318,8 @@ void MopsChecker::checkInstance(const std::vector<std::string> &Labels,
       }
       continue;
     }
-    std::optional<SymbolId> Sym = relevantSym(St);
-    for (StmtId Succ : St.Succs)
+    std::optional<SymbolId> Sym = relevantSym(S);
+    for (StmtId Succ : Prog.succs(S))
       for (StateId Q = 0; Q != M.numStates(); ++Q)
         P.addRule(Q, StmtSym[S], Sym ? M.next(Q, *Sym) : Q,
                   {StmtSym[Succ]});
@@ -340,8 +343,7 @@ void MopsChecker::checkInstance(const std::vector<std::string> &Labels,
         EpsAdj[S].push_back(T);
 
   for (StmtId S = 0; S != Prog.numStatements(); ++S) {
-    const Stmt &St = Prog.stmt(S);
-    std::optional<SymbolId> Sym = relevantSym(St);
+    std::optional<SymbolId> Sym = relevantSym(S);
     if (!Sym)
       continue;
     for (StateId Q = 0; Q != M.numStates(); ++Q) {

@@ -140,7 +140,7 @@ public:
 
 private:
   bool isRelevant(const Stmt &St) const;
-  AnnId opAnn(const Stmt &St) const;
+  AnnId opAnn(StmtId S) const;
   void generate();
   std::vector<Violation> checkForward();
 

@@ -16,6 +16,11 @@
 /// statements with no explicit successor fall through to the
 /// function's exit.
 ///
+/// Successors are kept in compressed sparse row (CSR) form: addEdge()
+/// appends to one edge list, and finalize() lays it out as one offset
+/// array and one target array, so a pass over the CFG reads two flat
+/// arrays instead of one heap vector per statement.
+///
 /// encodeProgram() is the Section 6.1 constraint encoding that both
 /// applications (pdmc, dataflow) generate through.
 ///
@@ -32,6 +37,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace rasc {
@@ -70,12 +76,11 @@ struct Stmt {
   };
 
   KindTy Kind = Nop;
-  OpSymId OpSym = 0;                 ///< Op: the property symbol.
-  std::vector<std::string> OpLabels; ///< Op: parameter labels, if any.
-  FuncId Callee = InvalidFunc;       ///< Call.
+  OpSymId OpSym = 0;           ///< Op: the property symbol.
+  FuncId Callee = InvalidFunc; ///< Call.
   FuncId Parent = InvalidFunc;
-  std::vector<StmtId> Succs;
-  SourceTag Tag; ///< Source location for diagnostics; see note().
+  SourceTag Tag;           ///< Source location for diagnostics; see note().
+  uint32_t LabelSet = 0;   ///< Op: 1 + its index in the label sets, if any
 };
 
 /// A whole program: functions, statements, edges.
@@ -120,31 +125,66 @@ public:
     InsnText = std::move(Render);
   }
 
-  /// Adds a CFG edge.
+  /// Adds a CFG edge. A statement's successors are listed in the order
+  /// of their addEdge() calls.
   void addEdge(StmtId From, StmtId To) {
     assert(From < Stmts.size() && To < Stmts.size() && "bad statement");
     assert(Stmts[From].Parent == Stmts[To].Parent &&
            "CFG edges are intraprocedural");
-    Stmts[From].Succs.push_back(To);
+    Edges.push_back({From, To});
+    Finalized = false;
   }
 
   /// Routes every statement without a successor (except exits) to its
-  /// function's exit. Call once after construction.
+  /// function's exit, and lays the successor lists out for succs().
+  /// Call after construction, and again after adding statements or
+  /// edges; a second call with nothing added changes nothing.
   void finalize();
+
+  /// The successors of \p S in addEdge() order (with the exit that
+  /// finalize() adds to a statement that had none). Valid from
+  /// finalize() until the next addition.
+  std::span<const StmtId> succs(StmtId S) const {
+    std::span<const uint32_t> Begin = succBegin();
+    assert(S < Stmts.size() && "statement out of range");
+    return succTargets().subspan(Begin[S], Begin[S + 1] - Begin[S]);
+  }
+  /// Every successor list back to back: those of S are
+  /// [succBegin()[S], succBegin()[S + 1]) of succTargets(). For passes
+  /// over the whole CFG; valid when succs() is.
+  std::span<const uint32_t> succBegin() const {
+    assert(Finalized && "successors are laid out by finalize()");
+    return {Csr.data(), Stmts.size() + 1};
+  }
+  std::span<const StmtId> succTargets() const {
+    assert(Finalized && "successors are laid out by finalize()");
+    return {Csr.data() + Stmts.size() + 1, Edges.size()};
+  }
 
   FuncId mainFunction() const { return 0; }
   uint32_t numFunctions() const {
     return static_cast<uint32_t>(Funcs.size());
   }
-  /// Makes room for \p N statements, for a front end that knows about
-  /// how many it adds.
-  void reserveStatements(size_t N) { Stmts.reserve(N); }
+  /// Makes room for \p Statements statements and \p EdgeCount edges,
+  /// for a front end that knows about how many it adds.
+  void reserve(size_t Statements, size_t EdgeCount) {
+    Stmts.reserve(Statements);
+    Edges.reserve(EdgeCount);
+  }
   uint32_t numStatements() const {
     return static_cast<uint32_t>(Stmts.size());
   }
   const Stmt &stmt(StmtId S) const {
     assert(S < Stmts.size() && "statement out of range");
     return Stmts[S];
+  }
+  /// The parameter labels of operation \p S (empty if it has none).
+  /// Kept apart from the statements, which stay small records.
+  std::span<const std::string> labels(StmtId S) const {
+    uint32_t Set = stmt(S).LabelSet;
+    if (Set == 0)
+      return {};
+    return LabelSets[Set - 1];
   }
 
   /// The free-form source location of a statement, rendered from its
@@ -166,7 +206,13 @@ private:
 
   std::vector<Func> Funcs;
   std::vector<Stmt> Stmts;
+  std::vector<std::pair<StmtId, StmtId>> Edges; ///< in addEdge() order
+  /// The successor lists in CSR form, in one block: numStatements() + 1
+  /// offsets, then the edges' targets grouped by source.
+  std::vector<uint32_t> Csr;
+  bool Finalized = false;
   std::vector<std::string> Symbols;
+  std::vector<std::vector<std::string>> LabelSets; ///< see labels()
   std::vector<std::string> Notes; ///< the Text tags' notes
   std::function<std::string(uint32_t)> InsnText;
 };

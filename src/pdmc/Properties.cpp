@@ -7,8 +7,7 @@
 #include "pdmc/Properties.h"
 
 #include <cassert>
-#include <functional>
-#include <sstream>
+#include <string_view>
 
 using namespace rasc;
 
@@ -40,49 +39,64 @@ struct Uids {
   bool E, R, S;
 };
 
+/// The uid-changing symbols of the full privilege model, in alphabet
+/// order (execl, the ninth symbol, changes no uid).
+enum UidSym {
+  SetuidZero,
+  SetuidUser,
+  SeteuidZero,
+  SeteuidUser,
+  SetreuidUser,
+  SetresuidUser,
+  DropPriv,
+  Fork,
+  NumUidSyms
+};
+constexpr std::string_view UidSymNames[NumUidSyms] = {
+    "setuid_zero",   "setuid_user",    "seteuid_zero", "seteuid_user",
+    "setreuid_user", "setresuid_user", "drop_priv",    "fork"};
+
 /// One abstract transition of the full privilege model.
-Uids stepUids(Uids U, const std::string &Sym) {
+Uids stepUids(Uids U, UidSym Sym) {
   bool Privileged = !U.E;
-  if (Sym == "setuid_zero") {
+  switch (Sym) {
+  case SetuidZero:
     if (Privileged)
       return {false, false, false};
     if (!U.R || !U.S)
       return {false, U.R, U.S};
     return U;
-  }
-  if (Sym == "setuid_user") {
+  case SetuidUser:
     if (Privileged)
       return {true, true, true}; // permanent drop
     return {true, U.R, U.S};
-  }
-  if (Sym == "seteuid_zero") {
+  case SeteuidZero:
     if (!U.R || !U.S || Privileged)
       return {false, U.R, U.S};
     return U;
-  }
-  if (Sym == "seteuid_user")
+  case SeteuidUser:
     return {true, U.R, U.S}; // temporary drop, saved uid kept
-  if (Sym == "setreuid_user") {
+  case SetreuidUser:
     if (Privileged)
       return {true, true, U.S};
     return {true, true, U.S && U.R};
+  case SetresuidUser:
+  case DropPriv:
+    return {true, true, true};
+  case Fork:
+  case NumUidSyms:
+    break;
   }
-  if (Sym == "setresuid_user")
-    return {true, true, true};
-  if (Sym == "drop_priv")
-    return {true, true, true};
-  if (Sym == "fork")
-    return U;
-  assert(false && "not a uid-changing symbol");
   return U;
 }
 
-std::string uidStateName(Uids U) {
-  std::string N = "S";
-  N += U.E ? '1' : '0';
-  N += U.R ? '1' : '0';
-  N += U.S ? '1' : '0';
-  return N;
+/// "S" and the triple's bits: "S101".
+std::string_view uidStateName(Uids U, char (&Buf)[4]) {
+  Buf[0] = 'S';
+  Buf[1] = U.E ? '1' : '0';
+  Buf[2] = U.R ? '1' : '0';
+  Buf[3] = U.S ? '1' : '0';
+  return {Buf, 4};
 }
 
 } // namespace
@@ -91,31 +105,35 @@ std::string rasc::fullPrivilegeSpecText() {
   // Generated from the abstract uid semantics so the transition table
   // stays consistent; 11 states (Init, 8 uid triples, ExecSafe,
   // Error), 9 symbols.
-  const char *UidSyms[] = {"setuid_zero",   "setuid_user",
-                           "seteuid_zero",  "seteuid_user",
-                           "setreuid_user", "setresuid_user",
-                           "drop_priv",     "fork"};
-  std::ostringstream OS;
-  OS << "# Full process-privilege model (reconstruction of MOPS "
-        "Property 1):\n"
-     << "# a process must not exec while its effective uid is root.\n"
-     << "# States track the abstract (effective, real, saved) uid "
-        "triple.\n";
+  std::string Out;
+  Out.reserve(2800);
+  Out += "# Full process-privilege model (reconstruction of MOPS "
+         "Property 1):\n"
+         "# a process must not exec while its effective uid is root.\n"
+         "# States track the abstract (effective, real, saved) uid "
+         "triple.\n";
 
-  auto emitState = [&](const std::string &Name, bool Start, bool Accept,
+  auto emitState = [&](std::string_view Name, bool Start, bool Accept,
                        Uids U, bool IsTerminal) {
     if (Start)
-      OS << "start ";
+      Out += "start ";
     if (Accept)
-      OS << "accept ";
-    OS << "state " << Name << " :\n";
-    for (const char *Sym : UidSyms) {
-      std::string Target =
-          IsTerminal ? Name : uidStateName(stepUids(U, Sym));
-      OS << "  | " << Sym << " -> " << Target << "\n";
+      Out += "accept ";
+    Out += "state ";
+    Out += Name;
+    Out += " :\n";
+    char Buf[4];
+    for (int Sym = 0; Sym != NumUidSyms; ++Sym) {
+      Out += "  | ";
+      Out += UidSymNames[Sym];
+      Out += " -> ";
+      Out += IsTerminal ? Name
+                        : uidStateName(stepUids(U, UidSym(Sym)), Buf);
+      Out += "\n";
     }
-    OS << "  | execl -> "
-       << (IsTerminal ? Name : (!U.E ? "Error" : "ExecSafe")) << ";\n\n";
+    Out += "  | execl -> ";
+    Out += IsTerminal ? Name : !U.E ? "Error" : "ExecSafe";
+    Out += ";\n\n";
   };
 
   // Init behaves like a root daemon start: (root, root, root).
@@ -123,13 +141,14 @@ std::string rasc::fullPrivilegeSpecText() {
             {false, false, false}, /*IsTerminal=*/false);
   for (int Bits = 0; Bits != 8; ++Bits) {
     Uids U{(Bits & 4) != 0, (Bits & 2) != 0, (Bits & 1) != 0};
-    emitState(uidStateName(U), false, false, U, false);
+    char Buf[4];
+    emitState(uidStateName(U, Buf), false, false, U, false);
   }
   emitState("ExecSafe", false, false, {true, true, true},
             /*IsTerminal=*/true);
   emitState("Error", false, /*Accept=*/true, {false, false, false},
             /*IsTerminal=*/true);
-  return OS.str();
+  return Out;
 }
 
 std::string rasc::fileStateSpecText() {

@@ -4,6 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EncodeReference.h"
+
 #include "automata/Monoid.h"
 #include "dataflow/BitVector.h"
 #include "ebpf/Cfg.h"
@@ -394,13 +396,13 @@ struct LiteralEncoding {
       if (St.Kind == Stmt::Call) {
         ConsId O = CS->addConstructor("o" + std::to_string(S), 1);
         CS->add(CS->cons(O, {Vars[S]}), CS->var(Vars[P.entry(St.Callee)]));
-        for (StmtId Succ : St.Succs)
+        for (StmtId Succ : P.succs(S))
           CS->add(CS->proj(O, 0, Vars[P.exit(St.Callee)]),
                   CS->var(Vars[Succ]));
         continue;
       }
       AnnId A = Ann(S);
-      for (StmtId Succ : St.Succs)
+      for (StmtId Succ : P.succs(S))
         CS->add(CS->var(Vars[S]), CS->var(Vars[Succ]), A);
     }
     Solver = std::make_unique<BidirectionalSolver>(*CS);
@@ -458,7 +460,7 @@ struct PdmcAnnotations {
     std::vector<ParamBinding> Key;
     for (size_t I = 0; I != Decl.Params.size(); ++I)
       Key.push_back(
-          {Env->name(Decl.Params[I]), Env->name(St.OpLabels[I])});
+          {Env->name(Decl.Params[I]), Env->name(P.labels(S)[I])});
     return Env->instantiate(std::move(Key), Ann);
   }
 };
@@ -470,6 +472,15 @@ void expectExact(const Program &P, const SpecAutomaton &Spec,
                  const std::string &What) {
   PdmcAnnotations Ann(P, Spec);
   LiteralEncoding L(P, Ann.domain(), [&](StmtId S) { return Ann(S); });
+  // encodeProgram matches the reference encoder byte for byte, under
+  // the annotations RascChecker hands it (IdentityStmt where a
+  // statement is not a relevant operation).
+  std::vector<AnnId> Anns(P.numStatements(), IdentityStmt);
+  for (StmtId S = 0; S != P.numStatements(); ++S)
+    if (P.stmt(S).Kind == Stmt::Op &&
+        Spec.machine().symbol(P.symbolName(P.stmt(S).OpSym)))
+      Anns[S] = Ann(S);
+  EXPECT_EQ(testgen::diffEncodings(P, Ann.domain(), Anns), "") << What;
   RascChecker C(P, Spec);
   C.prepare();
   ASSERT_EQ(C.solver()->solve(), BidirectionalSolver::Status::Solved)
@@ -495,6 +506,12 @@ void expectDataflowExact(const BitVectorProblem &Prob,
   LiteralEncoding L(P, D, [&](StmtId S) {
     return D.transfer(Prob.gens(S), Prob.kills(S));
   });
+  std::vector<AnnId> Anns(P.numStatements(), IdentityStmt);
+  for (StmtId S = 0; S != P.numStatements(); ++S)
+    if (P.stmt(S).Kind != Stmt::Call &&
+        (Prob.gens(S) != 0 || Prob.kills(S) != 0))
+      Anns[S] = D.transfer(Prob.gens(S), Prob.kills(S));
+  EXPECT_EQ(testgen::diffEncodings(P, D, Anns), "") << What;
   AnnotatedBitVectorAnalysis A(Prob);
   A.prepare();
   ASSERT_EQ(A.solver()->solve(), BidirectionalSolver::Status::Solved)

@@ -40,6 +40,7 @@
 #include "flow/Analysis.h"
 #include "pdmc/Checker.h"
 #include "pdmc/Properties.h"
+#include "progen/ProgramGen.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -326,6 +327,71 @@ TEST(TraceExport, MonoidConstructionSpans) {
       Spans[E.at("name").S] = &E;
   ASSERT_TRUE(Spans.count("monoid.enumerate"));
   EXPECT_EQ(Spans["monoid.enumerate"]->at("args").at("a").N, 27); // 3^3
+}
+
+/// The complete ('X') events of the export, in start order.
+std::vector<Json> completeSpans() {
+  Json Root;
+  EXPECT_TRUE(JsonParser(trace::exportChromeJson()).parse(Root));
+  std::vector<Json> Out;
+  if (Root.K == Json::Obj && Root.has("traceEvents"))
+    for (const Json &E : Root.at("traceEvents").A)
+      if (E.at("ph").S == "X")
+        Out.push_back(E);
+  return Out;
+}
+
+/// Whether span \p Inner lies within span \p Outer on the same thread.
+/// Timestamps are exported in fractional microseconds; allow their
+/// rounding.
+bool nestedIn(const Json &Inner, const Json &Outer) {
+  const double Eps = 0.01;
+  double I0 = Inner.at("ts").N, I1 = I0 + Inner.at("dur").N;
+  double O0 = Outer.at("ts").N, O1 = O0 + Outer.at("dur").N;
+  return Inner.at("tid").N == Outer.at("tid").N && I0 + Eps >= O0 &&
+         I1 <= O1 + Eps;
+}
+
+TEST(TraceExport, SpecCompileAndEncoderSpans) {
+  ObservabilityOff Guard;
+  SpecAutomaton Spec = fullPrivilegeSpec();
+  Program P = generatePackage(2000, Spec, 5);
+  trace::clear();
+  trace::setEnabled(true);
+  std::string Text = fullPrivilegeSpecText();
+  Expected<SpecAutomaton> Compiled = parseSpecEx(Text);
+  RascChecker C(P, *Compiled);
+  C.check();
+  trace::setEnabled(false);
+  ASSERT_TRUE(Compiled);
+
+  std::vector<Json> Spans = completeSpans();
+  auto named = [&](const char *Name) {
+    std::vector<const Json *> Out;
+    for (const Json &E : Spans)
+      if (E.at("name").S == Name)
+        Out.push_back(&E);
+    return Out;
+  };
+  // One compile, whose first argument is the text's length.
+  std::vector<const Json *> Compile = named("spec.compile");
+  ASSERT_EQ(Compile.size(), 1u);
+  EXPECT_EQ(Compile[0]->at("args").at("a").N, Text.size());
+
+  // The encoder's two passes, each once, inside pdmc.prepare and in
+  // order: contraction, then emission. Both carry the statement count.
+  std::vector<const Json *> Prepare = named("pdmc.prepare");
+  std::vector<const Json *> Contract = named("pdmc.encode.contract");
+  std::vector<const Json *> Emit = named("pdmc.encode.emit");
+  ASSERT_EQ(Prepare.size(), 1u);
+  ASSERT_EQ(Contract.size(), 1u);
+  ASSERT_EQ(Emit.size(), 1u);
+  EXPECT_TRUE(nestedIn(*Contract[0], *Prepare[0]));
+  EXPECT_TRUE(nestedIn(*Emit[0], *Prepare[0]));
+  EXPECT_LE(Contract[0]->at("ts").N + Contract[0]->at("dur").N,
+            Emit[0]->at("ts").N + 0.01);
+  EXPECT_EQ(Contract[0]->at("args").at("a").N, P.numStatements());
+  EXPECT_EQ(Emit[0]->at("args").at("a").N, P.numStatements());
 }
 
 //===----------------------------------------------------------------------===//
